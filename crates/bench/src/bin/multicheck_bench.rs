@@ -28,8 +28,8 @@
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, analyze_multi_with_cache, analyze_streaming_with_cache,
-    AnalysisOptions, FeasibilityEngine, MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::slice_cache::SliceCache;
@@ -181,15 +181,16 @@ fn main() {
         for checker in &checkers {
             let cache = VerdictCache::new();
             let opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
-            let run = analyze_streaming_with_cache(
+            let run = analyze_multi_streaming_with_cache(
                 &program,
                 &pdg,
-                checker,
+                &CheckerSet::single(checker.clone()),
                 &make,
                 THREADS,
                 &opts,
                 Some(&cache),
-            );
+            )
+            .into_single();
             rep_sessions += run.stages.sessions_opened;
             rep_slices += run.stages.slices_computed;
             rep_reused += run.stages.slices_reused;

@@ -1,30 +1,25 @@
-//! `pipeline_bench` — the streaming-pipeline perf harness
+//! `pipeline_bench` — the slice-memo and discovery perf harness
 //! (`BENCH_pipeline.json`).
 //!
-//! Three comparisons over a fixed corpus (a synthetic many-source
+//! Two comparisons over a fixed corpus (a synthetic many-source
 //! hot-sink program plus two scaled workload subjects):
 //!
-//! * **barrier vs streaming** — `analyze_parallel_with_cache` (discover
-//!   everything, then solve) against `analyze_streaming_with_cache`
-//!   (discovery shards push completed sink groups through a bounded
-//!   channel into solve workers), same thread count, reports asserted
-//!   byte-identical against the sequential driver;
-//! * **slices cold vs memoized** — a cold run against a second run
-//!   sharing the same [`SliceCache`]: the warm run must answer its
-//!   closure requests from the memo;
+//! * **slices cold vs memoized** — a cold `THREADS`-thread run against a
+//!   second run sharing the same [`SliceCache`]: the warm run must answer
+//!   its closure requests from the memo; both runs' reports are asserted
+//!   byte-identical against a one-engine reference run;
 //! * **discovery throughput** — `discover_all` at 1 shard vs the bench
 //!   thread count, DFS steps per second.
 //!
 //! Output: `BENCH_pipeline.json` in the working directory (override with
 //! `FUSION_BENCH_OUT`). With `FUSION_BENCH_ENFORCE=1` the process exits
-//! non-zero when streaming is more than 5% slower than the barrier
-//! pipeline or the slice memo records no hits — the CI regression gate.
+//! non-zero when the slice memo records no hits — the CI regression gate.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_streaming_with_cache, analyze_with_cache, AnalysisOptions,
-    AnalysisRun, FeasibilityEngine,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::propagate::{discover_all, PropagateOptions};
@@ -37,11 +32,8 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Thread count the barrier-vs-streaming comparison runs at (the ISSUE's
-/// "≥ 4 threads" acceptance point).
+/// Thread count of the memoized runs and the sharded discovery.
 const THREADS: usize = 4;
-/// Wall-clock measurements take the best of this many repetitions.
-const ITERS: usize = 3;
 
 /// Synthetic subject: `funcs` functions, each holding one opaque
 /// nonlinear core guarding `sinks` null-deref candidates — many sources
@@ -113,24 +105,22 @@ type ReportKey = (
     Vec<fusion_pdg::graph::Vertex>,
 );
 
-fn keys(run: &AnalysisRun) -> Vec<ReportKey> {
-    run.reports
-        .iter()
+fn keys(run: &MultiAnalysisRun) -> Vec<ReportKey> {
+    run.all_reports()
         .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
         .collect()
 }
 
 fn main() {
     banner(
-        "pipeline_bench: barrier vs streaming discovery→solve",
-        "same corpus, same threads; reports asserted identical to sequential",
+        "pipeline_bench: slice memo and discovery throughput",
+        "same corpus, same threads; reports asserted identical to one engine",
     );
     let budget = default_budget();
     let checker = Checker::null_deref();
+    let set = CheckerSet::single(checker.clone());
     let make = factory();
 
-    let mut barrier_us: u128 = 0;
-    let mut streaming_us: u128 = 0;
     let mut reports_identical = true;
     let mut slices_cold: u64 = 0;
     let mut slices_warm: u64 = 0;
@@ -141,80 +131,38 @@ fn main() {
     let mut discovery_shard_us: u128 = 0;
 
     for entry in corpus() {
-        // Sequential reference transcript (fresh caches).
+        // One-engine reference transcript (fresh caches).
         let mut seq_engine = FusionSolver::new(budget);
         let seq_cache = VerdictCache::new();
-        let seq = analyze_with_cache(
+        let seq = analyze_multi_with_cache(
             &entry.program,
             &entry.pdg,
-            &checker,
+            &set,
             &mut seq_engine,
             &AnalysisOptions::new(),
             Some(&seq_cache),
         );
         let want = keys(&seq);
 
-        // Barrier vs streaming: best of ITERS, fresh caches per
-        // repetition so both modes run cold.
-        let mut best_barrier = u128::MAX;
-        let mut best_streaming = u128::MAX;
-        for _ in 0..ITERS {
-            let cache = VerdictCache::new();
-            let opts = AnalysisOptions::new();
-            let t = Instant::now();
-            let run = analyze_parallel_with_cache(
-                &entry.program,
-                &entry.pdg,
-                &checker,
-                &make,
-                THREADS,
-                &opts,
-                Some(&cache),
-            );
-            best_barrier = best_barrier.min(t.elapsed().as_micros());
-            if keys(&run) != want {
-                reports_identical = false;
-            }
-
-            let cache = VerdictCache::new();
-            let opts = AnalysisOptions::new();
-            let t = Instant::now();
-            let run = analyze_streaming_with_cache(
-                &entry.program,
-                &entry.pdg,
-                &checker,
-                &make,
-                THREADS,
-                &opts,
-                Some(&cache),
-            );
-            best_streaming = best_streaming.min(t.elapsed().as_micros());
-            if keys(&run) != want {
-                reports_identical = false;
-            }
-        }
-        barrier_us += best_barrier;
-        streaming_us += best_streaming;
-
         // Slice memoization: cold run vs warm run sharing one SliceCache
         // (fresh verdict caches both, so the warm run re-queries).
         let shared = Arc::new(SliceCache::new());
         let opts = AnalysisOptions::new().with_slice_cache(Arc::clone(&shared));
         let cold_cache = VerdictCache::new();
-        let cold = analyze_streaming_with_cache(
+        let cold = analyze_multi_streaming_with_cache(
             &entry.program,
             &entry.pdg,
-            &checker,
+            &set,
             &make,
             THREADS,
             &opts,
             Some(&cold_cache),
         );
         let warm_cache = VerdictCache::new();
-        let warm = analyze_streaming_with_cache(
+        let warm = analyze_multi_streaming_with_cache(
             &entry.program,
             &entry.pdg,
-            &checker,
+            &set,
             &make,
             THREADS,
             &opts,
@@ -245,17 +193,13 @@ fn main() {
         discovery_steps += seq_d.steps;
 
         println!(
-            "  {:<16} barrier={:>8}us streaming={:>8}us slices cold/warm={}/{}",
-            entry.name,
-            best_barrier,
-            best_streaming,
-            cold.stages.slices_computed,
-            warm.stages.slices_computed,
+            "  {:<16} slices cold/warm={}/{}",
+            entry.name, cold.stages.slices_computed, warm.stages.slices_computed,
         );
     }
     assert!(
         reports_identical,
-        "pipeline modes must report byte-identically"
+        "memoized runs must report byte-identically"
     );
 
     let steps_per_sec = |us: u128| -> f64 {
@@ -270,18 +214,8 @@ fn main() {
     } else {
         slice_hits as f64 / slice_requests as f64
     };
-    let streaming_pct = if barrier_us == 0 {
-        0.0
-    } else {
-        100.0 * streaming_us as f64 / barrier_us as f64
-    };
 
     println!("--------------------------------------------------------------");
-    println!(
-        "barrier:   {:>9.3}ms   streaming: {:>9.3}ms   ({streaming_pct:.1}% of barrier)",
-        barrier_us as f64 / 1000.0,
-        streaming_us as f64 / 1000.0,
-    );
     println!(
         "slices:    cold {} -> memoized {} ({}x reduction); warm hit rate {:.2}",
         slices_cold,
@@ -301,9 +235,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"scale\": {},\n  \"threads\": {THREADS},\n  \"iters\": {ITERS},\n  \
-         \"barrier_wall_us\": {barrier_us},\n  \"streaming_wall_us\": {streaming_us},\n  \
-         \"streaming_pct_of_barrier\": {streaming_pct:.2},\n  \
+        "{{\n  \"scale\": {},\n  \"threads\": {THREADS},\n  \
          \"slices_computed_cold\": {slices_cold},\n  \
          \"slices_computed_memoized\": {slices_warm},\n  \
          \"slice_warm_hit_rate\": {hit_rate:.4},\n  \
@@ -317,16 +249,10 @@ fn main() {
     );
     report::write("BENCH_pipeline.json", &json);
 
-    // CI gates: streaming within 105% of barrier; memo must hit.
+    // CI gate: the memo must hit.
     let gate = report::Gate::from_env();
-    gate.require(streaming_us as f64 <= barrier_us as f64 * 1.05, || {
-        format!(
-            "streaming wall {streaming_us}us exceeds 105% of \
-             barrier wall {barrier_us}us"
-        )
-    });
     gate.require(slice_hits > 0, || {
         "slice memo recorded no hits on the warm runs".into()
     });
-    gate.pass("streaming within 105% of barrier, slice memo hit");
+    gate.pass("slice memo hit");
 }

@@ -168,10 +168,10 @@ fn corpus() -> Vec<Entry> {
     entries
 }
 
-/// The query stream of one program, batched into slice groups exactly as
-/// the drivers dispatch them: candidates grouped by sink function
-/// (first-occurrence order), candidate order within a group, every path of
-/// every candidate.
+/// The query stream of one program, batched into slice groups the way the
+/// analysis driver batches each work item's candidates: grouped by sink
+/// function (first-occurrence order), candidate order within a group,
+/// every path of every candidate.
 fn query_groups(candidates: &[Candidate]) -> Vec<Vec<(usize, usize)>> {
     let mut order: Vec<(u64, Vec<usize>)> = Vec::new();
     for (i, c) in candidates.iter().enumerate() {

@@ -9,8 +9,8 @@
 //! condition size (DAG nodes), solve time, and retained (cached) bytes.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze_with_cache, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze_multi_with_cache, AnalysisOptions, FeasibilityEngine};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::memory::Category;
 use fusion::propagate::{discover, PropagateOptions};
@@ -122,22 +122,9 @@ fn main() {
     let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(default_budget());
     let opts = AnalysisOptions::new();
-    let first = analyze_with_cache(
-        &program,
-        &pdg,
-        &Checker::null_deref(),
-        &mut engine,
-        &opts,
-        Some(&cache),
-    );
-    let second = analyze_with_cache(
-        &program,
-        &pdg,
-        &Checker::null_deref(),
-        &mut engine,
-        &opts,
-        Some(&cache),
-    );
+    let set = CheckerSet::single(Checker::null_deref());
+    let first = analyze_multi_with_cache(&program, &pdg, &set, &mut engine, &opts, Some(&cache));
+    let second = analyze_multi_with_cache(&program, &pdg, &set, &mut engine, &opts, Some(&cache));
     println!(
         "\nverdict cache (k=32): first pass {:.0}% hit rate ({} miss), \
          re-analysis {:.0}% hit rate ({} hit, {} solver queries)",

@@ -19,10 +19,9 @@
 //!                                        query / stats / shutdown), responses on
 //!                                        stdout, with the PDG, facts, caches, and
 //!                                        verdicts resident between requests
-//!     --threads N                        parallel candidate checking
+//!     --threads N                        analysis threads: above 1, discovery
+//!                                        streams into parallel solve workers
 //!     --cache / --no-cache               shared feasibility-verdict cache (default: on)
-//!     --stream / --no-stream             streaming discovery→solve pipeline for
-//!                                        --threads > 1 (default: on)
 //!     --no-incremental                   disable incremental solver sessions (fusion engine)
 //!     --absint / --no-absint             abstract-interpretation triage and solver
 //!                                        seeding (default: on; refute-only, findings
@@ -67,8 +66,8 @@ pub mod shards;
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine,
+    MultiAnalysisRun,
 };
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::slice_cache::SliceCache;
@@ -122,15 +121,12 @@ pub struct Options {
     pub json: bool,
     /// Print statistics.
     pub stats: bool,
-    /// Worker threads for candidate checking (1 = sequential).
+    /// Analysis threads (1 = inline on one engine). Above one, discovery
+    /// producers stream each source's sink groups straight into solve
+    /// workers; findings are byte-identical at any count.
     pub threads: usize,
     /// Share one feasibility-verdict cache across checkers and workers.
     pub use_cache: bool,
-    /// Stream completed sink groups from discovery shards straight into
-    /// solve workers (`--threads` > 1). `--no-stream` falls back to the
-    /// barrier pipeline (discover everything, then solve). Findings are
-    /// byte-identical either way.
-    pub stream: bool,
     /// Incremental solver sessions for the fusion engine: queries in one
     /// slice group share a persistent SAT solver and bit-blast memo.
     /// `--no-incremental` forces a cold solve per query (the other engines
@@ -210,7 +206,6 @@ impl Default for Options {
             stats: false,
             threads: 1,
             use_cache: true,
-            stream: true,
             incremental: true,
             absint: true,
             compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
@@ -346,8 +341,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--stats" => opts.stats = true,
             "--cache" => opts.use_cache = true,
             "--no-cache" => opts.use_cache = false,
-            "--stream" => opts.stream = true,
-            "--no-stream" => opts.stream = false,
             "--no-incremental" => opts.incremental = false,
             "--absint" => opts.absint = true,
             "--no-absint" => opts.absint = false,
@@ -390,7 +383,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                      [--checker null|cwe23|cwe402|all] [--list-checkers] \
                      [--timeout-secs N] \
                      [--solver-timeout-ms N] [--threads N] [--cache|--no-cache] \
-                     [--stream|--no-stream] [--no-incremental] \
+                     [--no-incremental] \
                      [--absint|--no-absint] [--compact|--no-compact] \
                      [--egraph|--no-egraph] [--validate] [--dot FILE] \
                      [--shards K] [--shard-workers N] [--snapshot-dir DIR] \
@@ -563,7 +556,7 @@ pub struct ScanReport {
     /// Bytes retained by the shared verdict cache at the end of the scan.
     pub cache_bytes: u64,
     /// Wall-clock milliseconds of candidate discovery (summed over runs;
-    /// overlaps solving in the streaming pipeline).
+    /// overlaps solving with `--threads` > 1).
     pub discover_ms: f64,
     /// Engine milliseconds computing slice closures and constraints
     /// (summed over workers and runs).
@@ -895,12 +888,10 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::clone(&slice_cache));
     analysis_opts.absint = opts.absint;
     analysis_opts.compact = opts.compact;
+    let (engine_choice, timeout, incremental, egraph) =
+        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
+    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
     let run: MultiAnalysisRun = if opts.shards > 0 {
-        let engine_choice = opts.engine;
-        let timeout = opts.timeout;
-        let incremental = opts.incremental;
-        let egraph = opts.egraph;
-        let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
         let sharded = if opts.shard_workers > 0 {
             shards::analyze_sharded_multiprocess(
                 &program,
@@ -924,36 +915,16 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
             .map_err(|e| CliError(format!("partitioned scan failed: {e}")))?
         };
         sharded.run
-    } else if opts.threads > 1 {
-        let engine_choice = opts.engine;
-        let timeout = opts.timeout;
-        let incremental = opts.incremental;
-        let egraph = opts.egraph;
-        let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
-        if opts.stream {
-            analyze_multi_streaming_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory,
-                opts.threads,
-                &analysis_opts,
-                cache,
-            )
-        } else {
-            analyze_multi_parallel_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory,
-                opts.threads,
-                &analysis_opts,
-                cache,
-            )
-        }
     } else {
-        let mut engine = make_engine(opts.engine, opts.timeout, opts.incremental, opts.egraph);
-        analyze_multi_with_cache(&program, &pdg, &set, engine.as_mut(), &analysis_opts, cache)
+        analyze_multi_streaming_with_cache(
+            &program,
+            &pdg,
+            &set,
+            &factory,
+            opts.threads,
+            &analysis_opts,
+            cache,
+        )
     };
     fill_report(&mut report, &program, &run);
     report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -1283,26 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_sequential() {
-        let src = "extern fn deref(p);\n\
-            fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
-            fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }";
-        let seq = Options {
-            checker: CheckerChoice::Null,
-            ..Default::default()
-        };
-        let par = Options {
-            checker: CheckerChoice::Null,
-            threads: 3,
-            ..Default::default()
-        };
-        let r1 = scan_source(src, &seq).unwrap();
-        let r2 = scan_source(src, &par).unwrap();
-        assert_eq!(r1.findings.len(), r2.findings.len());
-        assert_eq!(r1.suppressed, r2.suppressed);
-    }
-
-    #[test]
     fn sanitizer_flag_parses_and_applies() {
         let o = parse_args(&args(&["--sanitizer", "scrub", "a.fus"])).unwrap();
         assert_eq!(o.extra_sanitizers, vec!["scrub"]);
@@ -1473,17 +1424,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_flags_parse() {
-        let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert!(o.stream, "streaming is the default");
-        let o = parse_args(&args(&["--no-stream", "a.fus"])).unwrap();
-        assert!(!o.stream);
-        let o = parse_args(&args(&["--no-stream", "--stream", "a.fus"])).unwrap();
-        assert!(o.stream);
-    }
-
-    #[test]
-    fn streaming_scan_matches_barrier_scan() {
+    fn threaded_scan_matches_one_thread_scan() {
         let src = "extern fn deref(p);\n\
             fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
             fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }\n\
@@ -1510,8 +1451,8 @@ mod tests {
             },
         )
         .unwrap();
-        for threads in [2, 4] {
-            let streaming = scan_source(
+        for threads in 2..=8 {
+            let threaded = scan_source(
                 src,
                 &Options {
                     checker: CheckerChoice::Null,
@@ -1520,20 +1461,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let barrier = scan_source(
-                src,
-                &Options {
-                    checker: CheckerChoice::Null,
-                    threads,
-                    stream: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(key(&seq), key(&streaming), "threads={threads}");
-            assert_eq!(key(&seq), key(&barrier), "threads={threads}");
-            assert_eq!(seq.suppressed, streaming.suppressed);
-            assert_eq!(seq.suppressed, barrier.suppressed);
+            assert_eq!(key(&seq), key(&threaded), "threads={threads}");
+            assert_eq!(seq.suppressed, threaded.suppressed, "threads={threads}");
         }
     }
 

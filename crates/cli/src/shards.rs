@@ -182,11 +182,6 @@ fn push_analysis_flags(cmd: &mut Command, opts: &Options) {
     } else {
         "--no-cache"
     });
-    cmd.arg(if opts.stream {
-        "--stream"
-    } else {
-        "--no-stream"
-    });
     if !opts.incremental {
         cmd.arg("--no-incremental");
     }

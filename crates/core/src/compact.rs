@@ -29,7 +29,7 @@
 //!    structural body signatures. Two dependence-path fragments that are
 //!    equal modulo such renaming translate to structurally identical
 //!    formulas (no name ever reaches the solver), so their feasibility
-//!    verdicts coincide and the drivers share them through
+//!    verdicts coincide and the driver shares them through
 //!    [`IsoVerdicts`] — strictly fewer solver queries, same verdicts.
 //!
 //! Everything cached here is **dependence structure only** — bit sets,

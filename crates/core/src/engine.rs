@@ -12,8 +12,7 @@ use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
 use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
 use crate::propagate::{
-    discover_all_multi_compact, discover_source_for_compact, multi_source_vertices, Candidate,
-    PropagateOptions,
+    discover_source_for_compact, multi_source_vertices, Candidate, PropagateOptions,
 };
 use crate::slice_cache::{SliceCache, SliceCacheStats};
 use crate::stream::{BoundedQueue, CloseGuard};
@@ -21,7 +20,7 @@ use fusion_ir::ssa::Program;
 use fusion_pdg::graph::{Pdg, Vertex};
 use fusion_pdg::paths::DependencePath;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The verdict on one path set.
@@ -243,12 +242,13 @@ impl EngineStages {
 /// span of the discovery stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageStats {
-    /// Wall-clock span of the discovery stage (sharded or not). In the
-    /// streaming pipeline this overlaps the solve stage.
+    /// Wall-clock span of the discovery stage, compaction included. At
+    /// more than one thread this overlaps the solve stage; inline it is
+    /// the summed per-item discovery wall.
     pub discover_wall: Duration,
     /// Total DFS steps taken by discovery.
     pub discovery_steps: u64,
-    /// Discovery shard (producer) count.
+    /// Discovery producer count (1 for an inline run).
     pub discovery_shards: usize,
     /// Engine time computing slice closures/constraints (summed over
     /// workers).
@@ -314,8 +314,9 @@ pub struct StageStats {
     /// Cached path verdicts a warm session run evicted via recorded
     /// `path_set_key → functions` provenance.
     pub verdicts_invalidated: u64,
-    /// Candidates actually re-discovered and re-solved by a warm session
-    /// run (retained work items replay without touching the engine).
+    /// Candidates actually re-discovered and re-solved by a session run
+    /// (retained work items replay without touching the engine); zero
+    /// for every run outside the warm analysis service and the shards.
     pub candidates_reanalyzed: u64,
     /// Call-graph shards a partitioned scan ran (zero for unsharded).
     pub shards: u64,
@@ -368,8 +369,9 @@ pub struct BugReport {
 /// Aggregate results of one analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalysisRun {
-    /// Engine name. Sequential runs use the engine's own name; parallel
-    /// runs keep it and suffix the thread count (e.g. `"fusion×4"`).
+    /// Engine name. Runs on a borrowed engine use the engine's own name;
+    /// factory-built runs keep it and suffix the thread count (e.g.
+    /// `"fusion×4"`).
     pub engine: String,
     /// Bug reports (feasible or undecided candidates).
     pub reports: Vec<BugReport>,
@@ -397,9 +399,9 @@ pub struct AnalysisRun {
 }
 
 impl AnalysisRun {
-    /// Total wall-clock time. In the streaming pipeline `solve_time` is
-    /// defined as `pipeline_wall − discovery span`, so this is the true
-    /// end-to-end wall for every driver.
+    /// Total wall-clock time. `solve_time` is defined as `run wall −
+    /// discovery span` (the two overlap at more than one thread), so this
+    /// is the true end-to-end wall at any thread count.
     pub fn total_time(&self) -> Duration {
         self.propagate_time + self.solve_time
     }
@@ -478,8 +480,8 @@ impl MultiAnalysisRun {
     }
 
     /// Flattens into a single-checker [`AnalysisRun`] — exact for the
-    /// singleton sets the `analyze*` wrappers use; for larger sets the
-    /// reports concatenate in checker order and `suppressed` sums.
+    /// singleton set [`analyze`] uses; for larger sets the reports
+    /// concatenate in checker order and `suppressed` sums.
     pub fn into_single(self) -> AnalysisRun {
         let mut reports = Vec::new();
         let mut suppressed = 0usize;
@@ -503,16 +505,16 @@ impl MultiAnalysisRun {
     }
 }
 
-/// Configuration of [`analyze`], [`analyze_parallel`], and
-/// [`analyze_streaming`].
+/// Configuration of the analysis driver ([`analyze`],
+/// [`analyze_multi_with_cache`], [`analyze_multi_streaming_with_cache`]).
 #[derive(Debug, Clone)]
 pub struct AnalysisOptions {
     /// Propagation limits.
     pub propagate: PropagateOptions,
-    /// Whether the drivers memoize path verdicts in a [`VerdictCache`]
-    /// (on by default). [`analyze`]/[`analyze_parallel`] allocate a
-    /// run-local cache; use the `*_with_cache` variants to share one
-    /// cache across runs or checkers.
+    /// Whether [`analyze`] memoizes path verdicts in a run-local
+    /// [`VerdictCache`] (on by default). The `*_with_cache` entry points
+    /// take the cache explicitly instead, so one cache can be shared
+    /// across runs or checkers.
     pub use_cache: bool,
     /// Shared slice-closure memo handed to engines that support it (the
     /// `FusionSolver`; baselines bypass it). `Some` by default with a
@@ -521,10 +523,6 @@ pub struct AnalysisOptions {
     /// entirely (engines still reuse one closure across the alternative
     /// paths of a single candidate).
     pub slice_cache: Option<Arc<SliceCache>>,
-    /// Discovery shard count for the sharded drivers. `None` (default)
-    /// uses the driver's thread count; the sequential driver always
-    /// discovers on one shard.
-    pub discover_shards: Option<usize>,
     /// Abstract-interpretation triage (on by default): per-function
     /// Const/Affine/Interval/KnownBits facts refute candidate paths before
     /// any cache lookup, slice closure, or solver session, and seed the
@@ -549,7 +547,6 @@ impl Default for AnalysisOptions {
             propagate: PropagateOptions::default(),
             use_cache: true,
             slice_cache: Some(Arc::new(SliceCache::new())),
-            discover_shards: None,
             absint: true,
             compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
         }
@@ -582,15 +579,15 @@ impl AnalysisOptions {
 
 /// The outcome for one candidate: either all paths were proven
 /// infeasible (suppressed) or a report was produced. `Clone` so a warm
-/// session run ([`analyze_multi_streaming_session`]) can replay recorded
-/// outcomes of unaffected work items without re-solving them.
+/// session run can replay recorded outcomes of unaffected work items
+/// without re-solving them.
 #[derive(Clone)]
 pub(crate) enum CandVerdict {
     Suppressed,
     Report(BugReport),
 }
 
-/// Per-checker solve-side tallies a driver accumulates while deciding
+/// Per-checker solve-side tallies a worker accumulates while deciding
 /// candidates (each candidate carries its [`CheckerId`], so attribution
 /// is exact even when workers interleave checkers).
 #[derive(Debug, Clone, Copy, Default)]
@@ -627,7 +624,7 @@ impl CandTally {
 }
 
 /// `(total queries issued, total triaged paths)` across a tally set —
-/// the group-boundary snapshot the drivers use to count sink groups whose
+/// the group-boundary snapshot a worker uses to count sink groups whose
 /// incremental session was never opened because triage refuted paths.
 fn tally_totals(tallies: &[CandTally]) -> (usize, u64) {
     (
@@ -636,7 +633,7 @@ fn tally_totals(tallies: &[CandTally]) -> (usize, u64) {
     )
 }
 
-/// Debug-build contract check at every fused-driver entry: the sparse
+/// Debug-build contract check at the driver's entry: the sparse
 /// analyses, the PDG construction and the abstract interpreter all assume
 /// the IR invariants of [`fusion_ir::validate::check_program`] (acyclic
 /// gated SSA, consistent call-site table, unrolled call graph). Release
@@ -677,40 +674,164 @@ fn fill_compact_stats(stages: &mut StageStats, compact: Option<&CompactPdg>) {
     }
 }
 
-/// Groups candidate indices by **sink function only** — the slice-group
-/// batching unit. Candidates against the same sink share most of their
-/// slices, so solving them back-to-back maximizes what an incremental
-/// engine can reuse (cached local conditions, memoized instantiations,
-/// session encodings). The key deliberately ignores the candidate's
-/// [`CheckerId`]: in a fused multi-client pass, queries from *different
-/// checkers* that land on the same sink function fall into one group and
-/// therefore share one solver session, one slice closure, and one warm
-/// translation cache — the whole point of fusing the clients. Groups
-/// appear in first-occurrence order and indices stay ascending within a
-/// group, so a driver that walks the groups and sorts results by index
-/// reproduces the ungrouped candidate order exactly.
-fn group_by_sink(candidates: &[Candidate]) -> Vec<(u64, Vec<usize>)> {
-    let mut order: Vec<(u64, Vec<usize>)> = Vec::new();
-    let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for (i, c) in candidates.iter().enumerate() {
-        let key = c.sink.func.0 as u64;
-        match slot.get(&key) {
-            Some(&g) => order[g].1.push(i),
-            None => {
-                slot.insert(key, order.len());
-                order.push((key, vec![i]));
+/// Everything one run shares, by reference, between its discovery side
+/// and its solve workers.
+struct RunCtx<'a> {
+    program: &'a Program,
+    pdg: &'a Pdg,
+    set: &'a CheckerSet,
+    options: &'a AnalysisOptions,
+    cache: Option<&'a VerdictCache>,
+    facts: Option<&'a Arc<ProgramFacts>>,
+    compact: Option<&'a CompactPdg>,
+    prov: Option<&'a crate::incremental::SessionProvenance>,
+    /// The `(checker, source)` work list in canonical order
+    /// ([`multi_source_vertices`]).
+    items: &'a [(CheckerId, Vertex)],
+}
+
+/// The candidates of one `(work item, sink function)` pair: the unit a
+/// solve worker decides back-to-back, tagged for the deterministic merge.
+struct SinkGroup {
+    item: usize,
+    /// The sink function, the group key. It ignores the candidate's
+    /// [`CheckerId`], so candidates of different checkers that land on
+    /// one sink function share the engine's group-scoped state (session,
+    /// slice closure, translation cache) — the point of fusing clients.
+    sink_key: u64,
+    /// `(candidate index within the work item, candidate)`.
+    cands: Vec<(usize, Candidate)>,
+}
+
+/// What discovery leaves behind, per producer (one for an inline run).
+#[derive(Default)]
+struct Discovered {
+    /// `(work-item index, DFS steps)` for every item discovered.
+    steps: Vec<(usize, u64)>,
+    /// Transient visited-set bytes, charged and released per item.
+    memory: MemoryAccountant,
+}
+
+impl RunCtx<'_> {
+    /// Discovers work item `i` and splits its candidates into sink groups
+    /// in first-occurrence order; candidate indices stay ascending within
+    /// a group, so merging results by `(item, index)` restores discovery
+    /// order exactly.
+    fn discover(&self, i: usize, found: &mut Discovered) -> Vec<SinkGroup> {
+        let (id, src) = self.items[i];
+        let d = discover_source_for_compact(
+            self.program,
+            self.pdg,
+            self.set.get(id),
+            id,
+            &self.options.propagate,
+            src,
+            self.compact,
+        );
+        found.memory.charge(Category::Graph, d.state_bytes);
+        found.memory.release(Category::Graph, d.state_bytes);
+        found.steps.push((i, d.steps));
+        let mut groups: Vec<SinkGroup> = Vec::new();
+        for (local, cand) in d.candidates.into_iter().enumerate() {
+            let key = cand.sink.func.0 as u64;
+            match groups.iter_mut().find(|g| g.sink_key == key) {
+                Some(g) => g.cands.push((local, cand)),
+                None => groups.push(SinkGroup {
+                    item: i,
+                    sink_key: key,
+                    cands: vec![(local, cand)],
+                }),
             }
         }
+        groups
     }
-    order
+}
+
+/// One solve worker: an engine plus what it has decided so far.
+struct Worker<'e> {
+    engine: &'e mut dyn FeasibilityEngine,
+    /// Engine totals when the run began (a borrowed engine may have run
+    /// before), so the run reports its own stage deltas.
+    stages_before: EngineStages,
+    /// Sink key of the last group announced to the engine.
+    last_key: Option<u64>,
+    /// `((work-item index, candidate index), outcome)` pairs.
+    results: Vec<((usize, usize), CandVerdict)>,
+    /// Per-checker tallies (indexed by `CheckerId.0`).
+    tallies: Vec<CandTally>,
+    /// Sink groups this worker never issued a query for because triage
+    /// refuted paths in them.
+    sessions_skipped: u64,
+}
+
+/// A finished worker's share of the run.
+struct WorkerOut {
+    name: &'static str,
+    results: Vec<((usize, usize), CandVerdict)>,
+    tallies: Vec<CandTally>,
+    memory: MemoryAccountant,
+    stages: EngineStages,
+    sessions_skipped: u64,
+}
+
+impl<'e> Worker<'e> {
+    fn new(ctx: &RunCtx, engine: &'e mut dyn FeasibilityEngine) -> Self {
+        if let Some(sc) = &ctx.options.slice_cache {
+            engine.attach_slice_cache(Arc::clone(sc));
+        }
+        if let Some(f) = ctx.facts {
+            engine.attach_absint(Arc::clone(f));
+        }
+        Worker {
+            stages_before: engine.stage_totals(),
+            engine,
+            last_key: None,
+            results: Vec::new(),
+            tallies: vec![CandTally::default(); ctx.set.len()],
+            sessions_skipped: 0,
+        }
+    }
+
+    /// Decides one sink group. A group boundary is announced only when
+    /// the sink key changes, so the engine's group-scoped state spans
+    /// consecutive fragments of one sink function — from different work
+    /// items and checkers alike. Verdicts never depend on where
+    /// boundaries fall ([`FeasibilityEngine::begin_group`]'s contract).
+    fn solve_group(&mut self, ctx: &RunCtx, group: &SinkGroup) {
+        if self.last_key != Some(group.sink_key) {
+            self.engine.begin_group(group.sink_key);
+            self.last_key = Some(group.sink_key);
+        }
+        let (q_before, tr_before) = tally_totals(&self.tallies);
+        for (local, cand) in &group.cands {
+            let tally = &mut self.tallies[cand.checker.0];
+            let v = solve_candidate(ctx, &mut *self.engine, cand, tally);
+            self.results.push(((group.item, *local), v));
+        }
+        let (q_after, tr_after) = tally_totals(&self.tallies);
+        if q_after == q_before && tr_after > tr_before {
+            self.sessions_skipped += 1;
+        }
+    }
+
+    fn finish(self) -> WorkerOut {
+        WorkerOut {
+            name: self.engine.name(),
+            results: self.results,
+            tallies: self.tallies,
+            memory: self.engine.memory().clone(),
+            stages: self.engine.stage_totals().since(&self.stages_before),
+            sessions_skipped: self.sessions_skipped,
+        }
+    }
 }
 
 /// Decides one candidate: query each alternative path until one is
 /// feasible. With a cache, each path's verdict is looked up by canonical
 /// key first and engine misses are stored back (Unknown is never stored).
 /// `tally.queries` counts only queries actually issued to the engine;
-/// hits/misses/solve-wall accumulate alongside so fused drivers can
-/// attribute solve effort per checker.
+/// hits/misses/solve-wall accumulate alongside so solve effort is
+/// attributed per checker.
 ///
 /// When abstract facts are supplied, each path is first checked against
 /// them ([`ProgramFacts::path_refuted`]): a refuted path is infeasible in
@@ -734,22 +855,17 @@ fn group_by_sink(candidates: &[Candidate]) -> Vec<(u64, Vec<usize>)> {
 /// dirtiness tracker later uses to evict exactly the entries an edit can
 /// reach. The record holds function ids and content hashes only, never a
 /// condition (§3.2.2).
-#[allow(clippy::too_many_arguments)] // one call per driver; a params struct would only obscure
 fn solve_candidate(
-    program: &Program,
-    pdg: &Pdg,
+    ctx: &RunCtx,
     engine: &mut dyn FeasibilityEngine,
-    cache: Option<&VerdictCache>,
-    facts: Option<&ProgramFacts>,
-    compact: Option<&CompactPdg>,
-    prov: Option<&crate::incremental::SessionProvenance>,
-    kind: CheckKind,
     cand: &Candidate,
     tally: &mut CandTally,
 ) -> CandVerdict {
+    let program = ctx.program;
+    let kind = ctx.set.get(cand.checker).kind;
     // Abstract-interpretation triage: refute paths against per-function
     // facts before any cache lookup or solver work.
-    let triaged: Vec<bool> = match facts {
+    let triaged: Vec<bool> = match ctx.facts {
         Some(f) => cand
             .paths
             .iter()
@@ -772,7 +888,7 @@ fn solve_candidate(
     // the canonical key independent of triage keeps the slice memo shared
     // between triaged and untriaged runs.
     let cand_key = path_set_key(program, &cand.paths);
-    engine.begin_candidate(program, pdg, cand_key, &cand.paths);
+    engine.begin_candidate(program, ctx.pdg, cand_key, &cand.paths);
     let mut verdict = Feasibility::Infeasible;
     let mut witness: Option<&DependencePath> = None;
     for (path, &is_triaged) in cand.paths.iter().zip(&triaged) {
@@ -780,7 +896,7 @@ fn solve_candidate(
             continue;
         }
         let slice = std::slice::from_ref(path);
-        let feasibility = match cache {
+        let feasibility = match ctx.cache {
             Some(c) => {
                 let key = VerdictCache::key(program, slice);
                 match c.get(key) {
@@ -790,16 +906,16 @@ fn solve_candidate(
                     }
                     None => {
                         tally.cache_misses += 1;
-                        let v = query_with_iso(program, pdg, engine, compact, prov, slice, tally);
+                        let v = query_with_iso(ctx, engine, slice, tally);
                         c.insert(key, v);
-                        if let Some(p) = prov {
+                        if let Some(p) = ctx.prov {
                             p.verdicts.record(key, slice);
                         }
                         v
                     }
                 }
             }
-            None => query_with_iso(program, pdg, engine, compact, prov, slice, tally),
+            None => query_with_iso(ctx, engine, slice, tally),
         };
         match feasibility {
             Feasibility::Feasible => {
@@ -828,25 +944,22 @@ fn solve_candidate(
 /// Decides one path's feasibility, consulting the compacted view's
 /// isomorphic-fragment memo before the engine (see [`solve_candidate`]).
 fn query_with_iso(
-    program: &Program,
-    pdg: &Pdg,
+    ctx: &RunCtx,
     engine: &mut dyn FeasibilityEngine,
-    compact: Option<&CompactPdg>,
-    prov: Option<&crate::incremental::SessionProvenance>,
     slice: &[DependencePath],
     tally: &mut CandTally,
 ) -> Feasibility {
-    let iso = compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
+    let iso = ctx.compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
     if let Some(v) = iso.as_ref().and_then(|(memo, key)| memo.get(*key)) {
         tally.iso_hits += 1;
         return v;
     }
     tally.queries += 1;
-    let o = engine.check_paths(program, pdg, slice);
+    let o = engine.check_paths(ctx.program, ctx.pdg, slice);
     tally.solve_wall += o.duration;
     if let Some((memo, key)) = iso {
         memo.insert(key, o.feasibility);
-        if let Some(p) = prov {
+        if let Some(p) = ctx.prov {
             p.iso.record(key, slice);
         }
     }
@@ -893,7 +1006,9 @@ fn assemble_breakdowns(
 /// A candidate is reported when *any* of its alternative paths is feasible;
 /// it is suppressed only when every path is proven infeasible; undecided
 /// candidates are reported conservatively (matching how bug detectors treat
-/// solver timeouts).
+/// solver timeouts). Allocates a run-local verdict cache per
+/// [`AnalysisOptions::use_cache`]; the engine stays the caller's, so its
+/// [`FeasibilityEngine::records`] and memory can be read afterwards.
 pub fn analyze(
     program: &Program,
     pdg: &Pdg,
@@ -903,50 +1018,19 @@ pub fn analyze(
 ) -> AnalysisRun {
     let local = VerdictCache::new();
     let cache = options.use_cache.then_some(&local);
-    analyze_with_cache(program, pdg, checker, engine, options, cache)
-}
-
-/// [`analyze`] with an explicit, possibly shared, verdict cache (`None`
-/// disables caching regardless of [`AnalysisOptions::use_cache`]). The
-/// returned [`AnalysisRun::cache`] counters are scoped to this run even
-/// when the cache is shared.
-///
-/// A thin wrapper over the fused path ([`analyze_multi_with_cache`])
-/// with a singleton [`CheckerSet`].
-pub fn analyze_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
     let set = CheckerSet::single(checker.clone());
     analyze_multi_with_cache(program, pdg, &set, engine, options, cache).into_single()
 }
 
-/// Runs a whole [`CheckerSet`] over a program in **one fused pass** with
-/// one engine (sequential). Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use [`analyze_multi_with_cache`] to
-/// share one.
-pub fn analyze_multi(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    engine: &mut dyn FeasibilityEngine,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_with_cache(program, pdg, set, engine, options, cache)
-}
-
-/// The fused sequential driver: one discovery traversal over every
-/// `(checker, source)` work item, one pass of sink groups over the
-/// engine. Sink groups are keyed on the sink function only, so
-/// candidates from different checkers landing on the same sink share the
-/// engine's group-scoped state (sessions, instance memos) and the slice
-/// memo — instead of each checker paying its own cold pass.
+/// Runs a whole [`CheckerSet`] in **one fused pass** on the caller's
+/// engine: one discovery traversal over every `(checker, source)` work
+/// item, each item's sink groups solved as soon as it is discovered.
+/// Sink groups are keyed on the sink function only, so candidates from
+/// different checkers landing on the same sink share the engine's
+/// group-scoped state (sessions, instance memos) and the slice memo.
+/// `cache` is the (possibly shared) verdict cache, `None` for none; the
+/// returned [`MultiAnalysisRun::cache`] counters are scoped to this run
+/// even when the cache is shared.
 pub fn analyze_multi_with_cache(
     program: &Program,
     pdg: &Pdg,
@@ -955,464 +1039,26 @@ pub fn analyze_multi_with_cache(
     options: &AnalysisOptions,
     cache: Option<&VerdictCache>,
 ) -> MultiAnalysisRun {
-    debug_validate(program);
-    if let Some(sc) = &options.slice_cache {
-        engine.attach_slice_cache(Arc::clone(sc));
-    }
-    // Abstract facts, computed once per run (memoized per function inside)
-    // and shared by driver-side triage and engine-side seeding.
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    if let Some(f) = &facts {
-        engine.attach_absint(Arc::clone(f));
-    }
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let stages_before = engine.stage_totals();
-    let t0 = Instant::now();
-    // The compaction pass runs inside the discovery span: its build cost
-    // is part of what the discover wall attributes.
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let discovery =
-        discover_all_multi_compact(program, pdg, set, &options.propagate, 1, compact.as_ref());
-    let candidates = discovery.candidates;
-    let propagate_time = t0.elapsed();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    // Slice-group batching: candidates sharing a sink function — from
-    // *any* checker — are solved back-to-back, so an incremental engine
-    // sees maximally related queries in a row. Results are re-sorted by
-    // candidate index, so grouping never changes the report order.
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let groups = group_by_sink(&candidates);
-    let t1 = Instant::now();
-    let mut results: Vec<(usize, CandVerdict)> = Vec::with_capacity(candidates.len());
-    let mut sessions_skipped = 0u64;
-    for (key, idxs) in &groups {
-        engine.begin_group(*key);
-        let (q_before, tr_before) = tally_totals(&tallies);
-        for &idx in idxs {
-            let cand = &candidates[idx];
-            let v = solve_candidate(
-                program,
-                pdg,
-                engine,
-                cache,
-                facts.as_deref(),
-                compact.as_ref(),
-                None,
-                set.get(cand.checker).kind,
-                cand,
-                &mut tallies[cand.checker.0],
-            );
-            results.push((idx, v));
-        }
-        let (q_after, tr_after) = tally_totals(&tallies);
-        if q_after == q_before && tr_after > tr_before {
-            sessions_skipped += 1;
-        }
-    }
-    results.sort_by_key(|(idx, _)| *idx);
-    let solve_time = t1.elapsed();
-
-    // The graph (and the caches, if any) is retained for the whole run,
-    // for every engine: one accounting path shared with the parallel
-    // drivers. Discovery's transient visited-set bytes ride along as a
-    // concurrent accountant, exactly as in the sharded drivers. Because
-    // the whole checker set runs in one pass, this is the true
-    // whole-scan peak — not a max over per-checker passes.
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let mem = run_accounting(
-        std::iter::once(engine.memory()).chain(discovery.memory.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discovery.steps,
-        discovery_shards: discovery.shards,
-        ..StageStats::default()
-    };
-    stages.add_engine(&engine.stage_totals().since(&stages_before));
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact.as_ref());
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = results
-        .into_iter()
-        .map(|(idx, v)| (candidates[idx].checker, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &discovery.per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: engine.name().to_string(),
-        checkers,
-        candidates: candidates.len(),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
+    let engines = Engines::Borrowed(engine);
+    drive(program, pdg, set, engines, options, cache, None).0
 }
 
-/// Runs one checker with per-thread engines, fanning candidates out over
-/// `threads` worker threads (the paper's evaluation used fifteen). Each
-/// worker owns an engine built by `factory`, so no locking is needed on
-/// solver state.
+/// Runs a whole [`CheckerSet`] with `threads` engines built by
+/// `factory`. At one thread the run is inline, exactly as
+/// [`analyze_multi_with_cache`]. At more, discovery producers steal
+/// `(checker, source)` work items and stream each item's sink groups
+/// through bounded queues into sticky solve workers: a group goes to
+/// worker `sink function % threads`, so a sink function targeted by
+/// several items or checkers lands on one engine, which keeps one warm
+/// session and instance memo across all of them. Solving overlaps
+/// discovery. Results merge by `(work item, candidate)` index, so the
+/// reports are byte-identical at any thread count. The run is named
+/// `"{engine}×{threads}"` (e.g. `"fusion×4"`).
 ///
-/// Work distribution is a **work-stealing queue over slice groups**:
-/// candidates are batched by sink function ([`FeasibilityEngine::begin_group`])
-/// and an atomic cursor hands whole groups to workers, so a worker stuck
-/// behind one slow candidate no longer idles the rest of its stride while
-/// related queries still land on the same engine back-to-back (which is
-/// what makes incremental sessions pay off). Workers share one
-/// [`VerdictCache`] (unless disabled via [`AnalysisOptions::use_cache`]),
-/// and results are merged back in candidate order, so the report list is
-/// byte-identical to the sequential driver's regardless of thread count
-/// or steal order.
-pub fn analyze_parallel(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> AnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_parallel_with_cache(program, pdg, checker, factory, threads, options, cache)
-}
-
-/// [`analyze_parallel`] with an explicit, possibly shared, verdict cache
-/// (`None` disables caching regardless of [`AnalysisOptions::use_cache`]).
-///
-/// A thin wrapper over the fused path
-/// ([`analyze_multi_parallel_with_cache`]) with a singleton
-/// [`CheckerSet`].
-pub fn analyze_parallel_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
-    let set = CheckerSet::single(checker.clone());
-    analyze_multi_parallel_with_cache(program, pdg, &set, factory, threads, options, cache)
-        .into_single()
-}
-
-/// Runs a whole [`CheckerSet`] in one fused barrier-parallel pass.
-/// Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_multi_parallel_with_cache`] to share one.
-pub fn analyze_multi_parallel(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_parallel_with_cache(program, pdg, set, factory, threads, options, cache)
-}
-
-/// The fused barrier-parallel driver: one sharded discovery over every
-/// `(checker, source)` work item, then work-stealing over sink groups
-/// that mix candidates from all checkers (the group key is the sink
-/// function only). Workers share one [`VerdictCache`] and one
-/// [`SliceCache`] across the whole set; results merge back in canonical
-/// candidate order, so per-checker reports are byte-identical to the
-/// sequential fused driver's — and to per-checker single runs —
-/// regardless of thread count or steal order.
-pub fn analyze_multi_parallel_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> MultiAnalysisRun {
-    debug_validate(program);
-    let threads = threads.max(1);
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let t0 = Instant::now();
-    // Sharded discovery: the barrier driver still waits for the full
-    // candidate list (use `analyze_multi_streaming_with_cache` to
-    // overlap), but the discovery itself fans out across the same thread
-    // count, merged deterministically by work-item index.
-    let shards = options.discover_shards.unwrap_or(threads);
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let discovery = discover_all_multi_compact(
-        program,
-        pdg,
-        set,
-        &options.propagate,
-        shards,
-        compact.as_ref(),
-    );
-    let candidates = discovery.candidates;
-    let propagate_time = t0.elapsed();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    struct WorkerOut {
-        /// The factory-built engine's name (same for every worker).
-        name: &'static str,
-        /// `(candidate index, outcome)` pairs, in steal order.
-        results: Vec<(usize, CandVerdict)>,
-        /// Per-checker tallies (indexed by `CheckerId.0`).
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        /// Sink groups this worker never issued a query for because triage
-        /// refuted paths in them.
-        sessions_skipped: u64,
-    }
-
-    // Work-stealing cursor over slice groups: workers atomically grab one
-    // group at a time. Group granularity keeps related queries on one
-    // engine (the point of the batching) while `fetch_add` keeps the grab
-    // wait-free and the tail balanced.
-    let groups = group_by_sink(&candidates);
-    let cursor = AtomicUsize::new(0);
-
-    let t1 = Instant::now();
-    let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let cands = &candidates;
-            let groups = &groups;
-            let cursor = &cursor;
-            let slice_cache = options.slice_cache.clone();
-            let facts = facts.clone();
-            let compact = compact.as_ref();
-            handles.push(scope.spawn(move || {
-                let mut engine = factory();
-                if let Some(sc) = slice_cache {
-                    engine.attach_slice_cache(sc);
-                }
-                if let Some(f) = &facts {
-                    engine.attach_absint(Arc::clone(f));
-                }
-                let mut out = WorkerOut {
-                    name: engine.name(),
-                    results: Vec::new(),
-                    tallies: vec![CandTally::default(); set.len()],
-                    memory: MemoryAccountant::new(),
-                    stages: EngineStages::default(),
-                    sessions_skipped: 0,
-                };
-                loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let (key, idxs) = &groups[g];
-                    engine.begin_group(*key);
-                    let (q_before, tr_before) = tally_totals(&out.tallies);
-                    for &idx in idxs {
-                        let cand = &cands[idx];
-                        let v = solve_candidate(
-                            program,
-                            pdg,
-                            engine.as_mut(),
-                            cache,
-                            facts.as_deref(),
-                            compact,
-                            None,
-                            set.get(cand.checker).kind,
-                            cand,
-                            &mut out.tallies[cand.checker.0],
-                        );
-                        out.results.push((idx, v));
-                    }
-                    let (q_after, tr_after) = tally_totals(&out.tallies);
-                    if q_after == q_before && tr_after > tr_before {
-                        out.sessions_skipped += 1;
-                    }
-                }
-                out.memory = engine.memory().clone();
-                out.stages = engine.stage_totals();
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect()
-    });
-    let solve_time = t1.elapsed();
-
-    // Merge in candidate order: the exact order the sequential driver
-    // would have produced, independent of which worker stole what.
-    let mut merged: Vec<(usize, CandVerdict)> = Vec::with_capacity(candidates.len());
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("parallel");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discovery.steps,
-        discovery_shards: discovery.shards,
-        ..StageStats::default()
-    };
-    let mut sessions_skipped = 0u64;
-    for o in outputs {
-        for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
-            t.add(wt);
-        }
-        memories.push(o.memory);
-        stages.add_engine(&o.stages);
-        sessions_skipped += o.sessions_skipped;
-        merged.extend(o.results);
-    }
-    merged.sort_by_key(|(idx, _)| *idx);
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact.as_ref());
-
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let mem = run_accounting(
-        memories.iter().chain(discovery.memory.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = merged
-        .into_iter()
-        .map(|(idx, v)| (candidates[idx].checker, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &discovery.per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
-        checkers,
-        candidates: candidates.len(),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
-}
-
-/// Runs one checker through the **streaming discovery→solve pipeline**:
-/// discovery shards push completed sink groups through a bounded channel
-/// into group-stealing solve workers, so solving overlaps discovery
-/// wall-time instead of waiting behind the barrier of
-/// [`analyze_parallel`]. Reports are merged by `(source, candidate)`
-/// index and are **byte-identical** to the sequential driver's at any
-/// thread count. Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_streaming_with_cache`] to share one.
-pub fn analyze_streaming(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> AnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_streaming_with_cache(program, pdg, checker, factory, threads, options, cache)
-}
-
-/// [`analyze_streaming`] with an explicit, possibly shared, verdict
-/// cache (`None` disables caching regardless of
-/// [`AnalysisOptions::use_cache`]).
-///
-/// Timing semantics: `propagate_time` is the wall-clock span until the
-/// last discovery shard finished; `solve_time` is the *rest* of the
-/// pipeline wall, so [`AnalysisRun::total_time`] equals the true
-/// end-to-end wall (overlap is visible as `propagate_time +
-/// solve_time < barrier driver's sum`).
-///
-/// With one thread there is nothing to overlap: the call delegates to
-/// the sequential driver (same discovery, same accounting), so
-/// 1-thread streaming peaks equal the sequential driver's exactly.
-pub fn analyze_streaming_with_cache(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-) -> AnalysisRun {
-    let set = CheckerSet::single(checker.clone());
-    analyze_multi_streaming_with_cache(program, pdg, &set, factory, threads, options, cache)
-        .into_single()
-}
-
-/// Runs a whole [`CheckerSet`] through one fused streaming pipeline.
-/// Allocates a run-local verdict cache per
-/// [`AnalysisOptions::use_cache`]; use
-/// [`analyze_multi_streaming_with_cache`] to share one.
-pub fn analyze_multi_streaming(
-    program: &Program,
-    pdg: &Pdg,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-) -> MultiAnalysisRun {
-    let local = VerdictCache::new();
-    let cache = options.use_cache.then_some(&local);
-    analyze_multi_streaming_with_cache(program, pdg, set, factory, threads, options, cache)
-}
-
-/// The fused streaming driver: producers steal `(checker, source)` work
-/// items and stream completed sink groups — keyed and **routed by the
-/// sink function only** — into sticky solve workers. A sink function
-/// targeted by several checkers therefore lands on one worker, whose
-/// engine keeps one warm session and one warm instance memo across all
-/// clients of that sink. Reports merge by `(work-item, candidate)` index
-/// and are byte-identical to the fused sequential driver's at any thread
-/// count.
+/// Timing: `propagate_time` is the span until the last work item was
+/// discovered (compaction included); `solve_time` is the rest of the
+/// run's wall, so [`MultiAnalysisRun::total_time`] is the true
+/// end-to-end wall.
 pub fn analyze_multi_streaming_with_cache(
     program: &Program,
     pdg: &Pdg,
@@ -1422,310 +1068,8 @@ pub fn analyze_multi_streaming_with_cache(
     options: &AnalysisOptions,
     cache: Option<&VerdictCache>,
 ) -> MultiAnalysisRun {
-    debug_validate(program);
-    let threads = threads.max(1);
-    if threads == 1 {
-        let mut engine = factory();
-        let mut run = analyze_multi_with_cache(program, pdg, set, engine.as_mut(), options, cache);
-        run.engine = format!("{}×1", run.engine);
-        return run;
-    }
-
-    /// One unit of streamed work: the candidates of one (work item, sink
-    /// function) group, tagged for the deterministic merge.
-    struct StreamGroup {
-        item_idx: usize,
-        sink_key: u64,
-        /// `(candidate index within the work item, candidate)`.
-        cands: Vec<(usize, Candidate)>,
-    }
-
-    struct WorkerOut {
-        name: &'static str,
-        /// `((work-item index, local candidate index), outcome)` pairs.
-        results: Vec<((usize, usize), CandVerdict)>,
-        /// Per-checker tallies (indexed by `CheckerId.0`).
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        /// Streamed groups this worker never issued a query for because
-        /// triage refuted paths in them.
-        sessions_skipped: u64,
-    }
-
-    let facts = options
-        .absint
-        .then(|| Arc::new(ProgramFacts::compute(program)));
-    let slice_before = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats())
-        .unwrap_or_default();
-    let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
-
-    let items = multi_source_vertices(program, set);
-    let producers = options
-        .discover_shards
-        .unwrap_or(threads)
-        .clamp(1, items.len().max(1));
-    // One bounded queue per solve worker, with groups routed by
-    // `sink_key % threads`. Sticky routing sends every group of one sink
-    // function to the same worker, so the engine's group-scoped state
-    // (the incremental session, instance memo) amortizes across the many
-    // per-source groups a sink function fragments into under streaming —
-    // matching the barrier driver's one-global-group-per-sink behavior.
-    // The parallelism granularity is unchanged: the barrier driver also
-    // hands a sink function's whole group to a single worker.
-    let queues: Vec<BoundedQueue<StreamGroup>> = (0..threads)
-        .map(|_| BoundedQueue::new(2, producers))
-        .collect();
-    let item_cursor = AtomicUsize::new(0);
-    let producers_left = AtomicUsize::new(producers);
-    let discover_span: Mutex<Duration> = Mutex::new(Duration::ZERO);
-    let discover_steps = std::sync::atomic::AtomicU64::new(0);
-    let per_checker_steps: Mutex<Vec<u64>> = Mutex::new(vec![0u64; set.len()]);
-    let candidates_total = AtomicUsize::new(0);
-    let discovery_accts: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::new());
-
-    let t0 = Instant::now();
-    // The compaction pass runs once, up front, inside the discovery span;
-    // producers and solve workers share it by reference.
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let compact = compact.as_ref();
-    let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        // Discovery shards (producers): steal (checker, source) work
-        // items, group each item's candidates by sink function, stream
-        // the groups out.
-        for _ in 0..producers {
-            let queues = &queues;
-            let item_cursor = &item_cursor;
-            let producers_left = &producers_left;
-            let discover_span = &discover_span;
-            let discover_steps = &discover_steps;
-            let per_checker_steps = &per_checker_steps;
-            let candidates_total = &candidates_total;
-            let discovery_accts = &discovery_accts;
-            let items = &items;
-            scope.spawn(move || {
-                let mut acct = MemoryAccountant::new();
-                let mut local_steps = vec![0u64; set.len()];
-                // Flipped when a send is refused: some consumer's queue
-                // closed (it panicked), so the pipeline cannot complete —
-                // stop discovering, but still run the shutdown protocol
-                // below so every queue learns this producer is done.
-                let mut consumers_live = true;
-                while consumers_live {
-                    let i = item_cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let (id, src) = items[i];
-                    let d = discover_source_for_compact(
-                        program,
-                        pdg,
-                        set.get(id),
-                        id,
-                        &options.propagate,
-                        src,
-                        compact,
-                    );
-                    acct.charge(Category::Graph, d.state_bytes);
-                    acct.release(Category::Graph, d.state_bytes);
-                    discover_steps.fetch_add(d.steps, Ordering::Relaxed);
-                    local_steps[id.0] += d.steps;
-                    candidates_total.fetch_add(d.candidates.len(), Ordering::Relaxed);
-                    // Group by sink function within the work item
-                    // (first-occurrence order), preserving local indices
-                    // for the merge.
-                    let mut order: Vec<StreamGroup> = Vec::new();
-                    let mut slot: std::collections::HashMap<u64, usize> =
-                        std::collections::HashMap::new();
-                    for (local, cand) in d.candidates.into_iter().enumerate() {
-                        let key = cand.sink.func.0 as u64;
-                        match slot.get(&key) {
-                            Some(&g) => order[g].cands.push((local, cand)),
-                            None => {
-                                slot.insert(key, order.len());
-                                order.push(StreamGroup {
-                                    item_idx: i,
-                                    sink_key: key,
-                                    cands: vec![(local, cand)],
-                                });
-                            }
-                        }
-                    }
-                    for group in order {
-                        let worker = (group.sink_key as usize) % queues.len();
-                        if !queues[worker].send(group) {
-                            consumers_live = false;
-                            break;
-                        }
-                    }
-                }
-                // The discovery stage's wall span ends when the *last*
-                // shard finishes.
-                if producers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    *discover_span.lock().expect("span lock") = t0.elapsed();
-                }
-                for queue in queues {
-                    queue.producer_done();
-                }
-                let mut shared = per_checker_steps.lock().expect("steps lock");
-                for (s, l) in shared.iter_mut().zip(&local_steps) {
-                    *s += l;
-                }
-                drop(shared);
-                discovery_accts.lock().expect("acct lock").push(acct);
-            });
-        }
-        // Solve workers (consumers), each draining its own sticky queue.
-        let mut handles = Vec::new();
-        for queue in queues.iter().take(threads) {
-            let slice_cache = options.slice_cache.clone();
-            let facts = facts.clone();
-            handles.push(scope.spawn(move || {
-                let mut engine = factory();
-                if let Some(sc) = slice_cache {
-                    engine.attach_slice_cache(sc);
-                }
-                if let Some(f) = &facts {
-                    engine.attach_absint(Arc::clone(f));
-                }
-                let mut out = WorkerOut {
-                    name: engine.name(),
-                    results: Vec::new(),
-                    tallies: vec![CandTally::default(); set.len()],
-                    memory: MemoryAccountant::new(),
-                    stages: EngineStages::default(),
-                    sessions_skipped: 0,
-                };
-                // Streamed groups fragment one sink function across many
-                // work items — including items of *different checkers*
-                // that share the sink; a group boundary is only announced
-                // when the sink key actually changes, so the engine's
-                // group-scoped state spans the fragments (and the
-                // checkers) exactly as it spans the barrier driver's
-                // single global group. (Verdicts never depend on where
-                // boundaries fall — `begin_group`'s contract — so this is
-                // purely a time/space trade.)
-                // Liveness: if this worker dies mid-solve (a panicking
-                // engine), the guard closes its queue on unwind, so
-                // producers parked on the bounded `not_full` condvar wake
-                // up, observe the refusal, and wind down — the panic then
-                // propagates through the scope join instead of
-                // deadlocking it. Harmless on orderly exit: the queue is
-                // already drained when the guard fires.
-                let _close_guard = CloseGuard::new(queue);
-                let mut last_key: Option<u64> = None;
-                while let Some(group) = queue.recv() {
-                    if last_key != Some(group.sink_key) {
-                        engine.begin_group(group.sink_key);
-                        last_key = Some(group.sink_key);
-                    }
-                    let (q_before, tr_before) = tally_totals(&out.tallies);
-                    for (local_idx, cand) in &group.cands {
-                        let checker_idx = cand.checker.0;
-                        let v = solve_candidate(
-                            program,
-                            pdg,
-                            engine.as_mut(),
-                            cache,
-                            facts.as_deref(),
-                            compact,
-                            None,
-                            set.get(cand.checker).kind,
-                            cand,
-                            &mut out.tallies[checker_idx],
-                        );
-                        out.results.push(((group.item_idx, *local_idx), v));
-                    }
-                    let (q_after, tr_after) = tally_totals(&out.tallies);
-                    if q_after == q_before && tr_after > tr_before {
-                        out.sessions_skipped += 1;
-                    }
-                }
-                out.memory = engine.memory().clone();
-                out.stages = engine.stage_totals();
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solve worker"))
-            .collect()
-    });
-    let pipeline_wall = t0.elapsed();
-    let propagate_time = *discover_span.lock().expect("span lock");
-    let solve_time = pipeline_wall.saturating_sub(propagate_time);
-
-    // Deterministic merge: (work-item index, candidate index within the
-    // item) reproduces the fused sequential discovery order exactly —
-    // checker-major, since the work list is `(checker_idx, source_idx)`
-    // ordered.
-    let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
-    let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("streaming");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
-    let mut stages = StageStats {
-        discover_wall: propagate_time,
-        discovery_steps: discover_steps.load(Ordering::Relaxed),
-        discovery_shards: producers,
-        ..StageStats::default()
-    };
-    let mut sessions_skipped = 0u64;
-    for o in outputs {
-        for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
-            t.add(wt);
-        }
-        memories.push(o.memory);
-        stages.add_engine(&o.stages);
-        sessions_skipped += o.sessions_skipped;
-        merged.extend(o.results);
-    }
-    merged.sort_by_key(|(key, _)| *key);
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact);
-
-    let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
-    let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
-        + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let discovery_accts = discovery_accts.into_inner().expect("acct lock");
-    let mem = run_accounting(
-        memories.iter().chain(discovery_accts.iter()),
-        graph_bytes,
-        cache_bytes,
-    );
-    let cache_stats = cache
-        .map(|c| c.stats().since(&cache_before))
-        .unwrap_or_default();
-    let slice_stats = options
-        .slice_cache
-        .as_ref()
-        .map(|c| c.stats().since(&slice_before))
-        .unwrap_or_default();
-
-    let ordered: Vec<(CheckerId, CandVerdict)> = merged
-        .into_iter()
-        .map(|((item_idx, _), v)| (items[item_idx].0, v))
-        .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let per_checker_steps = per_checker_steps.into_inner().expect("steps lock");
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &per_checker_steps);
-
-    MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
-        checkers,
-        candidates: candidates_total.load(Ordering::Relaxed),
-        queries,
-        propagate_time,
-        solve_time,
-        peak_memory: mem.peak_total(),
-        cache: cache_stats,
-        slice: slice_stats,
-        stages,
-    }
+    let engines = Engines::Built(factory, threads.max(1));
+    drive(program, pdg, set, engines, options, cache, None).0
 }
 
 /// Recorded outcomes of one session run, keyed by `(checker, source)`
@@ -1742,7 +1086,7 @@ pub struct ItemOutcomes {
     map: std::collections::HashMap<(usize, Vertex), ItemRecord>,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct ItemRecord {
     pub(crate) verdicts: Vec<CandVerdict>,
     pub(crate) steps: u64,
@@ -1778,48 +1122,48 @@ impl ItemOutcomes {
 }
 
 /// Resident-state inputs of [`analyze_multi_streaming_session`]. A cold
-/// scan passes empty fields (no retained outcomes, no affected mask, so
-/// every work item runs live); a warm rescan passes the session's
+/// session scan passes no retained outcomes and no affected mask, so
+/// every work item runs live; a warm rescan passes the session's
 /// resident facts, compacted view, recorded outcomes, the edit's
 /// affected-function mask, and the provenance recorder.
 #[derive(Default)]
-pub struct SessionParams<'a> {
+pub(crate) struct SessionParams<'a> {
     /// Precomputed abstract facts (`None` = absint off for this run).
-    /// The session driver never computes facts itself — the resident
-    /// session owns them and recomputes only dirty functions.
-    pub facts: Option<Arc<ProgramFacts>>,
+    /// A session run never computes facts itself — the resident session
+    /// owns them and recomputes only dirty functions.
+    pub(crate) facts: Option<Arc<ProgramFacts>>,
     /// Resident compacted view (`None` = compaction off).
-    pub compact: Option<&'a CompactPdg>,
+    pub(crate) compact: Option<&'a CompactPdg>,
     /// Outcomes recorded by the previous session run.
-    pub retained: Option<&'a ItemOutcomes>,
+    pub(crate) retained: Option<&'a ItemOutcomes>,
     /// Per-function "the edit can reach this" mask — the connected
     /// component of the edited functions over the symmetric
     /// caller∪callee adjacency (of the old and new programs). A work
     /// item whose source function is unaffected replays its retained
     /// record instead of re-running discovery and solving.
-    pub affected: Option<&'a [bool]>,
+    pub(crate) affected: Option<&'a [bool]>,
     /// Provenance recorder for verdict/iso-memo inserts (the
     /// `path_set_key → functions` index the next edit's invalidation
     /// uses).
-    pub prov: Option<&'a crate::incremental::SessionProvenance>,
+    pub(crate) prov: Option<&'a crate::incremental::SessionProvenance>,
 }
 
-/// The session driver behind the warm analysis service: the fused
-/// streaming pipeline of [`analyze_multi_streaming_with_cache`], run
-/// over only the **live** `(checker, source)` work items — those the
-/// edit's affected set can reach, or that have no retained record —
-/// while every other item replays its recorded outcome. Returns the run
-/// plus the refreshed [`ItemOutcomes`] for the next rescan.
+/// The session run behind the warm analysis service and the shards:
+/// [`analyze_multi_streaming_with_cache`] over only the **live**
+/// `(checker, source)` work items — those the edit's affected set can
+/// reach, or that have no retained record — while every other item
+/// replays its recorded outcome. Returns the run plus the refreshed
+/// [`ItemOutcomes`] for the next rescan.
 ///
-/// Reports are byte-identical to a cold batch scan of the same program
-/// at any thread count: live items go through the exact cold machinery
-/// (same discovery, same solve path, same caches), and replayed items
-/// are sound because an unaffected component is untouched by the edit.
-/// Counters differ by design — that is the point: replayed items
+/// Reports are byte-identical to a cold scan of the same program at any
+/// thread count: live items go through the exact cold machinery, and
+/// replayed items are sound because an unaffected component is
+/// untouched by the edit. Counters differ by design: replayed items
 /// contribute their recorded candidates and discovery steps, but zero
-/// queries, cache traffic, and engine wall.
-#[allow(clippy::too_many_arguments)] // mirrors the other drivers' signatures plus session state
-pub fn analyze_multi_streaming_session(
+/// queries, cache traffic, and engine wall, and
+/// [`StageStats::candidates_reanalyzed`] counts the live candidates.
+#[allow(clippy::too_many_arguments)] // the streaming entry point plus session state
+pub(crate) fn analyze_multi_streaming_session(
     program: &Program,
     pdg: &Pdg,
     set: &CheckerSet,
@@ -1829,27 +1173,66 @@ pub fn analyze_multi_streaming_session(
     cache: Option<&VerdictCache>,
     params: SessionParams<'_>,
 ) -> (MultiAnalysisRun, ItemOutcomes) {
-    debug_validate(program);
-    let threads = threads.max(1);
-    let facts = params.facts;
-    let compact = params.compact;
-    let prov = params.prov;
-    let items = multi_source_vertices(program, set);
+    let engines = Engines::Built(factory, threads.max(1));
+    let (run, outcomes) = drive(program, pdg, set, engines, options, cache, Some(params));
+    (run, outcomes.expect("session runs record outcomes"))
+}
 
-    // Partition the work list: an item replays iff its source function is
-    // provably unaffected by the edit *and* a retained record exists.
-    // Out-of-range functions (the program grew) count as affected.
+/// Where a run's engines come from.
+enum Engines<'a> {
+    /// The caller's engine: the run is inline and keeps its name.
+    Borrowed(&'a mut dyn FeasibilityEngine),
+    /// `threads` (≥ 1) factory-built engines: inline at one thread,
+    /// the producer/consumer pipeline at more.
+    Built(&'a (dyn Fn() -> Box<dyn FeasibilityEngine> + Sync), usize),
+}
+
+/// The one analysis driver (the outer loop of Algorithm 5). Each
+/// `(checker, source)` work item either replays a retained record
+/// (session runs only) or is discovered and its sink groups solved —
+/// [`inline`] on one engine or through the [`pipeline`] on several.
+/// Both paths share [`RunCtx::discover`] and [`Worker::solve_group`],
+/// and every run ends in the one merge and accounting step below.
+///
+/// A cold run (`session == None`) computes abstract facts before the
+/// clock starts and builds the compacted view inside the discovery span;
+/// a session run takes both from the resident state, and is the only
+/// kind that records [`ItemOutcomes`] and counts
+/// [`StageStats::candidates_reanalyzed`].
+fn drive(
+    program: &Program,
+    pdg: &Pdg,
+    set: &CheckerSet,
+    engines: Engines<'_>,
+    options: &AnalysisOptions,
+    cache: Option<&VerdictCache>,
+    session: Option<SessionParams<'_>>,
+) -> (MultiAnalysisRun, Option<ItemOutcomes>) {
+    debug_validate(program);
+    let cold = session.is_none();
+    let session = session.unwrap_or_default();
+    // Facts are computed once per run (memoized per function inside) and
+    // shared by driver-side triage and engine-side seeding.
+    let facts = if cold {
+        options
+            .absint
+            .then(|| Arc::new(ProgramFacts::compute(program)))
+    } else {
+        session.facts
+    };
+    let items = multi_source_vertices(program, set);
+    // An item replays iff its source function is provably unaffected by
+    // the edit *and* a retained record exists. Out-of-range functions
+    // (the program grew) count as affected.
     let replay: Vec<Option<ItemRecord>> = items
         .iter()
         .map(|(id, src)| {
-            let unaffected = params
+            let unaffected = session
                 .affected
                 .is_some_and(|a| !a.get(src.func.index()).copied().unwrap_or(true));
-            if unaffected {
-                params.retained.and_then(|r| r.get(*id, *src)).cloned()
-            } else {
-                None
-            }
+            unaffected
+                .then(|| session.retained.and_then(|r| r.get(*id, *src)).cloned())
+                .flatten()
         })
         .collect();
     let live: Vec<usize> = (0..items.len()).filter(|&i| replay[i].is_none()).collect();
@@ -1861,259 +1244,42 @@ pub fn analyze_multi_streaming_session(
         .unwrap_or_default();
     let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
 
-    /// One unit of streamed work (same shape as the cold streaming
-    /// driver's), tagged with the *original* work-item index.
-    struct StreamGroup {
-        item_idx: usize,
-        sink_key: u64,
-        cands: Vec<(usize, Candidate)>,
-    }
-
-    struct WorkerOut {
-        name: &'static str,
-        results: Vec<((usize, usize), CandVerdict)>,
-        tallies: Vec<CandTally>,
-        memory: MemoryAccountant,
-        stages: EngineStages,
-        sessions_skipped: u64,
-    }
-
-    let item_steps: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
-    let discovery_accts: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::new());
-
     let t0 = Instant::now();
-    let (outputs, propagate_time, shards): (Vec<WorkerOut>, Duration, usize) = if threads == 1 {
-        // Inline sequential path: one engine, live items in work-item
-        // order, per-item sink grouping (identical reports to the global
-        // grouping — verdicts never depend on group boundaries).
-        let mut engine = factory();
-        if let Some(sc) = &options.slice_cache {
-            engine.attach_slice_cache(Arc::clone(sc));
-        }
-        if let Some(f) = &facts {
-            engine.attach_absint(Arc::clone(f));
-        }
-        let mut out = WorkerOut {
-            name: engine.name(),
-            results: Vec::new(),
-            tallies: vec![CandTally::default(); set.len()],
-            memory: MemoryAccountant::new(),
-            stages: EngineStages::default(),
-            sessions_skipped: 0,
-        };
-        let mut acct = MemoryAccountant::new();
-        let mut discover_wall = Duration::ZERO;
-        let mut last_key: Option<u64> = None;
-        for &i in &live {
-            let (id, src) = items[i];
-            let td = Instant::now();
-            let d = discover_source_for_compact(
-                program,
-                pdg,
-                set.get(id),
-                id,
-                &options.propagate,
-                src,
-                compact,
-            );
-            discover_wall += td.elapsed();
-            acct.charge(Category::Graph, d.state_bytes);
-            acct.release(Category::Graph, d.state_bytes);
-            item_steps.lock().expect("steps lock").push((i, d.steps));
-            let mut order: Vec<(u64, Vec<(usize, Candidate)>)> = Vec::new();
-            let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-            for (local, cand) in d.candidates.into_iter().enumerate() {
-                let key = cand.sink.func.0 as u64;
-                match slot.get(&key) {
-                    Some(&g) => order[g].1.push((local, cand)),
-                    None => {
-                        slot.insert(key, order.len());
-                        order.push((key, vec![(local, cand)]));
-                    }
-                }
-            }
-            for (key, cands) in order {
-                if last_key != Some(key) {
-                    engine.begin_group(key);
-                    last_key = Some(key);
-                }
-                let (q_before, tr_before) = tally_totals(&out.tallies);
-                for (local, cand) in &cands {
-                    let v = solve_candidate(
-                        program,
-                        pdg,
-                        engine.as_mut(),
-                        cache,
-                        facts.as_deref(),
-                        compact,
-                        prov,
-                        set.get(cand.checker).kind,
-                        cand,
-                        &mut out.tallies[cand.checker.0],
-                    );
-                    out.results.push(((i, *local), v));
-                }
-                let (q_after, tr_after) = tally_totals(&out.tallies);
-                if q_after == q_before && tr_after > tr_before {
-                    out.sessions_skipped += 1;
-                }
-            }
-        }
-        out.memory = engine.memory().clone();
-        out.stages = engine.stage_totals();
-        discovery_accts.lock().expect("acct lock").push(acct);
-        (vec![out], discover_wall, 1)
-    } else {
-        // Streaming pipeline over the live items only (same machinery as
-        // the cold streaming driver: sticky sink routing, bounded queues,
-        // deterministic merge keys).
-        let producers = options
-            .discover_shards
-            .unwrap_or(threads)
-            .clamp(1, live.len().max(1));
-        let queues: Vec<BoundedQueue<StreamGroup>> = (0..threads)
-            .map(|_| BoundedQueue::new(2, producers))
-            .collect();
-        let live_cursor = AtomicUsize::new(0);
-        let producers_left = AtomicUsize::new(producers);
-        let discover_span: Mutex<Duration> = Mutex::new(Duration::ZERO);
-        let outputs: Vec<WorkerOut> = std::thread::scope(|scope| {
-            for _ in 0..producers {
-                let queues = &queues;
-                let live = &live;
-                let items = &items;
-                let live_cursor = &live_cursor;
-                let producers_left = &producers_left;
-                let discover_span = &discover_span;
-                let item_steps = &item_steps;
-                let discovery_accts = &discovery_accts;
-                scope.spawn(move || {
-                    let mut acct = MemoryAccountant::new();
-                    let mut consumers_live = true;
-                    while consumers_live {
-                        let n = live_cursor.fetch_add(1, Ordering::Relaxed);
-                        if n >= live.len() {
-                            break;
-                        }
-                        let i = live[n];
-                        let (id, src) = items[i];
-                        let d = discover_source_for_compact(
-                            program,
-                            pdg,
-                            set.get(id),
-                            id,
-                            &options.propagate,
-                            src,
-                            compact,
-                        );
-                        acct.charge(Category::Graph, d.state_bytes);
-                        acct.release(Category::Graph, d.state_bytes);
-                        item_steps.lock().expect("steps lock").push((i, d.steps));
-                        let mut order: Vec<StreamGroup> = Vec::new();
-                        let mut slot: std::collections::HashMap<u64, usize> =
-                            std::collections::HashMap::new();
-                        for (local, cand) in d.candidates.into_iter().enumerate() {
-                            let key = cand.sink.func.0 as u64;
-                            match slot.get(&key) {
-                                Some(&g) => order[g].cands.push((local, cand)),
-                                None => {
-                                    slot.insert(key, order.len());
-                                    order.push(StreamGroup {
-                                        item_idx: i,
-                                        sink_key: key,
-                                        cands: vec![(local, cand)],
-                                    });
-                                }
-                            }
-                        }
-                        for group in order {
-                            let worker = (group.sink_key as usize) % queues.len();
-                            if !queues[worker].send(group) {
-                                consumers_live = false;
-                                break;
-                            }
-                        }
-                    }
-                    if producers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        *discover_span.lock().expect("span lock") = t0.elapsed();
-                    }
-                    for queue in queues {
-                        queue.producer_done();
-                    }
-                    discovery_accts.lock().expect("acct lock").push(acct);
-                });
-            }
-            let mut handles = Vec::new();
-            for queue in queues.iter().take(threads) {
-                let slice_cache = options.slice_cache.clone();
-                let facts = facts.clone();
-                handles.push(scope.spawn(move || {
-                    let mut engine = factory();
-                    if let Some(sc) = slice_cache {
-                        engine.attach_slice_cache(sc);
-                    }
-                    if let Some(f) = &facts {
-                        engine.attach_absint(Arc::clone(f));
-                    }
-                    let mut out = WorkerOut {
-                        name: engine.name(),
-                        results: Vec::new(),
-                        tallies: vec![CandTally::default(); set.len()],
-                        memory: MemoryAccountant::new(),
-                        stages: EngineStages::default(),
-                        sessions_skipped: 0,
-                    };
-                    let _close_guard = CloseGuard::new(queue);
-                    let mut last_key: Option<u64> = None;
-                    while let Some(group) = queue.recv() {
-                        if last_key != Some(group.sink_key) {
-                            engine.begin_group(group.sink_key);
-                            last_key = Some(group.sink_key);
-                        }
-                        let (q_before, tr_before) = tally_totals(&out.tallies);
-                        for (local_idx, cand) in &group.cands {
-                            let v = solve_candidate(
-                                program,
-                                pdg,
-                                engine.as_mut(),
-                                cache,
-                                facts.as_deref(),
-                                compact,
-                                prov,
-                                set.get(cand.checker).kind,
-                                cand,
-                                &mut out.tallies[cand.checker.0],
-                            );
-                            out.results.push(((group.item_idx, *local_idx), v));
-                        }
-                        let (q_after, tr_after) = tally_totals(&out.tallies);
-                        if q_after == q_before && tr_after > tr_before {
-                            out.sessions_skipped += 1;
-                        }
-                    }
-                    out.memory = engine.memory().clone();
-                    out.stages = engine.stage_totals();
-                    out
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("solve worker"))
-                .collect()
-        });
-        let span = *discover_span.lock().expect("span lock");
-        (outputs, span, producers)
+    let built =
+        (cold && options.compact).then(|| CompactPdg::build(program, pdg, set, &options.propagate));
+    let compact_wall = t0.elapsed();
+    let ctx = RunCtx {
+        program,
+        pdg,
+        set,
+        options,
+        cache,
+        facts: facts.as_ref(),
+        compact: session.compact.or(built.as_ref()),
+        prov: session.prov,
+        items: &items,
     };
-    let pipeline_wall = t0.elapsed();
-    let solve_time = pipeline_wall.saturating_sub(propagate_time);
+    let threads = match engines {
+        Engines::Borrowed(_) => None,
+        Engines::Built(_, threads) => Some(threads),
+    };
+    let (workers, discovered, propagate_time) = match engines {
+        Engines::Borrowed(engine) => inline(&ctx, &live, engine, compact_wall),
+        Engines::Built(factory, 1) => inline(&ctx, &live, factory().as_mut(), compact_wall),
+        Engines::Built(factory, threads) => pipeline(&ctx, &live, factory, threads, t0),
+    };
+    let solve_time = t0.elapsed().saturating_sub(propagate_time);
+    let name = workers[0].name;
 
-    let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
+    // Merge in (work item, candidate) order — the canonical discovery
+    // order, checker-major since the work list is, and independent of
+    // which worker decided what.
     let mut tallies = vec![CandTally::default(); set.len()];
-    let engine_name = outputs.first().map(|o| o.name).unwrap_or("session");
-    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(outputs.len());
+    let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(workers.len());
     let mut stages = StageStats::default();
     let mut sessions_skipped = 0u64;
-    for o in outputs {
+    let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
+    for o in workers {
         for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
             t.add(wt);
         }
@@ -2123,59 +1289,46 @@ pub fn analyze_multi_streaming_session(
         merged.extend(o.results);
     }
     merged.sort_by_key(|(key, _)| *key);
-
-    // Reassemble the canonical per-item verdict lists: replayed records
-    // verbatim, live results in (item, local) order.
-    let mut per_item: Vec<Vec<CandVerdict>> = Vec::with_capacity(items.len());
-    let mut steps_per_item: Vec<u64> = Vec::with_capacity(items.len());
-    for r in replay {
-        match r {
-            Some(rec) => {
-                steps_per_item.push(rec.steps);
-                per_item.push(rec.verdicts);
-            }
-            None => {
-                steps_per_item.push(0);
-                per_item.push(Vec::new());
-            }
-        }
-    }
     let live_candidates = merged.len() as u64;
-    for ((item, _local), v) in merged {
-        per_item[item].push(v);
+    // The canonical per-item records: replayed ones verbatim, live ones
+    // rebuilt from the merged results and the discovery steps.
+    let mut per_item: Vec<ItemRecord> = replay.into_iter().map(Option::unwrap_or_default).collect();
+    for ((item, _), v) in merged {
+        per_item[item].verdicts.push(v);
     }
-    for (i, s) in item_steps.into_inner().expect("steps lock") {
-        steps_per_item[i] = s;
+    for &(i, steps) in discovered.iter().flat_map(|d| &d.steps) {
+        per_item[i].steps = steps;
     }
-
-    let mut outcomes = ItemOutcomes::default();
-    for (i, (id, src)) in items.iter().enumerate() {
-        outcomes.map.insert(
-            (id.0, *src),
-            ItemRecord {
-                verdicts: per_item[i].clone(),
-                steps: steps_per_item[i],
-            },
-        );
-    }
+    let outcomes = (!cold).then(|| ItemOutcomes {
+        map: items
+            .iter()
+            .zip(&per_item)
+            .map(|(&(id, src), rec)| ((id.0, src), rec.clone()))
+            .collect(),
+    });
 
     let mut per_checker_steps = vec![0u64; set.len()];
-    for (i, (id, _)) in items.iter().enumerate() {
-        per_checker_steps[id.0] += steps_per_item[i];
+    for (&(id, _), rec) in items.iter().zip(&per_item) {
+        per_checker_steps[id.0] += rec.steps;
     }
     stages.discover_wall = propagate_time;
-    stages.discovery_steps = steps_per_item.iter().sum();
-    stages.discovery_shards = shards;
-    stages.candidates_reanalyzed = live_candidates;
+    stages.discovery_steps = per_checker_steps.iter().sum();
+    stages.discovery_shards = discovered.len();
+    if !cold {
+        stages.candidates_reanalyzed = live_candidates;
+    }
     fill_triage_stats(&mut stages, &tallies, sessions_skipped);
-    fill_compact_stats(&mut stages, compact);
+    fill_compact_stats(&mut stages, ctx.compact);
 
+    // The graph and the caches are retained for the whole run; every
+    // engine and every discovery producer is live concurrently. Because
+    // the whole checker set runs in one pass, this is the true
+    // whole-scan peak — not a max over per-checker passes.
     let graph_bytes = program.size() as u64 * BYTES_PER_DEF;
     let cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0)
         + options.slice_cache.as_ref().map(|c| c.bytes()).unwrap_or(0);
-    let discovery_accts = discovery_accts.into_inner().expect("acct lock");
     let mem = run_accounting(
-        memories.iter().chain(discovery_accts.iter()),
+        memories.iter().chain(discovered.iter().map(|d| &d.memory)),
         graph_bytes,
         cache_bytes,
     );
@@ -2188,19 +1341,22 @@ pub fn analyze_multi_streaming_session(
         .map(|c| c.stats().since(&slice_before))
         .unwrap_or_default();
 
-    let candidates_total: usize = per_item.iter().map(|v| v.len()).sum();
+    let candidates = per_item.iter().map(|r| r.verdicts.len()).sum();
     let ordered: Vec<(CheckerId, CandVerdict)> = items
         .iter()
         .zip(per_item)
-        .flat_map(|(&(id, _), vs)| vs.into_iter().map(move |v| (id, v)))
+        .flat_map(|(&(id, _), rec)| rec.verdicts.into_iter().map(move |v| (id, v)))
         .collect();
     let queries = tallies.iter().map(|t| t.queries).sum();
     let checkers = assemble_breakdowns(set, ordered, &tallies, &per_checker_steps);
 
     let run = MultiAnalysisRun {
-        engine: format!("{engine_name}×{threads}"),
+        engine: match threads {
+            Some(threads) => format!("{name}×{threads}"),
+            None => name.to_string(),
+        },
         checkers,
-        candidates: candidates_total,
+        candidates,
         queries,
         propagate_time,
         solve_time,
@@ -2210,6 +1366,116 @@ pub fn analyze_multi_streaming_session(
         stages,
     };
     (run, outcomes)
+}
+
+/// Runs the live items on one engine: each item is discovered and its
+/// sink groups solved before the next item starts. The discovery span is
+/// `before` (the compaction build) plus the summed per-item discovery
+/// wall.
+fn inline(
+    ctx: &RunCtx,
+    live: &[usize],
+    engine: &mut dyn FeasibilityEngine,
+    before: Duration,
+) -> (Vec<WorkerOut>, Vec<Discovered>, Duration) {
+    let mut worker = Worker::new(ctx, engine);
+    let mut found = Discovered::default();
+    let mut discover_wall = before;
+    for &i in live {
+        let t = Instant::now();
+        let groups = ctx.discover(i, &mut found);
+        discover_wall += t.elapsed();
+        for group in &groups {
+            worker.solve_group(ctx, group);
+        }
+    }
+    (vec![worker.finish()], vec![found], discover_wall)
+}
+
+/// Runs the live items through the streaming pipeline on `threads` ≥ 2
+/// factory-built engines. Producers (one per thread, at most one per
+/// live item) steal work items off a cursor and send each item's sink
+/// groups to the bounded queue of worker `sink function % threads`; each
+/// worker drains its own queue. Sticky routing keeps every group of one
+/// sink function on one engine, so its session and instance memo
+/// amortize across the per-item fragments, and solving overlaps
+/// discovery. The discovery span runs from `t0` until the last producer
+/// finished.
+fn pipeline(
+    ctx: &RunCtx,
+    live: &[usize],
+    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
+    threads: usize,
+    t0: Instant,
+) -> (Vec<WorkerOut>, Vec<Discovered>, Duration) {
+    let producers = threads.min(live.len()).max(1);
+    let queues: Vec<BoundedQueue<SinkGroup>> = (0..threads)
+        .map(|_| BoundedQueue::new(2, producers))
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let (queues, cursor) = (&queues, &cursor);
+    std::thread::scope(|scope| {
+        let producer_handles: Vec<_> = (0..producers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut found = Discovered::default();
+                    // Cleared when a send is refused: some worker's queue
+                    // closed (it panicked), so the pipeline cannot
+                    // complete — stop discovering, but still run the
+                    // shutdown protocol below so every queue learns this
+                    // producer is done.
+                    let mut consumers_live = true;
+                    while consumers_live {
+                        let Some(&i) = live.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                            break;
+                        };
+                        for group in ctx.discover(i, &mut found) {
+                            if !queues[group.sink_key as usize % threads].send(group) {
+                                consumers_live = false;
+                                break;
+                            }
+                        }
+                    }
+                    let done = t0.elapsed();
+                    for queue in queues {
+                        queue.producer_done();
+                    }
+                    (found, done)
+                })
+            })
+            .collect();
+        let worker_handles: Vec<_> = queues
+            .iter()
+            .map(|queue| {
+                scope.spawn(move || {
+                    let mut engine = factory();
+                    let mut worker = Worker::new(ctx, engine.as_mut());
+                    // Liveness: if this worker dies mid-solve (a panicking
+                    // engine), the guard closes its queue on unwind, so
+                    // producers parked on the bounded `not_full` condvar
+                    // wake up, observe the refusal, and wind down — the
+                    // panic then propagates through the join instead of
+                    // deadlocking it. Harmless on orderly exit: the queue
+                    // is already drained when the guard fires.
+                    let _close_guard = CloseGuard::new(queue);
+                    while let Some(group) = queue.recv() {
+                        worker.solve_group(ctx, &group);
+                    }
+                    worker.finish()
+                })
+            })
+            .collect();
+        let workers = worker_handles
+            .into_iter()
+            .map(|h| h.join().expect("solve worker"))
+            .collect();
+        let (discovered, done): (Vec<_>, Vec<_>) = producer_handles
+            .into_iter()
+            .map(|h| h.join().expect("discovery producer"))
+            .unzip();
+        let span = done.into_iter().max().unwrap_or_default();
+        (workers, discovered, span)
+    })
 }
 
 #[cfg(test)]
@@ -2260,44 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let src = "extern fn deref(p);\n\
-             fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
-             fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }\n\
-             fn c(x) { let q = null; let r = 1; if (x == 9) { r = q; } deref(r); return 0; }";
-        let p = compile(src, CompileOptions::default()).expect("compile");
-        let g = Pdg::build(&p);
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut engine,
-            &AnalysisOptions::new(),
-        );
-        let factory = || -> Box<dyn FeasibilityEngine> {
-            Box::new(FusionSolver::new(SolverConfig::default()))
-        };
-        for threads in [1usize, 2, 4] {
-            let par = analyze_parallel(
-                &p,
-                &g,
-                &Checker::null_deref(),
-                &factory,
-                threads,
-                &AnalysisOptions::new(),
-            );
-            let key = |r: &crate::engine::BugReport| (r.source, r.sink);
-            let mut a: Vec<_> = seq.reports.iter().map(key).collect();
-            let mut b: Vec<_> = par.reports.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "threads = {threads}");
-            assert_eq!(seq.suppressed, par.suppressed);
-        }
-    }
-
-    #[test]
     fn timings_and_memory_are_populated() {
         let run = run("extern fn deref(p); fn f() { let q = null; deref(q); return 0; }");
         assert!(run.peak_memory > 0);
@@ -2313,91 +1541,98 @@ mod tests {
         Box::new(FusionSolver::new(SolverConfig::default()))
     }
 
-    #[test]
-    fn parallel_engine_name_keeps_base_and_thread_count() {
-        let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
-        let g = Pdg::build(&p);
-        let run = analyze_parallel(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &fusion_factory,
-            4,
-            &AnalysisOptions::new(),
-        );
-        assert_eq!(run.engine, "fusion×4");
+    /// A fused run on a borrowed engine, with a run-local verdict cache
+    /// per [`AnalysisOptions::use_cache`].
+    fn fused(p: &Program, g: &Pdg, set: &CheckerSet, opts: &AnalysisOptions) -> MultiAnalysisRun {
+        let cache = VerdictCache::new();
+        let mut engine = FusionSolver::new(SolverConfig::default());
+        analyze_multi_with_cache(
+            p,
+            g,
+            set,
+            &mut engine,
+            opts,
+            opts.use_cache.then_some(&cache),
+        )
     }
 
     #[test]
-    fn sequential_and_parallel_accounting_agree() {
+    fn engine_name_keeps_base_and_thread_count() {
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
+        let set = CheckerSet::single(Checker::null_deref());
+        let opts = AnalysisOptions::new();
+        for threads in [1usize, 4] {
+            let run = analyze_multi_streaming_with_cache(
+                &p,
+                &g,
+                &set,
+                &fusion_factory,
+                threads,
+                &opts,
+                None,
+            );
+            assert_eq!(run.engine, format!("fusion×{threads}"));
+        }
+        // A borrowed engine keeps its own name.
+        assert_eq!(fused(&p, &g, &set, &opts).engine, "fusion");
+    }
+
+    #[test]
+    fn borrowed_and_threaded_accounting_agree() {
+        let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
+        let g = Pdg::build(&p);
+        let set = CheckerSet::single(Checker::null_deref());
         let opts = AnalysisOptions::without_cache();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(&p, &g, &Checker::null_deref(), &mut engine, &opts);
-        // One worker: the unified accounting path must yield the exact
-        // sequential peak.
-        let par1 = analyze_parallel(&p, &g, &Checker::null_deref(), &fusion_factory, 1, &opts);
-        assert_eq!(seq.peak_memory, par1.peak_memory, "1-thread parity");
+        let borrowed = fused(&p, &g, &set, &opts);
+        let threaded = |threads| {
+            analyze_multi_streaming_with_cache(&p, &g, &set, &fusion_factory, threads, &opts, None)
+        };
+        // One thread runs the same inline loop on a factory-built engine:
+        // the accounting must yield the exact borrowed-engine peak.
+        assert_eq!(
+            borrowed.peak_memory,
+            threaded(1).peak_memory,
+            "1-thread parity"
+        );
         // Many workers: each retains its own engine state, so the summed
-        // peak is bounded below by the sequential peak and above by
-        // `threads` sequential peaks.
-        let par4 = analyze_parallel(&p, &g, &Checker::null_deref(), &fusion_factory, 4, &opts);
-        assert!(par4.peak_memory >= seq.peak_memory);
-        assert!(par4.peak_memory <= seq.peak_memory * 4);
+        // peak is bounded below by the one-engine peak and above by
+        // `threads` of them.
+        let par4 = threaded(4);
+        assert!(par4.peak_memory >= borrowed.peak_memory);
+        assert!(par4.peak_memory <= borrowed.peak_memory * 4);
     }
 
     #[test]
     fn cached_runs_report_hits_and_identical_reports() {
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
-        let uncached = {
-            let mut e = FusionSolver::new(SolverConfig::default());
-            analyze(
-                &p,
-                &g,
-                &Checker::null_deref(),
-                &mut e,
-                &AnalysisOptions::without_cache(),
-            )
-        };
+        let set = CheckerSet::single(Checker::null_deref());
+        let uncached = fused(&p, &g, &set, &AnalysisOptions::without_cache());
         assert_eq!(uncached.cache, crate::cache::CacheStats::default());
 
-        // Two sequential runs sharing one cache: the second run is all hits.
+        // Two runs sharing one cache: the second run is all hits.
         let shared = VerdictCache::new();
         let opts = AnalysisOptions::new();
-        let mut e1 = FusionSolver::new(SolverConfig::default());
-        let first = analyze_with_cache(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut e1,
-            &opts,
-            Some(&shared),
-        );
+        let run = || {
+            let mut e = FusionSolver::new(SolverConfig::default());
+            analyze_multi_with_cache(&p, &g, &set, &mut e, &opts, Some(&shared))
+        };
+        let first = run();
         assert!(first.cache.misses > 0);
         assert!(first.cache.inserts > 0);
-        let mut e2 = FusionSolver::new(SolverConfig::default());
-        let second = analyze_with_cache(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut e2,
-            &opts,
-            Some(&shared),
-        );
+        let second = run();
         assert!(second.cache.hits > 0, "warm cache must hit");
         assert_eq!(second.queries, 0, "every verdict came from the cache");
 
         for cached in [&first, &second] {
-            let a: Vec<_> = uncached
-                .reports
-                .iter()
-                .map(|r| (r.source, r.sink))
-                .collect();
-            let b: Vec<_> = cached.reports.iter().map(|r| (r.source, r.sink)).collect();
+            let a: Vec<_> = uncached.all_reports().map(report_key).collect();
+            let b: Vec<_> = cached.all_reports().map(report_key).collect();
             assert_eq!(a, b, "cache must not change reports");
-            assert_eq!(uncached.suppressed, cached.suppressed);
+            assert_eq!(
+                uncached.checkers[0].suppressed,
+                cached.checkers[0].suppressed
+            );
         }
     }
 
@@ -2416,8 +1651,7 @@ mod tests {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let fused = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::new());
+        let fused = fused(&p, &g, &set, &AnalysisOptions::new());
         assert_eq!(fused.checkers.len(), 3);
         assert_eq!(
             fused.checkers.iter().map(|b| b.candidates).sum::<usize>(),
@@ -2450,40 +1684,30 @@ mod tests {
     }
 
     #[test]
-    fn fused_parallel_and_streaming_match_fused_sequential() {
+    fn fused_threaded_runs_match_fused_borrowed_run() {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::new());
-        for threads in [1usize, 2, 4] {
-            let par = analyze_multi_parallel(
+        let opts = AnalysisOptions::new();
+        let reference = fused(&p, &g, &set, &opts);
+        for threads in 1..=8 {
+            let run = analyze_multi_streaming_with_cache(
                 &p,
                 &g,
                 &set,
                 &fusion_factory,
                 threads,
-                &AnalysisOptions::new(),
+                &opts,
+                None,
             );
-            let stream = analyze_multi_streaming(
-                &p,
-                &g,
-                &set,
-                &fusion_factory,
-                threads,
-                &AnalysisOptions::new(),
-            );
-            assert_eq!(par.engine, format!("fusion×{threads}"));
-            assert_eq!(stream.engine, format!("fusion×{threads}"));
-            for run in [&par, &stream] {
-                assert_eq!(run.candidates, seq.candidates, "threads={threads}");
-                for (sb, rb) in seq.checkers.iter().zip(&run.checkers) {
-                    assert_eq!(sb.kind, rb.kind);
-                    assert_eq!(sb.suppressed, rb.suppressed, "threads={threads}");
-                    let a: Vec<_> = sb.reports.iter().map(report_key).collect();
-                    let b: Vec<_> = rb.reports.iter().map(report_key).collect();
-                    assert_eq!(a, b, "threads={threads} kind={}", sb.kind);
-                }
+            assert_eq!(run.candidates, reference.candidates, "threads={threads}");
+            for (sb, rb) in reference.checkers.iter().zip(&run.checkers) {
+                assert_eq!(sb.kind, rb.kind);
+                assert_eq!(sb.suppressed, rb.suppressed, "threads={threads}");
+                // Not just set equality: identical order and contents.
+                let a: Vec<_> = sb.reports.iter().map(report_key).collect();
+                let b: Vec<_> = rb.reports.iter().map(report_key).collect();
+                assert_eq!(a, b, "threads={threads} kind={}", sb.kind);
             }
         }
     }
@@ -2512,10 +1736,8 @@ mod tests {
             compact: true,
             ..AnalysisOptions::new()
         };
-        let mut e1 = FusionSolver::new(SolverConfig::default());
-        let plain = analyze_multi(&p, &g, &set, &mut e1, &off);
-        let mut e2 = FusionSolver::new(SolverConfig::default());
-        let compacted = analyze_multi(&p, &g, &set, &mut e2, &on);
+        let plain = fused(&p, &g, &set, &off);
+        let compacted = fused(&p, &g, &set, &on);
         for (pb, cb) in plain.checkers.iter().zip(&compacted.checkers) {
             assert_eq!(pb.kind, cb.kind);
             assert_eq!(pb.candidates, cb.candidates);
@@ -2551,8 +1773,7 @@ mod tests {
         let p = compile(FUSED_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let fused = analyze_multi(&p, &g, &set, &mut engine, &AnalysisOptions::without_cache());
+        let fused = fused(&p, &g, &set, &AnalysisOptions::without_cache());
         assert!(fused.stages.sessions_opened >= 1);
         let mut loop_sessions = 0u64;
         let mut loop_steps = 0u64;
@@ -2577,14 +1798,13 @@ mod tests {
     }
 
     #[test]
-    fn single_checker_wrappers_ride_the_fused_path() {
-        // The singleton-set wrappers must report exactly what the fused
-        // driver's breakdown holds.
+    fn single_checker_analyze_rides_the_fused_path() {
+        // The single-checker entry point must report exactly what the
+        // fused driver's breakdown holds.
         let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::single(Checker::null_deref());
-        let mut e1 = FusionSolver::new(SolverConfig::default());
-        let multi = analyze_multi(&p, &g, &set, &mut e1, &AnalysisOptions::new());
+        let multi = fused(&p, &g, &set, &AnalysisOptions::new());
         let mut e2 = FusionSolver::new(SolverConfig::default());
         let single = analyze(
             &p,
@@ -2599,42 +1819,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(multi.candidates, single.candidates);
         assert_eq!(multi.queries, single.queries);
-    }
-
-    #[test]
-    fn work_stealing_merge_is_byte_identical_to_sequential() {
-        let p = compile(MULTI_SRC, CompileOptions::default()).expect("compile");
-        let g = Pdg::build(&p);
-        let mut engine = FusionSolver::new(SolverConfig::default());
-        let seq = analyze(
-            &p,
-            &g,
-            &Checker::null_deref(),
-            &mut engine,
-            &AnalysisOptions::without_cache(),
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let par = analyze_parallel(
-                &p,
-                &g,
-                &Checker::null_deref(),
-                &fusion_factory,
-                threads,
-                &AnalysisOptions::new(),
-            );
-            // Not just set equality: identical order and contents.
-            let a: Vec<_> = seq
-                .reports
-                .iter()
-                .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
-                .collect();
-            let b: Vec<_> = par
-                .reports
-                .iter()
-                .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
-                .collect();
-            assert_eq!(a, b, "threads = {threads}");
-            assert_eq!(seq.suppressed, par.suppressed);
-        }
     }
 }

@@ -390,7 +390,7 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// An empty session (no resident program yet). `options` configure
     /// every run the session performs; `threads` is the solve/discovery
-    /// parallelism (1 = inline sequential).
+    /// parallelism (1 = inline on one engine).
     pub fn new(set: CheckerSet, options: AnalysisOptions, threads: usize) -> AnalysisSession {
         AnalysisSession {
             set,
@@ -726,7 +726,7 @@ impl AnalysisSession {
 mod tests {
     use super::*;
     use crate::checkers::Checker;
-    use crate::engine::{analyze_multi_streaming, BugReport, Feasibility};
+    use crate::engine::{analyze_multi_streaming_with_cache, BugReport, Feasibility};
     use crate::graph_solver::FusionSolver;
     use fusion_ir::{compile, CompileOptions};
     use fusion_smt::solver::SolverConfig;
@@ -806,13 +806,14 @@ mod tests {
             );
             session.scan(compile_src(BASE), &factory);
             let warm = session.rescan(compile_src(CALLEE_EDIT), &factory);
-            let cold = analyze_multi_streaming(
+            let cold = analyze_multi_streaming_with_cache(
                 &compile_src(CALLEE_EDIT),
                 &Pdg::build(&compile_src(CALLEE_EDIT)),
                 &CheckerSet::single(Checker::null_deref()),
                 &|| factory(),
                 threads,
                 &AnalysisOptions::new(),
+                Some(&VerdictCache::new()),
             );
             assert_eq!(keys(&warm), keys(&cold), "threads = {threads}");
             assert_eq!(warm.candidates, cold.candidates, "threads = {threads}");
@@ -890,13 +891,14 @@ mod tests {
         // And an *edited* rescan after load still evicts exactly what
         // changed, through the restored provenance.
         let warm_edit = restored.rescan(compile_src(CALLEE_EDIT), &factory);
-        let cold_edit = analyze_multi_streaming(
+        let cold_edit = analyze_multi_streaming_with_cache(
             &compile_src(CALLEE_EDIT),
             &Pdg::build(&compile_src(CALLEE_EDIT)),
             &CheckerSet::single(Checker::null_deref()),
             &|| factory(),
             2,
             &AnalysisOptions::new(),
+            Some(&VerdictCache::new()),
         );
         assert_eq!(keys(&warm_edit), keys(&cold_edit));
         std::fs::remove_dir_all(&dir).ok();

@@ -18,10 +18,11 @@
 //!   the Fig. 9 label deletion);
 //! * [`graph_solver`] — the IR-based SMT solutions: Algorithm 4
 //!   (unoptimized) and Algorithm 6 (the Fusion solver);
-//! * [`engine`] — the drivers (sequential, work-stealing barrier, and
-//!   streaming — each fused over a whole [`checkers::CheckerSet`] in one
-//!   multi-client pass), the [`engine::FeasibilityEngine`] trait the
-//!   baselines also implement, and bug reports;
+//! * [`engine`] — the analysis driver (one fused multi-client pass over a
+//!   whole [`checkers::CheckerSet`], inline on one engine or streamed
+//!   from discovery producers into sticky solve workers on several), the
+//!   [`engine::FeasibilityEngine`] trait the baselines also implement,
+//!   and bug reports;
 //! * [`cache`] — the sharded feasibility-verdict memo cache shared across
 //!   worker engines;
 //! * [`compact`] — the pre-discovery PDG-compaction pass: frontier
@@ -92,13 +93,10 @@ pub use cache::{path_set_key, CacheStats, Key128, VerdictCache};
 pub use checkers::{default_checkers, CheckKind, Checker, CheckerId, CheckerSet};
 pub use compact::{CompactPdg, CompactStats, IsoVerdicts};
 pub use engine::{
-    analyze, analyze_multi, analyze_multi_parallel, analyze_multi_parallel_with_cache,
-    analyze_multi_streaming, analyze_multi_streaming_with_cache, analyze_multi_with_cache,
-    analyze_parallel, analyze_parallel_with_cache, analyze_streaming, analyze_streaming_with_cache,
-    analyze_with_cache, AnalysisOptions, AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown,
-    Feasibility, FeasibilityEngine, MultiAnalysisRun, SolveRecord, StageStats,
+    analyze, analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, Feasibility, FeasibilityEngine,
+    ItemOutcomes, MultiAnalysisRun, SolveRecord, StageStats,
 };
-pub use engine::{analyze_multi_streaming_session, ItemOutcomes, SessionParams};
 pub use graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 pub use incremental::{
     AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, SessionProvenance,

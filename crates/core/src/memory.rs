@@ -143,19 +143,19 @@ impl MemoryAccountant {
     }
 }
 
-/// The single accounting path every analysis run goes through, sequential
-/// or parallel: sum the engine accountants that were live concurrently
-/// (one for a sequential run, one per worker for a parallel run), then
-/// charge the structures retained for the whole run — the PDG/IR under
+/// The single accounting path every analysis run goes through, inline or
+/// threaded: sum the engine accountants that were live concurrently (one
+/// for an inline run, one per worker for a threaded run), then charge the
+/// structures retained for the whole run — the PDG/IR under
 /// [`Category::Graph`] and the shared verdict cache under
 /// [`Category::Cache`] — into both current and peak, since they coexist
 /// with every engine's peak.
 ///
-/// Using one function for both drivers keeps the sequential and parallel
-/// peak numbers directly comparable: a 1-thread parallel run reports
-/// exactly the same peak as the sequential run with the same engine.
+/// One function for every run keeps inline and threaded peak numbers
+/// directly comparable: a 1-thread run reports exactly the same peak as
+/// a run on a borrowed engine of the same kind.
 ///
-/// The fused multi-client drivers also route through here, so a
+/// Fused multi-client runs also route through here, so a
 /// `--checker all` scan reports one *true whole-scan peak* — every
 /// engine accountant that was live during the single fused pass, plus
 /// the graph and caches charged once — rather than the max over three
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn run_accounting_one_engine_equals_engine_plus_shared() {
-        // One engine (the sequential case, or a 1-thread parallel run):
+        // One engine (an inline run, on a borrowed or factory-built engine):
         // the run's peak is exactly the engine's peak plus the structures
         // retained for the whole run.
         let mut e = MemoryAccountant::new();

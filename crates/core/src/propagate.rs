@@ -504,7 +504,8 @@ pub struct Discovery {
     /// One accountant per shard, tracking transient visited-set bytes
     /// (charged while a source is being explored, released after). Fold
     /// these into [`crate::memory::run_accounting`] with
-    /// `add_concurrent` so 1-shard peaks equal the sequential driver's.
+    /// `add_concurrent` so a 1-shard pass is accounted exactly like the
+    /// analysis driver's inline path.
     pub memory: Vec<MemoryAccountant>,
 }
 

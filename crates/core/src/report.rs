@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn multi_rendering_sections_per_checker() {
         use crate::checkers::CheckerSet;
-        use crate::engine::analyze_multi;
+        use crate::engine::analyze_multi_with_cache;
         let src = "extern fn deref(p);\n\
              extern fn gets(p);\n\
              extern fn fopen(p);\n\
@@ -162,7 +162,14 @@ mod tests {
         let pdg = Pdg::build(&program);
         let mut engine = FusionSolver::new(SolverConfig::default());
         let set = CheckerSet::all();
-        let run = analyze_multi(&program, &pdg, &set, &mut engine, &AnalysisOptions::new());
+        let run = analyze_multi_with_cache(
+            &program,
+            &pdg,
+            &set,
+            &mut engine,
+            &AnalysisOptions::new(),
+            None,
+        );
         let text = render_multi(&program, &run);
         assert!(text.contains("across 3 checker(s)"), "{text}");
         let nd = text.find("== null-deref:").expect("null-deref section");

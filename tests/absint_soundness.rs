@@ -14,17 +14,17 @@
 //!    unoptimized clone-everything graph solver), which never sees the
 //!    abstract facts: its `translate()` pipeline is unseeded by design.
 //! 3. **Refute-only invisibility** — the full fused analysis produces
-//!    *byte-identical* per-checker reports with triage on and off, across
-//!    every driver (sequential, barrier, streaming), thread counts 1–8,
-//!    with and without the verdict cache, with and without incremental
-//!    sessions. Triage may only make the scan cheaper, never different.
+//!    *byte-identical* per-checker reports with triage on and off, on a
+//!    borrowed engine and at thread counts 1–8, with and without the
+//!    verdict cache, with and without incremental sessions. Triage may
+//!    only make the scan cheaper, never different.
 
 use fusion::absint::ProgramFacts;
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions, Feasibility,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::propagate::{discover, PropagateOptions};
@@ -239,8 +239,8 @@ fn triage_on_equals_triage_off_across_all_drivers() {
             let mut off = base.clone();
             off.absint = false;
 
-            // Reference: sequential with triage OFF — the pure solver
-            // pipeline, no abstract facts anywhere.
+            // Reference: a borrowed engine with triage OFF — the pure
+            // solver pipeline, no abstract facts anywhere.
             let off_cache = VerdictCache::new();
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
@@ -262,7 +262,8 @@ fn triage_on_equals_triage_off_across_all_drivers() {
                 "triage disabled must do zero triage"
             );
 
-            // Sequential with triage ON: identical bytes, nonzero triage.
+            // Borrowed engine with triage ON: identical bytes, nonzero
+            // triage.
             let on_cache = VerdictCache::new();
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
@@ -277,7 +278,7 @@ fn triage_on_equals_triage_off_across_all_drivers() {
             assert_eq!(
                 breakdown_keys(&triaged),
                 want,
-                "triage changed sequential reports at cache={use_cache} \
+                "triage changed borrowed-engine reports at cache={use_cache} \
                  incremental={incremental}"
             );
             assert!(
@@ -289,40 +290,24 @@ fn triage_on_equals_triage_off_across_all_drivers() {
                 "fully-refuted candidates must skip the solver entirely"
             );
 
-            // Barrier and streaming drivers, triage on and off, every
-            // thread count.
+            // Factory-built engines, triage on and off, every thread
+            // count.
             for threads in 1..=8 {
                 for (label, opts) in [("on", &on), ("off", &off)] {
-                    let c1 = VerdictCache::new();
-                    let barrier = analyze_multi_parallel_with_cache(
+                    let run_cache = VerdictCache::new();
+                    let run = analyze_multi_streaming_with_cache(
                         &program,
                         &pdg,
                         &set,
                         &factory(incremental),
                         threads,
                         opts,
-                        use_cache.then_some(&c1),
+                        use_cache.then_some(&run_cache),
                     );
                     assert_eq!(
-                        breakdown_keys(&barrier),
+                        breakdown_keys(&run),
                         want,
-                        "barrier absint={label} diverged at threads={threads} \
-                         cache={use_cache} incremental={incremental}"
-                    );
-                    let c2 = VerdictCache::new();
-                    let streaming = analyze_multi_streaming_with_cache(
-                        &program,
-                        &pdg,
-                        &set,
-                        &factory(incremental),
-                        threads,
-                        opts,
-                        use_cache.then_some(&c2),
-                    );
-                    assert_eq!(
-                        breakdown_keys(&streaming),
-                        want,
-                        "streaming absint={label} diverged at threads={threads} \
+                        "absint={label} diverged at threads={threads} \
                          cache={use_cache} incremental={incremental}"
                     );
                 }

@@ -4,12 +4,12 @@
 //! The pre-discovery graph-reduction pass (frontier pruning, summary-
 //! chain collapse, isomorphic-verdict sharing — DESIGN.md "PDG
 //! compaction") removes *work*, never *findings*: for any generated
-//! program, any driver (sequential, barrier, streaming), any thread
-//! count 1–8, with and without the verdict cache, with and without
-//! incremental sessions, with and without abstract-interpretation
-//! triage, the compacted scan must produce per-checker reports
-//! byte-identical — same sources, sinks, verdicts, witness paths, in
-//! the same order — to the uncompacted sequential scan.
+//! program, on a borrowed engine and at any thread count 1–8, with and
+//! without the verdict cache, with and without incremental sessions,
+//! with and without abstract-interpretation triage, the compacted scan
+//! must produce per-checker reports byte-identical — same sources,
+//! sinks, verdicts, witness paths, in the same order — to the
+//! uncompacted borrowed-engine scan.
 //!
 //! The second assertion pins the replay layer down: a collapsed summary
 //! chain is re-expanded into the *original* vertex sequence when a path
@@ -21,8 +21,8 @@
 use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, FeasibilityEngine, MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::{path_set_key, Feasibility, Key128};
@@ -84,7 +84,7 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
-fn sequential(
+fn borrowed(
     program: &Program,
     pdg: &Pdg,
     set: &CheckerSet,
@@ -111,7 +111,7 @@ proptest! {
         let set = CheckerSet::all();
 
         // All (cache, incremental, absint) configurations. The
-        // uncompacted sequential run of each is the reference its
+        // uncompacted borrowed-engine run of each is the reference its
         // compacted runs must reproduce.
         let combos: Vec<(bool, bool, bool)> = (0..8)
             .map(|i| (i & 1 != 0, i & 2 != 0, i & 4 != 0))
@@ -119,7 +119,7 @@ proptest! {
         let mut wants = Vec::new();
         for &(use_cache, incremental, absint) in &combos {
             let plain_cache = VerdictCache::new();
-            let plain = sequential(
+            let plain = borrowed(
                 &program,
                 &pdg,
                 &set,
@@ -131,7 +131,7 @@ proptest! {
             prop_assert_eq!(plain.stages.vertices_pruned, 0);
 
             let on_cache = VerdictCache::new();
-            let compacted = sequential(
+            let compacted = borrowed(
                 &program,
                 &pdg,
                 &set,
@@ -142,49 +142,32 @@ proptest! {
             prop_assert_eq!(
                 breakdown_keys(&program, &compacted),
                 want.clone(),
-                "sequential diverged at seed {} cache={} incremental={} absint={}",
+                "borrowed engine diverged at seed {} cache={} incremental={} absint={}",
                 seed, use_cache, incremental, absint
             );
             wants.push(want);
         }
 
-        // Barrier and streaming, every thread count 1–8, rotating
-        // through the configurations so each driver sees all of them
-        // across the sweep.
+        // Factory-built engines, every thread count 1–8, rotating
+        // through the configurations so the sweep covers all of them.
         for threads in 1..=8usize {
             let (use_cache, incremental, absint) = combos[threads - 1];
             let want = &wants[threads - 1];
             let opts = options(use_cache, absint, true);
-            let barrier_cache = VerdictCache::new();
-            let barrier = analyze_multi_parallel_with_cache(
+            let run_cache = VerdictCache::new();
+            let run = analyze_multi_streaming_with_cache(
                 &program,
                 &pdg,
                 &set,
                 &factory(incremental),
                 threads,
                 &opts,
-                use_cache.then_some(&barrier_cache),
+                use_cache.then_some(&run_cache),
             );
             prop_assert_eq!(
-                &breakdown_keys(&program, &barrier),
+                &breakdown_keys(&program, &run),
                 want,
-                "barrier diverged at seed {} threads={} cache={} incremental={} absint={}",
-                seed, threads, use_cache, incremental, absint
-            );
-            let stream_cache = VerdictCache::new();
-            let streaming = analyze_multi_streaming_with_cache(
-                &program,
-                &pdg,
-                &set,
-                &factory(incremental),
-                threads,
-                &opts,
-                use_cache.then_some(&stream_cache),
-            );
-            prop_assert_eq!(
-                &breakdown_keys(&program, &streaming),
-                want,
-                "streaming diverged at seed {} threads={} cache={} incremental={} absint={}",
+                "diverged at seed {} threads={} cache={} incremental={} absint={}",
                 seed, threads, use_cache, incremental, absint
             );
         }

@@ -4,19 +4,18 @@
 //! fragment's local condition into a cheaper equivalent before the
 //! solver sees it — fewer bit-blasted terms, fewer CNF clauses — but it
 //! may never change a verdict, a witness path, a suppression count, or
-//! their order. This pins the contract end to end: for every driver
-//! ({sequential, barrier, streaming}), thread count 1–8, with and
-//! without the verdict cache, incremental sessions, abstract-
+//! their order. This pins the contract end to end: on a borrowed engine
+//! and at every thread count 1–8, with and without the verdict cache, incremental sessions, abstract-
 //! interpretation triage, and PDG compaction, the reports of an
 //! egraph-on run are *byte-identical* to an egraph-off run. This is the
 //! invariant `extract_bench` enforces on its corpus and the CLI's
 //! `--egraph`/`--no-egraph` pair relies on.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_streaming_with_cache, analyze_with_cache, AnalysisOptions,
-    AnalysisRun, Feasibility, FeasibilityEngine,
+    analyze, analyze_multi_streaming_with_cache, AnalysisOptions, AnalysisRun, Feasibility,
+    FeasibilityEngine,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions, Program};
@@ -101,6 +100,7 @@ fn factory(egraph: bool, incremental: bool) -> impl Fn() -> Box<dyn FeasibilityE
 #[test]
 fn egraph_on_equals_egraph_off_across_the_full_matrix() {
     let (program, pdg, checker) = subject();
+    let set = CheckerSet::single(checker.clone());
 
     for use_cache in [false, true] {
         for incremental in [true, false] {
@@ -118,18 +118,10 @@ fn egraph_on_equals_egraph_off_across_the_full_matrix() {
                          absint={absint} compact={compact}"
                     );
 
-                    // Reference transcript: sequential, e-graph OFF.
-                    let off_cache = VerdictCache::new();
+                    // Reference transcript: borrowed engine, e-graph OFF.
                     let mut off_engine = FusionSolver::new(solver_config(false));
                     off_engine.incremental = incremental;
-                    let reference = analyze_with_cache(
-                        &program,
-                        &pdg,
-                        &checker,
-                        &mut off_engine,
-                        &opts,
-                        use_cache.then_some(&off_cache),
-                    );
+                    let reference = analyze(&program, &pdg, &checker, &mut off_engine, &opts);
                     assert!(!reference.reports.is_empty(), "subject must report ({ctx})");
                     assert!(
                         reference.suppressed > 0,
@@ -137,57 +129,29 @@ fn egraph_on_equals_egraph_off_across_the_full_matrix() {
                     );
                     let want = keys(&reference);
 
-                    // Sequential, e-graph ON.
-                    let on_cache = VerdictCache::new();
+                    // Borrowed engine, e-graph ON.
                     let mut on_engine = FusionSolver::new(solver_config(true));
                     on_engine.incremental = incremental;
-                    let on = analyze_with_cache(
-                        &program,
-                        &pdg,
-                        &checker,
-                        &mut on_engine,
-                        &opts,
-                        use_cache.then_some(&on_cache),
-                    );
-                    assert_eq!(keys(&on), want, "sequential diverged ({ctx})");
+                    let on = analyze(&program, &pdg, &checker, &mut on_engine, &opts);
+                    assert_eq!(keys(&on), want, "borrowed engine diverged ({ctx})");
                     assert_eq!(on.suppressed, reference.suppressed, "{ctx}");
                     assert_eq!(on.candidates, reference.candidates, "{ctx}");
 
-                    // Parallel drivers, e-graph ON, every thread count.
+                    // Factory-built engines, e-graph ON, every thread count.
                     for threads in 1..=8 {
-                        let stream_cache = VerdictCache::new();
-                        let streaming = analyze_streaming_with_cache(
+                        let run_cache = VerdictCache::new();
+                        let run = analyze_multi_streaming_with_cache(
                             &program,
                             &pdg,
-                            &checker,
+                            &set,
                             &factory(true, incremental),
                             threads,
                             &opts,
-                            use_cache.then_some(&stream_cache),
-                        );
-                        assert_eq!(
-                            keys(&streaming),
-                            want,
-                            "streaming diverged at threads={threads} ({ctx})"
-                        );
-                        assert_eq!(streaming.suppressed, reference.suppressed);
-
-                        let barrier_cache = VerdictCache::new();
-                        let barrier = analyze_parallel_with_cache(
-                            &program,
-                            &pdg,
-                            &checker,
-                            &factory(true, incremental),
-                            threads,
-                            &opts,
-                            use_cache.then_some(&barrier_cache),
-                        );
-                        assert_eq!(
-                            keys(&barrier),
-                            want,
-                            "barrier diverged at threads={threads} ({ctx})"
-                        );
-                        assert_eq!(barrier.suppressed, reference.suppressed);
+                            use_cache.then_some(&run_cache),
+                        )
+                        .into_single();
+                        assert_eq!(keys(&run), want, "diverged at threads={threads} ({ctx})");
+                        assert_eq!(run.suppressed, reference.suppressed);
                     }
                 }
             }
@@ -205,7 +169,7 @@ fn egraph_actually_fires_on_the_subject() {
     let opts = AnalysisOptions::without_cache();
 
     let mut on_engine = FusionSolver::new(solver_config(true));
-    let on = analyze_with_cache(&program, &pdg, &checker, &mut on_engine, &opts, None);
+    let on = analyze(&program, &pdg, &checker, &mut on_engine, &opts);
     assert!(
         on.stages.egraph_classes > 0,
         "e-graph must build classes on this subject"
@@ -216,7 +180,7 @@ fn egraph_actually_fires_on_the_subject() {
     );
 
     let mut off_engine = FusionSolver::new(solver_config(false));
-    let off = analyze_with_cache(&program, &pdg, &checker, &mut off_engine, &opts, None);
+    let off = analyze(&program, &pdg, &checker, &mut off_engine, &opts);
     assert_eq!(off.stages.egraph_classes, 0);
     assert_eq!(keys(&on), keys(&off));
 }

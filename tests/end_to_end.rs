@@ -3,8 +3,10 @@
 //! must be deterministic.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze, analyze_parallel_with_cache, AnalysisOptions, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{
+    analyze, analyze_multi_streaming_with_cache, AnalysisOptions, FeasibilityEngine,
+};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion_baselines::{ArEngine, PinpointEngine, Tactic};
 use fusion_ir::{compile, CompileOptions};
@@ -167,11 +169,11 @@ fn runs_are_deterministic() {
 
 #[test]
 fn cached_parallel_runs_match_sequential_uncached_across_corpus() {
-    // The work-stealing parallel driver with a shared verdict cache must
-    // produce the *identical* report list — same (source, sink) pairs in
-    // the same order — as the sequential, cache-free analysis, for every
-    // corpus program and every thread count. Steal order and cache hits
-    // must never show through.
+    // Factory-built engines with a shared verdict cache must produce the
+    // *identical* report list — same (source, sink) pairs in the same
+    // order — as the cache-free borrowed-engine analysis, for every
+    // corpus program and every thread count 1–8. Worker scheduling and
+    // cache hits must never show through.
     for (i, (src, ..)) in CORPUS.iter().enumerate() {
         let program = compile(src, CompileOptions::default()).expect("compile");
         let pdg = Pdg::build(&program);
@@ -192,17 +194,19 @@ fn cached_parallel_runs_match_sequential_uncached_across_corpus() {
         let factory = || -> Box<dyn FeasibilityEngine> {
             Box::new(FusionSolver::new(SolverConfig::default()))
         };
-        for threads in [1usize, 2, 4, 8] {
+        let set = CheckerSet::single(checker);
+        for threads in 1..=8 {
             let cache = VerdictCache::new();
-            let par = analyze_parallel_with_cache(
+            let par = analyze_multi_streaming_with_cache(
                 &program,
                 &pdg,
-                &checker,
+                &set,
                 &factory,
                 threads,
                 &AnalysisOptions::new(),
                 Some(&cache),
-            );
+            )
+            .into_single();
             let par_keys: Vec<_> = par
                 .reports
                 .iter()

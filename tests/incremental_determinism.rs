@@ -7,12 +7,13 @@
 //! per query. Both are complete decision procedures, so under an ample
 //! budget the *reports must be byte-identical* — same sources, sinks,
 //! verdicts, and witness paths — for every thread count, and identical to
-//! the sequential driver. This is the determinism contract claimed in
+//! a borrowed-engine run. This is the determinism contract claimed in
 //! DESIGN.md ("Incremental sessions") and enforced here for 1–8 threads.
 
-use fusion::checkers::Checker;
+use fusion::cache::VerdictCache;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_with_cache, AnalysisOptions, AnalysisRun, Feasibility,
+    analyze, analyze_multi_streaming_with_cache, AnalysisOptions, AnalysisRun, Feasibility,
     FeasibilityEngine,
 };
 use fusion::graph_solver::FusionSolver;
@@ -71,16 +72,30 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+/// One checker on `threads` factory-built engines.
+fn threaded(
+    program: &Program,
+    pdg: &Pdg,
+    checker: &Checker,
+    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
+    threads: usize,
+    opts: &AnalysisOptions,
+    cache: Option<&VerdictCache>,
+) -> AnalysisRun {
+    let set = CheckerSet::single(checker.clone());
+    analyze_multi_streaming_with_cache(program, pdg, &set, factory, threads, opts, cache)
+        .into_single()
+}
+
 #[test]
 fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
     let (program, pdg, checker) = subject();
     let opts = AnalysisOptions::without_cache();
 
-    // Sequential cold run is the reference transcript.
+    // A cold borrowed-engine run is the reference transcript.
     let mut reference_engine = FusionSolver::new(SolverConfig::default());
     reference_engine.incremental = false;
-    let reference =
-        analyze_with_cache(&program, &pdg, &checker, &mut reference_engine, &opts, None);
+    let reference = analyze(&program, &pdg, &checker, &mut reference_engine, &opts);
     assert!(
         !reference.reports.is_empty(),
         "subject must produce reports for the comparison to mean anything"
@@ -92,7 +107,7 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
     let want = keys(&reference);
 
     for threads in 1..=8 {
-        let cold = analyze_parallel_with_cache(
+        let cold = threaded(
             &program,
             &pdg,
             &checker,
@@ -101,7 +116,7 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
             &opts,
             None,
         );
-        let inc = analyze_parallel_with_cache(
+        let inc = threaded(
             &program,
             &pdg,
             &checker,
@@ -113,12 +128,12 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
         assert_eq!(
             keys(&cold),
             want,
-            "cold parallel run diverged from sequential at {threads} threads"
+            "cold run diverged from the borrowed engine at {threads} threads"
         );
         assert_eq!(
             keys(&inc),
             want,
-            "incremental parallel run diverged from sequential at {threads} threads"
+            "incremental run diverged from the borrowed engine at {threads} threads"
         );
         assert_eq!(
             inc.suppressed, reference.suppressed,
@@ -133,16 +148,16 @@ fn parallel_reports_identical_between_incremental_and_cold_1_to_8_threads() {
 
 #[test]
 fn sequential_incremental_matches_sequential_cold() {
-    // The same contract without the parallel driver in the loop: one
-    // engine instance per mode, sequential analysis, identical transcript.
+    // The same contract without worker threads in the loop: one
+    // borrowed engine per mode, identical transcript.
     let (program, pdg, checker) = subject();
     let opts = AnalysisOptions::without_cache();
     let mut cold_engine = FusionSolver::new(SolverConfig::default());
     cold_engine.incremental = false;
     let mut inc_engine = FusionSolver::new(SolverConfig::default());
     assert!(inc_engine.incremental, "incremental is the default");
-    let cold = analyze_with_cache(&program, &pdg, &checker, &mut cold_engine, &opts, None);
-    let inc = analyze_with_cache(&program, &pdg, &checker, &mut inc_engine, &opts, None);
+    let cold = analyze(&program, &pdg, &checker, &mut cold_engine, &opts);
+    let inc = analyze(&program, &pdg, &checker, &mut inc_engine, &opts);
     assert_eq!(keys(&cold), keys(&inc));
     assert_eq!(cold.suppressed, inc.suppressed);
     assert_eq!(cold.queries, inc.queries);

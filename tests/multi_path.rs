@@ -7,8 +7,8 @@
 //! not.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
-use fusion::engine::{analyze_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine};
+use fusion::checkers::{Checker, CheckerSet};
+use fusion::engine::{analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine};
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::propagate::{discover, PropagateOptions};
 use fusion_baselines::PinpointEngine;
@@ -122,8 +122,13 @@ fn repeated_analysis_hits_the_verdict_cache() {
     let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
     let opts = AnalysisOptions::new();
-    let first = analyze_with_cache(&program, &pdg, &checker, &mut engine, &opts, Some(&cache));
-    let second = analyze_with_cache(&program, &pdg, &checker, &mut engine, &opts, Some(&cache));
+    let set = CheckerSet::single(checker);
+    let mut run = || {
+        analyze_multi_with_cache(&program, &pdg, &set, &mut engine, &opts, Some(&cache))
+            .into_single()
+    };
+    let first = run();
+    let second = run();
     assert!(
         first.cache.misses > 0,
         "first run fills the cache: {:?}",

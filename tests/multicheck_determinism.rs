@@ -5,9 +5,9 @@
 //! items, sink groups are keyed on the sink function alone so queries
 //! from different checkers share solver sessions and slice closures, and
 //! one verdict cache covers the whole set. None of that fusion may reach
-//! the user: for every thread count (1–8), for every driver (sequential,
-//! barrier, streaming), with and without the verdict cache, with and
-//! without incremental sessions, each checker's reports must be
+//! the user: on a borrowed engine and at every thread count (1–8), with
+//! and without the verdict cache, with and without incremental
+//! sessions, each checker's reports must be
 //! *byte-identical* — same sources, sinks, verdicts, witness paths, in
 //! the same order — to running that checker alone the old way, one
 //! single-checker pass per checker. This is the contract DESIGN.md
@@ -22,9 +22,8 @@
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, analyze_with_cache, AnalysisOptions, FeasibilityEngine,
-    MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::Feasibility;
@@ -34,7 +33,7 @@ use fusion_smt::solver::SolverConfig;
 
 /// Flows for all three default checkers, mixing feasible and infeasible
 /// paths (`x * x == 3` has no solution modulo a power of two) and
-/// several distinct sink functions so the drivers have real groups to
+/// several distinct sink functions so the driver has real groups to
 /// schedule.
 fn subject() -> (Program, Pdg) {
     let mut src = String::from(
@@ -126,7 +125,10 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
             for checker in set.checkers() {
                 let mut engine = FusionSolver::new(SolverConfig::default());
                 engine.incremental = incremental;
-                let run = analyze_with_cache(&program, &pdg, checker, &mut engine, &opts, cache);
+                let single = CheckerSet::single(checker.clone());
+                let run =
+                    analyze_multi_with_cache(&program, &pdg, &single, &mut engine, &opts, cache)
+                        .into_single();
                 want.push((checker.kind, keys(&run.reports), run.suppressed));
             }
             assert!(
@@ -137,7 +139,7 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
                     .collect::<Vec<_>>()
             );
 
-            // Fused sequential.
+            // Fused, borrowed engine.
             let seq_cache = VerdictCache::new();
             let mut engine = FusionSolver::new(SolverConfig::default());
             engine.incremental = incremental;
@@ -152,41 +154,25 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
             assert_eq!(
                 breakdown_keys(&fused),
                 want,
-                "fused sequential diverged at cache={use_cache} incremental={incremental}"
+                "fused borrowed engine diverged at cache={use_cache} incremental={incremental}"
             );
 
-            // Fused barrier and streaming, every thread count.
+            // Fused, factory-built engines, every thread count.
             for threads in 1..=8 {
-                let barrier_cache = VerdictCache::new();
-                let barrier = analyze_multi_parallel_with_cache(
+                let run_cache = VerdictCache::new();
+                let run = analyze_multi_streaming_with_cache(
                     &program,
                     &pdg,
                     &set,
                     &factory(incremental),
                     threads,
                     &opts,
-                    use_cache.then_some(&barrier_cache),
+                    use_cache.then_some(&run_cache),
                 );
                 assert_eq!(
-                    breakdown_keys(&barrier),
+                    breakdown_keys(&run),
                     want,
-                    "fused barrier diverged at threads={threads} cache={use_cache} \
-                     incremental={incremental}"
-                );
-                let stream_cache = VerdictCache::new();
-                let streaming = analyze_multi_streaming_with_cache(
-                    &program,
-                    &pdg,
-                    &set,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&stream_cache),
-                );
-                assert_eq!(
-                    breakdown_keys(&streaming),
-                    want,
-                    "fused streaming diverged at threads={threads} cache={use_cache} \
+                    "fused run diverged at threads={threads} cache={use_cache} \
                      incremental={incremental}"
                 );
             }

@@ -8,17 +8,17 @@
 //! arbitrary generated programs with arbitrary single-function edits,
 //! the warm rescan's reports must be *byte-identical* — same checkers,
 //! sources, sinks, verdicts, witness paths, in the same order — to a
-//! cold batch scan of the edited program, across the sequential,
-//! barrier, and streaming drivers, thread counts 1–8, and every
-//! cache/absint/compact/incremental/egraph combination exercised here.
+//! cold batch scan of the edited program, on a borrowed engine and at
+//! thread counts 1–8, and every cache/absint/compact/incremental/egraph
+//! combination exercised here.
 //! And the invalidation must be *strict*: an edit touching nothing
 //! reachable from any source re-solves zero candidates.
 
 use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
 use fusion::engine::{
-    analyze_multi_parallel_with_cache, analyze_multi_streaming_with_cache,
-    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions, Feasibility,
+    FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::incremental::AnalysisSession;
@@ -111,7 +111,8 @@ fn compile_src(src: &str) -> Program {
     compile(src, CompileOptions::default()).expect("compile")
 }
 
-/// The three cold drivers over the edited program, with fresh caches.
+/// Cold scans of the edited program, with fresh caches: one on a
+/// borrowed engine, one on `threads` factory-built engines.
 #[allow(clippy::too_many_arguments)]
 fn cold_runs(
     program: &Program,
@@ -125,46 +126,32 @@ fn cold_runs(
 ) -> Vec<(&'static str, MultiAnalysisRun)> {
     let pdg = Pdg::build(program);
     let mut out = Vec::new();
-    let seq_opts = options(use_cache, absint, compact);
-    let seq_cache = VerdictCache::new();
+    let borrowed_opts = options(use_cache, absint, compact);
+    let borrowed_cache = VerdictCache::new();
     let mut engine = factory(incremental, egraph)();
     out.push((
-        "sequential",
+        "borrowed",
         analyze_multi_with_cache(
             program,
             &pdg,
             set,
             engine.as_mut(),
-            &seq_opts,
-            use_cache.then_some(&seq_cache),
+            &borrowed_opts,
+            use_cache.then_some(&borrowed_cache),
         ),
     ));
-    let barrier_opts = options(use_cache, absint, compact);
-    let barrier_cache = VerdictCache::new();
+    let threaded_opts = options(use_cache, absint, compact);
+    let threaded_cache = VerdictCache::new();
     out.push((
-        "barrier",
-        analyze_multi_parallel_with_cache(
-            program,
-            &pdg,
-            set,
-            &factory(incremental, egraph),
-            threads,
-            &barrier_opts,
-            use_cache.then_some(&barrier_cache),
-        ),
-    ));
-    let stream_opts = options(use_cache, absint, compact);
-    let stream_cache = VerdictCache::new();
-    out.push((
-        "streaming",
+        "threaded",
         analyze_multi_streaming_with_cache(
             program,
             &pdg,
             set,
             &factory(incremental, egraph),
             threads,
-            &stream_opts,
-            use_cache.then_some(&stream_cache),
+            &threaded_opts,
+            use_cache.then_some(&threaded_cache),
         ),
     ));
     out
@@ -174,7 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random program, random single-function edit: the warm rescan's
-    /// transcript equals every cold driver's over the edited program.
+    /// transcript equals every cold scan's over the edited program.
     #[test]
     fn warm_rescan_equals_cold_scan(seed in 0u64..100_000, pick in 0usize..64) {
         let cfg = GenConfig { seed, functions: 10, ..Default::default() };

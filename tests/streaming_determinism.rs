@@ -1,26 +1,27 @@
-//! The streaming pipeline must be invisible in the output.
+//! Thread count must be invisible in the output.
 //!
-//! `analyze_streaming_with_cache` overlaps candidate discovery with
-//! feasibility solving: discovery shards push completed sink groups
-//! through a bounded channel into group-stealing solve workers while
-//! later sources are still being explored. None of that scheduling may
-//! reach the user: for every thread count, with and without the verdict
-//! cache, with and without incremental sessions, the reports must be
-//! *byte-identical* — same sources, sinks, verdicts, witness paths, in
-//! the same order — to the barrier pipeline and to the sequential
-//! driver. This is the contract DESIGN.md ("Analysis pipeline") claims
-//! and the CLI's `--stream`/`--no-stream` pair relies on.
+//! The analysis has one driver. On a borrowed engine, or one thread, it
+//! discovers each source and solves its sink groups inline; on more
+//! threads, discovery producers stream sink groups through bounded
+//! queues into sticky solve workers while later sources are still being
+//! explored. None of that scheduling may reach the user: for every
+//! thread count, with and without the verdict cache, with and without
+//! incremental sessions, the reports must be *byte-identical* — same
+//! sources, sinks, verdicts, witness paths, in the same order — to a
+//! borrowed-engine run. This is the contract DESIGN.md ("Analysis
+//! pipeline") claims and the CLI's `--threads` relies on.
 
 use fusion::cache::VerdictCache;
-use fusion::checkers::Checker;
+use fusion::checkers::{Checker, CheckerSet};
 use fusion::engine::{
-    analyze_parallel_with_cache, analyze_streaming_with_cache, analyze_with_cache, AnalysisOptions,
-    AnalysisRun, Feasibility, FeasibilityEngine,
+    analyze, analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    AnalysisRun, Feasibility, FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion_ir::{compile, CompileOptions, Program};
 use fusion_pdg::graph::Pdg;
 use fusion_smt::solver::SolverConfig;
+use std::time::Duration;
 
 /// Several source functions across several sink functions, mixing
 /// feasible and infeasible flows (`x * x == 3` has no solution modulo a
@@ -73,8 +74,23 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
+/// One checker on `threads` factory-built engines.
+fn threaded(
+    program: &Program,
+    pdg: &Pdg,
+    checker: &Checker,
+    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
+    threads: usize,
+    opts: &AnalysisOptions,
+    cache: Option<&VerdictCache>,
+) -> AnalysisRun {
+    let set = CheckerSet::single(checker.clone());
+    analyze_multi_streaming_with_cache(program, pdg, &set, factory, threads, opts, cache)
+        .into_single()
+}
+
 #[test]
-fn streaming_equals_barrier_equals_sequential_1_to_8_threads() {
+fn one_driver_matches_borrowed_engine_1_to_8_threads() {
     let (program, pdg, checker) = subject();
 
     for use_cache in [false, true] {
@@ -84,100 +100,116 @@ fn streaming_equals_barrier_equals_sequential_1_to_8_threads() {
             } else {
                 AnalysisOptions::without_cache()
             };
-            // Sequential run is the reference transcript.
-            let seq_cache = VerdictCache::new();
-            let cache = use_cache.then_some(&seq_cache);
+            // The borrowed-engine run is the reference transcript.
             let mut reference_engine = FusionSolver::new(SolverConfig::default());
             reference_engine.incremental = incremental;
-            let reference = analyze_with_cache(
-                &program,
-                &pdg,
-                &checker,
-                &mut reference_engine,
-                &opts,
-                cache,
-            );
+            let reference = analyze(&program, &pdg, &checker, &mut reference_engine, &opts);
             assert!(!reference.reports.is_empty(), "subject must report");
             assert!(reference.suppressed > 0, "subject must suppress");
             let want = keys(&reference);
 
             for threads in 1..=8 {
-                // Fresh caches per run: each configuration must stand alone.
-                let stream_cache = VerdictCache::new();
-                let streaming = analyze_streaming_with_cache(
+                // A fresh cache per run: each configuration must stand alone.
+                let run_cache = VerdictCache::new();
+                let run = threaded(
                     &program,
                     &pdg,
                     &checker,
                     &factory(incremental),
                     threads,
                     &opts,
-                    use_cache.then_some(&stream_cache),
-                );
-                let barrier_cache = VerdictCache::new();
-                let barrier = analyze_parallel_with_cache(
-                    &program,
-                    &pdg,
-                    &checker,
-                    &factory(incremental),
-                    threads,
-                    &opts,
-                    use_cache.then_some(&barrier_cache),
+                    use_cache.then_some(&run_cache),
                 );
                 assert_eq!(
-                    keys(&streaming),
+                    keys(&run),
                     want,
-                    "streaming diverged at threads={threads} cache={use_cache} \
+                    "diverged at threads={threads} cache={use_cache} \
                      incremental={incremental}"
                 );
-                assert_eq!(
-                    keys(&barrier),
-                    want,
-                    "barrier diverged at threads={threads} cache={use_cache} \
-                     incremental={incremental}"
-                );
-                assert_eq!(streaming.suppressed, reference.suppressed);
-                assert_eq!(barrier.suppressed, reference.suppressed);
-                assert_eq!(streaming.candidates, reference.candidates);
+                assert_eq!(run.suppressed, reference.suppressed);
+                assert_eq!(run.candidates, reference.candidates);
             }
         }
     }
 }
 
+/// Every counter of a fused run except wall-clock times, in a
+/// comparable form.
+fn counters(run: &MultiAnalysisRun) -> String {
+    let mut stages = run.stages;
+    stages.discover_wall = Duration::ZERO;
+    stages.slice_wall = Duration::ZERO;
+    stages.translate_wall = Duration::ZERO;
+    stages.solve_wall = Duration::ZERO;
+    let checkers: Vec<_> = run
+        .checkers
+        .iter()
+        .map(|b| {
+            (
+                b.kind,
+                b.reports.len(),
+                b.suppressed,
+                b.candidates,
+                b.queries,
+                b.cache_hits,
+                b.cache_misses,
+                b.discovery_steps,
+            )
+        })
+        .collect();
+    format!(
+        "candidates={} queries={} peak={} cache={:?} slice={:?} stages={stages:?} \
+         checkers={checkers:?}",
+        run.candidates, run.queries, run.peak_memory, run.cache, run.slice
+    )
+}
+
 #[test]
-fn streaming_with_one_thread_matches_sequential_memory_peak() {
-    // With one thread there is nothing to overlap: the streaming driver
-    // delegates to the sequential one, so the categorized memory peaks
-    // must be *equal*, not merely close (ISSUE 3, satellite f).
+fn borrowed_engine_run_matches_one_thread_factory_run() {
+    // A borrowed engine and one factory-built engine run the same inline
+    // loop, so reports, the memory peak and every non-wall counter must
+    // be *equal*, not merely close.
     let (program, pdg, checker) = subject();
-    let opts = AnalysisOptions::new();
-
-    let seq_cache = VerdictCache::new();
-    let mut engine = FusionSolver::new(SolverConfig::default());
-    let seq = analyze_with_cache(
-        &program,
-        &pdg,
-        &checker,
-        &mut engine,
-        &opts,
-        Some(&seq_cache),
-    );
-
-    let stream_cache = VerdictCache::new();
-    let streaming = analyze_streaming_with_cache(
-        &program,
-        &pdg,
-        &checker,
-        &factory(true),
-        1,
-        &opts,
-        Some(&stream_cache),
-    );
-
-    assert_eq!(keys(&seq), keys(&streaming));
-    assert_eq!(
-        seq.peak_memory, streaming.peak_memory,
-        "1-thread streaming must account memory exactly like the sequential driver"
-    );
+    let set = CheckerSet::single(checker);
+    for use_cache in [false, true] {
+        // Fresh options per run: `AnalysisOptions::new()` carries a fresh
+        // slice memo, so neither run warms the other's.
+        let opts = || {
+            if use_cache {
+                AnalysisOptions::new()
+            } else {
+                AnalysisOptions::without_cache()
+            }
+        };
+        let borrowed_cache = VerdictCache::new();
+        let mut engine = FusionSolver::new(SolverConfig::default());
+        let borrowed = analyze_multi_with_cache(
+            &program,
+            &pdg,
+            &set,
+            &mut engine,
+            &opts(),
+            use_cache.then_some(&borrowed_cache),
+        );
+        let built_cache = VerdictCache::new();
+        let built = analyze_multi_streaming_with_cache(
+            &program,
+            &pdg,
+            &set,
+            &factory(true),
+            1,
+            &opts(),
+            use_cache.then_some(&built_cache),
+        );
+        let reports = |run: &MultiAnalysisRun| {
+            run.all_reports()
+                .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(reports(&borrowed), reports(&built), "cache={use_cache}");
+        assert!(borrowed.peak_memory > 0);
+        assert_eq!(counters(&borrowed), counters(&built), "cache={use_cache}");
+    }
 }
 
 #[test]
@@ -189,7 +221,7 @@ fn slice_memo_is_shared_across_runs() {
     let opts = AnalysisOptions::new();
 
     let cold_cache = VerdictCache::new();
-    let cold = analyze_streaming_with_cache(
+    let cold = threaded(
         &program,
         &pdg,
         &checker,
@@ -205,7 +237,7 @@ fn slice_memo_is_shared_across_runs() {
     assert!(cold.stages.discovery_shards >= 1);
 
     let warm_cache = VerdictCache::new();
-    let warm = analyze_streaming_with_cache(
+    let warm = threaded(
         &program,
         &pdg,
         &checker,
