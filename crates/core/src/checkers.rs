@@ -150,38 +150,102 @@ impl Checker {
     /// Whether the fact propagates from operand slot `slot` of `def` to the
     /// value `def` produces (the transfer-function policy of Algorithm 1).
     pub fn propagates_through(&self, func: &Function, user: VarId, slot: usize) -> bool {
-        match &func.def(user).kind {
-            DefKind::Copy { .. } | DefKind::Return { .. } => true,
-            // Through either data input of an ite, not its condition.
-            DefKind::Ite { .. } => slot == 1 || slot == 2,
-            DefKind::Binary { op, .. } => {
-                // Even for taint, comparisons produce a 0/1 word, not the
-                // tainted datum.
-                self.through_binary && !op.is_predicate()
-            }
-            // Branch conditions consume the value; nothing flows on.
-            DefKind::Branch { .. } => false,
-            // Call arguments are handled by the inter-procedural edges.
-            DefKind::Call { .. } => true,
-            DefKind::Param { .. } | DefKind::Const { .. } => false,
-        }
+        self.takes(slot_flow(&func.def(user).kind, slot))
     }
 
     /// Whether arithmetic that *discards* the operand still counts; used to
     /// prune silly flows like `x - x`.
     pub fn keeps_fact(&self, func: &Function, user: VarId) -> bool {
-        if let DefKind::Binary {
-            op: Op::Sub,
-            lhs,
-            rhs,
-        } = func.def(user).kind
-        {
-            if lhs == rhs {
-                return false;
-            }
-        }
-        true
+        !discards_operands(&func.def(user).kind)
     }
+
+    /// Whether this checker moves its fact along a local edge of the
+    /// given class.
+    pub(crate) fn takes(&self, flow: LocalFlow) -> bool {
+        match flow {
+            LocalFlow::Always => true,
+            LocalFlow::Arithmetic => self.through_binary,
+            LocalFlow::Never => false,
+        }
+    }
+
+    /// What a fact passed to the external function named `name` does for
+    /// this checker: a sink reports it, otherwise it flows on to the
+    /// call's result unless the checker does not flow through externs or
+    /// the callee is a sanitizer.
+    pub(crate) fn extern_role(&self, name: &str) -> ExternRole {
+        if self.sink_fns.iter().any(|n| n == name) {
+            ExternRole::Sink
+        } else if self.through_extern && !self.sanitizer_fns.iter().any(|n| n == name) {
+            ExternRole::Pass
+        } else {
+            ExternRole::Stop
+        }
+    }
+}
+
+/// A checker's view of one external callee ([`Checker::extern_role`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ExternRole {
+    /// An argument reaching the call triggers a report.
+    Sink,
+    /// The fact flows on to the call's result.
+    Pass,
+    /// The fact stops at the call.
+    Stop,
+}
+
+/// The checker-independent class of an intra-procedural def→use edge: a
+/// checker takes the edge iff [`Checker::takes`] its class. This is the
+/// one statement of the local transfer rules; [`Checker::propagates_through`]
+/// and [`Checker::keeps_fact`] are views of it, and the compaction pass
+/// classifies its shared flow graph with [`local_flow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LocalFlow {
+    /// Every checker's fact moves along the edge (copies, returns, the
+    /// data inputs of an `ite`).
+    Always,
+    /// Only checkers whose fact survives arithmetic take the edge
+    /// (non-predicate `Binary` other than `x - x`).
+    Arithmetic,
+    /// No checker's fact moves along the edge.
+    Never,
+}
+
+/// The class of the local edge from operand slot `slot` into `user`:
+/// the slot rule of [`Checker::propagates_through`] combined with the
+/// `x - x` rule of [`Checker::keeps_fact`].
+pub(crate) fn local_flow(func: &Function, user: VarId, slot: usize) -> LocalFlow {
+    let kind = &func.def(user).kind;
+    if discards_operands(kind) {
+        LocalFlow::Never
+    } else {
+        slot_flow(kind, slot)
+    }
+}
+
+/// The operand-slot rule alone.
+fn slot_flow(kind: &DefKind, slot: usize) -> LocalFlow {
+    match kind {
+        DefKind::Copy { .. } | DefKind::Return { .. } => LocalFlow::Always,
+        // Through either data input of an ite, not its condition.
+        DefKind::Ite { .. } if slot == 1 || slot == 2 => LocalFlow::Always,
+        DefKind::Ite { .. } => LocalFlow::Never,
+        // Even for taint, comparisons produce a 0/1 word, not the tainted
+        // datum.
+        DefKind::Binary { op, .. } if op.is_predicate() => LocalFlow::Never,
+        DefKind::Binary { .. } => LocalFlow::Arithmetic,
+        // Branch conditions consume the value; nothing flows on.
+        DefKind::Branch { .. } => LocalFlow::Never,
+        // Call arguments are handled by the inter-procedural edges.
+        DefKind::Call { .. } => LocalFlow::Always,
+        DefKind::Param { .. } | DefKind::Const { .. } => LocalFlow::Never,
+    }
+}
+
+/// Whether the definition discards its operands' value (`x - x`).
+fn discards_operands(kind: &DefKind) -> bool {
+    matches!(kind, DefKind::Binary { op: Op::Sub, lhs, rhs } if lhs == rhs)
 }
 
 /// The three checkers of the paper's evaluation.

@@ -13,7 +13,21 @@
 //!    edges. Discovery never steps onto a dead vertex; dead subtrees can
 //!    record nothing (any recording vertex inside one would be live by
 //!    definition), so reports are untouched while every pruned step is a
-//!    discovery step saved.
+//!    discovery step saved. The edges live in one checker-independent
+//!    flow graph built once per [`CompactPdg::build`]: a
+//!    [`LabeledCsr`] over [`VertexIndexer`] indices and its reverse, each
+//!    edge labelled *always* (call, return, copy, return-value and
+//!    `ite`-data uses), *arithmetic* (non-predicate `Binary` other than
+//!    `x - x`) or *through external callee f*; local edges no checker
+//!    takes are left out. The local classes come from
+//!    `checkers::local_flow`, the one statement of those rules. Each checker
+//!    reads the labels through its own table — external callees resolved
+//!    to sink, pass or stop once by name — runs a forward BFS from its
+//!    sources that notes the sink triggers it meets, then a backward
+//!    closure from those triggers confined to the forward region. Every
+//!    vertex on a walk from a forward-reachable vertex to a trigger is
+//!    itself forward-reachable, so that closure is exactly
+//!    forward ∩ backward, and it touches only the forward region.
 //! 2. **Summary-chain collapse** — single-entry/single-exit
 //!    `Enter…Exit` corridors through a callee with no intervening
 //!    checker-relevant transfer (no branch in the taken-edge relation,
@@ -48,11 +62,11 @@
 //! [`path_set_key`]: crate::cache::path_set_key
 
 use crate::cache::{Fnv, Key128};
-use crate::checkers::{Checker, CheckerId, CheckerSet};
+use crate::checkers::{local_flow, Checker, CheckerId, CheckerSet, ExternRole, LocalFlow};
 use crate::engine::Feasibility;
 use crate::propagate::{source_vertices, PropagateOptions};
-use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Program, VarId};
-use fusion_pdg::compact::{DenseBitSet, SummaryChain, VertexIndexer};
+use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Function, Program, VarId};
+use fusion_pdg::compact::{DenseBitSet, LabeledCsr, SummaryChain, VertexIndexer};
 use fusion_pdg::graph::{FlowTarget, Pdg, Vertex};
 use fusion_pdg::paths::{DependencePath, Link};
 use std::collections::HashMap;
@@ -206,11 +220,12 @@ impl CompactPdg {
         opts: &PropagateOptions,
     ) -> CompactPdg {
         let indexer = VertexIndexer::new(program);
+        let graph = FlowGraph::build(program, pdg, &indexer);
         let mut stats = CompactStats::default();
         let mut per_checker = Vec::with_capacity(set.len());
         for (_, checker) in set.iter() {
             per_checker.push(build_checker(
-                program, pdg, checker, &indexer, opts, &mut stats,
+                program, pdg, &graph, checker, &indexer, opts, &mut stats,
             ));
         }
         let mut body_sigs = vec![None; program.functions.len()];
@@ -427,55 +442,133 @@ fn body_sig(program: &Program, sigs: &mut Vec<Option<Key128>>, f: FuncId) -> Key
     s
 }
 
+/// Label of a shared-graph edge every checker takes: call and return
+/// edges, and local edges of class [`LocalFlow::Always`].
+const ALWAYS: u32 = 0;
+/// Label of a local edge of class [`LocalFlow::Arithmetic`].
+const ARITHMETIC: u32 = 1;
+
+/// Label of an edge through external callee `callee` (the empty-function
+/// rule), whose meaning each checker resolves by the callee's name.
+fn extern_label(callee: FuncId) -> u32 {
+    2 + callee.0
+}
+
+/// The checker-independent flow graph the pass walks, built once per
+/// [`CompactPdg::build`]: every def→target step of [`Pdg::flow_targets`]
+/// as a labelled edge over [`VertexIndexer`] indices, in both directions.
+/// Local edges of class [`LocalFlow::Never`] are left out, as no checker
+/// takes them.
+struct FlowGraph {
+    fwd: LabeledCsr,
+    rev: LabeledCsr,
+    /// Number of edges carrying each label.
+    label_edges: Vec<u64>,
+}
+
+impl FlowGraph {
+    fn build(program: &Program, pdg: &Pdg, indexer: &VertexIndexer) -> FlowGraph {
+        // Every data and call/return edge of the PDG is one flow target.
+        let pdg_stats = pdg.stats();
+        let mut fwd = LabeledCsr::with_capacity(
+            indexer.len(),
+            pdg_stats.data_edges + pdg_stats.interproc_edges,
+        );
+        let mut label_edges =
+            vec![0u64; extern_label(FuncId(program.functions.len() as u32)) as usize];
+        // Rows in index order: functions in order, definitions in order
+        // (`defs[i].var == VarId(i)`). Externs have no outgoing edges.
+        for func in &program.functions {
+            for def in &func.defs {
+                if !func.is_extern {
+                    for t in pdg.flow_targets(program, Vertex::new(func.id, def.var)) {
+                        if let Some((to, label)) = shared_edge(func, t) {
+                            fwd.push(indexer.index(to) as u32, label);
+                            label_edges[label as usize] += 1;
+                        }
+                    }
+                }
+                fwd.finish_row();
+            }
+        }
+        debug_assert_eq!(fwd.rows(), indexer.len());
+        let rev = fwd.reversed();
+        FlowGraph {
+            fwd,
+            rev,
+            label_edges,
+        }
+    }
+}
+
+/// The shared-graph edge of one flow target from a definition of `func`:
+/// its target vertex and label, or `None` for a local edge no checker
+/// takes.
+fn shared_edge(func: &Function, t: FlowTarget) -> Option<(Vertex, u32)> {
+    match t {
+        FlowTarget::Local { to, operand } => {
+            let label = match local_flow(func, to, operand) {
+                LocalFlow::Always => ALWAYS,
+                LocalFlow::Arithmetic => ARITHMETIC,
+                LocalFlow::Never => return None,
+            };
+            Some((Vertex::new(func.id, to), label))
+        }
+        FlowTarget::IntoCallee { callee, param, .. } => Some((Vertex::new(callee, param), ALWAYS)),
+        FlowTarget::BackToCaller { caller, dst, .. } => Some((Vertex::new(caller, dst), ALWAYS)),
+        FlowTarget::ThroughExtern { to, callee, .. } => {
+            Some((Vertex::new(func.id, to), extern_label(callee)))
+        }
+    }
+}
+
+/// What one checker does with an edge of the shared graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The fact moves along the edge.
+    Take,
+    /// The fact reaches a sink: the edge's source is a sink trigger.
+    Sink,
+    /// The fact stops.
+    Skip,
+}
+
+/// One checker's reading of every label, indexed by label. External
+/// callees are resolved by name once here, not once per edge.
+fn checker_steps(program: &Program, checker: &Checker) -> Vec<Step> {
+    let take = |yes: bool| if yes { Step::Take } else { Step::Skip };
+    let mut steps = vec![Step::Take, take(checker.takes(LocalFlow::Arithmetic))];
+    steps.extend(program.functions.iter().map(|f| {
+        if !f.is_extern {
+            return Step::Skip; // no edge carries a non-extern's label
+        }
+        match checker.extern_role(program.name(f.name)) {
+            ExternRole::Sink => Step::Sink,
+            ExternRole::Pass => Step::Take,
+            ExternRole::Stop => Step::Skip,
+        }
+    }));
+    steps
+}
+
 /// Builds one checker's live set and chain table, accumulating pruning
 /// counters.
 fn build_checker(
     program: &Program,
     pdg: &Pdg,
+    graph: &FlowGraph,
     checker: &Checker,
     indexer: &VertexIndexer,
     opts: &PropagateOptions,
     stats: &mut CompactStats,
 ) -> CheckerCompact {
     let n = indexer.len();
-    // The checker-taken edge relation, as discovery walks it — except
-    // that return edges ignore the CFL stack (every caller is taken), a
-    // safe over-approximation for reachability.
-    let mut fwd_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut trigger = vec![false; n];
-    for func in program.functions.iter().filter(|f| !f.is_extern) {
-        for def in &func.defs {
-            let at = Vertex::new(func.id, def.var);
-            let ai = indexer.index(at);
-            for t in pdg.flow_targets(program, at) {
-                match t {
-                    FlowTarget::Local { to, operand } => {
-                        if checker.propagates_through(func, to, operand)
-                            && checker.keeps_fact(func, to)
-                        {
-                            fwd_adj[ai].push(indexer.index(Vertex::new(func.id, to)) as u32);
-                        }
-                    }
-                    FlowTarget::IntoCallee { callee, param, .. } => {
-                        fwd_adj[ai].push(indexer.index(Vertex::new(callee, param)) as u32);
-                    }
-                    FlowTarget::BackToCaller { caller, dst, .. } => {
-                        fwd_adj[ai].push(indexer.index(Vertex::new(caller, dst)) as u32);
-                    }
-                    FlowTarget::ThroughExtern { to, .. } => {
-                        if checker.is_sink(program, func, to) {
-                            trigger[ai] = true;
-                        } else if checker.through_extern && !checker.is_sanitizer(program, func, to)
-                        {
-                            fwd_adj[ai].push(indexer.index(Vertex::new(func.id, to)) as u32);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let steps = checker_steps(program, checker);
+    let step = |label: u32| steps[label as usize];
 
-    // Forward reachability from the checker's sources.
+    // Forward reachability from the checker's sources over taken edges
+    // (return edges ignore the CFL stack — every caller is taken, a safe
+    // over-approximation), noting the sink triggers it meets.
     let mut fwd = DenseBitSet::new(n);
     let mut work: Vec<u32> = Vec::new();
     for src in source_vertices(program, checker) {
@@ -484,49 +577,66 @@ fn build_checker(
             work.push(i as u32);
         }
     }
+    let mut triggers: Vec<u32> = Vec::new();
     while let Some(u) = work.pop() {
-        for &v in &fwd_adj[u as usize] {
-            if fwd.insert(v as usize) {
-                work.push(v);
+        let mut trigger = false;
+        for (v, label) in graph.fwd.row(u as usize) {
+            match step(label) {
+                Step::Take => {
+                    if fwd.insert(v as usize) {
+                        work.push(v);
+                    }
+                }
+                Step::Sink => trigger = true,
+                Step::Skip => {}
             }
+        }
+        if trigger {
+            triggers.push(u);
         }
     }
 
-    // Backward reachability to a sink trigger (over reversed edges).
-    let mut rev_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (u, outs) in fwd_adj.iter().enumerate() {
-        for &v in outs {
-            rev_adj[v as usize].push(u as u32);
-        }
-    }
-    let mut bwd = DenseBitSet::new(n);
-    for (i, &t) in trigger.iter().enumerate() {
-        if t && bwd.insert(i) {
-            work.push(i as u32);
-        }
-    }
-    while let Some(u) = work.pop() {
-        for &v in &rev_adj[u as usize] {
-            if bwd.insert(v as usize) {
-                work.push(v);
-            }
-        }
-    }
-
+    // Backward closure from those triggers, confined to the forward
+    // region. Every vertex on a walk from a forward-reachable vertex to a
+    // trigger is itself forward-reachable, so the closure is exactly the
+    // vertices both forward-reachable and backward-reaching a trigger.
     let mut live = DenseBitSet::new(n);
-    for i in 0..n {
-        if fwd.contains(i) && bwd.contains(i) {
-            live.insert(i);
+    let mut members: Vec<u32> = Vec::new();
+    for &t in &triggers {
+        if live.insert(t as usize) {
+            work.push(t);
         }
     }
-    stats.vertices_pruned += (n - live.count()) as u64;
-    for (u, outs) in fwd_adj.iter().enumerate() {
-        for &v in outs {
-            if !(live.contains(u) && live.contains(v as usize)) {
-                stats.edges_pruned += 1;
+    while let Some(v) = work.pop() {
+        members.push(v);
+        for (u, label) in graph.rev.row(v as usize) {
+            if step(label) == Step::Take && fwd.contains(u as usize) && live.insert(u as usize) {
+                work.push(u);
             }
         }
     }
+
+    // Pruned edges: every taken edge (by label count) but those inside
+    // the live region.
+    let taken: u64 = graph
+        .label_edges
+        .iter()
+        .zip(&steps)
+        .filter(|&(_, &s)| s == Step::Take)
+        .map(|(&count, _)| count)
+        .sum();
+    let live_taken: usize = members
+        .iter()
+        .map(|&u| {
+            graph
+                .fwd
+                .row(u as usize)
+                .filter(|&(v, label)| step(label) == Step::Take && live.contains(v as usize))
+                .count()
+        })
+        .sum();
+    stats.vertices_pruned += (n - members.len()) as u64;
+    stats.edges_pruned += taken - live_taken as u64;
 
     // Summary-chain collapse: one candidate corridor per (site, entry
     // parameter) of every non-extern call site.
@@ -539,7 +649,7 @@ fn build_checker(
         }
         for &param in &callee.params {
             if let Some(chain) = detect_chain(
-                program, pdg, checker, &live, indexer, opts, site, cs.callee, param,
+                program, pdg, &steps, &live, indexer, opts, site, cs.callee, param,
             ) {
                 chains.insert((site, param), chain);
             }
@@ -561,7 +671,7 @@ fn build_checker(
 fn detect_chain(
     program: &Program,
     pdg: &Pdg,
-    checker: &Checker,
+    steps: &[Step],
     live: &DenseBitSet,
     indexer: &VertexIndexer,
     opts: &PropagateOptions,
@@ -587,13 +697,6 @@ fn detect_chain(
         let mut exits = false;
         for t in pdg.flow_targets(program, cur) {
             match t {
-                FlowTarget::Local { to, operand } => {
-                    if checker.propagates_through(func, to, operand) && checker.keeps_fact(func, to)
-                    {
-                        taken += 1;
-                        next = Some((Link::Local, Vertex::new(cur.func, to)));
-                    }
-                }
                 // A nested call would span a deeper frame; don't collapse.
                 FlowTarget::IntoCallee { .. } => return None,
                 FlowTarget::BackToCaller {
@@ -610,13 +713,17 @@ fn detect_chain(
                         exits = true;
                     }
                 }
-                FlowTarget::ThroughExtern { to, .. } => {
-                    if checker.is_sink(program, func, to) {
-                        return None; // the corridor would record mid-chain
-                    }
-                    if checker.through_extern && !checker.is_sanitizer(program, func, to) {
-                        taken += 1;
-                        next = Some((Link::Local, Vertex::new(cur.func, to)));
+                FlowTarget::Local { .. } | FlowTarget::ThroughExtern { .. } => {
+                    let Some((to, label)) = shared_edge(func, t) else {
+                        continue;
+                    };
+                    match steps[label as usize] {
+                        Step::Take => {
+                            taken += 1;
+                            next = Some((Link::Local, to));
+                        }
+                        Step::Sink => return None, // the corridor would record mid-chain
+                        Step::Skip => {}
                     }
                 }
             }
@@ -745,6 +852,142 @@ mod tests {
         assert_ne!(exact(0), exact(1), "exact keys separate f and g");
         assert_eq!(key(0), key(1), "iso keys unify isomorphic paths");
         assert_ne!(key(0), key(2), "different guard constant separates h");
+    }
+
+    /// Vertex `v{var}` of `f`, as numbered in the lowered IR each test
+    /// quotes.
+    fn vx(p: &Program, var: u32) -> Vertex {
+        Vertex::new(p.func_by_name("f").unwrap().id, VarId(var))
+    }
+
+    fn stats(vertices_pruned: u64, edges_pruned: u64) -> CompactStats {
+        CompactStats {
+            vertices_pruned,
+            edges_pruned,
+            chains_collapsed: 0,
+        }
+    }
+
+    #[test]
+    fn sanitizer_cuts_a_taint_flow() {
+        // v0 = gets(); v1 = realpath(v0) | strip(v0); v2 = fopen(v1);
+        // v3 = 0; v4 = 1; v5 = return v3.
+        let set = CheckerSet::single(Checker::cwe23());
+        let flow = |lib: &str| {
+            format!(
+                "extern fn gets(); extern fn {lib}(x); extern fn fopen(p);\n\
+                 fn f() {{ let i = gets(); let c = {lib}(i); fopen(c); return 0; }}"
+            )
+        };
+        let (p, _, c) = build(&flow("realpath"), &set);
+        assert!(!c.is_live(CheckerId(0), vx(&p, 0)));
+        assert!(!c.is_live(CheckerId(0), vx(&p, 1)));
+        // Taken: only v3→v5; the sanitizer edge is not.
+        assert_eq!(c.stats(), stats(6, 1));
+
+        let (p, _, c) = build(&flow("strip"), &set);
+        assert!(c.is_live(CheckerId(0), vx(&p, 0)));
+        assert!(c.is_live(CheckerId(0), vx(&p, 1)));
+        // Taken: v0→v1 (live) and v3→v5.
+        assert_eq!(c.stats(), stats(4, 1));
+    }
+
+    #[test]
+    fn one_extern_is_a_sink_for_one_checker_and_a_pass_for_another() {
+        // `send` is a CWE-402 sink and passes CWE-23 taint on; `fopen` is
+        // the other way round.
+        // v0 = gets(); v1 = send(v0); v2 = fopen(v1);
+        // v3 = getpass(); v4 = fopen(v3); v5 = send(v4);
+        // v6 = 0; v7 = 1; v8 = return v6.
+        let src = "extern fn gets(); extern fn getpass(); extern fn send(x); extern fn fopen(p);\n\
+             fn f() { let i = gets(); let s = send(i); fopen(s); \
+             let k = getpass(); let t = fopen(k); send(t); return 0; }";
+        let set = CheckerSet::new(vec![Checker::cwe23(), Checker::cwe402()]);
+        let (p, _, c) = build(src, &set);
+        let (cwe23, cwe402) = (CheckerId(0), CheckerId(1));
+        for var in [0, 1] {
+            assert!(c.is_live(cwe23, vx(&p, var)));
+            assert!(!c.is_live(cwe402, vx(&p, var)));
+        }
+        for var in [3, 4] {
+            assert!(c.is_live(cwe402, vx(&p, var)));
+            assert!(!c.is_live(cwe23, vx(&p, var)));
+        }
+        // Each checker takes its pass edges (two) and v6→v8, and keeps
+        // one of them live: 7 + 7 vertices and 2 + 2 edges pruned.
+        assert_eq!(c.stats(), stats(14, 4));
+    }
+
+    #[test]
+    fn self_subtraction_ends_a_taint_flow() {
+        // v0 = gets(); v1 = v0 - v0 | v0 + v0; v2 = fopen(v1);
+        // v3 = 0; v4 = 1; v5 = return v3.
+        let set = CheckerSet::single(Checker::cwe23());
+        let flow = |op: &str| {
+            format!(
+                "extern fn gets(); extern fn fopen(p);\n\
+                 fn f() {{ let i = gets(); let z = i {op} i; fopen(z); return 0; }}"
+            )
+        };
+        let (p, _, c) = build(&flow("-"), &set);
+        assert!(!c.is_live(CheckerId(0), vx(&p, 0)));
+        assert!(!c.is_live(CheckerId(0), vx(&p, 1)));
+        // Neither `x - x` operand edge is taken; only v3→v5 is.
+        assert_eq!(c.stats(), stats(6, 1));
+
+        let (p, _, c) = build(&flow("+"), &set);
+        assert!(c.is_live(CheckerId(0), vx(&p, 0)));
+        assert!(c.is_live(CheckerId(0), vx(&p, 1)));
+        // Both `x + x` operand edges are taken and live; v3→v5 is not.
+        assert_eq!(c.stats(), stats(4, 1));
+    }
+
+    #[test]
+    fn ite_condition_slot_carries_no_fact() {
+        let set = CheckerSet::single(Checker::cwe23());
+        // v0 = param a; v1 = gets(); v2 = branch if v1; v3 = 7;
+        // v4 = ite(v1, v3, v0); v5 = fopen(v4); v6 = 0; v7 = 1;
+        // v8 = return v6.
+        let cond_only = "extern fn gets(); extern fn fopen(p);\n\
+             fn f(a) { let i = gets(); let r = a; if (i) { r = 7; } fopen(r); return 0; }";
+        let (p, _, c) = build(cond_only, &set);
+        assert!(!c.is_live(CheckerId(0), vx(&p, 1)));
+        assert!(!c.is_live(CheckerId(0), vx(&p, 4)));
+        // Taken: v0→v4, v3→v4 (data slots) and v6→v8.
+        assert_eq!(c.stats(), stats(9, 3));
+
+        // v0 = param a; v1 = gets(); v2 = branch if v0;
+        // v3 = ite(v0, v1, v0); v4 = fopen(v3); v5 = 0; v6 = 1;
+        // v7 = return v5.
+        let data_slot = "extern fn gets(); extern fn fopen(p);\n\
+             fn f(a) { let i = gets(); let r = a; if (a) { r = i; } fopen(r); return 0; }";
+        let (p, _, c) = build(data_slot, &set);
+        assert!(c.is_live(CheckerId(0), vx(&p, 1)));
+        assert!(c.is_live(CheckerId(0), vx(&p, 3)));
+        // Taken: v0→v3 (else), v1→v3 (then, live) and v5→v7.
+        assert_eq!(c.stats(), stats(6, 2));
+    }
+
+    #[test]
+    fn half_chains_are_pruned() {
+        // v0 = param a; v1 = gets(); v2 = 1; v3 = v1 + v2; v4 = 2;
+        // v5 = v0 + v4; v6 = fopen(v5); v7 = fopen(v1); v8 = 0;
+        // v9 = return v3.
+        let src = "extern fn gets(); extern fn fopen(p);\n\
+             fn f(a) { let i = gets(); let j = i + 1; let u = a + 2; fopen(u); fopen(i); return j; }";
+        let set = CheckerSet::single(Checker::cwe23());
+        let (p, _, c) = build(src, &set);
+        assert!(c.is_live(CheckerId(0), vx(&p, 1)), "source feeding a sink");
+        assert!(
+            !c.is_live(CheckerId(0), vx(&p, 3)),
+            "a source reaches it, it reaches no sink"
+        );
+        assert!(
+            !c.is_live(CheckerId(0), vx(&p, 5)),
+            "it reaches a sink, no source reaches it"
+        );
+        // Taken: four arithmetic edges and v3→v9, none inside {v1}.
+        assert_eq!(c.stats(), stats(9, 5));
     }
 
     #[test]

@@ -299,8 +299,8 @@ impl<'a> Dfs<'a> {
         }
         self.steps += 1;
         let at = path.sink();
-        let targets = self.pdg.flow_targets(self.program, at);
-        for target in targets {
+        let (pdg, program) = (self.pdg, self.program);
+        for target in pdg.flow_targets(program, at) {
             match target {
                 FlowTarget::Local { to, operand } => {
                     let func = self.program.func(at.func);
@@ -722,8 +722,8 @@ impl<'a> RefDfs<'a> {
         }
         self.steps += 1;
         let at = path.sink();
-        let targets = self.pdg.flow_targets(self.program, at);
-        for target in targets {
+        let (pdg, program) = (self.pdg, self.program);
+        for target in pdg.flow_targets(program, at) {
             match target {
                 FlowTarget::Local { to, operand } => {
                     let func = self.program.func(at.func);

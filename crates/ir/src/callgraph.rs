@@ -9,6 +9,7 @@
 
 use crate::ast::{Expr, Function, Program, Stmt};
 use crate::interner::{Interner, Symbol};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -213,20 +214,21 @@ fn rewrite_calls_expr(e: &mut Expr, map: &HashMap<Symbol, Symbol>) {
 /// Each function in a cyclic SCC gains clones `f#1 .. f#depth`; calls that
 /// stay within the SCC are redirected from level `d` to level `d + 1`, and
 /// at the deepest level to a fresh external stub `f#stub`, cutting the
-/// cycle. The resulting program has an acyclic call graph.
+/// cycle. The resulting program has an acyclic call graph. A program
+/// whose call graph is already acyclic comes back borrowed, uncopied.
 ///
 /// # Errors
 ///
 /// Returns [`CallGraphError`] if the program calls unknown functions.
-pub fn unroll_recursion(
-    program: &Program,
+pub fn unroll_recursion<'p>(
+    program: &'p Program,
     interner: &mut Interner,
     depth: usize,
-) -> Result<Program, CallGraphError> {
+) -> Result<Cow<'p, Program>, CallGraphError> {
     let cg = CallGraph::build(program, interner)?;
     let cyclic = cg.cyclic_members();
     if !cyclic.iter().any(|&c| c) {
-        return Ok(program.clone());
+        return Ok(Cow::Borrowed(program));
     }
     // Which SCC does each function belong to?
     let mut scc_of = vec![usize::MAX; program.functions.len()];
@@ -284,7 +286,7 @@ pub fn unroll_recursion(
             is_extern: true,
         });
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -333,6 +335,7 @@ mod tests {
         )
         .unwrap();
         let u = unroll_recursion(&p, &mut i, 2).unwrap();
+        assert!(matches!(u, Cow::Owned(_)));
         // even, even#1, even#stub, odd, odd#1, odd#stub
         assert_eq!(u.functions.len(), 6);
         let cg = CallGraph::build(&u, &i).unwrap();
@@ -349,7 +352,27 @@ mod tests {
         let mut i = Interner::new();
         let p = parse("fn a() { return b(); } fn b() { return 1; }", &mut i).unwrap();
         let u = unroll_recursion(&p, &mut i, 2).unwrap();
-        assert_eq!(u, p);
+        assert_eq!(*u, p);
+    }
+
+    #[test]
+    fn unroll_borrows_acyclic_and_owns_recursive_programs() {
+        let mut i = Interner::new();
+        let acyclic = parse("fn a() { return b(); } fn b() { return 1; }", &mut i).unwrap();
+        let u = unroll_recursion(&acyclic, &mut i, 2).unwrap();
+        assert!(matches!(u, Cow::Borrowed(p) if std::ptr::eq(p, &acyclic)));
+
+        let recursive = parse(
+            "fn f(n) { if (n) { return f(n - 1); } return 0; } fn g() { return f(3); }",
+            &mut i,
+        )
+        .unwrap();
+        let u = unroll_recursion(&recursive, &mut i, 2).unwrap();
+        let Cow::Owned(u) = u else {
+            panic!("a recursive program is rewritten");
+        };
+        let names: Vec<&str> = u.functions.iter().map(|f| i.resolve(f.name)).collect();
+        assert_eq!(names, ["f", "f#1", "f#stub", "g"]);
     }
 
     #[test]

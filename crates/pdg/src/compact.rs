@@ -9,6 +9,11 @@
 //!   so per-checker reachability can use flat bit sets instead of hash
 //!   sets of [`Vertex`];
 //! * [`DenseBitSet`] — the flat bit set itself;
+//! * [`LabeledCsr`] — a compressed-sparse-row graph over those indices
+//!   with a `u32` label per edge, and its reverse by counting sort. The
+//!   compaction pass builds one per scan, labels each edge with the
+//!   class of flow it carries, and every checker walks that one graph
+//!   through its own reading of the labels;
 //! * [`SummaryChain`] — one collapsed single-entry/single-exit
 //!   `Enter…Exit` summary chain, carrying the **original** vertex
 //!   sequence so discovery can replay it verbatim: reports and content
@@ -62,7 +67,7 @@ impl VertexIndexer {
 }
 
 /// A flat bit set over dense vertex indices — the reachability sets of
-/// the compaction pass (one forward and one backward per checker).
+/// the compaction pass (a forward set and a live set per checker).
 #[derive(Debug, Clone)]
 pub struct DenseBitSet {
     words: Vec<u64>,
@@ -108,10 +113,98 @@ impl DenseBitSet {
         }
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
+}
 
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+/// A directed graph over dense vertex indices in compressed-sparse-row
+/// form, each edge carrying a `u32` label. Rows are appended in index
+/// order: [`push`](LabeledCsr::push) the edges of row `u`, then
+/// [`finish_row`](LabeledCsr::finish_row). Every target must be a row of
+/// the finished graph.
+#[derive(Debug, Clone)]
+pub struct LabeledCsr {
+    /// Row `u`'s edges are `targets[offsets[u]..offsets[u + 1]]`, with
+    /// the same range of `labels`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    labels: Vec<u32>,
+}
+
+impl LabeledCsr {
+    /// An empty graph with room for `rows` rows and `edges` edges.
+    pub fn with_capacity(rows: usize, edges: usize) -> LabeledCsr {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        LabeledCsr {
+            offsets,
+            targets: Vec::with_capacity(edges),
+            labels: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Appends the edge `row → target` labelled `label` to the row being
+    /// built.
+    pub fn push(&mut self, target: u32, label: u32) {
+        self.targets.push(target);
+        self.labels.push(label);
+    }
+
+    /// Closes the row being built; later edges belong to the next row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph outgrows `u32` edge offsets.
+    pub fn finish_row(&mut self) {
+        let end = u32::try_from(self.targets.len()).expect("edge count fits u32");
+        self.offsets.push(end);
+    }
+
+    /// Number of finished rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of edges.
+    pub fn edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// The `(target, label)` edges of row `u`, in insertion order.
+    pub fn row(&self, u: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let range = self.offsets[u] as usize..self.offsets[u + 1] as usize;
+        self.targets[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.labels[range].iter().copied())
+    }
+
+    /// The reverse graph: every edge `u → v` labelled `l` becomes
+    /// `v → u` labelled `l`. A counting sort by target, so each reversed
+    /// row lists its sources in ascending order.
+    pub fn reversed(&self) -> LabeledCsr {
+        let n = self.rows();
+        let mut offsets = vec![0u32; n + 1];
+        for &v in &self.targets {
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut targets = vec![0u32; self.edges()];
+        let mut labels = vec![0u32; self.edges()];
+        for u in 0..n {
+            for (v, l) in self.row(u) {
+                let slot = &mut next[v as usize];
+                targets[*slot as usize] = u as u32;
+                labels[*slot as usize] = l;
+                *slot += 1;
+            }
+        }
+        LabeledCsr {
+            offsets,
+            targets,
+            labels,
+        }
     }
 }
 
@@ -174,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn bitset_insert_contains_count() {
+    fn bitset_insert_and_contains() {
         let mut s = DenseBitSet::new(130);
         assert_eq!(s.len(), 130);
         assert!(!s.is_empty());
@@ -185,7 +278,30 @@ mod tests {
         assert!(s.contains(0) && s.contains(64) && s.contains(129));
         assert!(!s.contains(1));
         assert!(!s.contains(10_000), "out of universe is absent");
-        assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn csr_rows_and_reverse_keep_labels() {
+        // 0 → 1 (a), 0 → 2 (b), 2 → 1 (c), 2 → 1 (c again); row 1 empty.
+        let mut g = LabeledCsr::with_capacity(3, 4);
+        g.push(1, 10);
+        g.push(2, 11);
+        g.finish_row();
+        g.finish_row();
+        g.push(1, 12);
+        g.push(1, 12);
+        g.finish_row();
+        assert_eq!((g.rows(), g.edges()), (3, 4));
+        assert_eq!(g.row(0).collect::<Vec<_>>(), vec![(1, 10), (2, 11)]);
+        assert_eq!(g.row(1).count(), 0);
+        let r = g.reversed();
+        assert_eq!((r.rows(), r.edges()), (3, 4));
+        assert_eq!(r.row(0).count(), 0);
+        assert_eq!(
+            r.row(1).collect::<Vec<_>>(),
+            vec![(0, 10), (2, 12), (2, 12)]
+        );
+        assert_eq!(r.row(2).collect::<Vec<_>>(), vec![(0, 11)]);
     }
 
     #[test]

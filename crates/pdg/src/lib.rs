@@ -38,7 +38,7 @@ pub mod paths;
 pub mod slice;
 pub mod translate;
 
-pub use compact::{DenseBitSet, SummaryChain, VertexIndexer};
+pub use compact::{DenseBitSet, LabeledCsr, SummaryChain, VertexIndexer};
 pub use dot::pdg_to_dot;
 pub use graph::{FlowTarget, Pdg, PdgStats, Vertex};
 pub use paths::{Context, DependencePath, Link};
