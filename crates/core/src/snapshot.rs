@@ -48,8 +48,10 @@ use std::sync::Mutex;
 /// File magic: "FSNP" (Fusion SNaPshot).
 pub const MAGIC: [u8; 4] = *b"FSNP";
 /// Current format version. Readers reject any other version with a
-/// position-annotated error (no silent best-effort decoding).
-pub const VERSION: u32 = 1;
+/// position-annotated error (no silent best-effort decoding). Version 2
+/// stores each definition's base name ([`Def::name`]) in `FUNC`
+/// sections; version 1 stored the rendered `{base}.{var}` text.
+pub const VERSION: u32 = 2;
 
 /// Section tags. Per-function sections pair the tag with the function's
 /// global index; whole-program sections use index 0.
@@ -60,7 +62,8 @@ pub mod tag {
     /// and deduplicated callee list — everything the partitioner needs
     /// without touching a single body.
     pub const CALLGRAPH: u32 = 2;
-    /// One function's full SSA body (per-function index).
+    /// One function's full SSA body (per-function index); definitions
+    /// carry their base names.
     pub const FUNC: u32 = 3;
     /// One function's abstract facts + return fact (per-function index).
     pub const FACTS: u32 = 4;
@@ -1326,6 +1329,7 @@ mod tests {
                 assert_eq!(da.kind, db.kind);
                 assert_eq!(da.guard, db.guard);
                 assert_eq!(a.name(da.name), b.name(db.name));
+                assert_eq!(a.def_name(da), b.def_name(db));
             }
         }
         assert_eq!(a.call_sites, b.call_sites);

@@ -64,11 +64,44 @@ struct BlockOutcome {
     may_return: bool,
 }
 
+/// Base names of generated definitions, each interned once per program
+/// (see [`Def::name`]).
+struct DefNames {
+    t: Symbol,
+    null: Symbol,
+    if_: Symbol,
+    else_: Symbol,
+    cont: Symbol,
+    not_returned: Symbol,
+    ret: Symbol,
+    /// `c{value}`, by constant value.
+    consts: HashMap<u32, Symbol>,
+    /// `r_{callee}`, by callee.
+    calls: Vec<Option<Symbol>>,
+}
+
+impl DefNames {
+    fn new(interner: &mut Interner, functions: usize) -> Self {
+        DefNames {
+            t: interner.intern("t"),
+            null: interner.intern("null"),
+            if_: interner.intern("if"),
+            else_: interner.intern("else"),
+            cont: interner.intern("cont"),
+            not_returned: interner.intern("not_returned"),
+            ret: interner.intern("ret"),
+            consts: HashMap::new(),
+            calls: vec![None; functions],
+        }
+    }
+}
+
 struct FuncLowerer<'a> {
     defs: Vec<Def>,
     env: HashMap<Symbol, VarId>,
     guard: Option<VarId>,
     interner: &'a mut Interner,
+    names: &'a mut DefNames,
     func_ids: &'a HashMap<Symbol, FuncId>,
     func_arities: &'a [usize],
     call_sites: &'a mut Vec<CallSite>,
@@ -88,9 +121,8 @@ impl<'a> FuncLowerer<'a> {
         }
     }
 
-    fn fresh(&mut self, kind: DefKind, base: &str) -> VarId {
+    fn fresh(&mut self, kind: DefKind, name: Symbol) -> VarId {
         let var = VarId(self.defs.len() as u32);
-        let name = self.interner.intern(&format!("{base}.{}", var.0));
         self.defs.push(Def {
             var,
             kind,
@@ -108,12 +140,18 @@ impl<'a> FuncLowerer<'a> {
         if let Some(&v) = self.const_cache.get(&value) {
             return v;
         }
+        let interner = &mut *self.interner;
+        let name = *self
+            .names
+            .consts
+            .entry(value)
+            .or_insert_with(|| interner.intern(&format!("c{value}")));
         let v = self.fresh(
             DefKind::Const {
                 value,
                 is_null: false,
             },
-            &format!("c{value}"),
+            name,
         );
         self.const_cache.insert(value, v);
         v
@@ -130,7 +168,7 @@ impl<'a> FuncLowerer<'a> {
                         value: 0,
                         is_null: true,
                     },
-                    "null",
+                    self.names.null,
                 ))
             }
             Expr::Var(sym) => self.env.get(sym).copied().ok_or_else(|| {
@@ -147,7 +185,7 @@ impl<'a> FuncLowerer<'a> {
                             lhs: v,
                             rhs: zero,
                         },
-                        "t",
+                        self.names.t,
                     ),
                     UnOp::Neg => self.fresh(
                         DefKind::Binary {
@@ -155,7 +193,7 @@ impl<'a> FuncLowerer<'a> {
                             lhs: zero,
                             rhs: v,
                         },
-                        "t",
+                        self.names.t,
                     ),
                     UnOp::BitNot => {
                         let ones = self.constant(u32::MAX);
@@ -165,7 +203,7 @@ impl<'a> FuncLowerer<'a> {
                                 lhs: v,
                                 rhs: ones,
                             },
-                            "t",
+                            self.names.t,
                         )
                     }
                 })
@@ -208,7 +246,7 @@ impl<'a> FuncLowerer<'a> {
                                 lhs: va,
                                 rhs: zero,
                             },
-                            "t",
+                            self.names.t,
                         );
                         let nb = self.fresh(
                             DefKind::Binary {
@@ -216,7 +254,7 @@ impl<'a> FuncLowerer<'a> {
                                 lhs: vb,
                                 rhs: zero,
                             },
-                            "t",
+                            self.names.t,
                         );
                         let o = if *op == BinOp::And { Op::And } else { Op::Or };
                         DefKind::Binary {
@@ -226,7 +264,7 @@ impl<'a> FuncLowerer<'a> {
                         }
                     }
                 };
-                Ok(self.fresh(kind, "t"))
+                Ok(self.fresh(kind, self.names.t))
             }
             Expr::Call(name, args) => {
                 let callee = *self.func_ids.get(name).ok_or_else(|| {
@@ -252,14 +290,17 @@ impl<'a> FuncLowerer<'a> {
                     stmt: var,
                     callee,
                 });
-                let base = format!("r_{}", self.interner.resolve(*name));
+                let interner = &mut *self.interner;
+                let base = *self.names.calls[callee.index()].get_or_insert_with(|| {
+                    interner.intern(&format!("r_{}", interner.resolve(*name)))
+                });
                 Ok(self.fresh(
                     DefKind::Call {
                         callee,
                         args: arg_vars,
                         site,
                     },
-                    &base,
+                    base,
                 ))
             }
         }
@@ -294,7 +335,7 @@ impl<'a> FuncLowerer<'a> {
         let outer_guard = self.guard;
 
         // Then branch under a fresh Branch vertex.
-        let bt = self.fresh(DefKind::Branch { cond: cv }, "if");
+        let bt = self.fresh(DefKind::Branch { cond: cv }, self.names.if_);
         self.guard = Some(bt);
         let t_out = self.lower_stmts(then_b)?;
         let then_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -311,9 +352,9 @@ impl<'a> FuncLowerer<'a> {
                     lhs: cv,
                     rhs: zero,
                 },
-                "t",
+                self.names.t,
             );
-            let bf = self.fresh(DefKind::Branch { cond: ncv }, "else");
+            let bf = self.fresh(DefKind::Branch { cond: ncv }, self.names.else_);
             self.guard = Some(bf);
             let e_out = self.lower_stmts(else_b)?;
             let else_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -330,14 +371,13 @@ impl<'a> FuncLowerer<'a> {
             let tv = then_env.get(&sym).copied().unwrap_or(before);
             let ev = else_env.get(&sym).copied().unwrap_or(before);
             if tv != ev {
-                let base = self.interner.resolve(sym).to_owned();
                 let m = self.fresh(
                     DefKind::Ite {
                         cond: cv,
                         then_v: tv,
                         else_v: ev,
                     },
-                    &base,
+                    sym,
                 );
                 self.env.insert(sym, m);
             } else {
@@ -432,11 +472,11 @@ impl<'a> FuncLowerer<'a> {
                 lhs: rt,
                 rhs: zero,
             },
-            "not_returned",
+            self.names.not_returned,
         );
         let pre_env = self.env.clone();
         let outer_guard = self.guard;
-        let bc = self.fresh(DefKind::Branch { cond: cont }, "cont");
+        let bc = self.fresh(DefKind::Branch { cond: cont }, self.names.cont);
         self.guard = Some(bc);
         let out = self.lower_stmts(rest)?;
         let after_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -447,14 +487,13 @@ impl<'a> FuncLowerer<'a> {
             let before = pre_env[&sym];
             let after = after_env.get(&sym).copied().unwrap_or(before);
             if after != before {
-                let base = self.interner.resolve(sym).to_owned();
                 let m = self.fresh(
                     DefKind::Ite {
                         cond: cont,
                         then_v: after,
                         else_v: before,
                     },
-                    &base,
+                    sym,
                 );
                 self.env.insert(sym, m);
             }
@@ -513,6 +552,7 @@ pub fn lower(
         arities.push(f.params.len());
     }
 
+    let mut names = DefNames::new(interner, surface.functions.len());
     let mut call_sites = Vec::new();
     let mut functions = Vec::with_capacity(surface.functions.len());
     for (i, sf) in surface.functions.iter().enumerate() {
@@ -534,6 +574,7 @@ pub fn lower(
             env: HashMap::new(),
             guard: None,
             interner,
+            names: &mut names,
             func_ids: &func_ids,
             func_arities: &arities,
             call_sites: &mut call_sites,
@@ -570,7 +611,7 @@ pub fn lower(
         };
         let saved_guard = lw.guard;
         debug_assert!(saved_guard.is_none());
-        let ret = lw.fresh(DefKind::Return { src: ret_src }, "ret");
+        let ret = lw.fresh(DefKind::Return { src: ret_src }, lw.names.ret);
         let defs = lw.defs;
         functions.push(Function {
             name: sf.name,

@@ -47,9 +47,9 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tok {
-    Ident(String),
+    Ident(Symbol),
     Int(i64),
     KwFn,
     KwExtern,
@@ -97,7 +97,8 @@ struct SpannedTok {
     col: u32,
 }
 
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
+/// Splits `src` into tokens, interning identifiers in source order.
+fn lex(src: &str, interner: &mut Interner) -> Result<Vec<SpannedTok>, ParseError> {
     let mut toks = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0usize;
@@ -278,7 +279,7 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                     "while" => Tok::KwWhile,
                     "return" => Tok::KwReturn,
                     "null" => Tok::KwNull,
-                    _ => Tok::Ident(text.to_owned()),
+                    _ => Tok::Ident(interner.intern(text)),
                 };
                 push!(t, tl, tc);
             }
@@ -299,15 +300,40 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(toks)
 }
 
+/// The deepest nesting the parser accepts. A function body is level 1;
+/// every nested block (an `else if` counts as one), parenthesis (grouping
+/// or a call's argument list), unary operator and link of a binary
+/// operator chain adds one level.
+///
+/// The parser, lowering and the AST's `Drop` recurse once per level, so
+/// the bound keeps hostile input from overflowing the stack. Unoptimized
+/// builds spend up to ~3.8 KiB of stack per level (nested `if`s through
+/// lowering) and overflow a 2 MiB thread stack near 550 levels; 256 keeps
+/// a 2x margin there and far more in release builds. Generated subjects
+/// nest about 6 levels.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     toks: Vec<SpannedTok>,
     pos: usize,
-    interner: &'a mut Interner,
+    /// Renders identifier tokens in error messages.
+    interner: &'a Interner,
+    /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn new(toks: Vec<SpannedTok>, interner: &'a Interner) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            interner,
+            depth: 0,
+        }
+    }
+
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -319,43 +345,69 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    /// `expected {what}, found {token}` at the current token; an identifier
+    /// reads `Ident("name")`.
+    fn expected(&self, what: &str) -> ParseError {
+        let found = match self.peek() {
+            Tok::Ident(sym) => format!("Ident({:?})", self.interner.resolve(sym)),
+            other => format!("{other:?}"),
+        };
+        self.err(format!("expected {what}, found {found}"))
+    }
+
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn expect(&mut self, want: Tok, what: &str) -> Result<(), ParseError> {
-        if *self.peek() == want {
+        if self.peek() == want {
             self.bump();
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
+            Err(self.expected(what))
         }
     }
 
     fn ident(&mut self, what: &str) -> Result<Symbol, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
+        match self.peek() {
+            Tok::Ident(sym) => {
                 self.bump();
-                Ok(self.interner.intern(&name))
+                Ok(sym)
             }
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
+            _ => Err(self.expected(what)),
         }
+    }
+
+    /// Fails at the current token if a construct `levels` below the
+    /// current depth would nest deeper than [`MAX_NESTING`].
+    fn check_depth(&self, levels: usize) -> Result<(), ParseError> {
+        if self.depth + levels > MAX_NESTING {
+            Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Opens one nesting level at the current token. Callers close it with
+    /// `self.depth -= 1` on success only: a parse error ends the parse.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        self.check_depth(1)?;
+        self.depth += 1;
+        Ok(())
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
         let mut functions = Vec::new();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             functions.push(self.function()?);
         }
         Ok(Program { functions })
     }
 
     fn function(&mut self) -> Result<Function, ParseError> {
-        let is_extern = if *self.peek() == Tok::KwExtern {
+        let is_extern = if self.peek() == Tok::KwExtern {
             self.bump();
             true
         } else {
@@ -365,10 +417,10 @@ impl<'a> Parser<'a> {
         let name = self.ident("function name")?;
         self.expect(Tok::LParen, "`(`")?;
         let mut params = Vec::new();
-        if *self.peek() != Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 params.push(self.ident("parameter name")?);
-                if *self.peek() == Tok::Comma {
+                if self.peek() == Tok::Comma {
                     self.bump();
                 } else {
                     break;
@@ -390,184 +442,221 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// `{ stmts }`, one nesting level deeper than its surroundings.
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.enter()?;
         self.expect(Tok::LBrace, "`{`")?;
         let mut stmts = Vec::new();
-        while *self.peek() != Tok::RBrace {
-            if *self.peek() == Tok::Eof {
+        while self.peek() != Tok::RBrace {
+            if self.peek() == Tok::Eof {
                 return Err(self.err("unexpected end of input in block"));
             }
             stmts.push(self.stmt()?);
         }
         self.bump(); // RBrace
+        self.depth -= 1;
         Ok(stmts)
     }
 
+    /// One statement. Each kind is parsed by its own function, which keeps
+    /// the frames on a nested block's path small in unoptimized builds.
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
-            Tok::KwLet => {
-                self.bump();
-                let name = self.ident("binding name")?;
-                self.expect(Tok::Assign, "`=`")?;
-                let e = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
-                Ok(Stmt::Let(name, e))
-            }
-            Tok::KwIf => {
-                self.bump();
-                self.expect(Tok::LParen, "`(`")?;
-                let c = self.expr()?;
-                self.expect(Tok::RParen, "`)`")?;
-                let then_b = self.block()?;
-                let else_b = if *self.peek() == Tok::KwElse {
-                    self.bump();
-                    if *self.peek() == Tok::KwIf {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If(c, then_b, else_b))
-            }
-            Tok::KwWhile => {
-                self.bump();
-                self.expect(Tok::LParen, "`(`")?;
-                let c = self.expr()?;
-                self.expect(Tok::RParen, "`)`")?;
-                let body = self.block()?;
-                Ok(Stmt::While(c, body))
-            }
+        match self.peek() {
+            Tok::KwLet => self.let_stmt(),
+            Tok::KwIf => self.if_stmt(),
+            Tok::KwWhile => self.while_stmt(),
             Tok::KwReturn => {
                 self.bump();
-                let e = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
-                Ok(Stmt::Return(e))
+                self.expr_then_semi().map(Stmt::Return)
             }
-            Tok::Ident(name) if self.toks[self.pos + 1].tok == Tok::Assign => {
+            Tok::Ident(sym) if self.toks[self.pos + 1].tok == Tok::Assign => {
                 self.bump();
                 self.bump();
-                let sym = self.interner.intern(&name);
-                let e = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
-                Ok(Stmt::Assign(sym, e))
+                self.expr_then_semi().map(|e| Stmt::Assign(sym, e))
             }
-            _ => {
-                let e = self.expr()?;
-                self.expect(Tok::Semi, "`;`")?;
-                Ok(Stmt::Expr(e))
+            _ => self.expr_then_semi().map(Stmt::Expr),
+        }
+    }
+
+    fn let_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.bump();
+        let name = self.ident("binding name")?;
+        self.expect(Tok::Assign, "`=`")?;
+        let e = self.expr_then_semi()?;
+        Ok(Stmt::Let(name, e))
+    }
+
+    /// `if (c) { .. }`, optionally followed by `else { .. }` or by
+    /// `else if ..`, which nests one level like a block.
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let c = self.condition()?;
+        let then_b = self.block()?;
+        let mut else_b = Vec::new();
+        if self.peek() == Tok::KwElse {
+            self.bump();
+            if self.peek() == Tok::KwIf {
+                self.enter()?;
+                else_b.push(self.if_stmt()?);
+                self.depth -= 1;
+            } else {
+                else_b = self.block()?;
             }
         }
+        Ok(Stmt::If(c, then_b, else_b))
+    }
+
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let c = self.condition()?;
+        let body = self.block()?;
+        Ok(Stmt::While(c, body))
+    }
+
+    /// The keyword and parenthesized condition of an `if` or `while`.
+    fn condition(&mut self) -> Result<Expr, ParseError> {
+        self.bump();
+        self.expect(Tok::LParen, "`(`")?;
+        let c = self.expr()?;
+        self.expect(Tok::RParen, "`)`")?;
+        Ok(c)
+    }
+
+    fn expr_then_semi(&mut self) -> Result<Expr, ParseError> {
+        let e = self.expr()?;
+        self.expect(Tok::Semi, "`;`")?;
+        Ok(e)
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.bin_expr(0)
+        Ok(self.bin_expr(0)?.0)
     }
 
-    /// Precedence-climbing binary expression parser. Levels, loosest first:
-    /// `||`, `&&`, `|`, `^`, `&`, `== !=`, `< <= > >=`, `<< >>`, `+ -`,
-    /// `* / %`.
-    fn bin_expr(&mut self, min_level: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let (level, op) = match self.peek() {
-                Tok::OrOr => (0, BinOp::Or),
-                Tok::AndAnd => (1, BinOp::And),
-                Tok::Pipe => (2, BinOp::BitOr),
-                Tok::Caret => (3, BinOp::BitXor),
-                Tok::Amp => (4, BinOp::BitAnd),
-                Tok::EqEq => (5, BinOp::Eq),
-                Tok::Ne => (5, BinOp::Ne),
-                Tok::Lt => (6, BinOp::Lt),
-                Tok::Le => (6, BinOp::Le),
-                Tok::Gt => (6, BinOp::Gt),
-                Tok::Ge => (6, BinOp::Ge),
-                Tok::Shl => (7, BinOp::Shl),
-                Tok::Shr => (7, BinOp::Shr),
-                Tok::Plus => (8, BinOp::Add),
-                Tok::Minus => (8, BinOp::Sub),
-                Tok::Star => (9, BinOp::Mul),
-                Tok::Slash => (9, BinOp::Div),
-                Tok::Percent => (9, BinOp::Rem),
-                _ => break,
-            };
+    /// Precedence-climbing binary expression parser (levels in
+    /// [`binop`]).
+    ///
+    /// Returns the expression with its height: the nesting levels it spans
+    /// below the current depth. A chain is built iteratively, each link
+    /// pushing everything parsed so far one level down.
+    fn bin_expr(&mut self, min_level: u8) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.unary()?;
+        while let Some((level, op)) = binop(self.peek()) {
             if level < min_level {
                 break;
             }
+            self.check_depth(height + 1)?;
             self.bump();
-            let rhs = self.bin_expr(level + 1)?;
+            self.depth += 1;
+            let (rhs, rhs_height) = self.bin_expr(level + 1)?;
+            self.depth -= 1;
+            height = height.max(rhs_height) + 1;
             lhs = Expr::bin(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<(Expr, usize), ParseError> {
+        let op = match self.peek() {
+            Tok::Bang => UnOp::Not,
+            Tok::Minus => UnOp::Neg,
+            Tok::Tilde => UnOp::BitNot,
+            _ => return self.primary(),
+        };
+        self.enter()?;
+        self.bump();
+        let (e, height) = self.unary()?;
+        self.depth -= 1;
+        Ok((Expr::un(op, e), height + 1))
+    }
+
+    fn primary(&mut self) -> Result<(Expr, usize), ParseError> {
         match self.peek() {
-            Tok::Bang => {
-                self.bump();
-                Ok(Expr::un(UnOp::Not, self.unary()?))
-            }
-            Tok::Minus => {
-                self.bump();
-                Ok(Expr::un(UnOp::Neg, self.unary()?))
-            }
-            Tok::Tilde => {
-                self.bump();
-                Ok(Expr::un(UnOp::BitNot, self.unary()?))
-            }
-            _ => self.primary(),
-        }
-    }
-
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(v))
+                Ok((Expr::Int(v), 0))
             }
             Tok::KwNull => {
                 self.bump();
-                Ok(Expr::Null)
+                Ok((Expr::Null, 0))
             }
             Tok::LParen => {
+                self.enter()?;
                 self.bump();
-                let e = self.expr()?;
+                let (e, height) = self.bin_expr(0)?;
                 self.expect(Tok::RParen, "`)`")?;
-                Ok(e)
+                self.depth -= 1;
+                Ok((e, height + 1))
             }
-            Tok::Ident(name) => {
+            Tok::Ident(sym) => {
                 self.bump();
-                let sym = self.interner.intern(&name);
-                if *self.peek() == Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen, "`)`")?;
-                    Ok(Expr::Call(sym, args))
+                if self.peek() == Tok::LParen {
+                    self.call(sym)
                 } else {
-                    Ok(Expr::Var(sym))
+                    Ok((Expr::Var(sym), 0))
                 }
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            _ => Err(self.expected("expression")),
         }
     }
+
+    /// The argument list of a call to `callee`, one nesting level deeper.
+    fn call(&mut self, callee: Symbol) -> Result<(Expr, usize), ParseError> {
+        self.enter()?;
+        self.bump();
+        let mut args = Vec::new();
+        let mut height = 0;
+        if self.peek() != Tok::RParen {
+            loop {
+                let (arg, h) = self.bin_expr(0)?;
+                args.push(arg);
+                height = height.max(h);
+                if self.peek() == Tok::Comma {
+                    self.bump();
+                } else {
+                    break;
+                }
+            }
+        }
+        self.expect(Tok::RParen, "`)`")?;
+        self.depth -= 1;
+        Ok((Expr::Call(callee, args), height + 1))
+    }
+}
+
+/// Binding level (loosest first) and operator of a binary operator token:
+/// `||`, `&&`, `|`, `^`, `&`, `== !=`, `< <= > >=`, `<< >>`, `+ -`,
+/// `* / %`.
+fn binop(tok: Tok) -> Option<(u8, BinOp)> {
+    Some(match tok {
+        Tok::OrOr => (0, BinOp::Or),
+        Tok::AndAnd => (1, BinOp::And),
+        Tok::Pipe => (2, BinOp::BitOr),
+        Tok::Caret => (3, BinOp::BitXor),
+        Tok::Amp => (4, BinOp::BitAnd),
+        Tok::EqEq => (5, BinOp::Eq),
+        Tok::Ne => (5, BinOp::Ne),
+        Tok::Lt => (6, BinOp::Lt),
+        Tok::Le => (6, BinOp::Le),
+        Tok::Gt => (6, BinOp::Gt),
+        Tok::Ge => (6, BinOp::Ge),
+        Tok::Shl => (7, BinOp::Shl),
+        Tok::Shr => (7, BinOp::Shr),
+        Tok::Plus => (8, BinOp::Add),
+        Tok::Minus => (8, BinOp::Sub),
+        Tok::Star => (9, BinOp::Mul),
+        Tok::Slash => (9, BinOp::Div),
+        Tok::Percent => (9, BinOp::Rem),
+        _ => return None,
+    })
 }
 
 /// Parses a whole program, interning names into `interner`.
 ///
+/// The whole input is lexed before parsing starts, so a lexical error
+/// anywhere wins over an earlier syntax error.
+///
 /// # Errors
 ///
-/// Returns [`ParseError`] on any lexical or syntactic problem.
+/// Returns [`ParseError`] on any lexical or syntactic problem, including
+/// nesting deeper than [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -581,13 +670,8 @@ impl<'a> Parser<'a> {
 /// # Ok::<(), fusion_ir::parser::ParseError>(())
 /// ```
 pub fn parse(src: &str, interner: &mut Interner) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
-    p.program()
+    let toks = lex(src, interner)?;
+    Parser::new(toks, interner).program()
 }
 
 /// Parses a single expression (useful in tests).
@@ -596,14 +680,10 @@ pub fn parse(src: &str, interner: &mut Interner) -> Result<Program, ParseError> 
 ///
 /// Returns [`ParseError`] on malformed input or trailing tokens.
 pub fn parse_expr(src: &str, interner: &mut Interner) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        interner,
-    };
+    let toks = lex(src, interner)?;
+    let mut p = Parser::new(toks, interner);
     let e = p.expr()?;
-    if *p.peek() != Tok::Eof {
+    if p.peek() != Tok::Eof {
         return Err(p.err("trailing input after expression"));
     }
     Ok(e)
@@ -700,6 +780,122 @@ mod tests {
         let err = parse("fn f( { }", &mut i).unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("parameter name"));
+    }
+
+    #[test]
+    fn unexpected_identifier_messages_name_it() {
+        for (src, want) in [
+            (
+                "fn f(a b) { return a; }",
+                "parse error at 1:8: expected `)`, found Ident(\"b\")",
+            ),
+            (
+                "fn f(a) { return a b; }",
+                "parse error at 1:20: expected `;`, found Ident(\"b\")",
+            ),
+            (
+                "fn f(a) { return a; } b",
+                "parse error at 1:23: expected `fn`, found Ident(\"b\")",
+            ),
+        ] {
+            let err = parse(src, &mut Interner::new()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{src}");
+        }
+    }
+
+    /// A source nesting exactly `n` levels deep, counting the function body.
+    type Nested = fn(usize) -> String;
+
+    /// Each shape that nests, with the token that opens level
+    /// `MAX_NESTING + 1`: its character and how many of that character
+    /// precede it.
+    const NESTED_SHAPES: [(&str, Nested, char, usize); 5] = [
+        (
+            "parens",
+            |n| {
+                let (open, close) = ("(".repeat(n - 1), ")".repeat(n - 1));
+                format!("fn f(x) {{ return {open}x{close}; }}")
+            },
+            '(',
+            MAX_NESTING,
+        ),
+        (
+            "unary",
+            |n| format!("fn f(x) {{ return {}x; }}", "-".repeat(n - 1)),
+            '-',
+            MAX_NESTING - 1,
+        ),
+        (
+            "chain",
+            |n| format!("fn f(x) {{ return x{}; }}", " + x".repeat(n - 1)),
+            '+',
+            MAX_NESTING - 1,
+        ),
+        (
+            "nested if",
+            |n| {
+                let (open, close) = ("if (x) { ".repeat(n - 1), "} ".repeat(n - 1));
+                format!("fn f(x) {{ {open}x = 1; {close}return x; }}")
+            },
+            '{',
+            MAX_NESTING,
+        ),
+        (
+            "else if",
+            |n| {
+                let chain = " else if (x) { x = 1; }".repeat(n - 2);
+                format!("fn f(x) {{ if (x) {{ x = 1; }}{chain} return x; }}")
+            },
+            '{',
+            MAX_NESTING,
+        ),
+    ];
+
+    /// At the limit every shape compiles and drops on a 2 MiB stack; one
+    /// level deeper, and far deeper, it is a parse error at the token that
+    /// opens the extra level.
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        for (shape, source, opener, skip) in NESTED_SHAPES {
+            let run = move || {
+                let at_limit = source(MAX_NESTING);
+                crate::compile(&at_limit, crate::CompileOptions::default())
+                    .unwrap_or_else(|e| panic!("{shape} at the limit: {e}"));
+                for n in [MAX_NESTING + 1, 100_000] {
+                    let src = source(n);
+                    let Err(crate::CompileError::Parse(err)) =
+                        crate::compile(&src, crate::CompileOptions::default())
+                    else {
+                        panic!("{shape} at {n} must be a parse error");
+                    };
+                    let col = src.match_indices(opener).nth(skip).unwrap().0 + 1;
+                    assert_eq!(
+                        err.to_string(),
+                        format!("parse error at 1:{col}: nesting deeper than {MAX_NESTING} levels"),
+                        "{shape} at {n}"
+                    );
+                }
+            };
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            assert!(thread.spawn(run).unwrap().join().is_ok(), "{shape}");
+        }
+    }
+
+    /// Each link of a chain pushes everything parsed before it one level
+    /// down, so a deep left operand counts in full below the links.
+    #[test]
+    fn chain_links_count_below_a_deep_left_operand() {
+        let inner = MAX_NESTING / 2;
+        let source = |outer: usize| {
+            let (a, b) = (" + x".repeat(inner), " + x".repeat(outer));
+            format!("fn f(x) {{ return (x{a}){b}; }}")
+        };
+        // Body, parenthesis and inner links leave `MAX_NESTING - inner - 2`
+        // levels for the outer links.
+        let fits = MAX_NESTING - inner - 2;
+        assert!(parse(&source(fits), &mut Interner::new()).is_ok());
+        let err = parse(&source(fits + 1), &mut Interner::new()).unwrap_err();
+        assert!(err.message.starts_with("nesting deeper"), "{err}");
     }
 
     #[test]

@@ -184,13 +184,13 @@ pub fn function_to_string(program: &Program, func: &Function) -> String {
     let params: Vec<String> = func
         .params
         .iter()
-        .map(|p| format!("{}:{}", program.name(func.def(*p).name), p))
+        .map(|p| format!("{}:{}", program.def_name(func.def(*p)), p))
         .collect();
     let _ = writeln!(s, "fn {name}({}) {{", params.join(", "));
     for def in &func.defs {
         let depth = func.guards(def.var).len();
         let indent = "  ".repeat(depth + 1);
-        let nm = program.name(def.name);
+        let nm = program.def_name(def);
         let rhs = match &def.kind {
             DefKind::Param { index } => format!("param #{index}"),
             DefKind::Const {
@@ -260,6 +260,55 @@ mod tests {
         let call_line = text.lines().find(|l| l.contains("call g(")).unwrap();
         let lead = |l: &str| l.chars().take_while(|c| *c == ' ').count();
         assert!(lead(call_line) > lead(branch_line));
+    }
+
+    /// One definition of every kind, named exactly as lowering has always
+    /// named them.
+    #[test]
+    fn definition_names_are_pinned() {
+        let p = crate::compile(
+            "extern fn g(x);\n\
+             fn f(a) {\n\
+                 let p = null;\n\
+                 let r = 1;\n\
+                 if (a > 2) { r = g(a); } else { r = 3; }\n\
+                 if (r == 4) { return p; }\n\
+                 return r + 5;\n\
+             }",
+            crate::CompileOptions::default(),
+        )
+        .unwrap();
+        let f = p.func_by_name("f").unwrap();
+        assert_eq!(
+            function_to_string(&p, f),
+            "fn f(a:v0) {
+  v0 (a) = param #0
+  v1 (null.1) = null (0)
+  v2 (c1.2) = 1
+  v3 (c2.3) = 2
+  v4 (t.4) = v3 <s v0
+  v5 (if.5) = branch if v4
+    v6 (r_g.6) = call g(v0) [cs0]
+  v7 (c0.7) = 0
+  v8 (t.8) = v4 == v7
+  v9 (else.9) = branch if v8
+    v10 (c3.10) = 3
+  v11 (r.11) = ite(v4, v6, v10)
+  v12 (c4.12) = 4
+  v13 (t.13) = v11 == v12
+  v14 (if.14) = branch if v13
+  v15 (__ret_val.15) = ite(v13, v1, v7)
+  v16 (__ret_taken.16) = ite(v13, v2, v7)
+  v17 (not_returned.17) = v16 == v7
+  v18 (cont.18) = branch if v17
+    v19 (c5.19) = 5
+    v20 (t.20) = v11 + v19
+  v21 (__ret_val.21) = ite(v17, v20, v15)
+  v22 (__ret_taken.22) = ite(v17, v2, v16)
+  v23 (ret.23) = return v21
+}
+"
+        );
     }
 
     #[test]

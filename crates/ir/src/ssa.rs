@@ -246,7 +246,10 @@ pub struct Def {
     pub kind: DefKind,
     /// The innermost enclosing branch vertex, if any.
     pub guard: Option<VarId>,
-    /// Human-readable name for diagnostics (`x.2`, `t.7`, ...).
+    /// Base name for diagnostics, interned once per program: the parameter
+    /// or merged variable itself, or a role (`t`, `null`, `if`, `else`,
+    /// `cont`, `not_returned`, `ret`, `c{value}`, `r_{callee}`).
+    /// [`Program::def_name`] renders the full name (`x.2`, `t.7`, ...).
     pub name: Symbol,
 }
 
@@ -347,6 +350,16 @@ impl Program {
     /// Resolves a symbol to its string.
     pub fn name(&self, sym: Symbol) -> &str {
         self.interner.resolve(sym)
+    }
+
+    /// Renders a definition's name: the bare name for a parameter,
+    /// `{base}.{var}` otherwise (`x.2`, `t.7`, `r_g.4`, ...).
+    pub fn def_name(&self, def: &Def) -> String {
+        let base = self.name(def.name);
+        match def.kind {
+            DefKind::Param { .. } => base.to_owned(),
+            _ => format!("{base}.{}", def.var.0),
+        }
     }
 
     /// Looks up a call site.

@@ -79,6 +79,7 @@ proptest! {
                 prop_assert_eq!(da.var, db.var);
                 prop_assert_eq!(da.guard, db.guard);
                 prop_assert_eq!(&da.kind, &db.kind);
+                prop_assert_eq!(program.def_name(da), reread.def_name(db));
             }
         }
         prop_assert!(
@@ -160,6 +161,16 @@ fn version_and_magic_are_checked() {
     let err = open_bytes(wrong_version).expect_err("version skew");
     assert_eq!(err.offset, 4);
     assert!(err.to_string().contains("99"), "{err}");
+    // Version 1 stored rendered definition names; a version-2 reader
+    // rejects it rather than misreading them as base names.
+    let mut version_1 = bytes.clone();
+    version_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let err = open_bytes(version_1).expect_err("version 1");
+    assert_eq!(err.offset, 4);
+    assert!(
+        err.to_string().contains("unsupported snapshot version 1 "),
+        "{err}"
+    );
     let mut bad_magic = bytes;
     bad_magic[0] = b'X';
     let err = open_bytes(bad_magic).expect_err("bad magic");
