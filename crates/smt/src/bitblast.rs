@@ -128,15 +128,17 @@ impl SessionBlaster {
         self.memo.len()
     }
 
-    /// Moves all clauses emitted since the last drain into `solver`,
-    /// growing its variable universe first. After this call the blaster
-    /// holds no pending clauses (the solver owns the only copy).
+    /// Adds every clause emitted since the last drain to `solver`, growing
+    /// its variable universe first, and returns how many there were. After
+    /// this call the blaster holds no pending clauses (the solver owns the
+    /// only copy; the blaster keeps its buffers' capacity).
     pub fn drain_into(&mut self, solver: &mut SatSolver) -> usize {
         solver.ensure_vars(self.cnf.num_vars as usize);
-        let n = self.cnf.clauses.len();
-        for clause in self.cnf.clauses.drain(..) {
+        for clause in self.cnf.iter() {
             solver.add_clause_incremental(clause);
         }
+        let n = self.cnf.num_clauses();
+        self.cnf.clear_clauses();
         n
     }
 
@@ -174,9 +176,9 @@ impl SessionBlaster {
             return self.konst(false);
         }
         let o = self.fresh();
-        self.cnf.add(vec![!o, a]);
-        self.cnf.add(vec![!o, b]);
-        self.cnf.add(vec![o, !a, !b]);
+        self.cnf.add(&[!o, a]);
+        self.cnf.add(&[!o, b]);
+        self.cnf.add(&[o, !a, !b]);
         o
     }
 
@@ -204,10 +206,10 @@ impl SessionBlaster {
             return self.konst(true);
         }
         let o = self.fresh();
-        self.cnf.add(vec![!o, a, b]);
-        self.cnf.add(vec![!o, !a, !b]);
-        self.cnf.add(vec![o, !a, b]);
-        self.cnf.add(vec![o, a, !b]);
+        self.cnf.add(&[!o, a, b]);
+        self.cnf.add(&[!o, !a, !b]);
+        self.cnf.add(&[o, !a, b]);
+        self.cnf.add(&[o, a, !b]);
         o
     }
 

@@ -71,13 +71,15 @@ impl fmt::Display for Lit {
     }
 }
 
-/// A formula in conjunctive normal form.
-#[derive(Debug, Clone, Default)]
+/// A formula in conjunctive normal form, stored flat: the literals of every
+/// clause back to back in one buffer, and where each clause ends.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     /// Number of variables (`BVar(0)..BVar(num_vars)`).
     pub num_vars: u32,
-    /// The clauses. An empty clause makes the formula trivially unsat.
-    pub clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    /// `ends[i]` is one past the last literal of clause `i` in `lits`.
+    ends: Vec<usize>,
 }
 
 impl Cnf {
@@ -93,21 +95,47 @@ impl Cnf {
         v
     }
 
-    /// Adds a clause.
-    pub fn add(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
+    /// Adds a clause. An empty clause makes the formula trivially unsat.
+    pub fn add(&mut self, clause: &[Lit]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len());
     }
 
     /// Adds the unit clause `[l]`.
     pub fn add_unit(&mut self, l: Lit) {
-        self.clauses.push(vec![l]);
+        self.add(&[l]);
+    }
+
+    /// Number of clauses.
+    pub fn num_clauses(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Number of literals over all clauses.
+    pub fn num_lits(&self) -> usize {
+        self.lits.len()
+    }
+
+    /// The clauses, in the order they were added.
+    pub fn iter(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        self.ends.iter().scan(0, |start, &end| {
+            let clause = &self.lits[*start..end];
+            *start = end;
+            Some(clause)
+        })
+    }
+
+    /// Removes every clause, keeping the variables (and the buffers'
+    /// capacity).
+    pub fn clear_clauses(&mut self) {
+        self.lits.clear();
+        self.ends.clear();
     }
 
     /// Evaluates the formula under a full assignment (`assign[v]` is the
     /// value of `BVar(v)`).
     pub fn eval(&self, assign: &[bool]) -> bool {
-        self.clauses
-            .iter()
+        self.iter()
             .all(|c| c.iter().any(|l| assign[l.var().index()] == l.is_pos()))
     }
 }
@@ -135,10 +163,25 @@ mod tests {
         let mut cnf = Cnf::new();
         let a = cnf.fresh();
         let b = cnf.fresh();
-        cnf.add(vec![Lit::pos(a), Lit::pos(b)]);
-        cnf.add(vec![Lit::neg(a)]);
+        cnf.add(&[Lit::pos(a), Lit::pos(b)]);
+        cnf.add(&[Lit::neg(a)]);
         assert!(cnf.eval(&[false, true]));
         assert!(!cnf.eval(&[true, true]));
         assert!(!cnf.eval(&[false, false]));
+    }
+
+    #[test]
+    fn clauses_read_back_in_order() {
+        let mut cnf = Cnf::new();
+        let a = Lit::pos(cnf.fresh());
+        let b = Lit::neg(cnf.fresh());
+        cnf.add(&[a, b]);
+        cnf.add(&[]);
+        cnf.add_unit(b);
+        let clauses: Vec<&[Lit]> = cnf.iter().collect();
+        assert_eq!(clauses, [&[a, b][..], &[], &[b]]);
+        assert_eq!((cnf.num_clauses(), cnf.num_lits()), (3, 3));
+        cnf.clear_clauses();
+        assert_eq!((cnf.num_clauses(), cnf.num_vars), (0, 2));
     }
 }

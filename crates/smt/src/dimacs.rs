@@ -30,8 +30,8 @@ impl Error for DimacsError {}
 /// 1-based literals, zero-terminated clauses).
 pub fn to_dimacs(cnf: &Cnf) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "p cnf {} {}", cnf.num_vars, cnf.clauses.len());
-    for clause in &cnf.clauses {
+    let _ = writeln!(out, "p cnf {} {}", cnf.num_vars, cnf.num_clauses());
+    for clause in cnf.iter() {
         for lit in clause {
             let v = lit.var().0 as i64 + 1;
             let _ = write!(out, "{} ", if lit.is_pos() { v } else { -v });
@@ -101,7 +101,8 @@ pub fn from_dimacs(text: &str) -> Result<Cnf, DimacsError> {
                 message: format!("bad literal `{tok}`"),
             })?;
             if v == 0 {
-                cnf.add(std::mem::take(&mut current));
+                cnf.add(&current);
+                current.clear();
             } else {
                 let var = v.unsigned_abs() - 1;
                 if var >= nv as u64 {
@@ -115,7 +116,7 @@ pub fn from_dimacs(text: &str) -> Result<Cnf, DimacsError> {
         }
     }
     if !current.is_empty() {
-        cnf.add(current); // final clause without trailing 0 — tolerated
+        cnf.add(&current); // final clause without trailing 0 — tolerated
     }
     let _ = declared_clauses; // informational only; real files often lie
     Ok(cnf)
@@ -131,21 +132,20 @@ mod tests {
         let mut cnf = Cnf::new();
         let a = cnf.fresh();
         let b = cnf.fresh();
-        cnf.add(vec![Lit::pos(a), Lit::neg(b)]);
-        cnf.add(vec![Lit::neg(a)]);
+        cnf.add(&[Lit::pos(a), Lit::neg(b)]);
+        cnf.add(&[Lit::neg(a)]);
         let text = to_dimacs(&cnf);
         assert!(text.starts_with("p cnf 2 2"));
         let back = from_dimacs(&text).unwrap();
-        assert_eq!(back.num_vars, 2);
-        assert_eq!(back.clauses, cnf.clauses);
+        assert_eq!(back, cnf);
     }
 
     #[test]
     fn parses_comments_and_multiline_clauses() {
         let text = "c a comment\np cnf 3 2\n1 -2\n3 0\n-1 2 0\n";
         let cnf = from_dimacs(text).unwrap();
-        assert_eq!(cnf.clauses.len(), 2);
-        assert_eq!(cnf.clauses[0].len(), 3);
+        let lens: Vec<usize> = cnf.iter().map(<[Lit]>::len).collect();
+        assert_eq!(lens, [3, 2]);
     }
 
     #[test]

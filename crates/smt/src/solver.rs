@@ -201,7 +201,7 @@ pub fn smt_solve(
     }
     // Specific solver: bit-blast and hand to the SAT backend.
     let (cnf, map) = blast(pool, processed);
-    stats.cnf_clauses = cnf.clauses.len();
+    stats.cnf_clauses = cnf.num_clauses();
     let budget = SatBudget {
         max_conflicts: config.max_conflicts,
         deadline,

@@ -15,11 +15,11 @@ fn cnf_strategy() -> impl Strategy<Value = Cnf> {
             cnf.fresh();
         }
         for c in clauses {
-            cnf.add(
-                c.into_iter()
-                    .map(|(v, pos)| Lit::new(BVar(v), pos))
-                    .collect(),
-            );
+            let clause: Vec<Lit> = c
+                .into_iter()
+                .map(|(v, pos)| Lit::new(BVar(v), pos))
+                .collect();
+            cnf.add(&clause);
         }
         cnf
     })
@@ -58,7 +58,8 @@ proptest! {
         let base = solve_cnf(&cnf, SatBudget::default());
         if matches!(base, SatOutcome::Unsat) {
             let mut stronger = cnf.clone();
-            stronger.add(extra.into_iter().map(|(v, pos)| Lit::new(BVar(v), pos)).collect());
+            let clause: Vec<Lit> = extra.into_iter().map(|(v, pos)| Lit::new(BVar(v), pos)).collect();
+            stronger.add(&clause);
             prop_assert!(matches!(solve_cnf(&stronger, SatBudget::default()), SatOutcome::Unsat));
         }
     }
