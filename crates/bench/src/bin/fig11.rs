@@ -1,5 +1,5 @@
-//! Figure 11 — per-instance SMT solving time: the dependence-graph-based
-//! solver vs the standalone solver on the same instances.
+//! Figure 11 — per-instance SMT solving time: the solver based on the
+//! dependence graph vs the standalone solver on the same instances.
 //!
 //! For every feasibility query the analysis issues, the harness times the
 //! Fusion solver (Algorithm 6) and the standalone pipeline (Algorithm 4:

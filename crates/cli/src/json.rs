@@ -6,6 +6,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so without a bound one request line of
+/// a million `[` overflows the stack and aborts the process. 256 is the
+/// IR parser's bound too (`fusion_ir::parser::MAX_NESTING`); the scanner's
+/// own requests, job lines and reports nest a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 /// Escapes `s` as the *contents* of a JSON string literal (no quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -79,11 +86,12 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a position-annotated message on malformed input.
+    /// Returns a position-annotated message on malformed input, including
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -107,8 +115,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -124,7 +139,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -149,7 +164,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -299,6 +314,41 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("12 34").is_err());
         assert!(Value::parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_position() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let v = Value::parse(&nested(MAX_DEPTH)).expect("at the limit");
+        let mut depth = 0;
+        let mut cur = &v;
+        while let Some([inner]) = cur.as_array() {
+            depth += 1;
+            cur = inner;
+        }
+        assert_eq!((depth, cur), (MAX_DEPTH - 1, &Value::Arr(Vec::new())));
+        assert_eq!(
+            Value::parse(&nested(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        // Objects count too, mixed with arrays.
+        let mixed = "{\"a\": [".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(Value::parse(&mixed).is_ok());
+        let over = format!("[{mixed}]");
+        assert!(Value::parse(&over)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        // Far past the limit, unbalanced and balanced: an error, not a
+        // stack overflow.
+        let deep = "[".repeat(100_000);
+        assert!(Value::parse(&deep)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        assert!(Value::parse(&nested(100_000))
+            .unwrap_err()
+            .starts_with("nesting deeper"));
     }
 
     #[test]

@@ -143,13 +143,6 @@ pub struct Options {
     /// disables it; findings are byte-identical either way, compaction
     /// just removes discovery steps and solver queries.
     pub compact: bool,
-    /// E-graph simplification of solver terms: bounded equality saturation
-    /// with cost-based extraction runs on each local condition before
-    /// instantiation and on each assembled query before bit-blasting.
-    /// `--no-egraph` (or the `FUSION_NO_EGRAPH` environment variable)
-    /// disables it; findings are byte-identical either way, the e-graph
-    /// just shrinks the terms and CNF the solver sees.
-    pub egraph: bool,
     /// Validate the compiled IR against the full invariant suite
     /// ([`fusion_ir::validate::check_program`]) before analyzing, and
     /// fail with every diagnostic when it is malformed.
@@ -209,7 +202,6 @@ impl Default for Options {
             incremental: true,
             absint: true,
             compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
-            egraph: std::env::var_os("FUSION_NO_EGRAPH").is_none(),
             validate: false,
             dot: None,
             extra_sources: Vec::new(),
@@ -346,8 +338,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--no-absint" => opts.absint = false,
             "--compact" => opts.compact = true,
             "--no-compact" => opts.compact = false,
-            "--egraph" => opts.egraph = true,
-            "--no-egraph" => opts.egraph = false,
             "--validate" => opts.validate = true,
             "--list-checkers" => opts.list_checkers = true,
             "--serve" => opts.serve = true,
@@ -385,7 +375,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                      [--solver-timeout-ms N] [--threads N] [--cache|--no-cache] \
                      [--no-incremental] \
                      [--absint|--no-absint] [--compact|--no-compact] \
-                     [--egraph|--no-egraph] [--validate] [--dot FILE] \
+                     [--validate] [--dot FILE] \
                      [--shards K] [--shard-workers N] [--snapshot-dir DIR] \
                      [--json] [--stats] [--serve] FILE..."
                         .into(),
@@ -500,7 +490,7 @@ pub struct Finding {
     pub sink_function: String,
     /// `feasible` or `undecided` (solver budget exhausted).
     pub verdict: String,
-    /// Number of dependence-graph vertices on the witness path.
+    /// Number of dependence graph vertices on the witness path.
     pub path_length: usize,
 }
 
@@ -596,18 +586,6 @@ pub struct ScanReport {
     /// Solver queries answered by compaction's isomorphic-fragment
     /// verdict memo instead of the engine.
     pub iso_hits: u64,
-    /// E-classes built by equality-saturation term simplification across
-    /// the scan (0 with `--no-egraph`).
-    pub egraph_classes: u64,
-    /// Rewrites (rule-driven e-class unions) the e-graph applied.
-    pub egraph_rewrites: u64,
-    /// E-graph passes that saturated within budget.
-    pub egraph_saturated: u64,
-    /// E-graph passes abandoned by the e-node/rebuild caps.
-    pub egraph_cap_hits: u64,
-    /// Term-DAG nodes removed by cost-based extraction (the
-    /// extracted-term delta).
-    pub egraph_nodes_saved: u64,
     /// Per-function absint fact sets recomputed by a warm `rescan`'s
     /// dirtiness invalidation (0 for batch scans and cold `scan`s).
     pub facts_invalidated: u64,
@@ -703,9 +681,7 @@ impl ScanReport {
              \n  \"slices_skipped\": {},\n  \"absint_refutes\": {},\
              \n  \"vertices_pruned\": {},\n  \"edges_pruned\": {},\
              \n  \"chains_collapsed\": {},\n  \"iso_hits\": {},\
-             \n  \"egraph_classes\": {},\n  \"egraph_rewrites\": {},\
-             \n  \"egraph_saturated\": {},\n  \"egraph_cap_hits\": {},\
-             \n  \"egraph_nodes_saved\": {},\n  \"facts_invalidated\": {},\
+             \n  \"facts_invalidated\": {},\
              \n  \"slices_invalidated\": {},\n  \"verdicts_invalidated\": {},\
              \n  \"candidates_reanalyzed\": {},\n  \"shards\": {},\
              \n  \"summaries_exported\": {},\n  \"summaries_imported\": {},\
@@ -735,11 +711,6 @@ impl ScanReport {
             self.edges_pruned,
             self.chains_collapsed,
             self.iso_hits,
-            self.egraph_classes,
-            self.egraph_rewrites,
-            self.egraph_saturated,
-            self.egraph_cap_hits,
-            self.egraph_nodes_saved,
             self.facts_invalidated,
             self.slices_invalidated,
             self.verdicts_invalidated,
@@ -758,13 +729,11 @@ fn make_engine(
     choice: EngineChoice,
     timeout: Duration,
     incremental: bool,
-    egraph: bool,
 ) -> Box<dyn FeasibilityEngine> {
-    let mut cfg = SolverConfig {
+    let cfg = SolverConfig {
         timeout: Some(timeout),
         ..Default::default()
     };
-    cfg.egraph.enabled = egraph;
     match choice {
         EngineChoice::Fusion => {
             let mut engine = FusionSolver::new(cfg);
@@ -798,11 +767,6 @@ fn fill_report(report: &mut ScanReport, program: &fusion_ir::ssa::Program, run: 
     report.edges_pruned = run.stages.edges_pruned;
     report.chains_collapsed = run.stages.chains_collapsed;
     report.iso_hits = run.stages.iso_hits;
-    report.egraph_classes = run.stages.egraph_classes;
-    report.egraph_rewrites = run.stages.egraph_rewrites;
-    report.egraph_saturated = run.stages.egraph_saturated;
-    report.egraph_cap_hits = run.stages.egraph_cap_hits;
-    report.egraph_nodes_saved = run.stages.egraph_nodes_saved;
     report.facts_invalidated = run.stages.facts_invalidated;
     report.slices_invalidated = run.stages.slices_invalidated;
     report.verdicts_invalidated = run.stages.verdicts_invalidated;
@@ -888,9 +852,8 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::clone(&slice_cache));
     analysis_opts.absint = opts.absint;
     analysis_opts.compact = opts.compact;
-    let (engine_choice, timeout, incremental, egraph) =
-        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
-    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
+    let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
+    let factory = move || make_engine(engine_choice, timeout, incremental);
     let run: MultiAnalysisRun = if opts.shards > 0 {
         let sharded = if opts.shard_workers > 0 {
             shards::analyze_sharded_multiprocess(
@@ -1063,17 +1026,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
                 report.edges_pruned,
                 report.chains_collapsed,
                 report.iso_hits
-            );
-            // E-graph: equality-saturation simplification of solver terms.
-            let _ = writeln!(
-                out,
-                "egraph: {} class(es), {} rewrite(s), {} saturated, \
-                 {} cap hit(s), {} node(s) saved",
-                report.egraph_classes,
-                report.egraph_rewrites,
-                report.egraph_saturated,
-                report.egraph_cap_hits,
-                report.egraph_nodes_saved
             );
             // Service mode: dirtiness-driven invalidation (all zero for
             // one-shot batch scans).
@@ -1664,93 +1616,6 @@ mod tests {
         );
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("compaction:"), "{text}");
-    }
-
-    #[test]
-    fn egraph_flags_parse_and_simplification_preserves_findings() {
-        // The default tracks FUSION_NO_EGRAPH so the CI matrix can run
-        // the whole suite with the saturation leg off.
-        let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert_eq!(
-            o.egraph,
-            std::env::var_os("FUSION_NO_EGRAPH").is_none(),
-            "the e-graph is the default unless FUSION_NO_EGRAPH is set"
-        );
-        let o = parse_args(&args(&["--no-egraph", "a.fus"])).unwrap();
-        assert!(!o.egraph);
-        let o = parse_args(&args(&["--no-egraph", "--egraph", "a.fus"])).unwrap();
-        assert!(o.egraph);
-        // Report-preserving contract: the e-graph shrinks terms, never
-        // findings. The guard's arithmetic gives the saturation real
-        // rewrites to apply.
-        let src = "extern fn deref(p);\n\
-            fn a(x) { let q = null; let r = 1; \
-             if (x * 4 + 0 == x + x + 6) { r = q; } deref(r); return 0; }";
-        let key = |r: &ScanReport| {
-            r.findings
-                .iter()
-                .map(|f| {
-                    (
-                        f.checker.clone(),
-                        f.source_function.clone(),
-                        f.sink_function.clone(),
-                        f.verdict.clone(),
-                        f.path_length,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        for threads in [1, 3] {
-            let on = Options {
-                checker: CheckerChoice::Null,
-                threads,
-                egraph: true,
-                ..Default::default()
-            };
-            let off = Options {
-                checker: CheckerChoice::Null,
-                threads,
-                egraph: false,
-                ..Default::default()
-            };
-            let r1 = scan_source(src, &on).unwrap();
-            let r2 = scan_source(src, &off).unwrap();
-            assert_eq!(key(&r1), key(&r2), "threads={threads}");
-            assert_eq!(r1.suppressed, r2.suppressed, "threads={threads}");
-            assert!(r1.egraph_classes > 0, "the e-graph ran");
-            assert_eq!(r2.egraph_classes, 0, "--no-egraph disables the pass");
-            assert_eq!(r2.egraph_rewrites, 0);
-        }
-    }
-
-    #[test]
-    fn json_reports_egraph_counters() {
-        let src = "extern fn deref(p);\n\
-            fn a(x) { let q = null; let r = 1; \
-             if (x * 4 + 0 == x + x + 6) { r = q; } deref(r); return 0; }";
-        let opts = Options {
-            checker: CheckerChoice::Null,
-            egraph: true,
-            ..Default::default()
-        };
-        let report = scan_source(src, &opts).unwrap();
-        let v = json::Value::parse(&report.to_json()).expect("valid json");
-        assert!(v.get("egraph_classes").unwrap().as_f64().unwrap() > 0.0);
-        assert!(v.get("egraph_rewrites").unwrap().as_f64().is_some());
-        assert!(v.get("egraph_saturated").unwrap().as_f64().is_some());
-        assert!(v.get("egraph_cap_hits").unwrap().as_f64().is_some());
-        assert!(v.get("egraph_nodes_saved").unwrap().as_f64().is_some());
-        // The text --stats surface carries the egraph line.
-        let dir = std::env::temp_dir();
-        let f = dir.join("fusion_cli_egraph.fus");
-        std::fs::write(&f, src).unwrap();
-        let mut out = Vec::new();
-        run(
-            &args(&["--checker", "null", "--stats", &f.display().to_string()]),
-            &mut out,
-        );
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("egraph:"), "{text}");
     }
 
     #[test]

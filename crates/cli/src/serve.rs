@@ -92,9 +92,8 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
     analysis_opts.absint = opts.absint;
     analysis_opts.compact = opts.compact;
     let mut session = AnalysisSession::new(set, analysis_opts, opts.threads);
-    let (engine_choice, timeout, incremental, egraph) =
-        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
-    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
+    let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
+    let factory = move || make_engine(engine_choice, timeout, incremental);
     let compile_opts = CompileOptions {
         loop_unroll: opts.unroll,
         recursion_unroll: opts.unroll,
@@ -521,6 +520,37 @@ mod tests {
         assert_eq!(resp3[1].get("ok"), Some(&json::Value::Bool(false)));
         assert_eq!(resp3[2].get("ok"), Some(&json::Value::Bool(false)));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn deeply_nested_request_is_refused_and_serving_continues() {
+        // A line nested past `json::MAX_DEPTH` is refused like any other
+        // malformed request, and the resident scan survives it.
+        let opts = Options {
+            serve: true,
+            ..Default::default()
+        };
+        let (code, resp) = drive(
+            &opts,
+            &[
+                request("scan", Some(BASE)),
+                "[".repeat(1_000_000),
+                request("stats", None),
+                request("shutdown", None),
+            ],
+        );
+        assert_eq!(code, 0);
+        assert_eq!(resp.len(), 4);
+        assert_eq!(resp[1].get("ok"), Some(&json::Value::Bool(false)));
+        let err = resp[1].get("error").unwrap().as_str().unwrap();
+        assert!(
+            err.starts_with("malformed request: nesting deeper than"),
+            "{err}"
+        );
+        assert_eq!(resp[2].get("ok"), Some(&json::Value::Bool(true)));
+        assert_eq!(resp[2].get("resident"), Some(&json::Value::Bool(true)));
+        assert!(resp[2].get("functions").unwrap().as_f64().unwrap() >= 3.0);
+        assert_eq!(resp[3].get("event").unwrap().as_str(), Some("shutdown"));
     }
 
     #[test]

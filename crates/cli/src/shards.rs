@@ -87,9 +87,8 @@ fn run_worker_job(opts: &Options, line: &str) -> Result<String, CliError> {
     let mut analysis_opts = AnalysisOptions::new();
     analysis_opts.absint = opts.absint;
     analysis_opts.compact = opts.compact;
-    let (engine_choice, timeout, incremental, egraph) =
-        (opts.engine, opts.timeout, opts.incremental, opts.egraph);
-    let factory = move || make_engine(engine_choice, timeout, incremental, egraph);
+    let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
+    let factory = move || make_engine(engine_choice, timeout, incremental);
     let shared_cache = VerdictCache::new();
     let cache = opts.use_cache.then_some(&shared_cache);
     let output = run_shard(
@@ -194,11 +193,6 @@ fn push_analysis_flags(cmd: &mut Command, opts: &Options) {
         "--compact"
     } else {
         "--no-compact"
-    });
-    cmd.arg(if opts.egraph {
-        "--egraph"
-    } else {
-        "--no-egraph"
     });
     for s in &opts.extra_sources {
         cmd.arg("--source").arg(s);

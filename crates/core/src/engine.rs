@@ -174,19 +174,13 @@ pub struct EngineStages {
     /// [`FeasibilityEngine::attach_absint`]) before opening a session or
     /// bit-blasting anything.
     pub absint_refutes: u64,
-    /// E-classes built by equality-saturation simplification of local
-    /// conditions, summed across passes.
+    /// Always 0. This and `egraph_nodes_saved` counted the e-graph
+    /// simplification layer, which was removed; both stay only because
+    /// `e2ebench/src/main.rs` samples them by name as the
+    /// `smt.egraph_classes` and `smt.egraph_nodes_saved` rows. A benchmark
+    /// change drops those two rows first, then these two fields.
     pub egraph_classes: u64,
-    /// Rewrites (rule-driven e-class unions) applied by the e-graph.
-    pub egraph_rewrites: u64,
-    /// E-graph passes that reached saturation (a change-free iteration)
-    /// within budget.
-    pub egraph_saturated: u64,
-    /// E-graph passes abandoned by the e-node/rebuild caps (the input
-    /// term was used unchanged).
-    pub egraph_cap_hits: u64,
-    /// Term-DAG nodes removed by cost-based extraction (input minus
-    /// extracted size, summed; the extracted-term delta).
+    /// Always 0; kept for the benchmark, as `egraph_classes` says.
     pub egraph_nodes_saved: u64,
 }
 
@@ -200,11 +194,6 @@ impl EngineStages {
         self.slices_reused += other.slices_reused;
         self.sessions_opened += other.sessions_opened;
         self.absint_refutes += other.absint_refutes;
-        self.egraph_classes += other.egraph_classes;
-        self.egraph_rewrites += other.egraph_rewrites;
-        self.egraph_saturated += other.egraph_saturated;
-        self.egraph_cap_hits += other.egraph_cap_hits;
-        self.egraph_nodes_saved += other.egraph_nodes_saved;
     }
 
     /// Deltas relative to an `earlier` snapshot of the same engine.
@@ -217,21 +206,8 @@ impl EngineStages {
             slices_reused: self.slices_reused - earlier.slices_reused,
             sessions_opened: self.sessions_opened - earlier.sessions_opened,
             absint_refutes: self.absint_refutes - earlier.absint_refutes,
-            egraph_classes: self.egraph_classes - earlier.egraph_classes,
-            egraph_rewrites: self.egraph_rewrites - earlier.egraph_rewrites,
-            egraph_saturated: self.egraph_saturated - earlier.egraph_saturated,
-            egraph_cap_hits: self.egraph_cap_hits - earlier.egraph_cap_hits,
-            egraph_nodes_saved: self.egraph_nodes_saved - earlier.egraph_nodes_saved,
+            ..EngineStages::default()
         }
-    }
-
-    /// Sums one e-graph pass's counters into the engine totals.
-    pub fn absorb_egraph(&mut self, eg: &fusion_smt::egraph::EGraphStats) {
-        self.egraph_classes += eg.classes;
-        self.egraph_rewrites += eg.rewrites;
-        self.egraph_saturated += eg.saturated;
-        self.egraph_cap_hits += eg.cap_hits;
-        self.egraph_nodes_saved += eg.nodes_saved();
     }
 }
 
@@ -292,19 +268,6 @@ pub struct StageStats {
     /// fragment verdict memo instead of the engine (after an exact-key
     /// cache miss).
     pub iso_hits: u64,
-    /// E-classes built by equality-saturation simplification of local
-    /// conditions (zero when the e-graph leg is disabled).
-    pub egraph_classes: u64,
-    /// Rewrites (rule-driven e-class unions) applied by the e-graph.
-    pub egraph_rewrites: u64,
-    /// E-graph passes that saturated (reached a change-free iteration)
-    /// within budget.
-    pub egraph_saturated: u64,
-    /// E-graph passes abandoned by the e-node/rebuild caps.
-    pub egraph_cap_hits: u64,
-    /// Term-DAG nodes removed by cost-based extraction (the
-    /// extracted-term delta).
-    pub egraph_nodes_saved: u64,
     /// Functions whose memoized absint facts a warm session run evicted
     /// (zero outside incremental re-analysis).
     pub facts_invalidated: u64,
@@ -344,11 +307,6 @@ impl StageStats {
         self.slices_reused += e.slices_reused;
         self.sessions_opened += e.sessions_opened;
         self.absint_refutes += e.absint_refutes;
-        self.egraph_classes += e.egraph_classes;
-        self.egraph_rewrites += e.egraph_rewrites;
-        self.egraph_saturated += e.egraph_saturated;
-        self.egraph_cap_hits += e.egraph_cap_hits;
-        self.egraph_nodes_saved += e.egraph_nodes_saved;
     }
 }
 

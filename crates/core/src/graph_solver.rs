@@ -41,9 +41,7 @@ use fusion_pdg::slice::{
 use fusion_pdg::translate::{
     encode_op, instance_var_tracked, translate, truthy, TranslateOptions, VarOrigins,
 };
-use fusion_smt::preprocess::{
-    preprocess_fragment_seeded_ext, refute_by_known_bits_seeded, BitsSeeds,
-};
+use fusion_smt::preprocess::{preprocess_fragment_seeded, refute_by_known_bits_seeded, BitsSeeds};
 use fusion_smt::session::SolveSession;
 use fusion_smt::solver::{deadline_expired, smt_solve, SatResult, SolverConfig};
 use fusion_smt::term::{Sort, TermId, TermKind, TermPool, VarIdx};
@@ -138,7 +136,6 @@ impl FeasibilityEngine for UnoptimizedGraphSolver {
         let solve_start = Instant::now();
         let (result, stats) = smt_solve(&mut pool, translated.formula, &cfg);
         self.stages.solve_wall += solve_start.elapsed();
-        self.stages.absorb_egraph(&stats.egraph);
         let clause_bytes = stats.cnf_clauses as u64 * 16;
         self.memory.charge(Category::SolverState, clause_bytes);
         self.memory
@@ -427,8 +424,6 @@ impl FusionSolver {
             return entry.cond.clone();
         }
         let func = program.func(fid);
-        let egraph_cfg = self.per_call.egraph;
-        let mut egraph_stats = fusion_smt::egraph::EGraphStats::default();
         let pool = &mut self.pool;
         let mut var_map: HashMap<VarIdx, VarId> = HashMap::new();
         let mut local = |pool: &mut TermPool, v: VarId| -> TermId {
@@ -533,21 +528,11 @@ impl FusionSolver {
                     }
                 }
             }
-            // The seeded pipeline now opens with bounded equality
-            // saturation: the fragment is rewritten to its cheapest
-            // equivalent form once, here, before the engine clones it into
-            // every calling context (§3.2.3) — and since the pass is a
-            // pure term equivalence over unconditional seeds, the cached
-            // fragment never encodes a path condition (§3.2.2).
-            let (pre, eg) =
-                preprocess_fragment_seeded_ext(pool, raw, &protected, &seeds, &egraph_cfg);
-            egraph_stats = eg;
-            pre.term
+            preprocess_fragment_seeded(pool, raw, &protected, &seeds).term
         } else {
             raw
         };
         let lc = LocalCond { formula, var_map };
-        self.stages.absorb_egraph(&egraph_stats);
         // Bounded, cache-resident data: evict least-recently-used entries
         // past the capacity, then charge this entry's bytes to
         // [`Category::Cache`] exactly like the verdict cache does.
@@ -953,7 +938,6 @@ impl FeasibilityEngine for FusionSolver {
             out
         };
         self.stages.solve_wall += solve_start.elapsed();
-        self.stages.absorb_egraph(&stats.egraph);
         self.terms_built += (self.pool.len() - pool_before) as u64;
         let feasibility = match result {
             SatResult::Sat(_) => Feasibility::Feasible,

@@ -11,7 +11,7 @@
 //! * **lowering** ([`lower`]) to the paper's loop-free SSA core with
 //!   `ite`-gating, loop unrolling and a single exit per function;
 //! * the **core SSA form** ([`ssa`]) in which each definition is a
-//!   program-dependence-graph vertex with explicit control dependence;
+//!   program dependence graph vertex with explicit control dependence;
 //! * **call graphs and recursion unrolling** ([`callgraph`], §4 of the
 //!   paper: each call-graph cycle is unrolled twice);
 //! * classical **dominance / control-dependence** algorithms

@@ -35,6 +35,17 @@ impl Default for LowerOptions {
     }
 }
 
+/// Most definitions one lowered function may hold. Lowering unrolls each
+/// `while` `loop_unroll` times per nesting level, so `k` nested loops copy
+/// the innermost body `loop_unroll^k` times: at the default factor 2,
+/// every level doubles the function, and 30 levels (far inside the
+/// parser's `MAX_NESTING`) would need billions of definitions. Emitting
+/// one more fails with a [`LowerError`] naming the function. The largest
+/// function in the generated benchmark subjects has 400 definitions, and
+/// the largest in the test corpora 1,022 (the parser's 255-deep nesting
+/// test), so the bound leaves 64x headroom.
+pub const MAX_FUNCTION_DEFS: usize = 1 << 16;
+
 /// A lowering failure (unknown names, arity mismatches, ...).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LowerError {
@@ -121,7 +132,15 @@ impl<'a> FuncLowerer<'a> {
         }
     }
 
-    fn fresh(&mut self, kind: DefKind, name: Symbol) -> VarId {
+    /// Emits one definition, failing once the function would exceed
+    /// [`MAX_FUNCTION_DEFS`].
+    fn fresh(&mut self, kind: DefKind, name: Symbol) -> Result<VarId, LowerError> {
+        if self.defs.len() >= MAX_FUNCTION_DEFS {
+            return Err(self.err(format!(
+                "more than {MAX_FUNCTION_DEFS} definitions after unrolling \
+                 (nested `while` loops multiply the unroll factor per level)"
+            )));
+        }
         let var = VarId(self.defs.len() as u32);
         self.defs.push(Def {
             var,
@@ -129,16 +148,16 @@ impl<'a> FuncLowerer<'a> {
             guard: self.guard,
             name,
         });
-        var
+        Ok(var)
     }
 
     /// Emits (or reuses) a constant definition. Constants are pure, so one
     /// definition per distinct value suffices; it carries the guard of its
     /// first creation point, which keeps guard regions contiguous in
     /// program order (an invariant [`crate::cfg`] relies on).
-    fn constant(&mut self, value: u32) -> VarId {
+    fn constant(&mut self, value: u32) -> Result<VarId, LowerError> {
         if let Some(&v) = self.const_cache.get(&value) {
-            return v;
+            return Ok(v);
         }
         let interner = &mut *self.interner;
         let name = *self
@@ -152,24 +171,24 @@ impl<'a> FuncLowerer<'a> {
                 is_null: false,
             },
             name,
-        );
+        )?;
         self.const_cache.insert(value, v);
-        v
+        Ok(v)
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Result<VarId, LowerError> {
         match e {
-            Expr::Int(v) => Ok(self.constant(*v as u32)),
+            Expr::Int(v) => self.constant(*v as u32),
             Expr::Null => {
                 // Null sources are never deduplicated: each occurrence is a
                 // distinct bug source for the null-dereference checker.
-                Ok(self.fresh(
+                self.fresh(
                     DefKind::Const {
                         value: 0,
                         is_null: true,
                     },
                     self.names.null,
-                ))
+                )
             }
             Expr::Var(sym) => self.env.get(sym).copied().ok_or_else(|| {
                 let name = self.interner.resolve(*sym).to_owned();
@@ -177,8 +196,8 @@ impl<'a> FuncLowerer<'a> {
             }),
             Expr::Unary(op, inner) => {
                 let v = self.lower_expr(inner)?;
-                let zero = self.constant(0);
-                Ok(match op {
+                let zero = self.constant(0)?;
+                match op {
                     UnOp::Not => self.fresh(
                         DefKind::Binary {
                             op: Op::Eq,
@@ -196,7 +215,7 @@ impl<'a> FuncLowerer<'a> {
                         self.names.t,
                     ),
                     UnOp::BitNot => {
-                        let ones = self.constant(u32::MAX);
+                        let ones = self.constant(u32::MAX)?;
                         self.fresh(
                             DefKind::Binary {
                                 op: Op::Xor,
@@ -206,7 +225,7 @@ impl<'a> FuncLowerer<'a> {
                             self.names.t,
                         )
                     }
-                })
+                }
             }
             Expr::Binary(op, a, b) => {
                 let va = self.lower_expr(a)?;
@@ -239,7 +258,7 @@ impl<'a> FuncLowerer<'a> {
                     BinOp::Eq => simple(Op::Eq),
                     BinOp::Ne => simple(Op::Ne),
                     BinOp::And | BinOp::Or => {
-                        let zero = self.constant(0);
+                        let zero = self.constant(0)?;
                         let na = self.fresh(
                             DefKind::Binary {
                                 op: Op::Ne,
@@ -247,7 +266,7 @@ impl<'a> FuncLowerer<'a> {
                                 rhs: zero,
                             },
                             self.names.t,
-                        );
+                        )?;
                         let nb = self.fresh(
                             DefKind::Binary {
                                 op: Op::Ne,
@@ -255,7 +274,7 @@ impl<'a> FuncLowerer<'a> {
                                 rhs: zero,
                             },
                             self.names.t,
-                        );
+                        )?;
                         let o = if *op == BinOp::And { Op::And } else { Op::Or };
                         DefKind::Binary {
                             op: o,
@@ -264,7 +283,7 @@ impl<'a> FuncLowerer<'a> {
                         }
                     }
                 };
-                Ok(self.fresh(kind, self.names.t))
+                self.fresh(kind, self.names.t)
             }
             Expr::Call(name, args) => {
                 let callee = *self.func_ids.get(name).ok_or_else(|| {
@@ -294,29 +313,30 @@ impl<'a> FuncLowerer<'a> {
                 let base = *self.names.calls[callee.index()].get_or_insert_with(|| {
                     interner.intern(&format!("r_{}", interner.resolve(*name)))
                 });
-                Ok(self.fresh(
+                self.fresh(
                     DefKind::Call {
                         callee,
                         args: arg_vars,
                         site,
                     },
                     base,
-                ))
+                )
             }
         }
     }
 
-    fn ensure_ret_vars(&mut self) {
+    fn ensure_ret_vars(&mut self) -> Result<(), LowerError> {
         if self.ret_val.is_some() {
-            return;
+            return Ok(());
         }
         let rv = self.interner.intern("__ret_val");
         let rt = self.interner.intern("__ret_taken");
-        let zero = self.constant(0);
+        let zero = self.constant(0)?;
         self.env.insert(rv, zero);
         self.env.insert(rt, zero);
         self.ret_val = Some(rv);
         self.ret_taken = Some(rt);
+        Ok(())
     }
 
     /// Lowers `if (cond_var) { then } else { else }` given already-lowered
@@ -328,14 +348,14 @@ impl<'a> FuncLowerer<'a> {
         else_b: &[Stmt],
     ) -> Result<BlockOutcome, LowerError> {
         if contains_return(then_b) || contains_return(else_b) {
-            self.ensure_ret_vars();
+            self.ensure_ret_vars()?;
         }
         let cv = self.lower_expr(cond)?;
         let pre_env = self.env.clone();
         let outer_guard = self.guard;
 
         // Then branch under a fresh Branch vertex.
-        let bt = self.fresh(DefKind::Branch { cond: cv }, self.names.if_);
+        let bt = self.fresh(DefKind::Branch { cond: cv }, self.names.if_)?;
         self.guard = Some(bt);
         let t_out = self.lower_stmts(then_b)?;
         let then_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -345,7 +365,7 @@ impl<'a> FuncLowerer<'a> {
         let (else_env, e_out) = if else_b.is_empty() {
             (pre_env.clone(), BlockOutcome::default())
         } else {
-            let zero = self.constant(0);
+            let zero = self.constant(0)?;
             let ncv = self.fresh(
                 DefKind::Binary {
                     op: Op::Eq,
@@ -353,8 +373,8 @@ impl<'a> FuncLowerer<'a> {
                     rhs: zero,
                 },
                 self.names.t,
-            );
-            let bf = self.fresh(DefKind::Branch { cond: ncv }, self.names.else_);
+            )?;
+            let bf = self.fresh(DefKind::Branch { cond: ncv }, self.names.else_)?;
             self.guard = Some(bf);
             let e_out = self.lower_stmts(else_b)?;
             let else_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -378,7 +398,7 @@ impl<'a> FuncLowerer<'a> {
                         else_v: ev,
                     },
                     sym,
-                );
+                )?;
                 self.env.insert(sym, m);
             } else {
                 self.env.insert(sym, tv);
@@ -413,8 +433,8 @@ impl<'a> FuncLowerer<'a> {
                 }
                 Stmt::Return(e) => {
                     let v = self.lower_expr(e)?;
-                    self.ensure_ret_vars();
-                    let one = self.constant(1);
+                    self.ensure_ret_vars()?;
+                    let one = self.constant(1)?;
                     let (rv, rt) = (self.ret_val.unwrap(), self.ret_taken.unwrap());
                     self.env.insert(rv, v);
                     self.env.insert(rt, one);
@@ -465,7 +485,7 @@ impl<'a> FuncLowerer<'a> {
     fn lower_guarded_rest(&mut self, rest: &[Stmt]) -> Result<BlockOutcome, LowerError> {
         let rt_sym = self.ret_taken.expect("ret vars materialized");
         let rt = self.env[&rt_sym];
-        let zero = self.constant(0);
+        let zero = self.constant(0)?;
         let cont = self.fresh(
             DefKind::Binary {
                 op: Op::Eq,
@@ -473,10 +493,10 @@ impl<'a> FuncLowerer<'a> {
                 rhs: zero,
             },
             self.names.not_returned,
-        );
+        )?;
         let pre_env = self.env.clone();
         let outer_guard = self.guard;
-        let bc = self.fresh(DefKind::Branch { cond: cont }, self.names.cont);
+        let bc = self.fresh(DefKind::Branch { cond: cont }, self.names.cont)?;
         self.guard = Some(bc);
         let out = self.lower_stmts(rest)?;
         let after_env = std::mem::replace(&mut self.env, pre_env.clone());
@@ -494,7 +514,7 @@ impl<'a> FuncLowerer<'a> {
                         else_v: before,
                     },
                     sym,
-                );
+                )?;
                 self.env.insert(sym, m);
             }
         }
@@ -533,7 +553,8 @@ fn unroll_while(cond: &Expr, body: &[Stmt], k: usize) -> Vec<Stmt> {
 /// # Errors
 ///
 /// Returns [`LowerError`] for unknown variables or functions, arity
-/// mismatches, and duplicate function names.
+/// mismatches, duplicate function names, and a function that would hold
+/// more than [`MAX_FUNCTION_DEFS`] definitions.
 pub fn lower(
     surface: &ast::Program,
     interner: &mut Interner,
@@ -607,11 +628,11 @@ pub fn lower(
         let outcome = lw.lower_stmts(&sf.body)?;
         let ret_src = match (lw.ret_val, outcome.may_return) {
             (Some(rv), _) => lw.env[&rv],
-            (None, _) => lw.constant(0), // fell off the end: return 0
+            (None, _) => lw.constant(0)?, // fell off the end: return 0
         };
         let saved_guard = lw.guard;
         debug_assert!(saved_guard.is_none());
-        let ret = lw.fresh(DefKind::Return { src: ret_src }, lw.names.ret);
+        let ret = lw.fresh(DefKind::Return { src: ret_src }, lw.names.ret)?;
         let defs = lw.defs;
         functions.push(Function {
             name: sf.name,
@@ -734,6 +755,56 @@ mod tests {
             .filter(|d| matches!(d.kind, DefKind::Binary { op: Op::Add, .. }))
             .count();
         assert_eq!(adds, 2);
+    }
+
+    /// `f(x)`: `pad` one-definition statements, then `levels` nested
+    /// `while` loops around one more.
+    fn nested_whiles(levels: usize, pad: usize) -> String {
+        format!(
+            "fn f(x) {{ {}{}x = x + x; {}return x; }}",
+            "x = x + x; ".repeat(pad),
+            "while (x < 9) { ".repeat(levels),
+            "} ".repeat(levels)
+        )
+    }
+
+    fn lower_with(src: &str, loop_unroll: usize) -> Result<Program, LowerError> {
+        let mut i = Interner::new();
+        let surface = parse(src, &mut i).expect("parse");
+        lower(&surface, &mut i, LowerOptions { loop_unroll })
+    }
+
+    #[test]
+    fn definitions_per_function_are_bounded() {
+        for loop_unroll in [2, 3] {
+            // The loops alone are far under the bound; padding first
+            // brings the function exactly to it, and one more definition
+            // fails inside the unrolled loops.
+            let base = lower_with(&nested_whiles(4, 0), loop_unroll).unwrap();
+            let pad = MAX_FUNCTION_DEFS - base.functions[0].defs.len();
+            let at = lower_with(&nested_whiles(4, pad), loop_unroll).unwrap();
+            assert_eq!(at.functions[0].defs.len(), MAX_FUNCTION_DEFS);
+            let err = lower_with(&nested_whiles(4, pad + 1), loop_unroll).unwrap_err();
+            assert_eq!(err.function.as_deref(), Some("f"));
+            assert_eq!(
+                err.message,
+                format!(
+                    "more than {MAX_FUNCTION_DEFS} definitions after unrolling \
+                     (nested `while` loops multiply the unroll factor per level)"
+                )
+            );
+        }
+        // Nesting alone: the deepest nest under the bound lowers, the next
+        // level fails, and 40 levels fail just as fast.
+        for (loop_unroll, fits) in [(2, 13), (3, 8)] {
+            let defs = |levels| {
+                lower_with(&nested_whiles(levels, 0), loop_unroll)
+                    .map(|p| p.functions[0].defs.len())
+            };
+            assert!(defs(fits).unwrap() <= MAX_FUNCTION_DEFS);
+            assert!(defs(fits + 1).is_err(), "unroll {loop_unroll}");
+            assert!(defs(40).is_err(), "unroll {loop_unroll}");
+        }
     }
 
     #[test]

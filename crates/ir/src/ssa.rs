@@ -3,7 +3,7 @@
 //! After lowering (see [`crate::lower`]) every function is a loop-free list
 //! of *definitions*. Each definition introduces exactly one variable, so a
 //! definition and the variable it defines are interchangeable — exactly the
-//! convention Def. 3.1 of the paper uses for program-dependence-graph
+//! convention Def. 3.1 of the paper uses for program dependence graph
 //! vertices.
 //!
 //! Control dependence is explicit: every definition carries an optional

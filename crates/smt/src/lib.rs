@@ -37,7 +37,6 @@
 pub mod bitblast;
 pub mod cnf;
 pub mod dimacs;
-pub mod egraph;
 pub mod preprocess;
 pub mod sat;
 pub mod session;
@@ -46,7 +45,6 @@ pub mod solver;
 pub mod tactic;
 pub mod term;
 
-pub use egraph::{egraph_simplify, EGraphConfig, EGraphStats, ExtractorKind};
 pub use session::{SessionStats, SolveSession};
 pub use smtlib::to_smtlib2;
 pub use solver::{smt_solve, Model, SatResult, SolveStats, SolverConfig};

@@ -1133,40 +1133,9 @@ pub fn reduce_strength(pool: &mut TermPool, t: TermId) -> TermId {
 
 /// The full preprocessing pipeline, run to a fixpoint (bounded rounds):
 /// strength reduction → constant propagation → equality propagation →
-/// Gaussian elimination → unconstrained-variable elimination, then bounded
-/// equality saturation (e-graph, [`crate::egraph`]) over the residual. The
-/// e-graph leg obeys the ambient [`crate::egraph::EGraphConfig::default`]
-/// (so `FUSION_NO_EGRAPH` disables it everywhere).
+/// Gaussian elimination → unconstrained-variable elimination.
 pub fn preprocess(pool: &mut TermPool, t: TermId) -> Preprocessed {
-    preprocess_ext(pool, t, &crate::egraph::EGraphConfig::default()).0
-}
-
-/// [`preprocess`] with an explicit e-graph configuration, also returning
-/// the saturation counters. The e-graph runs on the *residual* of the
-/// substitution passes: only after the SSA equation network has been
-/// inlined do guards carry real expression trees, which is where
-/// reassociation, AC canonicalization, and strength reduction pay off.
-/// When saturation finds a cheaper term, one more substitution pass
-/// harvests the folds it exposed.
-pub fn preprocess_ext(
-    pool: &mut TermPool,
-    t: TermId,
-    egraph: &crate::egraph::EGraphConfig,
-) -> (Preprocessed, crate::egraph::EGraphStats) {
-    let pre = preprocess_protected(pool, t, &Default::default());
-    let (t2, eg) = crate::egraph::egraph_simplify(pool, pre.term, &BitsSeeds::default(), egraph);
-    if t2 == pre.term {
-        return (pre, eg);
-    }
-    let pre2 = preprocess_protected(pool, t2, &Default::default());
-    (
-        Preprocessed {
-            term: pre2.term,
-            decided: pre2.decided,
-            rounds: pre.rounds + pre2.rounds,
-        },
-        eg,
-    )
+    preprocess_protected(pool, t, &Default::default())
 }
 
 /// A lighter fragment pipeline for *composable* conditions: only the
@@ -1187,55 +1156,10 @@ pub fn preprocess_fragment(
 /// [`preprocess_fragment`] with external known-bits facts about free
 /// variables (see [`BitsSeeds`]): the known-bits refutation pass consults
 /// the seeds, so program-level facts decide fragments on first contact.
+/// The engine runs this *once* per function fragment, before cloning it
+/// into every calling context (§3.2.3); the seeds are unconditional
+/// program facts, so nothing query- or path-dependent is cached (§3.2.2).
 pub fn preprocess_fragment_seeded(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-    seeds: &BitsSeeds,
-) -> Preprocessed {
-    preprocess_fragment_seeded_ext(
-        pool,
-        t,
-        protected,
-        seeds,
-        &crate::egraph::EGraphConfig::default(),
-    )
-    .0
-}
-
-/// [`preprocess_fragment_seeded`] with an explicit e-graph configuration,
-/// also returning the saturation counters. The e-graph leg runs over the
-/// residual of the substitution passes — once the fragment's SSA equation
-/// network has been inlined, guards are real expression trees that
-/// saturation can reassociate — and consults the same seeds, so a fragment
-/// is simplified to its cheapest equivalent *once*, before the engine
-/// clones it into every calling context (§3.2.3), and nothing query- or
-/// path-dependent is ever cached (§3.2.2: the seeds are unconditional
-/// program facts, the rewrites pure equivalences).
-pub fn preprocess_fragment_seeded_ext(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-    seeds: &BitsSeeds,
-    egraph: &crate::egraph::EGraphConfig,
-) -> (Preprocessed, crate::egraph::EGraphStats) {
-    let pre = preprocess_fragment_seeded_inner(pool, t, protected, seeds);
-    let (t2, eg) = crate::egraph::egraph_simplify(pool, pre.term, seeds, egraph);
-    if t2 == pre.term {
-        return (pre, eg);
-    }
-    let pre2 = preprocess_fragment_seeded_inner(pool, t2, protected, seeds);
-    (
-        Preprocessed {
-            term: pre2.term,
-            decided: pre2.decided,
-            rounds: pre.rounds + pre2.rounds,
-        },
-        eg,
-    )
-}
-
-fn preprocess_fragment_seeded_inner(
     pool: &mut TermPool,
     t: TermId,
     protected: &std::collections::HashSet<VarIdx>,

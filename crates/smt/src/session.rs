@@ -26,7 +26,7 @@
 //! paper's §3.2.2 discipline — see DESIGN.md, "Incremental sessions".
 
 use crate::bitblast::SessionBlaster;
-use crate::preprocess::preprocess_ext;
+use crate::preprocess::preprocess;
 use crate::sat::{SatBudget, SatOutcome, SatSolver};
 use crate::solver::{Model, SatResult, SolveStats, SolverConfig};
 use crate::term::{Sort, TermId, TermPool};
@@ -125,9 +125,8 @@ impl SolveSession {
         let processed = if config.skip_preprocessing {
             formula
         } else {
-            let (pre, eg) = preprocess_ext(pool, formula, &config.egraph);
+            let pre = preprocess(pool, formula);
             stats.preprocess_rounds = pre.rounds;
-            stats.egraph = eg;
             pre.term
         };
         stats.size_after = pool.dag_size(processed);

@@ -8,8 +8,7 @@
 //! limit.
 
 use crate::bitblast::blast;
-use crate::egraph::{EGraphConfig, EGraphStats};
-use crate::preprocess::preprocess_ext;
+use crate::preprocess::preprocess;
 use crate::sat::{SatBudget, SatOutcome, SatSolver};
 use crate::term::{Sort, TermId, TermPool, Value, VarIdx};
 use std::collections::HashMap;
@@ -25,9 +24,6 @@ pub struct SolverConfig {
     /// Skip the preprocessing phase entirely (used to model a solver
     /// deprived of the paper's optimizations in ablations).
     pub skip_preprocessing: bool,
-    /// E-graph simplification leg of preprocessing (equality saturation +
-    /// cost-based extraction, [`crate::egraph`]).
-    pub egraph: EGraphConfig,
 }
 
 impl SolverConfig {
@@ -148,8 +144,6 @@ pub struct SolveStats {
     pub sat_decisions: u64,
     /// Total wall-clock duration of the call.
     pub duration: Duration,
-    /// E-graph saturation counters (zeroed when the leg is disabled).
-    pub egraph: EGraphStats,
 }
 
 /// Solves `formula` (Algorithm 3). Returns the verdict and call statistics.
@@ -176,9 +170,8 @@ pub fn smt_solve(
     let processed = if config.skip_preprocessing {
         formula
     } else {
-        let (pre, eg) = preprocess_ext(pool, formula, &config.egraph);
+        let pre = preprocess(pool, formula);
         stats.preprocess_rounds = pre.rounds;
-        stats.egraph = eg;
         pre.term
     };
     stats.size_after = pool.dag_size(processed);

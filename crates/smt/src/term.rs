@@ -992,6 +992,13 @@ impl TermPool {
 mod tests {
     use super::*;
 
+    /// Pointwise evaluation checks compare `Value`s, so a `Bool` must
+    /// never equal a `Bv`.
+    #[test]
+    fn value_discriminants_do_not_collide() {
+        assert_ne!(Value::Bool(true), Value::Bv(1));
+    }
+
     #[test]
     fn hash_consing_shares_nodes() {
         let mut p = TermPool::new();

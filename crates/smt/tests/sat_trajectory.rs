@@ -20,15 +20,11 @@
 //! same steps at the SAT level (preprocess, blast, solve), where every
 //! `SatStats` field and the full Boolean model are visible. The two must
 //! agree on verdict, conflicts, decisions and CNF clauses.
-//!
-//! The e-graph leg is pinned off, so the figures do not depend on the
-//! `FUSION_NO_EGRAPH` environment variable.
 
 use fusion_smt::bitblast::{blast, SessionBlaster};
 use fusion_smt::cnf::Cnf;
 use fusion_smt::dimacs::{from_dimacs, to_dimacs};
-use fusion_smt::egraph::EGraphConfig;
-use fusion_smt::preprocess::preprocess_ext;
+use fusion_smt::preprocess::preprocess;
 use fusion_smt::sat::{SatBudget, SatOutcome, SatSolver, SatStats};
 use fusion_smt::session::SolveSession;
 use fusion_smt::solver::{smt_solve, SatResult, SolveStats, SolverConfig};
@@ -102,10 +98,7 @@ fn corpus(pool: &mut TermPool) -> (Vec<TermId>, VarIdx) {
 }
 
 fn config() -> SolverConfig {
-    SolverConfig {
-        egraph: EGraphConfig::disabled(),
-        ..SolverConfig::default()
-    }
+    SolverConfig::default()
 }
 
 fn fnv1a(model: &[bool]) -> u64 {
@@ -206,7 +199,7 @@ fn session_search_is_pinned() {
     let mut solver = SatSolver::empty();
     let mut got = Vec::new();
     for (&f, &api_f) in queries.iter().zip(&api_queries) {
-        let processed = preprocess_ext(&mut pool, f, &cfg.egraph).0.term;
+        let processed = preprocess(&mut pool, f).term;
         assert_eq!(pool.as_bool_const(processed), None, "decided early");
         let root = blaster.blast_root(&pool, processed);
         let clauses = blaster.drain_into(&mut solver);
@@ -238,7 +231,7 @@ fn cold_search_is_pinned() {
     let (queries, xv) = corpus(&mut pool);
     let mut got = Vec::new();
     for (&f, &api_f) in queries.iter().zip(&api_queries) {
-        let processed = preprocess_ext(&mut pool, f, &cfg.egraph).0.term;
+        let processed = preprocess(&mut pool, f).term;
         assert_eq!(pool.as_bool_const(processed), None, "decided early");
         let (cnf, map) = blast(&pool, processed);
         let mut solver = SatSolver::new(&cnf);

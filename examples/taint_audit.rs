@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for report in &run.reports {
             let src_fn = program.name(program.func(report.source.func).name);
             println!(
-                "  flow from `{}` crosses {} dependence-graph vertices to the sink",
+                "  flow from `{}` crosses {} dependence graph vertices to the sink",
                 src_fn,
                 report.path.nodes.len()
             );

@@ -9,7 +9,7 @@
 //! the warm rescan's reports must be *byte-identical* — same checkers,
 //! sources, sinks, verdicts, witness paths, in the same order — to a
 //! cold batch scan of the edited program, on a borrowed engine and at
-//! thread counts 1–8, and every cache/absint/compact/incremental/egraph
+//! thread counts 1–8, and every cache/absint/compact/incremental
 //! combination exercised here.
 //! And the invalidation must be *strict*: an edit touching nothing
 //! reachable from any source re-solves zero candidates.
@@ -56,11 +56,9 @@ fn keys(run: &MultiAnalysisRun) -> Vec<ReportKey> {
         .collect()
 }
 
-fn factory(incremental: bool, egraph: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
+fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
     move || {
-        let mut cfg = SolverConfig::default();
-        cfg.egraph.enabled = egraph;
-        let mut engine = FusionSolver::new(cfg);
+        let mut engine = FusionSolver::new(SolverConfig::default());
         engine.incremental = incremental;
         Box::new(engine)
     }
@@ -113,7 +111,6 @@ fn compile_src(src: &str) -> Program {
 
 /// Cold scans of the edited program, with fresh caches: one on a
 /// borrowed engine, one on `threads` factory-built engines.
-#[allow(clippy::too_many_arguments)]
 fn cold_runs(
     program: &Program,
     set: &CheckerSet,
@@ -121,14 +118,13 @@ fn cold_runs(
     absint: bool,
     compact: bool,
     incremental: bool,
-    egraph: bool,
     threads: usize,
 ) -> Vec<(&'static str, MultiAnalysisRun)> {
     let pdg = Pdg::build(program);
     let mut out = Vec::new();
     let borrowed_opts = options(use_cache, absint, compact);
     let borrowed_cache = VerdictCache::new();
-    let mut engine = factory(incremental, egraph)();
+    let mut engine = factory(incremental)();
     out.push((
         "borrowed",
         analyze_multi_with_cache(
@@ -148,7 +144,7 @@ fn cold_runs(
             program,
             &pdg,
             set,
-            &factory(incremental, egraph),
+            &factory(incremental),
             threads,
             &threaded_opts,
             use_cache.then_some(&threaded_cache),
@@ -169,34 +165,34 @@ proptest! {
         let (edited_src, _edited_fn) = edit_one_function(&base_src, pick);
         let set = CheckerSet::new(fusion::checkers::default_checkers());
 
-        // (use_cache, absint, compact, incremental, egraph): the full
+        // (use_cache, absint, compact, incremental): the full
         // default stack, everything off, and two mixed corners.
         let configs = [
-            (true, true, true, true, true),
-            (false, false, false, false, false),
-            (true, false, true, false, true),
-            (false, true, false, true, false),
+            (true, true, true, true),
+            (false, false, false, false),
+            (true, false, true, false),
+            (false, true, false, true),
         ];
-        for (use_cache, absint, compact, incremental, egraph) in configs {
+        for (use_cache, absint, compact, incremental) in configs {
             for threads in [1usize, 2, 4, 8] {
                 let mut session = AnalysisSession::new(
                     set.clone(),
                     options(use_cache, absint, compact),
                     threads,
                 );
-                session.scan(compile_src(&base_src), &factory(incremental, egraph));
-                let warm = session.rescan(compile_src(&edited_src), &factory(incremental, egraph));
+                session.scan(compile_src(&base_src), &factory(incremental));
+                let warm = session.rescan(compile_src(&edited_src), &factory(incremental));
                 let warm_keys = keys(&warm);
                 for (driver, cold) in cold_runs(
                     &compile_src(&edited_src), &set,
-                    use_cache, absint, compact, incremental, egraph, threads,
+                    use_cache, absint, compact, incremental, threads,
                 ) {
                     prop_assert_eq!(
                         &warm_keys, &keys(&cold),
                         "warm rescan diverged from cold {} at seed {} pick {} threads {} \
-                         cache={} absint={} compact={} incremental={} egraph={}",
+                         cache={} absint={} compact={} incremental={}",
                         driver, seed, pick, threads,
-                        use_cache, absint, compact, incremental, egraph
+                        use_cache, absint, compact, incremental
                     );
                     prop_assert_eq!(warm.candidates, cold.candidates);
                 }
@@ -219,8 +215,8 @@ proptest! {
         let set = CheckerSet::new(fusion::checkers::default_checkers());
         for threads in [1usize, 4] {
             let mut session = AnalysisSession::new(set.clone(), options(true, true, true), threads);
-            let cold = session.scan(compile_src(&src), &factory(true, true));
-            let warm = session.rescan(compile_src(&src), &factory(true, true));
+            let cold = session.scan(compile_src(&src), &factory(true));
+            let warm = session.rescan(compile_src(&src), &factory(true));
             prop_assert_eq!(keys(&cold), keys(&warm), "seed {} threads {}", seed, threads);
             prop_assert_eq!(warm.queries, 0, "replay must not query the engine");
             prop_assert_eq!(session.last_invalidation().candidates_reanalyzed, 0);
@@ -244,9 +240,9 @@ fn edit_outside_source_components_resolves_zero_candidates() {
     let set = CheckerSet::new(fusion::checkers::default_checkers());
     for threads in [1usize, 2, 8] {
         let mut session = AnalysisSession::new(set.clone(), options(true, true, true), threads);
-        let cold = session.scan(compile_src(base), &factory(true, true));
+        let cold = session.scan(compile_src(base), &factory(true));
         assert!(cold.candidates > 0, "subject must have candidates");
-        let warm = session.rescan(compile_src(&edited), &factory(true, true));
+        let warm = session.rescan(compile_src(&edited), &factory(true));
         assert_eq!(keys(&cold), keys(&warm), "threads={threads}");
         let inv = session.last_invalidation();
         assert_eq!(inv.functions_edited, 1);

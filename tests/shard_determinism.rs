@@ -8,7 +8,7 @@
 //! *byte-identical* — same checkers, sources, sinks, verdicts, witness
 //! paths, and inter-procedural links, in the same order — to the
 //! unsharded pipeline, across K ∈ {1, 2, 4, 8}, thread counts 1–8,
-//! every cache/absint/compact/incremental/egraph corner exercised here,
+//! every cache/absint/compact/incremental corner exercised here,
 //! and both the in-process and the multi-process (`--shard-workers`)
 //! coordinators. And the merge must be a *pure replay*: zero solver
 //! queries after the shards hand in their outcomes.
@@ -60,11 +60,9 @@ fn keys(run: &MultiAnalysisRun) -> Vec<ReportKey> {
         .collect()
 }
 
-fn factory(incremental: bool, egraph: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
+fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
     move || {
-        let mut cfg = SolverConfig::default();
-        cfg.egraph.enabled = egraph;
-        let mut engine = FusionSolver::new(cfg);
+        let mut engine = FusionSolver::new(SolverConfig::default());
         engine.incremental = incremental;
         Box::new(engine)
     }
@@ -109,19 +107,19 @@ proptest! {
         let set = CheckerSet::new(fusion::checkers::default_checkers());
         let non_extern = program.functions.iter().filter(|f| !f.is_extern).count() as u64;
 
-        // (use_cache, absint, compact, incremental, egraph): the full
+        // (use_cache, absint, compact, incremental): the full
         // default stack, everything off, and a mixed corner.
         let configs = [
-            (true, true, true, true, true),
-            (false, false, false, false, false),
-            (true, false, true, false, true),
+            (true, true, true, true),
+            (false, false, false, false),
+            (true, false, true, false),
         ];
-        for (use_cache, absint, compact, incremental, egraph) in configs {
+        for (use_cache, absint, compact, incremental) in configs {
             for threads in [1usize, 2, 4, 8] {
                 let base_opts = options(use_cache, absint, compact);
                 let base_cache = VerdictCache::new();
                 let base = analyze_multi_streaming_with_cache(
-                    &program, &pdg, &set, &factory(incremental, egraph), threads,
+                    &program, &pdg, &set, &factory(incremental), threads,
                     &base_opts, use_cache.then_some(&base_cache),
                 );
                 let base_keys = keys(&base);
@@ -129,15 +127,15 @@ proptest! {
                     let opts = options(use_cache, absint, compact);
                     let sharded_cache = VerdictCache::new();
                     let sharded = analyze_sharded(
-                        &program, &set, &factory(incremental, egraph), threads,
+                        &program, &set, &factory(incremental), threads,
                         &opts, use_cache.then_some(&sharded_cache), k, None,
                     ).expect("sharded scan");
                     prop_assert_eq!(
                         &base_keys, &keys(&sharded.run),
                         "sharded diverged at seed {} modules {} k {} threads {} \
-                         cache={} absint={} compact={} incremental={} egraph={}",
+                         cache={} absint={} compact={} incremental={}",
                         seed, modules, k, threads,
-                        use_cache, absint, compact, incremental, egraph
+                        use_cache, absint, compact, incremental
                     );
                     prop_assert_eq!(
                         sharded.run.queries, 0,
@@ -166,11 +164,11 @@ proptest! {
         let set = CheckerSet::new(fusion::checkers::default_checkers());
         let dir = std::env::temp_dir().join(format!("fusion-shard-det-{}-{seed}", std::process::id()));
         let mem = analyze_sharded(
-            &program, &set, &factory(true, true), 2,
+            &program, &set, &factory(true), 2,
             &options(true, true, true), None, 4, None,
         ).expect("in-memory");
         let disk = analyze_sharded(
-            &program, &set, &factory(true, true), 2,
+            &program, &set, &factory(true), 2,
             &options(true, true, true), None, 4, Some(dir.as_path()),
         ).expect("on-disk");
         prop_assert_eq!(keys(&mem.run), keys(&disk.run), "seed {}", seed);
