@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod lines;
 pub mod serve;
 pub mod shards;
 

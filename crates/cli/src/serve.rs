@@ -33,16 +33,19 @@
 //! `rescan` of the unchanged program after a process restart replays
 //! every recorded outcome without a single solver query. `stats`
 //! reports resident-state and last-invalidation counters. `shutdown`
-//! (or stdin EOF) ends the loop.
+//! (or stdin EOF, or a read error) ends the loop.
 //!
 //! ## Responses
 //!
 //! Every response is one line: `{"ok": true, ...}` on success with an
 //! `event` echoing the command, or `{"ok": false, "error": "..."}`. A
-//! failed request (parse error, compile error) leaves the resident
-//! state untouched.
+//! failed request leaves the resident state untouched and the loop
+//! running: a line that is not UTF-8 or is longer than
+//! [`MAX_LINE_BYTES`] (skipped up to its newline without being
+//! buffered), a parse error, or a compile error.
 
 use crate::json::{self, escape};
+use crate::lines::{bounded_lines, MAX_LINE_BYTES};
 use crate::{effective_checkers, fill_report, make_engine, Finding, Options, ScanReport};
 use fusion::engine::AnalysisOptions;
 use fusion::incremental::AnalysisSession;
@@ -84,8 +87,9 @@ fn respond_err(out: &mut dyn Write, msg: &str) {
 }
 
 /// Runs the service loop until `shutdown` or EOF. Returns the process
-/// exit code (0: clean shutdown; input errors end the loop cleanly too,
-/// since a vanished client is the normal way such a service dies).
+/// exit code (0: clean shutdown; read errors end the loop cleanly too,
+/// since a vanished client is the normal way such a service dies). A
+/// line that is not UTF-8 or is too long is answered and skipped.
 pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i32 {
     let (set, warnings) = effective_checkers(opts);
     let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
@@ -100,8 +104,14 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
     };
     let mut last_report: Option<ScanReport> = None;
     let (mut saved_bytes, mut loaded_bytes) = (0u64, 0u64);
-    for line in input.lines() {
-        let Ok(line) = line else { break };
+    for line in bounded_lines(input, MAX_LINE_BYTES) {
+        let line = match line {
+            Ok(line) => line,
+            Err(e) => {
+                respond_err(out, &format!("malformed request: {e}"));
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -393,6 +403,37 @@ mod tests {
             .get("functions_edited")
             .is_some());
         assert_eq!(resp[4].get("event").unwrap().as_str(), Some("shutdown"));
+    }
+
+    #[test]
+    fn non_utf8_request_is_answered_and_resident_state_survives() {
+        let opts = Options {
+            serve: true,
+            ..Default::default()
+        };
+        let mut input = request("scan", Some(BASE)).into_bytes();
+        input.extend_from_slice(b"\n\xff\n");
+        input.extend_from_slice(request("stats", None).as_bytes());
+        input.push(b'\n');
+        input.extend_from_slice(request("shutdown", None).as_bytes());
+        let mut out = Vec::new();
+        assert_eq!(serve_loop(&opts, Cursor::new(input), &mut out), 0);
+        let text = String::from_utf8(out).unwrap();
+        let resp: Vec<json::Value> = text
+            .lines()
+            .map(|l| json::Value::parse(l).unwrap())
+            .collect();
+        assert_eq!(resp.len(), 4);
+        assert_eq!(resp[0].get("ok"), Some(&json::Value::Bool(true)));
+        assert_eq!(resp[1].get("ok"), Some(&json::Value::Bool(false)));
+        let err = resp[1].get("error").unwrap().as_str().unwrap();
+        assert!(
+            err.starts_with("malformed request: line is not UTF-8"),
+            "{err}"
+        );
+        assert_eq!(resp[2].get("event").unwrap().as_str(), Some("stats"));
+        assert_eq!(resp[2].get("resident"), Some(&json::Value::Bool(true)));
+        assert_eq!(resp[3].get("event").unwrap().as_str(), Some("shutdown"));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! cross the process boundary — never a path condition (§3.2.2).
 
 use crate::json::{self, escape};
+use crate::lines::{bounded_lines, MAX_LINE_BYTES};
 use crate::{effective_checkers, make_engine, CheckerChoice, CliError, EngineChoice, Options};
 use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
@@ -36,16 +37,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static SCAN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Runs the `--shard-worker` loop: one JSON job per stdin line, one
-/// JSON response line per job, until EOF. Returns the process exit code
-/// (0 — job failures are reported in-band so the coordinator can
-/// surface them).
+/// JSON response line per job, until EOF or a read error. A line that is
+/// not UTF-8 or is longer than [`MAX_LINE_BYTES`] is answered as a
+/// `malformed job`. Returns the process exit code (0 — job failures are
+/// reported in-band so the coordinator can surface them).
 pub fn shard_worker_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i32 {
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = match run_worker_job(opts, line.trim()) {
+    for line in bounded_lines(input, MAX_LINE_BYTES) {
+        let job = match &line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => run_worker_job(opts, line.trim()),
+            Err(e) => Err(CliError(format!("malformed job: {e}"))),
+        };
+        let resp = match job {
             Ok(resp) => resp,
             Err(e) => format!("{{\"ok\": false, \"error\": \"{}\"}}", escape(&e.0)),
         };
@@ -379,10 +382,9 @@ mod tests {
         fn use_a(p) { let v = leaf(p); let q = null; let r = 1; if (v > 2) { r = q; } deref(r); return 0; }\n\
         fn iso_b(z) { let q = null; let r = 1; if (z < 1) { r = q; } deref(r); return 0; }";
 
-    /// Drives the worker loop in-process (no child process needed): the
-    /// job protocol itself is what's under test here.
-    #[test]
-    fn worker_loop_answers_jobs_and_reports_errors() {
+    /// Writes `SRC`'s scan snapshot into a fresh directory and returns the
+    /// directory and a job line for shard 0 of 2.
+    fn job_fixture(opts: &Options) -> (PathBuf, String) {
         let dir = std::env::temp_dir().join(format!(
             "fusion-worker-loop-{}-{}",
             std::process::id(),
@@ -390,31 +392,59 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let program = fusion_ir::compile(SRC, fusion_ir::CompileOptions::default()).unwrap();
-        let opts = Options::default();
         let mut analysis_opts = AnalysisOptions::new();
         analysis_opts.absint = opts.absint;
         analysis_opts.compact = opts.compact;
         let snap_path = dir.join("scan.fsnp");
         std::fs::write(&snap_path, scan_snapshot(&program, &analysis_opts)).unwrap();
-        let out_path = dir.join("shard-0.fsnp");
-        let jobs = format!(
-            "{{\"snapshot\": \"{}\", \"shard\": 0, \"shards\": 2, \"out\": \"{}\"}}\n\
-             not json\n",
+        let job = format!(
+            "{{\"snapshot\": \"{}\", \"shard\": 0, \"shards\": 2, \"out\": \"{}\"}}",
             escape(&snap_path.display().to_string()),
-            escape(&out_path.display().to_string())
+            escape(&dir.join("shard-0.fsnp").display().to_string())
         );
+        (dir, job)
+    }
+
+    /// Runs the worker loop over `input` and parses its response lines.
+    fn run_worker(opts: &Options, input: Vec<u8>) -> Vec<json::Value> {
         let mut out = Vec::new();
-        let code = shard_worker_loop(&opts, Cursor::new(jobs), &mut out);
-        assert_eq!(code, 0);
+        assert_eq!(shard_worker_loop(opts, Cursor::new(input), &mut out), 0);
         let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let ok = json::Value::parse(lines[0]).unwrap();
-        assert_eq!(ok.get("ok"), Some(&json::Value::Bool(true)));
-        assert!(ok.get("exported").unwrap().as_f64().unwrap() >= 1.0);
-        assert!(out_path.is_file(), "worker wrote its outcome container");
-        let err = json::Value::parse(lines[1]).unwrap();
-        assert_eq!(err.get("ok"), Some(&json::Value::Bool(false)));
+        text.lines()
+            .map(|l| json::Value::parse(l).unwrap())
+            .collect()
+    }
+
+    /// Drives the worker loop in-process (no child process needed): the
+    /// job protocol itself is what's under test here.
+    #[test]
+    fn worker_loop_answers_jobs_and_reports_errors() {
+        let opts = Options::default();
+        let (dir, job) = job_fixture(&opts);
+        let resp = run_worker(&opts, format!("{job}\nnot json\n").into_bytes());
+        assert_eq!(resp.len(), 2);
+        assert_eq!(resp[0].get("ok"), Some(&json::Value::Bool(true)));
+        assert!(resp[0].get("exported").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(
+            dir.join("shard-0.fsnp").is_file(),
+            "worker wrote its outcome container"
+        );
+        assert_eq!(resp[1].get("ok"), Some(&json::Value::Bool(false)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_loop_answers_the_job_after_a_non_utf8_line() {
+        let opts = Options::default();
+        let (dir, job) = job_fixture(&opts);
+        let mut input = b"\xff\n".to_vec();
+        input.extend_from_slice(job.as_bytes());
+        let resp = run_worker(&opts, input);
+        assert_eq!(resp.len(), 2);
+        assert_eq!(resp[0].get("ok"), Some(&json::Value::Bool(false)));
+        let err = resp[0].get("error").unwrap().as_str().unwrap();
+        assert!(err.starts_with("malformed job: line is not UTF-8"), "{err}");
+        assert_eq!(resp[1].get("ok"), Some(&json::Value::Bool(true)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

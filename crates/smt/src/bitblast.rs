@@ -6,9 +6,23 @@
 //! Boolean formula, and the SAT solver decides it (§4, *SMT Solver in
 //! Fusion*).
 //!
-//! Encodings are the standard ones: ripple-carry adders, shift-add
-//! multipliers, division via the multiply-check identity at double width,
-//! barrel shifters, and borrow-chain comparators.
+//! Encodings are the standard ones, with Z3's full adder
+//! (`mk_full_adder` = `mk_xor3` + `mk_carry`) as the chain cell:
+//!
+//! * two-input `and`/`or` (3 clauses) and `xor` (4 clauses) gates, one
+//!   variable each, and a `mux` built from them, for Boolean structure,
+//!   bitwise ops, `ite` and equality;
+//! * ripple-carry adders, one three-input xor (8 clauses) and one majority
+//!   gate (6 clauses) per bit, with no carry out of the top bit; `sub` adds
+//!   the complement with a carry-in of 1;
+//! * shift-add multipliers, one truncated adder per row;
+//! * division via the multiply-check identity at double width;
+//! * barrel shifters;
+//! * borrow-chain comparators, one majority gate per bit.
+//!
+//! Every gate folds constant and repeated inputs instead of allocating a
+//! variable, so a chain over a constant operand shrinks to the two-input
+//! gates its constant bits leave.
 
 use crate::cnf::{Cnf, Lit};
 use crate::sat::SatSolver;
@@ -213,6 +227,75 @@ impl SessionBlaster {
         o
     }
 
+    /// `a ⊕ b ⊕ c`: one variable and 8 clauses, a full biconditional. A
+    /// constant input folds it to [`Self::gate_xor`] of the other two (the
+    /// complement for a true input), a repeated input to the third input
+    /// (`a ⊕ a ⊕ c = c`, `a ⊕ ¬a ⊕ c = ¬c`).
+    fn gate_xor3(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+        for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
+            if self.is_false(k) {
+                return self.gate_xor(x, y);
+            }
+            if self.is_true(k) {
+                return !self.gate_xor(x, y);
+            }
+        }
+        for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
+            if x == y {
+                return z;
+            }
+            if x == !y {
+                return !z;
+            }
+        }
+        let o = self.fresh();
+        // o ⟹ odd parity.
+        self.cnf.add(&[!o, a, b, c]);
+        self.cnf.add(&[!o, a, !b, !c]);
+        self.cnf.add(&[!o, !a, b, !c]);
+        self.cnf.add(&[!o, !a, !b, c]);
+        // ¬o ⟹ even parity.
+        self.cnf.add(&[o, !a, b, c]);
+        self.cnf.add(&[o, a, !b, c]);
+        self.cnf.add(&[o, a, b, !c]);
+        self.cnf.add(&[o, !a, !b, !c]);
+        o
+    }
+
+    /// Majority of `a`, `b`, `c` (a full adder's carry): one variable and 6
+    /// clauses, a full biconditional. A true input folds it to
+    /// [`Self::gate_or`] of the other two and a false input to
+    /// [`Self::gate_and`]; a repeated input folds it too (`maj(a, a, c) =
+    /// a`, `maj(a, ¬a, c) = c`).
+    fn gate_maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+        for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
+            if self.is_true(k) {
+                return self.gate_or(x, y);
+            }
+            if self.is_false(k) {
+                return self.gate_and(x, y);
+            }
+        }
+        for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
+            if x == y {
+                return x;
+            }
+            if x == !y {
+                return z;
+            }
+        }
+        let o = self.fresh();
+        // o ⟹ at least two inputs true.
+        self.cnf.add(&[!o, a, b]);
+        self.cnf.add(&[!o, a, c]);
+        self.cnf.add(&[!o, b, c]);
+        // ¬o ⟹ at least two inputs false.
+        self.cnf.add(&[o, !a, !b]);
+        self.cnf.add(&[o, !a, !c]);
+        self.cnf.add(&[o, !b, !c]);
+        o
+    }
+
     fn gate_mux(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
         if self.is_true(c) {
             return t;
@@ -244,24 +327,25 @@ impl SessionBlaster {
         acc
     }
 
-    /// Full adder over literal vectors; returns (sum, carry-out).
-    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> (Vec<Lit>, Lit) {
+    /// Ripple-carry adder over literal vectors: one [`Self::gate_xor3`]
+    /// (sum) and one [`Self::gate_maj`] (carry) per bit. Returns the sum
+    /// only; the carry out of the top bit is not built, since every
+    /// caller truncates to the operand width.
+    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
         debug_assert_eq!(a.len(), b.len());
         let mut sum = Vec::with_capacity(a.len());
         for i in 0..a.len() {
-            let axb = self.gate_xor(a[i], b[i]);
-            sum.push(self.gate_xor(axb, carry));
-            let c1 = self.gate_and(a[i], b[i]);
-            let c2 = self.gate_and(axb, carry);
-            carry = self.gate_or(c1, c2);
+            sum.push(self.gate_xor3(a[i], b[i], carry));
+            if i + 1 < a.len() {
+                carry = self.gate_maj(a[i], b[i], carry);
+            }
         }
-        (sum, carry)
+        sum
     }
 
     fn sub(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
         let inv: Vec<Lit> = b.iter().map(|&l| !l).collect();
-        let (sum, _) = self.adder(a, &inv, self.konst(true));
-        sum
+        self.adder(a, &inv, self.konst(true))
     }
 
     /// Shift-add multiplier, truncated to `out_width` bits.
@@ -277,21 +361,17 @@ impl SessionBlaster {
                 let abit = if j < a.len() { a[j] } else { self.konst(false) };
                 addend[i + j] = self.gate_and(abit, bi);
             }
-            let (sum, _) = self.adder(&acc, &addend, self.konst(false));
-            acc = sum;
+            acc = self.adder(&acc, &addend, self.konst(false));
         }
         acc
     }
 
-    /// `a < b` unsigned via the borrow chain of `a - b`.
+    /// `a < b` unsigned via the borrow chain of `a - b`: one majority
+    /// gate per bit, `borrow' = maj(¬a, b, borrow)`.
     fn ult(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
         let mut borrow = self.konst(false);
         for i in 0..a.len() {
-            // borrow' = (¬a & b) | ((¬(a ⊕ b)) & borrow)
-            let nab = self.gate_and(!a[i], b[i]);
-            let x = self.gate_xor(a[i], b[i]);
-            let keep = self.gate_and(!x, borrow);
-            borrow = self.gate_or(nab, keep);
+            borrow = self.gate_maj(!a[i], b[i], borrow);
         }
         borrow
     }
@@ -469,7 +549,7 @@ impl SessionBlaster {
                 };
                 let w = x.len();
                 let bits = match op {
-                    BvOp::Add => self.adder(&x, &y, self.konst(false)).0,
+                    BvOp::Add => self.adder(&x, &y, self.konst(false)),
                     BvOp::Sub => self.sub(&x, &y),
                     BvOp::Mul => self.mul(&x, &y, w),
                     BvOp::And => (0..w).map(|i| self.gate_and(x[i], y[i])).collect(),
@@ -521,7 +601,7 @@ impl SessionBlaster {
         let rw = zext(&r, f);
         let aw = zext(a, f);
         let prod = self.mul(&qw, &bw, 2 * w);
-        let (sum, _) = self.adder(&prod, &rw, self.konst(false));
+        let sum = self.adder(&prod, &rw, self.konst(false));
         let exact = self.eq_bits(&sum, &aw);
         let rem_lt = self.ult(&r, b);
         let ok_div = self.gate_and(exact, rem_lt);

@@ -15,7 +15,8 @@
 //!    constraint with a solution for every input assignment. So the clauses
 //!    of formula *A* never constrain the input variables of formula *B*:
 //!    any model of *B* extends to the gate variables of *A* by evaluating
-//!    the definitions.
+//!    the definitions. `tests/blast_exhaustive.rs` checks this at width 4
+//!    for every operator, operand shape and input.
 //! 2. Learnt clauses produced under assumptions are consequences of the
 //!    permanent clause database alone — first-UIP resolution never resolves
 //!    on decision (assumption) literals, it only negates them into the

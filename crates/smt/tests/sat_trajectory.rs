@@ -5,12 +5,21 @@
 //! leave every figure here unchanged. A change to the search itself
 //! (branching, learning, restarts, clause deletion) changes them on
 //! purpose and re-pins them in the same change, with its own measurements.
+//! So does a change to the encoding (the bit-blaster's gates): it changes
+//! the CNF, so every figure of the `SESSION` and `COLD` rows but the
+//! verdict may move. The pigeonhole row is pure CNF and never moves with
+//! the encoding.
+//!
+//! One check holds whatever is pinned: a query is `Sat` exactly when its
+//! target has a root below its bound, and its model puts `x` at one of
+//! them (the roots are found by Hensel lifting, not by the solver).
 //!
 //! The corpus:
 //! * nine queries shaped like the `hot-sinks` benchmark subject over one
 //!   32-bit input `x`: a degree-8 Horner polynomial `w(x) == t` under an
-//!   unsigned bound `x < k` (feasible exactly when `w`'s one root is below
-//!   `k`), and `x * x == c` with `c mod 4` in {2, 3} (never feasible);
+//!   unsigned bound `x < k` (feasible exactly when a root of `w(x) == t`
+//!   is below `k`), and `x * x == c` with `c mod 4` in {2, 3} (never
+//!   feasible);
 //! * the same nine queries through one incremental `SolveSession`, and
 //!   each solved cold through `smt_solve`;
 //! * pigeonhole 8 → 7, which runs long enough to reduce the learnt-clause
@@ -36,8 +45,10 @@ use fusion_smt::term::{BvOp, BvPred, Sort, TermId, TermPool, VarIdx};
 /// when not `Sat`).
 type Row = (char, usize, u64, u64, u64, u64, u64);
 
-/// Degree-8 coefficients, highest degree first: all odd except degree 3,
-/// so the derivative is odd everywhere and each target has one root.
+/// Degree-8 coefficients, highest degree first: all odd except degree 2,
+/// so the derivative is odd at every even `x` and an even point is the one
+/// root of its target. The targets of the two odd points have four roots
+/// each.
 const COEFFS: [u32; 9] = [
     0x9e37_79b9,
     0x7f4a_7c15,
@@ -71,8 +82,9 @@ fn horner(x: u32) -> u32 {
 
 /// Builds the nine queries in `pool`, in solving order (squares between
 /// polynomial queries, as on a hot-sinks function), and returns them with
-/// the input variable.
-fn corpus(pool: &mut TermPool) -> (Vec<TermId>, VarIdx) {
+/// the input variable. Each query comes with the values a model may give
+/// `x`: its target's roots below its bound (none for a square).
+fn corpus(pool: &mut TermPool) -> (Vec<(TermId, Vec<u64>)>, VarIdx) {
     let x = pool.var("x", Sort::Bv(32));
     let xv = pool.free_vars(x)[0];
     let mut w = pool.bv_const(u64::from(COEFFS[0]), 32);
@@ -88,13 +100,34 @@ fn corpus(pool: &mut TermPool) -> (Vec<TermId>, VarIdx) {
         let hit = pool.eq(w, t);
         let k = pool.bv_const(u64::from(bound), 32);
         let guard = pool.pred(BvPred::Ult, x, k);
-        queries.push(pool.and2(hit, guard));
+        queries.push((pool.and2(hit, guard), roots_below(point, bound)));
         if i % 2 == 1 {
             let c = pool.bv_const(u64::from(SQUARES[i / 2]), 32);
-            queries.push(pool.eq(sq, c));
+            queries.push((pool.eq(sq, c), Vec::new()));
         }
     }
     (queries, xv)
+}
+
+/// Every `x < bound` with `horner(x) == horner(point)`. A root mod
+/// `2^(k+1)` is a root mod `2^k`, so the roots are lifted one bit at a
+/// time from the single residue mod 1.
+fn roots_below(point: u32, bound: u32) -> Vec<u64> {
+    let target = horner(point);
+    let mut roots = vec![0u32];
+    for k in 0..32 {
+        let mask = u32::MAX >> (31 - k);
+        roots = roots
+            .iter()
+            .flat_map(|&r| [r, r | 1 << k])
+            .filter(|&r| (horner(r) ^ target) & mask == 0)
+            .collect();
+    }
+    roots
+        .into_iter()
+        .filter(|&r| r < bound)
+        .map(u64::from)
+        .collect()
 }
 
 fn config() -> SolverConfig {
@@ -137,8 +170,13 @@ fn row(outcome: &SatOutcome, clauses: usize, stats: (u64, u64, u64, u64)) -> Row
 }
 
 /// Checks an API-level answer against the SAT-level row of the same query,
-/// and its model against the SAT-level model read back through `x`.
-fn agree(api: &(SatResult, SolveStats), sat: &Row, x: VarIdx, x_value: Option<u64>) {
+/// and its model against the SAT-level model read back through `x`, which
+/// must be one of the query's `roots` (`None`: there are none).
+fn agree(api: &(SatResult, SolveStats), sat: &Row, x: VarIdx, x_value: Option<u64>, roots: &[u64]) {
+    match x_value {
+        Some(v) => assert!(roots.contains(&v), "x = {v:#x} is not a root"),
+        None => assert_eq!(roots, &[] as &[u64], "a root was missed"),
+    }
     let (result, stats) = api;
     let verdict = match result {
         SatResult::Sat(_) => 's',
@@ -162,28 +200,28 @@ fn agree(api: &(SatResult, SolveStats), sat: &Row, x: VarIdx, x_value: Option<u6
 
 /// Pinned rows of the session run, one per query.
 const SESSION: &[Row] = &[
-    ('s', 74139, 0, 0, 22247, 0, 17083906279756584150),
-    ('u', 96, 0, 1, 20842, 0, 0),
-    ('u', 9751, 0, 1, 339, 0, 0),
-    ('s', 117, 466, 114, 215214, 1, 15109137715470986438),
-    ('s', 99, 0, 0, 25249, 0, 16433941933199144388),
-    ('u', 93, 2, 2, 1393, 0, 0),
-    ('u', 102, 0, 1, 22844, 0, 0),
-    ('s', 282, 68, 36, 65707, 0, 15248036997845073193),
+    ('s', 61833, 0, 0, 11356, 0, 17405256322618661895),
+    ('u', 96, 0, 1, 10719, 0, 0),
+    ('u', 8173, 0, 1, 338, 0, 0),
+    ('s', 117, 362, 135, 153031, 1, 14462705501836489556),
+    ('s', 99, 0, 0, 12932, 0, 15138047909845944960),
+    ('u', 93, 1, 2, 617, 0, 0),
+    ('u', 102, 0, 1, 11660, 0, 0),
+    ('s', 189, 57, 29, 35928, 0, 14879707531437453447),
     ('u', 93, 0, 1, 93, 0, 0),
 ];
 
 /// Pinned rows of the cold runs, one per query.
 const COLD: &[Row] = &[
-    ('s', 74140, 0, 0, 22248, 0, 17083906279756584150),
-    ('u', 74140, 0, 0, 20828, 0, 0),
-    ('u', 9753, 0, 0, 65, 0, 0),
-    ('s', 74161, 394, 117, 138630, 1, 10210724092555754928),
-    ('s', 74143, 0, 0, 22249, 0, 8293349004271724008),
-    ('u', 9753, 4, 2, 81, 0, 0),
-    ('u', 74146, 0, 0, 19914, 0, 0),
-    ('s', 74326, 718, 70, 128542, 0, 6481631317719149026),
-    ('u', 9753, 4, 2, 81, 0, 0),
+    ('s', 61834, 0, 0, 11357, 0, 17405256322618661895),
+    ('u', 61834, 0, 0, 10687, 0, 0),
+    ('u', 8175, 0, 0, 65, 0, 0),
+    ('s', 61855, 858, 90, 72478, 0, 164086727964654545),
+    ('s', 61837, 0, 0, 11358, 0, 5558177353475212855),
+    ('u', 8175, 289, 13, 1639, 0, 0),
+    ('u', 61840, 0, 0, 10117, 0, 0),
+    ('s', 61927, 1546, 71, 57207, 0, 2265577835056555800),
+    ('u', 8175, 495, 2, 1538, 0, 0),
 ];
 
 #[test]
@@ -198,8 +236,8 @@ fn session_search_is_pinned() {
     let mut blaster = SessionBlaster::new();
     let mut solver = SatSolver::empty();
     let mut got = Vec::new();
-    for (&f, &api_f) in queries.iter().zip(&api_queries) {
-        let processed = preprocess(&mut pool, f).term;
+    for ((f, roots), (api_f, _)) in queries.iter().zip(&api_queries) {
+        let processed = preprocess(&mut pool, *f).term;
         assert_eq!(pool.as_bool_const(processed), None, "decided early");
         let root = blaster.blast_root(&pool, processed);
         let clauses = blaster.drain_into(&mut solver);
@@ -211,10 +249,11 @@ fn session_search_is_pinned() {
             _ => None,
         };
         agree(
-            &session.solve_formula(&mut api_pool, api_f, &cfg),
+            &session.solve_formula(&mut api_pool, *api_f, &cfg),
             &r,
             xv,
             x_value,
+            roots,
         );
         got.push(r);
     }
@@ -230,8 +269,8 @@ fn cold_search_is_pinned() {
     let mut pool = TermPool::new();
     let (queries, xv) = corpus(&mut pool);
     let mut got = Vec::new();
-    for (&f, &api_f) in queries.iter().zip(&api_queries) {
-        let processed = preprocess(&mut pool, f).term;
+    for ((f, roots), (api_f, _)) in queries.iter().zip(&api_queries) {
+        let processed = preprocess(&mut pool, *f).term;
         assert_eq!(pool.as_bool_const(processed), None, "decided early");
         let (cnf, map) = blast(&pool, processed);
         let mut solver = SatSolver::new(&cnf);
@@ -242,7 +281,13 @@ fn cold_search_is_pinned() {
             SatOutcome::Sat(m) => map.value(xv, m),
             _ => None,
         };
-        agree(&smt_solve(&mut api_pool, api_f, &cfg), &r, xv, x_value);
+        agree(
+            &smt_solve(&mut api_pool, *api_f, &cfg),
+            &r,
+            xv,
+            x_value,
+            roots,
+        );
         got.push(r);
     }
     assert_eq!(got, COLD);
