@@ -178,14 +178,14 @@ fn measure(
         if wall < best.wall_us {
             best = Side {
                 wall_us: wall,
-                sessions: run.stages.sessions_opened,
-                slices: run.stages.slices_computed,
-                queries: run.checkers.iter().map(|b| b.queries).sum(),
+                sessions: run.stages.engine.sessions_opened,
+                slices: run.stages.engine.slices_computed,
+                queries: run.queries,
                 triaged_paths: run.stages.triaged_paths,
                 triaged_candidates: run.stages.triaged_candidates,
                 sessions_skipped: run.stages.sessions_skipped,
                 slices_skipped: run.stages.slices_skipped,
-                absint_refutes: run.stages.absint_refutes,
+                absint_refutes: run.stages.engine.absint_refutes,
             };
         }
     }

@@ -155,7 +155,7 @@ fn measure(
             best = Side {
                 wall_us: wall,
                 steps: run.stages.discovery_steps,
-                queries: run.checkers.iter().map(|b| b.queries).sum(),
+                queries: run.queries,
                 vertices_pruned: run.stages.vertices_pruned,
                 edges_pruned: run.stages.edges_pruned,
                 chains_collapsed: run.stages.chains_collapsed,

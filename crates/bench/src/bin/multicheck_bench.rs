@@ -191,9 +191,9 @@ fn main() {
                 Some(&cache),
             )
             .into_single();
-            rep_sessions += run.stages.sessions_opened;
-            rep_slices += run.stages.slices_computed;
-            rep_reused += run.stages.slices_reused;
+            rep_sessions += run.stages.engine.sessions_opened;
+            rep_slices += run.stages.engine.slices_computed;
+            rep_reused += run.stages.engine.slices_reused;
             rep_keys.push(keys(&run.reports));
         }
         let wall = t.elapsed().as_micros();
@@ -227,9 +227,9 @@ fn main() {
         }
         if wall < fused_wall_us {
             fused_wall_us = wall;
-            fused_sessions = run.stages.sessions_opened;
-            fused_slices = run.stages.slices_computed;
-            fused_reused = run.stages.slices_reused;
+            fused_sessions = run.stages.engine.sessions_opened;
+            fused_slices = run.stages.engine.slices_computed;
+            fused_reused = run.stages.engine.slices_reused;
         }
     }
     assert!(

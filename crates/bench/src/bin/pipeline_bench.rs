@@ -171,8 +171,8 @@ fn main() {
         if keys(&cold) != want || keys(&warm) != want {
             reports_identical = false;
         }
-        slices_cold += cold.stages.slices_computed;
-        slices_warm += warm.stages.slices_computed;
+        slices_cold += cold.stages.engine.slices_computed;
+        slices_warm += warm.stages.engine.slices_computed;
         slice_hits += warm.slice.hits;
         slice_requests += warm.slice.hits + warm.slice.misses;
 
@@ -194,7 +194,7 @@ fn main() {
 
         println!(
             "  {:<16} slices cold/warm={}/{}",
-            entry.name, cold.stages.slices_computed, warm.stages.slices_computed,
+            entry.name, cold.stages.engine.slices_computed, warm.stages.engine.slices_computed,
         );
     }
     assert!(

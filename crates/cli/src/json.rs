@@ -32,6 +32,19 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A counter table's printed rows as JSON members `"key": value`, in row
+/// order, joined by `sep` (`", "` on one line, `",\n  "` pretty-printed).
+pub fn members(table: &dyn fusion::counters::Table, sep: &str) -> String {
+    let mut out = String::new();
+    table.visit(&mut |key, value| {
+        if !out.is_empty() {
+            out.push_str(sep);
+        }
+        let _ = write!(out, "\"{key}\": {value}");
+    });
+    out
+}
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

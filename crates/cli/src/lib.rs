@@ -13,7 +13,7 @@
 //!     --timeout-secs N                   per-query SMT budget (default: 10)
 //!     --solver-timeout-ms N              per-query SMT budget, millisecond precision
 //!     --json                             machine-readable output
-//!     --stats                            print PDG and cost statistics
+//!     --stats                            print every counter under its --json key
 //!     --serve                            long-lived analysis service: line-delimited
 //!                                        JSON requests on stdin (scan / rescan /
 //!                                        query / stats / shutdown), responses on
@@ -66,13 +66,15 @@ pub mod shards;
 
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
+use fusion::counters::{Table, Value};
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine,
-    MultiAnalysisRun,
+    analyze_multi_streaming_with_cache, AnalysisOptions, CheckerStats, Feasibility,
+    FeasibilityEngine, MultiAnalysisRun, StageStats,
 };
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::slice_cache::SliceCache;
 use fusion_baselines::{ArEngine, PinpointEngine};
+use fusion_ir::ssa::Program;
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use fusion_smt::solver::SolverConfig;
@@ -495,27 +497,30 @@ pub struct Finding {
     pub path_length: usize,
 }
 
-/// One checker's share of a fused scan, for `--stats` and `--json`.
-#[derive(Debug, Clone, Default)]
-pub struct CheckerScanStats {
-    /// Checker name (`null-deref`, `cwe-23`, `cwe-402`).
-    pub checker: String,
-    /// Findings reported by this checker.
-    pub findings: usize,
-    /// This checker's candidates proven infeasible.
-    pub suppressed: usize,
-    /// Candidates discovered for this checker.
-    pub candidates: usize,
-    /// Feasibility queries issued for this checker (cache hits excluded).
-    pub queries: usize,
-    /// Verdict-cache hits while deciding this checker's candidates.
-    pub cache_hits: u64,
-    /// Verdict-cache misses while deciding this checker's candidates.
-    pub cache_misses: u64,
-    /// Discovery DFS steps spent on this checker's sources.
-    pub discovery_steps: u64,
-    /// Engine milliseconds answering this checker's queries.
-    pub solve_ms: f64,
+fusion::counters! {
+    /// The scan-level counters only the scan driver knows; the run's own
+    /// counters are [`ScanReport::stages`] and [`ScanReport::checkers`].
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct ScanStats {
+        /// Candidates proven infeasible (suppressed), over all checkers.
+        pub suppressed: u64 => "suppressed",
+        /// PDG vertex count.
+        pub vertices: u64 => "vertices",
+        /// PDG edge count.
+        pub edges: u64 => "edges",
+        /// Total wall-clock time.
+        pub elapsed: Duration => "elapsed_ms",
+        /// Peak tracked memory in bytes.
+        pub peak_memory_bytes: u64 => "peak_memory_bytes",
+        /// Verdict-cache hits across the whole scan (0 with `--no-cache`).
+        pub cache_hits: u64 => "cache_hits",
+        /// Verdict-cache misses across the whole scan.
+        pub cache_misses: u64 => "cache_misses",
+        /// Bytes retained by the shared verdict cache at the end of the scan.
+        pub cache_bytes: u64 => "cache_bytes",
+        /// Bytes retained by the shared slice-closure cache at scan end.
+        pub slice_cache_bytes: u64 => "slice_cache_bytes",
+    }
 }
 
 /// Machine-readable scan result.
@@ -523,99 +528,60 @@ pub struct CheckerScanStats {
 pub struct ScanReport {
     /// All findings across checkers.
     pub findings: Vec<Finding>,
-    /// Candidates proven infeasible (suppressed).
-    pub suppressed: usize,
-    /// Per-checker breakdowns, in checker order.
-    pub checkers: Vec<CheckerScanStats>,
+    /// Per-checker counters, in checker order, keyed by checker name
+    /// (`null-deref`, `cwe-23`, `cwe-402`).
+    pub checkers: Vec<(String, CheckerStats)>,
     /// User-facing warnings (e.g. extras ignored under `--checker null`).
     pub warnings: Vec<String>,
-    /// Incremental solver sessions opened across the scan (fusion
-    /// engine; 0 for the always-cold engines).
-    pub sessions_opened: u64,
-    /// PDG vertex count.
-    pub vertices: usize,
-    /// PDG edge count.
-    pub edges: usize,
-    /// Total wall-clock milliseconds.
-    pub elapsed_ms: f64,
-    /// Peak tracked memory in bytes.
-    pub peak_memory_bytes: u64,
-    /// Verdict-cache hits across the whole scan (0 with `--no-cache`).
-    pub cache_hits: u64,
-    /// Verdict-cache misses across the whole scan.
-    pub cache_misses: u64,
-    /// Bytes retained by the shared verdict cache at the end of the scan.
-    pub cache_bytes: u64,
-    /// Wall-clock milliseconds of candidate discovery (summed over runs;
-    /// overlaps solving with `--threads` > 1).
-    pub discover_ms: f64,
-    /// Engine milliseconds computing slice closures and constraints
-    /// (summed over workers and runs).
-    pub slice_ms: f64,
-    /// Engine milliseconds building terms and instances.
-    pub translate_ms: f64,
-    /// Engine milliseconds deciding satisfiability.
-    pub solve_ms: f64,
-    /// Slice closures computed from scratch across the scan.
-    pub slices_computed: u64,
-    /// Slice closures reused (per-candidate union or shared memo).
-    pub slices_reused: u64,
-    /// Bytes retained by the shared slice-closure cache at scan end.
-    pub slice_cache_bytes: u64,
-    /// Dependence paths refuted by abstract-interpretation triage before
-    /// any solver work (0 with `--no-absint`).
-    pub triaged_paths: u64,
-    /// Candidates whose *every* path was triaged away — decided with zero
-    /// slice, translation, or solver work.
-    pub triaged_candidates: u64,
-    /// Sink groups whose solver session never opened because triage
-    /// answered all their queries.
-    pub sessions_skipped: u64,
-    /// Slice-closure computations avoided by fully-triaged candidates.
-    pub slices_skipped: u64,
-    /// Assembled solver queries refuted by seeded known-bits
-    /// preprocessing before bit-blasting.
-    pub absint_refutes: u64,
-    /// PDG vertices removed by compaction's frontier reachability pruning,
-    /// summed per checker (0 with `--no-compact`).
-    pub vertices_pruned: u64,
-    /// Checker-taken PDG edges with a pruned endpoint, summed per checker.
-    pub edges_pruned: u64,
-    /// Summary corridors collapsed into composite chains, summed per
-    /// checker.
-    pub chains_collapsed: u64,
-    /// Solver queries answered by compaction's isomorphic-fragment
-    /// verdict memo instead of the engine.
-    pub iso_hits: u64,
-    /// Per-function absint fact sets recomputed by a warm `rescan`'s
-    /// dirtiness invalidation (0 for batch scans and cold `scan`s).
-    pub facts_invalidated: u64,
-    /// Slice closures evicted by warm-rescan invalidation.
-    pub slices_invalidated: u64,
-    /// Cached verdicts evicted by warm-rescan invalidation.
-    pub verdicts_invalidated: u64,
-    /// Candidates the run actually re-discovered and re-solved: in
-    /// service mode, the affected work items' candidates (the rest
-    /// replayed recorded outcomes); 0 in the batch drivers.
-    pub candidates_reanalyzed: u64,
-    /// Shards the partitioned scan was split into (0 for unsharded
-    /// scans).
-    pub shards: u64,
-    /// Owned-function summaries the shards produced for the cross-shard
-    /// interface.
-    pub summaries_exported: u64,
-    /// Facts/summaries shards imported from the snapshot instead of
-    /// recomputing (non-owned closure functions).
-    pub summaries_imported: u64,
-    /// Bytes of snapshot containers written by the partitioned scan.
-    pub snapshot_bytes_written: u64,
-    /// Bytes of snapshot sections actually read back (lazy loading makes
-    /// this less than what was written).
-    pub snapshot_bytes_read: u64,
+    /// Scan-level counters.
+    pub scan: ScanStats,
+    /// The run's stage counters.
+    pub stages: StageStats,
 }
 
 impl ScanReport {
-    /// Renders the report as pretty-printed JSON (stable member order).
+    /// The report of one run: its findings and counters, plus the
+    /// scan-level counters the run and its PDG know. The caller sets the
+    /// elapsed time and the cache sizes.
+    fn new(program: &Program, pdg: &Pdg, run: &MultiAnalysisRun, warnings: Vec<String>) -> Self {
+        let mut report = ScanReport {
+            warnings,
+            scan: ScanStats {
+                vertices: pdg.stats().vertices as u64,
+                edges: pdg.stats().edges() as u64,
+                // One true whole-scan peak: every engine live during the
+                // single fused pass plus the graph and caches.
+                peak_memory_bytes: run.peak_memory,
+                cache_hits: run.cache.hits,
+                cache_misses: run.cache.misses,
+                ..ScanStats::default()
+            },
+            stages: run.stages,
+            ..ScanReport::default()
+        };
+        for b in &run.checkers {
+            report.scan.suppressed += b.stats.suppressed;
+            report.checkers.push((b.kind.to_string(), b.stats));
+            for r in &b.reports {
+                report.findings.push(Finding {
+                    checker: b.kind.to_string(),
+                    source_function: program.name(program.func(r.source.func).name).to_owned(),
+                    sink_function: program.name(program.func(r.sink.func).name).to_owned(),
+                    verdict: match r.verdict {
+                        Feasibility::Feasible => "feasible".into(),
+                        Feasibility::Unknown => "undecided".into(),
+                        Feasibility::Infeasible => unreachable!("not reported"),
+                    },
+                    path_length: r.path.nodes.len(),
+                });
+            }
+        }
+        report
+    }
+
+    /// Renders the report as pretty-printed JSON (stable member order:
+    /// findings, per-checker counters, warnings, then the scan-level and
+    /// stage counters in table row order).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
@@ -638,26 +604,15 @@ impl ScanReport {
             s.push_str("\n  ");
         }
         s.push_str("],\n  \"checkers\": [");
-        for (i, c) in self.checkers.iter().enumerate() {
+        for (i, (name, stats)) in self.checkers.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(
                 s,
-                "\n    {{\n      \"checker\": \"{}\",\n      \"findings\": {},\
-                 \n      \"suppressed\": {},\n      \"candidates\": {},\
-                 \n      \"queries\": {},\n      \"cache_hits\": {},\
-                 \n      \"cache_misses\": {},\n      \"discovery_steps\": {},\
-                 \n      \"solve_ms\": {}\n    }}",
-                json::escape(&c.checker),
-                c.findings,
-                c.suppressed,
-                c.candidates,
-                c.queries,
-                c.cache_hits,
-                c.cache_misses,
-                c.discovery_steps,
-                c.solve_ms
+                "\n    {{\n      \"checker\": \"{}\",\n      {}\n    }}",
+                json::escape(name),
+                json::members(stats, ",\n      ")
             );
         }
         if !self.checkers.is_empty() {
@@ -672,58 +627,45 @@ impl ScanReport {
         }
         let _ = write!(
             s,
-            "],\n  \"sessions_opened\": {},\n  \"suppressed\": {},\n  \"vertices\": {},\n  \"edges\": {},\
-             \n  \"elapsed_ms\": {},\n  \"peak_memory_bytes\": {},\
-             \n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_bytes\": {},\
-             \n  \"discover_ms\": {},\n  \"slice_ms\": {},\n  \"translate_ms\": {},\
-             \n  \"solve_ms\": {},\n  \"slices_computed\": {},\n  \"slices_reused\": {},\
-             \n  \"slice_cache_bytes\": {},\n  \"triaged_paths\": {},\
-             \n  \"triaged_candidates\": {},\n  \"sessions_skipped\": {},\
-             \n  \"slices_skipped\": {},\n  \"absint_refutes\": {},\
-             \n  \"vertices_pruned\": {},\n  \"edges_pruned\": {},\
-             \n  \"chains_collapsed\": {},\n  \"iso_hits\": {},\
-             \n  \"facts_invalidated\": {},\
-             \n  \"slices_invalidated\": {},\n  \"verdicts_invalidated\": {},\
-             \n  \"candidates_reanalyzed\": {},\n  \"shards\": {},\
-             \n  \"summaries_exported\": {},\n  \"summaries_imported\": {},\
-             \n  \"snapshot_bytes_written\": {},\n  \"snapshot_bytes_read\": {}\n}}",
-            self.sessions_opened,
-            self.suppressed,
-            self.vertices,
-            self.edges,
-            self.elapsed_ms,
-            self.peak_memory_bytes,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_bytes,
-            self.discover_ms,
-            self.slice_ms,
-            self.translate_ms,
-            self.solve_ms,
-            self.slices_computed,
-            self.slices_reused,
-            self.slice_cache_bytes,
-            self.triaged_paths,
-            self.triaged_candidates,
-            self.sessions_skipped,
-            self.slices_skipped,
-            self.absint_refutes,
-            self.vertices_pruned,
-            self.edges_pruned,
-            self.chains_collapsed,
-            self.iso_hits,
-            self.facts_invalidated,
-            self.slices_invalidated,
-            self.verdicts_invalidated,
-            self.candidates_reanalyzed,
-            self.shards,
-            self.summaries_exported,
-            self.summaries_imported,
-            self.snapshot_bytes_written,
-            self.snapshot_bytes_read
+            "],\n  {},\n  {}\n}}",
+            json::members(&self.scan, ",\n  "),
+            json::members(&self.stages, ",\n  ")
         );
         s
     }
+
+    /// Renders every counter for `--stats`, under its `--json` key: one
+    /// `label: key=value …` block per table, wrapped at 100 columns.
+    pub fn stats_text(&self) -> String {
+        let mut s = String::new();
+        stats_block(&mut s, "scan", &self.scan);
+        for (name, stats) in &self.checkers {
+            stats_block(&mut s, &format!("checker {name}"), stats);
+        }
+        stats_block(&mut s, "stages", &self.stages);
+        s
+    }
+}
+
+/// Appends `table`'s printed rows to `out` as `key=value` pairs after
+/// `label:`, milliseconds to one decimal, continuation lines indented.
+fn stats_block(out: &mut String, label: &str, table: &dyn Table) {
+    let mut line = format!("{label}:");
+    table.visit(&mut |key, value| {
+        let pair = match value {
+            Value::Count(n) => format!("{key}={n}"),
+            Value::Ms(ms) => format!("{key}={ms:.1}"),
+        };
+        if line.len() + 1 + pair.len() > 100 {
+            out.push_str(&line);
+            out.push('\n');
+            line = String::from(" ");
+        }
+        line.push(' ');
+        line.push_str(&pair);
+    });
+    out.push_str(&line);
+    out.push('\n');
 }
 
 fn make_engine(
@@ -744,68 +686,6 @@ fn make_engine(
         EngineChoice::Unopt => Box::new(UnoptimizedGraphSolver::new(cfg)),
         EngineChoice::Pinpoint => Box::new(PinpointEngine::new(cfg)),
         EngineChoice::Ar => Box::new(ArEngine::new(cfg)),
-    }
-}
-
-/// Copies a run's stage counters, per-checker breakdowns, and findings
-/// into `report` (shared by the one-shot scan and the `--serve` loop).
-fn fill_report(report: &mut ScanReport, program: &fusion_ir::ssa::Program, run: &MultiAnalysisRun) {
-    report.cache_hits = run.cache.hits;
-    report.cache_misses = run.cache.misses;
-    report.discover_ms = run.stages.discover_wall.as_secs_f64() * 1e3;
-    report.slice_ms = run.stages.slice_wall.as_secs_f64() * 1e3;
-    report.translate_ms = run.stages.translate_wall.as_secs_f64() * 1e3;
-    report.solve_ms = run.stages.solve_wall.as_secs_f64() * 1e3;
-    report.slices_computed = run.stages.slices_computed;
-    report.slices_reused = run.stages.slices_reused;
-    report.sessions_opened = run.stages.sessions_opened;
-    report.triaged_paths = run.stages.triaged_paths;
-    report.triaged_candidates = run.stages.triaged_candidates;
-    report.sessions_skipped = run.stages.sessions_skipped;
-    report.slices_skipped = run.stages.slices_skipped;
-    report.absint_refutes = run.stages.absint_refutes;
-    report.vertices_pruned = run.stages.vertices_pruned;
-    report.edges_pruned = run.stages.edges_pruned;
-    report.chains_collapsed = run.stages.chains_collapsed;
-    report.iso_hits = run.stages.iso_hits;
-    report.facts_invalidated = run.stages.facts_invalidated;
-    report.slices_invalidated = run.stages.slices_invalidated;
-    report.verdicts_invalidated = run.stages.verdicts_invalidated;
-    report.candidates_reanalyzed = run.stages.candidates_reanalyzed;
-    report.shards = run.stages.shards;
-    report.summaries_exported = run.stages.summaries_exported;
-    report.summaries_imported = run.stages.summaries_imported;
-    report.snapshot_bytes_written = run.stages.snapshot_bytes_written;
-    report.snapshot_bytes_read = run.stages.snapshot_bytes_read;
-    // One true whole-scan peak: every engine live during the single fused
-    // pass plus the graph and caches — not a max over per-checker passes.
-    report.peak_memory_bytes = run.peak_memory;
-    for b in &run.checkers {
-        report.suppressed += b.suppressed;
-        report.checkers.push(CheckerScanStats {
-            checker: b.kind.to_string(),
-            findings: b.reports.len(),
-            suppressed: b.suppressed,
-            candidates: b.candidates,
-            queries: b.queries,
-            cache_hits: b.cache_hits,
-            cache_misses: b.cache_misses,
-            discovery_steps: b.discovery_steps,
-            solve_ms: b.solve_wall.as_secs_f64() * 1e3,
-        });
-        for r in &b.reports {
-            report.findings.push(Finding {
-                checker: b.kind.to_string(),
-                source_function: program.name(program.func(r.source.func).name).to_owned(),
-                sink_function: program.name(program.func(r.sink.func).name).to_owned(),
-                verdict: match r.verdict {
-                    Feasibility::Feasible => "feasible".into(),
-                    Feasibility::Unknown => "undecided".into(),
-                    Feasibility::Infeasible => unreachable!("not reported"),
-                },
-                path_length: r.path.nodes.len(),
-            });
-        }
     }
 }
 
@@ -834,12 +714,6 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     }
     let pdg = Pdg::build(&program);
     let (set, warnings) = effective_checkers(opts);
-    let mut report = ScanReport {
-        vertices: pdg.stats().vertices,
-        edges: pdg.stats().edges(),
-        warnings,
-        ..Default::default()
-    };
     if let Some(path) = &opts.dot {
         let dot = fusion_pdg::dot::pdg_to_dot(&program, &pdg, None);
         std::fs::write(path, dot).map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
@@ -890,10 +764,10 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
             cache,
         )
     };
-    fill_report(&mut report, &program, &run);
-    report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    report.cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0);
-    report.slice_cache_bytes = slice_cache.bytes();
+    let mut report = ScanReport::new(&program, &pdg, &run, warnings);
+    report.scan.elapsed = started.elapsed();
+    report.scan.cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0);
+    report.scan.slice_cache_bytes = slice_cache.bytes();
     Ok(report)
 }
 
@@ -958,99 +832,10 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
             out,
             "{} finding(s), {} candidate(s) suppressed as infeasible",
             report.findings.len(),
-            report.suppressed
+            report.scan.suppressed
         );
         if opts.stats {
-            let _ = writeln!(
-                out,
-                "pdg: {} vertices, {} edges; {:.1} ms; peak {} KiB \
-                 (cache {} B, {} hit / {} miss); {} session(s) opened",
-                report.vertices,
-                report.edges,
-                report.elapsed_ms,
-                report.peak_memory_bytes / 1024,
-                report.cache_bytes,
-                report.cache_hits,
-                report.cache_misses,
-                report.sessions_opened
-            );
-            for c in &report.checkers {
-                let _ = writeln!(
-                    out,
-                    "checker {}: {} finding(s), {} suppressed, {} candidate(s), \
-                     {} query(ies) ({} hit / {} miss), {} discovery step(s), \
-                     solve {:.1} ms",
-                    c.checker,
-                    c.findings,
-                    c.suppressed,
-                    c.candidates,
-                    c.queries,
-                    c.cache_hits,
-                    c.cache_misses,
-                    c.discovery_steps,
-                    c.solve_ms
-                );
-            }
-            let _ = writeln!(
-                out,
-                "stages: discover {:.1} ms; slice {:.1} ms \
-                 ({} computed / {} reused, {} B retained); \
-                 translate {:.1} ms; solve {:.1} ms",
-                report.discover_ms,
-                report.slice_ms,
-                report.slices_computed,
-                report.slices_reused,
-                report.slice_cache_bytes,
-                report.translate_ms,
-                report.solve_ms
-            );
-            // Avoided work: what the abstract-interpretation triage
-            // answered before the solver pipeline ever ran.
-            let _ = writeln!(
-                out,
-                "avoided: {} path(s) triaged, {} candidate(s) fully refuted pre-solve",
-                report.triaged_paths, report.triaged_candidates
-            );
-            let _ = writeln!(
-                out,
-                "avoided: {} session(s) skipped, {} slice closure(s) skipped, \
-                 {} seeded solver refutation(s)",
-                report.sessions_skipped, report.slices_skipped, report.absint_refutes
-            );
-            // Compaction: dead graph the pre-discovery pass removed and
-            // solver queries answered by isomorphic-fragment sharing.
-            let _ = writeln!(
-                out,
-                "compaction: {} vertex(es) pruned, {} edge(s) pruned, \
-                 {} chain(s) collapsed, {} iso hit(s)",
-                report.vertices_pruned,
-                report.edges_pruned,
-                report.chains_collapsed,
-                report.iso_hits
-            );
-            // Service mode: dirtiness-driven invalidation (all zero for
-            // one-shot batch scans).
-            let _ = writeln!(
-                out,
-                "incremental: {} fact set(s), {} slice(s), {} verdict(s) \
-                 invalidated; {} candidate(s) reanalyzed",
-                report.facts_invalidated,
-                report.slices_invalidated,
-                report.verdicts_invalidated,
-                report.candidates_reanalyzed
-            );
-            // Partitioned scans: the out-of-core sharding counters (all
-            // zero for unsharded scans).
-            let _ = writeln!(
-                out,
-                "sharding: {} shard(s), {} summary(ies) exported / {} imported; \
-                 snapshot {} B written, {} B read",
-                report.shards,
-                report.summaries_exported,
-                report.summaries_imported,
-                report.snapshot_bytes_written,
-                report.snapshot_bytes_read
-            );
+            let _ = write!(out, "{}", report.stats_text());
         }
     }
     if report.findings.is_empty() {
@@ -1118,7 +903,7 @@ mod tests {
         };
         let report = scan_source(src, &opts).unwrap();
         assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.suppressed, 1);
+        assert_eq!(report.scan.suppressed, 1);
         assert_eq!(report.findings[0].source_function, "f");
         assert_eq!(report.findings[0].verdict, "feasible");
     }
@@ -1415,7 +1200,10 @@ mod tests {
             )
             .unwrap();
             assert_eq!(key(&seq), key(&threaded), "threads={threads}");
-            assert_eq!(seq.suppressed, threaded.suppressed, "threads={threads}");
+            assert_eq!(
+                seq.scan.suppressed, threaded.scan.suppressed,
+                "threads={threads}"
+            );
         }
     }
 
@@ -1476,7 +1264,7 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(key(&r1), key(&r2), "threads={threads}");
-            assert_eq!(r1.suppressed, r2.suppressed);
+            assert_eq!(r1.scan.suppressed, r2.scan.suppressed);
         }
     }
 
@@ -1523,10 +1311,13 @@ mod tests {
             let r1 = scan_source(src, &on).unwrap();
             let r2 = scan_source(src, &off).unwrap();
             assert_eq!(key(&r1), key(&r2), "threads={threads}");
-            assert_eq!(r1.suppressed, r2.suppressed, "threads={threads}");
-            assert!(r1.triaged_paths > 0, "triage fires on the parity guard");
-            assert_eq!(r2.triaged_paths, 0, "--no-absint disables triage");
-            assert_eq!(r2.absint_refutes, 0);
+            assert_eq!(r1.scan.suppressed, r2.scan.suppressed, "threads={threads}");
+            assert!(
+                r1.stages.triaged_paths > 0,
+                "triage fires on the parity guard"
+            );
+            assert_eq!(r2.stages.triaged_paths, 0, "--no-absint disables triage");
+            assert_eq!(r2.stages.engine.absint_refutes, 0);
         }
     }
 
@@ -1582,11 +1373,14 @@ mod tests {
             let r1 = scan_source(src, &on).unwrap();
             let r2 = scan_source(src, &off).unwrap();
             assert_eq!(key(&r1), key(&r2), "threads={threads}");
-            assert_eq!(r1.suppressed, r2.suppressed, "threads={threads}");
-            assert!(r1.vertices_pruned > 0, "dead flow is pruned");
-            assert!(r1.chains_collapsed > 0, "id corridor collapses");
-            assert_eq!(r2.vertices_pruned, 0, "--no-compact disables pruning");
-            assert_eq!(r2.chains_collapsed, 0);
+            assert_eq!(r1.scan.suppressed, r2.scan.suppressed, "threads={threads}");
+            assert!(r1.stages.vertices_pruned > 0, "dead flow is pruned");
+            assert!(r1.stages.chains_collapsed > 0, "id corridor collapses");
+            assert_eq!(
+                r2.stages.vertices_pruned, 0,
+                "--no-compact disables pruning"
+            );
+            assert_eq!(r2.stages.chains_collapsed, 0);
         }
     }
 
@@ -1606,7 +1400,7 @@ mod tests {
         assert!(v.get("edges_pruned").unwrap().as_f64().is_some());
         assert!(v.get("chains_collapsed").unwrap().as_f64().is_some());
         assert!(v.get("iso_hits").unwrap().as_f64().is_some());
-        // The text --stats surface carries the compaction line.
+        // The text --stats surface carries the compaction counters.
         let dir = std::env::temp_dir();
         let f = dir.join("fusion_cli_compact.fus");
         std::fs::write(&f, src).unwrap();
@@ -1616,7 +1410,14 @@ mod tests {
             &mut out,
         );
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("compaction:"), "{text}");
+        for key in [
+            "vertices_pruned=",
+            "edges_pruned=",
+            "chains_collapsed=",
+            "iso_hits=",
+        ] {
+            assert!(text.contains(key), "missing `{key}` in:\n{text}");
+        }
     }
 
     #[test]
@@ -1646,7 +1447,7 @@ mod tests {
         assert!(v.get("sessions_skipped").unwrap().as_f64().is_some());
         assert!(v.get("slices_skipped").unwrap().as_f64().is_some());
         assert!(v.get("absint_refutes").unwrap().as_f64().is_some());
-        // The text --stats surface carries the avoided-work lines.
+        // The text --stats surface carries the avoided-work counters.
         let dir = std::env::temp_dir();
         let f = dir.join("fusion_cli_avoided.fus");
         std::fs::write(&f, src).unwrap();
@@ -1656,8 +1457,248 @@ mod tests {
             &mut out,
         );
         let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("avoided:"), "{text}");
-        assert!(text.contains("triaged"), "{text}");
+        for key in [
+            "triaged_paths=",
+            "triaged_candidates=",
+            "sessions_skipped=",
+            "slices_skipped=",
+            "absint_refutes=",
+        ] {
+            assert!(text.contains(key), "missing `{key}` in:\n{text}");
+        }
+    }
+
+    /// `(checker, source, sink, verdict, path length)` of every finding.
+    fn finding_keys(r: &ScanReport) -> Vec<(String, String, String, String, usize)> {
+        r.findings
+            .iter()
+            .map(|f| {
+                (
+                    f.checker.clone(),
+                    f.source_function.clone(),
+                    f.sink_function.clone(),
+                    f.verdict.clone(),
+                    f.path_length,
+                )
+            })
+            .collect()
+    }
+
+    /// The member names of a JSON object, in source order (duplicates
+    /// kept).
+    fn keys_of(v: &json::Value) -> Vec<&str> {
+        match v {
+            json::Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    const SCAN_KEYS: &[&str] = &[
+        "suppressed",
+        "vertices",
+        "edges",
+        "elapsed_ms",
+        "peak_memory_bytes",
+        "cache_hits",
+        "cache_misses",
+        "cache_bytes",
+        "slice_cache_bytes",
+    ];
+
+    const CHECKER_KEYS: &[&str] = &[
+        "findings",
+        "suppressed",
+        "candidates",
+        "queries",
+        "cache_hits",
+        "cache_misses",
+        "discovery_steps",
+        "solve_ms",
+        "unknown_queries",
+    ];
+
+    const STAGE_KEYS: &[&str] = &[
+        "discover_ms",
+        "discovery_steps",
+        "discovery_shards",
+        "slice_ms",
+        "translate_ms",
+        "solve_ms",
+        "slices_computed",
+        "slices_reused",
+        "sessions_opened",
+        "absint_refutes",
+        "triaged_paths",
+        "triaged_candidates",
+        "sessions_skipped",
+        "slices_skipped",
+        "vertices_pruned",
+        "edges_pruned",
+        "chains_collapsed",
+        "iso_hits",
+        "facts_invalidated",
+        "slices_invalidated",
+        "verdicts_invalidated",
+        "candidates_reanalyzed",
+        "shards",
+        "summaries_exported",
+        "summaries_imported",
+        "snapshot_bytes_written",
+        "snapshot_bytes_read",
+    ];
+
+    #[test]
+    fn output_schema_is_pinned_to_the_tables() {
+        let src = "extern fn deref(p); extern fn gets(); extern fn fopen(p);\n\
+            fn f(x) { let q = null; let r = 1; if (x > 0) { r = q; } deref(r); \
+            let i = gets(); fopen(i); return 0; }";
+        let report = scan_source(src, &Options::default()).unwrap();
+        let v = json::Value::parse(&report.to_json()).expect("valid json");
+        let top: Vec<&str> = ["findings", "checkers", "warnings"]
+            .into_iter()
+            .chain(SCAN_KEYS.iter().copied())
+            .chain(STAGE_KEYS.iter().copied())
+            .collect();
+        assert_eq!(keys_of(&v), top);
+        let checker: Vec<&str> = std::iter::once("checker")
+            .chain(CHECKER_KEYS.iter().copied())
+            .collect();
+        let checkers = v.get("checkers").unwrap().as_array().unwrap();
+        assert_eq!(checkers.len(), 3);
+        for c in checkers {
+            assert_eq!(keys_of(c), checker);
+        }
+
+        // `--stats` names every key of every table exactly once, in one
+        // block per table.
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in report.stats_text().lines() {
+            let (label, pairs) = match line.strip_prefix("  ") {
+                Some(rest) => (None, rest),
+                None => {
+                    let (label, rest) = line.split_once(": ").expect("`label: pairs`");
+                    (Some(label), rest)
+                }
+            };
+            if let Some(label) = label {
+                blocks.push((label.to_owned(), Vec::new()));
+            }
+            let keys = &mut blocks.last_mut().expect("a block").1;
+            for pair in pairs.split(' ') {
+                let (key, value) = pair.split_once('=').expect("`key=value`");
+                assert!(value.parse::<f64>().is_ok(), "{pair}");
+                keys.push(key.to_owned());
+            }
+        }
+        let mut want: Vec<(String, &[&str])> = vec![("scan".into(), SCAN_KEYS)];
+        for name in ["null-deref", "cwe-23", "cwe-402"] {
+            want.push((format!("checker {name}"), CHECKER_KEYS));
+        }
+        want.push(("stages".into(), STAGE_KEYS));
+        assert_eq!(blocks.len(), want.len());
+        for ((label, keys), (want_label, want_keys)) in blocks.iter().zip(&want) {
+            assert_eq!(label, want_label);
+            assert_eq!(keys, want_keys, "{label}");
+        }
+
+        // Serve `stats`: the resident counters, then `last_invalidation`.
+        let mut out = Vec::new();
+        let input = format!(
+            "{{\"cmd\": \"scan\", \"source\": \"{}\"}}\n{{\"cmd\": \"stats\"}}\n",
+            json::escape(src)
+        );
+        serve::serve_loop(&Options::default(), std::io::Cursor::new(input), &mut out);
+        let text = String::from_utf8(out).unwrap();
+        let stats = json::Value::parse(text.lines().nth(1).unwrap()).unwrap();
+        assert_eq!(
+            keys_of(&stats),
+            [
+                "ok",
+                "event",
+                "resident",
+                "functions",
+                "vertices",
+                "edges",
+                "verdicts_resident",
+                "slices_resident",
+                "items_resident",
+                "cache_bytes",
+                "slice_cache_bytes",
+                "snapshot_bytes_written",
+                "snapshot_bytes_read",
+                "last_invalidation",
+            ]
+        );
+        assert_eq!(
+            keys_of(stats.get("last_invalidation").unwrap()),
+            [
+                "functions_edited",
+                "functions_affected",
+                "facts_invalidated",
+                "facts_retained",
+                "slices_invalidated",
+                "slices_retained",
+                "verdicts_invalidated",
+                "verdicts_retained",
+                "iso_invalidated",
+                "candidates_reanalyzed",
+            ]
+        );
+    }
+
+    #[test]
+    fn budget_exhausted_queries_are_counted_per_checker() {
+        // `x * y == 32769` survives preprocessing and triage, so at a zero
+        // budget the solver's deadline check answers `Unknown`; at the
+        // default budget the same query is decided.
+        let src = "extern fn deref(p);\n\
+            fn f(x, y) { let q = null; let r = 1; if (x * y == 32769) { r = q; } deref(r); return 0; }";
+        let unknowns = |timeout| {
+            let opts = Options {
+                checker: CheckerChoice::Null,
+                timeout,
+                ..Default::default()
+            };
+            let report = scan_source(src, &opts).unwrap();
+            let v = json::Value::parse(&report.to_json()).expect("valid json");
+            let checkers = v.get("checkers").unwrap().as_array().unwrap();
+            let n = checkers[0]
+                .get("unknown_queries")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            assert!(report
+                .stats_text()
+                .contains(&format!("unknown_queries={n}")));
+            (n, report.findings[0].verdict.clone())
+        };
+        let (n, verdict) = unknowns(Duration::ZERO);
+        assert!(n > 0.0, "a zero budget must surface its Unknown answers");
+        assert_eq!(verdict, "undecided");
+        assert_eq!(
+            unknowns(Options::default().timeout),
+            (0.0, "feasible".into())
+        );
+    }
+
+    #[test]
+    fn oversized_shard_count_returns_the_unsharded_findings() {
+        let src = "extern fn deref(p);\n\
+            fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
+            fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }";
+        let base = scan_source(src, &Options::default()).unwrap();
+        let shards = 1usize << 32;
+        let sharded = scan_source(
+            src,
+            &Options {
+                shards,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(finding_keys(&sharded), finding_keys(&base));
+        assert_eq!(sharded.scan.suppressed, base.scan.suppressed);
+        assert_eq!(sharded.stages.shards, shards as u64);
     }
 
     #[test]
@@ -1687,11 +1728,11 @@ mod tests {
         let r1 = scan_source(src, &cached).unwrap();
         let r2 = scan_source(src, &uncached).unwrap();
         assert_eq!(r1.findings.len(), r2.findings.len());
-        assert_eq!(r1.suppressed, r2.suppressed);
-        assert!(r1.cache_misses > 0);
-        assert!(r1.cache_bytes > 0);
-        assert_eq!(r2.cache_hits, 0);
-        assert_eq!(r2.cache_misses, 0);
-        assert_eq!(r2.cache_bytes, 0);
+        assert_eq!(r1.scan.suppressed, r2.scan.suppressed);
+        assert!(r1.scan.cache_misses > 0);
+        assert!(r1.scan.cache_bytes > 0);
+        assert_eq!(r2.scan.cache_hits, 0);
+        assert_eq!(r2.scan.cache_misses, 0);
+        assert_eq!(r2.scan.cache_bytes, 0);
     }
 }

@@ -46,9 +46,9 @@
 
 use crate::json::{self, escape};
 use crate::lines::{bounded_lines, MAX_LINE_BYTES};
-use crate::{effective_checkers, fill_report, make_engine, Finding, Options, ScanReport};
+use crate::{effective_checkers, make_engine, Finding, Options, ScanReport};
 use fusion::engine::AnalysisOptions;
-use fusion::incremental::AnalysisSession;
+use fusion::incremental::{AnalysisSession, ResidentStats};
 use fusion::slice_cache::SliceCache;
 use fusion_ir::{compile, CompileOptions};
 use std::fmt::Write as _;
@@ -72,6 +72,20 @@ fn finding_json(f: &Finding) -> String {
         escape(&f.verdict),
         f.path_length
     )
+}
+
+fusion::counters! {
+    /// The counters of serve `stats`: what the session holds resident and
+    /// the loop's last snapshot traffic.
+    #[derive(Clone, Copy, Default)]
+    struct ServeStats {
+        /// The session's resident counts and bytes.
+        resident: ResidentStats => ..,
+        /// Bytes the last `save` wrote.
+        snapshot_bytes_written: u64 => "snapshot_bytes_written",
+        /// Bytes the last `load` read.
+        snapshot_bytes_read: u64 => "snapshot_bytes_read",
+    }
 }
 
 fn respond(out: &mut dyn Write, line: &str) {
@@ -103,7 +117,7 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
         recursion_unroll: opts.unroll,
     };
     let mut last_report: Option<ScanReport> = None;
-    let (mut saved_bytes, mut loaded_bytes) = (0u64, 0u64);
+    let mut served = ServeStats::default();
     for line in bounded_lines(input, MAX_LINE_BYTES) {
         let line = match line {
             Ok(line) => line,
@@ -152,21 +166,16 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
                 } else {
                     session.rescan(program, &factory)
                 };
-                let pdg = session.pdg().expect("resident after run");
-                let mut report = ScanReport {
-                    vertices: pdg.stats().vertices,
-                    edges: pdg.stats().edges(),
-                    warnings: warnings.clone(),
-                    ..Default::default()
-                };
-                fill_report(
-                    &mut report,
+                let mut report = ScanReport::new(
                     session.program().expect("resident after run"),
+                    session.pdg().expect("resident after run"),
                     &run,
+                    warnings.clone(),
                 );
-                report.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                report.cache_bytes = session.cache_bytes();
-                report.slice_cache_bytes = session.slice_cache_bytes();
+                report.scan.elapsed = started.elapsed();
+                let resident = session.resident();
+                report.scan.cache_bytes = resident.cache_bytes;
+                report.scan.slice_cache_bytes = resident.slice_cache_bytes;
                 let inv = session.last_invalidation();
                 let mut s = format!(
                     "{{\"ok\": true, \"event\": \"{cmd}\", \"functions_edited\": {}, \
@@ -210,7 +219,7 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
                 };
                 match session.save(std::path::Path::new(path)) {
                     Ok(bytes) => {
-                        saved_bytes = bytes;
+                        served.snapshot_bytes_written = bytes;
                         respond(
                             out,
                             &format!(
@@ -228,18 +237,18 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
                 };
                 match session.load(std::path::Path::new(path)) {
                     Ok(bytes) => {
-                        loaded_bytes = bytes;
+                        served.snapshot_bytes_read = bytes;
                         // Findings are reassembled by the next (re)scan's
                         // replay; a stale query answer would be worse
                         // than none.
                         last_report = None;
+                        let resident = session.resident();
                         respond(
                             out,
                             &format!(
                                 "{{\"ok\": true, \"event\": \"load\", \"bytes_read\": {bytes}, \
                                  \"items_resident\": {}, \"verdicts_resident\": {}}}",
-                                session.items_resident(),
-                                session.verdicts_resident()
+                                resident.items_resident, resident.verdicts_resident
                             ),
                         );
                     }
@@ -247,7 +256,6 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
                 }
             }
             "stats" => {
-                let inv = session.last_invalidation();
                 let mut s = format!(
                     "{{\"ok\": true, \"event\": \"stats\", \"resident\": {}, ",
                     session.is_resident()
@@ -263,34 +271,12 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
                         pdg.stats().edges()
                     );
                 }
+                served.resident = session.resident();
                 let _ = write!(
                     s,
-                    "\"verdicts_resident\": {}, \"slices_resident\": {}, \
-                     \"items_resident\": {}, \"cache_bytes\": {}, \
-                     \"slice_cache_bytes\": {}, \"snapshot_bytes_written\": {}, \
-                     \"snapshot_bytes_read\": {}, \"last_invalidation\": {{\
-                     \"functions_edited\": {}, \"functions_affected\": {}, \
-                     \"facts_invalidated\": {}, \"facts_retained\": {}, \
-                     \"slices_invalidated\": {}, \"slices_retained\": {}, \
-                     \"verdicts_invalidated\": {}, \"verdicts_retained\": {}, \
-                     \"iso_invalidated\": {}, \"candidates_reanalyzed\": {}}}}}",
-                    session.verdicts_resident(),
-                    session.slices_resident(),
-                    session.items_resident(),
-                    session.cache_bytes(),
-                    session.slice_cache_bytes(),
-                    saved_bytes,
-                    loaded_bytes,
-                    inv.functions_edited,
-                    inv.functions_affected,
-                    inv.facts_invalidated,
-                    inv.facts_retained,
-                    inv.slices_invalidated,
-                    inv.slices_retained,
-                    inv.verdicts_invalidated,
-                    inv.verdicts_retained,
-                    inv.iso_invalidated,
-                    inv.candidates_reanalyzed
+                    "{}, \"last_invalidation\": {{{}}}}}",
+                    json::members(&served, ", "),
+                    json::members(&session.last_invalidation(), ", ")
                 );
                 respond(out, &s);
             }

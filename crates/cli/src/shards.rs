@@ -64,15 +64,13 @@ fn run_worker_job(opts: &Options, line: &str) -> Result<String, CliError> {
         .get("snapshot")
         .and_then(|v| v.as_str())
         .ok_or_else(|| CliError("job needs a string `snapshot` member".into()))?;
-    let shard =
-        req.get("shard")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| CliError("job needs a numeric `shard` member".into()))? as usize;
-    let k = req
-        .get("shards")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| CliError("job needs a numeric `shards` member".into()))?
-        as usize;
+    let shard = job_index(&req, "shard")?;
+    let k = job_index(&req, "shards")?;
+    if shard >= k {
+        return Err(CliError(format!(
+            "malformed job: shard {shard} is out of range for {k} shard(s)"
+        )));
+    }
     let out_path = req
         .get("out")
         .and_then(|v| v.as_str())
@@ -120,6 +118,23 @@ fn run_worker_job(opts: &Options, line: &str) -> Result<String, CliError> {
         output.queries,
         snap.bytes_read()
     ))
+}
+
+/// Reads a job's `shard` or `shards` member: a non-negative integer that
+/// fits in `usize`. Anything else (negative, fractional, or too large to
+/// be a shard count, such as `1e300`) is a malformed job.
+fn job_index(req: &json::Value, key: &str) -> Result<usize, CliError> {
+    let v = req
+        .get(key)
+        .and_then(|v| v.as_f64())
+        .ok_or_else(|| CliError(format!("job needs a numeric `{key}` member")))?;
+    if v >= 0.0 && v.fract() == 0.0 && v < usize::MAX as f64 {
+        Ok(v as usize)
+    } else {
+        Err(CliError(format!(
+            "malformed job: `{key}` must be a non-negative integer, got {v}"
+        )))
+    }
 }
 
 /// Locates the `fusion-scan` binary to spawn as a shard worker:
@@ -261,9 +276,7 @@ fn coordinate(
     drop(bytes);
     let info = CallGraphInfo::of_program(program);
     let plan = ShardPlan::compute(&info, k);
-    let non_empty: Vec<usize> = (0..plan.k())
-        .filter(|&s| !plan.owned(s).is_empty())
-        .collect();
+    let non_empty = plan.owning_shards();
     let worker_bin = worker_binary()?;
     let n_workers = opts.shard_workers.min(non_empty.len()).max(1);
 
@@ -449,6 +462,34 @@ mod tests {
     }
 
     #[test]
+    fn worker_loop_refuses_bad_shard_numbers_and_answers_the_next_job() {
+        let opts = Options::default();
+        let (dir, job) = job_fixture(&opts);
+        let good = "\"shard\": 0, \"shards\": 2";
+        assert!(job.contains(good));
+        let mut input = String::new();
+        for bad in [
+            "\"shard\": 0, \"shards\": 1e300",
+            "\"shard\": -3, \"shards\": 2",
+            "\"shard\": 1.5, \"shards\": 2",
+            "\"shard\": 5, \"shards\": 2",
+        ] {
+            input.push_str(&job.replace(good, bad));
+            input.push('\n');
+        }
+        input.push_str(&job);
+        let resp = run_worker(&opts, input.into_bytes());
+        assert_eq!(resp.len(), 5);
+        for r in &resp[..4] {
+            assert_eq!(r.get("ok"), Some(&json::Value::Bool(false)), "{r:?}");
+            let err = r.get("error").unwrap().as_str().unwrap();
+            assert!(err.starts_with("malformed job: "), "{err}");
+        }
+        assert_eq!(resp[4].get("ok"), Some(&json::Value::Bool(true)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn multiprocess_scan_matches_unsharded_when_binary_available() {
         if worker_binary().is_err() {
             eprintln!("skipping: no fusion-scan binary (set FUSION_SCAN_BIN)");
@@ -472,8 +513,8 @@ mod tests {
             assert_eq!(a.verdict, b.verdict);
             assert_eq!(a.path_length, b.path_length);
         }
-        assert_eq!(sharded.shards, 2);
-        assert!(sharded.snapshot_bytes_written > 0);
-        assert!(sharded.snapshot_bytes_read > 0);
+        assert_eq!(sharded.stages.shards, 2);
+        assert!(sharded.stages.snapshot_bytes_written > 0);
+        assert!(sharded.stages.snapshot_bytes_read > 0);
     }
 }

@@ -148,165 +148,117 @@ pub trait FeasibilityEngine {
     fn records(&self) -> &[SolveRecord];
 }
 
-/// Cumulative stage totals an instrumented engine reports via
-/// [`FeasibilityEngine::stage_totals`]: how query wall-time splits into
-/// slicing, translation (term/clause building), and solving, plus how
-/// often a slice closure was computed from scratch versus reused (from
-/// the per-candidate union or the shared [`SliceCache`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStages {
-    /// Wall-time spent computing slice closures and constraints.
-    pub slice_wall: Duration,
-    /// Wall-time spent building terms/instances from the slice.
-    pub translate_wall: Duration,
-    /// Wall-time spent deciding satisfiability.
-    pub solve_wall: Duration,
-    /// Closures computed from scratch.
-    pub slices_computed: u64,
-    /// Closures served by per-candidate reuse or the shared memo.
-    pub slices_reused: u64,
-    /// Incremental solver sessions opened (0 for engines that solve
-    /// cold). The multi-client bench uses this to show that queries from
-    /// different checkers landing on the same sink share one session.
-    pub sessions_opened: u64,
-    /// Assembled queries the engine refuted by *seeded* known-bits
-    /// preprocessing (abstract program facts attached via
-    /// [`FeasibilityEngine::attach_absint`]) before opening a session or
-    /// bit-blasting anything.
-    pub absint_refutes: u64,
-    /// Always 0. This and `egraph_nodes_saved` counted the e-graph
-    /// simplification layer, which was removed; both stay only because
-    /// `e2ebench/src/main.rs` samples them by name as the
-    /// `smt.egraph_classes` and `smt.egraph_nodes_saved` rows. A benchmark
-    /// change drops those two rows first, then these two fields.
-    pub egraph_classes: u64,
-    /// Always 0; kept for the benchmark, as `egraph_classes` says.
-    pub egraph_nodes_saved: u64,
-}
-
-impl EngineStages {
-    /// Sums another engine's totals into this one.
-    pub fn add(&mut self, other: &EngineStages) {
-        self.slice_wall += other.slice_wall;
-        self.translate_wall += other.translate_wall;
-        self.solve_wall += other.solve_wall;
-        self.slices_computed += other.slices_computed;
-        self.slices_reused += other.slices_reused;
-        self.sessions_opened += other.sessions_opened;
-        self.absint_refutes += other.absint_refutes;
-    }
-
-    /// Deltas relative to an `earlier` snapshot of the same engine.
-    pub fn since(&self, earlier: &EngineStages) -> EngineStages {
-        EngineStages {
-            slice_wall: self.slice_wall.saturating_sub(earlier.slice_wall),
-            translate_wall: self.translate_wall.saturating_sub(earlier.translate_wall),
-            solve_wall: self.solve_wall.saturating_sub(earlier.solve_wall),
-            slices_computed: self.slices_computed - earlier.slices_computed,
-            slices_reused: self.slices_reused - earlier.slices_reused,
-            sessions_opened: self.sessions_opened - earlier.sessions_opened,
-            absint_refutes: self.absint_refutes - earlier.absint_refutes,
-            ..EngineStages::default()
-        }
+crate::counters! {
+    /// Cumulative stage totals an instrumented engine reports via
+    /// [`FeasibilityEngine::stage_totals`]: how query wall-time splits into
+    /// slicing, translation (term/clause building), and solving, plus how
+    /// often a slice closure was computed from scratch versus reused (from
+    /// the per-candidate union or the shared [`SliceCache`]). Summed over
+    /// workers in a run's [`StageStats::engine`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineStages {
+        /// Wall-time spent computing slice closures and constraints.
+        pub slice_wall: Duration => "slice_ms",
+        /// Wall-time spent building terms/instances from the slice.
+        pub translate_wall: Duration => "translate_ms",
+        /// Wall-time spent deciding satisfiability.
+        pub solve_wall: Duration => "solve_ms",
+        /// Closures computed from scratch.
+        pub slices_computed: u64 => "slices_computed",
+        /// Closures served by per-candidate reuse or the shared memo.
+        pub slices_reused: u64 => "slices_reused",
+        /// Incremental solver sessions opened (0 for engines that solve
+        /// cold). The multi-client bench uses this to show that queries from
+        /// different checkers landing on the same sink share one session.
+        pub sessions_opened: u64 => "sessions_opened",
+        /// Assembled queries the engine refuted by *seeded* known-bits
+        /// preprocessing (abstract program facts attached via
+        /// [`FeasibilityEngine::attach_absint`]) before opening a session or
+        /// bit-blasting anything.
+        pub absint_refutes: u64 => "absint_refutes",
+        /// Always 0, so never printed. This and `egraph_nodes_saved`
+        /// counted the e-graph simplification layer, which was removed;
+        /// both stay only because `e2ebench/src/main.rs` samples them by
+        /// name as the `smt.egraph_classes` and `smt.egraph_nodes_saved`
+        /// rows. A benchmark change drops those two rows first, then these
+        /// two fields.
+        pub egraph_classes: u64 => _,
+        /// Always 0; kept for the benchmark, as `egraph_classes` says.
+        pub egraph_nodes_saved: u64 => _,
     }
 }
 
-/// Per-stage wall/counter breakdown of one analysis run
-/// (discover → slice → translate → solve), surfaced by the CLI's
-/// `--stats`/`--json`. Engine stage walls are summed across workers in
-/// parallel runs (CPU-time-like); `discover_wall` is the wall-clock
-/// span of the discovery stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageStats {
-    /// Wall-clock span of the discovery stage, compaction included. At
-    /// more than one thread this overlaps the solve stage; inline it is
-    /// the summed per-item discovery wall.
-    pub discover_wall: Duration,
-    /// Total DFS steps taken by discovery.
-    pub discovery_steps: u64,
-    /// Discovery producer count (1 for an inline run).
-    pub discovery_shards: usize,
-    /// Engine time computing slice closures/constraints (summed over
-    /// workers).
-    pub slice_wall: Duration,
-    /// Engine time building terms/instances (summed over workers).
-    pub translate_wall: Duration,
-    /// Engine time deciding satisfiability (summed over workers).
-    pub solve_wall: Duration,
-    /// Slice closures computed from scratch.
-    pub slices_computed: u64,
-    /// Slice closures reused (per-candidate union or shared memo).
-    pub slices_reused: u64,
-    /// Incremental solver sessions opened across all workers.
-    pub sessions_opened: u64,
-    /// Candidates whose *every* path was refuted by abstract-interpretation
-    /// triage: suppressed with zero cache, slice, or solver work.
-    pub triaged_candidates: u64,
-    /// Individual dependence paths refuted by abstract-interpretation
-    /// triage before any cache lookup or engine query.
-    pub triaged_paths: u64,
-    /// Sink groups that issued no engine query because triage refuted
-    /// paths in them — each is an incremental session the run never had to
-    /// open.
-    pub sessions_skipped: u64,
-    /// Union slice closures never computed because the whole candidate was
-    /// triaged away (one per fully-triaged candidate).
-    pub slices_skipped: u64,
-    /// Assembled queries the engines refuted by seeded known-bits
-    /// preprocessing (solver-side absint seeding, distinct from the
-    /// driver-side path triage above).
-    pub absint_refutes: u64,
-    /// Vertices removed by the compaction pass's frontier reachability
-    /// pruning, summed per checker (zero when compaction is off).
-    pub vertices_pruned: u64,
-    /// Checker-taken PDG edges with a pruned endpoint, summed per checker.
-    pub edges_pruned: u64,
-    /// Single-entry/single-exit summary corridors collapsed into
-    /// composite chains, summed per checker.
-    pub chains_collapsed: u64,
-    /// Solver queries answered by the compaction pass's isomorphic-
-    /// fragment verdict memo instead of the engine (after an exact-key
-    /// cache miss).
-    pub iso_hits: u64,
-    /// Functions whose memoized absint facts a warm session run evicted
-    /// (zero outside incremental re-analysis).
-    pub facts_invalidated: u64,
-    /// Slice closures a warm session run evicted because their function
-    /// span intersected the edit's affected set.
-    pub slices_invalidated: u64,
-    /// Cached path verdicts a warm session run evicted via recorded
-    /// `path_set_key → functions` provenance.
-    pub verdicts_invalidated: u64,
-    /// Candidates actually re-discovered and re-solved by a session run
-    /// (retained work items replay without touching the engine); zero
-    /// for every run outside the warm analysis service and the shards.
-    pub candidates_reanalyzed: u64,
-    /// Call-graph shards a partitioned scan ran (zero for unsharded).
-    pub shards: u64,
-    /// Function summaries (absint facts + return summary) exported by
-    /// shards for their owned functions.
-    pub summaries_exported: u64,
-    /// Function summaries imported by shards for closure functions they
-    /// analyze but don't own — demand-driven, so across any one shard
-    /// this stays below the total function count.
-    pub summaries_imported: u64,
-    /// Snapshot-container bytes written by a partitioned scan or a serve
-    /// `save`.
-    pub snapshot_bytes_written: u64,
-    /// Snapshot-container bytes read (lazily, per section) by shard
-    /// workers or a serve `load`.
-    pub snapshot_bytes_read: u64,
-}
-
-impl StageStats {
-    fn add_engine(&mut self, e: &EngineStages) {
-        self.slice_wall += e.slice_wall;
-        self.translate_wall += e.translate_wall;
-        self.solve_wall += e.solve_wall;
-        self.slices_computed += e.slices_computed;
-        self.slices_reused += e.slices_reused;
-        self.sessions_opened += e.sessions_opened;
-        self.absint_refutes += e.absint_refutes;
+crate::counters! {
+    /// Per-stage wall/counter breakdown of one analysis run
+    /// (discover → slice → translate → solve), surfaced by the CLI's
+    /// `--stats`/`--json`. Engine stage walls are summed across workers in
+    /// parallel runs (CPU-time-like); `discover_wall` is the wall-clock
+    /// span of the discovery stage.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct StageStats {
+        /// Wall-clock span of the discovery stage, compaction included. At
+        /// more than one thread this overlaps the solve stage; inline it is
+        /// the summed per-item discovery wall.
+        pub discover_wall: Duration => "discover_ms",
+        /// Total DFS steps taken by discovery.
+        pub discovery_steps: u64 => "discovery_steps",
+        /// Discovery producer count (1 for an inline run).
+        pub discovery_shards: u64 => "discovery_shards",
+        /// The engines' stage totals, summed over workers.
+        pub engine: EngineStages => ..,
+        /// Individual dependence paths refuted by abstract-interpretation
+        /// triage before any cache lookup or engine query.
+        pub triaged_paths: u64 => "triaged_paths",
+        /// Candidates whose *every* path was refuted by abstract-interpretation
+        /// triage: suppressed with zero cache, slice, or solver work.
+        pub triaged_candidates: u64 => "triaged_candidates",
+        /// Sink groups that issued no engine query because triage refuted
+        /// paths in them — each is an incremental session the run never had to
+        /// open.
+        pub sessions_skipped: u64 => "sessions_skipped",
+        /// Union slice closures never computed because the whole candidate was
+        /// triaged away (one per fully-triaged candidate).
+        pub slices_skipped: u64 => "slices_skipped",
+        /// Vertices removed by the compaction pass's frontier reachability
+        /// pruning, summed per checker (zero when compaction is off).
+        pub vertices_pruned: u64 => "vertices_pruned",
+        /// Checker-taken PDG edges with a pruned endpoint, summed per checker.
+        pub edges_pruned: u64 => "edges_pruned",
+        /// Single-entry/single-exit summary corridors collapsed into
+        /// composite chains, summed per checker.
+        pub chains_collapsed: u64 => "chains_collapsed",
+        /// Solver queries answered by the compaction pass's isomorphic-
+        /// fragment verdict memo instead of the engine (after an exact-key
+        /// cache miss).
+        pub iso_hits: u64 => "iso_hits",
+        /// Functions whose memoized absint facts a warm session run evicted
+        /// (zero outside incremental re-analysis).
+        pub facts_invalidated: u64 => "facts_invalidated",
+        /// Slice closures a warm session run evicted because their function
+        /// span intersected the edit's affected set.
+        pub slices_invalidated: u64 => "slices_invalidated",
+        /// Cached path verdicts a warm session run evicted via recorded
+        /// `path_set_key → functions` provenance.
+        pub verdicts_invalidated: u64 => "verdicts_invalidated",
+        /// Candidates actually re-discovered and re-solved by a session run
+        /// (retained work items replay without touching the engine); zero
+        /// for every run outside the warm analysis service and the shards.
+        pub candidates_reanalyzed: u64 => "candidates_reanalyzed",
+        /// Call-graph shards a partitioned scan ran (zero for unsharded).
+        pub shards: u64 => "shards",
+        /// Function summaries (absint facts + return summary) exported by
+        /// shards for their owned functions.
+        pub summaries_exported: u64 => "summaries_exported",
+        /// Function summaries imported by shards for closure functions they
+        /// analyze but don't own — demand-driven, so across any one shard
+        /// this stays below the total function count.
+        pub summaries_imported: u64 => "summaries_imported",
+        /// Snapshot-container bytes written by a partitioned scan or a serve
+        /// `save`.
+        pub snapshot_bytes_written: u64 => "snapshot_bytes_written",
+        /// Snapshot-container bytes read (lazily, per section) by shard
+        /// workers or a serve `load`.
+        pub snapshot_bytes_read: u64 => "snapshot_bytes_read",
     }
 }
 
@@ -365,33 +317,50 @@ impl AnalysisRun {
     }
 }
 
+crate::counters! {
+    /// One checker's counters in a fused multi-client run. Stage *walls*
+    /// other than `solve_wall` are whole-run quantities and live on
+    /// [`MultiAnalysisRun::stages`]; everything here is attributable per
+    /// candidate (candidates carry their [`CheckerId`], so attribution is
+    /// exact even when workers interleave checkers).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CheckerStats {
+        /// Bug reports for this checker.
+        pub findings: u64 => "findings",
+        /// This checker's candidates whose every path was proven infeasible.
+        pub suppressed: u64 => "suppressed",
+        /// Candidates discovered for this checker.
+        pub candidates: u64 => "candidates",
+        /// Feasibility queries issued to an engine for this checker's
+        /// candidates (verdict-cache and iso-memo hits excluded).
+        pub queries: u64 => "queries",
+        /// Verdict-cache hits while deciding this checker's candidates.
+        pub cache_hits: u64 => "cache_hits",
+        /// Verdict-cache misses while deciding this checker's candidates.
+        pub cache_misses: u64 => "cache_misses",
+        /// DFS steps the fused discovery spent on this checker's sources.
+        pub discovery_steps: u64 => "discovery_steps",
+        /// Engine wall-time spent answering this checker's queries (summed
+        /// over workers).
+        pub solve_wall: Duration => "solve_ms",
+        /// Engine queries answered `Unknown` (budget exhausted). Neither the
+        /// verdict cache nor the iso memo stores `Unknown`, so each comes
+        /// from an engine; a later feasible path of the same candidate can
+        /// hide it from the reports, never from this count.
+        pub unknown_queries: u64 => "unknown_queries",
+    }
+}
+
 /// One checker's share of a fused multi-client run: its reports (in the
-/// exact order a single-checker run would produce them) and its solve-side
-/// tallies. Stage *walls* other than `solve_wall` are whole-run quantities
-/// and live on [`MultiAnalysisRun::stages`]; everything here is
-/// attributable per candidate (candidates carry their [`CheckerId`]).
+/// exact order a single-checker run would produce them) and its counters.
 #[derive(Debug, Clone)]
 pub struct CheckerBreakdown {
     /// The client's bug class.
     pub kind: CheckKind,
     /// Bug reports for this checker, in canonical candidate order.
     pub reports: Vec<BugReport>,
-    /// This checker's candidates whose every path was proven infeasible.
-    pub suppressed: usize,
-    /// Candidates discovered for this checker.
-    pub candidates: usize,
-    /// Feasibility queries issued to an engine for this checker's
-    /// candidates (verdict-cache hits excluded).
-    pub queries: usize,
-    /// Verdict-cache hits while deciding this checker's candidates.
-    pub cache_hits: u64,
-    /// Verdict-cache misses while deciding this checker's candidates.
-    pub cache_misses: u64,
-    /// DFS steps the fused discovery spent on this checker's sources.
-    pub discovery_steps: u64,
-    /// Engine wall-time spent answering this checker's queries (summed
-    /// over workers).
-    pub solve_wall: Duration,
+    /// This checker's counters.
+    pub stats: CheckerStats,
 }
 
 /// Aggregate results of one **fused multi-client run**: every checker in
@@ -445,7 +414,7 @@ impl MultiAnalysisRun {
         let mut suppressed = 0usize;
         for b in self.checkers {
             reports.extend(b.reports);
-            suppressed += b.suppressed;
+            suppressed += b.stats.suppressed as usize;
         }
         AnalysisRun {
             engine: self.engine,
@@ -545,52 +514,6 @@ pub(crate) enum CandVerdict {
     Report(BugReport),
 }
 
-/// Per-checker solve-side tallies a worker accumulates while deciding
-/// candidates (each candidate carries its [`CheckerId`], so attribution
-/// is exact even when workers interleave checkers).
-#[derive(Debug, Clone, Copy, Default)]
-struct CandTally {
-    queries: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    solve_wall: Duration,
-    /// Paths refuted by abstract-interpretation triage (no cache lookup,
-    /// no engine query).
-    triaged_paths: u64,
-    /// Candidates whose every path was triaged away (suppressed with zero
-    /// solver-side work).
-    triaged_candidates: u64,
-    /// Union slice closures skipped because the whole candidate was
-    /// triaged (one per fully-triaged candidate).
-    slices_skipped: u64,
-    /// Queries answered by the compaction pass's isomorphic-fragment
-    /// verdict memo (no engine work, counted after an exact cache miss).
-    iso_hits: u64,
-}
-
-impl CandTally {
-    fn add(&mut self, other: &CandTally) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.solve_wall += other.solve_wall;
-        self.triaged_paths += other.triaged_paths;
-        self.triaged_candidates += other.triaged_candidates;
-        self.slices_skipped += other.slices_skipped;
-        self.iso_hits += other.iso_hits;
-    }
-}
-
-/// `(total queries issued, total triaged paths)` across a tally set —
-/// the group-boundary snapshot a worker uses to count sink groups whose
-/// incremental session was never opened because triage refuted paths.
-fn tally_totals(tallies: &[CandTally]) -> (usize, u64) {
-    (
-        tallies.iter().map(|t| t.queries).sum(),
-        tallies.iter().map(|t| t.triaged_paths).sum(),
-    )
-}
-
 /// Debug-build contract check at the driver's entry: the sparse
 /// analyses, the PDG construction and the abstract interpreter all assume
 /// the IR invariants of [`fusion_ir::validate::check_program`] (acyclic
@@ -609,16 +532,6 @@ fn debug_validate(program: &Program) {
     }
     #[cfg(not(debug_assertions))]
     let _ = program;
-}
-
-/// Copies the summed triage counters of a run's tallies into its
-/// [`StageStats`].
-fn fill_triage_stats(stages: &mut StageStats, tallies: &[CandTally], sessions_skipped: u64) {
-    stages.triaged_paths = tallies.iter().map(|t| t.triaged_paths).sum();
-    stages.triaged_candidates = tallies.iter().map(|t| t.triaged_candidates).sum();
-    stages.slices_skipped = tallies.iter().map(|t| t.slices_skipped).sum();
-    stages.sessions_skipped = sessions_skipped;
-    stages.iso_hits = tallies.iter().map(|t| t.iso_hits).sum();
 }
 
 /// Copies a compacted view's pruning counters into a run's
@@ -715,21 +628,20 @@ struct Worker<'e> {
     last_key: Option<u64>,
     /// `((work-item index, candidate index), outcome)` pairs.
     results: Vec<((usize, usize), CandVerdict)>,
-    /// Per-checker tallies (indexed by `CheckerId.0`).
-    tallies: Vec<CandTally>,
-    /// Sink groups this worker never issued a query for because triage
-    /// refuted paths in them.
-    sessions_skipped: u64,
+    /// Per-checker counters (indexed by `CheckerId.0`).
+    tallies: Vec<CheckerStats>,
+    /// Run-wide counters: triage, iso hits, sessions skipped, and (once
+    /// finished) the engine's stage deltas.
+    stages: StageStats,
 }
 
 /// A finished worker's share of the run.
 struct WorkerOut {
     name: &'static str,
     results: Vec<((usize, usize), CandVerdict)>,
-    tallies: Vec<CandTally>,
+    tallies: Vec<CheckerStats>,
     memory: MemoryAccountant,
-    stages: EngineStages,
-    sessions_skipped: u64,
+    stages: StageStats,
 }
 
 impl<'e> Worker<'e> {
@@ -745,8 +657,8 @@ impl<'e> Worker<'e> {
             engine,
             last_key: None,
             results: Vec::new(),
-            tallies: vec![CandTally::default(); ctx.set.len()],
-            sessions_skipped: 0,
+            tallies: vec![CheckerStats::default(); ctx.set.len()],
+            stages: StageStats::default(),
         }
     }
 
@@ -760,26 +672,28 @@ impl<'e> Worker<'e> {
             self.engine.begin_group(group.sink_key);
             self.last_key = Some(group.sink_key);
         }
-        let (q_before, tr_before) = tally_totals(&self.tallies);
+        // A group that issued no query because triage refuted paths in
+        // it is a session the run never had to open.
+        let queries = |tallies: &[CheckerStats]| tallies.iter().map(|t| t.queries).sum::<u64>();
+        let (q_before, tr_before) = (queries(&self.tallies), self.stages.triaged_paths);
         for (local, cand) in &group.cands {
             let tally = &mut self.tallies[cand.checker.0];
-            let v = solve_candidate(ctx, &mut *self.engine, cand, tally);
+            let v = solve_candidate(ctx, &mut *self.engine, cand, tally, &mut self.stages);
             self.results.push(((group.item, *local), v));
         }
-        let (q_after, tr_after) = tally_totals(&self.tallies);
-        if q_after == q_before && tr_after > tr_before {
-            self.sessions_skipped += 1;
+        if queries(&self.tallies) == q_before && self.stages.triaged_paths > tr_before {
+            self.stages.sessions_skipped += 1;
         }
     }
 
-    fn finish(self) -> WorkerOut {
+    fn finish(mut self) -> WorkerOut {
+        self.stages.engine = self.engine.stage_totals().since(&self.stages_before);
         WorkerOut {
             name: self.engine.name(),
             results: self.results,
             tallies: self.tallies,
             memory: self.engine.memory().clone(),
-            stages: self.engine.stage_totals().since(&self.stages_before),
-            sessions_skipped: self.sessions_skipped,
+            stages: self.stages,
         }
     }
 }
@@ -788,8 +702,9 @@ impl<'e> Worker<'e> {
 /// feasible. With a cache, each path's verdict is looked up by canonical
 /// key first and engine misses are stored back (Unknown is never stored).
 /// `tally.queries` counts only queries actually issued to the engine;
-/// hits/misses/solve-wall accumulate alongside so solve effort is
-/// attributed per checker.
+/// hits/misses/solve-wall/unknowns accumulate alongside so solve effort is
+/// attributed per checker, while triage and iso hits go to the run-wide
+/// `stages`.
 ///
 /// When abstract facts are supplied, each path is first checked against
 /// them ([`ProgramFacts::path_refuted`]): a refuted path is infeasible in
@@ -817,7 +732,8 @@ fn solve_candidate(
     ctx: &RunCtx,
     engine: &mut dyn FeasibilityEngine,
     cand: &Candidate,
-    tally: &mut CandTally,
+    tally: &mut CheckerStats,
+    stages: &mut StageStats,
 ) -> CandVerdict {
     let program = ctx.program;
     let kind = ctx.set.get(cand.checker).kind;
@@ -832,10 +748,10 @@ fn solve_candidate(
         None => vec![false; cand.paths.len()],
     };
     let refuted = triaged.iter().filter(|&&t| t).count();
-    tally.triaged_paths += refuted as u64;
+    stages.triaged_paths += refuted as u64;
     if refuted == cand.paths.len() {
-        tally.triaged_candidates += 1;
-        tally.slices_skipped += 1;
+        stages.triaged_candidates += 1;
+        stages.slices_skipped += 1;
         return CandVerdict::Suppressed;
     }
     // Announce the candidate so the engine can compute the backward
@@ -864,7 +780,7 @@ fn solve_candidate(
                     }
                     None => {
                         tally.cache_misses += 1;
-                        let v = query_with_iso(ctx, engine, slice, tally);
+                        let v = query_with_iso(ctx, engine, slice, tally, stages);
                         c.insert(key, v);
                         if let Some(p) = ctx.prov {
                             p.verdicts.record(key, slice);
@@ -873,7 +789,7 @@ fn solve_candidate(
                     }
                 }
             }
-            None => query_with_iso(ctx, engine, slice, tally),
+            None => query_with_iso(ctx, engine, slice, tally, stages),
         };
         match feasibility {
             Feasibility::Feasible => {
@@ -905,16 +821,20 @@ fn query_with_iso(
     ctx: &RunCtx,
     engine: &mut dyn FeasibilityEngine,
     slice: &[DependencePath],
-    tally: &mut CandTally,
+    tally: &mut CheckerStats,
+    stages: &mut StageStats,
 ) -> Feasibility {
     let iso = ctx.compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
     if let Some(v) = iso.as_ref().and_then(|(memo, key)| memo.get(*key)) {
-        tally.iso_hits += 1;
+        stages.iso_hits += 1;
         return v;
     }
     tally.queries += 1;
     let o = engine.check_paths(ctx.program, ctx.pdg, slice);
     tally.solve_wall += o.duration;
+    if o.feasibility == Feasibility::Unknown {
+        tally.unknown_queries += 1;
+    }
     if let Some((memo, key)) = iso {
         memo.insert(key, o.feasibility);
         if let Some(p) = ctx.prov {
@@ -931,29 +851,30 @@ fn query_with_iso(
 fn assemble_breakdowns(
     set: &CheckerSet,
     ordered: Vec<(CheckerId, CandVerdict)>,
-    tallies: &[CandTally],
+    tallies: Vec<CheckerStats>,
     per_checker_steps: &[u64],
 ) -> Vec<CheckerBreakdown> {
     let mut out: Vec<CheckerBreakdown> = set
         .iter()
-        .map(|(id, c)| CheckerBreakdown {
+        .zip(tallies)
+        .map(|((id, c), tally)| CheckerBreakdown {
             kind: c.kind,
             reports: Vec::new(),
-            suppressed: 0,
-            candidates: 0,
-            queries: tallies[id.0].queries,
-            cache_hits: tallies[id.0].cache_hits,
-            cache_misses: tallies[id.0].cache_misses,
-            discovery_steps: per_checker_steps.get(id.0).copied().unwrap_or(0),
-            solve_wall: tallies[id.0].solve_wall,
+            stats: CheckerStats {
+                discovery_steps: per_checker_steps[id.0],
+                ..tally
+            },
         })
         .collect();
     for (id, v) in ordered {
         let b = &mut out[id.0];
-        b.candidates += 1;
+        b.stats.candidates += 1;
         match v {
-            CandVerdict::Suppressed => b.suppressed += 1,
-            CandVerdict::Report(r) => b.reports.push(r),
+            CandVerdict::Suppressed => b.stats.suppressed += 1,
+            CandVerdict::Report(r) => {
+                b.stats.findings += 1;
+                b.reports.push(r);
+            }
         }
     }
     out
@@ -1232,18 +1153,16 @@ fn drive(
     // Merge in (work item, candidate) order — the canonical discovery
     // order, checker-major since the work list is, and independent of
     // which worker decided what.
-    let mut tallies = vec![CandTally::default(); set.len()];
+    let mut tallies = vec![CheckerStats::default(); set.len()];
     let mut memories: Vec<MemoryAccountant> = Vec::with_capacity(workers.len());
     let mut stages = StageStats::default();
-    let mut sessions_skipped = 0u64;
     let mut merged: Vec<((usize, usize), CandVerdict)> = Vec::new();
     for o in workers {
         for (t, wt) in tallies.iter_mut().zip(&o.tallies) {
             t.add(wt);
         }
         memories.push(o.memory);
-        stages.add_engine(&o.stages);
-        sessions_skipped += o.sessions_skipped;
+        stages.add(&o.stages);
         merged.extend(o.results);
     }
     merged.sort_by_key(|(key, _)| *key);
@@ -1271,11 +1190,10 @@ fn drive(
     }
     stages.discover_wall = propagate_time;
     stages.discovery_steps = per_checker_steps.iter().sum();
-    stages.discovery_shards = discovered.len();
+    stages.discovery_shards = discovered.len() as u64;
     if !cold {
         stages.candidates_reanalyzed = live_candidates;
     }
-    fill_triage_stats(&mut stages, &tallies, sessions_skipped);
     fill_compact_stats(&mut stages, ctx.compact);
 
     // The graph and the caches are retained for the whole run; every
@@ -1305,8 +1223,8 @@ fn drive(
         .zip(per_item)
         .flat_map(|(&(id, _), rec)| rec.verdicts.into_iter().map(move |v| (id, v)))
         .collect();
-    let queries = tallies.iter().map(|t| t.queries).sum();
-    let checkers = assemble_breakdowns(set, ordered, &tallies, &per_checker_steps);
+    let queries = tallies.iter().map(|t| t.queries).sum::<u64>() as usize;
+    let checkers = assemble_breakdowns(set, ordered, tallies, &per_checker_steps);
 
     let run = MultiAnalysisRun {
         engine: match threads {
@@ -1588,8 +1506,8 @@ mod tests {
             let b: Vec<_> = cached.all_reports().map(report_key).collect();
             assert_eq!(a, b, "cache must not change reports");
             assert_eq!(
-                uncached.checkers[0].suppressed,
-                cached.checkers[0].suppressed
+                uncached.checkers[0].stats.suppressed,
+                cached.checkers[0].stats.suppressed
             );
         }
     }
@@ -1612,20 +1530,30 @@ mod tests {
         let fused = fused(&p, &g, &set, &AnalysisOptions::new());
         assert_eq!(fused.checkers.len(), 3);
         assert_eq!(
-            fused.checkers.iter().map(|b| b.candidates).sum::<usize>(),
-            fused.candidates
+            fused
+                .checkers
+                .iter()
+                .map(|b| b.stats.candidates)
+                .sum::<u64>(),
+            fused.candidates as u64
         );
         assert_eq!(
-            fused.checkers.iter().map(|b| b.queries).sum::<usize>(),
-            fused.queries
+            fused.checkers.iter().map(|b| b.stats.queries).sum::<u64>(),
+            fused.queries as u64
         );
         for (id, checker) in set.iter() {
             let mut e = FusionSolver::new(SolverConfig::default());
             let single = analyze(&p, &g, checker, &mut e, &AnalysisOptions::new());
             let b = &fused.checkers[id.0];
             assert_eq!(b.kind, checker.kind);
-            assert_eq!(b.candidates, single.candidates, "candidates for {id}");
-            assert_eq!(b.suppressed, single.suppressed, "suppressed for {id}");
+            assert_eq!(
+                b.stats.candidates, single.candidates as u64,
+                "candidates for {id}"
+            );
+            assert_eq!(
+                b.stats.suppressed, single.suppressed as u64,
+                "suppressed for {id}"
+            );
             let av: Vec<_> = single.reports.iter().map(report_key).collect();
             let bv: Vec<_> = b.reports.iter().map(report_key).collect();
             assert_eq!(av, bv, "reports for {id}");
@@ -1661,7 +1589,10 @@ mod tests {
             assert_eq!(run.candidates, reference.candidates, "threads={threads}");
             for (sb, rb) in reference.checkers.iter().zip(&run.checkers) {
                 assert_eq!(sb.kind, rb.kind);
-                assert_eq!(sb.suppressed, rb.suppressed, "threads={threads}");
+                assert_eq!(
+                    sb.stats.suppressed, rb.stats.suppressed,
+                    "threads={threads}"
+                );
                 // Not just set equality: identical order and contents.
                 let a: Vec<_> = sb.reports.iter().map(report_key).collect();
                 let b: Vec<_> = rb.reports.iter().map(report_key).collect();
@@ -1698,8 +1629,8 @@ mod tests {
         let compacted = fused(&p, &g, &set, &on);
         for (pb, cb) in plain.checkers.iter().zip(&compacted.checkers) {
             assert_eq!(pb.kind, cb.kind);
-            assert_eq!(pb.candidates, cb.candidates);
-            assert_eq!(pb.suppressed, cb.suppressed);
+            assert_eq!(pb.stats.candidates, cb.stats.candidates);
+            assert_eq!(pb.stats.suppressed, cb.stats.suppressed);
             let a: Vec<_> = pb.reports.iter().map(report_key).collect();
             let b: Vec<_> = cb.reports.iter().map(report_key).collect();
             assert_eq!(a, b, "reports must be byte-identical for {}", pb.kind);
@@ -1732,16 +1663,16 @@ mod tests {
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
         let fused = fused(&p, &g, &set, &AnalysisOptions::without_cache());
-        assert!(fused.stages.sessions_opened >= 1);
+        assert!(fused.stages.engine.sessions_opened >= 1);
         let mut loop_sessions = 0u64;
         let mut loop_steps = 0u64;
         for (_, checker) in set.iter() {
             let mut e = FusionSolver::new(SolverConfig::default());
             let run = analyze(&p, &g, checker, &mut e, &AnalysisOptions::without_cache());
-            loop_sessions += run.stages.sessions_opened;
+            loop_sessions += run.stages.engine.sessions_opened;
             loop_steps += run.stages.discovery_steps;
         }
-        assert!(fused.stages.sessions_opened <= loop_sessions);
+        assert!(fused.stages.engine.sessions_opened <= loop_sessions);
         // Discovery work is identical — it is the redundant *passes* the
         // fusion removes, not steps.
         assert_eq!(fused.stages.discovery_steps, loop_steps);
@@ -1749,7 +1680,7 @@ mod tests {
             fused
                 .checkers
                 .iter()
-                .map(|b| b.discovery_steps)
+                .map(|b| b.stats.discovery_steps)
                 .sum::<u64>(),
             fused.stages.discovery_steps
         );

@@ -337,30 +337,50 @@ pub struct SessionProvenance {
     pub iso: Provenance,
 }
 
-/// What one `rescan` invalidated versus retained. All counters are
-/// zero for a cold `scan` and for an `Unchanged` rescan.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct InvalidationStats {
-    /// Functions whose content fingerprint changed.
-    pub functions_edited: u64,
-    /// Functions in the edit's affected component.
-    pub functions_affected: u64,
-    /// Functions whose absint facts were recomputed.
-    pub facts_invalidated: u64,
-    /// Functions whose absint facts were reused as-is.
-    pub facts_retained: u64,
-    /// Slice closures evicted (span met the affected set).
-    pub slices_invalidated: u64,
-    /// Slice closures still resident after eviction.
-    pub slices_retained: u64,
-    /// Cached verdicts evicted through recorded provenance.
-    pub verdicts_invalidated: u64,
-    /// Cached verdicts still resident after eviction.
-    pub verdicts_retained: u64,
-    /// Iso-memo entries garbage-collected.
-    pub iso_invalidated: u64,
-    /// Candidates actually re-discovered and re-solved by the warm run.
-    pub candidates_reanalyzed: u64,
+crate::counters! {
+    /// What one `rescan` invalidated versus retained. All counters are
+    /// zero for a cold `scan` and for an `Unchanged` rescan.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct InvalidationStats {
+        /// Functions whose content fingerprint changed.
+        pub functions_edited: u64 => "functions_edited",
+        /// Functions in the edit's affected component.
+        pub functions_affected: u64 => "functions_affected",
+        /// Functions whose absint facts were recomputed.
+        pub facts_invalidated: u64 => "facts_invalidated",
+        /// Functions whose absint facts were reused as-is.
+        pub facts_retained: u64 => "facts_retained",
+        /// Slice closures evicted (span met the affected set).
+        pub slices_invalidated: u64 => "slices_invalidated",
+        /// Slice closures still resident after eviction.
+        pub slices_retained: u64 => "slices_retained",
+        /// Cached verdicts evicted through recorded provenance.
+        pub verdicts_invalidated: u64 => "verdicts_invalidated",
+        /// Cached verdicts still resident after eviction.
+        pub verdicts_retained: u64 => "verdicts_retained",
+        /// Iso-memo entries garbage-collected.
+        pub iso_invalidated: u64 => "iso_invalidated",
+        /// Candidates actually re-discovered and re-solved by the warm run.
+        pub candidates_reanalyzed: u64 => "candidates_reanalyzed",
+    }
+}
+
+crate::counters! {
+    /// What an [`AnalysisSession`] holds resident: entry counts and bytes
+    /// of its caches and recorded outcomes (absolute sizes, not deltas).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ResidentStats {
+        /// Resident verdict-cache entries.
+        pub verdicts_resident: u64 => "verdicts_resident",
+        /// Resident slice closures (0 with the memo disabled).
+        pub slices_resident: u64 => "slices_resident",
+        /// Recorded `(checker, source)` work items.
+        pub items_resident: u64 => "items_resident",
+        /// Bytes retained by the resident verdict cache.
+        pub cache_bytes: u64 => "cache_bytes",
+        /// Bytes retained by the resident slice-closure cache.
+        pub slice_cache_bytes: u64 => "slice_cache_bytes",
+    }
 }
 
 /// The resident-state machine behind `fusion-scan --serve`: one program,
@@ -423,42 +443,21 @@ impl AnalysisSession {
         self.pdg.as_ref()
     }
 
-    /// Bytes retained by the resident verdict cache.
-    pub fn cache_bytes(&self) -> u64 {
-        self.cache.bytes()
-    }
-
-    /// Bytes retained by the resident slice-closure cache.
-    pub fn slice_cache_bytes(&self) -> u64 {
-        self.options
-            .slice_cache
-            .as_ref()
-            .map(|c| c.bytes())
-            .unwrap_or(0)
-    }
-
     /// What the most recent `rescan` invalidated/retained.
     pub fn last_invalidation(&self) -> InvalidationStats {
         self.last
     }
 
-    /// Resident verdict-cache entry count.
-    pub fn verdicts_resident(&self) -> u64 {
-        self.cache.len()
-    }
-
-    /// Resident slice-closure count (0 with the memo disabled).
-    pub fn slices_resident(&self) -> u64 {
-        self.options
-            .slice_cache
-            .as_ref()
-            .map(|c| c.len())
-            .unwrap_or(0)
-    }
-
-    /// Recorded `(checker, source)` work items.
-    pub fn items_resident(&self) -> usize {
-        self.outcomes.as_ref().map(|o| o.len()).unwrap_or(0)
+    /// Entry counts and bytes of the resident caches and outcomes.
+    pub fn resident(&self) -> ResidentStats {
+        let slices = self.options.slice_cache.as_deref();
+        ResidentStats {
+            verdicts_resident: self.cache.len(),
+            slices_resident: slices.map_or(0, SliceCache::len),
+            items_resident: self.outcomes.as_ref().map_or(0, |o| o.len() as u64),
+            cache_bytes: self.cache.bytes(),
+            slice_cache_bytes: slices.map_or(0, SliceCache::bytes),
+        }
     }
 
     /// Cold scan: flushes all resident state, installs `program`, and
@@ -509,8 +508,8 @@ impl AnalysisSession {
                 self.outcomes = Some(outcomes);
                 self.last = InvalidationStats {
                     facts_retained: n as u64,
-                    slices_retained: self.slices_resident(),
-                    verdicts_retained: self.verdicts_resident(),
+                    slices_retained: self.resident().slices_resident,
+                    verdicts_retained: self.cache.len(),
                     candidates_reanalyzed: run.stages.candidates_reanalyzed,
                     ..InvalidationStats::default()
                 };
@@ -882,8 +881,9 @@ mod tests {
         let read = restored.load(&path).expect("load");
         assert!(read > 0);
         assert!(restored.is_resident());
-        assert_eq!(restored.items_resident(), session.items_resident());
-        assert_eq!(restored.verdicts_resident(), session.verdicts_resident());
+        let (r, s) = (restored.resident(), session.resident());
+        assert_eq!(r.items_resident, s.items_resident);
+        assert_eq!(r.verdicts_resident, s.verdicts_resident);
         let warm = restored.rescan(compile_src(BASE), &factory);
         assert_eq!(keys(&warm), keys(&cold));
         assert_eq!(warm.queries, 0, "loaded session must replay");

@@ -25,6 +25,8 @@
 //!   and bug reports;
 //! * [`cache`] — the sharded feasibility-verdict memo cache shared across
 //!   worker engines;
+//! * [`counters`](mod@counters) — the `counters!` table macro that defines each run
+//!   counter once, with its sum, delta and output key;
 //! * [`compact`] — the pre-discovery PDG-compaction pass: frontier
 //!   reachability pruning, summary-chain collapse, and isomorphic-fragment
 //!   verdict sharing, all over dependence structure only;
@@ -75,6 +77,7 @@ pub mod absint;
 pub mod cache;
 pub mod checkers;
 pub mod compact;
+pub mod counters;
 pub mod engine;
 pub mod graph_solver;
 pub mod incremental;
@@ -94,12 +97,13 @@ pub use checkers::{default_checkers, CheckKind, Checker, CheckerId, CheckerSet};
 pub use compact::{CompactPdg, CompactStats, IsoVerdicts};
 pub use engine::{
     analyze, analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
-    AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, Feasibility, FeasibilityEngine,
-    ItemOutcomes, MultiAnalysisRun, SolveRecord, StageStats,
+    AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, CheckerStats, Feasibility,
+    FeasibilityEngine, ItemOutcomes, MultiAnalysisRun, SolveRecord, StageStats,
 };
 pub use graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 pub use incremental::{
-    AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, SessionProvenance,
+    AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, ResidentStats,
+    SessionProvenance,
 };
 pub use memory::{run_accounting, Category, MemoryAccountant};
 pub use partition::ShardPlan;

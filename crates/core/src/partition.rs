@@ -49,18 +49,28 @@ impl ShardPlan {
         let mut assigned = 0u64;
         for scc in &sccs {
             let weight: u64 = scc.iter().map(|&f| info.def_counts[f as usize]).sum();
-            // Advance to the next shard once this one's fair share is
-            // met, but never past the last shard and never leaving the
-            // current SCC split.
-            while shard + 1 < k && assigned * (k as u64) >= total.max(1) * (shard as u64 + 1) {
-                shard += 1;
-            }
+            // Move on to the last shard whose fair share the weight
+            // assigned so far has met, never past shard k − 1 and never
+            // splitting an SCC. Closed form in u128, so any `k` costs the
+            // same and `assigned · k` cannot overflow.
+            let met = u128::from(assigned) * k as u128 / u128::from(total.max(1));
+            shard = shard.max(met.min(k as u128 - 1) as usize);
             for &f in scc {
                 owner[f as usize] = Some(shard);
             }
             assigned += weight;
         }
         ShardPlan { owner, k }
+    }
+
+    /// The shards that own at least one function, ascending. With more
+    /// shards than components most shards own nothing, so drivers walk
+    /// this list rather than `0..k`.
+    pub fn owning_shards(&self) -> Vec<usize> {
+        let mut shards: Vec<usize> = self.owner.iter().flatten().copied().collect();
+        shards.sort_unstable();
+        shards.dedup();
+        shards
     }
 
     /// The shard count this plan was computed for.
@@ -304,6 +314,73 @@ mod tests {
                 defs < total_defs,
                 "shard {s} materializes the whole program"
             );
+        }
+    }
+
+    /// The shard assignment as first written: advance one shard at a
+    /// time while the assigned weight meets the next fair share.
+    fn reference_owner(info: &CallGraphInfo, k: usize) -> Vec<Option<usize>> {
+        let sccs = tarjan_sccs(info);
+        let total: u64 = sccs
+            .iter()
+            .flat_map(|c| c.iter().map(|&f| info.def_counts[f as usize]))
+            .sum();
+        let mut owner = vec![None; info.len()];
+        let (mut shard, mut assigned) = (0usize, 0u64);
+        for scc in &sccs {
+            while shard + 1 < k && assigned * (k as u64) >= total.max(1) * (shard as u64 + 1) {
+                shard += 1;
+            }
+            for &f in scc {
+                owner[f as usize] = Some(shard);
+            }
+            assigned += scc
+                .iter()
+                .map(|&f| info.def_counts[f as usize])
+                .sum::<u64>();
+        }
+        owner
+    }
+
+    #[test]
+    fn closed_form_matches_the_stepping_reference() {
+        // SplitMix64: `below(n)` draws from 0..n.
+        let mut state = 19u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        for case in 0..200 {
+            let n = 1 + below(40) as usize;
+            let info = CallGraphInfo {
+                is_extern: (0..n).map(|_| below(6) == 0).collect(),
+                def_counts: (0..n).map(|_| below(50)).collect(),
+                callees: (0..n)
+                    .map(|_| (0..below(4)).map(|_| below(n as u64) as u32).collect())
+                    .collect(),
+            };
+            for k in 1..=64 {
+                let plan = ShardPlan::compute(&info, k);
+                assert_eq!(plan.owner, reference_owner(&info, k), "case {case}, k={k}");
+                let owning: Vec<usize> = (0..k).filter(|&s| !plan.owned(s).is_empty()).collect();
+                assert_eq!(plan.owning_shards(), owning, "case {case}, k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_shard_counts_finish() {
+        let info = info();
+        for k in [1usize << 32, usize::MAX] {
+            let plan = ShardPlan::compute(&info, k);
+            assert_eq!(plan.k(), k);
+            let owning = plan.owning_shards();
+            assert!(!owning.is_empty() && owning.iter().all(|&s| s < k));
+            let owned: usize = owning.iter().map(|&s| plan.owned(s).len()).sum();
+            assert_eq!(owned, 5, "every non-extern function has one owner");
         }
     }
 

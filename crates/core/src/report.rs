@@ -93,9 +93,9 @@ pub fn render_multi(program: &Program, run: &MultiAnalysisRun) -> String {
             "== {}: {} finding(s), {} suppressed, {} candidate(s), {} query(ies)",
             b.kind,
             b.reports.len(),
-            b.suppressed,
-            b.candidates,
-            b.queries
+            b.stats.suppressed,
+            b.stats.candidates,
+            b.stats.queries
         );
         let mut sorted: Vec<&BugReport> = b.reports.iter().collect();
         sorted.sort_by_key(|r| (r.source, r.sink));

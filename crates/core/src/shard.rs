@@ -425,10 +425,7 @@ pub fn analyze_sharded(
     let mut shard_peaks = Vec::new();
     let mut exported = 0u64;
     let mut imported = 0u64;
-    for s in 0..plan.k() {
-        if plan.owned(s).is_empty() {
-            continue;
-        }
+    for s in plan.owning_shards() {
         let out = run_shard(
             &snap, &info, &plan, s, set, factory, threads, options, cache,
         )?;

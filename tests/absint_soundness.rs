@@ -198,7 +198,7 @@ type ReportKey = (
     Vec<fusion_pdg::graph::Vertex>,
 );
 
-fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, usize)> {
+fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, u64)> {
     run.checkers
         .iter()
         .map(|b| {
@@ -208,7 +208,7 @@ fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, usi
                     .iter()
                     .map(|r| (r.source, r.sink, r.verdict, r.path.nodes.clone()))
                     .collect(),
-                b.suppressed,
+                b.stats.suppressed,
             )
         })
         .collect()
@@ -348,18 +348,18 @@ fn triage_counters_report_avoided_work() {
         &off,
         Some(&cache_off),
     );
-    let q_on: usize = run.checkers.iter().map(|b| b.queries).sum();
-    let q_off: usize = run_off.checkers.iter().map(|b| b.queries).sum();
+    let q_on: u64 = run.checkers.iter().map(|b| b.stats.queries).sum();
+    let q_off: u64 = run_off.checkers.iter().map(|b| b.stats.queries).sum();
     assert!(
         q_on < q_off,
         "triage must strictly reduce solver queries ({q_on} vs {q_off})"
     );
     assert!(
-        run.stages.sessions_opened <= run_off.stages.sessions_opened,
+        run.stages.engine.sessions_opened <= run_off.stages.engine.sessions_opened,
         "triage must never open more sessions"
     );
     assert!(
-        run.stages.slices_computed < run_off.stages.slices_computed,
+        run.stages.engine.slices_computed < run_off.stages.engine.slices_computed,
         "fully-triaged candidates must skip slice closures"
     );
 }

@@ -89,10 +89,10 @@ fn keys<'a>(reports: impl IntoIterator<Item = &'a fusion::BugReport>) -> Vec<Rep
 }
 
 /// Per-checker `(kind, report keys, suppressed)` of a fused run.
-fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, usize)> {
+fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, u64)> {
     run.checkers
         .iter()
-        .map(|b| (b.kind, keys(&b.reports), b.suppressed))
+        .map(|b| (b.kind, keys(&b.reports), b.stats.suppressed))
         .collect()
 }
 
@@ -129,7 +129,7 @@ fn fused_equals_per_checker_loop_1_to_8_threads() {
                 let run =
                     analyze_multi_with_cache(&program, &pdg, &single, &mut engine, &opts, cache)
                         .into_single();
-                want.push((checker.kind, keys(&run.reports), run.suppressed));
+                want.push((checker.kind, keys(&run.reports), run.suppressed as u64));
             }
             assert!(
                 want.iter().all(|(_, k, s)| !k.is_empty() && *s > 0),
@@ -222,26 +222,35 @@ fn cross_checker_queries_share_the_verdict_cache() {
     let [first, second] = &run.checkers[..] else {
         panic!("two breakdowns expected");
     };
-    assert_eq!(first.candidates, second.candidates);
-    assert!(first.candidates > 0, "subject must discover candidates");
+    assert_eq!(first.stats.candidates, second.stats.candidates);
+    assert!(
+        first.stats.candidates > 0,
+        "subject must discover candidates"
+    );
     // The first client pays the solves...
-    assert!(first.queries > 0, "first checker must query the engine");
+    assert!(
+        first.stats.queries > 0,
+        "first checker must query the engine"
+    );
     assert_eq!(
-        first.cache_hits, 0,
+        first.stats.cache_hits, 0,
         "nothing cached before the first client"
     );
     // ...the second answers entirely from the shared cache: identical
     // path content, identical key, zero engine queries.
     assert_eq!(
-        second.queries, 0,
+        second.stats.queries, 0,
         "second checker must not re-solve shared paths"
     );
-    assert!(second.cache_hits > 0, "second checker must hit the cache");
-    assert_eq!(second.cache_misses, 0);
+    assert!(
+        second.stats.cache_hits > 0,
+        "second checker must hit the cache"
+    );
+    assert_eq!(second.stats.cache_misses, 0);
     // And the verdicts are verbatim the same: same findings, same
     // suppressions, independent of the client fact.
     assert_eq!(keys(&first.reports), keys(&second.reports));
-    assert_eq!(first.suppressed, second.suppressed);
-    assert!(first.suppressed > 0, "subject must suppress");
+    assert_eq!(first.stats.suppressed, second.stats.suppressed);
+    assert!(first.stats.suppressed > 0, "subject must suppress");
     assert!(!first.reports.is_empty(), "subject must report");
 }

@@ -242,9 +242,9 @@ fn multiprocess_sharded_scan_matches_unsharded() {
                 finding_key(&multi),
                 "multi-process k={k} threads={threads}"
             );
-            assert_eq!(multi.shards, k as u64);
-            assert!(multi.snapshot_bytes_written > 0);
-            assert!(multi.snapshot_bytes_read > 0);
+            assert_eq!(multi.stages.shards, k as u64);
+            assert!(multi.stages.snapshot_bytes_written > 0);
+            assert!(multi.stages.snapshot_bytes_read > 0);
         }
     }
 }

@@ -138,23 +138,16 @@ fn one_driver_matches_borrowed_engine_1_to_8_threads() {
 fn counters(run: &MultiAnalysisRun) -> String {
     let mut stages = run.stages;
     stages.discover_wall = Duration::ZERO;
-    stages.slice_wall = Duration::ZERO;
-    stages.translate_wall = Duration::ZERO;
-    stages.solve_wall = Duration::ZERO;
+    stages.engine.slice_wall = Duration::ZERO;
+    stages.engine.translate_wall = Duration::ZERO;
+    stages.engine.solve_wall = Duration::ZERO;
     let checkers: Vec<_> = run
         .checkers
         .iter()
         .map(|b| {
-            (
-                b.kind,
-                b.reports.len(),
-                b.suppressed,
-                b.candidates,
-                b.queries,
-                b.cache_hits,
-                b.cache_misses,
-                b.discovery_steps,
-            )
+            let mut stats = b.stats;
+            stats.solve_wall = Duration::ZERO;
+            (b.kind, b.reports.len(), stats)
         })
         .collect();
     format!(
@@ -231,7 +224,7 @@ fn slice_memo_is_shared_across_runs() {
         Some(&cold_cache),
     );
     assert!(
-        cold.stages.slices_computed > 0,
+        cold.stages.engine.slices_computed > 0,
         "cold run must compute closures"
     );
     assert!(cold.stages.discovery_shards >= 1);
@@ -249,11 +242,11 @@ fn slice_memo_is_shared_across_runs() {
     assert_eq!(keys(&cold), keys(&warm));
     assert!(warm.queries > 0, "fresh verdict cache must re-query");
     assert_eq!(
-        warm.stages.slices_computed, 0,
+        warm.stages.engine.slices_computed, 0,
         "warm run must answer every closure request from the shared memo \
          (reused {} of {} queries)",
-        warm.stages.slices_reused, warm.queries
+        warm.stages.engine.slices_reused, warm.queries
     );
-    assert!(warm.stages.slices_reused > 0);
+    assert!(warm.stages.engine.slices_reused > 0);
     assert!(warm.slice.hits > 0, "slice-cache hits must be observable");
 }
