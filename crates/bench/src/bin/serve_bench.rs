@@ -225,16 +225,7 @@ fn main() {
             row.cold_queries += cold_run.queries as u64;
             row.warm_queries += warm_run.queries as u64;
             row.candidates_total += warm_run.candidates as u64;
-            row.inv.functions_edited += inv.functions_edited;
-            row.inv.functions_affected += inv.functions_affected;
-            row.inv.facts_invalidated += inv.facts_invalidated;
-            row.inv.facts_retained += inv.facts_retained;
-            row.inv.slices_invalidated += inv.slices_invalidated;
-            row.inv.slices_retained += inv.slices_retained;
-            row.inv.verdicts_invalidated += inv.verdicts_invalidated;
-            row.inv.verdicts_retained += inv.verdicts_retained;
-            row.inv.iso_invalidated += inv.iso_invalidated;
-            row.inv.candidates_reanalyzed += inv.candidates_reanalyzed;
+            row.inv.add(&inv);
 
             if threads == GATE_THREADS {
                 println!(
@@ -290,7 +281,7 @@ fn main() {
              \"facts_invalidated\": {}, \"facts_retained\": {}, \
              \"slices_invalidated\": {}, \"slices_retained\": {}, \
              \"verdicts_invalidated\": {}, \"verdicts_retained\": {}, \
-             \"iso_invalidated\": {}, \"reports_identical\": {}}}",
+             \"reports_identical\": {}}}",
             row.threads,
             row.cold_us,
             row.warm_us,
@@ -306,7 +297,6 @@ fn main() {
             row.inv.slices_retained,
             row.inv.verdicts_invalidated,
             row.inv.verdicts_retained,
-            row.inv.iso_invalidated,
             row.reports_identical,
         );
     }

@@ -52,8 +52,10 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
+    /// Any number, as its source text: [`Value::as_f64`] reads it as a
+    /// float, [`Value::as_u64`] as an exact integer (an `f64` would round
+    /// integers above 2^53).
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
@@ -82,7 +84,16 @@ impl Value {
     /// The number, if this is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is one written as a non-negative integer that
+    /// fits in `u64` (no sign, fraction or exponent).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
@@ -198,9 +209,10 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
                 *pos += 1;
             }
             let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("invalid number `{s}` at byte {start}"))
+            match s.parse::<f64>() {
+                Ok(_) => Ok(Value::Num(s.to_owned())),
+                Err(_) => Err(format!("invalid number `{s}` at byte {start}")),
+            }
         }
     }
 }
@@ -286,11 +298,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` as one slice. Both
+                // are ASCII, so the run of the `&str` input ends on a
+                // character boundary and is valid UTF-8; checking each run
+                // once keeps the whole string linear.
+                let start = *pos;
+                *pos += b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - start);
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -395,6 +412,41 @@ mod tests {
             "{\"s\": \"emoji \\uD83D\\uDE00, Gothic \\uD800\\uDF48, music \\uD834\\uDD1E\"}";
         let v = Value::parse(escaped).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // 4 MiB, a serve `scan` of a paper-scale subject, with multi-byte
+        // characters and escapes spread through it. A parser quadratic in
+        // the string's length does not finish this within minutes.
+        let chunk = "plain ascii, \u{e9}\u{1F600} and \"quotes\"\n";
+        let original = chunk.repeat((4 << 20) / chunk.len() + 1);
+        assert!(original.len() >= 4 << 20);
+        let doc = format!("{{\"source\": \"{}\"}}", escape(&original));
+        let v = Value::parse(&doc).unwrap();
+        assert_eq!(v.get("source").unwrap().as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn numbers_keep_their_text() {
+        let v = Value::parse("[9007199254740993, 18446744073709551615, 2.5, -3, 1e3]").unwrap();
+        let nums = v.as_array().unwrap();
+        assert_eq!(nums[0].as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(
+            nums[0].as_f64(),
+            Some(9_007_199_254_740_992.0),
+            "f64 rounds"
+        );
+        assert_eq!(nums[1].as_u64(), Some(u64::MAX));
+        assert_eq!(nums[2].as_f64(), Some(2.5));
+        for n in &nums[2..] {
+            assert_eq!(n.as_u64(), None, "{n:?} is not a plain integer");
+        }
+        assert_eq!(nums[4].as_f64(), Some(1000.0));
+        assert_eq!(
+            Value::parse("[1.2.3]"),
+            Err("invalid number `1.2.3` at byte 1".into())
+        );
     }
 
     #[test]

@@ -121,20 +121,21 @@ fn run_worker_job(opts: &Options, line: &str) -> Result<String, CliError> {
 }
 
 /// Reads a job's `shard` or `shards` member: a non-negative integer that
-/// fits in `usize`. Anything else (negative, fractional, or too large to
-/// be a shard count, such as `1e300`) is a malformed job.
+/// fits in `usize`, read exactly from its text, so the worker plans with
+/// the coordinator's `--shards` even above 2^53. Anything else (negative,
+/// fractional, exponent-form such as `1e300`, or too large) is a
+/// malformed job.
 fn job_index(req: &json::Value, key: &str) -> Result<usize, CliError> {
-    let v = req
-        .get(key)
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| CliError(format!("job needs a numeric `{key}` member")))?;
-    if v >= 0.0 && v.fract() == 0.0 && v < usize::MAX as f64 {
-        Ok(v as usize)
-    } else {
-        Err(CliError(format!(
-            "malformed job: `{key}` must be a non-negative integer, got {v}"
-        )))
-    }
+    let Some(v @ json::Value::Num(text)) = req.get(key) else {
+        return Err(CliError(format!("job needs a numeric `{key}` member")));
+    };
+    v.as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| {
+            CliError(format!(
+                "malformed job: `{key}` must be a non-negative integer, got {text}"
+            ))
+        })
 }
 
 /// Locates the `fusion-scan` binary to spawn as a shard worker:
@@ -341,7 +342,7 @@ fn coordinate(
                     .unwrap_or("unknown error");
                 return Err(CliError(format!("shard {s} failed: {msg}")));
             }
-            let num = |key: &str| resp.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
+            let num = |key: &str| resp.get(key).and_then(json::Value::as_u64).unwrap_or(0);
             exported += num("exported");
             imported += num("imported");
             bytes_read += num("snapshot_bytes_read");
@@ -486,6 +487,24 @@ mod tests {
             assert!(err.starts_with("malformed job: "), "{err}");
         }
         assert_eq!(resp[4].get("ok"), Some(&json::Value::Bool(true)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_loop_reads_shard_numbers_above_2_pow_53_exactly() {
+        let opts = Options::default();
+        let (dir, job) = job_fixture(&opts);
+        let n = "9007199254740993"; // 2^53 + 1: an f64 reads ...992
+        let input = job.replace(
+            "\"shard\": 0, \"shards\": 2",
+            &format!("\"shard\": {n}, \"shards\": {n}"),
+        );
+        let resp = run_worker(&opts, input.into_bytes());
+        let err = resp[0].get("error").unwrap().as_str().unwrap();
+        assert_eq!(
+            err,
+            format!("malformed job: shard {n} is out of range for {n} shard(s)")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

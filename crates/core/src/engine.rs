@@ -10,16 +10,17 @@ use crate::absint::ProgramFacts;
 use crate::cache::{path_set_key, CacheStats, Key128, VerdictCache};
 use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
+use crate::incremental::Provenance;
 use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
 use crate::propagate::{
     discover_source_for_compact, multi_source_vertices, Candidate, PropagateOptions,
 };
 use crate::slice_cache::{SliceCache, SliceCacheStats};
-use crate::stream::{BoundedQueue, CloseGuard};
 use fusion_ir::ssa::Program;
 use fusion_pdg::graph::{Pdg, Vertex};
 use fusion_pdg::paths::DependencePath;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,13 +225,16 @@ crate::counters! {
         pub vertices_pruned: u64 => "vertices_pruned",
         /// Checker-taken PDG edges with a pruned endpoint, summed per checker.
         pub edges_pruned: u64 => "edges_pruned",
-        /// Single-entry/single-exit summary corridors collapsed into
-        /// composite chains, summed per checker.
-        pub chains_collapsed: u64 => "chains_collapsed",
-        /// Solver queries answered by the compaction pass's isomorphic-
-        /// fragment verdict memo instead of the engine (after an exact-key
-        /// cache miss).
-        pub iso_hits: u64 => "iso_hits",
+        /// Always 0, so never printed. This and `iso_hits` counted the
+        /// summary-chain collapse and isomorphic-verdict memo layers of
+        /// compaction, which were removed; both stay only because
+        /// `e2ebench/src/main.rs` samples them by name as the
+        /// `compact.chains_collapsed` and `compact.iso_hits` rows. A
+        /// benchmark change drops those two rows first, then these two
+        /// fields.
+        pub chains_collapsed: u64 => _,
+        /// Always 0; kept for the benchmark, as `chains_collapsed` says.
+        pub iso_hits: u64 => _,
         /// Functions whose memoized absint facts a warm session run evicted
         /// (zero outside incremental re-analysis).
         pub facts_invalidated: u64 => "facts_invalidated",
@@ -332,7 +336,7 @@ crate::counters! {
         /// Candidates discovered for this checker.
         pub candidates: u64 => "candidates",
         /// Feasibility queries issued to an engine for this checker's
-        /// candidates (verdict-cache and iso-memo hits excluded).
+        /// candidates (verdict-cache hits excluded).
         pub queries: u64 => "queries",
         /// Verdict-cache hits while deciding this checker's candidates.
         pub cache_hits: u64 => "cache_hits",
@@ -343,10 +347,10 @@ crate::counters! {
         /// Engine wall-time spent answering this checker's queries (summed
         /// over workers).
         pub solve_wall: Duration => "solve_ms",
-        /// Engine queries answered `Unknown` (budget exhausted). Neither the
-        /// verdict cache nor the iso memo stores `Unknown`, so each comes
-        /// from an engine; a later feasible path of the same candidate can
-        /// hide it from the reports, never from this count.
+        /// Engine queries answered `Unknown` (budget exhausted). The
+        /// verdict cache never stores `Unknown`, so each comes from an
+        /// engine; a later feasible path of the same candidate can hide it
+        /// from the reports, never from this count.
         pub unknown_queries: u64 => "unknown_queries",
     }
 }
@@ -459,12 +463,11 @@ pub struct AnalysisOptions {
     pub absint: bool,
     /// Pre-discovery PDG compaction (on by default unless the
     /// `FUSION_NO_COMPACT` environment variable is set; the CLI exposes
-    /// `--no-compact`): frontier reachability pruning, summary-chain
-    /// collapse, and isomorphic-fragment verdict sharing. Reports are
-    /// byte-identical with it off whenever the propagation step/path
-    /// budgets do not bind (compaction only makes discovery cheaper, so a
-    /// binding budget can cut the uncompacted walk earlier); discovery
-    /// steps and solver queries only ever shrink.
+    /// `--no-compact`): frontier reachability pruning. Reports are
+    /// byte-identical with it off whenever the propagation step budget
+    /// does not bind (pruning only makes discovery cheaper, so a binding
+    /// budget can cut the uncompacted walk earlier); discovery steps only
+    /// ever shrink, and the solver answers the same queries.
     pub compact: bool,
 }
 
@@ -541,7 +544,6 @@ fn fill_compact_stats(stages: &mut StageStats, compact: Option<&CompactPdg>) {
         let cs = c.stats();
         stages.vertices_pruned = cs.vertices_pruned;
         stages.edges_pruned = cs.edges_pruned;
-        stages.chains_collapsed = cs.chains_collapsed;
     }
 }
 
@@ -555,7 +557,7 @@ struct RunCtx<'a> {
     cache: Option<&'a VerdictCache>,
     facts: Option<&'a Arc<ProgramFacts>>,
     compact: Option<&'a CompactPdg>,
-    prov: Option<&'a crate::incremental::SessionProvenance>,
+    prov: Option<&'a Provenance>,
     /// The `(checker, source)` work list in canonical order
     /// ([`multi_source_vertices`]).
     items: &'a [(CheckerId, Vertex)],
@@ -630,8 +632,8 @@ struct Worker<'e> {
     results: Vec<((usize, usize), CandVerdict)>,
     /// Per-checker counters (indexed by `CheckerId.0`).
     tallies: Vec<CheckerStats>,
-    /// Run-wide counters: triage, iso hits, sessions skipped, and (once
-    /// finished) the engine's stage deltas.
+    /// Run-wide counters: triage, sessions skipped, and (once finished)
+    /// the engine's stage deltas.
     stages: StageStats,
 }
 
@@ -703,8 +705,7 @@ impl<'e> Worker<'e> {
 /// key first and engine misses are stored back (Unknown is never stored).
 /// `tally.queries` counts only queries actually issued to the engine;
 /// hits/misses/solve-wall/unknowns accumulate alongside so solve effort is
-/// attributed per checker, while triage and iso hits go to the run-wide
-/// `stages`.
+/// attributed per checker, while triage goes to the run-wide `stages`.
 ///
 /// When abstract facts are supplied, each path is first checked against
 /// them ([`ProgramFacts::path_refuted`]): a refuted path is infeasible in
@@ -714,17 +715,9 @@ impl<'e> Worker<'e> {
 /// and no slice closure is ever computed for it. Triage may only refute,
 /// never claim feasibility, so reports are byte-identical either way.
 ///
-/// With a compacted view, a path whose exact key misses is additionally
-/// looked up in the isomorphic-fragment memo ([`CompactPdg::iso_key`])
-/// before the engine is queried: a hit replays the definite verdict of a
-/// structurally identical path already decided (renaming of functions
-/// and call sites cannot change satisfiability — no identity reaches the
-/// solver), so the query is skipped entirely. Unknown verdicts are never
-/// memoized, so budget-dependent outcomes never leak between fragments.
-///
 /// When a session provenance is supplied (warm analysis service), every
-/// verdict-cache and iso-memo *insert* also records the inserted key's
-/// on-path function span — the `path_set_key → functions` index the
+/// verdict-cache *insert* also records the inserted key's on-path
+/// function span — the `path_set_key → functions` index the
 /// dirtiness tracker later uses to evict exactly the entries an edit can
 /// reach. The record holds function ids and content hashes only, never a
 /// condition (§3.2.2).
@@ -780,16 +773,16 @@ fn solve_candidate(
                     }
                     None => {
                         tally.cache_misses += 1;
-                        let v = query_with_iso(ctx, engine, slice, tally, stages);
+                        let v = query(ctx, engine, slice, tally);
                         c.insert(key, v);
                         if let Some(p) = ctx.prov {
-                            p.verdicts.record(key, slice);
+                            p.record(key, slice);
                         }
                         v
                     }
                 }
             }
-            None => query_with_iso(ctx, engine, slice, tally, stages),
+            None => query(ctx, engine, slice, tally),
         };
         match feasibility {
             Feasibility::Feasible => {
@@ -815,31 +808,19 @@ fn solve_candidate(
     }
 }
 
-/// Decides one path's feasibility, consulting the compacted view's
-/// isomorphic-fragment memo before the engine (see [`solve_candidate`]).
-fn query_with_iso(
+/// Decides one path's feasibility on the engine, charging the query to
+/// the checker's tally.
+fn query(
     ctx: &RunCtx,
     engine: &mut dyn FeasibilityEngine,
     slice: &[DependencePath],
     tally: &mut CheckerStats,
-    stages: &mut StageStats,
 ) -> Feasibility {
-    let iso = ctx.compact.map(|cp| (cp.iso(), cp.iso_key(slice)));
-    if let Some(v) = iso.as_ref().and_then(|(memo, key)| memo.get(*key)) {
-        stages.iso_hits += 1;
-        return v;
-    }
     tally.queries += 1;
     let o = engine.check_paths(ctx.program, ctx.pdg, slice);
     tally.solve_wall += o.duration;
     if o.feasibility == Feasibility::Unknown {
         tally.unknown_queries += 1;
-    }
-    if let Some((memo, key)) = iso {
-        memo.insert(key, o.feasibility);
-        if let Some(p) = ctx.prov {
-            p.iso.record(key, slice);
-        }
     }
     o.feasibility
 }
@@ -926,7 +907,7 @@ pub fn analyze_multi_with_cache(
 /// `factory`. At one thread the run is inline, exactly as
 /// [`analyze_multi_with_cache`]. At more, discovery producers steal
 /// `(checker, source)` work items and stream each item's sink groups
-/// through bounded queues into sticky solve workers: a group goes to
+/// through bounded channels into sticky solve workers: a group goes to
 /// worker `sink function % threads`, so a sink function targeted by
 /// several items or checkers lands on one engine, which keeps one warm
 /// session and instance memo across all of them. Solving overlaps
@@ -1021,10 +1002,10 @@ pub(crate) struct SessionParams<'a> {
     /// item whose source function is unaffected replays its retained
     /// record instead of re-running discovery and solving.
     pub(crate) affected: Option<&'a [bool]>,
-    /// Provenance recorder for verdict/iso-memo inserts (the
+    /// Provenance recorder for verdict-cache inserts (the
     /// `path_set_key → functions` index the next edit's invalidation
     /// uses).
-    pub(crate) prov: Option<&'a crate::incremental::SessionProvenance>,
+    pub(crate) prov: Option<&'a Provenance>,
 }
 
 /// The session run behind the warm analysis service and the shards:
@@ -1271,12 +1252,19 @@ fn inline(
 /// Runs the live items through the streaming pipeline on `threads` ≥ 2
 /// factory-built engines. Producers (one per thread, at most one per
 /// live item) steal work items off a cursor and send each item's sink
-/// groups to the bounded queue of worker `sink function % threads`; each
-/// worker drains its own queue. Sticky routing keeps every group of one
-/// sink function on one engine, so its session and instance memo
-/// amortize across the per-item fragments, and solving overlaps
-/// discovery. The discovery span runs from `t0` until the last producer
-/// finished.
+/// groups down the bounded channel (`sync_channel(2)`) of worker `sink
+/// function % threads`; each worker owns its channel's receiver. Sticky
+/// routing keeps every group of one sink function on one engine, so its
+/// session and instance memo amortize across the per-item fragments, and
+/// solving overlaps discovery. The discovery span runs from `t0` until
+/// the last producer finished.
+///
+/// Only producers hold senders (the scope drops its own after spawning
+/// them), so a worker's channel disconnects, and the worker returns,
+/// once every producer is done. A worker that panics drops its receiver
+/// on unwind: every send to it, blocked or not, then fails, the
+/// producers stop, and the panic propagates through the join instead of
+/// deadlocking it.
 fn pipeline(
     ctx: &RunCtx,
     live: &[usize],
@@ -1285,62 +1273,43 @@ fn pipeline(
     t0: Instant,
 ) -> (Vec<WorkerOut>, Vec<Discovered>, Duration) {
     let producers = threads.min(live.len()).max(1);
-    let queues: Vec<BoundedQueue<SinkGroup>> = (0..threads)
-        .map(|_| BoundedQueue::new(2, producers))
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    let (queues, cursor) = (&queues, &cursor);
+    let (senders, receivers): (Vec<SyncSender<SinkGroup>>, Vec<Receiver<SinkGroup>>) =
+        (0..threads).map(|_| sync_channel(2)).unzip();
+    let cursor = &AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let producer_handles: Vec<_> = (0..producers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut found = Discovered::default();
-                    // Cleared when a send is refused: some worker's queue
-                    // closed (it panicked), so the pipeline cannot
-                    // complete — stop discovering, but still run the
-                    // shutdown protocol below so every queue learns this
-                    // producer is done.
-                    let mut consumers_live = true;
-                    while consumers_live {
-                        let Some(&i) = live.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
-                            break;
-                        };
-                        for group in ctx.discover(i, &mut found) {
-                            if !queues[group.sink_key as usize % threads].send(group) {
-                                consumers_live = false;
-                                break;
-                            }
-                        }
-                    }
-                    let done = t0.elapsed();
-                    for queue in queues {
-                        queue.producer_done();
-                    }
-                    (found, done)
-                })
-            })
-            .collect();
-        let worker_handles: Vec<_> = queues
-            .iter()
-            .map(|queue| {
+        let worker_handles: Vec<_> = receivers
+            .into_iter()
+            .map(|groups| {
                 scope.spawn(move || {
                     let mut engine = factory();
                     let mut worker = Worker::new(ctx, engine.as_mut());
-                    // Liveness: if this worker dies mid-solve (a panicking
-                    // engine), the guard closes its queue on unwind, so
-                    // producers parked on the bounded `not_full` condvar
-                    // wake up, observe the refusal, and wind down — the
-                    // panic then propagates through the join instead of
-                    // deadlocking it. Harmless on orderly exit: the queue
-                    // is already drained when the guard fires.
-                    let _close_guard = CloseGuard::new(queue);
-                    while let Some(group) = queue.recv() {
+                    for group in groups {
                         worker.solve_group(ctx, &group);
                     }
                     worker.finish()
                 })
             })
             .collect();
+        let producer_handles: Vec<_> = (0..producers)
+            .map(|_| {
+                let senders = senders.clone();
+                scope.spawn(move || {
+                    let mut found = Discovered::default();
+                    'items: while let Some(&i) = live.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        for group in ctx.discover(i, &mut found) {
+                            if senders[group.sink_key as usize % threads]
+                                .send(group)
+                                .is_err()
+                            {
+                                break 'items; // that worker panicked
+                            }
+                        }
+                    }
+                    (found, t0.elapsed())
+                })
+            })
+            .collect();
+        drop(senders);
         let workers = worker_handles
             .into_iter()
             .map(|h| h.join().expect("solve worker"))
@@ -1603,17 +1572,13 @@ mod tests {
 
     #[test]
     fn compaction_preserves_reports_and_shrinks_work() {
-        // `dead` gives pruning something to remove, the `id` corridor
-        // collapses to a chain, and the byte-identical bodies of `f` and
-        // `g` exercise the isomorphic verdict memo: the compacted run
-        // must produce the same reports with strictly fewer discovery
-        // steps and strictly fewer solver queries.
+        // `lost`'s null source reaches no sink, so pruning skips it
+        // outright; everything else is live. On and off must agree on
+        // every report and every counter but the discovery steps pruning
+        // saves (and solve wall, which is timing).
         let src = "extern fn deref(p);\n\
-             fn dead(y) { let z = y + 1; return z; }\n\
-             fn id(x) { return x; }\n\
-             fn f(x) { let q = null; let r = 1; if (x > 0) { r = q; } deref(r); return 0; }\n\
-             fn g(x) { let q = null; let r = 1; if (x > 0) { r = q; } deref(r); return 0; }\n\
-             fn h(c) { let q = null; let u = id(q); let n = dead(c); if (c > n) { deref(u); } return 0; }";
+             fn lost() { let q = null; return q; }\n\
+             fn f(x) { let q = null; let r = 1; if (x > 0) { r = q; } deref(r); return 0; }";
         let p = compile(src, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
@@ -1627,30 +1592,32 @@ mod tests {
         };
         let plain = fused(&p, &g, &set, &off);
         let compacted = fused(&p, &g, &set, &on);
+        assert_eq!(compacted.candidates, plain.candidates);
+        assert_eq!(compacted.queries, plain.queries);
         for (pb, cb) in plain.checkers.iter().zip(&compacted.checkers) {
             assert_eq!(pb.kind, cb.kind);
-            assert_eq!(pb.stats.candidates, cb.stats.candidates);
-            assert_eq!(pb.stats.suppressed, cb.stats.suppressed);
             let a: Vec<_> = pb.reports.iter().map(report_key).collect();
             let b: Vec<_> = cb.reports.iter().map(report_key).collect();
             assert_eq!(a, b, "reports must be byte-identical for {}", pb.kind);
+            let untimed = |s: CheckerStats| CheckerStats {
+                discovery_steps: 0,
+                solve_wall: Duration::ZERO,
+                ..s
+            };
+            assert_eq!(untimed(pb.stats), untimed(cb.stats), "{}", pb.kind);
         }
         assert_eq!(plain.stages.vertices_pruned, 0, "off ⇒ no pruning stats");
         assert!(compacted.stages.vertices_pruned > 0);
         assert!(compacted.stages.edges_pruned > 0);
-        assert!(compacted.stages.chains_collapsed > 0);
-        assert!(
-            compacted.stages.discovery_steps < plain.stages.discovery_steps,
-            "compacted discovery {} must undercut plain {}",
-            compacted.stages.discovery_steps,
-            plain.stages.discovery_steps
-        );
-        assert!(compacted.stages.iso_hits > 0, "f/g paths are isomorphic");
-        assert!(
-            compacted.queries < plain.queries,
-            "iso sharing must drop queries ({} vs {})",
-            compacted.queries,
-            plain.queries
+        // Off: two steps from each source (`q`, then the return or the
+        // `ite` feeding `deref`). On: `lost`'s two are skipped.
+        assert_eq!(
+            (
+                plain.stages.discovery_steps,
+                compacted.stages.discovery_steps
+            ),
+            (4, 2),
+            "pruning skips `lost`'s source"
         );
     }
 
@@ -1708,5 +1675,59 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(multi.candidates, single.candidates);
         assert_eq!(multi.queries, single.queries);
+    }
+
+    /// An engine that panics on its first query.
+    struct PanickingEngine(MemoryAccountant);
+
+    impl FeasibilityEngine for PanickingEngine {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+        fn check_paths(&mut self, _: &Program, _: &Pdg, _: &[DependencePath]) -> CheckOutcome {
+            panic!("engine failure");
+        }
+        fn memory(&self) -> &MemoryAccountant {
+            &self.0
+        }
+        fn records(&self) -> &[SolveRecord] {
+            &[]
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_worker_fails_the_run_instead_of_hanging() {
+        // 24 sink functions give each of the four workers six groups,
+        // more than its channel holds, so a producer can be blocked on a
+        // full channel when that channel's worker dies.
+        let mut src = String::from("extern fn deref(p);\n");
+        for i in 0..24 {
+            src.push_str(&format!(
+                "fn f{i}(x) {{ let q = null; let r = 1; if (x > {i}) {{ r = q; }} deref(r); return 0; }}\n"
+            ));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let p = compile(&src, CompileOptions::default()).expect("compile");
+            let g = Pdg::build(&p);
+            let set = CheckerSet::single(Checker::null_deref());
+            // No triage, so every candidate reaches an engine.
+            let opts = AnalysisOptions {
+                absint: false,
+                ..AnalysisOptions::without_cache()
+            };
+            let factory = || -> Box<dyn FeasibilityEngine> {
+                Box::new(PanickingEngine(MemoryAccountant::new()))
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                analyze_multi_streaming_with_cache(&p, &g, &set, &factory, 4, &opts, None)
+            }));
+            let _ = tx.send(run.is_err());
+        });
+        let failed = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run must end, not deadlock");
+        handle.join().expect("the panic was caught");
+        assert!(failed, "the worker's panic must reach the caller");
     }
 }

@@ -25,16 +25,15 @@
 //!   whose span meets the affected set. This is correctness-critical:
 //!   the cache key hashes *on-path* content only, while the closure
 //!   contains off-path definitions of every spanned function.
-//! * **Verdicts** are evicted through recorded provenance
-//!   ([`SessionProvenance`]): each `path_set_key` insert records the
-//!   path's on-path function ids; a key is evicted when that span meets
-//!   the affected set. The same argument as above makes this sound —
-//!   the backward slice of a path never leaves the path's call-graph
-//!   component, and the whole component is evicted.
-//! * **Iso-memo entries** have content-pinned keys (recursive body
-//!   signatures), so stale entries can never be *hit*; their eviction is
-//!   garbage collection with counters, and retained entries transplant
-//!   soundly into the rebuilt [`CompactPdg`].
+//! * **Verdicts** are evicted through recorded [`Provenance`]: each
+//!   `path_set_key` insert records the path's on-path function ids; a key
+//!   is evicted when that span meets the affected set. The same argument
+//!   as above makes this sound — the backward slice of a path never
+//!   leaves the path's call-graph component, and the whole component is
+//!   evicted.
+//!
+//! The [`CompactPdg`] is rebuilt from the edited program; it holds no
+//! state worth carrying across an edit.
 //!
 //! §3.2.2 discipline: every piece of invalidation metadata is dependence
 //! structure (function ids, adjacency) or a content hash — never a path
@@ -229,7 +228,7 @@ impl DirtinessTracker {
 const PROV_SHARDS: usize = 16;
 
 /// A sharded `key → on-path function span` index. Recorded at every
-/// verdict-cache / iso-memo insert; consumed by
+/// verdict-cache insert; consumed by
 /// [`Provenance::take_involving`] to name exactly the keys an edit's
 /// affected set can reach. Values are sorted, deduplicated function ids
 /// — dependence structure only, never a condition.
@@ -325,18 +324,6 @@ impl Provenance {
     }
 }
 
-/// The two provenance indexes a session run records into: one for
-/// exact-key verdicts, one for iso-memo entries.
-#[derive(Default)]
-pub struct SessionProvenance {
-    /// `path_set_key → functions` for the [`VerdictCache`].
-    pub verdicts: Provenance,
-    /// `iso_key → functions` for the [`CompactPdg`]'s fragment memo
-    /// (eviction here is GC-with-counters — iso keys are content-pinned
-    /// and can never be hit stale).
-    pub iso: Provenance,
-}
-
 crate::counters! {
     /// What one `rescan` invalidated versus retained. All counters are
     /// zero for a cold `scan` and for an `Unchanged` rescan.
@@ -358,8 +345,6 @@ crate::counters! {
         pub verdicts_invalidated: u64 => "verdicts_invalidated",
         /// Cached verdicts still resident after eviction.
         pub verdicts_retained: u64 => "verdicts_retained",
-        /// Iso-memo entries garbage-collected.
-        pub iso_invalidated: u64 => "iso_invalidated",
         /// Candidates actually re-discovered and re-solved by the warm run.
         pub candidates_reanalyzed: u64 => "candidates_reanalyzed",
     }
@@ -402,7 +387,7 @@ pub struct AnalysisSession {
     compact: Option<CompactPdg>,
     cache: VerdictCache,
     outcomes: Option<ItemOutcomes>,
-    prov: SessionProvenance,
+    prov: Provenance,
     tracker: Option<DirtinessTracker>,
     last: InvalidationStats,
 }
@@ -422,7 +407,7 @@ impl AnalysisSession {
             compact: None,
             cache: VerdictCache::new(),
             outcomes: None,
-            prov: SessionProvenance::default(),
+            prov: Provenance::default(),
             tracker: None,
             last: InvalidationStats::default(),
         }
@@ -551,24 +536,11 @@ impl AnalysisSession {
                 }
                 // Verdicts: evict the recorded keys the edit can reach.
                 if self.options.use_cache {
-                    let keys = self.prov.verdicts.take_involving(&affected);
+                    let keys = self.prov.take_involving(&affected);
                     inv.verdicts_invalidated = self.cache.remove_keys(&keys);
                     inv.verdicts_retained = self.cache.len();
                 }
-                // Compacted view: GC the affected iso entries, then
-                // rebuild the per-checker regions and transplant the
-                // retained (content-pinned) memo.
-                if let Some(prev) = self.compact.take() {
-                    let iso_keys = self.prov.iso.take_involving(&affected);
-                    inv.iso_invalidated = prev.iso().remove_keys(&iso_keys);
-                    self.compact = Some(CompactPdg::rebuild(
-                        &program,
-                        &pdg,
-                        &self.set,
-                        &self.options.propagate,
-                        prev,
-                    ));
-                }
+                self.compact = self.compact_view(&program, &pdg);
                 self.pdg = Some(pdg);
                 self.tracker = Some(DirtinessTracker::new(&program));
                 self.program = Some(program);
@@ -585,12 +557,12 @@ impl AnalysisSession {
     }
 
     /// Persists the resident state — program, facts, PDG partitions,
-    /// recorded outcomes, verdict cache, iso memo, and eviction
-    /// provenance — into one snapshot container at `path` (serve-mode
-    /// `save`). Slice closures are deliberately not serialized: they are
-    /// a pure memo the next live run refills, and replay never needs
-    /// them. Returns bytes written. No path condition is serialized
-    /// (§3.2.2: structure, facts, verdicts only).
+    /// recorded outcomes, verdict cache, and eviction provenance — into
+    /// one snapshot container at `path` (serve-mode `save`). Slice
+    /// closures are deliberately not serialized: they are a pure memo the
+    /// next live run refills, and replay never needs them. Returns bytes
+    /// written. No path condition is serialized (§3.2.2: structure,
+    /// facts, verdicts only).
     pub fn save(&self, path: &std::path::Path) -> Result<u64, SnapshotError> {
         let program = self.program.as_ref().ok_or_else(|| SnapshotError {
             offset: 0,
@@ -607,11 +579,7 @@ impl AnalysisSession {
             snapshot::write_outcomes(&mut w, outcomes);
         }
         snapshot::write_verdicts(&mut w, &self.cache);
-        if let Some(compact) = &self.compact {
-            snapshot::write_iso(&mut w, compact.iso());
-        }
-        snapshot::write_provenance(&mut w, snapshot::tag::PROV_VERDICTS, &self.prov.verdicts);
-        snapshot::write_provenance(&mut w, snapshot::tag::PROV_ISO, &self.prov.iso);
+        snapshot::write_provenance(&mut w, &self.prov);
         w.write_to(path)
     }
 
@@ -635,15 +603,7 @@ impl AnalysisSession {
             };
             self.facts = Some(Arc::new(facts));
         }
-        if self.options.compact {
-            let compact = CompactPdg::build(&program, &pdg, &self.set, &self.options.propagate);
-            if snap.has(snapshot::tag::ISO, 0) {
-                for (k, v) in snapshot::read_iso(&snap)? {
-                    compact.iso().insert(k, v);
-                }
-            }
-            self.compact = Some(compact);
-        }
+        self.compact = self.compact_view(&program, &pdg);
         if snap.has(snapshot::tag::VERDICTS, 0) {
             self.cache = snapshot::read_verdicts(&snap)?;
         }
@@ -651,10 +611,7 @@ impl AnalysisSession {
             self.outcomes = Some(snapshot::read_outcomes(&snap)?);
         }
         if snap.has(snapshot::tag::PROV_VERDICTS, 0) {
-            self.prov.verdicts = snapshot::read_provenance(&snap, snapshot::tag::PROV_VERDICTS)?;
-        }
-        if snap.has(snapshot::tag::PROV_ISO, 0) {
-            self.prov.iso = snapshot::read_provenance(&snap, snapshot::tag::PROV_ISO)?;
+            self.prov = snapshot::read_provenance(&snap)?;
         }
         self.tracker = Some(DirtinessTracker::new(&program));
         self.pdg = Some(pdg);
@@ -697,13 +654,17 @@ impl AnalysisSession {
             .options
             .absint
             .then(|| Arc::new(ProgramFacts::compute(&program)));
-        self.compact = self
-            .options
-            .compact
-            .then(|| CompactPdg::build(&program, &pdg, &self.set, &self.options.propagate));
+        self.compact = self.compact_view(&program, &pdg);
         self.tracker = Some(DirtinessTracker::new(&program));
         self.pdg = Some(pdg);
         self.program = Some(program);
+    }
+
+    /// The compacted view of `program`, when compaction is on.
+    fn compact_view(&self, program: &Program, pdg: &Pdg) -> Option<CompactPdg> {
+        self.options
+            .compact
+            .then(|| CompactPdg::build(program, pdg, &self.set, &self.options.propagate))
     }
 
     fn flush(&mut self) {
@@ -711,7 +672,7 @@ impl AnalysisSession {
         if self.options.slice_cache.is_some() {
             self.options.slice_cache = Some(Arc::new(SliceCache::new()));
         }
-        self.prov = SessionProvenance::default();
+        self.prov = Provenance::default();
         self.outcomes = None;
         self.facts = None;
         self.compact = None;

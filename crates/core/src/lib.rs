@@ -28,16 +28,13 @@
 //! * [`counters`](mod@counters) — the `counters!` table macro that defines each run
 //!   counter once, with its sum, delta and output key;
 //! * [`compact`] — the pre-discovery PDG-compaction pass: frontier
-//!   reachability pruning, summary-chain collapse, and isomorphic-fragment
-//!   verdict sharing, all over dependence structure only;
+//!   reachability pruning over dependence structure only;
 //! * [`slice_cache`] — the sharded LRU memo of slice *closures* (dependence
 //!   structure only — never formulas, preserving §3.2.2's discipline);
 //! * [`incremental`] — the warm analysis service: per-function content
 //!   fingerprints, the dirtiness tracker, eviction provenance, and the
 //!   resident [`incremental::AnalysisSession`] behind `fusion-scan
 //!   --serve`;
-//! * [`stream`] — the bounded channel behind the streaming
-//!   discovery→solve pipeline;
 //! * [`snapshot`] — the versioned, checksummed on-disk container for
 //!   PDG partitions, facts, summaries, verdicts, and outcomes (never a
 //!   path condition);
@@ -89,12 +86,11 @@ pub mod report;
 pub mod shard;
 pub mod slice_cache;
 pub mod snapshot;
-pub mod stream;
 
 pub use absint::{AbsVal, ProgramFacts};
 pub use cache::{path_set_key, CacheStats, Key128, VerdictCache};
 pub use checkers::{default_checkers, CheckKind, Checker, CheckerId, CheckerSet};
-pub use compact::{CompactPdg, CompactStats, IsoVerdicts};
+pub use compact::{CompactPdg, CompactStats};
 pub use engine::{
     analyze, analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
     AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, CheckerStats, Feasibility,
@@ -103,7 +99,6 @@ pub use engine::{
 pub use graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 pub use incremental::{
     AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, ResidentStats,
-    SessionProvenance,
 };
 pub use memory::{run_accounting, Category, MemoryAccountant};
 pub use partition::ShardPlan;

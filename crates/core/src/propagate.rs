@@ -30,7 +30,6 @@ use crate::checkers::{Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
 use crate::memory::{Category, MemoryAccountant};
 use fusion_ir::ssa::{CallSiteId, Program};
-use fusion_pdg::compact::SummaryChain;
 use fusion_pdg::graph::{FlowTarget, Pdg, Vertex};
 use fusion_pdg::paths::{DependencePath, Link};
 use std::collections::hash_map::Entry;
@@ -151,8 +150,7 @@ struct Dfs<'a> {
     /// fused multi-checker pass).
     checker_id: CheckerId,
     /// The compacted view, when the pass ran: dead vertices are never
-    /// stepped onto, and collapsed summary chains are replayed as one
-    /// composite edge instead of vertex-by-vertex exploration.
+    /// stepped onto.
     compact: Option<&'a CompactPdg>,
     opts: PropagateOptions,
     steps: usize,
@@ -228,53 +226,6 @@ impl<'a> Dfs<'a> {
         self.compact.is_none_or(|c| c.is_live(self.checker_id, v))
     }
 
-    /// Replays a collapsed summary chain as one composite edge: pushes
-    /// the chain's original `(link, vertex)` body onto the path — with
-    /// exactly the `(vertex, stack hash)` state keys a vertex-by-vertex
-    /// walk would have inserted — and recurses once from the caller-side
-    /// receiver, with the stack unchanged (the `Enter`/`Exit` pair
-    /// cancels). Consumes **zero** DFS steps for the body; the replayed
-    /// path is byte-identical to an uncollapsed traversal.
-    fn traverse_chain(
-        &mut self,
-        path: &mut DependencePath,
-        stack: &mut CallStack,
-        chain: &SummaryChain,
-    ) {
-        let n = chain.body.len();
-        let h_orig = stack.hash();
-        let h_in = mix_site(h_orig, chain.site);
-        // Insert the body's DFS states one by one; any collision means
-        // the vertex-by-vertex walk would have been cut off at that point
-        // (and, the corridor being silent, recorded nothing) — roll back
-        // and skip the whole chain. Rolled-back elements all carry
-        // `h_in`: a failure at index i < n leaves only indices < i ≤ n-1
-        // inserted, and only the last body element (the receiver) uses
-        // `h_orig`.
-        for (i, &(_, v)) in chain.body.iter().enumerate() {
-            let h = if i + 1 == n { h_orig } else { h_in };
-            if !self.states.insert((v, h)) {
-                for &(_, u) in &chain.body[..i] {
-                    self.states.remove(&(u, h_in));
-                }
-                return;
-            }
-        }
-        self.max_states = self.max_states.max(self.states.len());
-        for &(link, v) in &chain.body {
-            path.push(link, v);
-        }
-        self.explore(path, stack);
-        for _ in 0..n {
-            path.nodes.pop();
-            path.links.pop();
-        }
-        for (i, &(_, v)) in chain.body.iter().enumerate() {
-            let h = if i + 1 == n { h_orig } else { h_in };
-            self.states.remove(&(v, h));
-        }
-    }
-
     /// Steps to `v` (with the stack already updated), recurses, and
     /// undoes the step. Returns without recursing if the (vertex, stack)
     /// state already occurs on the current path.
@@ -326,13 +277,6 @@ impl<'a> Dfs<'a> {
                     let entry = Vertex::new(callee, param);
                     if !self.live(entry) {
                         continue; // pruned: the callee corridor is dead
-                    }
-                    if let Some(chain) = self
-                        .compact
-                        .and_then(|c| c.chain(self.checker_id, site, param))
-                    {
-                        self.traverse_chain(path, stack, chain);
-                        continue;
                     }
                     stack.push(site);
                     self.step(path, stack, Link::Enter(site), entry);
@@ -443,10 +387,9 @@ pub fn discover_source_for(
 /// [`discover_source_for`] with an optional compacted PDG view: dead
 /// sources are skipped outright (a source whose liveness pruning removed
 /// it reaches no sink, so the DFS would burn ≥ 1 step recording
-/// nothing), live exploration never steps onto pruned vertices, and
-/// collapsed summary chains are replayed as composite edges. Reports are
-/// byte-identical to the uncompacted walk whenever the step/path budgets
-/// do not bind; steps only ever shrink.
+/// nothing), and live exploration never steps onto pruned vertices.
+/// Reports are byte-identical to the uncompacted walk whenever the step
+/// budget does not bind; steps only ever shrink.
 pub fn discover_source_for_compact(
     program: &Program,
     pdg: &Pdg,
@@ -1042,8 +985,9 @@ mod tests {
     }
 
     /// Compacted discovery must be byte-identical to the plain walk —
-    /// same candidates, same paths — while taking strictly fewer steps
-    /// (dead flows are pruned, identity corridors replay as chains).
+    /// same candidates, same paths — while taking strictly fewer steps:
+    /// `lost`'s source reaches no sink and `f`'s copy `t` feeds none, so
+    /// both flows are pruned.
     #[test]
     fn compacted_discovery_is_byte_identical_and_cheaper() {
         use crate::checkers::CheckerSet;
@@ -1053,11 +997,13 @@ mod tests {
              fn f(c) {\n\
                let q = null;\n\
                let r = id(q);\n\
+               let t = q;\n\
                let n = dead(c);\n\
                if (c > n) { deref(r); }\n\
                return 0;\n\
              }\n\
-             fn g() { let q = null; let u = id(id(q)); deref(u); return 0; }";
+             fn g() { let q = null; let u = id(id(q)); deref(u); return 0; }\n\
+             fn lost() { let q = null; let y = q; return y; }";
         let p = compile(src, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let opts = PropagateOptions::default();
@@ -1065,7 +1011,6 @@ mod tests {
         let plain = discover_all_multi(&p, &g, &set, &opts, 1);
         let compact = CompactPdg::build(&p, &g, &set, &opts);
         assert!(compact.stats().vertices_pruned > 0);
-        assert!(compact.stats().chains_collapsed > 0);
         for shards in 1..=4 {
             let c = discover_all_multi_compact(&p, &g, &set, &opts, shards, Some(&compact));
             assert_eq!(c.candidates.len(), plain.candidates.len());

@@ -31,7 +31,6 @@
 
 use crate::absint::ProgramFacts;
 use crate::cache::{Key128, VerdictCache};
-use crate::compact::IsoVerdicts;
 use crate::engine::{CandVerdict, Feasibility, ItemOutcomes, ItemRecord};
 use crate::incremental::Provenance;
 use crate::quickpath::RetSummary;
@@ -74,12 +73,12 @@ pub mod tag {
     pub const OUTCOMES: u32 = 6;
     /// Verdict-cache entries (`Key128 → Feasibility`).
     pub const VERDICTS: u32 = 7;
-    /// Iso-memo entries (`Key128 → Feasibility`).
-    pub const ISO: u32 = 8;
+    // 8 held the isomorphic-verdict memo; retired, never reused.
     /// Verdict provenance spans (`Key128 → function ids`).
     pub const PROV_VERDICTS: u32 = 9;
-    /// Iso provenance spans (`Key128 → function ids`).
-    pub const PROV_ISO: u32 = 10;
+    // 10 held the isomorphic-verdict memo's provenance; retired, never
+    // reused. Readers look sections up by tag, so a snapshot that still
+    // carries 8 or 10 loads as if they were absent.
 }
 
 /// A position-annotated snapshot decode/IO error. Never produced by a
@@ -1103,24 +1102,9 @@ pub fn read_verdicts(snap: &Snapshot) -> Result<VerdictCache, SnapshotError> {
     Ok(cache)
 }
 
-/// Adds the iso-memo contents as [`tag::ISO`].
-pub fn write_iso(w: &mut SnapshotWriter, iso: &IsoVerdicts) {
-    w.add(tag::ISO, 0, encode_key_map(&iso.entries()));
-}
-
-/// Decodes [`tag::ISO`] into raw entries (re-inserted into a rebuilt
-/// [`crate::compact::CompactPdg`]'s memo on load).
-pub fn read_iso(snap: &Snapshot) -> Result<Vec<(Key128, Feasibility)>, SnapshotError> {
-    let payload = snap.section(tag::ISO, 0)?;
-    let mut d = Dec::new(&payload, snap.offset_of(tag::ISO, 0));
-    let entries = decode_key_map(&mut d)?;
-    d.done()?;
-    Ok(entries)
-}
-
-/// Adds one provenance index (`key → sorted function span`) under the
-/// given tag ([`tag::PROV_VERDICTS`] or [`tag::PROV_ISO`]).
-pub fn write_provenance(w: &mut SnapshotWriter, t: u32, prov: &Provenance) {
+/// Adds the verdict provenance index (`key → sorted function span`) as
+/// [`tag::PROV_VERDICTS`].
+pub fn write_provenance(w: &mut SnapshotWriter, prov: &Provenance) {
     let mut entries = prov.entries();
     entries.sort_unstable_by_key(|(k, _)| *k);
     let mut e = Enc::new();
@@ -1133,13 +1117,13 @@ pub fn write_provenance(w: &mut SnapshotWriter, t: u32, prov: &Provenance) {
             e.u32(*f);
         }
     }
-    w.add(t, 0, e.buf);
+    w.add(tag::PROV_VERDICTS, 0, e.buf);
 }
 
-/// Decodes a provenance index written by [`write_provenance`].
-pub fn read_provenance(snap: &Snapshot, t: u32) -> Result<Provenance, SnapshotError> {
-    let payload = snap.section(t, 0)?;
-    let mut d = Dec::new(&payload, snap.offset_of(t, 0));
+/// Decodes the provenance index written by [`write_provenance`].
+pub fn read_provenance(snap: &Snapshot) -> Result<Provenance, SnapshotError> {
+    let payload = snap.section(tag::PROV_VERDICTS, 0)?;
+    let mut d = Dec::new(&payload, snap.offset_of(tag::PROV_VERDICTS, 0));
     let n = d.count(20)?;
     let prov = Provenance::default();
     for _ in 0..n {

@@ -1,9 +1,8 @@
 //! Graph-side support for the pre-discovery PDG-compaction pass.
 //!
-//! The compaction itself (frontier reachability pruning, summary-chain
-//! collapse, isomorphic-fragment dedup) is checker-aware and lives in
-//! `fusion::compact`; this module holds the checker-agnostic graph
-//! machinery it is built on:
+//! The compaction itself (frontier reachability pruning) is
+//! checker-aware and lives in `fusion::compact`; this module holds the
+//! checker-agnostic graph machinery it is built on:
 //!
 //! * [`VertexIndexer`] — a dense whole-program numbering of PDG vertices,
 //!   so per-checker reachability can use flat bit sets instead of hash
@@ -13,16 +12,10 @@
 //!   with a `u32` label per edge, and its reverse by counting sort. The
 //!   compaction pass builds one per scan, labels each edge with the
 //!   class of flow it carries, and every checker walks that one graph
-//!   through its own reading of the labels;
-//! * [`SummaryChain`] — one collapsed single-entry/single-exit
-//!   `Enter…Exit` summary chain, carrying the **original** vertex
-//!   sequence so discovery can replay it verbatim: reports and content
-//!   hashing always see the uncompacted path (§3.2.2 discipline — the
-//!   chain caches dependence structure only, never a path condition).
+//!   through its own reading of the labels.
 
 use crate::graph::Vertex;
-use crate::paths::Link;
-use fusion_ir::ssa::{CallSiteId, Program};
+use fusion_ir::ssa::Program;
 
 /// A dense numbering of every PDG vertex (definition) in a program:
 /// vertices of function `f` occupy the contiguous index range
@@ -208,41 +201,9 @@ impl LabeledCsr {
     }
 }
 
-/// One collapsed summary chain: a single-entry/single-exit corridor
-/// through a callee — `Enter(site) → param → … → Exit(site) → dst` —
-/// along which a checker's fact has exactly one way to move and nothing
-/// to report. Discovery replays `body` as one composite edge instead of
-/// stepping vertex-by-vertex, but the replayed path is the **original,
-/// uncompacted vertex sequence**: reports, `path_set_key` hashing and
-/// CFL state keys are byte-identical to an uncollapsed traversal.
-#[derive(Debug, Clone)]
-pub struct SummaryChain {
-    /// The call site whose `Enter`/`Exit` parenthesis pair the chain
-    /// spans.
-    pub site: CallSiteId,
-    /// The replayed `(link, vertex)` steps, in order: `(Enter(site),
-    /// callee param)`, the intermediate `Local` steps inside the callee,
-    /// and finally `(Exit(site), caller receiver)`.
-    pub body: Vec<(Link, Vertex)>,
-}
-
-impl SummaryChain {
-    /// Number of replayed steps (always ≥ 3: enter, at least the return
-    /// definition, exit).
-    pub fn len(&self) -> usize {
-        self.body.len()
-    }
-
-    /// A chain's body is never empty by construction.
-    pub fn is_empty(&self) -> bool {
-        self.body.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_ir::ssa::{FuncId, VarId};
     use fusion_ir::{compile, CompileOptions};
 
     #[test]
@@ -302,25 +263,5 @@ mod tests {
             vec![(0, 10), (2, 12), (2, 12)]
         );
         assert_eq!(r.row(2).collect::<Vec<_>>(), vec![(0, 11)]);
-    }
-
-    #[test]
-    fn chain_len_reflects_body() {
-        let c = SummaryChain {
-            site: fusion_ir::ssa::CallSiteId(0),
-            body: vec![
-                (
-                    Link::Enter(fusion_ir::ssa::CallSiteId(0)),
-                    Vertex::new(FuncId(0), VarId(0)),
-                ),
-                (Link::Local, Vertex::new(FuncId(0), VarId(1))),
-                (
-                    Link::Exit(fusion_ir::ssa::CallSiteId(0)),
-                    Vertex::new(FuncId(1), VarId(2)),
-                ),
-            ],
-        };
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! * [`graph`] — PDG construction per the Fig. 5 rules, with labeled call
 //!   and return edges and the Table 2 size statistics;
-//! * [`compact`] — dense vertex numbering, bit sets and collapsed summary
-//!   chains backing the pre-discovery compaction pass (`fusion::compact`);
+//! * [`compact`] — dense vertex numbering, bit sets and the labelled CSR
+//!   flow graph backing the pre-discovery compaction pass
+//!   (`fusion::compact`);
 //! * [`paths`] — data-dependence paths with CFL call/return links and
 //!   calling-context reconstruction;
 //! * [`slice`] — the linear, modular slice `G[Π]` (Rules 1–3);
@@ -38,7 +39,7 @@ pub mod paths;
 pub mod slice;
 pub mod translate;
 
-pub use compact::{DenseBitSet, LabeledCsr, SummaryChain, VertexIndexer};
+pub use compact::{DenseBitSet, LabeledCsr, VertexIndexer};
 pub use dot::pdg_to_dot;
 pub use graph::{FlowTarget, Pdg, PdgStats, Vertex};
 pub use paths::{Context, DependencePath, Link};

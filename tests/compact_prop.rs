@@ -1,52 +1,47 @@
 //! Property test: PDG compaction is report-preserving on arbitrary
 //! generated subjects.
 //!
-//! The pre-discovery graph-reduction pass (frontier pruning, summary-
-//! chain collapse, isomorphic-verdict sharing — DESIGN.md "PDG
-//! compaction") removes *work*, never *findings*: for any generated
-//! program, on a borrowed engine and at any thread count 1–8, with and
-//! without the verdict cache, with and without incremental sessions,
-//! with and without abstract-interpretation triage, the compacted scan
-//! must produce per-checker reports byte-identical — same sources,
-//! sinks, verdicts, witness paths, in the same order — to the
-//! uncompacted borrowed-engine scan.
-//!
-//! The second assertion pins the replay layer down: a collapsed summary
-//! chain is re-expanded into the *original* vertex sequence when a path
-//! is recorded, so the [`path_set_key`] of every reported witness path
-//! is bit-for-bit the key plain discovery would have produced. This is
-//! what lets compacted and uncompacted runs share one verdict-cache
-//! population.
+//! The pre-discovery graph-reduction pass (frontier reachability
+//! pruning — DESIGN.md "PDG compaction") removes *discovery steps*,
+//! never *findings* or *queries*: for any generated program, on a
+//! borrowed engine and at any thread count 1–8, with and without the
+//! verdict cache, with and without incremental sessions, with and
+//! without abstract-interpretation triage, the compacted scan must
+//! produce per-checker reports byte-identical — same sources, sinks,
+//! verdicts, witness paths and their [`path_set_key`]s, in the same
+//! order — to the uncompacted borrowed-engine scan. On the borrowed
+//! engine the two runs must also agree on candidates, queries and every
+//! per-checker counter apart from `discovery_steps` and `solve_wall`.
 //!
 //! Reports alone cannot see a live set that keeps too much (less pruning,
-//! same reports) or a drifted counter, so the third property checks the
+//! same reports) or a drifted counter, so the second property checks the
 //! compacted view itself against an oracle written here from first
 //! principles: one adjacency list per checker over [`Pdg::flow_targets`]
-//! filtered by the [`Checker`] predicates, a forward BFS from the
+//! filtered by the [`Checker`] predicates, and a forward BFS from the
 //! checker's sources intersected with a backward BFS from its sink
-//! triggers, and the corridor walk of summary-chain collapse.
+//! triggers.
 
 use fusion::cache::VerdictCache;
 use fusion::checkers::{Checker, CheckerSet};
 use fusion::compact::{CompactPdg, CompactStats};
 use fusion::engine::{
-    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
+    analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions, CheckerStats,
     FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
 use fusion::propagate::{source_vertices, PropagateOptions};
 use fusion::{path_set_key, Feasibility, Key128};
-use fusion_ir::ssa::{CallSiteId, FuncId, VarId};
 use fusion_ir::{compile, compile_ast, CompileOptions, Program};
 use fusion_pdg::graph::{FlowTarget, Pdg, Vertex};
-use fusion_pdg::paths::Link;
 use fusion_smt::solver::SolverConfig;
 use fusion_workloads::{generate, generate_multi, GenConfig};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::time::Duration;
 
 /// Everything that reaches the user, plus the verdict-cache key of the
-/// witness path — the latter must survive chain collapse bit-for-bit.
+/// witness path, so compacted and uncompacted runs share one verdict-cache
+/// population.
 type ReportKey = (
     fusion_pdg::graph::Vertex,
     fusion_pdg::graph::Vertex,
@@ -54,6 +49,19 @@ type ReportKey = (
     Vec<fusion_pdg::graph::Vertex>,
     Key128,
 );
+
+/// Each checker's counters without the two pruning may move: the
+/// discovery steps it saves and the solve wall, which is timing.
+fn untimed_stats(run: &MultiAnalysisRun) -> Vec<CheckerStats> {
+    run.checkers
+        .iter()
+        .map(|b| CheckerStats {
+            discovery_steps: 0,
+            solve_wall: Duration::ZERO,
+            ..b.stats
+        })
+        .collect()
+}
 
 fn breakdown_keys(program: &Program, run: &MultiAnalysisRun) -> Vec<Vec<ReportKey>> {
     run.checkers
@@ -158,6 +166,13 @@ proptest! {
                 "borrowed engine diverged at seed {} cache={} incremental={} absint={}",
                 seed, use_cache, incremental, absint
             );
+            prop_assert_eq!(
+                (compacted.candidates, compacted.queries, untimed_stats(&compacted)),
+                (plain.candidates, plain.queries, untimed_stats(&plain)),
+                "counters diverged at seed {} cache={} incremental={} absint={}",
+                seed, use_cache, incremental, absint
+            );
+            prop_assert!(compacted.stages.discovery_steps <= plain.stages.discovery_steps);
             wants.push(want);
         }
 
@@ -193,8 +208,6 @@ struct Reference {
     live: Vec<(Vertex, bool)>,
     vertices_pruned: u64,
     edges_pruned: u64,
-    /// The collapsed corridors, keyed by `(call site, entry parameter)`.
-    chains: HashMap<(CallSiteId, VarId), Vec<(Link, Vertex)>>,
 }
 
 /// Marks everything reachable from `roots` over `adj`.
@@ -209,12 +222,7 @@ fn reach(adj: &[Vec<usize>], roots: impl IntoIterator<Item = usize>) -> Vec<bool
     seen
 }
 
-fn reference(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    opts: &PropagateOptions,
-) -> Reference {
+fn reference(program: &Program, pdg: &Pdg, checker: &Checker) -> Reference {
     let vertices: Vec<Vertex> = program
         .functions
         .iter()
@@ -275,112 +283,24 @@ fn reference(
         .filter(|&(u, v)| !(live[u] && live[v]))
         .count();
 
-    let is_live = |v: Vertex| live[index[&v]];
-    let mut chains = HashMap::new();
-    for (sid, cs) in program.call_sites.iter().enumerate() {
-        let site = CallSiteId(sid as u32);
-        let callee = program.func(cs.callee);
-        if callee.is_extern {
-            continue;
-        }
-        for &param in &callee.params {
-            let chain = reference_chain(
-                program, pdg, checker, &is_live, opts, site, callee.id, param,
-            );
-            if let Some(body) = chain {
-                chains.insert((site, param), body);
-            }
-        }
-    }
     Reference {
         live: vertices.iter().zip(&live).map(|(&v, &l)| (v, l)).collect(),
         vertices_pruned: live.iter().filter(|&&l| !l).count() as u64,
         edges_pruned: edges_pruned as u64,
-        chains,
-    }
-}
-
-/// Follows the corridor entered at `site` through `param` while it is
-/// live, acyclic, shorter than a path may be, free of nested calls and
-/// sinks, and has exactly one taken step at every vertex, up to the exit
-/// matching `site`.
-#[allow(clippy::too_many_arguments)]
-fn reference_chain(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    is_live: &dyn Fn(Vertex) -> bool,
-    opts: &PropagateOptions,
-    site: CallSiteId,
-    callee: FuncId,
-    param: VarId,
-) -> Option<Vec<(Link, Vertex)>> {
-    let mut body = Vec::new();
-    let mut seen = HashSet::new();
-    let (mut link, mut cur) = (Link::Enter(site), Vertex::new(callee, param));
-    loop {
-        if !is_live(cur) || !seen.insert(cur) {
-            return None;
-        }
-        body.push((link, cur));
-        if body.len() >= opts.max_path_len {
-            return None;
-        }
-        let func = program.func(cur.func);
-        let mut next = Vec::new();
-        for t in pdg.flow_targets(program, cur) {
-            match t {
-                FlowTarget::Local { to, operand } => {
-                    if checker.propagates_through(func, to, operand) && checker.keeps_fact(func, to)
-                    {
-                        next.push((Link::Local, Vertex::new(cur.func, to)));
-                    }
-                }
-                FlowTarget::IntoCallee { .. } => return None,
-                FlowTarget::BackToCaller {
-                    site: s,
-                    caller,
-                    dst,
-                } if s == site => {
-                    next.push((Link::Exit(site), Vertex::new(caller, dst)));
-                }
-                FlowTarget::BackToCaller { .. } => {}
-                FlowTarget::ThroughExtern { to, .. } => {
-                    if checker.is_sink(program, func, to) {
-                        return None;
-                    }
-                    if checker.through_extern && !checker.is_sanitizer(program, func, to) {
-                        next.push((Link::Local, Vertex::new(cur.func, to)));
-                    }
-                }
-            }
-        }
-        let [(l, v)] = next[..] else {
-            return None;
-        };
-        if let Link::Exit(_) = l {
-            if !is_live(v) {
-                return None;
-            }
-            body.push((l, v));
-            return Some(body);
-        }
-        (link, cur) = (l, v);
     }
 }
 
 /// Checks the compacted view of `program` under every checker of
 /// [`CheckerSet::all`] against [`reference`]: the live set vertex by
-/// vertex, every collapsed chain, and the three counters.
+/// vertex and both counters.
 fn check_against_reference(program: &Program) -> Result<(), TestCaseError> {
     let pdg = Pdg::build(program);
     let set = CheckerSet::all();
-    let opts = PropagateOptions::default();
-    let compact = CompactPdg::build(program, &pdg, &set, &opts);
+    let compact = CompactPdg::build(program, &pdg, &set, &PropagateOptions::default());
     let mut want = CompactStats::default();
     let mut live_anywhere = 0usize;
     for (id, checker) in set.iter() {
-        let r = reference(program, &pdg, checker, &opts);
+        let r = reference(program, &pdg, checker);
         for &(v, live) in &r.live {
             prop_assert_eq!(
                 compact.is_live(id, v),
@@ -391,22 +311,8 @@ fn check_against_reference(program: &Program) -> Result<(), TestCaseError> {
             );
             live_anywhere += live as usize;
         }
-        for (sid, cs) in program.call_sites.iter().enumerate() {
-            let site = CallSiteId(sid as u32);
-            for &param in &program.func(cs.callee).params {
-                prop_assert_eq!(
-                    compact.chain(id, site, param).map(|c| &c.body),
-                    r.chains.get(&(site, param)),
-                    "{:?} chain at site {} param {}",
-                    checker.kind,
-                    sid,
-                    param.0
-                );
-            }
-        }
         want.vertices_pruned += r.vertices_pruned;
         want.edges_pruned += r.edges_pruned;
-        want.chains_collapsed += r.chains.len() as u64;
     }
     prop_assert!(live_anywhere > 0, "the seeded bugs keep some vertex live");
     prop_assert_eq!(compact.stats(), want);
