@@ -94,11 +94,6 @@ pub fn fmt_secs(d: Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
-/// Formats bytes as mebibytes.
-pub fn fmt_mib(bytes: u64) -> String {
-    format!("{:.2}MiB", bytes as f64 / (1024.0 * 1024.0))
-}
-
 /// Formats an `x`-factor ratio, guarding division by zero.
 pub fn fmt_ratio(num: f64, den: f64) -> String {
     if den <= f64::EPSILON {
@@ -189,7 +184,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(fmt_mib(1024 * 1024), "1.00MiB");
         assert_eq!(fmt_ratio(10.0, 2.0), "5.0x");
         assert_eq!(fmt_ratio(10.0, 0.0), "-");
         assert!(fmt_secs(Duration::from_millis(1500)).starts_with("1.5"));

@@ -26,6 +26,9 @@
 //!     --absint / --no-absint             abstract-interpretation triage and solver
 //!                                        seeding (default: on; refute-only, findings
 //!                                        are identical either way)
+//!     --compact / --no-compact           pre-discovery PDG pruning (default: on unless
+//!                                        FUSION_NO_COMPACT is set; findings are
+//!                                        identical either way)
 //!     --validate                         check the compiled IR against the full
 //!                                        invariant suite before analyzing
 //!     --dot FILE                         export the PDG in Graphviz format
@@ -33,15 +36,7 @@
 //!     --sink NAME                        extra taint-sink function (repeatable)
 //!     --unroll N                         loop/recursion unroll factor (default 2)
 //!     --sanitizer NAME                   extra taint-killing function (repeatable)
-//!     --shards K                         partition the call graph into K shards and
-//!                                        analyze each against an on-disk snapshot;
-//!                                        the merged report is byte-identical to the
-//!                                        unsharded scan
-//!     --shard-workers N                  run shards in N separate fusion-scan
-//!                                        --shard-worker processes (out-of-core:
-//!                                        no process ever holds the whole program)
-//!     --snapshot-dir DIR                 where the partitioned scan keeps its
-//!                                        snapshot containers (default: temp dir)
+//!     --help, -h                         print the usage line and exit 0
 //! ```
 //!
 //! Multiple files are concatenated into one translation unit, so flows may
@@ -62,7 +57,6 @@
 pub mod json;
 pub mod lines;
 pub mod serve;
-pub mod shards;
 
 use fusion::cache::VerdictCache;
 use fusion::checkers::{CheckKind, Checker, CheckerSet};
@@ -171,25 +165,6 @@ pub struct Options {
     /// verdict cache resident between requests so a `rescan` after an
     /// edit re-analyzes only what the edit reaches.
     pub serve: bool,
-    /// Partition the call graph into this many shards and analyze each
-    /// against an on-disk snapshot, merging per-shard outcomes into a
-    /// report byte-identical to the unsharded scan. 0 (the default)
-    /// disables partitioning.
-    pub shards: usize,
-    /// Run shards as separate `fusion-scan --shard-worker` processes
-    /// instead of in-process (requires `--shards`). 0 (the default)
-    /// keeps every shard in this process.
-    pub shard_workers: usize,
-    /// Directory for the on-disk snapshot a partitioned scan routes its
-    /// program, facts, and per-shard outcomes through. Defaults to a
-    /// scan-scoped directory under the system temp dir.
-    pub snapshot_dir: Option<String>,
-    /// Run as a shard worker: read one line-delimited JSON job
-    /// (`{"snapshot", "shard", "shards", "out"}`) from stdin, analyze
-    /// that shard of the snapshot, write its outcomes to `out`, and
-    /// respond with the shard's counters. Spawned by the coordinator;
-    /// not meant for interactive use.
-    pub shard_worker: bool,
 }
 
 impl Default for Options {
@@ -214,10 +189,6 @@ impl Default for Options {
             extra_sanitizers: Vec::new(),
             list_checkers: false,
             serve: false,
-            shards: 0,
-            shard_workers: 0,
-            snapshot_dir: None,
-            shard_worker: false,
         }
     }
 }
@@ -234,12 +205,22 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// The `--help` text: every flag [`parse_args`] accepts.
+const USAGE: &str = "usage: fusion-scan [--engine fusion|unopt|pinpoint|ar] \
+     [--checker null|cwe23|cwe402|all] [--list-checkers] \
+     [--timeout-secs N] [--solver-timeout-ms N] [--threads N] \
+     [--cache|--no-cache] [--no-incremental] \
+     [--absint|--no-absint] [--compact|--no-compact] \
+     [--validate] [--dot FILE] [--source NAME]... [--sink NAME]... \
+     [--sanitizer NAME]... [--unroll N] \
+     [--json] [--stats] [--serve] [--help|-h] FILE...";
+
 /// Parses command-line arguments (excluding `argv[0]`).
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] on unknown flags, missing values, or no input
-/// files.
+/// files, and the usage text for `--help` or `-h`.
 pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options::default();
     let mut it = args.iter();
@@ -345,46 +326,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--validate" => opts.validate = true,
             "--list-checkers" => opts.list_checkers = true,
             "--serve" => opts.serve = true,
-            "--shards" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--shards needs a value".into()))?;
-                opts.shards = v
-                    .parse()
-                    .map_err(|_| CliError(format!("invalid shard count `{v}`")))?;
-                if opts.shards == 0 {
-                    return Err(CliError("--shards must be at least 1".into()));
-                }
-            }
-            "--shard-workers" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--shard-workers needs a value".into()))?;
-                opts.shard_workers = v
-                    .parse()
-                    .map_err(|_| CliError(format!("invalid worker count `{v}`")))?;
-            }
-            "--snapshot-dir" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--snapshot-dir needs a value".into()))?;
-                opts.snapshot_dir = Some(v.clone());
-            }
-            "--shard-worker" => opts.shard_worker = true,
-            "--help" | "-h" => {
-                return Err(CliError(
-                    "usage: fusion-scan [--engine fusion|unopt|pinpoint|ar] \
-                     [--checker null|cwe23|cwe402|all] [--list-checkers] \
-                     [--timeout-secs N] \
-                     [--solver-timeout-ms N] [--threads N] [--cache|--no-cache] \
-                     [--no-incremental] \
-                     [--absint|--no-absint] [--compact|--no-compact] \
-                     [--validate] [--dot FILE] \
-                     [--shards K] [--shard-workers N] [--snapshot-dir DIR] \
-                     [--json] [--stats] [--serve] FILE..."
-                        .into(),
-                ))
-            }
+            "--help" | "-h" => return Err(CliError(USAGE.into())),
             flag if flag.starts_with("--") => {
                 return Err(CliError(format!("unknown flag `{flag}`")))
             }
@@ -396,18 +338,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--serve reads programs from stdin requests; no input files allowed".into(),
         ));
     }
-    if opts.shard_workers > 0 && opts.shards == 0 {
-        return Err(CliError("--shard-workers requires --shards".into()));
-    }
-    if opts.shard_worker && !opts.files.is_empty() {
-        return Err(CliError(
-            "--shard-worker reads its job from stdin; no input files allowed".into(),
-        ));
-    }
-    if opts.shard_worker && opts.serve {
-        return Err(CliError("--shard-worker conflicts with --serve".into()));
-    }
-    if opts.files.is_empty() && !opts.list_checkers && !opts.serve && !opts.shard_worker {
+    if opts.files.is_empty() && !opts.list_checkers && !opts.serve {
         return Err(CliError("no input files (try --help)".into()));
     }
     Ok(opts)
@@ -730,41 +661,15 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     analysis_opts.compact = opts.compact;
     let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
     let factory = move || make_engine(engine_choice, timeout, incremental);
-    let run: MultiAnalysisRun = if opts.shards > 0 {
-        let sharded = if opts.shard_workers > 0 {
-            shards::analyze_sharded_multiprocess(
-                &program,
-                &set,
-                &factory,
-                opts,
-                &analysis_opts,
-                cache,
-            )?
-        } else {
-            fusion::shard::analyze_sharded(
-                &program,
-                &set,
-                &factory,
-                opts.threads,
-                &analysis_opts,
-                cache,
-                opts.shards,
-                opts.snapshot_dir.as_deref().map(std::path::Path::new),
-            )
-            .map_err(|e| CliError(format!("partitioned scan failed: {e}")))?
-        };
-        sharded.run
-    } else {
-        analyze_multi_streaming_with_cache(
-            &program,
-            &pdg,
-            &set,
-            &factory,
-            opts.threads,
-            &analysis_opts,
-            cache,
-        )
-    };
+    let run = analyze_multi_streaming_with_cache(
+        &program,
+        &pdg,
+        &set,
+        &factory,
+        opts.threads,
+        &analysis_opts,
+        cache,
+    );
     let mut report = ScanReport::new(&program, &pdg, &run, warnings);
     report.scan.elapsed = started.elapsed();
     report.scan.cache_bytes = cache.map(|c| c.bytes()).unwrap_or(0);
@@ -774,14 +679,14 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
 
 /// Loads the input files, runs the scan, and renders output to `out`.
 ///
-/// Returns the process exit code: 0 for a clean scan, 1 when findings
-/// exist, 2 on errors.
+/// Returns the process exit code: 0 for a clean scan or `--help`, 1 when
+/// findings exist, 2 on errors.
 pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
     let opts = match parse_args(args) {
         Ok(o) => o,
         Err(e) => {
             let _ = writeln!(out, "{e}");
-            return 2;
+            return if e.0 == USAGE { 0 } else { 2 };
         }
     };
     if opts.list_checkers {
@@ -791,10 +696,6 @@ pub fn run(args: &[String], out: &mut dyn std::io::Write) -> i32 {
     if opts.serve {
         let stdin = std::io::stdin();
         return serve::serve_loop(&opts, stdin.lock(), out);
-    }
-    if opts.shard_worker {
-        let stdin = std::io::stdin();
-        return shards::shard_worker_loop(&opts, stdin.lock(), out);
     }
     let mut source = String::new();
     for f in &opts.files {
@@ -891,6 +792,50 @@ mod tests {
         assert!(parse_args(&args(&["--engine"])).is_err());
         assert!(parse_args(&args(&["--engine", "z3", "a"])).is_err());
         assert!(parse_args(&args(&["--nope", "a"])).is_err());
+    }
+
+    /// Every flag `parse_args` matches on, read from its match arms.
+    fn accepted_flags() -> Vec<&'static str> {
+        let src = include_str!("lib.rs");
+        let body = &src[src.find("pub fn parse_args").unwrap()..];
+        let body = &body[..body.find("\n}\n").unwrap()];
+        body.lines()
+            .filter_map(|line| line.trim().split_once(" =>"))
+            .filter(|(pattern, _)| pattern.starts_with("\"-"))
+            .flat_map(|(pattern, _)| pattern.split(" | "))
+            .map(|flag| flag.trim_matches('"'))
+            .collect()
+    }
+
+    /// Whether `flag` is a whole word of `text`.
+    fn names(text: &str, flag: &str) -> bool {
+        text.split(|c: char| c.is_whitespace() || "[]|,".contains(c))
+            .any(|word| word == flag)
+    }
+
+    #[test]
+    fn help_lists_every_flag_and_exits_zero() {
+        let flags = accepted_flags();
+        assert!(flags.len() > 20, "{flags:?}");
+        let crate_doc: String = include_str!("lib.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for &flag in &flags {
+            // The extraction must find real flags: each is accepted
+            // (with a value, where it takes one).
+            if let Err(e) = parse_args(&args(&[flag, "1", "a.fus"])) {
+                assert!(!e.0.contains("unknown flag"), "{flag}: {e}");
+            }
+            assert!(names(USAGE, flag), "usage text lacks `{flag}`");
+            assert!(names(&crate_doc, flag), "crate doc lacks `{flag}`");
+        }
+        for help in ["--help", "-h"] {
+            let mut out = Vec::new();
+            assert_eq!(run(&args(&[help]), &mut out), 0);
+            assert_eq!(String::from_utf8(out).unwrap(), format!("{USAGE}\n"));
+        }
     }
 
     #[test]
@@ -1463,22 +1408,6 @@ mod tests {
         }
     }
 
-    /// `(checker, source, sink, verdict, path length)` of every finding.
-    fn finding_keys(r: &ScanReport) -> Vec<(String, String, String, String, usize)> {
-        r.findings
-            .iter()
-            .map(|f| {
-                (
-                    f.checker.clone(),
-                    f.source_function.clone(),
-                    f.sink_function.clone(),
-                    f.verdict.clone(),
-                    f.path_length,
-                )
-            })
-            .collect()
-    }
-
     /// The member names of a JSON object, in source order (duplicates
     /// kept).
     fn keys_of(v: &json::Value) -> Vec<&str> {
@@ -1533,11 +1462,6 @@ mod tests {
         "slices_invalidated",
         "verdicts_invalidated",
         "candidates_reanalyzed",
-        "shards",
-        "summaries_exported",
-        "summaries_imported",
-        "snapshot_bytes_written",
-        "snapshot_bytes_read",
     ];
 
     #[test]
@@ -1671,26 +1595,6 @@ mod tests {
             unknowns(Options::default().timeout),
             (0.0, "feasible".into())
         );
-    }
-
-    #[test]
-    fn oversized_shard_count_returns_the_unsharded_findings() {
-        let src = "extern fn deref(p);\n\
-            fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
-            fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }";
-        let base = scan_source(src, &Options::default()).unwrap();
-        let shards = 1usize << 32;
-        let sharded = scan_source(
-            src,
-            &Options {
-                shards,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(finding_keys(&sharded), finding_keys(&base));
-        assert_eq!(sharded.scan.suppressed, base.scan.suppressed);
-        assert_eq!(sharded.stages.shards, shards as u64);
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Bounded line reading for the line-delimited loops (`--serve` and
-//! `--shard-worker`).
+//! Bounded line reading for the line-delimited `--serve` loop.
 //!
 //! [`BufRead::lines`] ends at the first line that is not UTF-8 and buffers
 //! a line of any length. [`bounded_lines`] instead yields a
 //! [`LineError`] for a non-UTF-8 or over-long line and goes on with the
-//! next one, so a loop can answer the bad line in-band and keep its state.
-//! Only end of input or a read error ends the iteration.
+//! next one, so the loop can answer the bad line in-band and keep its
+//! state. Only end of input or a read error ends the iteration.
 
 use std::fmt;
 use std::io::{self, BufRead, ErrorKind, Read};
 use std::str::Utf8Error;
 
-/// The longest line either loop accepts, in bytes (64 MiB).
+/// The longest line the serve loop accepts, in bytes (64 MiB).
 ///
 /// The largest legitimate line is a serve `scan` or `rescan` carrying a
 /// whole program as one JSON string. The biggest program the repository
@@ -20,7 +19,7 @@ use std::str::Utf8Error;
 /// escaping it for JSON adds one byte per line (each newline becomes
 /// `\n`): about 4.6 MB per request. The cap leaves fourteen times that for
 /// larger programs, while bounding what one hostile line can make the
-/// process buffer. Shard-worker job lines are a few hundred bytes.
+/// process buffer.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Why a line was refused. The line has been consumed either way.

@@ -12,9 +12,7 @@ use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
 use crate::incremental::Provenance;
 use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
-use crate::propagate::{
-    discover_source_for_compact, multi_source_vertices, Candidate, PropagateOptions,
-};
+use crate::propagate::{discover_item, multi_source_vertices, Candidate, PropagateOptions};
 use crate::slice_cache::{SliceCache, SliceCacheStats};
 use fusion_ir::ssa::Program;
 use fusion_pdg::graph::{Pdg, Vertex};
@@ -248,21 +246,6 @@ crate::counters! {
         /// (retained work items replay without touching the engine); zero
         /// for every run outside the warm analysis service and the shards.
         pub candidates_reanalyzed: u64 => "candidates_reanalyzed",
-        /// Call-graph shards a partitioned scan ran (zero for unsharded).
-        pub shards: u64 => "shards",
-        /// Function summaries (absint facts + return summary) exported by
-        /// shards for their owned functions.
-        pub summaries_exported: u64 => "summaries_exported",
-        /// Function summaries imported by shards for closure functions they
-        /// analyze but don't own — demand-driven, so across any one shard
-        /// this stays below the total function count.
-        pub summaries_imported: u64 => "summaries_imported",
-        /// Snapshot-container bytes written by a partitioned scan or a serve
-        /// `save`.
-        pub snapshot_bytes_written: u64 => "snapshot_bytes_written",
-        /// Snapshot-container bytes read (lazily, per section) by shard
-        /// workers or a serve `load`.
-        pub snapshot_bytes_read: u64 => "snapshot_bytes_read",
     }
 }
 
@@ -592,7 +575,7 @@ impl RunCtx<'_> {
     /// order exactly.
     fn discover(&self, i: usize, found: &mut Discovered) -> Vec<SinkGroup> {
         let (id, src) = self.items[i];
-        let d = discover_source_for_compact(
+        let d = discover_item(
             self.program,
             self.pdg,
             self.set.get(id),

@@ -589,33 +589,41 @@ impl AnalysisSession {
     /// the restored outcomes with zero solver queries — and a rescan
     /// with edits evicts exactly what changed, through the restored
     /// provenance. Returns bytes read (lazily, per section).
+    ///
+    /// Every section is decoded, and the recorded facts and outcomes
+    /// checked against the decoded program, before anything resident
+    /// changes: a load that fails leaves the session as it was.
     pub fn load(&mut self, path: &std::path::Path) -> Result<u64, SnapshotError> {
         let snap = snapshot::open_file(path)?;
         let program = snapshot::read_program(&snap)?;
-        let pdg = Pdg::build(&program);
+        let facts = if !self.options.absint {
+            None
+        } else if snap.has(snapshot::tag::FACTS, 0) {
+            Some(snapshot::read_facts(&snap, &program)?)
+        } else {
+            // Saved by an absint-off session; recompute once.
+            Some(ProgramFacts::compute(&program))
+        };
+        let cache = if snap.has(snapshot::tag::VERDICTS, 0) {
+            snapshot::read_verdicts(&snap)?
+        } else {
+            VerdictCache::new()
+        };
+        let outcomes = if snap.has(snapshot::tag::OUTCOMES, 0) {
+            Some(snapshot::read_outcomes(&snap, &program)?)
+        } else {
+            None
+        };
+        let prov = if snap.has(snapshot::tag::PROV_VERDICTS, 0) {
+            snapshot::read_provenance(&snap)?
+        } else {
+            Provenance::default()
+        };
         self.flush();
-        if self.options.absint {
-            let facts = if snap.has(snapshot::tag::FACTS, 0) {
-                snapshot::read_facts(&snap, &program)?
-            } else {
-                // Saved by an absint-off session; recompute once.
-                ProgramFacts::compute(&program)
-            };
-            self.facts = Some(Arc::new(facts));
-        }
-        self.compact = self.compact_view(&program, &pdg);
-        if snap.has(snapshot::tag::VERDICTS, 0) {
-            self.cache = snapshot::read_verdicts(&snap)?;
-        }
-        if snap.has(snapshot::tag::OUTCOMES, 0) {
-            self.outcomes = Some(snapshot::read_outcomes(&snap)?);
-        }
-        if snap.has(snapshot::tag::PROV_VERDICTS, 0) {
-            self.prov = snapshot::read_provenance(&snap)?;
-        }
-        self.tracker = Some(DirtinessTracker::new(&program));
-        self.pdg = Some(pdg);
-        self.program = Some(program);
+        self.install_with(program, facts.map(Arc::new));
+        self.cache = cache;
+        self.outcomes = outcomes;
+        self.prov = prov;
         self.last = InvalidationStats::default();
         Ok(snap.bytes_read())
     }
@@ -649,11 +657,17 @@ impl AnalysisSession {
     }
 
     fn install(&mut self, program: Program) {
-        let pdg = Pdg::build(&program);
-        self.facts = self
+        let facts = self
             .options
             .absint
             .then(|| Arc::new(ProgramFacts::compute(&program)));
+        self.install_with(program, facts);
+    }
+
+    /// Installs `program` with its already computed `facts`.
+    fn install_with(&mut self, program: Program, facts: Option<Arc<ProgramFacts>>) {
+        let pdg = Pdg::build(&program);
+        self.facts = facts;
         self.compact = self.compact_view(&program, &pdg);
         self.tracker = Some(DirtinessTracker::new(&program));
         self.pdg = Some(pdg);
@@ -862,6 +876,122 @@ mod tests {
             Some(&VerdictCache::new()),
         );
         assert_eq!(keys(&warm_edit), keys(&cold_edit));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A session with `BASE` resident, scanned cold.
+    fn base_session() -> AnalysisSession {
+        let mut session = AnalysisSession::new(
+            CheckerSet::single(Checker::null_deref()),
+            AnalysisOptions::new(),
+            1,
+        );
+        session.scan(compile_src(BASE), &factory);
+        session
+    }
+
+    /// Loads `path` into `session`, expecting it to fail without
+    /// touching the resident state: an unchanged rescan afterwards is
+    /// still pure replay. Returns the load error.
+    fn failed_load(session: &mut AnalysisSession, path: &std::path::Path) -> SnapshotError {
+        let before = session.resident();
+        let err = session.load(path).expect_err("the load must fail");
+        assert!(session.is_resident(), "{err}");
+        assert_eq!(session.resident(), before, "{err}");
+        let warm = session.rescan(compile_src(BASE), &factory);
+        assert_eq!(warm.queries, 0, "{err}");
+        assert_eq!(session.last_invalidation().candidates_reanalyzed, 0);
+        err
+    }
+
+    #[test]
+    fn corrupt_load_keeps_the_resident_session() {
+        let dir = std::env::temp_dir().join(format!("fusion-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.fsnp");
+        let mut session = base_session();
+        session.save(&path).expect("save");
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(&path, bytes).unwrap();
+        let err = failed_load(&mut session, &path);
+        assert!(err.what.contains("checksum"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sections_that_do_not_fit_the_program_fail_the_load() {
+        let dir = std::env::temp_dir().join(format!("fusion-crafted-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.fsnp");
+        let mut session = base_session();
+        let program = compile_src(BASE);
+        // Each case: the error it must fail with, and a snapshot of
+        // `BASE` with one section crafted so it no longer fits.
+        let mut cases: Vec<(&str, SnapshotWriter)> = Vec::new();
+        // The resident outcomes with every report's sink moved to
+        // function 999 of this 5-function program, with every witness
+        // path entering call site 999 of its 3, and with every report
+        // recorded as infeasible, which no run reports.
+        type Craft = fn(&mut BugReport);
+        let crafts: [(&str, Craft); 3] = [
+            ("vertex 999:", |r| r.sink.func = FuncId(999)),
+            ("call site 999 is outside", |r| {
+                r.path.links[0] = fusion_pdg::paths::Link::Enter(fusion_ir::ssa::CallSiteId(999));
+            }),
+            ("infeasible", |r| r.verdict = Feasibility::Infeasible),
+        ];
+        for (want, craft) in crafts {
+            let mut crafted = ItemOutcomes::default();
+            let mut reports = 0;
+            for (&key, rec) in session.outcomes.as_ref().expect("outcomes").records() {
+                let mut rec = rec.clone();
+                for v in &mut rec.verdicts {
+                    if let crate::engine::CandVerdict::Report(r) = v {
+                        craft(r);
+                        reports += 1;
+                    }
+                }
+                crafted.insert_record(key, rec);
+            }
+            assert!(reports > 0, "BASE has a finding to craft");
+            let mut w = SnapshotWriter::new();
+            snapshot::write_program(&mut w, &program);
+            snapshot::write_outcomes(&mut w, &crafted);
+            cases.push((want, w));
+        }
+        // Facts of another 5-function program with shorter bodies: a
+        // replay that trusted them would index past each function's
+        // facts.
+        let other = compile_src(
+            "extern fn deref(p);\n fn callee(x) { return x; }\n fn caller(a) { return a; }\n\
+             fn lone(y) { return y; }\n fn quiet(z) { return z; }",
+        );
+        let mut w = SnapshotWriter::new();
+        snapshot::write_program(&mut w, &program);
+        snapshot::write_facts(&mut w, &other, &ProgramFacts::compute(&other));
+        cases.push(("definitions", w));
+        // A program whose first call names function 999: building its
+        // dependence graph would index past the function table.
+        let mut calls_999 = program.clone();
+        let call = calls_999
+            .functions
+            .iter_mut()
+            .flat_map(|f| f.defs.iter_mut())
+            .find_map(|d| match &mut d.kind {
+                DefKind::Call { callee, .. } => Some(callee),
+                _ => None,
+            })
+            .expect("BASE calls a function");
+        *call = FuncId(999);
+        let mut w = SnapshotWriter::new();
+        snapshot::write_program(&mut w, &calls_999);
+        cases.push(("out-of-range function", w));
+        for (want, w) in cases {
+            w.write_to(&path).expect("write");
+            let err = failed_load(&mut session, &path);
+            assert!(err.what.contains(want), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

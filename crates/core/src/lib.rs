@@ -37,11 +37,10 @@
 //!   --serve`;
 //! * [`snapshot`] — the versioned, checksummed on-disk container for
 //!   PDG partitions, facts, summaries, verdicts, and outcomes (never a
-//!   path condition);
-//! * [`partition`] — the bottom-up SCC-respecting call-graph
-//!   partitioner behind `--shards`;
-//! * [`shard`] — per-shard sub-program extraction, demand-driven
-//!   summary import, and the deterministic merge/replay coordinator;
+//!   path condition) behind serve-mode `save` and `load`;
+//! * [`partition`] and [`shard`] — the steps of a partitioned scan
+//!   (call-graph partitioning, per-shard runs, merge and replay), kept
+//!   only for the end-to-end benchmark's `sharded-scan` workload;
 //! * [`memory`] — categorized byte accounting behind every memory number
 //!   in the reproduced tables.
 //!
@@ -101,7 +100,5 @@ pub use incremental::{
     AnalysisSession, DirtinessTracker, EditDiff, InvalidationStats, ResidentStats,
 };
 pub use memory::{run_accounting, Category, MemoryAccountant};
-pub use partition::ShardPlan;
-pub use shard::{analyze_sharded, ShardedRun};
 pub use slice_cache::{SliceCache, SliceCacheStats};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};

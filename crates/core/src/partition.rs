@@ -1,8 +1,14 @@
-//! Bottom-up SCC-respecting call-graph partitioning for `--shards K`.
+//! Bottom-up SCC-respecting call-graph partitioning for the steps of a
+//! partitioned scan ([`crate::shard`]).
+//!
+//! `fusion-scan` no longer runs partitioned scans; [`ShardPlan`] stays
+//! only because the end-to-end benchmark's `sharded-scan` workload
+//! plans its shards with it ([`ShardPlan::compute`], [`ShardPlan::k`],
+//! [`ShardPlan::owned`] and [`ShardPlan::closure`]), and goes with that
+//! workload.
 //!
 //! The partitioner works from the [`crate::snapshot::CallGraphInfo`]
-//! summary alone — externality, def counts, callee lists — so a
-//! coordinator (or a shard worker validating its plan) never needs the
+//! summary alone — externality, def counts, callee lists — never the
 //! function bodies. It computes strongly connected components of the
 //! non-extern call graph with an iterative Tarjan pass, then chunks the
 //! components in **bottom-up order** (callees before callers, which is
@@ -20,8 +26,8 @@
 //! closure from it could touch, which is conservatively the weakly
 //! connected component, plus the extern declarations those functions
 //! call. The closure minus the owned set is precisely what the shard
-//! must import from its neighbours (facts + return summaries), surfaced
-//! as the `summaries_imported` counter.
+//! must import from its neighbours (facts + return summaries), counted
+//! by [`crate::shard::ShardOutput::imported`].
 
 use crate::snapshot::CallGraphInfo;
 
@@ -36,7 +42,7 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Partitions `info` into `k` shards. `k` is clamped to at least 1;
     /// when the program has fewer components than shards, trailing
-    /// shards own nothing (and the coordinator skips them).
+    /// shards own nothing (and the caller skips them).
     pub fn compute(info: &CallGraphInfo, k: usize) -> ShardPlan {
         let k = k.max(1);
         let sccs = tarjan_sccs(info);
@@ -63,24 +69,9 @@ impl ShardPlan {
         ShardPlan { owner, k }
     }
 
-    /// The shards that own at least one function, ascending. With more
-    /// shards than components most shards own nothing, so drivers walk
-    /// this list rather than `0..k`.
-    pub fn owning_shards(&self) -> Vec<usize> {
-        let mut shards: Vec<usize> = self.owner.iter().flatten().copied().collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
-    }
-
     /// The shard count this plan was computed for.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The shard owning function `f`, or `None` for externs.
-    pub fn owner(&self, f: usize) -> Option<usize> {
-        self.owner.get(f).copied().flatten()
     }
 
     /// The functions shard `s` owns, sorted ascending.
@@ -269,7 +260,7 @@ mod tests {
         };
         for k in 1..=4 {
             let plan = ShardPlan::compute(&cyclic, k);
-            let owners: Vec<_> = (0..3).map(|f| plan.owner(f)).collect();
+            let owners: Vec<_> = (0..3).map(|f| plan.owner[f]).collect();
             assert_eq!(owners[0], owners[1], "k={k}");
             assert_eq!(owners[1], owners[2], "k={k}");
         }
@@ -281,22 +272,22 @@ mod tests {
         let plan = ShardPlan::compute(&info, 2);
         // f2 is the leaf of the first chain; its shard index must not
         // exceed its caller f1's, and f1's not exceed f0's.
-        assert!(plan.owner(2) <= plan.owner(1));
-        assert!(plan.owner(1) <= plan.owner(0));
+        assert!(plan.owner[2] <= plan.owner[1]);
+        assert!(plan.owner[1] <= plan.owner[0]);
     }
 
     #[test]
     fn closure_is_component_plus_referenced_externs() {
         let info = info();
         let plan = ShardPlan::compute(&info, 2);
-        let s0 = plan.owner(0).unwrap();
+        let s0 = plan.owner[0].unwrap();
         let c0 = plan.closure(&info, s0);
         // The chain {0,1,2} and its extern callee 5; never 3 or 4.
         assert!(c0.contains(&0) && c0.contains(&1) && c0.contains(&2));
         assert!(c0.contains(&5));
         assert!(!c0.contains(&3) && !c0.contains(&4));
         // The other shard owns the {3,4} component.
-        let s1 = plan.owner(3).unwrap();
+        let s1 = plan.owner[3].unwrap();
         assert_ne!(s0, s1, "two components at k=2 split across shards");
         let c1 = plan.closure(&info, s1);
         assert_eq!(c1, vec![3, 4, 5]);
@@ -365,8 +356,6 @@ mod tests {
             for k in 1..=64 {
                 let plan = ShardPlan::compute(&info, k);
                 assert_eq!(plan.owner, reference_owner(&info, k), "case {case}, k={k}");
-                let owning: Vec<usize> = (0..k).filter(|&s| !plan.owned(s).is_empty()).collect();
-                assert_eq!(plan.owning_shards(), owning, "case {case}, k={k}");
             }
         }
     }
@@ -377,10 +366,10 @@ mod tests {
         for k in [1usize << 32, usize::MAX] {
             let plan = ShardPlan::compute(&info, k);
             assert_eq!(plan.k(), k);
-            let owning = plan.owning_shards();
-            assert!(!owning.is_empty() && owning.iter().all(|&s| s < k));
-            let owned: usize = owning.iter().map(|&s| plan.owned(s).len()).sum();
-            assert_eq!(owned, 5, "every non-extern function has one owner");
+            for (f, owner) in plan.owner.iter().enumerate() {
+                assert_eq!(owner.is_some(), !info.is_extern[f], "function {f}");
+                assert!(owner.is_none_or(|s| s < k), "function {f}");
+            }
         }
     }
 

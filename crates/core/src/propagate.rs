@@ -372,25 +372,13 @@ pub struct SourceDiscovery {
 /// Runs the DFS for a single `(checker, source)` work item (one element
 /// of [`multi_source_vertices`]); every recorded candidate is stamped
 /// with `id`. The concatenation of results in work-item order is exactly
-/// [`discover_all_multi`]'s output.
-pub fn discover_source_for(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    id: CheckerId,
-    opts: &PropagateOptions,
-    source: Vertex,
-) -> SourceDiscovery {
-    discover_source_for_compact(program, pdg, checker, id, opts, source, None)
-}
-
-/// [`discover_source_for`] with an optional compacted PDG view: dead
+/// [`discover_all_multi`]'s output. With a compacted PDG view, dead
 /// sources are skipped outright (a source whose liveness pruning removed
 /// it reaches no sink, so the DFS would burn ≥ 1 step recording
 /// nothing), and live exploration never steps onto pruned vertices.
 /// Reports are byte-identical to the uncompacted walk whenever the step
 /// budget does not bind; steps only ever shrink.
-pub fn discover_source_for_compact(
+pub fn discover_item(
     program: &Program,
     pdg: &Pdg,
     checker: &Checker,
@@ -417,18 +405,6 @@ pub fn discover_source_for_compact(
         steps: dfs.steps as u64,
         candidates: dfs.candidates,
     }
-}
-
-/// Single-checker convenience wrapper over [`discover_source_for`]
-/// (candidates tagged [`CheckerId`]`(0)`, i.e. a singleton set).
-pub fn discover_source(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    opts: &PropagateOptions,
-    source: Vertex,
-) -> SourceDiscovery {
-    discover_source_for(program, pdg, checker, CheckerId(0), opts, source)
 }
 
 /// The result of a (possibly sharded) discovery pass.
@@ -471,7 +447,7 @@ pub fn discover_all_multi(
 }
 
 /// [`discover_all_multi`] with an optional compacted PDG view (see
-/// [`discover_source_for_compact`] for the per-source semantics). The
+/// [`discover_item`] for the per-source semantics). The
 /// deterministic merge is untouched: the compaction is a pure per-item
 /// filter, so the output stays byte-identical at any shard count.
 pub fn discover_all_multi_compact(
@@ -497,7 +473,7 @@ pub fn discover_all_multi_compact(
         let mut steps = 0u64;
         let mut per_checker_steps = vec![0u64; set.len()];
         for &(id, src) in &items {
-            let d = discover_source_for_compact(program, pdg, set.get(id), id, opts, src, compact);
+            let d = discover_item(program, pdg, set.get(id), id, opts, src, compact);
             acct.charge(Category::Graph, d.state_bytes);
             acct.release(Category::Graph, d.state_bytes);
             steps += d.steps;
@@ -531,15 +507,7 @@ pub fn discover_all_multi_compact(
                         break;
                     }
                     let (id, src) = items[i];
-                    let d = discover_source_for_compact(
-                        program,
-                        pdg,
-                        set.get(id),
-                        id,
-                        opts,
-                        src,
-                        compact,
-                    );
+                    let d = discover_item(program, pdg, set.get(id), id, opts, src, compact);
                     acct.charge(Category::Graph, d.state_bytes);
                     acct.release(Category::Graph, d.state_bytes);
                     local.push((i, d.candidates, d.steps));

@@ -1,25 +1,32 @@
-//! Partitioned ("out-of-core") analysis: per-shard sub-program
-//! extraction, demand-driven summary import, and the deterministic
-//! merge/replay coordinator behind `fusion-scan --shards K`.
+//! The steps of a partitioned scan: per-shard sub-program extraction,
+//! demand-driven summary import, and the deterministic merge and replay.
+//!
+//! `fusion-scan` no longer runs partitioned scans. On the paper-shaped
+//! subjects each shard's closure is nearly the whole program, so a
+//! sharded scan took several times the unsharded wall for about the
+//! same peak. These steps stay only because the end-to-end benchmark's
+//! `sharded-scan` workload calls them one by one ([`scan_snapshot`],
+//! [`run_shard`] for each shard that owns a function, [`merge_outcomes`]
+//! and [`replay_merged`]); `tests/shard_determinism.rs` drives them the
+//! same way. They go when that workload goes.
 //!
 //! A shard owns a slice of the call graph ([`crate::partition`]) and
 //! materializes only its verdict-closure from the snapshot — a dense,
 //! renumbered sub-program whose peak footprint scales with the shard,
 //! not the program. It imports the absint facts + return summaries of
 //! closure functions it doesn't own (the cross-shard summary interface;
-//! `summaries_imported` counts them), solves **only its owned work
+//! [`ShardOutput::imported`] counts them), solves **only its owned work
 //! items** (non-owned closure items are masked off with empty retained
 //! records), and exports the recorded outcomes remapped to global
 //! identities.
 //!
-//! The coordinator merges every shard's outcome set and replays it over
-//! the full program with an all-false affected mask — the session
-//! driver's replay path then reassembles the canonical, checker-major
-//! report without a single solver query, which is what makes sharded
-//! reports **byte-identical** to the unsharded pipeline at any K
-//! (`tests/shard_determinism.rs` pins this). Outcomes are dependence
-//! structure and verdicts only — no path condition crosses a shard
-//! boundary, upholding §3.2.2 across process boundaries too.
+//! The merged outcome sets replay over the full program with an
+//! all-false affected mask — the session driver's replay path then
+//! reassembles the canonical, checker-major report without a single
+//! solver query, which is what makes the merged report
+//! **byte-identical** to the unsharded pipeline at any K. Outcomes are
+//! dependence structure and verdicts only — no path condition crosses a
+//! shard boundary, upholding §3.2.2.
 
 use crate::cache::VerdictCache;
 use crate::checkers::CheckerSet;
@@ -30,16 +37,12 @@ use crate::engine::{
 };
 use crate::partition::ShardPlan;
 use crate::propagate::multi_source_vertices;
-use crate::snapshot::{
-    self, open_bytes, open_file, CallGraphInfo, RawFunction, Snapshot, SnapshotError,
-    SnapshotWriter,
-};
+use crate::snapshot::{self, CallGraphInfo, RawFunction, Snapshot, SnapshotError, SnapshotWriter};
 use fusion_ir::interner::Interner;
 use fusion_ir::ssa::{CallSite, CallSiteId, Def, DefKind, FuncId, Function, Program, VarId};
 use fusion_pdg::graph::{Pdg, Vertex};
 use fusion_pdg::paths::{DependencePath, Link};
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
 /// A dense sub-program materialized for one shard, with the maps back
@@ -123,20 +126,16 @@ pub fn extract_subprogram(snap: &Snapshot, closure: &[u32]) -> Result<SubProgram
     })
 }
 
-/// What one shard hands back to the coordinator.
+/// What one shard hands back for the merge.
 pub struct ShardOutput {
     /// Recorded outcomes of the shard's owned work items, remapped to
     /// global function and call-site identities.
     pub outcomes: ItemOutcomes,
-    /// Owned-function summaries this shard produced (`summaries_exported`).
-    pub exported: u64,
     /// Non-owned, non-extern closure functions whose facts/summaries the
-    /// shard imported instead of recomputing (`summaries_imported`).
+    /// shard imported instead of recomputing.
     pub imported: u64,
     /// Peak tracked memory of the shard's run, bytes.
     pub peak_memory: u64,
-    /// Solver queries the shard issued (live work on owned items).
-    pub queries: usize,
 }
 
 /// Runs one shard against an opened snapshot: extract the closure
@@ -262,10 +261,8 @@ pub fn run_shard(
         - owned.len() as u64;
     Ok(ShardOutput {
         outcomes: global,
-        exported: owned.len() as u64,
         imported,
         peak_memory: run.peak_memory,
-        queries: run.queries,
     })
 }
 
@@ -358,23 +355,6 @@ pub fn replay_merged(
     run
 }
 
-/// The result of a partitioned scan.
-pub struct ShardedRun {
-    /// The canonical merged report (byte-identical to an unsharded scan)
-    /// with the sharding counters stamped into `stages`.
-    pub run: MultiAnalysisRun,
-    /// Peak tracked memory of each non-empty shard's run, bytes.
-    pub shard_peaks: Vec<u64>,
-}
-
-/// Serializes `outcomes` into a standalone snapshot container (the
-/// worker→coordinator transport for multi-process scans).
-pub fn outcomes_container(outcomes: &ItemOutcomes) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    snapshot::write_outcomes(&mut w, outcomes);
-    w.finish()
-}
-
 /// Builds the program+facts snapshot a partitioned scan distributes to
 /// its shards. Returns the assembled container bytes.
 pub fn scan_snapshot(program: &Program, options: &AnalysisOptions) -> Vec<u8> {
@@ -385,63 +365,6 @@ pub fn scan_snapshot(program: &Program, options: &AnalysisOptions) -> Vec<u8> {
         snapshot::write_facts(&mut w, program, &facts);
     }
     w.finish()
-}
-
-/// Runs a partitioned scan in-process: snapshot the program, run each
-/// shard sequentially against it, merge, and replay. `snapshot_dir`
-/// routes the container through a file (exercising the on-disk path);
-/// `None` keeps it in memory.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_sharded(
-    program: &Program,
-    set: &CheckerSet,
-    factory: &(dyn Fn() -> Box<dyn FeasibilityEngine> + Sync),
-    threads: usize,
-    options: &AnalysisOptions,
-    cache: Option<&VerdictCache>,
-    k: usize,
-    snapshot_dir: Option<&Path>,
-) -> Result<ShardedRun, SnapshotError> {
-    let bytes = scan_snapshot(program, options);
-    let bytes_written = bytes.len() as u64;
-    let snap = match snapshot_dir {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).map_err(|e| SnapshotError {
-                offset: 0,
-                what: format!("create {}: {e}", dir.display()),
-            })?;
-            let path = dir.join("scan.fsnp");
-            std::fs::write(&path, &bytes).map_err(|e| SnapshotError {
-                offset: 0,
-                what: format!("write {}: {e}", path.display()),
-            })?;
-            open_file(&path)?
-        }
-        None => open_bytes(bytes)?,
-    };
-    let info = CallGraphInfo::of_program(program);
-    let plan = ShardPlan::compute(&info, k);
-    let mut parts = Vec::new();
-    let mut shard_peaks = Vec::new();
-    let mut exported = 0u64;
-    let mut imported = 0u64;
-    for s in plan.owning_shards() {
-        let out = run_shard(
-            &snap, &info, &plan, s, set, factory, threads, options, cache,
-        )?;
-        exported += out.exported;
-        imported += out.imported;
-        shard_peaks.push(out.peak_memory);
-        parts.push(out.outcomes);
-    }
-    let merged = merge_outcomes(parts);
-    let mut run = replay_merged(program, set, factory, threads, options, cache, &merged);
-    run.stages.shards = k as u64;
-    run.stages.summaries_exported = exported;
-    run.stages.summaries_imported = imported;
-    run.stages.snapshot_bytes_written = bytes_written;
-    run.stages.snapshot_bytes_read = snap.bytes_read();
-    Ok(ShardedRun { run, shard_peaks })
 }
 
 #[cfg(test)]
@@ -465,7 +388,7 @@ mod tests {
         let program = compile(SRC, CompileOptions::default()).expect("compile");
         let mut w = SnapshotWriter::new();
         snapshot::write_program(&mut w, &program);
-        let snap = open_bytes(w.finish()).expect("open");
+        let snap = snapshot::open_bytes(w.finish()).expect("open");
         let info = CallGraphInfo::of_program(&program);
         let plan = ShardPlan::compute(&info, 2);
         for s in 0..2 {
@@ -481,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_unsharded() {
+    fn steps_replay_the_unsharded_report() {
         let program = compile(SRC, CompileOptions::default()).expect("compile");
         let pdg = Pdg::build(&program);
         let set = CheckerSet::new(crate::checkers::default_checkers());
@@ -501,12 +424,30 @@ mod tests {
                 ..SessionParams::default()
             },
         );
+        let snap = snapshot::open_bytes(scan_snapshot(&program, &options)).expect("open");
+        let info = CallGraphInfo::of_program(&program);
         for k in [1usize, 2, 4] {
-            let sharded =
-                analyze_sharded(&program, &set, &fac, 1, &options, None, k, None).expect("sharded");
-            assert_eq!(sharded.run.queries, 0, "replay must not query at k={k}");
+            let plan = ShardPlan::compute(&info, k);
+            let parts = (0..k)
+                .filter(|&s| !plan.owned(s).is_empty())
+                .map(|s| {
+                    run_shard(&snap, &info, &plan, s, &set, &fac, 1, &options, None)
+                        .expect("shard")
+                        .outcomes
+                })
+                .collect();
+            let run = replay_merged(
+                &program,
+                &set,
+                &fac,
+                1,
+                &options,
+                None,
+                &merge_outcomes(parts),
+            );
+            assert_eq!(run.queries, 0, "replay must not query at k={k}");
             let base_reports: Vec<_> = base.all_reports().collect();
-            let got: Vec<_> = sharded.run.all_reports().collect();
+            let got: Vec<_> = run.all_reports().collect();
             assert_eq!(base_reports.len(), got.len(), "k={k}");
             for (a, b) in base_reports.iter().zip(&got) {
                 assert_eq!(a.source, b.source, "k={k}");
@@ -515,36 +456,6 @@ mod tests {
                 assert_eq!(a.path.nodes, b.path.nodes, "k={k}");
                 assert_eq!(a.path.links, b.path.links, "k={k}");
             }
-            assert_eq!(sharded.run.stages.shards, k as u64);
         }
-    }
-
-    #[test]
-    fn outcome_container_round_trips_through_merge() {
-        let program = compile(SRC, CompileOptions::default()).expect("compile");
-        let options = AnalysisOptions::new();
-        let set = CheckerSet::new(crate::checkers::default_checkers());
-        let fac = factory();
-        let snap = open_bytes(scan_snapshot(&program, &options)).expect("open");
-        let info = CallGraphInfo::of_program(&program);
-        let plan = ShardPlan::compute(&info, 2);
-        let mut parts = Vec::new();
-        for s in 0..2 {
-            if plan.owned(s).is_empty() {
-                continue;
-            }
-            let out =
-                run_shard(&snap, &info, &plan, s, &set, &fac, 1, &options, None).expect("shard");
-            // Cross the process-boundary transport and back.
-            let container = outcomes_container(&out.outcomes);
-            let reread = snapshot::read_outcomes(&open_bytes(container).expect("open outcomes"))
-                .expect("read outcomes");
-            assert_eq!(reread.len(), out.outcomes.len());
-            parts.push(reread);
-        }
-        let merged = merge_outcomes(parts);
-        let run = replay_merged(&program, &set, &fac, 1, &options, None, &merged);
-        assert_eq!(run.queries, 0);
-        assert!(run.all_reports().count() > 0, "replay reproduces reports");
     }
 }

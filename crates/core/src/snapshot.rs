@@ -1,5 +1,5 @@
-//! The versioned on-disk snapshot format behind partitioned analysis and
-//! serve-mode `save`/`load` (ROADMAP item 3).
+//! The versioned on-disk snapshot format behind serve-mode `save`/`load`
+//! and the partitioned-scan steps of [`crate::shard`].
 //!
 //! A snapshot is a single file (or byte buffer) holding a set of
 //! independently addressable, FNV-checksummed **sections**:
@@ -10,12 +10,12 @@
 //! payloads...
 //! ```
 //!
-//! Sections come in whole-program flavors (call-graph summary, recorded
-//! work-item outcomes, verdict-cache entries, provenance spans) and
-//! **per-function** flavors (IR body, abstract facts, PDG partition), so
-//! a reader can materialize exactly the functions it needs: a shard
-//! worker ([`crate::shard`]) loads only its closure's `FUNC`/`FACTS`
-//! sections and never decodes the rest of the program. Reads are lazy —
+//! Sections come in whole-program flavors (recorded work-item outcomes,
+//! verdict-cache entries, provenance spans) and **per-function** flavors
+//! (IR body, abstract facts, PDG partition), so a reader can materialize
+//! exactly the functions it needs: a shard ([`crate::shard::run_shard`])
+//! loads only its closure's `FUNC`/`FACTS` sections and never decodes
+//! the rest of the program. Reads are lazy —
 //! [`Snapshot::section`] seeks to one payload, validates its checksum,
 //! and decodes nothing else.
 //!
@@ -57,10 +57,8 @@ pub const VERSION: u32 = 2;
 pub mod tag {
     /// Whole-program metadata: function and call-site counts.
     pub const META: u32 = 1;
-    /// Call-graph summary: per-function externality, def count, name,
-    /// and deduplicated callee list — everything the partitioner needs
-    /// without touching a single body.
-    pub const CALLGRAPH: u32 = 2;
+    // 2 held the call-graph summary, whose one reader was the removed
+    // shard-worker process; retired, never reused.
     /// One function's full SSA body (per-function index); definitions
     /// carry their base names.
     pub const FUNC: u32 = 3;
@@ -78,7 +76,7 @@ pub mod tag {
     pub const PROV_VERDICTS: u32 = 9;
     // 10 held the isomorphic-verdict memo's provenance; retired, never
     // reused. Readers look sections up by tag, so a snapshot that still
-    // carries 8 or 10 loads as if they were absent.
+    // carries 2, 8 or 10 loads as if they were absent.
 }
 
 /// A position-annotated snapshot decode/IO error. Never produced by a
@@ -533,8 +531,8 @@ pub struct RawFunction {
     pub defs: Vec<(String, DefKind, Option<VarId>)>,
 }
 
-/// Per-function call-graph summary decoded from [`tag::CALLGRAPH`] —
-/// everything partitioning needs without materializing any body.
+/// Per-function call-graph summary — everything partitioning needs
+/// without touching any body.
 #[derive(Debug, Clone)]
 pub struct CallGraphInfo {
     /// Per-function externality.
@@ -546,9 +544,7 @@ pub struct CallGraphInfo {
 }
 
 impl CallGraphInfo {
-    /// Builds the summary directly from a program (the writer side and
-    /// the in-process coordinator use this; workers decode it from the
-    /// snapshot).
+    /// Builds the summary of a program.
     pub fn of_program(program: &Program) -> CallGraphInfo {
         let n = program.functions.len();
         let mut info = CallGraphInfo {
@@ -723,28 +719,14 @@ fn op_from_code(c: u8) -> Option<Op> {
     })
 }
 
-/// Adds the program sections: [`tag::META`], [`tag::CALLGRAPH`], and one
-/// [`tag::FUNC`] per function. Call-site metadata is *not* stored — the
+/// Adds the program sections: [`tag::META`] and one [`tag::FUNC`] per
+/// function. Call-site metadata is *not* stored — the
 /// table is reconstructed exactly from the call definitions on read.
 pub fn write_program(w: &mut SnapshotWriter, program: &Program) {
     let mut meta = Enc::new();
     meta.u32(program.functions.len() as u32);
     meta.u32(program.call_sites.len() as u32);
     w.add(tag::META, 0, meta.buf);
-
-    let info = CallGraphInfo::of_program(program);
-    let mut cg = Enc::new();
-    cg.u32(info.len() as u32);
-    for i in 0..info.len() {
-        cg.u8(info.is_extern[i] as u8);
-        cg.u64(info.def_counts[i]);
-        cg.str(program.name(program.functions[i].name));
-        cg.u32(info.callees[i].len() as u32);
-        for &c in &info.callees[i] {
-            cg.u32(c);
-        }
-    }
-    w.add(tag::CALLGRAPH, 0, cg.buf);
 
     for f in &program.functions {
         let mut e = Enc::new();
@@ -774,35 +756,6 @@ pub fn read_meta(snap: &Snapshot) -> Result<(usize, usize), SnapshotError> {
     let sites = d.u32()? as usize;
     d.done()?;
     Ok((funcs, sites))
-}
-
-/// Decodes the call-graph summary from [`tag::CALLGRAPH`].
-pub fn read_callgraph(snap: &Snapshot) -> Result<CallGraphInfo, SnapshotError> {
-    let payload = snap.section(tag::CALLGRAPH, 0)?;
-    let mut d = Dec::new(&payload, snap.offset_of(tag::CALLGRAPH, 0));
-    let n = d.count(10)?;
-    let mut info = CallGraphInfo {
-        is_extern: Vec::with_capacity(n),
-        def_counts: Vec::with_capacity(n),
-        callees: Vec::with_capacity(n),
-    };
-    for _ in 0..n {
-        info.is_extern.push(d.u8()? != 0);
-        info.def_counts.push(d.u64()?);
-        let _name = d.str()?;
-        let m = d.count(4)?;
-        let mut callees = Vec::with_capacity(m);
-        for _ in 0..m {
-            let c = d.u32()?;
-            if c as usize >= n {
-                return Err(d.err(format!("callee id {c} out of range ({n} functions)")));
-            }
-            callees.push(c);
-        }
-        info.callees.push(callees);
-    }
-    d.done()?;
-    Ok(info)
 }
 
 /// Decodes one function's body from its [`tag::FUNC`] section, with
@@ -842,8 +795,10 @@ pub fn read_function(snap: &Snapshot, index: u32) -> Result<RawFunction, Snapsho
 
 /// Decodes the whole program (every function section), re-interning all
 /// names and reconstructing the call-site table from the call
-/// definitions. The serve `load` path uses this; shard workers use
-/// [`read_function`] per closure member instead.
+/// definitions. The serve `load` path uses this; shards use
+/// [`read_function`] per closure member instead. A program that fails
+/// [`fusion_ir::validate::check_program`] (say, a call to a function it
+/// lacks) is an error: everything downstream indexes by its ids.
 pub fn read_program(snap: &Snapshot) -> Result<Program, SnapshotError> {
     let (nfuncs, nsites) = read_meta(snap)?;
     let mut interner = Interner::new();
@@ -894,11 +849,19 @@ pub fn read_program(snap: &Snapshot) -> Result<Program, SnapshotError> {
             })
         })
         .collect::<Result<_, _>>()?;
-    Ok(Program {
+    let program = Program {
         functions,
         call_sites,
         interner,
-    })
+    };
+    let errs = fusion_ir::validate::check_program(&program);
+    if let Some(first) = errs.first() {
+        return Err(SnapshotError::new(
+            0,
+            format!("invalid program ({} diagnostic(s)): {first}", errs.len()),
+        ));
+    }
+    Ok(program)
 }
 
 // ---------------------------------------------------------------------------
@@ -979,13 +942,24 @@ pub fn read_func_facts(
 }
 
 /// Decodes every function's facts into a whole-program [`ProgramFacts`]
-/// (the serve `load` path).
+/// (the serve `load` path). Each function's facts must cover exactly
+/// its definitions in `program`.
 pub fn read_facts(snap: &Snapshot, program: &Program) -> Result<ProgramFacts, SnapshotError> {
     let n = program.functions.len();
     let mut funcs = Vec::with_capacity(n);
     let mut rets = Vec::with_capacity(n);
-    for i in 0..n {
+    for (i, f) in program.functions.iter().enumerate() {
         let (vals, ret) = read_func_facts(snap, i as u32)?;
+        if vals.len() != f.defs.len() {
+            return Err(SnapshotError::new(
+                snap.offset_of(tag::FACTS, i as u32),
+                format!(
+                    "facts of function {i} cover {} definitions, not {}",
+                    vals.len(),
+                    f.defs.len()
+                ),
+            ));
+        }
         funcs.push(vals);
         rets.push(ret);
     }
@@ -1166,22 +1140,43 @@ fn encode_path(e: &mut Enc, path: &DependencePath) {
     }
 }
 
-fn decode_path(d: &mut Dec<'_>) -> Result<DependencePath, SnapshotError> {
+/// Decodes a vertex, rejecting one that names a function or definition
+/// `program` lacks.
+fn decode_vertex(d: &mut Dec<'_>, program: &Program) -> Result<Vertex, SnapshotError> {
+    let func = d.u32()?;
+    let var = d.u32()?;
+    let defs = program.functions.get(func as usize).map(|f| f.defs.len());
+    if defs.is_none_or(|n| var as usize >= n) {
+        return Err(d.err(format!("vertex {func}:{var} is outside the program")));
+    }
+    Ok(Vertex {
+        func: FuncId(func),
+        var: VarId(var),
+    })
+}
+
+/// Decodes a call-site id, rejecting one `program` lacks.
+fn decode_site(d: &mut Dec<'_>, program: &Program) -> Result<CallSiteId, SnapshotError> {
+    let site = d.u32()?;
+    if site as usize >= program.call_sites.len() {
+        return Err(d.err(format!("call site {site} is outside the program")));
+    }
+    Ok(CallSiteId(site))
+}
+
+fn decode_path(d: &mut Dec<'_>, program: &Program) -> Result<DependencePath, SnapshotError> {
     let nn = d.count(8)?;
     let mut nodes = Vec::with_capacity(nn);
     for _ in 0..nn {
-        nodes.push(Vertex {
-            func: FuncId(d.u32()?),
-            var: VarId(d.u32()?),
-        });
+        nodes.push(decode_vertex(d, program)?);
     }
     let nl = d.count(1)?;
     let mut links = Vec::with_capacity(nl);
     for _ in 0..nl {
         links.push(match d.u8()? {
             0 => Link::Local,
-            1 => Link::Enter(CallSiteId(d.u32()?)),
-            2 => Link::Exit(CallSiteId(d.u32()?)),
+            1 => Link::Enter(decode_site(d, program)?),
+            2 => Link::Exit(decode_site(d, program)?),
             t => return Err(d.err(format!("invalid link tag {t}"))),
         });
     }
@@ -1227,18 +1222,18 @@ pub fn write_outcomes(w: &mut SnapshotWriter, outcomes: &ItemOutcomes) {
     w.add(tag::OUTCOMES, 0, e.buf);
 }
 
-/// Decodes [`tag::OUTCOMES`] back into an [`ItemOutcomes`].
-pub fn read_outcomes(snap: &Snapshot) -> Result<ItemOutcomes, SnapshotError> {
+/// Decodes [`tag::OUTCOMES`] back into an [`ItemOutcomes`] for
+/// `program`: every vertex and call-site id it names must lie inside
+/// `program`, and every report must be feasible or undecided, so a
+/// replay never indexes past the program or reports an infeasible path.
+pub fn read_outcomes(snap: &Snapshot, program: &Program) -> Result<ItemOutcomes, SnapshotError> {
     let payload = snap.section(tag::OUTCOMES, 0)?;
     let mut d = Dec::new(&payload, snap.offset_of(tag::OUTCOMES, 0));
     let n = d.count(24)?;
     let mut outcomes = ItemOutcomes::default();
     for _ in 0..n {
         let checker = d.u32()? as usize;
-        let src = Vertex {
-            func: FuncId(d.u32()?),
-            var: VarId(d.u32()?),
-        };
+        let src = decode_vertex(&mut d, program)?;
         let steps = d.u64()?;
         let nv = d.count(1)?;
         let mut verdicts = Vec::with_capacity(nv);
@@ -1246,17 +1241,16 @@ pub fn read_outcomes(snap: &Snapshot) -> Result<ItemOutcomes, SnapshotError> {
             verdicts.push(match d.u8()? {
                 0 => CandVerdict::Suppressed,
                 1 => {
-                    let source = Vertex {
-                        func: FuncId(d.u32()?),
-                        var: VarId(d.u32()?),
+                    let source = decode_vertex(&mut d, program)?;
+                    let sink = decode_vertex(&mut d, program)?;
+                    let verdict = match feas_from_code(d.u8()?) {
+                        Some(Feasibility::Infeasible) => {
+                            return Err(d.err("an infeasible path recorded as a report"))
+                        }
+                        Some(v) => v,
+                        None => return Err(d.err("invalid verdict code")),
                     };
-                    let sink = Vertex {
-                        func: FuncId(d.u32()?),
-                        var: VarId(d.u32()?),
-                    };
-                    let verdict =
-                        feas_from_code(d.u8()?).ok_or_else(|| d.err("invalid verdict code"))?;
-                    let path = decode_path(&mut d)?;
+                    let path = decode_path(&mut d, program)?;
                     CandVerdict::Report(crate::engine::BugReport {
                         source,
                         sink,
@@ -1350,23 +1344,12 @@ mod tests {
     }
 
     #[test]
-    fn callgraph_section_matches_program() {
-        let p = program();
-        let snap = open_bytes(snapshot_bytes(&p)).expect("open");
-        let info = read_callgraph(&snap).expect("read callgraph");
-        let want = CallGraphInfo::of_program(&p);
-        assert_eq!(info.is_extern, want.is_extern);
-        assert_eq!(info.def_counts, want.def_counts);
-        assert_eq!(info.callees, want.callees);
-    }
-
-    #[test]
     fn lazy_reads_are_partial() {
         let p = program();
         let bytes = snapshot_bytes(&p);
         let total = bytes.len() as u64;
         let snap = open_bytes(bytes).expect("open");
-        let _ = read_callgraph(&snap).expect("callgraph");
+        let _ = read_meta(&snap).expect("meta");
         let _ = read_function(&snap, 1).expect("one function");
         assert!(
             snap.bytes_read() < total,

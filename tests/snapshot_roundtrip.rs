@@ -127,7 +127,6 @@ proptest! {
                     prop_assert!(!e.to_string().is_empty());
                 }
             }
-            let _ = snapshot::read_callgraph(&snap);
             let _ = snapshot::read_meta(&snap);
         }
     }
