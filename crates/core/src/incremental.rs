@@ -228,9 +228,8 @@ impl DirtinessTracker {
 const PROV_SHARDS: usize = 16;
 
 /// A sharded `key → on-path function span` index. Recorded at every
-/// verdict-cache insert; consumed by
-/// [`Provenance::take_involving`] to name exactly the keys an edit's
-/// affected set can reach. Values are sorted, deduplicated function ids
+/// verdict-cache insert; consumed by [`AnalysisSession::rescan`], which
+/// takes out exactly the keys an edit's affected set can reach. Values are sorted, deduplicated function ids
 /// — dependence structure only, never a condition.
 pub struct Provenance {
     shards: Vec<Mutex<HashMap<Key128, Box<[u32]>>>>,

@@ -15,7 +15,7 @@
 //! * **call graphs and recursion unrolling** ([`callgraph`], §4 of the
 //!   paper: each call-graph cycle is unrolled twice);
 //! * classical **dominance / control-dependence** algorithms
-//!   ([`dominance`], [`cfg`]) used to cross-validate the gated lowering;
+//!   ([`dominance`], [`cfg`](mod@cfg)) used to cross-validate the gated lowering;
 //! * reference **interpreters** ([`interp`]) giving dynamic ground truth.
 //!
 //! ## Quick start

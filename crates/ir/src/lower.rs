@@ -107,17 +107,131 @@ impl DefNames {
     }
 }
 
+/// A variable name's current definition while lowering one function: one
+/// slot per symbol, and an undo log, so an `if` arm or a guarded tail is
+/// rolled back instead of lowered against a copy of the environment.
+#[derive(Default)]
+struct Env {
+    /// `vars[sym]`: the definition `sym` names, or [`UNBOUND`].
+    vars: Vec<u32>,
+    /// `(sym, its value before the write)` for every write, oldest first.
+    log: Vec<(Symbol, u32)>,
+    /// The names each open arm wrote, with the value the arm left them at
+    /// (a stack: nested arms push above and truncate back).
+    written: Vec<(Symbol, VarId)>,
+}
+
+/// A name with no definition in [`Env::vars`].
+const UNBOUND: u32 = u32::MAX;
+
+impl Env {
+    fn get(&self, sym: Symbol) -> Option<VarId> {
+        match self.vars.get(sym.index()) {
+            Some(&v) if v != UNBOUND => Some(VarId(v)),
+            _ => None,
+        }
+    }
+
+    /// Binds `sym` to `v`, returning its previous definition.
+    fn set(&mut self, sym: Symbol, v: VarId) -> Option<VarId> {
+        let i = sym.index();
+        if i >= self.vars.len() {
+            self.vars.resize(i + 1, UNBOUND);
+        }
+        let prev = std::mem::replace(&mut self.vars[i], v.0);
+        self.log.push((sym, prev));
+        (prev != UNBOUND).then_some(VarId(prev))
+    }
+
+    /// A point to roll back to.
+    fn mark(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Undoes every write since `mark`, first pushing onto
+    /// [`Env::written`] each written name with the value the writes left
+    /// it at, and returns where those entries start. They are sorted by
+    /// symbol; a name written twice appears twice with the same value.
+    fn roll_back(&mut self, mark: usize) -> usize {
+        let start = self.written.len();
+        for &(sym, _) in &self.log[mark..] {
+            self.written.push((sym, VarId(self.vars[sym.index()])));
+        }
+        for (sym, prev) in self.log.drain(mark..).rev() {
+            self.vars[sym.index()] = prev;
+        }
+        self.written[start..].sort_unstable_by_key(|&(sym, _)| sym);
+        start
+    }
+
+    /// Unbinds every name, keeping the buffers.
+    fn clear(&mut self) {
+        for (sym, _) in self.log.drain(..) {
+            self.vars[sym.index()] = UNBOUND;
+        }
+        self.written.clear();
+    }
+}
+
+/// A statement list to lower: `stmts`, then, for the body of an unrolled
+/// `while` iteration, the loop's remaining iterations.
+#[derive(Clone, Copy)]
+struct Block<'s> {
+    stmts: &'s [Stmt],
+    then_loop: Option<Loop<'s>>,
+}
+
+/// `iterations` (at least one) unrolled iterations of `while (cond) { body }`:
+/// `if (cond) { body; <iterations - 1 more> }`, lowered from the loop's own
+/// body rather than from an expanded copy.
+#[derive(Clone, Copy)]
+struct Loop<'s> {
+    cond: &'s Expr,
+    body: &'s [Stmt],
+    iterations: usize,
+}
+
+impl<'s> Block<'s> {
+    fn new(stmts: &'s [Stmt]) -> Self {
+        Block {
+            stmts,
+            then_loop: None,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.stmts.is_empty() && self.then_loop.is_none()
+    }
+
+    /// The statements from `idx` on, then the loop tail.
+    fn tail(self, idx: usize) -> Self {
+        Block {
+            stmts: &self.stmts[idx..],
+            ..self
+        }
+    }
+
+    /// Whether any statement in the block, at any depth, is a `return`.
+    fn contains_return(&self) -> bool {
+        contains_return(self.stmts) || self.then_loop.is_some_and(|l| contains_return(l.body))
+    }
+}
+
+/// Lowers the functions of one program. The environment, the constant
+/// cache and the definition buffer are reused from one function to the
+/// next.
 struct FuncLowerer<'a> {
     defs: Vec<Def>,
-    env: HashMap<Symbol, VarId>,
+    env: Env,
     guard: Option<VarId>,
     interner: &'a mut Interner,
-    names: &'a mut DefNames,
+    names: DefNames,
     func_ids: &'a HashMap<Symbol, FuncId>,
     func_arities: &'a [usize],
-    call_sites: &'a mut Vec<CallSite>,
+    call_sites: Vec<CallSite>,
     func_id: FuncId,
-    func_name: String,
+    /// The function being lowered.
+    func_name: Option<Symbol>,
     const_cache: HashMap<u32, VarId>,
     ret_val: Option<Symbol>,
     ret_taken: Option<Symbol>,
@@ -127,7 +241,7 @@ struct FuncLowerer<'a> {
 impl<'a> FuncLowerer<'a> {
     fn err(&self, message: impl Into<String>) -> LowerError {
         LowerError {
-            function: Some(self.func_name.clone()),
+            function: self.func_name.map(|f| self.interner.resolve(f).to_owned()),
             message: message.into(),
         }
     }
@@ -190,7 +304,7 @@ impl<'a> FuncLowerer<'a> {
                     self.names.null,
                 )
             }
-            Expr::Var(sym) => self.env.get(sym).copied().ok_or_else(|| {
+            Expr::Var(sym) => self.env.get(*sym).ok_or_else(|| {
                 let name = self.interner.resolve(*sym).to_owned();
                 self.err(format!("use of undefined variable `{name}`"))
             }),
@@ -332,38 +446,39 @@ impl<'a> FuncLowerer<'a> {
         let rv = self.interner.intern("__ret_val");
         let rt = self.interner.intern("__ret_taken");
         let zero = self.constant(0)?;
-        self.env.insert(rv, zero);
-        self.env.insert(rt, zero);
+        self.env.set(rv, zero);
+        self.env.set(rt, zero);
         self.ret_val = Some(rv);
         self.ret_taken = Some(rt);
         Ok(())
     }
 
-    /// Lowers `if (cond_var) { then } else { else }` given already-lowered
-    /// branch closures, merging environment changes with gated `ite`s.
+    /// Lowers `if (cond) { then } else { else }`, merging the names either
+    /// arm rebinds with gated `ite`s, in symbol order. Names an arm
+    /// introduces (block-local `let`s) disappear here.
     fn lower_if(
         &mut self,
         cond: &Expr,
-        then_b: &[Stmt],
-        else_b: &[Stmt],
+        then_b: Block<'_>,
+        else_b: Block<'_>,
     ) -> Result<BlockOutcome, LowerError> {
-        if contains_return(then_b) || contains_return(else_b) {
+        if then_b.contains_return() || else_b.contains_return() {
             self.ensure_ret_vars()?;
         }
         let cv = self.lower_expr(cond)?;
-        let pre_env = self.env.clone();
+        let mark = self.env.mark();
         let outer_guard = self.guard;
 
         // Then branch under a fresh Branch vertex.
         let bt = self.fresh(DefKind::Branch { cond: cv }, self.names.if_)?;
         self.guard = Some(bt);
         let t_out = self.lower_stmts(then_b)?;
-        let then_env = std::mem::replace(&mut self.env, pre_env.clone());
+        let then_start = self.env.roll_back(mark);
         self.guard = outer_guard;
 
         // Else branch under a Branch vertex on the negated condition.
-        let (else_env, e_out) = if else_b.is_empty() {
-            (pre_env.clone(), BlockOutcome::default())
+        let e_out = if else_b.is_empty() {
+            BlockOutcome::default()
         } else {
             let zero = self.constant(0)?;
             let ncv = self.fresh(
@@ -377,19 +492,34 @@ impl<'a> FuncLowerer<'a> {
             let bf = self.fresh(DefKind::Branch { cond: ncv }, self.names.else_)?;
             self.guard = Some(bf);
             let e_out = self.lower_stmts(else_b)?;
-            let else_env = std::mem::replace(&mut self.env, pre_env.clone());
             self.guard = outer_guard;
-            (else_env, e_out)
+            e_out
         };
+        let else_start = self.env.roll_back(mark);
 
-        // Merge: for every binding visible before the branch, reconcile the
-        // two arms with a gated ite. Block-local `let`s disappear here.
-        let mut keys: Vec<Symbol> = pre_env.keys().copied().collect();
-        keys.sort_unstable();
-        for sym in keys {
-            let before = pre_env[&sym];
-            let tv = then_env.get(&sym).copied().unwrap_or(before);
-            let ev = else_env.get(&sym).copied().unwrap_or(before);
+        // Merge: walk both arms' sorted writes together; a name bound
+        // before the branch gets an ite when the arms leave it different.
+        let (mut t, mut e, end) = (then_start, else_start, self.env.written.len());
+        loop {
+            let written = &self.env.written;
+            let head = |at: usize, to: usize| (at < to).then(|| written[at].0);
+            let Some(sym) = head(t, else_start).into_iter().chain(head(e, end)).min() else {
+                break;
+            };
+            // The value an arm left `sym` at, consuming its entries.
+            let take = |at: &mut usize, to: usize| {
+                let mut value = None;
+                while *at < to && written[*at].0 == sym {
+                    value = Some(written[*at].1);
+                    *at += 1;
+                }
+                value
+            };
+            let (tv, ev) = (take(&mut t, else_start), take(&mut e, end));
+            let Some(before) = self.env.get(sym) else {
+                continue;
+            };
+            let (tv, ev) = (tv.unwrap_or(before), ev.unwrap_or(before));
             if tv != ev {
                 let m = self.fresh(
                     DefKind::Ite {
@@ -399,11 +529,12 @@ impl<'a> FuncLowerer<'a> {
                     },
                     sym,
                 )?;
-                self.env.insert(sym, m);
-            } else {
-                self.env.insert(sym, tv);
+                self.env.set(sym, m);
+            } else if tv != before {
+                self.env.set(sym, tv);
             }
         }
+        self.env.written.truncate(then_start);
 
         Ok(BlockOutcome {
             definitely_returned: t_out.definitely_returned
@@ -413,78 +544,88 @@ impl<'a> FuncLowerer<'a> {
         })
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Result<BlockOutcome, LowerError> {
+    /// Lowers `iterations` unrolled iterations of a `while` loop: an `if`
+    /// on its condition around the body and the remaining iterations.
+    fn lower_loop(&mut self, l: Loop<'_>) -> Result<BlockOutcome, LowerError> {
+        let rest = (l.iterations > 1).then_some(Loop {
+            iterations: l.iterations - 1,
+            ..l
+        });
+        let body = Block {
+            stmts: l.body,
+            then_loop: rest,
+        };
+        self.lower_if(l.cond, body, Block::new(&[]))
+    }
+
+    fn lower_stmts(&mut self, block: Block<'_>) -> Result<BlockOutcome, LowerError> {
         let mut outcome = BlockOutcome::default();
-        let mut idx = 0usize;
-        while idx < stmts.len() {
-            let stmt = &stmts[idx];
-            idx += 1;
-            match stmt {
+        for (idx, stmt) in block.stmts.iter().enumerate() {
+            let rest = block.tail(idx + 1);
+            let sub = match stmt {
                 Stmt::Let(sym, e) | Stmt::Assign(sym, e) => {
-                    if matches!(stmt, Stmt::Assign(_, _)) && !self.env.contains_key(sym) {
+                    if matches!(stmt, Stmt::Assign(_, _)) && self.env.get(*sym).is_none() {
                         let name = self.interner.resolve(*sym).to_owned();
                         return Err(self.err(format!("assignment to undeclared variable `{name}`")));
                     }
                     let v = self.lower_expr(e)?;
-                    self.env.insert(*sym, v);
+                    self.env.set(*sym, v);
+                    continue;
                 }
                 Stmt::Expr(e) => {
                     self.lower_expr(e)?;
+                    continue;
                 }
                 Stmt::Return(e) => {
                     let v = self.lower_expr(e)?;
                     self.ensure_ret_vars()?;
                     let one = self.constant(1)?;
                     let (rv, rt) = (self.ret_val.unwrap(), self.ret_taken.unwrap());
-                    self.env.insert(rv, v);
-                    self.env.insert(rt, one);
+                    self.env.set(rv, v);
+                    self.env.set(rt, one);
                     outcome.definitely_returned = true;
                     outcome.may_return = true;
                     // Everything after an unconditional return is dead.
                     return Ok(outcome);
                 }
-                Stmt::While(cond, body) => {
-                    let expanded = unroll_while(cond, body, self.loop_unroll);
-                    let sub = self.lower_stmts(&expanded)?;
-                    outcome.may_return |= sub.may_return;
-                    if sub.definitely_returned {
-                        outcome.definitely_returned = true;
-                        return Ok(outcome);
-                    }
-                    if sub.may_return && idx < stmts.len() {
-                        let rest = self.lower_guarded_rest(&stmts[idx..])?;
-                        outcome.definitely_returned = rest.definitely_returned;
-                        outcome.may_return |= rest.may_return;
-                        return Ok(outcome);
-                    }
-                }
+                Stmt::While(_, _) if self.loop_unroll == 0 => continue,
+                Stmt::While(cond, body) => self.lower_loop(Loop {
+                    cond,
+                    body,
+                    iterations: self.loop_unroll,
+                })?,
                 Stmt::If(cond, then_b, else_b) => {
-                    let sub = self.lower_if(cond, then_b, else_b)?;
-                    outcome.may_return |= sub.may_return;
-                    if sub.definitely_returned {
-                        outcome.definitely_returned = true;
-                        return Ok(outcome);
-                    }
-                    if sub.may_return && idx < stmts.len() {
-                        // The remainder of this list executes only when the
-                        // branch did not return: guard it on
-                        // `__ret_taken == 0` and merge.
-                        let rest = self.lower_guarded_rest(&stmts[idx..])?;
-                        outcome.definitely_returned = rest.definitely_returned;
-                        outcome.may_return |= rest.may_return;
-                        return Ok(outcome);
-                    }
+                    self.lower_if(cond, Block::new(then_b), Block::new(else_b))?
                 }
+            };
+            outcome.may_return |= sub.may_return;
+            if sub.definitely_returned {
+                outcome.definitely_returned = true;
+                return Ok(outcome);
             }
+            if sub.may_return && !rest.is_empty() {
+                // The remainder of this list executes only when the
+                // branch did not return: guard it on `__ret_taken == 0`
+                // and merge.
+                let rest = self.lower_guarded_rest(rest)?;
+                outcome.definitely_returned = rest.definitely_returned;
+                outcome.may_return |= rest.may_return;
+                return Ok(outcome);
+            }
+        }
+        if let Some(l) = block.then_loop {
+            // The next iteration's `if` has no else arm, so it never
+            // definitely returns, and nothing follows it.
+            outcome.may_return |= self.lower_loop(l)?.may_return;
         }
         Ok(outcome)
     }
 
     /// Lowers the tail of a statement list under the guard
     /// `__ret_taken == 0`, merging its effects back.
-    fn lower_guarded_rest(&mut self, rest: &[Stmt]) -> Result<BlockOutcome, LowerError> {
+    fn lower_guarded_rest(&mut self, rest: Block<'_>) -> Result<BlockOutcome, LowerError> {
         let rt_sym = self.ret_taken.expect("ret vars materialized");
-        let rt = self.env[&rt_sym];
+        let rt = self.env.get(rt_sym).expect("ret vars are bound");
         let zero = self.constant(0)?;
         let cont = self.fresh(
             DefKind::Binary {
@@ -494,18 +635,21 @@ impl<'a> FuncLowerer<'a> {
             },
             self.names.not_returned,
         )?;
-        let pre_env = self.env.clone();
+        let mark = self.env.mark();
         let outer_guard = self.guard;
         let bc = self.fresh(DefKind::Branch { cond: cont }, self.names.cont)?;
         self.guard = Some(bc);
         let out = self.lower_stmts(rest)?;
-        let after_env = std::mem::replace(&mut self.env, pre_env.clone());
+        let start = self.env.roll_back(mark);
         self.guard = outer_guard;
-        let mut keys: Vec<Symbol> = pre_env.keys().copied().collect();
-        keys.sort_unstable();
-        for sym in keys {
-            let before = pre_env[&sym];
-            let after = after_env.get(&sym).copied().unwrap_or(before);
+        for i in start..self.env.written.len() {
+            let (sym, after) = self.env.written[i];
+            if i > start && self.env.written[i - 1].0 == sym {
+                continue; // written twice: merged already
+            }
+            let Some(before) = self.env.get(sym) else {
+                continue;
+            };
             if after != before {
                 let m = self.fresh(
                     DefKind::Ite {
@@ -515,12 +659,35 @@ impl<'a> FuncLowerer<'a> {
                     },
                     sym,
                 )?;
-                self.env.insert(sym, m);
+                self.env.set(sym, m);
             }
         }
+        self.env.written.truncate(start);
         // The rest executes only when the branch above did not return, so
         // "definitely returns" holds overall iff the rest always returns.
         Ok(out)
+    }
+
+    /// Lowers one function body after its parameters, ending in its single
+    /// [`DefKind::Return`], and leaves the lowerer ready for the next.
+    fn lower_body(&mut self, body: &[Stmt]) -> Result<(Vec<Def>, VarId), LowerError> {
+        let outcome = self.lower_stmts(Block::new(body))?;
+        let ret_src = match (self.ret_val, outcome.may_return) {
+            (Some(rv), _) => self.env.get(rv).expect("ret vars are bound"),
+            (None, _) => self.constant(0)?, // fell off the end: return 0
+        };
+        debug_assert!(self.guard.is_none());
+        let ret = self.fresh(DefKind::Return { src: ret_src }, self.names.ret)?;
+        self.reset();
+        Ok((self.defs.drain(..).collect(), ret))
+    }
+
+    /// Clears the per-function state, keeping the buffers.
+    fn reset(&mut self) {
+        self.env.clear();
+        self.const_cache.clear();
+        self.ret_val = None;
+        self.ret_taken = None;
     }
 }
 
@@ -532,16 +699,6 @@ fn contains_return(stmts: &[Stmt]) -> bool {
         }
     });
     found
-}
-
-/// Expands `while (c) { body }` into `k` nested `if`s (loop unrolling).
-fn unroll_while(cond: &Expr, body: &[Stmt], k: usize) -> Vec<Stmt> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut inner = body.to_vec();
-    inner.extend(unroll_while(cond, body, k - 1));
-    vec![Stmt::If(cond.clone(), inner, Vec::new())]
 }
 
 /// Lowers a surface program to the core SSA program.
@@ -573,8 +730,23 @@ pub fn lower(
         arities.push(f.params.len());
     }
 
-    let mut names = DefNames::new(interner, surface.functions.len());
-    let mut call_sites = Vec::new();
+    let names = DefNames::new(interner, surface.functions.len());
+    let mut lw = FuncLowerer {
+        defs: Vec::new(),
+        env: Env::default(),
+        guard: None,
+        interner,
+        names,
+        func_ids: &func_ids,
+        func_arities: &arities,
+        call_sites: Vec::new(),
+        func_id: FuncId(0),
+        func_name: None,
+        const_cache: HashMap::new(),
+        ret_val: None,
+        ret_taken: None,
+        loop_unroll: options.loop_unroll,
+    };
     let mut functions = Vec::with_capacity(surface.functions.len());
     for (i, sf) in surface.functions.iter().enumerate() {
         let id = FuncId(i as u32);
@@ -589,23 +761,8 @@ pub fn lower(
             });
             continue;
         }
-        let func_name = interner.resolve(sf.name).to_owned();
-        let mut lw = FuncLowerer {
-            defs: Vec::new(),
-            env: HashMap::new(),
-            guard: None,
-            interner,
-            names: &mut names,
-            func_ids: &func_ids,
-            func_arities: &arities,
-            call_sites: &mut call_sites,
-            func_id: id,
-            func_name: func_name.clone(),
-            const_cache: HashMap::new(),
-            ret_val: None,
-            ret_taken: None,
-            loop_unroll: options.loop_unroll,
-        };
+        lw.func_id = id;
+        lw.func_name = Some(sf.name);
         // Parameters: `v = ⟨v⟩` identity statements.
         let mut params = Vec::with_capacity(sf.params.len());
         for (pi, &p) in sf.params.iter().enumerate() {
@@ -616,24 +773,13 @@ pub fn lower(
                 guard: None,
                 name: p,
             });
-            if lw.env.insert(p, var).is_some() {
+            if lw.env.set(p, var).is_some() {
                 let pname = lw.interner.resolve(p).to_owned();
-                return Err(LowerError {
-                    function: Some(func_name),
-                    message: format!("duplicate parameter `{pname}`"),
-                });
+                return Err(lw.err(format!("duplicate parameter `{pname}`")));
             }
             params.push(var);
         }
-        let outcome = lw.lower_stmts(&sf.body)?;
-        let ret_src = match (lw.ret_val, outcome.may_return) {
-            (Some(rv), _) => lw.env[&rv],
-            (None, _) => lw.constant(0)?, // fell off the end: return 0
-        };
-        let saved_guard = lw.guard;
-        debug_assert!(saved_guard.is_none());
-        let ret = lw.fresh(DefKind::Return { src: ret_src }, lw.names.ret)?;
-        let defs = lw.defs;
+        let (defs, ret) = lw.lower_body(&sf.body)?;
         functions.push(Function {
             name: sf.name,
             id,
@@ -646,8 +792,8 @@ pub fn lower(
 
     Ok(Program {
         functions,
-        call_sites,
-        interner: interner.clone(),
+        call_sites: lw.call_sites,
+        interner: lw.interner.clone(),
     })
 }
 

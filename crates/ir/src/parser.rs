@@ -90,214 +90,141 @@ enum Tok {
     Eof,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SpannedTok {
     tok: Tok,
     line: u32,
     col: u32,
 }
 
-/// Splits `src` into tokens, interning identifiers in source order.
-fn lex(src: &str, interner: &mut Interner) -> Result<Vec<SpannedTok>, ParseError> {
-    let mut toks = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    macro_rules! push {
-        ($t:expr, $l:expr, $c:expr) => {
-            toks.push(SpannedTok {
-                tok: $t,
-                line: $l,
-                col: $c,
-            })
-        };
-    }
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let (tl, tc) = (line, col);
-        let adv = |i: &mut usize, n: usize, col: &mut u32| {
-            *i += n;
-            *col += n as u32;
-        };
-        match c {
-            '\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            ' ' | '\t' | '\r' => adv(&mut i, 1, &mut col),
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            '(' => {
-                push!(Tok::LParen, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            ')' => {
-                push!(Tok::RParen, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '{' => {
-                push!(Tok::LBrace, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '}' => {
-                push!(Tok::RBrace, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            ',' => {
-                push!(Tok::Comma, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            ';' => {
-                push!(Tok::Semi, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '+' => {
-                push!(Tok::Plus, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '-' => {
-                push!(Tok::Minus, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '*' => {
-                push!(Tok::Star, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '/' => {
-                push!(Tok::Slash, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '%' => {
-                push!(Tok::Percent, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '^' => {
-                push!(Tok::Caret, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '~' => {
-                push!(Tok::Tilde, tl, tc);
-                adv(&mut i, 1, &mut col)
-            }
-            '&' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'&' {
-                    push!(Tok::AndAnd, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Amp, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '|' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'|' {
-                    push!(Tok::OrOr, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Pipe, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    push!(Tok::Ne, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Bang, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    push!(Tok::Le, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'<' {
-                    push!(Tok::Shl, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Lt, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    push!(Tok::Ge, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    push!(Tok::Shr, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Gt, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '=' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    push!(Tok::EqEq, tl, tc);
-                    adv(&mut i, 2, &mut col)
-                } else {
-                    push!(Tok::Assign, tl, tc);
-                    adv(&mut i, 1, &mut col)
-                }
-            }
-            '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                col += (i - start) as u32;
-                let value: i64 = text.parse().map_err(|_| ParseError {
-                    line: tl,
-                    col: tc,
-                    message: format!("integer literal `{text}` out of range"),
-                })?;
-                push!(Tok::Int(value), tl, tc);
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric()
-                        || bytes[i] == b'_'
-                        || bytes[i] == b'#'
-                        || bytes[i] == b'.')
-                {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                col += (i - start) as u32;
-                let t = match text {
-                    "fn" => Tok::KwFn,
-                    "extern" => Tok::KwExtern,
-                    "let" => Tok::KwLet,
-                    "if" => Tok::KwIf,
-                    "else" => Tok::KwElse,
-                    "while" => Tok::KwWhile,
-                    "return" => Tok::KwReturn,
-                    "null" => Tok::KwNull,
-                    _ => Tok::Ident(interner.intern(text)),
-                };
-                push!(t, tl, tc);
-            }
-            other => {
-                return Err(ParseError {
-                    line: tl,
-                    col: tc,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
+/// Splits source text into tokens one at a time, as the parser asks for
+/// them. Identifiers are interned as they are lexed, so in source order.
+struct Lexer<'s> {
+    src: &'s str,
+    /// Byte offset of the next unlexed character.
+    pos: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'s> Lexer<'s> {
+    fn new(src: &'s str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
         }
     }
-    toks.push(SpannedTok {
-        tok: Tok::Eof,
-        line,
-        col,
-    });
-    Ok(toks)
+
+    /// The next token, or [`Tok::Eof`] (again and again) at the end of the
+    /// input. A lexical error leaves the position at the offending
+    /// character, so asking again repeats it.
+    fn next_tok(&mut self, interner: &mut Interner) -> Result<SpannedTok, ParseError> {
+        let bytes = self.src.as_bytes();
+        // Whitespace and comments.
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
+                }
+                b' ' | b'\t' | b'\r' => {
+                    self.pos += 1;
+                    self.col += 1;
+                }
+                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => {
+                    while self.pos < bytes.len() && bytes[self.pos] != b'\n' {
+                        self.pos += 1;
+                    }
+                }
+                _ => break,
+            }
+        }
+        let (line, col) = (self.line, self.col);
+        let spanned = |tok| SpannedTok { tok, line, col };
+        let Some(&b) = bytes.get(self.pos) else {
+            return Ok(spanned(Tok::Eof));
+        };
+        let second = bytes.get(self.pos + 1).copied();
+        // Operators and punctuation: the token and its length.
+        let punct = match (b, second) {
+            (b'(', _) => Some((Tok::LParen, 1)),
+            (b')', _) => Some((Tok::RParen, 1)),
+            (b'{', _) => Some((Tok::LBrace, 1)),
+            (b'}', _) => Some((Tok::RBrace, 1)),
+            (b',', _) => Some((Tok::Comma, 1)),
+            (b';', _) => Some((Tok::Semi, 1)),
+            (b'+', _) => Some((Tok::Plus, 1)),
+            (b'-', _) => Some((Tok::Minus, 1)),
+            (b'*', _) => Some((Tok::Star, 1)),
+            (b'/', _) => Some((Tok::Slash, 1)),
+            (b'%', _) => Some((Tok::Percent, 1)),
+            (b'^', _) => Some((Tok::Caret, 1)),
+            (b'~', _) => Some((Tok::Tilde, 1)),
+            (b'&', Some(b'&')) => Some((Tok::AndAnd, 2)),
+            (b'&', _) => Some((Tok::Amp, 1)),
+            (b'|', Some(b'|')) => Some((Tok::OrOr, 2)),
+            (b'|', _) => Some((Tok::Pipe, 1)),
+            (b'!', Some(b'=')) => Some((Tok::Ne, 2)),
+            (b'!', _) => Some((Tok::Bang, 1)),
+            (b'<', Some(b'=')) => Some((Tok::Le, 2)),
+            (b'<', Some(b'<')) => Some((Tok::Shl, 2)),
+            (b'<', _) => Some((Tok::Lt, 1)),
+            (b'>', Some(b'=')) => Some((Tok::Ge, 2)),
+            (b'>', Some(b'>')) => Some((Tok::Shr, 2)),
+            (b'>', _) => Some((Tok::Gt, 1)),
+            (b'=', Some(b'=')) => Some((Tok::EqEq, 2)),
+            (b'=', _) => Some((Tok::Assign, 1)),
+            _ => None,
+        };
+        if let Some((tok, len)) = punct {
+            self.pos += len;
+            self.col += len as u32;
+            return Ok(spanned(tok));
+        }
+        let start = self.pos;
+        let run = |accept: fn(u8) -> bool| {
+            bytes[start..]
+                .iter()
+                .position(|&c| !accept(c))
+                .map_or(bytes.len(), |k| start + k)
+        };
+        let tok = if b.is_ascii_digit() {
+            let end = run(|c| c.is_ascii_digit());
+            let text = &self.src[start..end];
+            let value: i64 = text.parse().map_err(|_| ParseError {
+                line,
+                col,
+                message: format!("integer literal `{text}` out of range"),
+            })?;
+            self.pos = end;
+            Tok::Int(value)
+        } else if b.is_ascii_alphabetic() || b == b'_' {
+            let end = run(|c| c.is_ascii_alphanumeric() || c == b'_' || c == b'#' || c == b'.');
+            self.pos = end;
+            match &self.src[start..end] {
+                "fn" => Tok::KwFn,
+                "extern" => Tok::KwExtern,
+                "let" => Tok::KwLet,
+                "if" => Tok::KwIf,
+                "else" => Tok::KwElse,
+                "while" => Tok::KwWhile,
+                "return" => Tok::KwReturn,
+                "null" => Tok::KwNull,
+                text => Tok::Ident(interner.intern(text)),
+            }
+        } else {
+            return Err(ParseError {
+                line,
+                col,
+                message: format!("unexpected character `{}`", b as char),
+            });
+        };
+        self.col += (self.pos - start) as u32;
+        Ok(spanned(tok))
+    }
 }
 
 /// The deepest nesting the parser accepts. A function body is level 1;
@@ -313,34 +240,59 @@ fn lex(src: &str, interner: &mut Interner) -> Result<Vec<SpannedTok>, ParseError
 /// nest about 6 levels.
 pub const MAX_NESTING: usize = 256;
 
-struct Parser<'a> {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-    /// Renders identifier tokens in error messages.
-    interner: &'a Interner,
+/// A recursive-descent parser over a two-token window of the input: the
+/// current token and the one after it, lexed on demand.
+struct Parser<'s, 'i> {
+    lexer: Lexer<'s>,
+    cur: SpannedTok,
+    next: SpannedTok,
+    /// Interns identifiers as they are lexed and renders them in error
+    /// messages.
+    interner: &'i mut Interner,
     /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(toks: Vec<SpannedTok>, interner: &'a Interner) -> Self {
-        Parser {
-            toks,
-            pos: 0,
+impl<'s, 'i> Parser<'s, 'i> {
+    fn new(src: &'s str, interner: &'i mut Interner) -> Result<Self, ParseError> {
+        let mut lexer = Lexer::new(src);
+        let cur = lexer.next_tok(interner)?;
+        let next = lexer.next_tok(interner)?;
+        Ok(Parser {
+            lexer,
+            cur,
+            next,
             interner,
             depth: 0,
-        }
+        })
+    }
+
+    /// Runs `parse`, keeping the rule that a lexical error anywhere in the
+    /// input beats an earlier syntax or nesting error: on any error, the
+    /// rest of the input is lexed and its first lexical error, if it has
+    /// one, is reported instead. Everything before the lexer's position
+    /// lexed cleanly, so that is the input's first lexical error.
+    fn run<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        parse(self).map_err(|syntax| loop {
+            match self.lexer.next_tok(self.interner) {
+                Err(lexical) => break lexical,
+                Ok(t) if t.tok == Tok::Eof => break syntax,
+                Ok(_) => {}
+            }
+        })
     }
 
     fn peek(&self) -> Tok {
-        self.toks[self.pos].tok
+        self.cur.tok
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
-        let t = &self.toks[self.pos.min(self.toks.len() - 1)];
         ParseError {
-            line: t.line,
-            col: t.col,
+            line: self.cur.line,
+            col: self.cur.col,
             message: message.into(),
         }
     }
@@ -355,15 +307,20 @@ impl<'a> Parser<'a> {
         self.err(format!("expected {what}, found {found}"))
     }
 
-    fn bump(&mut self) {
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+    /// Moves the window one token on; at the end it stays on `Eof`.
+    fn bump(&mut self) -> Result<(), ParseError> {
+        if self.cur.tok != Tok::Eof {
+            self.cur = self.next;
+            if self.next.tok != Tok::Eof {
+                self.next = self.lexer.next_tok(self.interner)?;
+            }
         }
+        Ok(())
     }
 
     fn expect(&mut self, want: Tok, what: &str) -> Result<(), ParseError> {
         if self.peek() == want {
-            self.bump();
+            self.bump()?;
             Ok(())
         } else {
             Err(self.expected(what))
@@ -373,7 +330,7 @@ impl<'a> Parser<'a> {
     fn ident(&mut self, what: &str) -> Result<Symbol, ParseError> {
         match self.peek() {
             Tok::Ident(sym) => {
-                self.bump();
+                self.bump()?;
                 Ok(sym)
             }
             _ => Err(self.expected(what)),
@@ -408,7 +365,7 @@ impl<'a> Parser<'a> {
 
     fn function(&mut self) -> Result<Function, ParseError> {
         let is_extern = if self.peek() == Tok::KwExtern {
-            self.bump();
+            self.bump()?;
             true
         } else {
             false
@@ -421,7 +378,7 @@ impl<'a> Parser<'a> {
             loop {
                 params.push(self.ident("parameter name")?);
                 if self.peek() == Tok::Comma {
-                    self.bump();
+                    self.bump()?;
                 } else {
                     break;
                 }
@@ -453,7 +410,7 @@ impl<'a> Parser<'a> {
             }
             stmts.push(self.stmt()?);
         }
-        self.bump(); // RBrace
+        self.bump()?; // RBrace
         self.depth -= 1;
         Ok(stmts)
     }
@@ -466,12 +423,12 @@ impl<'a> Parser<'a> {
             Tok::KwIf => self.if_stmt(),
             Tok::KwWhile => self.while_stmt(),
             Tok::KwReturn => {
-                self.bump();
+                self.bump()?;
                 self.expr_then_semi().map(Stmt::Return)
             }
-            Tok::Ident(sym) if self.toks[self.pos + 1].tok == Tok::Assign => {
-                self.bump();
-                self.bump();
+            Tok::Ident(sym) if self.next.tok == Tok::Assign => {
+                self.bump()?;
+                self.bump()?;
                 self.expr_then_semi().map(|e| Stmt::Assign(sym, e))
             }
             _ => self.expr_then_semi().map(Stmt::Expr),
@@ -479,7 +436,7 @@ impl<'a> Parser<'a> {
     }
 
     fn let_stmt(&mut self) -> Result<Stmt, ParseError> {
-        self.bump();
+        self.bump()?;
         let name = self.ident("binding name")?;
         self.expect(Tok::Assign, "`=`")?;
         let e = self.expr_then_semi()?;
@@ -493,7 +450,7 @@ impl<'a> Parser<'a> {
         let then_b = self.block()?;
         let mut else_b = Vec::new();
         if self.peek() == Tok::KwElse {
-            self.bump();
+            self.bump()?;
             if self.peek() == Tok::KwIf {
                 self.enter()?;
                 else_b.push(self.if_stmt()?);
@@ -513,7 +470,7 @@ impl<'a> Parser<'a> {
 
     /// The keyword and parenthesized condition of an `if` or `while`.
     fn condition(&mut self) -> Result<Expr, ParseError> {
-        self.bump();
+        self.bump()?;
         self.expect(Tok::LParen, "`(`")?;
         let c = self.expr()?;
         self.expect(Tok::RParen, "`)`")?;
@@ -543,7 +500,7 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.check_depth(height + 1)?;
-            self.bump();
+            self.bump()?;
             self.depth += 1;
             let (rhs, rhs_height) = self.bin_expr(level + 1)?;
             self.depth -= 1;
@@ -561,7 +518,7 @@ impl<'a> Parser<'a> {
             _ => return self.primary(),
         };
         self.enter()?;
-        self.bump();
+        self.bump()?;
         let (e, height) = self.unary()?;
         self.depth -= 1;
         Ok((Expr::un(op, e), height + 1))
@@ -570,23 +527,23 @@ impl<'a> Parser<'a> {
     fn primary(&mut self) -> Result<(Expr, usize), ParseError> {
         match self.peek() {
             Tok::Int(v) => {
-                self.bump();
+                self.bump()?;
                 Ok((Expr::Int(v), 0))
             }
             Tok::KwNull => {
-                self.bump();
+                self.bump()?;
                 Ok((Expr::Null, 0))
             }
             Tok::LParen => {
                 self.enter()?;
-                self.bump();
+                self.bump()?;
                 let (e, height) = self.bin_expr(0)?;
                 self.expect(Tok::RParen, "`)`")?;
                 self.depth -= 1;
                 Ok((e, height + 1))
             }
             Tok::Ident(sym) => {
-                self.bump();
+                self.bump()?;
                 if self.peek() == Tok::LParen {
                     self.call(sym)
                 } else {
@@ -600,7 +557,7 @@ impl<'a> Parser<'a> {
     /// The argument list of a call to `callee`, one nesting level deeper.
     fn call(&mut self, callee: Symbol) -> Result<(Expr, usize), ParseError> {
         self.enter()?;
-        self.bump();
+        self.bump()?;
         let mut args = Vec::new();
         let mut height = 0;
         if self.peek() != Tok::RParen {
@@ -609,7 +566,7 @@ impl<'a> Parser<'a> {
                 args.push(arg);
                 height = height.max(h);
                 if self.peek() == Tok::Comma {
-                    self.bump();
+                    self.bump()?;
                 } else {
                     break;
                 }
@@ -648,10 +605,13 @@ fn binop(tok: Tok) -> Option<(u8, BinOp)> {
     })
 }
 
-/// Parses a whole program, interning names into `interner`.
+/// Parses a whole program, interning names into `interner` in source
+/// order.
 ///
-/// The whole input is lexed before parsing starts, so a lexical error
-/// anywhere wins over an earlier syntax error.
+/// Tokens are lexed as the parser reaches them, but a lexical error
+/// anywhere in the input still wins over an earlier syntax or nesting
+/// error: on a syntax error the rest of the input is lexed, and its first
+/// lexical error is reported instead.
 ///
 /// # Errors
 ///
@@ -670,8 +630,7 @@ fn binop(tok: Tok) -> Option<(u8, BinOp)> {
 /// # Ok::<(), fusion_ir::parser::ParseError>(())
 /// ```
 pub fn parse(src: &str, interner: &mut Interner) -> Result<Program, ParseError> {
-    let toks = lex(src, interner)?;
-    Parser::new(toks, interner).program()
+    Parser::new(src, interner)?.run(Parser::program)
 }
 
 /// Parses a single expression (useful in tests).
@@ -680,13 +639,13 @@ pub fn parse(src: &str, interner: &mut Interner) -> Result<Program, ParseError> 
 ///
 /// Returns [`ParseError`] on malformed input or trailing tokens.
 pub fn parse_expr(src: &str, interner: &mut Interner) -> Result<Expr, ParseError> {
-    let toks = lex(src, interner)?;
-    let mut p = Parser::new(toks, interner);
-    let e = p.expr()?;
-    if p.peek() != Tok::Eof {
-        return Err(p.err("trailing input after expression"));
-    }
-    Ok(e)
+    Parser::new(src, interner)?.run(|p| {
+        let e = p.expr()?;
+        if p.peek() != Tok::Eof {
+            return Err(p.err("trailing input after expression"));
+        }
+        Ok(e)
+    })
 }
 
 #[cfg(test)]
@@ -909,6 +868,50 @@ mod tests {
     fn rejects_huge_int_literal() {
         let mut i = Interner::new();
         assert!(parse("fn f() { return 99999999999999999999; }", &mut i).is_err());
+    }
+
+    /// A lexical error anywhere in the input beats an earlier syntax or
+    /// nesting error, however far the parser got before it.
+    #[test]
+    fn lexical_errors_beat_earlier_syntax_and_nesting_errors() {
+        let deep = format!(
+            "fn f(x) {{ return {}x{}; }}\nfn g() {{ return 1 @ 2; }}",
+            "(".repeat(300),
+            ")".repeat(300)
+        );
+        for (src, want) in [
+            (
+                "fn f( { } $",
+                "parse error at 1:11: unexpected character `$`",
+            ),
+            (
+                "fn f() { return 1 2; } fn g() { return 99999999999999999999; }",
+                "parse error at 1:40: integer literal `99999999999999999999` out of range",
+            ),
+            (&deep, "parse error at 2:19: unexpected character `@`"),
+        ] {
+            let err = parse(src, &mut Interner::new()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{}", &src[..src.len().min(40)]);
+        }
+        // Without the stray `@`, the same input is a nesting error.
+        let err = parse(&deep.replace('@', "+"), &mut Interner::new()).unwrap_err();
+        assert!(err.message.starts_with("nesting deeper"), "{err}");
+    }
+
+    /// Identifiers are interned in the order they first occur in the
+    /// source, keywords never.
+    #[test]
+    fn names_are_interned_in_first_occurrence_order() {
+        let src = "extern fn sink(v);\n\
+                   fn zeta(b, a) { let c = a + b; if (c) { c = sink(zz); } return c; }\n\
+                   fn alpha() { return zeta(1, 2); }";
+        let mut i = Interner::new();
+        parse(src, &mut i).unwrap();
+        let order = ["sink", "v", "zeta", "b", "a", "c", "zz", "alpha"];
+        assert_eq!(i.len(), order.len());
+        for (k, name) in order.iter().enumerate() {
+            assert_eq!(i.lookup(name).unwrap().index(), k, "{name}");
+        }
     }
 
     #[test]

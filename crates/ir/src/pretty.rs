@@ -188,7 +188,7 @@ pub fn function_to_string(program: &Program, func: &Function) -> String {
         .collect();
     let _ = writeln!(s, "fn {name}({}) {{", params.join(", "));
     for def in &func.defs {
-        let depth = func.guards(def.var).len();
+        let depth = func.guard_chain(def.var).count();
         let indent = "  ".repeat(depth + 1);
         let nm = program.def_name(def);
         let rhs = match &def.kind {

@@ -220,20 +220,94 @@ pub enum DefKind {
 }
 
 impl DefKind {
-    /// The variables this definition reads, in a fixed order.
-    pub fn operands(&self) -> Vec<VarId> {
+    /// The variables this definition reads, in a fixed order (operand slot
+    /// order), borrowed without allocating.
+    pub fn operands(&self) -> Operands<'_> {
+        let inline = |ops: &[VarId]| {
+            let mut inline = [VarId(0); 3];
+            inline[..ops.len()].copy_from_slice(ops);
+            Operands {
+                inline,
+                len: ops.len() as u8,
+                args: &[],
+            }
+        };
         match self {
-            DefKind::Param { .. } | DefKind::Const { .. } => vec![],
-            DefKind::Copy { src } | DefKind::Return { src } => vec![*src],
-            DefKind::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
+            DefKind::Param { .. } | DefKind::Const { .. } => inline(&[]),
+            DefKind::Copy { src } | DefKind::Return { src } => inline(&[*src]),
+            DefKind::Binary { lhs, rhs, .. } => inline(&[*lhs, *rhs]),
             DefKind::Ite {
                 cond,
                 then_v,
                 else_v,
-            } => vec![*cond, *then_v, *else_v],
-            DefKind::Call { args, .. } => args.clone(),
-            DefKind::Branch { cond } => vec![*cond],
+            } => inline(&[*cond, *then_v, *else_v]),
+            DefKind::Call { args, .. } => Operands {
+                inline: [VarId(0); 3],
+                len: 0,
+                args,
+            },
+            DefKind::Branch { cond } => inline(&[*cond]),
         }
+    }
+}
+
+/// The operands of one definition ([`DefKind::operands`]): up to three
+/// held inline, or a call's arguments by slice. Iterating it yields the
+/// operands by value.
+#[derive(Debug, Clone, Copy)]
+pub struct Operands<'a> {
+    inline: [VarId; 3],
+    /// Inline operands in use; 0 means the operands are `args`.
+    len: u8,
+    args: &'a [VarId],
+}
+
+impl Operands<'_> {
+    /// The operands as a slice, in slot order.
+    pub fn as_slice(&self) -> &[VarId] {
+        match self.len {
+            0 => self.args,
+            n => &self.inline[..n as usize],
+        }
+    }
+
+    /// Number of operands.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the definition reads no variable.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+}
+
+impl<'a> IntoIterator for Operands<'a> {
+    type Item = VarId;
+    type IntoIter = OperandsIter<'a>;
+
+    fn into_iter(self) -> OperandsIter<'a> {
+        OperandsIter {
+            operands: self,
+            next: 0,
+        }
+    }
+}
+
+/// By-value iterator over [`Operands`].
+#[derive(Debug, Clone)]
+pub struct OperandsIter<'a> {
+    operands: Operands<'a>,
+    next: usize,
+}
+
+impl Iterator for OperandsIter<'_> {
+    type Item = VarId;
+
+    fn next(&mut self) -> Option<VarId> {
+        let v = self.operands.as_slice().get(self.next).copied();
+        self.next += usize::from(v.is_some());
+        v
     }
 }
 
@@ -297,13 +371,12 @@ impl Function {
 
     /// The guard chain of `v`, innermost first.
     pub fn guards(&self, v: VarId) -> Vec<VarId> {
-        let mut out = Vec::new();
-        let mut cur = self.def(v).guard;
-        while let Some(g) = cur {
-            out.push(g);
-            cur = self.def(g).guard;
-        }
-        out
+        self.guard_chain(v).collect()
+    }
+
+    /// Walks the guard chain of `v`, innermost first, without allocating.
+    pub fn guard_chain(&self, v: VarId) -> impl Iterator<Item = VarId> + '_ {
+        std::iter::successors(self.def(v).guard, |&g| self.def(g).guard)
     }
 }
 
@@ -427,6 +500,14 @@ mod tests {
             then_v: VarId(1),
             else_v: VarId(2),
         };
-        assert_eq!(k.operands(), vec![VarId(0), VarId(1), VarId(2)]);
+        assert_eq!(k.operands().as_slice(), [VarId(0), VarId(1), VarId(2)]);
+        let call = DefKind::Call {
+            callee: FuncId(0),
+            args: vec![VarId(4), VarId(5), VarId(6), VarId(7)],
+            site: CallSiteId(0),
+        };
+        assert!(call.operands().into_iter().eq((4..8).map(VarId)));
+        assert_eq!(DefKind::Branch { cond: VarId(3) }.operands().len(), 1);
+        assert!(DefKind::Param { index: 0 }.operands().is_empty());
     }
 }

@@ -75,10 +75,12 @@ pub fn validate(program: &Program) -> Result<(), ValidateError> {
 /// earlier violation are skipped rather than risked.
 pub fn check_program(program: &Program) -> Vec<ValidateError> {
     let mut errs: Vec<ValidateError> = Vec::new();
+    // Buffers of the guard-region check, reused across functions.
+    let mut closed: Vec<bool> = Vec::new();
+    let (mut chain, mut prev_chain): (Vec<VarId>, Vec<VarId>) = (Vec::new(), Vec::new());
     for func in &program.functions {
-        let fname = program.name(func.name).to_owned();
         let err = |message: String| ValidateError {
-            function: fname.clone(),
+            function: program.name(func.name).to_owned(),
             message,
         };
         if func.is_extern {
@@ -171,10 +173,12 @@ pub fn check_program(program: &Program) -> Vec<ValidateError> {
         // region is left, it never reopens. Walking guard chains requires
         // the structural checks above to have passed for this function.
         if errs.len() == before {
-            let mut closed: Vec<bool> = vec![false; func.defs.len()];
-            let mut prev_chain: Vec<VarId> = Vec::new();
+            closed.clear();
+            closed.resize(func.defs.len(), false);
+            prev_chain.clear();
             for def in &func.defs {
-                let mut chain = func.guards(def.var);
+                chain.clear();
+                chain.extend(func.guard_chain(def.var));
                 chain.reverse(); // outermost first
                 for g in &chain {
                     if closed[g.index()] {
@@ -187,7 +191,7 @@ pub fn check_program(program: &Program) -> Vec<ValidateError> {
                         closed[g.index()] = true;
                     }
                 }
-                prev_chain = chain;
+                std::mem::swap(&mut prev_chain, &mut chain);
             }
         }
     }
@@ -195,13 +199,29 @@ pub fn check_program(program: &Program) -> Vec<ValidateError> {
     // must be acyclic (iterative three-color DFS; one cycle is reported,
     // with its witness path).
     let n = program.functions.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for cs in &program.call_sites {
-        let (caller, callee) = (cs.caller.index(), cs.callee.index());
-        if caller < n && callee < n && !program.functions[callee].is_extern {
-            adj[caller].push(callee);
-        }
+    // Callees by caller in compressed sparse row form: `callees[starts[u]..
+    // starts[u + 1]]`, in call-site order.
+    let edges = || {
+        program.call_sites.iter().filter_map(|cs| {
+            let (caller, callee) = (cs.caller.index(), cs.callee.index());
+            (caller < n && callee < n && !program.functions[callee].is_extern)
+                .then_some((caller, callee))
+        })
+    };
+    let mut starts = vec![0usize; n + 1];
+    for (caller, _) in edges() {
+        starts[caller + 1] += 1;
     }
+    for u in 0..n {
+        starts[u + 1] += starts[u];
+    }
+    let mut callees = vec![0usize; starts[n]];
+    let mut fill = starts.clone();
+    for (caller, callee) in edges() {
+        callees[fill[caller]] = callee;
+        fill[caller] += 1;
+    }
+    let adj = |u: usize| &callees[starts[u]..starts[u + 1]];
     let mut color = vec![0u8; n]; // 0 = white, 1 = gray, 2 = black
     'roots: for start in 0..n {
         if color[start] != 0 {
@@ -210,8 +230,8 @@ pub fn check_program(program: &Program) -> Vec<ValidateError> {
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         color[start] = 1;
         while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-            if *next < adj[u].len() {
-                let v = adj[u][*next];
+            if *next < adj(u).len() {
+                let v = adj(u)[*next];
                 *next += 1;
                 match color[v] {
                     0 => {

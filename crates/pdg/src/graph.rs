@@ -79,11 +79,53 @@ pub enum FlowTarget {
     },
 }
 
-/// Per-function adjacency of the PDG.
+/// Per-function adjacency of the PDG in compressed sparse row form: the
+/// uses of definition `v` are `edges[offsets[v]..offsets[v + 1]]`, each a
+/// `(user, operand-slot)` pair, users in program order.
 #[derive(Debug, Clone, Default)]
 pub struct FuncPdg {
-    /// `uses[v]` lists `(user, operand-slot)` pairs for definition `v`.
-    pub uses: Vec<Vec<(VarId, usize)>>,
+    offsets: Vec<u32>,
+    edges: Vec<(VarId, usize)>,
+}
+
+impl FuncPdg {
+    /// Builds one function's adjacency (operand def→use edges only; the
+    /// inter-procedural interpretation happens in [`Pdg::flow_targets`]).
+    fn build(func: &fusion_ir::ssa::Function) -> FuncPdg {
+        let n = func.defs.len();
+        // Count each definition's uses at its own index, sum them into
+        // range ends, then place the edges back to front, moving each end
+        // down to its range's start.
+        let mut offsets = vec![0u32; n + 1];
+        for def in &func.defs {
+            for op in def.kind.operands() {
+                offsets[op.index()] += 1;
+            }
+        }
+        let mut total = 0u32;
+        for end in &mut offsets[..n] {
+            total = total
+                .checked_add(*end)
+                .expect("a function's operand edges fit in u32");
+            *end = total;
+        }
+        offsets[n] = total;
+        let mut edges = vec![(VarId(0), 0); total as usize];
+        for def in func.defs.iter().rev() {
+            for (slot, op) in def.kind.operands().as_slice().iter().enumerate().rev() {
+                let at = &mut offsets[op.index()];
+                *at -= 1;
+                edges[*at as usize] = (def.var, slot);
+            }
+        }
+        FuncPdg { offsets, edges }
+    }
+
+    /// The `(user, operand-slot)` pairs of definition `v`.
+    fn uses(&self, v: VarId) -> &[(VarId, usize)] {
+        let i = v.index();
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 /// Aggregate size statistics (Table 2 columns).
@@ -117,23 +159,8 @@ impl PdgStats {
 #[derive(Debug, Clone)]
 pub struct Pdg {
     funcs: Vec<Arc<FuncPdg>>,
-    /// `callers_of[f]` lists the call sites whose callee is `f`.
-    callers_of: Vec<Vec<CallSiteId>>,
+    callers_of: CallersOf,
     stats: PdgStats,
-}
-
-/// Builds one function's adjacency (operand def→use edges only; the
-/// inter-procedural interpretation happens in [`Pdg::flow_targets`]).
-fn build_func_pdg(func: &fusion_ir::ssa::Function) -> FuncPdg {
-    let mut fp = FuncPdg {
-        uses: vec![Vec::new(); func.defs.len()],
-    };
-    for def in &func.defs {
-        for (slot, op) in def.kind.operands().into_iter().enumerate() {
-            fp.uses[op.index()].push((def.var, slot));
-        }
-    }
-    fp
 }
 
 /// One function's contribution to the Table 2 statistics. Unlike the
@@ -175,11 +202,11 @@ impl Pdg {
             stats.data_edges += fs.data_edges;
             stats.interproc_edges += fs.interproc_edges;
             stats.control_edges += fs.control_edges;
-            funcs.push(Arc::new(build_func_pdg(func)));
+            funcs.push(Arc::new(FuncPdg::build(func)));
         }
         Pdg {
             funcs,
-            callers_of: build_callers_of(program),
+            callers_of: CallersOf::build(program),
             stats,
         }
     }
@@ -222,12 +249,12 @@ impl Pdg {
             if unchanged[i] {
                 funcs.push(Arc::clone(&prev.funcs[i]));
             } else {
-                funcs.push(Arc::new(build_func_pdg(func)));
+                funcs.push(Arc::new(FuncPdg::build(func)));
             }
         }
         Pdg {
             funcs,
-            callers_of: build_callers_of(program),
+            callers_of: CallersOf::build(program),
             stats,
         }
     }
@@ -239,7 +266,8 @@ impl Pdg {
 
     /// The call sites targeting function `f`.
     pub fn callers_of(&self, f: FuncId) -> &[CallSiteId] {
-        &self.callers_of[f.index()]
+        let i = f.index();
+        &self.callers_of.sites[self.callers_of.offsets[i]..self.callers_of.offsets[i + 1]]
     }
 
     /// Whether function `f`'s adjacency is shared (by [`Arc`]) with
@@ -252,7 +280,7 @@ impl Pdg {
 
     /// Intra-procedural uses of a definition.
     pub fn uses(&self, func: FuncId, var: VarId) -> &[(VarId, usize)] {
-        &self.funcs[func.index()].uses[var.index()]
+        self.funcs[func.index()].uses(var)
     }
 
     /// All one-step flow targets of a definition: local uses, plus call
@@ -308,14 +336,34 @@ impl Pdg {
     }
 }
 
-/// The reverse call map: `callers_of[f]` lists the call sites whose
-/// callee is `f`, in call-site-id order.
-fn build_callers_of(program: &Program) -> Vec<Vec<CallSiteId>> {
-    let mut callers_of = vec![Vec::new(); program.functions.len()];
-    for (i, cs) in program.call_sites.iter().enumerate() {
-        callers_of[cs.callee.index()].push(CallSiteId(i as u32));
+/// The reverse call map in compressed sparse row form: the call sites
+/// whose callee is `f` are `sites[offsets[f]..offsets[f + 1]]`, in
+/// call-site-id order.
+#[derive(Debug, Clone)]
+struct CallersOf {
+    offsets: Vec<usize>,
+    sites: Vec<CallSiteId>,
+}
+
+impl CallersOf {
+    fn build(program: &Program) -> CallersOf {
+        let n = program.functions.len();
+        let mut offsets = vec![0usize; n + 1];
+        for cs in &program.call_sites {
+            offsets[cs.callee.index() + 1] += 1;
+        }
+        for f in 0..n {
+            offsets[f + 1] += offsets[f];
+        }
+        let mut next = offsets.clone();
+        let mut sites = vec![CallSiteId(0); program.call_sites.len()];
+        for (i, cs) in program.call_sites.iter().enumerate() {
+            let at = &mut next[cs.callee.index()];
+            sites[*at] = CallSiteId(i as u32);
+            *at += 1;
+        }
+        CallersOf { offsets, sites }
     }
-    callers_of
 }
 
 #[cfg(test)]

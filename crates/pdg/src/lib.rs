@@ -10,8 +10,8 @@
 //!   (`fusion::compact`);
 //! * [`paths`] — data-dependence paths with CFL call/return links and
 //!   calling-context reconstruction;
-//! * [`slice`] — the linear, modular slice `G[Π]` (Rules 1–3);
-//! * [`translate`] — the allotropic transformation to first-order path
+//! * [`slice`](mod@slice) — the linear, modular slice `G[Π]` (Rules 1–3);
+//! * [`translate`](mod@translate) — the allotropic transformation to first-order path
 //!   conditions (Rules 4–8) including the context-sensitive cloning of
 //!   Algorithm 4, with an instance budget that reports cloning blow-ups.
 //!
