@@ -4,8 +4,20 @@
 //! language: it has expressions with literals, `if`/`else`, `while` loops and
 //! early returns. [`crate::lower`] normalizes it to the paper's loop-free,
 //! SSA-form core (gated with `ite`-assignments, single exit).
+//!
+//! The tree is flat: each [`Function`] holds its own node store.
+//! Expression and statement nodes live in two vectors and name their
+//! children by `u32` index ([`ExprId`], [`StmtId`]); the statements of a
+//! block and the arguments of a call are runs of one index list
+//! ([`Block`], [`Args`]). Nothing is boxed, so a function is at most four
+//! allocations however large it is, and dropping it frees them without a
+//! walk. A [`Builder`] adds nodes bottom up, children before their
+//! parent, and copies each finished function out at its exact size; the
+//! parser and the workload generator both build through it.
 
 use crate::interner::Symbol;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Unary operators in surface expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,8 +74,61 @@ pub enum BinOp {
     Or,
 }
 
-/// A surface expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An expression node: its index in its function's expression vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(u32);
+
+/// A statement node: its index in its function's statement vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StmtId(u32);
+
+/// A run of a function's index list, read through [`Function::block`] or
+/// [`Function::args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Run<T> {
+    start: u32,
+    end: u32,
+    of: PhantomData<T>,
+}
+
+/// The statements of a block, in order.
+pub type Block = Run<StmtId>;
+
+/// The arguments of a call, in order.
+pub type Args = Run<ExprId>;
+
+impl<T> Run<T> {
+    /// The run with no entries.
+    pub const EMPTY: Self = Run {
+        start: 0,
+        end: 0,
+        of: PhantomData,
+    };
+
+    /// Number of entries.
+    pub fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the run has no entries.
+    pub fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    /// The run without its first `k` entries (empty when `k` reaches its
+    /// length).
+    pub fn skip(self, k: usize) -> Self {
+        let start = (self.start as usize + k).min(self.end as usize) as u32;
+        Run { start, ..self }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// A surface expression node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal, wrapped to 32 bits during lowering.
     Int(i64),
@@ -72,41 +137,103 @@ pub enum Expr {
     /// Variable reference.
     Var(Symbol),
     /// Unary operation.
-    Unary(UnOp, Box<Expr>),
+    Unary(UnOp, ExprId),
     /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
-    /// Call to a named function.
-    Call(Symbol, Vec<Expr>),
+    Binary(BinOp, ExprId, ExprId),
+    /// Call to a named function; built by [`Builder::call`].
+    Call(Symbol, Args),
 }
 
-/// A surface statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A surface statement node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stmt {
     /// `let x = e;` — introduces a block-scoped binding.
-    Let(Symbol, Expr),
+    Let(Symbol, ExprId),
     /// `x = e;` — assigns to an existing binding.
-    Assign(Symbol, Expr),
+    Assign(Symbol, ExprId),
     /// `if (e) { .. } else { .. }` — the `else` block may be empty.
-    If(Expr, Vec<Stmt>, Vec<Stmt>),
+    If(ExprId, Block, Block),
     /// `while (e) { .. }` — unrolled a fixed number of times by lowering.
-    While(Expr, Vec<Stmt>),
+    While(ExprId, Block),
     /// `return e;`
-    Return(Expr),
+    Return(ExprId),
     /// Expression evaluated for its effects (e.g. a call to a sink).
-    Expr(Expr),
+    Expr(ExprId),
 }
 
-/// A surface function definition or external declaration.
+/// A surface function definition or external declaration, with the node
+/// store of its body.
+///
+/// Two functions are equal when their stores are: the same nodes, added
+/// in the same order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// The function's name.
     pub name: Symbol,
     /// Parameter names, in order.
     pub params: Vec<Symbol>,
-    /// Body statements; meaningless when [`Function::is_extern`] is set.
-    pub body: Vec<Stmt>,
     /// External declarations have no body (`f(v1, v2, ..) = ∅` in Fig. 4).
     pub is_extern: bool,
+    body: Block,
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    /// Block bodies (statement indices) and call arguments (expression
+    /// indices), each a contiguous run.
+    list: Vec<u32>,
+}
+
+impl Function {
+    /// An external declaration: parameters and no body.
+    pub fn external(name: Symbol, params: Vec<Symbol>) -> Function {
+        Function {
+            name,
+            params,
+            is_extern: true,
+            body: Block::EMPTY,
+            exprs: Vec::new(),
+            stmts: Vec::new(),
+            list: Vec::new(),
+        }
+    }
+
+    /// The body's top-level statements; empty for an external declaration.
+    pub fn body(&self) -> Block {
+        self.body
+    }
+
+    /// The expression node `e`.
+    pub fn expr(&self, e: ExprId) -> Expr {
+        self.exprs[e.0 as usize]
+    }
+
+    /// The statement node `s`.
+    pub fn stmt(&self, s: StmtId) -> Stmt {
+        self.stmts[s.0 as usize]
+    }
+
+    /// The statements of `block`, in order.
+    pub fn block(&self, block: Block) -> impl ExactSizeIterator<Item = StmtId> + '_ {
+        self.list[block.range()].iter().map(|&s| StmtId(s))
+    }
+
+    /// The arguments of a call, in order.
+    pub fn args(&self, args: Args) -> impl ExactSizeIterator<Item = ExprId> + '_ {
+        self.list[args.range()].iter().map(|&e| ExprId(e))
+    }
+
+    /// Every expression node, each once, children before their parents: a
+    /// linear scan of it sees every call without walking the tree.
+    pub fn exprs(&self) -> &[Expr] {
+        &self.exprs
+    }
+
+    /// The callee of every call, to redirect calls in place.
+    pub fn callees_mut(&mut self) -> impl Iterator<Item = &mut Symbol> {
+        self.exprs.iter_mut().filter_map(|e| match e {
+            Expr::Call(callee, _) => Some(callee),
+            _ => None,
+        })
+    }
 }
 
 /// A whole surface program: a list of functions.
@@ -131,49 +258,124 @@ impl Program {
     }
 }
 
-impl Expr {
-    /// Convenience constructor for a binary expression.
-    pub fn bin(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Binary(op, Box::new(lhs), Box::new(rhs))
+/// Builds function bodies bottom up: every node's children, and every
+/// statement a block lists, are added before it. One builder serves any
+/// number of functions; its vectors keep their capacity from one function
+/// to the next, and [`Builder::finish`] copies each function out at its
+/// exact size.
+///
+/// # Examples
+///
+/// ```
+/// use fusion_ir::ast::{BinOp, Builder, Stmt};
+/// use fusion_ir::Interner;
+///
+/// let mut names = Interner::new();
+/// let (f, x) = (names.intern("f"), names.intern("x"));
+/// let mut b = Builder::new();
+/// let (vx, two) = (b.var(x), b.int(2));
+/// let sum = b.bin(BinOp::Add, vx, two);
+/// let ret = b.stmt(Stmt::Return(sum));
+/// let body = b.block(&[ret]);
+/// let func = b.finish(f, vec![x], body);
+/// assert_eq!(func.exprs().len(), 3);
+/// assert_eq!(func.block(func.body()).len(), 1);
+/// ```
+#[derive(Debug, Default)]
+pub struct Builder {
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    list: Vec<u32>,
+}
+
+impl Builder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Convenience constructor for a unary expression.
-    pub fn un(op: UnOp, e: Expr) -> Expr {
-        Expr::Unary(op, Box::new(e))
+    /// Adds an expression node whose children are already in the builder.
+    /// A call's arguments go through [`Builder::call`] instead.
+    pub fn expr(&mut self, e: Expr) -> ExprId {
+        debug_assert!(match e {
+            Expr::Unary(_, a) => (a.0 as usize) < self.exprs.len(),
+            Expr::Binary(_, a, b) => (a.0.max(b.0) as usize) < self.exprs.len(),
+            Expr::Call(_, args) => args.end as usize <= self.list.len(),
+            Expr::Int(_) | Expr::Null | Expr::Var(_) => true,
+        });
+        let id = ExprId(index(self.exprs.len()));
+        self.exprs.push(e);
+        id
     }
 
-    /// Visits every sub-expression, including `self`, depth first.
-    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Unary(_, e) => e.walk(f),
-            Expr::Binary(_, a, b) => {
-                a.walk(f);
-                b.walk(f);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            Expr::Int(_) | Expr::Null | Expr::Var(_) => {}
+    /// `Expr::Int(v)`.
+    pub fn int(&mut self, v: i64) -> ExprId {
+        self.expr(Expr::Int(v))
+    }
+
+    /// `Expr::Var(v)`.
+    pub fn var(&mut self, v: Symbol) -> ExprId {
+        self.expr(Expr::Var(v))
+    }
+
+    /// `Expr::Binary(op, a, b)`.
+    pub fn bin(&mut self, op: BinOp, a: ExprId, b: ExprId) -> ExprId {
+        self.expr(Expr::Binary(op, a, b))
+    }
+
+    /// A call of `callee` on `args`.
+    pub fn call(&mut self, callee: Symbol, args: &[ExprId]) -> ExprId {
+        let args = self.run(args.iter().map(|a| a.0));
+        self.expr(Expr::Call(callee, args))
+    }
+
+    /// Adds a statement node whose expressions and blocks are already in
+    /// the builder.
+    pub fn stmt(&mut self, s: Stmt) -> StmtId {
+        let id = StmtId(index(self.stmts.len()));
+        self.stmts.push(s);
+        id
+    }
+
+    /// A block of `stmts`, in order.
+    pub fn block(&mut self, stmts: &[StmtId]) -> Block {
+        self.run(stmts.iter().map(|s| s.0))
+    }
+
+    /// Appends `ids` to the index list as one run.
+    fn run<T>(&mut self, ids: impl Iterator<Item = u32>) -> Run<T> {
+        let start = index(self.list.len());
+        self.list.extend(ids);
+        Run {
+            start,
+            end: index(self.list.len()),
+            of: PhantomData,
         }
+    }
+
+    /// The function `name(params) { body }`, holding every node added
+    /// since the last `finish`; the builder is left empty for the next.
+    pub fn finish(&mut self, name: Symbol, params: Vec<Symbol>, body: Block) -> Function {
+        let f = Function {
+            name,
+            params,
+            is_extern: false,
+            body,
+            exprs: self.exprs.to_vec(),
+            stmts: self.stmts.to_vec(),
+            list: self.list.to_vec(),
+        };
+        self.exprs.clear();
+        self.stmts.clear();
+        self.list.clear();
+        f
     }
 }
 
-/// Visits every statement in a body, depth first, including nested blocks.
-pub fn walk_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-    for s in stmts {
-        f(s);
-        match s {
-            Stmt::If(_, t, e) => {
-                walk_stmts(t, f);
-                walk_stmts(e, f);
-            }
-            Stmt::While(_, b) => walk_stmts(b, f),
-            _ => {}
-        }
-    }
+/// `len` as a node index. A function of 2^32 nodes would need tens of
+/// gigabytes of nodes first, so running out of indices is a bug.
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("a function holds fewer than 2^32 nodes")
 }
 
 #[cfg(test)]
@@ -182,26 +384,58 @@ mod tests {
     use crate::interner::Interner;
 
     #[test]
-    fn walk_visits_all_subexpressions() {
+    fn blocks_and_arguments_are_runs_of_one_list() {
         let mut i = Interner::new();
-        let x = i.intern("x");
-        let e = Expr::bin(BinOp::Add, Expr::Var(x), Expr::un(UnOp::Not, Expr::Int(3)));
-        let mut count = 0;
-        e.walk(&mut |_| count += 1);
-        assert_eq!(count, 4); // add, var, not, int
+        let (f, g, x) = (i.intern("f"), i.intern("g"), i.intern("x"));
+        let mut b = Builder::new();
+        let vx = b.var(x);
+        let one = b.int(1);
+        let call = b.call(g, &[vx, one]);
+        let neg = b.expr(Expr::Unary(UnOp::Neg, call));
+        let then_s = b.stmt(Stmt::Assign(x, neg));
+        let then_b = b.block(&[then_s]);
+        let else_b = b.block(&[]);
+        let cond = b.var(x);
+        let branch = b.stmt(Stmt::If(cond, then_b, else_b));
+        let ret = b.stmt(Stmt::Return(vx));
+        let body = b.block(&[branch, ret]);
+        let func = b.finish(f, vec![x], body);
+
+        assert_eq!(func.block(func.body()).collect::<Vec<_>>(), [branch, ret]);
+        let Stmt::If(c, t, e) = func.stmt(branch) else {
+            panic!("not an if")
+        };
+        assert_eq!(func.expr(c), Expr::Var(x));
+        assert!(e.is_empty() && t.len() == 1);
+        let Expr::Call(callee, args) = func.expr(call) else {
+            panic!("not a call")
+        };
+        assert_eq!(callee, g);
+        assert_eq!(func.args(args).collect::<Vec<_>>(), [vx, one]);
+        assert_eq!(body.skip(1).len(), 1);
+        assert!(body.skip(5).is_empty());
+        // Every node is stored once, at its exact size.
+        assert_eq!(func.exprs().len(), 5);
+        assert_eq!(func.stmts.len(), 3);
+        assert_eq!(func.exprs.capacity(), 5);
     }
 
     #[test]
-    fn walk_stmts_recurses_into_branches() {
+    fn finish_empties_the_builder_for_the_next_function() {
         let mut i = Interner::new();
-        let x = i.intern("x");
-        let body = vec![Stmt::If(
-            Expr::Var(x),
-            vec![Stmt::Return(Expr::Int(1))],
-            vec![Stmt::While(Expr::Var(x), vec![Stmt::Expr(Expr::Int(0))])],
-        )];
-        let mut count = 0;
-        walk_stmts(&body, &mut |_| count += 1);
-        assert_eq!(count, 4); // if, return, while, expr
+        let (f, g) = (i.intern("f"), i.intern("g"));
+        let mut b = Builder::new();
+        let zero = b.int(0);
+        let ret = b.stmt(Stmt::Return(zero));
+        let body = b.block(&[ret]);
+        let first = b.finish(f, Vec::new(), body);
+        let zero = b.int(0);
+        let ret = b.stmt(Stmt::Return(zero));
+        let body = b.block(&[ret]);
+        let second = b.finish(g, Vec::new(), body);
+        // The second function's nodes start from index 0 again.
+        assert_eq!(first, Function { name: f, ..second });
+        let ext = Function::external(f, vec![g]);
+        assert!(ext.is_extern && ext.body().is_empty() && ext.exprs().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! redirected one level deeper, and the deepest level calls an external stub
 //! (to which the empty-function rule of Fig. 5 applies).
 
-use crate::ast::{Expr, Function, Program, Stmt};
+use crate::ast::{Block, Expr, ExprId, Function, Program, Stmt};
 use crate::interner::{Interner, Symbol};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -35,100 +35,141 @@ impl fmt::Display for CallGraphError {
 
 impl Error for CallGraphError {}
 
-/// The surface-level call graph: `edges[i]` lists the indices of functions
-/// that function `i` may call (deduplicated).
+/// The surface-level call graph: function `i` may call the functions
+/// [`CallGraph::edges`]`(i)`, sorted and deduplicated. The callee lists
+/// are runs of one buffer (offsets plus array), read by a linear scan of
+/// each function's expression nodes.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    /// Per-caller callee index lists.
-    pub edges: Vec<Vec<usize>>,
+    /// `offsets[i]..offsets[i + 1]`: function `i`'s run of `callees`.
+    offsets: Vec<u32>,
+    callees: Vec<u32>,
 }
+
+/// No function, in a name-indexed lookup.
+const NONE: u32 = u32::MAX;
 
 impl CallGraph {
     /// Builds the call graph of a surface program.
     ///
     /// # Errors
     ///
-    /// Returns [`CallGraphError`] if a call target does not exist.
+    /// Returns [`CallGraphError`] if a call target does not exist: the
+    /// first such call in source order, in the first function that has
+    /// one.
     pub fn build(program: &Program, interner: &Interner) -> Result<CallGraph, CallGraphError> {
-        let by_name: HashMap<Symbol, usize> = program
+        // `by_name[sym]`: the function named `sym`; a later definition of
+        // a name shadows an earlier one.
+        let names = program.functions.iter().map(|f| f.name.index() + 1);
+        let mut by_name = vec![NONE; names.max().unwrap_or(0)];
+        for (i, f) in program.functions.iter().enumerate() {
+            by_name[f.name.index()] = i as u32;
+        }
+        let calls = program
             .functions
             .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name, i))
-            .collect();
-        let mut edges = vec![Vec::new(); program.functions.len()];
-        for (i, f) in program.functions.iter().enumerate() {
-            let mut callees = Vec::new();
-            collect_calls_stmts(&f.body, &mut callees);
-            for c in callees {
-                match by_name.get(&c) {
-                    Some(&j) => edges[i].push(j),
-                    None => {
-                        return Err(CallGraphError {
-                            caller: interner.resolve(f.name).to_owned(),
-                            callee: interner.resolve(c).to_owned(),
-                        })
-                    }
+            .map(|f| {
+                f.exprs()
+                    .iter()
+                    .filter(|e| matches!(e, Expr::Call(..)))
+                    .count()
+            })
+            .sum();
+        let mut callees = Vec::with_capacity(calls);
+        let mut offsets = Vec::with_capacity(program.functions.len() + 1);
+        offsets.push(0);
+        for f in &program.functions {
+            let start = callees.len();
+            for e in f.exprs() {
+                let Expr::Call(callee, _) = *e else {
+                    continue;
+                };
+                match by_name.get(callee.index()) {
+                    Some(&j) if j != NONE => callees.push(j),
+                    _ => return Err(unknown_callee(f, &by_name, interner)),
                 }
             }
-            edges[i].sort_unstable();
-            edges[i].dedup();
+            callees[start..].sort_unstable();
+            let mut kept = start;
+            for k in start..callees.len() {
+                if kept == start || callees[k] != callees[kept - 1] {
+                    callees[kept] = callees[k];
+                    kept += 1;
+                }
+            }
+            callees.truncate(kept);
+            offsets.push(kept as u32);
         }
-        Ok(CallGraph { edges })
+        Ok(CallGraph { offsets, callees })
+    }
+
+    /// Number of functions.
+    fn functions(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The functions function `i` may call, sorted and deduplicated.
+    pub fn edges(&self, i: usize) -> &[u32] {
+        &self.callees[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Strongly connected components in reverse topological order
-    /// (Tarjan's algorithm, iterative).
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.edges.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
+    /// (Tarjan's algorithm, iterative), written into one buffer.
+    pub fn sccs(&self) -> Sccs {
+        const UNSEEN: u32 = u32::MAX;
+        let n = self.functions();
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
         let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut sccs = Vec::new();
-        let mut counter = 0usize;
-        // Iterative Tarjan: frames of (node, next edge index).
+        let mut stack: Vec<u32> = Vec::with_capacity(n);
+        // Frames of (node, next edge position).
+        let mut frames: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut sccs = Sccs {
+            members: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+        };
+        let mut counter = 0u32;
         for root in 0..n {
-            if index[root] != usize::MAX {
+            if index[root] != UNSEEN {
                 continue;
             }
-            let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
+            frames.push((root as u32, 0));
             index[root] = counter;
             low[root] = counter;
             counter += 1;
-            stack.push(root);
+            stack.push(root as u32);
             on_stack[root] = true;
-            while let Some(&mut (v, ref mut ei)) = frames.last_mut() {
-                if *ei < self.edges[v].len() {
-                    let w = self.edges[v][*ei];
-                    *ei += 1;
-                    if index[w] == usize::MAX {
+            while let Some(&mut (v, ref mut next)) = frames.last_mut() {
+                let v = v as usize;
+                if let Some(&w) = self.edges(v).get(*next as usize) {
+                    *next += 1;
+                    let w = w as usize;
+                    if index[w] == UNSEEN {
                         index[w] = counter;
                         low[w] = counter;
                         counter += 1;
-                        stack.push(w);
+                        stack.push(w as u32);
                         on_stack[w] = true;
-                        frames.push((w, 0));
+                        frames.push((w as u32, 0));
                     } else if on_stack[w] {
                         low[v] = low[v].min(index[w]);
                     }
-                } else {
-                    frames.pop();
-                    if let Some(&mut (parent, _)) = frames.last_mut() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent as usize] = low[parent as usize].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    loop {
+                        let w = stack.pop().expect("tarjan stack");
+                        on_stack[w as usize] = false;
+                        sccs.members.push(w);
+                        if w as usize == v {
+                            break;
                         }
-                        sccs.push(comp);
                     }
+                    sccs.ends.push(sccs.members.len() as u32);
                 }
             }
         }
@@ -137,16 +178,12 @@ impl CallGraph {
 
     /// Whether function `i` participates in a cycle (including self-loops).
     pub fn cyclic_members(&self) -> Vec<bool> {
-        let mut cyclic = vec![false; self.edges.len()];
-        for scc in self.sccs() {
-            if scc.len() > 1 {
-                for &m in &scc {
-                    cyclic[m] = true;
-                }
-            } else {
-                let m = scc[0];
-                if self.edges[m].contains(&m) {
-                    cyclic[m] = true;
+        let mut cyclic = vec![false; self.functions()];
+        for scc in self.sccs().iter() {
+            let m = scc[0];
+            if scc.len() > 1 || self.edges(m as usize).binary_search(&m).is_ok() {
+                for &m in scc {
+                    cyclic[m as usize] = true;
                 }
             }
         }
@@ -154,58 +191,55 @@ impl CallGraph {
     }
 }
 
-fn collect_calls_stmts(stmts: &[Stmt], out: &mut Vec<Symbol>) {
-    crate::ast::walk_stmts(stmts, &mut |s| match s {
-        Stmt::Let(_, e) | Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => {
-            collect_calls_expr(e, out)
-        }
-        Stmt::If(e, _, _) | Stmt::While(e, _) => collect_calls_expr(e, out),
-    });
+/// Strongly connected components of a [`CallGraph`], each a run of one
+/// member buffer.
+#[derive(Debug, Clone)]
+pub struct Sccs {
+    /// Every component's members, component after component.
+    members: Vec<u32>,
+    /// `ends[k]`: where component `k`'s members end.
+    ends: Vec<u32>,
 }
 
-fn collect_calls_expr(e: &Expr, out: &mut Vec<Symbol>) {
-    e.walk(&mut |e| {
-        if let Expr::Call(name, _) = e {
-            out.push(*name);
-        }
-    });
-}
-
-fn rewrite_calls_stmts(stmts: &mut [Stmt], map: &HashMap<Symbol, Symbol>) {
-    for s in stmts {
-        match s {
-            Stmt::Let(_, e) | Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => {
-                rewrite_calls_expr(e, map)
-            }
-            Stmt::If(e, t, el) => {
-                rewrite_calls_expr(e, map);
-                rewrite_calls_stmts(t, map);
-                rewrite_calls_stmts(el, map);
-            }
-            Stmt::While(e, b) => {
-                rewrite_calls_expr(e, map);
-                rewrite_calls_stmts(b, map);
-            }
-        }
+impl Sccs {
+    /// Each component's members, components in reverse topological order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.members[start as usize..end as usize])
     }
 }
 
-fn rewrite_calls_expr(e: &mut Expr, map: &HashMap<Symbol, Symbol>) {
-    match e {
-        Expr::Call(name, args) => {
-            if let Some(&new) = map.get(name) {
-                *name = new;
-            }
-            for a in args {
-                rewrite_calls_expr(a, map);
-            }
+/// The error for `f`'s first call, in source order, of a name `by_name`
+/// does not resolve: a callee's name precedes its arguments, and a
+/// condition precedes its blocks.
+fn unknown_callee(f: &Function, by_name: &[u32], interner: &Interner) -> CallGraphError {
+    fn in_expr(f: &Function, e: ExprId, known: &dyn Fn(Symbol) -> bool) -> Option<Symbol> {
+        match f.expr(e) {
+            Expr::Call(c, _) if !known(c) => Some(c),
+            Expr::Call(_, args) => f.args(args).find_map(|a| in_expr(f, a, known)),
+            Expr::Unary(_, a) => in_expr(f, a, known),
+            Expr::Binary(_, a, b) => in_expr(f, a, known).or_else(|| in_expr(f, b, known)),
+            Expr::Int(_) | Expr::Null | Expr::Var(_) => None,
         }
-        Expr::Unary(_, inner) => rewrite_calls_expr(inner, map),
-        Expr::Binary(_, a, b) => {
-            rewrite_calls_expr(a, map);
-            rewrite_calls_expr(b, map);
-        }
-        Expr::Int(_) | Expr::Null | Expr::Var(_) => {}
+    }
+    fn in_block(f: &Function, block: Block, known: &dyn Fn(Symbol) -> bool) -> Option<Symbol> {
+        f.block(block).find_map(|s| match f.stmt(s) {
+            Stmt::Let(_, e) | Stmt::Assign(_, e) | Stmt::Return(e) | Stmt::Expr(e) => {
+                in_expr(f, e, known)
+            }
+            Stmt::If(c, t, el) => in_expr(f, c, known)
+                .or_else(|| in_block(f, t, known))
+                .or_else(|| in_block(f, el, known)),
+            Stmt::While(c, b) => in_expr(f, c, known).or_else(|| in_block(f, b, known)),
+        })
+    }
+    let known = |c: Symbol| by_name.get(c.index()).is_some_and(|&j| j != NONE);
+    let callee = in_block(f, f.body(), &known).expect("an unknown callee");
+    CallGraphError {
+        caller: interner.resolve(f.name).to_owned(),
+        callee: interner.resolve(callee).to_owned(),
     }
 }
 
@@ -227,14 +261,14 @@ pub fn unroll_recursion<'p>(
 ) -> Result<Cow<'p, Program>, CallGraphError> {
     let cg = CallGraph::build(program, interner)?;
     let cyclic = cg.cyclic_members();
-    if !cyclic.iter().any(|&c| c) {
+    if !cyclic.contains(&true) {
         return Ok(Cow::Borrowed(program));
     }
     // Which SCC does each function belong to?
     let mut scc_of = vec![usize::MAX; program.functions.len()];
     for (si, scc) in cg.sccs().iter().enumerate() {
         for &m in scc {
-            scc_of[m] = si;
+            scc_of[m as usize] = si;
         }
     }
 
@@ -265,7 +299,8 @@ pub fn unroll_recursion<'p>(
             // Redirect intra-SCC calls: callee g (cyclic, same SCC) at level
             // d goes to level d+1, or to the stub at the deepest level.
             let mut map = HashMap::new();
-            for &j in &cg.edges[i] {
+            for &j in cg.edges(i) {
+                let j = j as usize;
                 if cyclic[j] && scc_of[j] == scc_of[i] {
                     let g = program.functions[j].name;
                     let target = if d + 1 < depth {
@@ -276,15 +311,16 @@ pub fn unroll_recursion<'p>(
                     map.insert(g, target);
                 }
             }
-            rewrite_calls_stmts(&mut clone.body, &map);
+            for callee in clone.callees_mut() {
+                if let Some(&new) = map.get(callee) {
+                    *callee = new;
+                }
+            }
             out.functions.push(clone);
         }
-        out.functions.push(Function {
-            name: stub_name(interner, f.name),
-            params: f.params.clone(),
-            body: Vec::new(),
-            is_extern: true,
-        });
+        let stub = stub_name(interner, f.name);
+        out.functions
+            .push(Function::external(stub, f.params.clone()));
     }
     Ok(Cow::Owned(out))
 }
@@ -299,8 +335,8 @@ mod tests {
         let mut i = Interner::new();
         let p = parse("fn a() { return b() + b(); } fn b() { return 1; }", &mut i).unwrap();
         let cg = CallGraph::build(&p, &i).unwrap();
-        assert_eq!(cg.edges[0], vec![1]);
-        assert!(cg.edges[1].is_empty());
+        assert_eq!(cg.edges(0), [1]);
+        assert!(cg.edges(1).is_empty());
     }
 
     #[test]
@@ -342,8 +378,14 @@ mod tests {
         assert!(cg.cyclic_members().iter().all(|&c| !c));
         // Depth-1 even calls odd#stub.
         let even1 = u.function(i.lookup("even#1").unwrap()).unwrap();
-        let mut calls = Vec::new();
-        collect_calls_stmts(&even1.body, &mut calls);
+        let calls: Vec<Symbol> = even1
+            .exprs()
+            .iter()
+            .filter_map(|e| match *e {
+                Expr::Call(callee, _) => Some(callee),
+                _ => None,
+            })
+            .collect();
         assert_eq!(calls, vec![i.lookup("odd#stub").unwrap()]);
     }
 
@@ -383,6 +425,26 @@ mod tests {
         assert_eq!(err.callee, "nope");
     }
 
+    /// The call named first in the source is reported, whatever order the
+    /// expression nodes were stored in (a call's arguments come first).
+    #[test]
+    fn unknown_callees_are_reported_in_source_order() {
+        for (src, callee) in [
+            ("fn a() { let v = b(c()); return d(); }", "b"),
+            ("fn a(p) { if (p + e(1)) { b(); } return f(); }", "e"),
+            ("fn a(p) { while (p) { p = 1 + g(h(p)); } return 0; }", "g"),
+        ] {
+            let mut i = Interner::new();
+            let p = parse(src, &mut i).unwrap();
+            let err = CallGraph::build(&p, &i).unwrap_err();
+            assert_eq!(
+                (err.caller.as_str(), err.callee.as_str()),
+                ("a", callee),
+                "{src}"
+            );
+        }
+    }
+
     #[test]
     fn sccs_cover_all_nodes() {
         let mut i = Interner::new();
@@ -393,8 +455,11 @@ mod tests {
         .unwrap();
         let cg = CallGraph::build(&p, &i).unwrap();
         let sccs = cg.sccs();
-        let total: usize = sccs.iter().map(Vec::len).sum();
+        let total: usize = sccs.iter().map(<[u32]>::len).sum();
         assert_eq!(total, 3);
         assert!(sccs.iter().any(|s| s.len() == 2));
+        // Reverse topological order: `c` calls into the cycle, so it
+        // comes after it.
+        assert_eq!(sccs.iter().last(), Some(&[2][..]));
     }
 }

@@ -14,7 +14,7 @@
 //! validate lowering end-to-end, and the analysis crates use [`eval_core`]
 //! as dynamic ground truth for path feasibility.
 
-use crate::ast::{self, BinOp, Expr, Stmt, UnOp};
+use crate::ast::{self, BinOp, Expr, ExprId, Stmt, UnOp};
 use crate::interner::{Interner, Symbol};
 use crate::ssa::{self, DefKind, FuncId, Op};
 use std::collections::HashMap;
@@ -103,33 +103,38 @@ impl<'p> SurfaceEval<'p> {
         for (p, v) in func.params.iter().zip(args) {
             env.insert(*p, *v);
         }
-        match self.stmts(&func.body, &mut env)? {
+        match self.stmts(func, func.body(), &mut env)? {
             Flow::Returned(v) => Ok(v),
             Flow::Normal => Ok(0), // fall-through returns 0, like lowering
         }
     }
 
-    fn stmts(&mut self, stmts: &[Stmt], env: &mut HashMap<Symbol, u32>) -> Result<Flow, EvalError> {
-        for s in stmts {
+    fn stmts(
+        &mut self,
+        f: &ast::Function,
+        block: ast::Block,
+        env: &mut HashMap<Symbol, u32>,
+    ) -> Result<Flow, EvalError> {
+        for s in f.block(block) {
             self.spend()?;
-            match s {
+            match f.stmt(s) {
                 Stmt::Let(sym, e) | Stmt::Assign(sym, e) => {
-                    let v = self.expr(e, env)?;
-                    env.insert(*sym, v);
+                    let v = self.expr(f, e, env)?;
+                    env.insert(sym, v);
                 }
                 Stmt::Expr(e) => {
-                    self.expr(e, env)?;
+                    self.expr(f, e, env)?;
                 }
                 Stmt::Return(e) => {
-                    let v = self.expr(e, env)?;
+                    let v = self.expr(f, e, env)?;
                     return Ok(Flow::Returned(v));
                 }
                 Stmt::If(c, t, el) => {
-                    let cv = self.expr(c, env)?;
+                    let cv = self.expr(f, c, env)?;
                     let flow = if cv != 0 {
-                        self.stmts(t, env)?
+                        self.stmts(f, t, env)?
                     } else {
-                        self.stmts(el, env)?
+                        self.stmts(f, el, env)?
                     };
                     if let Flow::Returned(v) = flow {
                         return Ok(Flow::Returned(v));
@@ -138,11 +143,11 @@ impl<'p> SurfaceEval<'p> {
                 Stmt::While(c, body) => {
                     // Bounded semantics: at most `loop_limit` iterations.
                     for _ in 0..self.loop_limit {
-                        let cv = self.expr(c, env)?;
+                        let cv = self.expr(f, c, env)?;
                         if cv == 0 {
                             break;
                         }
-                        if let Flow::Returned(v) = self.stmts(body, env)? {
+                        if let Flow::Returned(v) = self.stmts(f, body, env)? {
                             return Ok(Flow::Returned(v));
                         }
                     }
@@ -152,16 +157,21 @@ impl<'p> SurfaceEval<'p> {
         Ok(Flow::Normal)
     }
 
-    fn expr(&mut self, e: &Expr, env: &mut HashMap<Symbol, u32>) -> Result<u32, EvalError> {
+    fn expr(
+        &mut self,
+        f: &ast::Function,
+        e: ExprId,
+        env: &mut HashMap<Symbol, u32>,
+    ) -> Result<u32, EvalError> {
         self.spend()?;
-        Ok(match e {
-            Expr::Int(v) => *v as u32,
+        Ok(match f.expr(e) {
+            Expr::Int(v) => v as u32,
             Expr::Null => 0,
             Expr::Var(sym) => *env
-                .get(sym)
-                .ok_or_else(|| EvalError::Unbound(self.interner.resolve(*sym).to_owned()))?,
+                .get(&sym)
+                .ok_or_else(|| EvalError::Unbound(self.interner.resolve(sym).to_owned()))?,
             Expr::Unary(op, inner) => {
-                let v = self.expr(inner, env)?;
+                let v = self.expr(f, inner, env)?;
                 match op {
                     UnOp::Not => (v == 0) as u32,
                     UnOp::Neg => 0u32.wrapping_sub(v),
@@ -169,8 +179,8 @@ impl<'p> SurfaceEval<'p> {
                 }
             }
             Expr::Binary(op, a, b) => {
-                let va = self.expr(a, env)?;
-                let vb = self.expr(b, env)?;
+                let va = self.expr(f, a, env)?;
+                let vb = self.expr(f, b, env)?;
                 match op {
                     BinOp::Add => Op::Add.eval(va, vb),
                     BinOp::Sub => Op::Sub.eval(va, vb),
@@ -194,10 +204,10 @@ impl<'p> SurfaceEval<'p> {
             }
             Expr::Call(name, args) => {
                 let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.expr(a, env)?);
+                for a in f.args(args) {
+                    vals.push(self.expr(f, a, env)?);
                 }
-                self.call(*name, &vals)?
+                self.call(name, &vals)?
             }
         })
     }

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod builder;
 pub mod callgraph;
 pub mod cfg;
 pub mod dominance;

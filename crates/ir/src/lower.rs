@@ -14,7 +14,7 @@
 //! * **explicit control dependence**: every definition records the innermost
 //!   [`DefKind::Branch`] vertex guarding it.
 
-use crate::ast::{self, BinOp, Expr, Stmt, UnOp};
+use crate::ast::{self, BinOp, Expr, ExprId, Stmt, UnOp};
 use crate::interner::{Interner, Symbol};
 use crate::ssa::{CallSite, CallSiteId, Def, DefKind, FuncId, Function, Op, Program, VarId};
 use std::collections::HashMap;
@@ -176,24 +176,24 @@ impl Env {
 /// A statement list to lower: `stmts`, then, for the body of an unrolled
 /// `while` iteration, the loop's remaining iterations.
 #[derive(Clone, Copy)]
-struct Block<'s> {
-    stmts: &'s [Stmt],
-    then_loop: Option<Loop<'s>>,
+struct Seq {
+    stmts: ast::Block,
+    then_loop: Option<Loop>,
 }
 
 /// `iterations` (at least one) unrolled iterations of `while (cond) { body }`:
 /// `if (cond) { body; <iterations - 1 more> }`, lowered from the loop's own
 /// body rather than from an expanded copy.
 #[derive(Clone, Copy)]
-struct Loop<'s> {
-    cond: &'s Expr,
-    body: &'s [Stmt],
+struct Loop {
+    cond: ExprId,
+    body: ast::Block,
     iterations: usize,
 }
 
-impl<'s> Block<'s> {
-    fn new(stmts: &'s [Stmt]) -> Self {
-        Block {
+impl Seq {
+    fn new(stmts: ast::Block) -> Self {
+        Seq {
             stmts,
             then_loop: None,
         }
@@ -205,15 +205,16 @@ impl<'s> Block<'s> {
 
     /// The statements from `idx` on, then the loop tail.
     fn tail(self, idx: usize) -> Self {
-        Block {
-            stmts: &self.stmts[idx..],
+        Seq {
+            stmts: self.stmts.skip(idx),
             ..self
         }
     }
 
-    /// Whether any statement in the block, at any depth, is a `return`.
-    fn contains_return(&self) -> bool {
-        contains_return(self.stmts) || self.then_loop.is_some_and(|l| contains_return(l.body))
+    /// Whether any statement of `f` in the list, at any depth, is a
+    /// `return`.
+    fn contains_return(&self, f: &ast::Function) -> bool {
+        contains_return(f, self.stmts) || self.then_loop.is_some_and(|l| contains_return(f, l.body))
     }
 }
 
@@ -221,12 +222,15 @@ impl<'s> Block<'s> {
 /// cache and the definition buffer are reused from one function to the
 /// next.
 struct FuncLowerer<'a> {
+    /// The surface function being lowered.
+    src: Option<&'a ast::Function>,
     defs: Vec<Def>,
     env: Env,
     guard: Option<VarId>,
     interner: &'a mut Interner,
     names: DefNames,
-    func_ids: &'a HashMap<Symbol, FuncId>,
+    /// `func_ids[sym]`: the function named `sym`, or [`NO_FUNC`].
+    func_ids: &'a [u32],
     func_arities: &'a [usize],
     call_sites: Vec<CallSite>,
     func_id: FuncId,
@@ -238,7 +242,14 @@ struct FuncLowerer<'a> {
     loop_unroll: usize,
 }
 
+/// A name that names no function in [`FuncLowerer::func_ids`].
+const NO_FUNC: u32 = u32::MAX;
+
 impl<'a> FuncLowerer<'a> {
+    fn src(&self) -> &'a ast::Function {
+        self.src.expect("lowering a function")
+    }
+
     fn err(&self, message: impl Into<String>) -> LowerError {
         LowerError {
             function: self.func_name.map(|f| self.interner.resolve(f).to_owned()),
@@ -290,9 +301,10 @@ impl<'a> FuncLowerer<'a> {
         Ok(v)
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> Result<VarId, LowerError> {
-        match e {
-            Expr::Int(v) => self.constant(*v as u32),
+    fn lower_expr(&mut self, e: ExprId) -> Result<VarId, LowerError> {
+        let src = self.src();
+        match src.expr(e) {
+            Expr::Int(v) => self.constant(v as u32),
             Expr::Null => {
                 // Null sources are never deduplicated: each occurrence is a
                 // distinct bug source for the null-dereference checker.
@@ -304,8 +316,8 @@ impl<'a> FuncLowerer<'a> {
                     self.names.null,
                 )
             }
-            Expr::Var(sym) => self.env.get(*sym).ok_or_else(|| {
-                let name = self.interner.resolve(*sym).to_owned();
+            Expr::Var(sym) => self.env.get(sym).ok_or_else(|| {
+                let name = self.interner.resolve(sym).to_owned();
                 self.err(format!("use of undefined variable `{name}`"))
             }),
             Expr::Unary(op, inner) => {
@@ -389,7 +401,7 @@ impl<'a> FuncLowerer<'a> {
                             },
                             self.names.t,
                         )?;
-                        let o = if *op == BinOp::And { Op::And } else { Op::Or };
+                        let o = if op == BinOp::And { Op::And } else { Op::Or };
                         DefKind::Binary {
                             op: o,
                             lhs: na,
@@ -400,20 +412,23 @@ impl<'a> FuncLowerer<'a> {
                 self.fresh(kind, self.names.t)
             }
             Expr::Call(name, args) => {
-                let callee = *self.func_ids.get(name).ok_or_else(|| {
-                    let n = self.interner.resolve(*name).to_owned();
-                    self.err(format!("call to unknown function `{n}`"))
-                })?;
+                let callee = match self.func_ids.get(name.index()) {
+                    Some(&id) if id != NO_FUNC => FuncId(id),
+                    _ => {
+                        let n = self.interner.resolve(name).to_owned();
+                        return Err(self.err(format!("call to unknown function `{n}`")));
+                    }
+                };
                 let expect = self.func_arities[callee.index()];
                 if args.len() != expect {
-                    let n = self.interner.resolve(*name).to_owned();
+                    let n = self.interner.resolve(name).to_owned();
                     return Err(self.err(format!(
                         "`{n}` expects {expect} argument(s), got {}",
                         args.len()
                     )));
                 }
                 let mut arg_vars = Vec::with_capacity(args.len());
-                for a in args {
+                for a in src.args(args) {
                     arg_vars.push(self.lower_expr(a)?);
                 }
                 let site = CallSiteId(self.call_sites.len() as u32);
@@ -425,7 +440,7 @@ impl<'a> FuncLowerer<'a> {
                 });
                 let interner = &mut *self.interner;
                 let base = *self.names.calls[callee.index()].get_or_insert_with(|| {
-                    interner.intern(&format!("r_{}", interner.resolve(*name)))
+                    interner.intern(&format!("r_{}", interner.resolve(name)))
                 });
                 self.fresh(
                     DefKind::Call {
@@ -458,11 +473,12 @@ impl<'a> FuncLowerer<'a> {
     /// introduces (block-local `let`s) disappear here.
     fn lower_if(
         &mut self,
-        cond: &Expr,
-        then_b: Block<'_>,
-        else_b: Block<'_>,
+        cond: ExprId,
+        then_b: Seq,
+        else_b: Seq,
     ) -> Result<BlockOutcome, LowerError> {
-        if then_b.contains_return() || else_b.contains_return() {
+        let src = self.src();
+        if then_b.contains_return(src) || else_b.contains_return(src) {
             self.ensure_ret_vars()?;
         }
         let cv = self.lower_expr(cond)?;
@@ -546,30 +562,32 @@ impl<'a> FuncLowerer<'a> {
 
     /// Lowers `iterations` unrolled iterations of a `while` loop: an `if`
     /// on its condition around the body and the remaining iterations.
-    fn lower_loop(&mut self, l: Loop<'_>) -> Result<BlockOutcome, LowerError> {
+    fn lower_loop(&mut self, l: Loop) -> Result<BlockOutcome, LowerError> {
         let rest = (l.iterations > 1).then_some(Loop {
             iterations: l.iterations - 1,
             ..l
         });
-        let body = Block {
+        let body = Seq {
             stmts: l.body,
             then_loop: rest,
         };
-        self.lower_if(l.cond, body, Block::new(&[]))
+        self.lower_if(l.cond, body, Seq::new(ast::Block::EMPTY))
     }
 
-    fn lower_stmts(&mut self, block: Block<'_>) -> Result<BlockOutcome, LowerError> {
+    fn lower_stmts(&mut self, seq: Seq) -> Result<BlockOutcome, LowerError> {
+        let src = self.src();
         let mut outcome = BlockOutcome::default();
-        for (idx, stmt) in block.stmts.iter().enumerate() {
-            let rest = block.tail(idx + 1);
+        for (idx, id) in src.block(seq.stmts).enumerate() {
+            let rest = seq.tail(idx + 1);
+            let stmt = src.stmt(id);
             let sub = match stmt {
                 Stmt::Let(sym, e) | Stmt::Assign(sym, e) => {
-                    if matches!(stmt, Stmt::Assign(_, _)) && self.env.get(*sym).is_none() {
-                        let name = self.interner.resolve(*sym).to_owned();
+                    if matches!(stmt, Stmt::Assign(_, _)) && self.env.get(sym).is_none() {
+                        let name = self.interner.resolve(sym).to_owned();
                         return Err(self.err(format!("assignment to undeclared variable `{name}`")));
                     }
                     let v = self.lower_expr(e)?;
-                    self.env.set(*sym, v);
+                    self.env.set(sym, v);
                     continue;
                 }
                 Stmt::Expr(e) => {
@@ -595,7 +613,7 @@ impl<'a> FuncLowerer<'a> {
                     iterations: self.loop_unroll,
                 })?,
                 Stmt::If(cond, then_b, else_b) => {
-                    self.lower_if(cond, Block::new(then_b), Block::new(else_b))?
+                    self.lower_if(cond, Seq::new(then_b), Seq::new(else_b))?
                 }
             };
             outcome.may_return |= sub.may_return;
@@ -613,7 +631,7 @@ impl<'a> FuncLowerer<'a> {
                 return Ok(outcome);
             }
         }
-        if let Some(l) = block.then_loop {
+        if let Some(l) = seq.then_loop {
             // The next iteration's `if` has no else arm, so it never
             // definitely returns, and nothing follows it.
             outcome.may_return |= self.lower_loop(l)?.may_return;
@@ -623,7 +641,7 @@ impl<'a> FuncLowerer<'a> {
 
     /// Lowers the tail of a statement list under the guard
     /// `__ret_taken == 0`, merging its effects back.
-    fn lower_guarded_rest(&mut self, rest: Block<'_>) -> Result<BlockOutcome, LowerError> {
+    fn lower_guarded_rest(&mut self, rest: Seq) -> Result<BlockOutcome, LowerError> {
         let rt_sym = self.ret_taken.expect("ret vars materialized");
         let rt = self.env.get(rt_sym).expect("ret vars are bound");
         let zero = self.constant(0)?;
@@ -670,8 +688,8 @@ impl<'a> FuncLowerer<'a> {
 
     /// Lowers one function body after its parameters, ending in its single
     /// [`DefKind::Return`], and leaves the lowerer ready for the next.
-    fn lower_body(&mut self, body: &[Stmt]) -> Result<(Vec<Def>, VarId), LowerError> {
-        let outcome = self.lower_stmts(Block::new(body))?;
+    fn lower_body(&mut self, body: ast::Block) -> Result<(Vec<Def>, VarId), LowerError> {
+        let outcome = self.lower_stmts(Seq::new(body))?;
         let ret_src = match (self.ret_val, outcome.may_return) {
             (Some(rv), _) => self.env.get(rv).expect("ret vars are bound"),
             (None, _) => self.constant(0)?, // fell off the end: return 0
@@ -691,14 +709,14 @@ impl<'a> FuncLowerer<'a> {
     }
 }
 
-fn contains_return(stmts: &[Stmt]) -> bool {
-    let mut found = false;
-    ast::walk_stmts(stmts, &mut |s| {
-        if matches!(s, Stmt::Return(_)) {
-            found = true;
-        }
-    });
-    found
+/// Whether any statement of `f` in `block`, at any depth, is a `return`.
+fn contains_return(f: &ast::Function, block: ast::Block) -> bool {
+    f.block(block).any(|s| match f.stmt(s) {
+        Stmt::Return(_) => true,
+        Stmt::If(_, then_b, else_b) => contains_return(f, then_b) || contains_return(f, else_b),
+        Stmt::While(_, body) => contains_return(f, body),
+        Stmt::Let(..) | Stmt::Assign(..) | Stmt::Expr(_) => false,
+    })
 }
 
 /// Lowers a surface program to the core SSA program.
@@ -717,10 +735,13 @@ pub fn lower(
     interner: &mut Interner,
     options: LowerOptions,
 ) -> Result<Program, LowerError> {
-    let mut func_ids = HashMap::new();
-    let mut arities = Vec::new();
+    let mut func_ids = vec![NO_FUNC; interner.len()];
+    let mut arities = Vec::with_capacity(surface.functions.len());
     for (i, f) in surface.functions.iter().enumerate() {
-        if func_ids.insert(f.name, FuncId(i as u32)).is_some() {
+        if func_ids.len() <= f.name.index() {
+            func_ids.resize(f.name.index() + 1, NO_FUNC);
+        }
+        if std::mem::replace(&mut func_ids[f.name.index()], i as u32) != NO_FUNC {
             let name = interner.resolve(f.name).to_owned();
             return Err(LowerError {
                 function: None,
@@ -732,6 +753,7 @@ pub fn lower(
 
     let names = DefNames::new(interner, surface.functions.len());
     let mut lw = FuncLowerer {
+        src: None,
         defs: Vec::new(),
         env: Env::default(),
         guard: None,
@@ -761,6 +783,7 @@ pub fn lower(
             });
             continue;
         }
+        lw.src = Some(sf);
         lw.func_id = id;
         lw.func_name = Some(sf.name);
         // Parameters: `v = ⟨v⟩` identity statements.
@@ -779,7 +802,7 @@ pub fn lower(
             }
             params.push(var);
         }
-        let (defs, ret) = lw.lower_body(&sf.body)?;
+        let (defs, ret) = lw.lower_body(sf.body())?;
         functions.push(Function {
             name: sf.name,
             id,

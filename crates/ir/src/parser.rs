@@ -19,7 +19,7 @@
 //! All entry points return [`ParseError`] with a line/column position and a
 //! human-readable message on malformed input.
 
-use crate::ast::{BinOp, Expr, Function, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Block, Builder, Expr, ExprId, Function, Program, Stmt, StmtId, UnOp};
 use crate::interner::{Interner, Symbol};
 use std::error::Error;
 use std::fmt;
@@ -232,8 +232,8 @@ impl<'s> Lexer<'s> {
 /// or a call's argument list), unary operator and link of a binary
 /// operator chain adds one level.
 ///
-/// The parser, lowering and the AST's `Drop` recurse once per level, so
-/// the bound keeps hostile input from overflowing the stack. Unoptimized
+/// The parser and lowering recurse once per level, so the bound keeps
+/// hostile input from overflowing the stack. Unoptimized
 /// builds spend up to ~3.8 KiB of stack per level (nested `if`s through
 /// lowering) and overflow a 2 MiB thread stack near 550 levels; 256 keeps
 /// a 2x margin there and far more in release builds. Generated subjects
@@ -241,7 +241,9 @@ impl<'s> Lexer<'s> {
 pub const MAX_NESTING: usize = 256;
 
 /// A recursive-descent parser over a two-token window of the input: the
-/// current token and the one after it, lexed on demand.
+/// current token and the one after it, lexed on demand. Every function
+/// is built in one reused [`Builder`], with the open blocks and argument
+/// lists collected on reused stacks.
 struct Parser<'s, 'i> {
     lexer: Lexer<'s>,
     cur: SpannedTok,
@@ -251,6 +253,14 @@ struct Parser<'s, 'i> {
     interner: &'i mut Interner,
     /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
     depth: usize,
+    /// The nodes of the function being parsed.
+    nodes: Builder,
+    /// The statements of the open blocks, innermost last.
+    open_stmts: Vec<StmtId>,
+    /// The arguments of the open calls, innermost last.
+    open_args: Vec<ExprId>,
+    /// The parameters of the function being parsed.
+    params: Vec<Symbol>,
 }
 
 impl<'s, 'i> Parser<'s, 'i> {
@@ -264,6 +274,10 @@ impl<'s, 'i> Parser<'s, 'i> {
             next,
             interner,
             depth: 0,
+            nodes: Builder::new(),
+            open_stmts: Vec::new(),
+            open_args: Vec::new(),
+            params: Vec::new(),
         })
     }
 
@@ -373,10 +387,11 @@ impl<'s, 'i> Parser<'s, 'i> {
         self.expect(Tok::KwFn, "`fn`")?;
         let name = self.ident("function name")?;
         self.expect(Tok::LParen, "`(`")?;
-        let mut params = Vec::new();
+        self.params.clear();
         if self.peek() != Tok::RParen {
             loop {
-                params.push(self.ident("parameter name")?);
+                let param = self.ident("parameter name")?;
+                self.params.push(param);
                 if self.peek() == Tok::Comma {
                     self.bump()?;
                 } else {
@@ -385,54 +400,53 @@ impl<'s, 'i> Parser<'s, 'i> {
             }
         }
         self.expect(Tok::RParen, "`)`")?;
-        let body = if is_extern {
+        let params = self.params.clone();
+        if is_extern {
             self.expect(Tok::Semi, "`;` after extern declaration")?;
-            Vec::new()
-        } else {
-            self.block()?
-        };
-        Ok(Function {
-            name,
-            params,
-            body,
-            is_extern,
-        })
+            return Ok(Function::external(name, params));
+        }
+        let body = self.block()?;
+        Ok(self.nodes.finish(name, params, body))
     }
 
     /// `{ stmts }`, one nesting level deeper than its surroundings.
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block(&mut self) -> Result<Block, ParseError> {
         self.enter()?;
         self.expect(Tok::LBrace, "`{`")?;
-        let mut stmts = Vec::new();
+        let open = self.open_stmts.len();
         while self.peek() != Tok::RBrace {
             if self.peek() == Tok::Eof {
                 return Err(self.err("unexpected end of input in block"));
             }
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.open_stmts.push(s);
         }
         self.bump()?; // RBrace
         self.depth -= 1;
-        Ok(stmts)
+        let block = self.nodes.block(&self.open_stmts[open..]);
+        self.open_stmts.truncate(open);
+        Ok(block)
     }
 
     /// One statement. Each kind is parsed by its own function, which keeps
     /// the frames on a nested block's path small in unoptimized builds.
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek() {
-            Tok::KwLet => self.let_stmt(),
-            Tok::KwIf => self.if_stmt(),
-            Tok::KwWhile => self.while_stmt(),
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
+        let s = match self.peek() {
+            Tok::KwLet => self.let_stmt()?,
+            Tok::KwIf => self.if_stmt()?,
+            Tok::KwWhile => self.while_stmt()?,
             Tok::KwReturn => {
                 self.bump()?;
-                self.expr_then_semi().map(Stmt::Return)
+                Stmt::Return(self.expr_then_semi()?)
             }
             Tok::Ident(sym) if self.next.tok == Tok::Assign => {
                 self.bump()?;
                 self.bump()?;
-                self.expr_then_semi().map(|e| Stmt::Assign(sym, e))
+                Stmt::Assign(sym, self.expr_then_semi()?)
             }
-            _ => self.expr_then_semi().map(Stmt::Expr),
-        }
+            _ => Stmt::Expr(self.expr_then_semi()?),
+        };
+        Ok(self.nodes.stmt(s))
     }
 
     fn let_stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -448,17 +462,20 @@ impl<'s, 'i> Parser<'s, 'i> {
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let c = self.condition()?;
         let then_b = self.block()?;
-        let mut else_b = Vec::new();
-        if self.peek() == Tok::KwElse {
+        let else_b = if self.peek() != Tok::KwElse {
+            Block::EMPTY
+        } else {
             self.bump()?;
             if self.peek() == Tok::KwIf {
                 self.enter()?;
-                else_b.push(self.if_stmt()?);
+                let nested = self.if_stmt()?;
                 self.depth -= 1;
+                let nested = self.nodes.stmt(nested);
+                self.nodes.block(&[nested])
             } else {
-                else_b = self.block()?;
+                self.block()?
             }
-        }
+        };
         Ok(Stmt::If(c, then_b, else_b))
     }
 
@@ -469,7 +486,7 @@ impl<'s, 'i> Parser<'s, 'i> {
     }
 
     /// The keyword and parenthesized condition of an `if` or `while`.
-    fn condition(&mut self) -> Result<Expr, ParseError> {
+    fn condition(&mut self) -> Result<ExprId, ParseError> {
         self.bump()?;
         self.expect(Tok::LParen, "`(`")?;
         let c = self.expr()?;
@@ -477,13 +494,13 @@ impl<'s, 'i> Parser<'s, 'i> {
         Ok(c)
     }
 
-    fn expr_then_semi(&mut self) -> Result<Expr, ParseError> {
+    fn expr_then_semi(&mut self) -> Result<ExprId, ParseError> {
         let e = self.expr()?;
         self.expect(Tok::Semi, "`;`")?;
         Ok(e)
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         Ok(self.bin_expr(0)?.0)
     }
 
@@ -493,7 +510,7 @@ impl<'s, 'i> Parser<'s, 'i> {
     /// Returns the expression with its height: the nesting levels it spans
     /// below the current depth. A chain is built iteratively, each link
     /// pushing everything parsed so far one level down.
-    fn bin_expr(&mut self, min_level: u8) -> Result<(Expr, usize), ParseError> {
+    fn bin_expr(&mut self, min_level: u8) -> Result<(ExprId, usize), ParseError> {
         let (mut lhs, mut height) = self.unary()?;
         while let Some((level, op)) = binop(self.peek()) {
             if level < min_level {
@@ -505,12 +522,12 @@ impl<'s, 'i> Parser<'s, 'i> {
             let (rhs, rhs_height) = self.bin_expr(level + 1)?;
             self.depth -= 1;
             height = height.max(rhs_height) + 1;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.nodes.bin(op, lhs, rhs);
         }
         Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<(Expr, usize), ParseError> {
+    fn unary(&mut self) -> Result<(ExprId, usize), ParseError> {
         let op = match self.peek() {
             Tok::Bang => UnOp::Not,
             Tok::Minus => UnOp::Neg,
@@ -521,18 +538,18 @@ impl<'s, 'i> Parser<'s, 'i> {
         self.bump()?;
         let (e, height) = self.unary()?;
         self.depth -= 1;
-        Ok((Expr::un(op, e), height + 1))
+        Ok((self.nodes.expr(Expr::Unary(op, e)), height + 1))
     }
 
-    fn primary(&mut self) -> Result<(Expr, usize), ParseError> {
+    fn primary(&mut self) -> Result<(ExprId, usize), ParseError> {
         match self.peek() {
             Tok::Int(v) => {
                 self.bump()?;
-                Ok((Expr::Int(v), 0))
+                Ok((self.nodes.int(v), 0))
             }
             Tok::KwNull => {
                 self.bump()?;
-                Ok((Expr::Null, 0))
+                Ok((self.nodes.expr(Expr::Null), 0))
             }
             Tok::LParen => {
                 self.enter()?;
@@ -547,7 +564,7 @@ impl<'s, 'i> Parser<'s, 'i> {
                 if self.peek() == Tok::LParen {
                     self.call(sym)
                 } else {
-                    Ok((Expr::Var(sym), 0))
+                    Ok((self.nodes.var(sym), 0))
                 }
             }
             _ => Err(self.expected("expression")),
@@ -555,15 +572,15 @@ impl<'s, 'i> Parser<'s, 'i> {
     }
 
     /// The argument list of a call to `callee`, one nesting level deeper.
-    fn call(&mut self, callee: Symbol) -> Result<(Expr, usize), ParseError> {
+    fn call(&mut self, callee: Symbol) -> Result<(ExprId, usize), ParseError> {
         self.enter()?;
         self.bump()?;
-        let mut args = Vec::new();
+        let open = self.open_args.len();
         let mut height = 0;
         if self.peek() != Tok::RParen {
             loop {
                 let (arg, h) = self.bin_expr(0)?;
-                args.push(arg);
+                self.open_args.push(arg);
                 height = height.max(h);
                 if self.peek() == Tok::Comma {
                     self.bump()?;
@@ -574,7 +591,9 @@ impl<'s, 'i> Parser<'s, 'i> {
         }
         self.expect(Tok::RParen, "`)`")?;
         self.depth -= 1;
-        Ok((Expr::Call(callee, args), height + 1))
+        let call = self.nodes.call(callee, &self.open_args[open..]);
+        self.open_args.truncate(open);
+        Ok((call, height + 1))
     }
 }
 
@@ -633,30 +652,30 @@ pub fn parse(src: &str, interner: &mut Interner) -> Result<Program, ParseError> 
     Parser::new(src, interner)?.run(Parser::program)
 }
 
-/// Parses a single expression (useful in tests).
-///
-/// # Errors
-///
-/// Returns [`ParseError`] on malformed input or trailing tokens.
-pub fn parse_expr(src: &str, interner: &mut Interner) -> Result<Expr, ParseError> {
-    Parser::new(src, interner)?.run(|p| {
-        let e = p.expr()?;
-        if p.peek() != Tok::Eof {
-            return Err(p.err("trailing input after expression"));
-        }
-        Ok(e)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BinOp, Expr, Stmt};
+    use crate::ast::Stmt;
+    use crate::pretty::surface_to_string;
 
     fn parse_ok(src: &str) -> (Program, Interner) {
         let mut i = Interner::new();
         let p = parse(src, &mut i).expect("parse");
         (p, i)
+    }
+
+    /// `e` parsed as the returned expression of a one-statement function,
+    /// printed back fully parenthesized.
+    fn reprint(e: &str) -> String {
+        let (p, i) = parse_ok(&format!("fn f() {{ return {e}; }}"));
+        let text = surface_to_string(&p, &i);
+        let line = text.lines().nth(1).expect("the return statement");
+        line.trim().to_owned()
+    }
+
+    /// The statements of `f`'s body.
+    fn body(f: &Function) -> Vec<Stmt> {
+        f.block(f.body()).map(|s| f.stmt(s)).collect()
     }
 
     #[test]
@@ -674,7 +693,7 @@ mod tests {
         assert_eq!(p.functions.len(), 2);
         let foo = p.function(i.lookup("foo").unwrap()).unwrap();
         assert_eq!(foo.params.len(), 2);
-        assert_eq!(foo.body.len(), 5);
+        assert_eq!(foo.block(foo.body()).len(), 5);
     }
 
     #[test]
@@ -686,29 +705,13 @@ mod tests {
 
     #[test]
     fn precedence_mul_binds_tighter_than_add() {
-        let mut i = Interner::new();
-        let e = parse_expr("1 + 2 * 3", &mut i).unwrap();
-        assert_eq!(
-            e,
-            Expr::bin(
-                BinOp::Add,
-                Expr::Int(1),
-                Expr::bin(BinOp::Mul, Expr::Int(2), Expr::Int(3))
-            )
-        );
+        assert_eq!(reprint("1 + 2 * 3"), "return (1 + (2 * 3));");
+        assert_eq!(reprint("1 * 2 + 3"), "return ((1 * 2) + 3);");
     }
 
     #[test]
     fn precedence_comparison_vs_logic() {
-        let mut i = Interner::new();
-        let e = parse_expr("a < b && c < d", &mut i).unwrap();
-        match e {
-            Expr::Binary(BinOp::And, l, r) => {
-                assert!(matches!(*l, Expr::Binary(BinOp::Lt, _, _)));
-                assert!(matches!(*r, Expr::Binary(BinOp::Lt, _, _)));
-            }
-            other => panic!("bad parse: {other:?}"),
-        }
+        assert_eq!(reprint("a < b && c < d"), "return ((a < b) && (c < d));");
     }
 
     #[test]
@@ -716,10 +719,12 @@ mod tests {
         let (p, _) = parse_ok(
             "fn f(x) { if (x) { return 1; } else if (x > 1) { return 2; } else { return 3; } }",
         );
-        match &p.functions[0].body[0] {
+        let f = &p.functions[0];
+        match body(f)[0] {
             Stmt::If(_, _, else_b) => {
-                assert_eq!(else_b.len(), 1);
-                assert!(matches!(else_b[0], Stmt::If(_, _, _)));
+                let nested: Vec<_> = f.block(else_b).map(|s| f.stmt(s)).collect();
+                assert_eq!(nested.len(), 1);
+                assert!(matches!(nested[0], Stmt::If(_, _, _)));
             }
             other => panic!("bad parse: {other:?}"),
         }
@@ -730,7 +735,7 @@ mod tests {
         let (p, _) = parse_ok(
             "// leading comment\nfn f(n) { let i = 0; while (i < n) { i = i + 1; } return i; }",
         );
-        assert!(matches!(p.functions[0].body[1], Stmt::While(_, _)));
+        assert!(matches!(body(&p.functions[0])[1], Stmt::While(_, _)));
     }
 
     #[test]
@@ -916,18 +921,12 @@ mod tests {
 
     #[test]
     fn unary_operators_nest() {
-        let mut i = Interner::new();
-        let e = parse_expr("!!x", &mut i).unwrap();
-        assert!(matches!(e, Expr::Unary(crate::ast::UnOp::Not, _)));
+        assert_eq!(reprint("!!x"), "return !(!(x));");
+        assert_eq!(reprint("-~x"), "return -(~(x));");
     }
 
     #[test]
     fn call_with_no_args_and_nested_calls() {
-        let mut i = Interner::new();
-        let e = parse_expr("f(g(), h(1, 2))", &mut i).unwrap();
-        match e {
-            Expr::Call(_, args) => assert_eq!(args.len(), 2),
-            other => panic!("bad parse: {other:?}"),
-        }
+        assert_eq!(reprint("f(g(), h(1, 2))"), "return f(g(), h(1, 2));");
     }
 }

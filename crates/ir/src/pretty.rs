@@ -6,7 +6,7 @@
 //! guard nesting so the control structure reconstructed in [`crate::cfg`]
 //! is visible.
 
-use crate::ast::{self, BinOp, Expr, Stmt, UnOp};
+use crate::ast::{self, BinOp, Block, Expr, ExprId, Stmt, UnOp};
 use crate::interner::Interner;
 use crate::ssa::{DefKind, Function, Op, Program};
 use std::fmt::Write as _;
@@ -34,13 +34,13 @@ fn surface_binop(op: BinOp) -> &'static str {
     }
 }
 
-fn surface_expr(e: &Expr, interner: &Interner, out: &mut String) {
-    match e {
+fn surface_expr(f: &ast::Function, e: ExprId, interner: &Interner, out: &mut String) {
+    match f.expr(e) {
         Expr::Int(v) => {
             let _ = write!(out, "{v}");
         }
         Expr::Null => out.push_str("null"),
-        Expr::Var(s) => out.push_str(interner.resolve(*s)),
+        Expr::Var(s) => out.push_str(interner.resolve(s)),
         Expr::Unary(op, inner) => {
             out.push_str(match op {
                 UnOp::Not => "!",
@@ -48,76 +48,92 @@ fn surface_expr(e: &Expr, interner: &Interner, out: &mut String) {
                 UnOp::BitNot => "~",
             });
             out.push('(');
-            surface_expr(inner, interner, out);
+            surface_expr(f, inner, interner, out);
             out.push(')');
         }
         Expr::Binary(op, a, b) => {
             // Fully parenthesized: precedence-proof round trips.
             out.push('(');
-            surface_expr(a, interner, out);
-            let _ = write!(out, " {} ", surface_binop(*op));
-            surface_expr(b, interner, out);
+            surface_expr(f, a, interner, out);
+            out.push(' ');
+            out.push_str(surface_binop(op));
+            out.push(' ');
+            surface_expr(f, b, interner, out);
             out.push(')');
         }
         Expr::Call(name, args) => {
-            out.push_str(interner.resolve(*name));
+            out.push_str(interner.resolve(name));
             out.push('(');
-            for (i, a) in args.iter().enumerate() {
+            for (i, a) in f.args(args).enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                surface_expr(a, interner, out);
+                surface_expr(f, a, interner, out);
             }
             out.push(')');
         }
     }
 }
 
-fn surface_stmts(stmts: &[Stmt], interner: &Interner, indent: usize, out: &mut String) {
-    let pad = "    ".repeat(indent);
-    for s in stmts {
-        out.push_str(&pad);
-        match s {
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("    ");
+    }
+}
+
+fn surface_stmts(
+    f: &ast::Function,
+    block: Block,
+    interner: &Interner,
+    indent: usize,
+    out: &mut String,
+) {
+    for s in f.block(block) {
+        pad(out, indent);
+        match f.stmt(s) {
             Stmt::Let(name, e) => {
-                let _ = write!(out, "let {} = ", interner.resolve(*name));
-                surface_expr(e, interner, out);
+                out.push_str("let ");
+                out.push_str(interner.resolve(name));
+                out.push_str(" = ");
+                surface_expr(f, e, interner, out);
                 out.push_str(";\n");
             }
             Stmt::Assign(name, e) => {
-                let _ = write!(out, "{} = ", interner.resolve(*name));
-                surface_expr(e, interner, out);
+                out.push_str(interner.resolve(name));
+                out.push_str(" = ");
+                surface_expr(f, e, interner, out);
                 out.push_str(";\n");
             }
             Stmt::Return(e) => {
                 out.push_str("return ");
-                surface_expr(e, interner, out);
+                surface_expr(f, e, interner, out);
                 out.push_str(";\n");
             }
             Stmt::Expr(e) => {
-                surface_expr(e, interner, out);
+                surface_expr(f, e, interner, out);
                 out.push_str(";\n");
             }
             Stmt::If(c, t, el) => {
                 out.push_str("if (");
-                surface_expr(c, interner, out);
+                surface_expr(f, c, interner, out);
                 out.push_str(") {\n");
-                surface_stmts(t, interner, indent + 1, out);
-                out.push_str(&pad);
+                surface_stmts(f, t, interner, indent + 1, out);
+                pad(out, indent);
                 out.push('}');
                 if !el.is_empty() {
                     out.push_str(" else {\n");
-                    surface_stmts(el, interner, indent + 1, out);
-                    out.push_str(&pad);
+                    surface_stmts(f, el, interner, indent + 1, out);
+                    pad(out, indent);
                     out.push('}');
                 }
                 out.push('\n');
             }
             Stmt::While(c, b) => {
                 out.push_str("while (");
-                surface_expr(c, interner, out);
+                surface_expr(f, c, interner, out);
                 out.push_str(") {\n");
-                surface_stmts(b, interner, indent + 1, out);
-                out.push_str(&pad);
+                surface_stmts(f, b, interner, indent + 1, out);
+                pad(out, indent);
                 out.push_str("}\n");
             }
         }
@@ -131,7 +147,9 @@ pub fn surface_to_string(program: &ast::Program, interner: &Interner) -> String 
         if f.is_extern {
             out.push_str("extern ");
         }
-        let _ = write!(out, "fn {}(", interner.resolve(f.name));
+        out.push_str("fn ");
+        out.push_str(interner.resolve(f.name));
+        out.push('(');
         for (i, p) in f.params.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -143,7 +161,7 @@ pub fn surface_to_string(program: &ast::Program, interner: &Interner) -> String 
             out.push_str(";\n");
         } else {
             out.push_str(" {\n");
-            surface_stmts(&f.body, interner, 1, &mut out);
+            surface_stmts(f, f.body(), interner, 1, &mut out);
             out.push_str("}\n");
         }
         out.push('\n');

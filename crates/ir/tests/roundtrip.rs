@@ -4,7 +4,7 @@
 //! reparsed program must reproduce the text byte-for-byte (a fixpoint
 //! check that is insensitive to symbol identity).
 
-use fusion_ir::ast::{BinOp, Expr, Function, Program, Stmt, UnOp};
+use fusion_ir::ast::{BinOp, Builder, Expr, ExprId, Program, Stmt, UnOp};
 use fusion_ir::interner::Interner;
 use fusion_ir::parser::parse;
 use fusion_ir::pretty::surface_to_string;
@@ -39,7 +39,7 @@ fn east() -> impl Strategy<Value = EAst> {
     })
 }
 
-fn materialize(e: &EAst, locals: &[fusion_ir::Symbol]) -> Expr {
+fn materialize(e: &EAst, locals: &[fusion_ir::Symbol], b: &mut Builder) -> ExprId {
     const BINOPS: [BinOp; 18] = [
         BinOp::Add,
         BinOp::Sub,
@@ -62,15 +62,18 @@ fn materialize(e: &EAst, locals: &[fusion_ir::Symbol]) -> Expr {
     ];
     const UNOPS: [UnOp; 3] = [UnOp::Not, UnOp::Neg, UnOp::BitNot];
     match e {
-        EAst::Int(v) => Expr::Int(*v),
-        EAst::Null => Expr::Null,
-        EAst::Var(i) => Expr::Var(locals[*i]),
-        EAst::Un(op, a) => Expr::un(UNOPS[*op as usize % 3], materialize(a, locals)),
-        EAst::Bin(op, a, b) => Expr::bin(
-            BINOPS[*op as usize % 18],
-            materialize(a, locals),
-            materialize(b, locals),
-        ),
+        EAst::Int(v) => b.int(*v),
+        EAst::Null => b.expr(Expr::Null),
+        EAst::Var(i) => b.var(locals[*i]),
+        EAst::Un(op, x) => {
+            let x = materialize(x, locals, b);
+            b.expr(Expr::Unary(UNOPS[*op as usize % 3], x))
+        }
+        EAst::Bin(op, x, y) => {
+            let x = materialize(x, locals, b);
+            let y = materialize(y, locals, b);
+            b.bin(BINOPS[*op as usize % 18], x, y)
+        }
     }
 }
 
@@ -82,23 +85,31 @@ proptest! {
         let mut interner = Interner::new();
         let locals = [interner.intern("l0"), interner.intern("l1"), interner.intern("l2")];
         let fname = interner.intern("f");
-        let mut body: Vec<Stmt> =
-            locals.iter().map(|&l| Stmt::Let(l, Expr::Int(0))).collect();
+        let mut b = Builder::new();
+        let mut body = Vec::new();
+        for &l in &locals {
+            let zero = b.int(0);
+            body.push(b.stmt(Stmt::Let(l, zero)));
+        }
         for (slot, e, branch) in &items {
-            let expr = materialize(e, &locals);
+            let expr = materialize(e, &locals, &mut b);
             if *branch {
-                body.push(Stmt::If(
-                    expr,
-                    vec![Stmt::Assign(locals[*slot], Expr::Int(1))],
-                    vec![Stmt::Assign(locals[*slot], Expr::Int(2))],
-                ));
+                let one = b.int(1);
+                let then_s = b.stmt(Stmt::Assign(locals[*slot], one));
+                let then_b = b.block(&[then_s]);
+                let two = b.int(2);
+                let else_s = b.stmt(Stmt::Assign(locals[*slot], two));
+                let else_b = b.block(&[else_s]);
+                body.push(b.stmt(Stmt::If(expr, then_b, else_b)));
             } else {
-                body.push(Stmt::Assign(locals[*slot], expr));
+                body.push(b.stmt(Stmt::Assign(locals[*slot], expr)));
             }
         }
-        body.push(Stmt::Return(Expr::Var(locals[0])));
+        let ret = b.var(locals[0]);
+        body.push(b.stmt(Stmt::Return(ret)));
+        let body = b.block(&body);
         let program = Program {
-            functions: vec![Function { name: fname, params: vec![], body, is_extern: false }],
+            functions: vec![b.finish(fname, vec![], body)],
         };
         let text = surface_to_string(&program, &interner);
         let mut interner2 = Interner::new();

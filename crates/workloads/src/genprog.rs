@@ -14,7 +14,7 @@
 
 use crate::bugseed::{BugSite, SeededBug};
 use fusion::checkers::CheckKind;
-use fusion_ir::ast::{BinOp, Expr, Function, Program, Stmt};
+use fusion_ir::ast::{BinOp, Block, Builder, Expr, ExprId, Function, Program, Stmt, StmtId};
 use fusion_ir::interner::{Interner, Symbol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,6 +100,8 @@ struct Gen {
     rng: StdRng,
     interner: Interner,
     functions: Vec<Function>,
+    /// The nodes of the function being generated.
+    b: Builder,
     bugs: Vec<SeededBug>,
     affine_helpers: Vec<Symbol>,
     opaque_helpers: Vec<Symbol>,
@@ -121,14 +123,27 @@ impl Gen {
         self.sym(&n)
     }
 
+    /// Adds `stmt` as a one-statement block.
+    fn block1(&mut self, stmt: Stmt) -> Block {
+        let s = self.b.stmt(stmt);
+        self.b.block(&[s])
+    }
+
+    /// Finishes the function being generated.
+    fn finish(&mut self, name: Symbol, params: Vec<Symbol>, body: &[StmtId]) {
+        let body = self.b.block(body);
+        let f = self.b.finish(name, params, body);
+        self.functions.push(f);
+    }
+
     /// A random pure expression over the given variables.
-    fn expr(&mut self, vars: &[Symbol], depth: usize) -> Expr {
+    fn expr(&mut self, vars: &[Symbol], depth: usize) -> ExprId {
         if depth == 0 || vars.is_empty() || self.rng.gen_bool(0.3) {
             if !vars.is_empty() && self.rng.gen_bool(0.7) {
                 let v = vars[self.rng.gen_range(0..vars.len())];
-                Expr::Var(v)
+                self.b.var(v)
             } else {
-                Expr::Int(self.rng.gen_range(0..1000))
+                self.b.int(self.rng.gen_range(0..1000))
             }
         } else {
             let ops = [
@@ -141,12 +156,14 @@ impl Gen {
                 BinOp::Shr,
             ];
             let op = ops[self.rng.gen_range(0..ops.len())];
-            Expr::bin(op, self.expr(vars, depth - 1), self.expr(vars, depth - 1))
+            let lhs = self.expr(vars, depth - 1);
+            let rhs = self.expr(vars, depth - 1);
+            self.b.bin(op, lhs, rhs)
         }
     }
 
     /// A random comparison usable as a branch condition.
-    fn cond(&mut self, vars: &[Symbol]) -> Expr {
+    fn cond(&mut self, vars: &[Symbol]) -> ExprId {
         let ops = [
             BinOp::Lt,
             BinOp::Le,
@@ -156,90 +173,90 @@ impl Gen {
             BinOp::Ne,
         ];
         let op = ops[self.rng.gen_range(0..ops.len())];
-        Expr::bin(op, self.expr(vars, 1), self.expr(vars, 1))
+        let lhs = self.expr(vars, 1);
+        let rhs = self.expr(vars, 1);
+        self.b.bin(op, lhs, rhs)
+    }
+
+    /// A call of `callee` on `arity` random arguments.
+    fn call(&mut self, vars: &[Symbol], callee: Symbol, arity: usize) -> ExprId {
+        let args: Vec<ExprId> = (0..arity).map(|_| self.expr(vars, 1)).collect();
+        self.b.call(callee, &args)
     }
 
     /// A call into a random filler function — its backward slice crosses
     /// the call graph, which is what makes conditions expensive for the
     /// conventional design.
-    fn deep_call(&mut self, vars: &[Symbol], callees: &[(Symbol, usize)]) -> Option<Expr> {
+    fn deep_call(&mut self, vars: &[Symbol], callees: &[(Symbol, usize)]) -> Option<ExprId> {
         if callees.is_empty() {
             return None;
         }
         let (callee, arity) = callees[self.rng.gen_range(0..callees.len())];
-        let args = (0..arity).map(|_| self.expr(vars, 1)).collect();
-        Some(Expr::Call(callee, args))
+        Some(self.call(vars, callee, arity))
     }
 
-    /// A *provably satisfiable* condition over deep calls: `2a != 2b + 1`
-    /// holds for every `a`, `b` (parity), but proving it requires slicing
-    /// through the callees.
-    fn deep_feasible_cond(&mut self, vars: &[Symbol], callees: &[(Symbol, usize)]) -> Option<Expr> {
-        let a = self.deep_call(vars, callees)?;
-        let b = self.deep_call(vars, callees)?;
-        Some(Expr::bin(
-            BinOp::Ne,
-            Expr::bin(BinOp::Mul, a, Expr::Int(2)),
-            Expr::bin(
-                BinOp::Add,
-                Expr::bin(BinOp::Mul, b, Expr::Int(2)),
-                Expr::Int(1),
-            ),
-        ))
-    }
-
-    /// A *provably unsatisfiable* condition over deep calls: `2a == 2b + 1`
-    /// (even = odd) — infeasible regardless of the callees' values.
-    fn deep_infeasible_cond(
+    /// `2a op 2b + 1` over two deep calls. With `op` `!=` the condition is
+    /// *provably satisfiable* (parity: it holds for every `a`, `b`), with
+    /// `==` *provably unsatisfiable* (even = odd) — but proving either
+    /// requires slicing through the callees.
+    fn deep_parity_cond(
         &mut self,
+        op: BinOp,
         vars: &[Symbol],
         callees: &[(Symbol, usize)],
-    ) -> Option<Expr> {
+    ) -> Option<ExprId> {
         let a = self.deep_call(vars, callees)?;
         let b = self.deep_call(vars, callees)?;
-        Some(Expr::bin(
-            BinOp::Eq,
-            Expr::bin(BinOp::Mul, a, Expr::Int(2)),
-            Expr::bin(
-                BinOp::Add,
-                Expr::bin(BinOp::Mul, b, Expr::Int(2)),
-                Expr::Int(1),
-            ),
-        ))
+        let two = self.b.int(2);
+        let lhs = self.b.bin(BinOp::Mul, a, two);
+        let two = self.b.int(2);
+        let b2 = self.b.bin(BinOp::Mul, b, two);
+        let one = self.b.int(1);
+        let rhs = self.b.bin(BinOp::Add, b2, one);
+        Some(self.b.bin(op, lhs, rhs))
     }
 
     /// A condition that is satisfiable (used to gate feasible bugs).
-    fn feasible_cond(&mut self, vars: &[Symbol]) -> Expr {
+    fn feasible_cond(&mut self, vars: &[Symbol]) -> ExprId {
         if vars.is_empty() {
-            return Expr::bin(BinOp::Eq, Expr::Int(1), Expr::Int(1));
+            let (one, also_one) = (self.b.int(1), self.b.int(1));
+            return self.b.bin(BinOp::Eq, one, also_one);
         }
-        let v = Expr::Var(vars[self.rng.gen_range(0..vars.len())]);
+        let v = vars[self.rng.gen_range(0..vars.len())];
         match self.rng.gen_range(0..3) {
-            0 => Expr::bin(BinOp::Gt, v, Expr::Int(self.rng.gen_range(0..100))),
-            1 => Expr::bin(
-                BinOp::Eq,
-                Expr::bin(BinOp::BitAnd, v, Expr::Int(1)),
-                Expr::Int(0),
-            ),
+            0 => {
+                let v = self.b.var(v);
+                let k = self.b.int(self.rng.gen_range(0..100));
+                self.b.bin(BinOp::Gt, v, k)
+            }
+            1 => {
+                let (v, one) = (self.b.var(v), self.b.int(1));
+                let low = self.b.bin(BinOp::BitAnd, v, one);
+                let zero = self.b.int(0);
+                self.b.bin(BinOp::Eq, low, zero)
+            }
             _ => {
                 // Two helpers of independent inputs compared — exercises
                 // the quick path + affine-coset preprocessing.
                 if self.affine_helpers.len() >= 2 && vars.len() >= 2 {
                     let h1 = self.affine_helpers[self.rng.gen_range(0..self.affine_helpers.len())];
                     let h2 = self.affine_helpers[self.rng.gen_range(0..self.affine_helpers.len())];
-                    let a = Expr::Var(vars[0]);
-                    let b = Expr::Var(vars[vars.len() - 1]);
-                    Expr::bin(BinOp::Lt, Expr::Call(h1, vec![a]), Expr::Call(h2, vec![b]))
+                    let a = self.b.var(vars[0]);
+                    let a = self.b.call(h1, &[a]);
+                    let b = self.b.var(vars[vars.len() - 1]);
+                    let b = self.b.call(h2, &[b]);
+                    self.b.bin(BinOp::Lt, a, b)
                 } else {
-                    Expr::bin(BinOp::Lt, v, Expr::Int(500))
+                    let (v, k) = (self.b.var(v), self.b.int(500));
+                    self.b.bin(BinOp::Lt, v, k)
                 }
             }
         }
     }
 
-    /// A condition that is unsatisfiable (used to gate infeasible bugs);
-    /// returned as a nested pair when two guards are needed.
-    fn infeasible_guard(&mut self, vars: &[Symbol], body: Vec<Stmt>) -> Vec<Stmt> {
+    /// An `if` on an unsatisfiable condition around `body` (used to gate
+    /// infeasible bugs); two nested `if`s when two guards are needed.
+    fn infeasible_guard(&mut self, vars: &[Symbol], body: Block) -> Stmt {
         let v = if vars.is_empty() {
             Expr::Int(3)
         } else {
@@ -248,77 +265,82 @@ impl Gen {
         match self.rng.gen_range(0..3) {
             0 => {
                 // x > 10 && x < 5 via nesting.
-                let outer = Expr::bin(BinOp::Gt, v.clone(), Expr::Int(10));
-                let inner = Expr::bin(BinOp::Lt, v, Expr::Int(5));
-                vec![Stmt::If(outer, vec![Stmt::If(inner, body, vec![])], vec![])]
+                let (x, ten) = (self.b.expr(v), self.b.int(10));
+                let outer = self.b.bin(BinOp::Gt, x, ten);
+                let (x, five) = (self.b.expr(v), self.b.int(5));
+                let inner = self.b.bin(BinOp::Lt, x, five);
+                let nested = self.block1(Stmt::If(inner, body, Block::EMPTY));
+                Stmt::If(outer, nested, Block::EMPTY)
             }
             1 => {
                 // 2x == odd constant (parity).
                 let c = self.rng.gen_range(0..500) * 2 + 1;
-                let cond = Expr::bin(
-                    BinOp::Eq,
-                    Expr::bin(BinOp::Mul, v, Expr::Int(2)),
-                    Expr::Int(c),
-                );
-                vec![Stmt::If(cond, body, vec![])]
+                let (x, two) = (self.b.expr(v), self.b.int(2));
+                let double = self.b.bin(BinOp::Mul, x, two);
+                let odd = self.b.int(c);
+                let cond = self.b.bin(BinOp::Eq, double, odd);
+                Stmt::If(cond, body, Block::EMPTY)
             }
             _ => {
                 // (x & 1) == 2 (mask range).
-                let cond = Expr::bin(
-                    BinOp::Eq,
-                    Expr::bin(BinOp::BitAnd, v, Expr::Int(1)),
-                    Expr::Int(2),
-                );
-                vec![Stmt::If(cond, body, vec![])]
+                let (x, one) = (self.b.expr(v), self.b.int(1));
+                let low = self.b.bin(BinOp::BitAnd, x, one);
+                let two = self.b.int(2);
+                let cond = self.b.bin(BinOp::Eq, low, two);
+                Stmt::If(cond, body, Block::EMPTY)
             }
         }
     }
 
-    /// Filler statements for a function body.
+    /// Appends `count` filler statements to `body`.
     fn filler(
         &mut self,
         cfg: &GenConfig,
         vars: &mut Vec<Symbol>,
-        mutables: &mut [Symbol],
+        mutables: &[Symbol],
         callees: &[(Symbol, usize)],
         count: usize,
-    ) -> Vec<Stmt> {
-        let mut out = Vec::new();
+        body: &mut Vec<StmtId>,
+    ) {
         for _ in 0..count {
             let roll: f64 = self.rng.gen();
-            if roll < cfg.call_density && !callees.is_empty() {
+            let stmt = if roll < cfg.call_density && !callees.is_empty() {
                 let (callee, arity) = callees[self.rng.gen_range(0..callees.len())];
-                let args = (0..arity).map(|_| self.expr(vars, 1)).collect();
+                let call = self.call(vars, callee, arity);
                 let l = self.fresh_local();
-                out.push(Stmt::Let(l, Expr::Call(callee, args)));
                 vars.push(l);
+                Stmt::Let(l, call)
             } else if roll < cfg.call_density + cfg.branch_density && !mutables.is_empty() {
                 let cond = self.cond(vars);
                 let m = mutables[self.rng.gen_range(0..mutables.len())];
                 let then_e = self.expr(vars, 2);
                 let else_b = if self.rng.gen_bool(0.5) {
                     let e = self.expr(vars, 2);
-                    vec![Stmt::Assign(m, e)]
+                    self.block1(Stmt::Assign(m, e))
                 } else {
-                    vec![]
+                    Block::EMPTY
                 };
-                out.push(Stmt::If(cond, vec![Stmt::Assign(m, then_e)], else_b));
+                let then_b = self.block1(Stmt::Assign(m, then_e));
+                Stmt::If(cond, then_b, else_b)
             } else if roll < cfg.call_density + cfg.branch_density + cfg.loop_density
                 && !mutables.is_empty()
             {
                 let m = mutables[self.rng.gen_range(0..mutables.len())];
                 let bound = self.rng.gen_range(1..4);
-                let cond = Expr::bin(BinOp::Lt, Expr::Var(m), Expr::Int(bound));
-                let step = Expr::bin(BinOp::Add, Expr::Var(m), Expr::Int(1));
-                out.push(Stmt::While(cond, vec![Stmt::Assign(m, step)]));
+                let (var, bound) = (self.b.var(m), self.b.int(bound));
+                let cond = self.b.bin(BinOp::Lt, var, bound);
+                let (var, one) = (self.b.var(m), self.b.int(1));
+                let step = self.b.bin(BinOp::Add, var, one);
+                let body = self.block1(Stmt::Assign(m, step));
+                Stmt::While(cond, body)
             } else {
                 let l = self.fresh_local();
                 let e = self.expr(vars, 2);
-                out.push(Stmt::Let(l, e));
                 vars.push(l);
-            }
+                Stmt::Let(l, e)
+            };
+            body.push(self.b.stmt(stmt));
         }
-        out
     }
 
     /// Emits a dedicated host function carrying one seeded bug, plus the
@@ -330,7 +352,7 @@ impl Gen {
         feasible: bool,
         idx: usize,
         callees: &[(Symbol, usize)],
-    ) -> Function {
+    ) {
         let fword = if feasible { "ok" } else { "no" };
         let kword = match kind {
             CheckKind::NullDeref => "null",
@@ -340,59 +362,68 @@ impl Gen {
         let name = self.sym(&format!("seed_{kword}_{fword}_{idx}"));
         let p0 = self.sym("sa");
         let p1 = self.sym("sb");
-        let mut body: Vec<Stmt> = Vec::new();
         let fact = self.sym("fact");
         let hold = self.sym("hold");
-        let (source_expr, sink_name): (Expr, Symbol) = match kind {
-            CheckKind::NullDeref => (Expr::Null, self.sym("deref")),
-            CheckKind::Cwe23 => (Expr::Call(self.sym("gets"), vec![]), self.sym("fopen")),
-            CheckKind::Cwe402 => (Expr::Call(self.sym("getpass"), vec![]), self.sym("sendmsg")),
+        let (source, sink_name) = match kind {
+            CheckKind::NullDeref => (self.b.expr(Expr::Null), self.sym("deref")),
+            CheckKind::Cwe23 => {
+                let gets = self.sym("gets");
+                (self.b.call(gets, &[]), self.sym("fopen"))
+            }
+            CheckKind::Cwe402 => {
+                let getpass = self.sym("getpass");
+                (self.b.call(getpass, &[]), self.sym("sendmsg"))
+            }
         };
-        body.push(Stmt::Let(fact, source_expr));
-        body.push(Stmt::Let(hold, Expr::Int(1)));
+        let mut body = vec![self.b.stmt(Stmt::Let(fact, source))];
+        let one = self.b.int(1);
+        body.push(self.b.stmt(Stmt::Let(hold, one)));
         // Route the fact through the identity pass-through chain (all
         // checkers: null survives copies/returns) and, for taint, through
         // arithmetic and an affine helper.
-        let mut carried = Expr::Var(fact);
+        let mut carried = self.b.var(fact);
         if !self.passthrough.is_empty() && self.rng.gen_bool(0.6) {
             let depth = self.rng.gen_range(0..self.passthrough.len());
-            carried = Expr::Call(self.passthrough[depth], vec![carried]);
+            carried = self.b.call(self.passthrough[depth], &[carried]);
         }
         if kind != CheckKind::NullDeref {
-            carried = Expr::bin(BinOp::Add, carried, Expr::Int(self.rng.gen_range(1..9)));
+            let k = self.b.int(self.rng.gen_range(1..9));
+            carried = self.b.bin(BinOp::Add, carried, k);
             if !callees.is_empty() && self.rng.gen_bool(0.5) {
                 // Through an identity-ish affine helper.
                 if let Some(&h) = self.affine_helpers.first() {
-                    carried = Expr::Call(h, vec![carried]);
+                    carried = self.b.call(h, &[carried]);
                 }
             }
         }
-        let gated = vec![Stmt::Assign(hold, carried)];
+        let gated = self.block1(Stmt::Assign(hold, carried));
         let params = vec![p0, p1];
         // Most guards reach deep into the call graph — that is where the
         // conventional design's cloning cost lives.
         let deep = self.rng.gen_bool(0.7);
-        if feasible {
+        let guard = if feasible {
             let cond = if deep {
-                self.deep_feasible_cond(&params, callees)
+                self.deep_parity_cond(BinOp::Ne, &params, callees)
                     .unwrap_or_else(|| self.feasible_cond(&params))
             } else {
                 self.feasible_cond(&params)
             };
-            body.push(Stmt::If(cond, gated, vec![]));
-        } else if deep {
-            if let Some(cond) = self.deep_infeasible_cond(&params, callees) {
-                body.push(Stmt::If(cond, gated, vec![]));
-            } else {
-                let mut guarded = self.infeasible_guard(&params, gated);
-                body.append(&mut guarded);
-            }
+            Stmt::If(cond, gated, Block::EMPTY)
         } else {
-            let mut guarded = self.infeasible_guard(&params, gated);
-            body.append(&mut guarded);
-        }
-        body.push(Stmt::Expr(Expr::Call(sink_name, vec![Expr::Var(hold)])));
-        body.push(Stmt::Return(Expr::Int(0)));
+            match deep
+                .then(|| self.deep_parity_cond(BinOp::Eq, &params, callees))
+                .flatten()
+            {
+                Some(cond) => Stmt::If(cond, gated, Block::EMPTY),
+                None => self.infeasible_guard(&params, gated),
+            }
+        };
+        body.push(self.b.stmt(guard));
+        let held = self.b.var(hold);
+        let sink = self.b.call(sink_name, &[held]);
+        body.push(self.b.stmt(Stmt::Expr(sink)));
+        let zero = self.b.int(0);
+        body.push(self.b.stmt(Stmt::Return(zero)));
         self.bugs.push(SeededBug {
             kind,
             host: name,
@@ -402,12 +433,7 @@ impl Gen {
                 sink_fn: name,
             },
         });
-        Function {
-            name,
-            params,
-            body,
-            is_extern: false,
-        }
+        self.finish(name, params, &body);
     }
 }
 
@@ -417,6 +443,7 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
         rng: StdRng::seed_from_u64(cfg.seed),
         interner: Interner::new(),
         functions: Vec::new(),
+        b: Builder::new(),
         bugs: Vec::new(),
         affine_helpers: Vec::new(),
         opaque_helpers: Vec::new(),
@@ -431,12 +458,7 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
             "gets" | "getpass" => vec![],
             _ => vec![g.sym("x")],
         };
-        g.functions.push(Function {
-            name: sym,
-            params,
-            body: vec![],
-            is_extern: true,
-        });
+        g.functions.push(Function::external(sym, params));
     }
 
     // Affine helpers: quick-path fodder (`x * M + C`).
@@ -445,18 +467,13 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
         let x = g.sym("x");
         let m = g.rng.gen_range(1..6);
         let c = g.rng.gen_range(0..50);
-        let body = vec![Stmt::Return(Expr::bin(
-            BinOp::Add,
-            Expr::bin(BinOp::Mul, Expr::Var(x), Expr::Int(m)),
-            Expr::Int(c),
-        ))];
+        let (vx, m) = (g.b.var(x), g.b.int(m));
+        let scaled = g.b.bin(BinOp::Mul, vx, m);
+        let c = g.b.int(c);
+        let sum = g.b.bin(BinOp::Add, scaled, c);
+        let ret = g.b.stmt(Stmt::Return(sum));
         g.affine_helpers.push(name);
-        g.functions.push(Function {
-            name,
-            params: vec![x],
-            body,
-            is_extern: false,
-        });
+        g.finish(name, vec![x], &[ret]);
     }
     // Opaque helpers: branching, so their summaries stay opaque and the
     // solvers must clone them.
@@ -465,25 +482,17 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
         let x = g.sym("x");
         let y = g.sym("y");
         let t = g.rng.gen_range(1..100);
-        let body = vec![
-            Stmt::If(
-                Expr::bin(BinOp::Gt, Expr::Var(x), Expr::Int(t)),
-                vec![Stmt::Return(Expr::bin(
-                    BinOp::Add,
-                    Expr::Var(x),
-                    Expr::Var(y),
-                ))],
-                vec![],
-            ),
-            Stmt::Return(Expr::bin(BinOp::Sub, Expr::Var(y), Expr::Var(x))),
-        ];
+        let (vx, t) = (g.b.var(x), g.b.int(t));
+        let cond = g.b.bin(BinOp::Gt, vx, t);
+        let (vx, vy) = (g.b.var(x), g.b.var(y));
+        let sum = g.b.bin(BinOp::Add, vx, vy);
+        let early = g.block1(Stmt::Return(sum));
+        let branch = g.b.stmt(Stmt::If(cond, early, Block::EMPTY));
+        let (vy, vx) = (g.b.var(y), g.b.var(x));
+        let diff = g.b.bin(BinOp::Sub, vy, vx);
+        let ret = g.b.stmt(Stmt::Return(diff));
         g.opaque_helpers.push(name);
-        g.functions.push(Function {
-            name,
-            params: vec![x, y],
-            body,
-            is_extern: false,
-        });
+        g.finish(name, vec![x, y], &[branch, ret]);
     }
 
     // Identity pass-through chain (facts travel through K call levels;
@@ -492,19 +501,13 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
     for i in 0..chain_len {
         let name = g.sym(&format!("pass{i}"));
         let x = g.sym("x");
-        let body = if i == 0 {
-            vec![Stmt::Return(Expr::Var(x))]
-        } else {
-            let prev = g.passthrough[i - 1];
-            vec![Stmt::Return(Expr::Call(prev, vec![Expr::Var(x)]))]
-        };
+        let mut value = g.b.var(x);
+        if i > 0 {
+            value = g.b.call(g.passthrough[i - 1], &[value]);
+        }
+        let ret = g.b.stmt(Stmt::Return(value));
         g.passthrough.push(name);
-        g.functions.push(Function {
-            name,
-            params: vec![x],
-            body,
-            is_extern: false,
-        });
+        g.finish(name, vec![x], &[ret]);
     }
 
     // Filler functions in reverse order so calls go to already-emitted
@@ -528,22 +531,16 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
         for _ in 0..2 {
             let m = g.fresh_local();
             let init = g.expr(&vars, 1);
-            body.push(Stmt::Let(m, init));
+            body.push(g.b.stmt(Stmt::Let(m, init)));
             vars.push(m);
             mutables.push(m);
         }
         let stmts = cfg.stmts_per_function.saturating_sub(3).max(1);
         let callee_window: Vec<(Symbol, usize)> = emitted.iter().rev().take(8).copied().collect();
-        let mut filler = g.filler(cfg, &mut vars, &mut mutables[..], &callee_window, stmts);
-        body.append(&mut filler);
+        g.filler(cfg, &mut vars, &mutables, &callee_window, stmts, &mut body);
         let ret = g.expr(&vars, 1);
-        body.push(Stmt::Return(ret));
-        g.functions.push(Function {
-            name,
-            params,
-            body,
-            is_extern: false,
-        });
+        body.push(g.b.stmt(Stmt::Return(ret)));
+        g.finish(name, params, &body);
         emitted.push((name, arity));
     }
 
@@ -561,8 +558,7 @@ pub fn generate(cfg: &GenConfig) -> GeneratedSubject {
     .flat_map(|(k, f, n)| (0..n).map(move |i| (k, f, i)))
     .collect();
     for (kind, feasible, idx) in plan {
-        let f = g.seed_bug(kind, feasible, idx, &callee_window);
-        g.functions.push(f);
+        g.seed_bug(kind, feasible, idx, &callee_window);
     }
 
     GeneratedSubject {
