@@ -1,15 +1,11 @@
-//! `pipeline_bench` — the slice-memo and discovery perf harness
+//! `pipeline_bench` — the slice-memo perf harness
 //! (`BENCH_pipeline.json`).
 //!
-//! Two comparisons over a fixed corpus (a synthetic many-source
-//! hot-sink program plus two scaled workload subjects):
-//!
-//! * **slices cold vs memoized** — a cold `THREADS`-thread run against a
-//!   second run sharing the same [`SliceCache`]: the warm run must answer
-//!   its closure requests from the memo; both runs' reports are asserted
-//!   byte-identical against a one-engine reference run;
-//! * **discovery throughput** — `discover_all` at 1 shard vs the bench
-//!   thread count, DFS steps per second.
+//! Over a fixed corpus (a synthetic many-source hot-sink program plus two
+//! scaled workload subjects), a cold `THREADS`-thread run against a
+//! second run sharing the same [`SliceCache`]: the warm run must answer
+//! its closure requests from the memo; both runs' reports are asserted
+//! byte-identical against a one-engine reference run.
 //!
 //! Output: `BENCH_pipeline.json` in the working directory (override with
 //! `FUSION_BENCH_OUT`). With `FUSION_BENCH_ENFORCE=1` the process exits
@@ -22,7 +18,6 @@ use fusion::engine::{
     FeasibilityEngine, MultiAnalysisRun,
 };
 use fusion::graph_solver::FusionSolver;
-use fusion::propagate::{discover_all, PropagateOptions};
 use fusion::slice_cache::SliceCache;
 use fusion_bench::{banner, build_subject, default_budget, report, scale_from_env};
 use fusion_ir::{compile, CompileOptions, Program};
@@ -30,15 +25,14 @@ use fusion_pdg::graph::Pdg;
 use fusion_workloads::SUBJECTS;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
-/// Thread count of the memoized runs and the sharded discovery.
+/// Thread count of the memoized runs.
 const THREADS: usize = 4;
 
 /// Synthetic subject: `funcs` functions, each holding one opaque
 /// nonlinear core guarding `sinks` null-deref candidates — many sources
-/// across many sink groups, so discovery shards and solve workers both
-/// have real work to overlap.
+/// across many sink groups, so discovery producers and solve workers
+/// both have real work to overlap.
 fn hot_sink_source(funcs: usize, sinks: usize) -> String {
     let mut s = String::from("extern fn deref(p);\n");
     for f in 0..funcs {
@@ -113,12 +107,11 @@ fn keys(run: &MultiAnalysisRun) -> Vec<ReportKey> {
 
 fn main() {
     banner(
-        "pipeline_bench: slice memo and discovery throughput",
+        "pipeline_bench: slice memo",
         "same corpus, same threads; reports asserted identical to one engine",
     );
     let budget = default_budget();
-    let checker = Checker::null_deref();
-    let set = CheckerSet::single(checker.clone());
+    let set = CheckerSet::single(Checker::null_deref());
     let make = factory();
 
     let mut reports_identical = true;
@@ -126,9 +119,6 @@ fn main() {
     let mut slices_warm: u64 = 0;
     let mut slice_hits: u64 = 0;
     let mut slice_requests: u64 = 0;
-    let mut discovery_steps: u64 = 0;
-    let mut discovery_seq_us: u128 = 0;
-    let mut discovery_shard_us: u128 = 0;
 
     for entry in corpus() {
         // One-engine reference transcript (fresh caches).
@@ -176,22 +166,6 @@ fn main() {
         slice_hits += warm.slice.hits;
         slice_requests += warm.slice.hits + warm.slice.misses;
 
-        // Discovery throughput: 1 shard vs THREADS shards.
-        let popts = PropagateOptions::default();
-        let t = Instant::now();
-        let seq_d = discover_all(&entry.program, &entry.pdg, &checker, &popts, 1);
-        discovery_seq_us += t.elapsed().as_micros();
-        let t = Instant::now();
-        let par_d = discover_all(&entry.program, &entry.pdg, &checker, &popts, THREADS);
-        discovery_shard_us += t.elapsed().as_micros();
-        assert_eq!(
-            seq_d.candidates.len(),
-            par_d.candidates.len(),
-            "{}: sharded discovery changed the candidate set",
-            entry.name
-        );
-        discovery_steps += seq_d.steps;
-
         println!(
             "  {:<16} slices cold/warm={}/{}",
             entry.name, cold.stages.engine.slices_computed, warm.stages.engine.slices_computed,
@@ -202,13 +176,6 @@ fn main() {
         "memoized runs must report byte-identically"
     );
 
-    let steps_per_sec = |us: u128| -> f64 {
-        if us == 0 {
-            0.0
-        } else {
-            discovery_steps as f64 / (us as f64 / 1e6)
-        }
-    };
     let hit_rate = if slice_requests == 0 {
         0.0
     } else {
@@ -227,25 +194,14 @@ fn main() {
         },
         hit_rate,
     );
-    println!(
-        "discovery: {} steps; {:.0} steps/s at 1 shard, {:.0} steps/s at {THREADS} shards",
-        discovery_steps,
-        steps_per_sec(discovery_seq_us),
-        steps_per_sec(discovery_shard_us),
-    );
 
     let json = format!(
         "{{\n  \"scale\": {},\n  \"threads\": {THREADS},\n  \
          \"slices_computed_cold\": {slices_cold},\n  \
          \"slices_computed_memoized\": {slices_warm},\n  \
          \"slice_warm_hit_rate\": {hit_rate:.4},\n  \
-         \"discovery\": {{\"steps\": {discovery_steps}, \"seq_us\": {discovery_seq_us}, \
-         \"sharded_us\": {discovery_shard_us}, \"steps_per_sec_seq\": {:.0}, \
-         \"steps_per_sec_sharded\": {:.0}}},\n  \
          \"reports_identical\": {reports_identical}\n}}\n",
         scale_from_env(),
-        steps_per_sec(discovery_seq_us),
-        steps_per_sec(discovery_shard_us),
     );
     report::write("BENCH_pipeline.json", &json);
 

@@ -209,12 +209,52 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String>
                 *pos += 1;
             }
             let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+            if !is_number(s.as_bytes()) {
+                return Err(format!("invalid number `{s}` at byte {start}"));
+            }
             match s.parse::<f64>() {
-                Ok(_) => Ok(Value::Num(s.to_owned())),
-                Err(_) => Err(format!("invalid number `{s}` at byte {start}")),
+                Ok(x) if x.is_finite() => Ok(Value::Num(s.to_owned())),
+                _ => Err(format!("number `{s}` at byte {start} is out of range")),
             }
         }
     }
+}
+
+/// Whether `s` is a number in RFC 8259's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: no plus sign, no
+/// leading zero, and digits on both sides of a decimal point.
+fn is_number(s: &[u8]) -> bool {
+    let digits = |i: &mut usize| {
+        let from = *i;
+        while s.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > from
+    };
+    let mut i = usize::from(s.first() == Some(&b'-'));
+    match s.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return false,
+    }
+    if s.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    if matches!(s.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(s.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return false;
+        }
+    }
+    i == s.len()
 }
 
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
@@ -446,6 +486,38 @@ mod tests {
         assert_eq!(
             Value::parse("[1.2.3]"),
             Err("invalid number `1.2.3` at byte 1".into())
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for text in ["0", "-0", "2.5", "1E+2", "1e-3", "9007199254740993"] {
+            let v = Value::parse(text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
+            assert_eq!(v, Value::Num(text.to_owned()));
+        }
+        assert_eq!(
+            Value::parse("9007199254740993").unwrap().as_u64(),
+            Some(9_007_199_254_740_993)
+        );
+        for text in [
+            "+1", "007", "-01", ".5", "-.5", "1.", "1.e3", "1e", "1e+", "-", "--1", "1e5.0",
+        ] {
+            assert_eq!(
+                Value::parse(text),
+                Err(format!("invalid number `{text}` at byte 0")),
+                "`{text}`"
+            );
+        }
+        for text in ["1e999", "-1e999", "1E400"] {
+            assert_eq!(
+                Value::parse(text),
+                Err(format!("number `{text}` at byte 0 is out of range")),
+                "`{text}`"
+            );
+        }
+        assert_eq!(
+            Value::parse("{\"cmd\":\"stats\",\"n\":+1}"),
+            Err("invalid number `+1` at byte 19".into())
         );
     }
 

@@ -26,9 +26,6 @@
 //!     --absint / --no-absint             abstract-interpretation triage and solver
 //!                                        seeding (default: on; refute-only, findings
 //!                                        are identical either way)
-//!     --compact / --no-compact           pre-discovery PDG pruning (default: on unless
-//!                                        FUSION_NO_COMPACT is set; findings are
-//!                                        identical either way)
 //!     --validate                         check the compiled IR against the full
 //!                                        invariant suite before analyzing
 //!     --dot FILE                         export the PDG in Graphviz format
@@ -134,13 +131,6 @@ pub struct Options {
     /// and seed its preprocessing. Refute-only — `--no-absint` produces
     /// byte-identical findings, just with more solver work.
     pub absint: bool,
-    /// Pre-discovery PDG compaction: frontier reachability pruning, so
-    /// discovery never steps onto a vertex that lies on no source→sink
-    /// chain. `--no-compact` (or the `FUSION_NO_COMPACT` environment
-    /// variable) disables it; findings, solver queries and every other
-    /// counter are the same either way, compaction just removes
-    /// discovery steps.
-    pub compact: bool,
     /// Validate the compiled IR against the full invariant suite
     /// ([`fusion_ir::validate::check_program`]) before analyzing, and
     /// fail with every diagnostic when it is malformed.
@@ -161,9 +151,9 @@ pub struct Options {
     /// Run as a long-lived analysis service: read line-delimited JSON
     /// requests from stdin (`scan`, `rescan`, `query`, `stats`,
     /// `shutdown`) and write one JSON response line per request, keeping
-    /// the PDG, compacted view, absint facts, slice closures, and
-    /// verdict cache resident between requests so a `rescan` after an
-    /// edit re-analyzes only what the edit reaches.
+    /// the PDG, absint facts, slice closures, and verdict cache resident
+    /// between requests so a `rescan` after an edit re-analyzes only what
+    /// the edit reaches.
     pub serve: bool,
 }
 
@@ -180,7 +170,6 @@ impl Default for Options {
             use_cache: true,
             incremental: true,
             absint: true,
-            compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
             validate: false,
             dot: None,
             extra_sources: Vec::new(),
@@ -210,7 +199,7 @@ const USAGE: &str = "usage: fusion-scan [--engine fusion|unopt|pinpoint|ar] \
      [--checker null|cwe23|cwe402|all] [--list-checkers] \
      [--timeout-secs N] [--solver-timeout-ms N] [--threads N] \
      [--cache|--no-cache] [--no-incremental] \
-     [--absint|--no-absint] [--compact|--no-compact] \
+     [--absint|--no-absint] \
      [--validate] [--dot FILE] [--source NAME]... [--sink NAME]... \
      [--sanitizer NAME]... [--unroll N] \
      [--json] [--stats] [--serve] [--help|-h] FILE...";
@@ -321,8 +310,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--no-incremental" => opts.incremental = false,
             "--absint" => opts.absint = true,
             "--no-absint" => opts.absint = false,
-            "--compact" => opts.compact = true,
-            "--no-compact" => opts.compact = false,
             "--validate" => opts.validate = true,
             "--list-checkers" => opts.list_checkers = true,
             "--serve" => opts.serve = true,
@@ -658,7 +645,6 @@ pub fn scan_source(source: &str, opts: &Options) -> Result<ScanReport, CliError>
     let slice_cache = Arc::new(SliceCache::new());
     let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::clone(&slice_cache));
     analysis_opts.absint = opts.absint;
-    analysis_opts.compact = opts.compact;
     let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
     let factory = move || make_engine(engine_choice, timeout, incremental);
     let run = analyze_multi_streaming_with_cache(
@@ -1268,99 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_flags_parse_and_compaction_preserves_findings() {
-        // The default tracks FUSION_NO_COMPACT so the CI matrix can run
-        // the whole suite uncompacted.
-        let o = parse_args(&args(&["a.fus"])).unwrap();
-        assert_eq!(
-            o.compact,
-            std::env::var_os("FUSION_NO_COMPACT").is_none(),
-            "compaction is the default unless FUSION_NO_COMPACT is set"
-        );
-        let o = parse_args(&args(&["--no-compact", "a.fus"])).unwrap();
-        assert!(!o.compact);
-        let o = parse_args(&args(&["--no-compact", "--compact", "a.fus"])).unwrap();
-        assert!(o.compact);
-        // Report-preserving contract: compaction removes work, never
-        // findings. `dead` has no sink reachable from its source and is
-        // pruned.
-        let src = "extern fn deref(p);\n\
-            fn id(v) { return v; }\n\
-            fn dead(x) { let q = null; let y = q; return y; }\n\
-            fn a(x) { let q = null; let r = 1; if (x > 1) { r = id(q); } deref(r); return 0; }";
-        let key = |r: &ScanReport| {
-            r.findings
-                .iter()
-                .map(|f| {
-                    (
-                        f.checker.clone(),
-                        f.source_function.clone(),
-                        f.sink_function.clone(),
-                        f.verdict.clone(),
-                        f.path_length,
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        for threads in [1, 3] {
-            let on = Options {
-                checker: CheckerChoice::Null,
-                threads,
-                compact: true,
-                ..Default::default()
-            };
-            let off = Options {
-                checker: CheckerChoice::Null,
-                threads,
-                compact: false,
-                ..Default::default()
-            };
-            let r1 = scan_source(src, &on).unwrap();
-            let r2 = scan_source(src, &off).unwrap();
-            assert_eq!(key(&r1), key(&r2), "threads={threads}");
-            assert_eq!(r1.scan.suppressed, r2.scan.suppressed, "threads={threads}");
-            assert!(r1.stages.vertices_pruned > 0, "dead flow is pruned");
-            assert!(
-                r1.stages.discovery_steps < r2.stages.discovery_steps,
-                "pruning saves `dead`'s steps"
-            );
-            assert_eq!(
-                r2.stages.vertices_pruned, 0,
-                "--no-compact disables pruning"
-            );
-        }
-    }
-
-    #[test]
-    fn json_reports_compaction_counters() {
-        let src = "extern fn deref(p);\n\
-            fn dead(x) { let q = null; let y = q; return y; }\n\
-            fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }";
-        let opts = Options {
-            checker: CheckerChoice::Null,
-            compact: true,
-            ..Default::default()
-        };
-        let report = scan_source(src, &opts).unwrap();
-        let v = json::Value::parse(&report.to_json()).expect("valid json");
-        assert!(v.get("vertices_pruned").unwrap().as_f64().unwrap() > 0.0);
-        assert!(v.get("edges_pruned").unwrap().as_f64().is_some());
-        // The text --stats surface carries the compaction counters.
-        let dir = std::env::temp_dir();
-        let f = dir.join("fusion_cli_compact.fus");
-        std::fs::write(&f, src).unwrap();
-        let mut out = Vec::new();
-        run(
-            &args(&["--checker", "null", "--stats", &f.display().to_string()]),
-            &mut out,
-        );
-        let text = String::from_utf8(out).unwrap();
-        for key in ["vertices_pruned=", "edges_pruned="] {
-            assert!(text.contains(key), "missing `{key}` in:\n{text}");
-        }
-    }
-
-    #[test]
     fn validate_flag_parses_and_passes_on_lowered_ir() {
         let o = parse_args(&args(&["--validate", "a.fus"])).unwrap();
         assert!(o.validate);
@@ -1456,8 +1349,6 @@ mod tests {
         "triaged_candidates",
         "sessions_skipped",
         "slices_skipped",
-        "vertices_pruned",
-        "edges_pruned",
         "facts_invalidated",
         "slices_invalidated",
         "verdicts_invalidated",

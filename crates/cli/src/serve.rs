@@ -2,7 +2,7 @@
 //! line-delimited JSON over stdin/stdout.
 //!
 //! One request per input line, one response line per request. The
-//! [`AnalysisSession`] behind the loop keeps the PDG, compacted view,
+//! [`AnalysisSession`] behind the loop keeps the PDG,
 //! abstract-interpretation facts, slice closures, cached verdicts, and
 //! per-work-item outcomes resident between requests, so a `rescan`
 //! after an edit re-analyzes only the work the edit reaches — with
@@ -108,7 +108,6 @@ pub fn serve_loop(opts: &Options, input: impl BufRead, out: &mut dyn Write) -> i
     let (set, warnings) = effective_checkers(opts);
     let mut analysis_opts = AnalysisOptions::new().with_slice_cache(Arc::new(SliceCache::new()));
     analysis_opts.absint = opts.absint;
-    analysis_opts.compact = opts.compact;
     let mut session = AnalysisSession::new(set, analysis_opts, opts.threads);
     let (engine_choice, timeout, incremental) = (opts.engine, opts.timeout, opts.incremental);
     let factory = move || make_engine(engine_choice, timeout, incremental);

@@ -1,16 +1,20 @@
-//! The pre-discovery PDG-compaction pass: frontier reachability pruning.
+//! Frontier reachability pruning of the PDG, in no pipeline any more.
 //!
-//! The paper's scalability argument (§3.2.3) is to shrink the graph
-//! *before* any path-sensitive work begins; the removal-of-redundant-
-//! summaries line sharpens it: most summary edges can never lie on any
-//! source→sink chain for the active checkers, so walking them is pure
-//! waste. [`CompactPdg`] precomputes, per checker of the fused
-//! [`CheckerSet`], the *live* vertex set: forward reachable from the
-//! checker's sources **and** backward reaching a sink-trigger vertex,
-//! over the checker-taken def-use + summary edges. Discovery never steps
-//! onto a dead vertex; dead subtrees can record nothing (any recording
-//! vertex inside one would be live by definition), so reports are
-//! untouched while every pruned step is a discovery step saved.
+//! The pass was modelled on the removal of redundant summaries: a summary
+//! edge that lies on no source→sink chain for the active checkers can
+//! never carry a finding. On every end-to-end benchmark workload,
+//! though, every source reaches a sink, so pruning saved no discovery
+//! step and no query while the build cost time; discovery now walks the
+//! plain PDG. The pass stays only because the end-to-end benchmark's
+//! `graph_layers` times [`CompactPdg::build`] as its `compact.build`
+//! layer. It goes, with `fusion_pdg::compact`, in the benchmark PR of
+//! ROADMAP item 1(c), which stops calling it.
+//!
+//! [`CompactPdg`] holds, per checker of a [`CheckerSet`], the *live*
+//! vertex set: forward reachable from the checker's sources **and**
+//! backward reaching a sink-trigger vertex, over the checker-taken
+//! def-use + summary edges. A dead subtree can record nothing (any
+//! recording vertex inside one would be live by definition).
 //!
 //! The edges live in one checker-independent flow graph built once per
 //! [`CompactPdg::build`]: a [`LabeledCsr`] over [`VertexIndexer`] indices
@@ -28,16 +32,7 @@
 //! it touches only the forward region.
 //!
 //! The live sets are **dependence structure only** — bit sets over
-//! vertex indices. No path condition is ever computed or stored,
-//! preserving the §3.2.2 discipline the whole reproduction is built
-//! around.
-//!
-//! The caveat shared with every step-budget interaction: pruning makes
-//! discovery *cheaper*, so when
-//! [`PropagateOptions::max_steps_per_source`] actually binds, a compacted
-//! run can explore further than an uncompacted one before the budget
-//! cuts it off. Byte-identical reports are guaranteed whenever the budget
-//! does not bind (the default is far above every workload in this repo).
+//! vertex indices. No path condition is ever computed or stored.
 
 use crate::checkers::{local_flow, Checker, CheckerId, CheckerSet, ExternRole, LocalFlow};
 use crate::propagate::{source_vertices, PropagateOptions};
@@ -56,10 +51,10 @@ pub struct CompactStats {
     pub edges_pruned: u64,
 }
 
-/// The compacted view of one `(program, pdg, checker set)` triple,
-/// consulted by discovery as a liveness filter. Build it once per run,
-/// ahead of `discover_all_multi`; it is `Sync` and shared by reference
-/// across discovery producers.
+/// The live sets of one `(program, pdg, checker set)` triple. No
+/// discovery reads them: the end-to-end benchmark builds one to time the
+/// pass, and the type stays only until the benchmark PR of ROADMAP item
+/// 1(c) stops doing so.
 pub struct CompactPdg {
     indexer: VertexIndexer,
     /// Per checker, in [`CheckerSet`] order: the vertices that are
@@ -94,14 +89,13 @@ impl CompactPdg {
         }
     }
 
-    /// What the pass removed (for `StageStats` attribution).
+    /// What the pass removed.
     pub fn stats(&self) -> CompactStats {
         self.stats
     }
 
     /// Whether `v` is live for checker `id` — i.e. lies on some
-    /// source→sink chain of taken edges. Discovery refuses to step onto
-    /// dead vertices.
+    /// source→sink chain of taken edges.
     pub fn is_live(&self, id: CheckerId, v: Vertex) -> bool {
         self.live[id.0].contains(self.indexer.index(v))
     }

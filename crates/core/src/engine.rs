@@ -9,7 +9,6 @@
 use crate::absint::ProgramFacts;
 use crate::cache::{path_set_key, CacheStats, Key128, VerdictCache};
 use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
-use crate::compact::CompactPdg;
 use crate::incremental::Provenance;
 use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
 use crate::propagate::{discover_item, multi_source_vertices, Candidate, PropagateOptions};
@@ -195,9 +194,9 @@ crate::counters! {
     /// span of the discovery stage.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct StageStats {
-        /// Wall-clock span of the discovery stage, compaction included. At
-        /// more than one thread this overlaps the solve stage; inline it is
-        /// the summed per-item discovery wall.
+        /// Wall-clock span of the discovery stage. At more than one thread
+        /// this overlaps the solve stage; inline it is the summed per-item
+        /// discovery wall.
         pub discover_wall: Duration => "discover_ms",
         /// Total DFS steps taken by discovery.
         pub discovery_steps: u64 => "discovery_steps",
@@ -218,11 +217,12 @@ crate::counters! {
         /// Union slice closures never computed because the whole candidate was
         /// triaged away (one per fully-triaged candidate).
         pub slices_skipped: u64 => "slices_skipped",
-        /// Vertices removed by the compaction pass's frontier reachability
-        /// pruning, summed per checker (zero when compaction is off).
-        pub vertices_pruned: u64 => "vertices_pruned",
-        /// Checker-taken PDG edges with a pruned endpoint, summed per checker.
-        pub edges_pruned: u64 => "edges_pruned",
+        /// Always 0, so never printed. It counted the vertices frontier
+        /// pruning removed, and no pipeline prunes any more; it stays only
+        /// because `e2ebench/src/main.rs` samples it by name as the
+        /// `compact.vertices_pruned` row, until the benchmark PR of
+        /// ROADMAP item 1(c) drops that row.
+        pub vertices_pruned: u64 => _,
         /// Always 0, so never printed. This and `iso_hits` counted the
         /// summary-chain collapse and isomorphic-verdict memo layers of
         /// compaction, which were removed; both stay only because
@@ -444,14 +444,6 @@ pub struct AnalysisOptions {
     /// claims feasibility — so reports are byte-identical with it off (the
     /// CLI exposes `--no-absint`).
     pub absint: bool,
-    /// Pre-discovery PDG compaction (on by default unless the
-    /// `FUSION_NO_COMPACT` environment variable is set; the CLI exposes
-    /// `--no-compact`): frontier reachability pruning. Reports are
-    /// byte-identical with it off whenever the propagation step budget
-    /// does not bind (pruning only makes discovery cheaper, so a binding
-    /// budget can cut the uncompacted walk earlier); discovery steps only
-    /// ever shrink, and the solver answers the same queries.
-    pub compact: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -461,7 +453,6 @@ impl Default for AnalysisOptions {
             use_cache: true,
             slice_cache: Some(Arc::new(SliceCache::new())),
             absint: true,
-            compact: std::env::var_os("FUSION_NO_COMPACT").is_none(),
         }
     }
 }
@@ -520,16 +511,6 @@ fn debug_validate(program: &Program) {
     let _ = program;
 }
 
-/// Copies a compacted view's pruning counters into a run's
-/// [`StageStats`] (no-op when compaction was off).
-fn fill_compact_stats(stages: &mut StageStats, compact: Option<&CompactPdg>) {
-    if let Some(c) = compact {
-        let cs = c.stats();
-        stages.vertices_pruned = cs.vertices_pruned;
-        stages.edges_pruned = cs.edges_pruned;
-    }
-}
-
 /// Everything one run shares, by reference, between its discovery side
 /// and its solve workers.
 struct RunCtx<'a> {
@@ -539,7 +520,6 @@ struct RunCtx<'a> {
     options: &'a AnalysisOptions,
     cache: Option<&'a VerdictCache>,
     facts: Option<&'a Arc<ProgramFacts>>,
-    compact: Option<&'a CompactPdg>,
     prov: Option<&'a Provenance>,
     /// The `(checker, source)` work list in canonical order
     /// ([`multi_source_vertices`]).
@@ -582,7 +562,6 @@ impl RunCtx<'_> {
             id,
             &self.options.propagate,
             src,
-            self.compact,
         );
         found.memory.charge(Category::Graph, d.state_bytes);
         found.memory.release(Category::Graph, d.state_bytes);
@@ -899,9 +878,8 @@ pub fn analyze_multi_with_cache(
 /// `"{engine}×{threads}"` (e.g. `"fusion×4"`).
 ///
 /// Timing: `propagate_time` is the span until the last work item was
-/// discovered (compaction included); `solve_time` is the rest of the
-/// run's wall, so [`MultiAnalysisRun::total_time`] is the true
-/// end-to-end wall.
+/// discovered; `solve_time` is the rest of the run's wall, so
+/// [`MultiAnalysisRun::total_time`] is the true end-to-end wall.
 pub fn analyze_multi_streaming_with_cache(
     program: &Program,
     pdg: &Pdg,
@@ -921,9 +899,9 @@ pub fn analyze_multi_streaming_with_cache(
 /// work item the edit cannot reach — byte-identically, because a work
 /// item whose call-graph component contains no edited function discovers
 /// the same candidates and receives the same verdicts as a cold run of
-/// the edited program (dependence paths, slice closures, and compaction
-/// liveness never leave the component). Only outcomes are recorded —
-/// never a path condition (§3.2.2).
+/// the edited program (dependence paths and slice closures never leave
+/// the component). Only outcomes are recorded — never a path condition
+/// (§3.2.2).
 #[derive(Default)]
 pub struct ItemOutcomes {
     map: std::collections::HashMap<(usize, Vertex), ItemRecord>,
@@ -967,16 +945,14 @@ impl ItemOutcomes {
 /// Resident-state inputs of [`analyze_multi_streaming_session`]. A cold
 /// session scan passes no retained outcomes and no affected mask, so
 /// every work item runs live; a warm rescan passes the session's
-/// resident facts, compacted view, recorded outcomes, the edit's
-/// affected-function mask, and the provenance recorder.
+/// resident facts, recorded outcomes, the edit's affected-function mask,
+/// and the provenance recorder.
 #[derive(Default)]
 pub(crate) struct SessionParams<'a> {
     /// Precomputed abstract facts (`None` = absint off for this run).
     /// A session run never computes facts itself — the resident session
     /// owns them and recomputes only dirty functions.
     pub(crate) facts: Option<Arc<ProgramFacts>>,
-    /// Resident compacted view (`None` = compaction off).
-    pub(crate) compact: Option<&'a CompactPdg>,
     /// Outcomes recorded by the previous session run.
     pub(crate) retained: Option<&'a ItemOutcomes>,
     /// Per-function "the edit can reach this" mask — the connected
@@ -1038,9 +1014,8 @@ enum Engines<'a> {
 /// and every run ends in the one merge and accounting step below.
 ///
 /// A cold run (`session == None`) computes abstract facts before the
-/// clock starts and builds the compacted view inside the discovery span;
-/// a session run takes both from the resident state, and is the only
-/// kind that records [`ItemOutcomes`] and counts
+/// clock starts; a session run takes them from the resident state, and
+/// is the only kind that records [`ItemOutcomes`] and counts
 /// [`StageStats::candidates_reanalyzed`].
 fn drive(
     program: &Program,
@@ -1088,9 +1063,6 @@ fn drive(
     let cache_before = cache.map(|c| c.stats()).unwrap_or_default();
 
     let t0 = Instant::now();
-    let built =
-        (cold && options.compact).then(|| CompactPdg::build(program, pdg, set, &options.propagate));
-    let compact_wall = t0.elapsed();
     let ctx = RunCtx {
         program,
         pdg,
@@ -1098,7 +1070,6 @@ fn drive(
         options,
         cache,
         facts: facts.as_ref(),
-        compact: session.compact.or(built.as_ref()),
         prov: session.prov,
         items: &items,
     };
@@ -1107,8 +1078,8 @@ fn drive(
         Engines::Built(_, threads) => Some(threads),
     };
     let (workers, discovered, propagate_time) = match engines {
-        Engines::Borrowed(engine) => inline(&ctx, &live, engine, compact_wall),
-        Engines::Built(factory, 1) => inline(&ctx, &live, factory().as_mut(), compact_wall),
+        Engines::Borrowed(engine) => inline(&ctx, &live, engine),
+        Engines::Built(factory, 1) => inline(&ctx, &live, factory().as_mut()),
         Engines::Built(factory, threads) => pipeline(&ctx, &live, factory, threads, t0),
     };
     let solve_time = t0.elapsed().saturating_sub(propagate_time);
@@ -1158,7 +1129,6 @@ fn drive(
     if !cold {
         stages.candidates_reanalyzed = live_candidates;
     }
-    fill_compact_stats(&mut stages, ctx.compact);
 
     // The graph and the caches are retained for the whole run; every
     // engine and every discovery producer is live concurrently. Because
@@ -1210,17 +1180,15 @@ fn drive(
 
 /// Runs the live items on one engine: each item is discovered and its
 /// sink groups solved before the next item starts. The discovery span is
-/// `before` (the compaction build) plus the summed per-item discovery
-/// wall.
+/// the summed per-item discovery wall.
 fn inline(
     ctx: &RunCtx,
     live: &[usize],
     engine: &mut dyn FeasibilityEngine,
-    before: Duration,
 ) -> (Vec<WorkerOut>, Vec<Discovered>, Duration) {
     let mut worker = Worker::new(ctx, engine);
     let mut found = Discovered::default();
-    let mut discover_wall = before;
+    let mut discover_wall = Duration::ZERO;
     for &i in live {
         let t = Instant::now();
         let groups = ctx.discover(i, &mut found);
@@ -1554,54 +1522,20 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_reports_and_shrinks_work() {
-        // `lost`'s null source reaches no sink, so pruning skips it
-        // outright; everything else is live. On and off must agree on
-        // every report and every counter but the discovery steps pruning
-        // saves (and solve wall, which is timing).
+    fn discovery_walks_every_source_of_the_plain_pdg() {
+        // `lost`'s null source reaches no sink, yet discovery still walks
+        // it: two steps from each source (`q`, then the return or the
+        // `ite` feeding `deref`), four in all. One candidate, `f`'s.
         let src = "extern fn deref(p);\n\
              fn lost() { let q = null; return q; }\n\
              fn f(x) { let q = null; let r = 1; if (x > 0) { r = q; } deref(r); return 0; }";
         let p = compile(src, CompileOptions::default()).expect("compile");
         let g = Pdg::build(&p);
         let set = CheckerSet::all();
-        let off = AnalysisOptions {
-            compact: false,
-            ..AnalysisOptions::new()
-        };
-        let on = AnalysisOptions {
-            compact: true,
-            ..AnalysisOptions::new()
-        };
-        let plain = fused(&p, &g, &set, &off);
-        let compacted = fused(&p, &g, &set, &on);
-        assert_eq!(compacted.candidates, plain.candidates);
-        assert_eq!(compacted.queries, plain.queries);
-        for (pb, cb) in plain.checkers.iter().zip(&compacted.checkers) {
-            assert_eq!(pb.kind, cb.kind);
-            let a: Vec<_> = pb.reports.iter().map(report_key).collect();
-            let b: Vec<_> = cb.reports.iter().map(report_key).collect();
-            assert_eq!(a, b, "reports must be byte-identical for {}", pb.kind);
-            let untimed = |s: CheckerStats| CheckerStats {
-                discovery_steps: 0,
-                solve_wall: Duration::ZERO,
-                ..s
-            };
-            assert_eq!(untimed(pb.stats), untimed(cb.stats), "{}", pb.kind);
-        }
-        assert_eq!(plain.stages.vertices_pruned, 0, "off ⇒ no pruning stats");
-        assert!(compacted.stages.vertices_pruned > 0);
-        assert!(compacted.stages.edges_pruned > 0);
-        // Off: two steps from each source (`q`, then the return or the
-        // `ite` feeding `deref`). On: `lost`'s two are skipped.
-        assert_eq!(
-            (
-                plain.stages.discovery_steps,
-                compacted.stages.discovery_steps
-            ),
-            (4, 2),
-            "pruning skips `lost`'s source"
-        );
+        let run = fused(&p, &g, &set, &AnalysisOptions::new());
+        assert_eq!(run.candidates, 1);
+        assert_eq!(run.stages.discovery_steps, 4);
+        assert_eq!(run.checkers[0].stats.discovery_steps, 4);
     }
 
     #[test]

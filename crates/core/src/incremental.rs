@@ -1,7 +1,7 @@
 //! The warm analysis service: resident caches, dirtiness tracking, and
 //! incremental re-analysis after edits (ROADMAP item 1).
 //!
-//! An [`AnalysisSession`] keeps the PDG, [`CompactPdg`], [`ProgramFacts`],
+//! An [`AnalysisSession`] keeps the PDG, [`ProgramFacts`],
 //! [`SliceCache`], [`VerdictCache`], and per-work-item outcomes resident
 //! across requests. A [`DirtinessTracker`] fingerprints every function's
 //! IR content; on [`AnalysisSession::rescan`] the diff of fingerprints
@@ -32,9 +32,6 @@
 //!   leaves the path's call-graph component, and the whole component is
 //!   evicted.
 //!
-//! The [`CompactPdg`] is rebuilt from the edited program; it holds no
-//! state worth carrying across an edit.
-//!
 //! §3.2.2 discipline: every piece of invalidation metadata is dependence
 //! structure (function ids, adjacency) or a content hash — never a path
 //! condition. Nothing here caches or replays a formula.
@@ -42,7 +39,6 @@
 use crate::absint::ProgramFacts;
 use crate::cache::{hash_transfer, Fnv, Key128, VerdictCache};
 use crate::checkers::CheckerSet;
-use crate::compact::CompactPdg;
 use crate::engine::{
     analyze_multi_streaming_session, AnalysisOptions, FeasibilityEngine, ItemOutcomes,
     MultiAnalysisRun, SessionParams,
@@ -368,8 +364,8 @@ crate::counters! {
 }
 
 /// The resident-state machine behind `fusion-scan --serve`: one program,
-/// its PDG/facts/compacted view, both caches, recorded per-item
-/// outcomes, and the provenance needed to invalidate them precisely.
+/// its PDG and facts, both caches, recorded per-item outcomes, and the
+/// provenance needed to invalidate them precisely.
 ///
 /// [`AnalysisSession::scan`] establishes (or re-establishes) resident
 /// state with a cold run; [`AnalysisSession::rescan`] diffs the incoming
@@ -383,7 +379,6 @@ pub struct AnalysisSession {
     program: Option<Program>,
     pdg: Option<Pdg>,
     facts: Option<Arc<ProgramFacts>>,
-    compact: Option<CompactPdg>,
     cache: VerdictCache,
     outcomes: Option<ItemOutcomes>,
     prov: Provenance,
@@ -403,7 +398,6 @@ impl AnalysisSession {
             program: None,
             pdg: None,
             facts: None,
-            compact: None,
             cache: VerdictCache::new(),
             outcomes: None,
             prov: Provenance::default(),
@@ -539,7 +533,6 @@ impl AnalysisSession {
                     inv.verdicts_invalidated = self.cache.remove_keys(&keys);
                     inv.verdicts_retained = self.cache.len();
                 }
-                self.compact = self.compact_view(&program, &pdg);
                 self.pdg = Some(pdg);
                 self.tracker = Some(DirtinessTracker::new(&program));
                 self.program = Some(program);
@@ -613,6 +606,21 @@ impl AnalysisSession {
         } else {
             None
         };
+        // A replayed record stands for a run under this session's
+        // options, whose budget bounds each item's discovery steps; a
+        // larger count comes from no such run, and summing it could
+        // overflow.
+        let budget = self.options.propagate.max_steps_per_source as u64;
+        let steps = outcomes.iter().flat_map(ItemOutcomes::records);
+        if let Some(over) = steps.map(|(_, rec)| rec.steps).find(|&s| s > budget) {
+            return Err(SnapshotError {
+                offset: 0,
+                what: format!(
+                    "a recorded work item took {over} discovery steps, \
+                     over this session's budget of {budget}"
+                ),
+            });
+        }
         let prov = if snap.has(snapshot::tag::PROV_VERDICTS, 0) {
             snapshot::read_provenance(&snap)?
         } else {
@@ -638,7 +646,6 @@ impl AnalysisSession {
         let cache = self.options.use_cache.then_some(&self.cache);
         let params = SessionParams {
             facts: self.facts.clone(),
-            compact: self.compact.as_ref(),
             retained: self.outcomes.as_ref(),
             affected,
             prov: Some(&self.prov),
@@ -667,17 +674,9 @@ impl AnalysisSession {
     fn install_with(&mut self, program: Program, facts: Option<Arc<ProgramFacts>>) {
         let pdg = Pdg::build(&program);
         self.facts = facts;
-        self.compact = self.compact_view(&program, &pdg);
         self.tracker = Some(DirtinessTracker::new(&program));
         self.pdg = Some(pdg);
         self.program = Some(program);
-    }
-
-    /// The compacted view of `program`, when compaction is on.
-    fn compact_view(&self, program: &Program, pdg: &Pdg) -> Option<CompactPdg> {
-        self.options
-            .compact
-            .then(|| CompactPdg::build(program, pdg, &self.set, &self.options.propagate))
     }
 
     fn flush(&mut self) {
@@ -688,7 +687,6 @@ impl AnalysisSession {
         self.prov = Provenance::default();
         self.outcomes = None;
         self.facts = None;
-        self.compact = None;
         self.pdg = None;
         self.program = None;
         self.tracker = None;
@@ -959,6 +957,19 @@ mod tests {
             snapshot::write_outcomes(&mut w, &crafted);
             cases.push((want, w));
         }
+        // Outcomes whose every item took more discovery steps than the
+        // session's budget allows: no run under its options records
+        // them, and a replay summing them would overflow.
+        let mut crafted = ItemOutcomes::default();
+        for (&key, rec) in session.outcomes.as_ref().expect("outcomes").records() {
+            let steps = u64::MAX / 2 + 1;
+            let verdicts = rec.verdicts.clone();
+            crafted.insert_record(key, crate::engine::ItemRecord { verdicts, steps });
+        }
+        let mut w = SnapshotWriter::new();
+        snapshot::write_program(&mut w, &program);
+        snapshot::write_outcomes(&mut w, &crafted);
+        cases.push(("discovery steps", w));
         // Facts of another 5-function program with shorter bodies: a
         // replay that trusted them would index past each function's
         // facts.

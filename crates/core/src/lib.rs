@@ -27,8 +27,9 @@
 //!   worker engines;
 //! * [`counters`](mod@counters) — the `counters!` table macro that defines each run
 //!   counter once, with its sum, delta and output key;
-//! * [`compact`] — the pre-discovery PDG-compaction pass: frontier
-//!   reachability pruning over dependence structure only;
+//! * [`compact`] — frontier reachability pruning over dependence
+//!   structure, in no pipeline any more, kept only because the
+//!   end-to-end benchmark times `CompactPdg::build`;
 //! * [`slice_cache`] — the sharded LRU memo of slice *closures* (dependence
 //!   structure only — never formulas, preserving §3.2.2's discipline);
 //! * [`incremental`] — the warm analysis service: per-function content
@@ -89,7 +90,6 @@ pub mod snapshot;
 pub use absint::{AbsVal, ProgramFacts};
 pub use cache::{path_set_key, CacheStats, Key128, VerdictCache};
 pub use checkers::{default_checkers, CheckKind, Checker, CheckerId, CheckerSet};
-pub use compact::{CompactPdg, CompactStats};
 pub use engine::{
     analyze, analyze_multi_streaming_with_cache, analyze_multi_with_cache, AnalysisOptions,
     AnalysisRun, BugReport, CheckOutcome, CheckerBreakdown, CheckerStats, Feasibility,

@@ -12,30 +12,27 @@
 //! feasibility engine afterwards. The per-function summary cache stores
 //! only reachability, never formulas.
 //!
-//! Two implementations live here:
+//! Discovery runs one way: a DFS per `(checker, source)` work item over
+//! the plain PDG ([`discover_item`]). The analysis driver calls it once
+//! per item, and [`discover_all_multi`] runs the items in order on the
+//! calling thread. Two implementations of that DFS live here:
 //!
-//! * [`discover`] / [`discover_all`] — the production DFS. Cycle states
-//!   are a hash set keyed on `(vertex, rolling stack hash)` (O(1) per
-//!   step instead of an O(depth²) linear scan with a stack clone), and
-//!   candidate dedup uses a `(source, sink) → index` map instead of a
-//!   linear candidate scan. [`discover_all`] additionally shards the
-//!   per-source DFS across worker threads with a deterministic merge by
-//!   source index, so its output is byte-identical to the sequential
-//!   run at any shard count.
+//! * [`discover_item`] and its wrappers — the production DFS. Cycle
+//!   states are a hash set keyed on `(vertex, rolling stack hash)` (O(1)
+//!   per step instead of an O(depth²) linear scan with a stack clone),
+//!   and candidate dedup uses a `(source, sink) → index` map instead of
+//!   a linear candidate scan.
 //! * [`discover_reference`] — the original linear-scan implementation,
 //!   kept verbatim as the oracle for the equivalence proptest
 //!   (`tests/discovery_prop.rs`).
 
 use crate::checkers::{Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
-use crate::memory::{Category, MemoryAccountant};
 use fusion_ir::ssa::{CallSiteId, Program};
 use fusion_pdg::graph::{FlowTarget, Pdg, Vertex};
 use fusion_pdg::paths::{DependencePath, Link};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Exploration limits (deterministic).
 #[derive(Debug, Clone, Copy)]
@@ -48,14 +45,6 @@ pub struct PropagateOptions {
     pub max_path_len: usize,
     /// Maximum call-string depth.
     pub max_call_depth: usize,
-    /// Work-item count below which the sharded drivers discover
-    /// sequentially anyway: for small programs the scoped-thread spawn +
-    /// deterministic merge costs more than the DFS itself (the committed
-    /// small-scale pipeline bench showed sharded discovery at ~2× the
-    /// sequential wall). Candidates are byte-identical either way — the
-    /// threshold only picks the cheaper schedule. `0` disables the
-    /// fallback (always shard when asked to).
-    pub sequential_discovery_threshold: usize,
 }
 
 impl Default for PropagateOptions {
@@ -65,7 +54,6 @@ impl Default for PropagateOptions {
             max_steps_per_source: 50_000,
             max_path_len: 256,
             max_call_depth: 32,
-            sequential_discovery_threshold: 64,
         }
     }
 }
@@ -149,9 +137,6 @@ struct Dfs<'a> {
     /// Tag stamped on every recorded candidate (the client identity of a
     /// fused multi-checker pass).
     checker_id: CheckerId,
-    /// The compacted view, when the pass ran: dead vertices are never
-    /// stepped onto.
-    compact: Option<&'a CompactPdg>,
     opts: PropagateOptions,
     steps: usize,
     candidates: Vec<Candidate>,
@@ -175,7 +160,6 @@ impl<'a> Dfs<'a> {
         pdg: &'a Pdg,
         checker: &'a Checker,
         checker_id: CheckerId,
-        compact: Option<&'a CompactPdg>,
         opts: PropagateOptions,
     ) -> Self {
         Self {
@@ -183,7 +167,6 @@ impl<'a> Dfs<'a> {
             pdg,
             checker,
             checker_id,
-            compact,
             opts,
             steps: 0,
             candidates: Vec::new(),
@@ -220,12 +203,6 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// Whether `v` survives the compaction pass's liveness pruning (true
-    /// whenever the pass did not run).
-    fn live(&self, v: Vertex) -> bool {
-        self.compact.is_none_or(|c| c.is_live(self.checker_id, v))
-    }
-
     /// Steps to `v` (with the stack already updated), recurses, and
     /// undoes the step. Returns without recursing if the (vertex, stack)
     /// state already occurs on the current path.
@@ -260,11 +237,7 @@ impl<'a> Dfs<'a> {
                     {
                         continue;
                     }
-                    let v = Vertex::new(at.func, to);
-                    if !self.live(v) {
-                        continue; // pruned: on no source→sink chain
-                    }
-                    self.step(path, stack, Link::Local, v);
+                    self.step(path, stack, Link::Local, Vertex::new(at.func, to));
                 }
                 FlowTarget::IntoCallee {
                     site,
@@ -274,19 +247,11 @@ impl<'a> Dfs<'a> {
                     if stack.len() >= self.opts.max_call_depth {
                         continue;
                     }
-                    let entry = Vertex::new(callee, param);
-                    if !self.live(entry) {
-                        continue; // pruned: the callee corridor is dead
-                    }
                     stack.push(site);
-                    self.step(path, stack, Link::Enter(site), entry);
+                    self.step(path, stack, Link::Enter(site), Vertex::new(callee, param));
                     stack.pop();
                 }
                 FlowTarget::BackToCaller { site, caller, dst } => {
-                    let v = Vertex::new(caller, dst);
-                    if !self.live(v) {
-                        continue; // pruned: the caller side is dead
-                    }
                     // CFL discipline: match the entering site, or escape
                     // upward with an empty stack.
                     let popped = match stack.last() {
@@ -297,7 +262,7 @@ impl<'a> Dfs<'a> {
                         Some(_) => continue, // mismatched parenthesis
                         None => false,       // upward escape
                     };
-                    self.step(path, stack, Link::Exit(site), v);
+                    self.step(path, stack, Link::Exit(site), Vertex::new(caller, dst));
                     if popped {
                         stack.push(site);
                     }
@@ -314,11 +279,7 @@ impl<'a> Dfs<'a> {
                         && !sink_here
                         && !self.checker.is_sanitizer(self.program, func, to)
                     {
-                        let v = Vertex::new(at.func, to);
-                        if !self.live(v) {
-                            continue; // pruned
-                        }
-                        self.step(path, stack, Link::Local, v);
+                        self.step(path, stack, Link::Local, Vertex::new(at.func, to));
                     }
                 }
             }
@@ -327,7 +288,7 @@ impl<'a> Dfs<'a> {
 }
 
 /// The checker's source vertices in canonical order (function order,
-/// then definition order) — the unit of work the discovery shards steal.
+/// then definition order).
 pub fn source_vertices(program: &Program, checker: &Checker) -> Vec<Vertex> {
     let mut sources = Vec::new();
     for func in program.functions.iter().filter(|f| !f.is_extern) {
@@ -343,9 +304,9 @@ pub fn source_vertices(program: &Program, checker: &Checker) -> Vec<Vertex> {
 /// The fused multi-client work list: every `(checker, source)` pair in
 /// canonical order — checkers in [`CheckerSet`] order, then that
 /// checker's sources in [`source_vertices`] order. This is the unit of
-/// work the fused discovery shards (and the streaming producers) steal;
-/// merging per-item results back in item order keeps the fused pass
-/// byte-deterministic at any shard count.
+/// work the analysis driver's streaming producers steal; merging
+/// per-item results back in item order keeps a run byte-deterministic at
+/// any thread count.
 pub fn multi_source_vertices(program: &Program, set: &CheckerSet) -> Vec<(CheckerId, Vertex)> {
     let mut items = Vec::new();
     for (id, checker) in set.iter() {
@@ -356,28 +317,23 @@ pub fn multi_source_vertices(program: &Program, set: &CheckerSet) -> Vec<(Checke
     items
 }
 
-/// One source's worth of discovery — the unit of work the streaming
-/// pipeline's producer shards run and push downstream.
+/// One source's worth of discovery — the unit of work the analysis
+/// driver discovers and then solves.
 #[derive(Debug)]
 pub struct SourceDiscovery {
     /// Candidates found from this source, in DFS order.
     pub candidates: Vec<Candidate>,
     /// DFS steps taken.
     pub steps: u64,
-    /// Transient visited-set high-water bytes (charge/release through
-    /// the shard's accountant).
+    /// Transient visited-set high-water bytes (charged and released
+    /// through the caller's accountant).
     pub state_bytes: u64,
 }
 
 /// Runs the DFS for a single `(checker, source)` work item (one element
 /// of [`multi_source_vertices`]); every recorded candidate is stamped
 /// with `id`. The concatenation of results in work-item order is exactly
-/// [`discover_all_multi`]'s output. With a compacted PDG view, dead
-/// sources are skipped outright (a source whose liveness pruning removed
-/// it reaches no sink, so the DFS would burn ≥ 1 step recording
-/// nothing), and live exploration never steps onto pruned vertices.
-/// Reports are byte-identical to the uncompacted walk whenever the step
-/// budget does not bind; steps only ever shrink.
+/// [`discover_all_multi`]'s output.
 pub fn discover_item(
     program: &Program,
     pdg: &Pdg,
@@ -385,18 +341,8 @@ pub fn discover_item(
     id: CheckerId,
     opts: &PropagateOptions,
     source: Vertex,
-    compact: Option<&CompactPdg>,
 ) -> SourceDiscovery {
-    if let Some(c) = compact {
-        if !c.is_live(id, source) {
-            return SourceDiscovery {
-                candidates: Vec::new(),
-                steps: 0,
-                state_bytes: 0,
-            };
-        }
-    }
-    let mut dfs = Dfs::new(program, pdg, checker, id, compact, *opts);
+    let mut dfs = Dfs::new(program, pdg, checker, id, *opts);
     let mut path = DependencePath::unit(source);
     let mut stack = CallStack::new();
     dfs.explore(&mut path, &mut stack);
@@ -407,163 +353,71 @@ pub fn discover_item(
     }
 }
 
-/// The result of a (possibly sharded) discovery pass.
+/// The result of a whole-program discovery pass.
 #[derive(Debug, Default)]
 pub struct Discovery {
-    /// All candidates, in the canonical sequential order (work-item
-    /// order `(checker_idx, source_idx)`, then DFS order within a
-    /// source) regardless of shard count.
+    /// All candidates, in work-item order `(checker_idx, source_idx)`,
+    /// then DFS order within a source.
     pub candidates: Vec<Candidate>,
     /// Total DFS steps across all work items.
     pub steps: u64,
     /// DFS steps attributed per checker (indexed by `CheckerId.0`).
     pub per_checker_steps: Vec<u64>,
-    /// How many shards actually ran.
-    pub shards: usize,
-    /// One accountant per shard, tracking transient visited-set bytes
-    /// (charged while a source is being explored, released after). Fold
-    /// these into [`crate::memory::run_accounting`] with
-    /// `add_concurrent` so a 1-shard pass is accounted exactly like the
-    /// analysis driver's inline path.
-    pub memory: Vec<MemoryAccountant>,
 }
 
 /// Runs sparse propagation for a whole [`CheckerSet`] in **one fused
-/// pass** across `shards` worker threads. The work list is every
-/// `(checker, source)` pair ([`multi_source_vertices`]); shards steal
-/// items off an atomic cursor and the per-item results are merged back
-/// in canonical `(checker_idx, source_idx)` order, so the output is
-/// **byte-identical to the sequential run** (`shards == 1`) at any
-/// shard count, and the per-checker candidate subsequence is exactly
-/// what a single-checker [`discover_all`] over that checker produces.
+/// pass**: every `(checker, source)` work item
+/// ([`multi_source_vertices`]) in canonical `(checker_idx, source_idx)`
+/// order, on the calling thread. The per-checker candidate subsequence
+/// is exactly what a single-checker [`discover`] over that checker
+/// produces.
 pub fn discover_all_multi(
     program: &Program,
     pdg: &Pdg,
     set: &CheckerSet,
     opts: &PropagateOptions,
-    shards: usize,
 ) -> Discovery {
-    discover_all_multi_compact(program, pdg, set, opts, shards, None)
+    let mut d = Discovery {
+        per_checker_steps: vec![0; set.len()],
+        ..Discovery::default()
+    };
+    for (id, src) in multi_source_vertices(program, set) {
+        let item = discover_item(program, pdg, set.get(id), id, opts, src);
+        d.steps += item.steps;
+        d.per_checker_steps[id.0] += item.steps;
+        d.candidates.extend(item.candidates);
+    }
+    d
 }
 
-/// [`discover_all_multi`] with an optional compacted PDG view (see
-/// [`discover_item`] for the per-source semantics). The
-/// deterministic merge is untouched: the compaction is a pure per-item
-/// filter, so the output stays byte-identical at any shard count.
+/// [`discover_all_multi`] under the signature the end-to-end benchmark's
+/// `graph_layers` calls. It reads neither `shards` nor `compact`: the
+/// walk is always the sequential one over the plain PDG, so the
+/// benchmark's `propagate.discover_s` times the driver's own discovery.
+/// It stays only until the benchmark PR of ROADMAP item 1(c) stops
+/// calling it.
 pub fn discover_all_multi_compact(
     program: &Program,
     pdg: &Pdg,
     set: &CheckerSet,
     opts: &PropagateOptions,
-    shards: usize,
-    compact: Option<&CompactPdg>,
+    _shards: usize,
+    _compact: Option<&CompactPdg>,
 ) -> Discovery {
-    let items = multi_source_vertices(program, set);
-    let mut shards = shards.clamp(1, items.len().max(1));
-    // Small-program fallback: below the work-size threshold the thread
-    // spawn + merge overhead dominates the DFS, so discover sequentially
-    // (byte-identical output; `discovery_prop.rs` pins the equivalence).
-    if opts.sequential_discovery_threshold != 0 && items.len() < opts.sequential_discovery_threshold
-    {
-        shards = 1;
-    }
-    if shards <= 1 {
-        let mut acct = MemoryAccountant::new();
-        let mut candidates = Vec::new();
-        let mut steps = 0u64;
-        let mut per_checker_steps = vec![0u64; set.len()];
-        for &(id, src) in &items {
-            let d = discover_item(program, pdg, set.get(id), id, opts, src, compact);
-            acct.charge(Category::Graph, d.state_bytes);
-            acct.release(Category::Graph, d.state_bytes);
-            steps += d.steps;
-            per_checker_steps[id.0] += d.steps;
-            candidates.extend(d.candidates);
-        }
-        return Discovery {
-            candidates,
-            steps,
-            per_checker_steps,
-            shards: 1,
-            memory: vec![acct],
-        };
-    }
-
-    // Sharded: shards steal (checker, source) items off an atomic
-    // cursor; every item's output is tagged with its index so the merge
-    // is deterministic.
-    let cursor = AtomicUsize::new(0);
-    let per_item: Mutex<Vec<(usize, Vec<Candidate>, u64)>> =
-        Mutex::new(Vec::with_capacity(items.len()));
-    let accountants: Mutex<Vec<MemoryAccountant>> = Mutex::new(Vec::with_capacity(shards));
-    std::thread::scope(|scope| {
-        for _ in 0..shards {
-            scope.spawn(|| {
-                let mut acct = MemoryAccountant::new();
-                let mut local: Vec<(usize, Vec<Candidate>, u64)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let (id, src) = items[i];
-                    let d = discover_item(program, pdg, set.get(id), id, opts, src, compact);
-                    acct.charge(Category::Graph, d.state_bytes);
-                    acct.release(Category::Graph, d.state_bytes);
-                    local.push((i, d.candidates, d.steps));
-                }
-                per_item.lock().unwrap().extend(local);
-                accountants.lock().unwrap().push(acct);
-            });
-        }
-    });
-    let mut per_item = per_item.into_inner().unwrap();
-    per_item.sort_by_key(|(i, _, _)| *i);
-    let mut candidates = Vec::new();
-    let mut steps = 0u64;
-    let mut per_checker_steps = vec![0u64; set.len()];
-    for (i, cs, st) in per_item {
-        candidates.extend(cs);
-        steps += st;
-        per_checker_steps[items[i].0 .0] += st;
-    }
-    Discovery {
-        candidates,
-        steps,
-        per_checker_steps,
-        shards,
-        memory: accountants.into_inner().unwrap(),
-    }
-}
-
-/// Runs sparse propagation for one checker across `shards` worker
-/// threads — a thin wrapper over [`discover_all_multi`] with a
-/// singleton [`CheckerSet`] (all candidates tagged [`CheckerId`]`(0)`).
-pub fn discover_all(
-    program: &Program,
-    pdg: &Pdg,
-    checker: &Checker,
-    opts: &PropagateOptions,
-    shards: usize,
-) -> Discovery {
-    discover_all_multi(
-        program,
-        pdg,
-        &CheckerSet::single(checker.clone()),
-        opts,
-        shards,
-    )
+    discover_all_multi(program, pdg, set, opts)
 }
 
 /// Runs sparse propagation for one checker, returning all (source, sink)
-/// candidates with their dependence paths.
+/// candidates with their dependence paths: [`discover_all_multi`] over
+/// a singleton [`CheckerSet`], so every candidate is tagged
+/// [`CheckerId`]`(0)`.
 pub fn discover(
     program: &Program,
     pdg: &Pdg,
     checker: &Checker,
     opts: &PropagateOptions,
 ) -> Vec<Candidate> {
-    discover_all(program, pdg, checker, opts, 1).candidates
+    discover_all_multi(program, pdg, &CheckerSet::single(checker.clone()), opts).candidates
 }
 
 // ---------------------------------------------------------------------
@@ -918,46 +772,12 @@ mod tests {
         }
     }
 
-    /// Sharded discovery must merge back into sequential order exactly.
+    /// The benchmark's entry point ignores its shard count and its view:
+    /// it returns exactly the plain walk's candidates, paths and steps,
+    /// although the view here would prune (`lost`'s source reaches no
+    /// sink and `f`'s copy `t` feeds none).
     #[test]
-    fn sharded_discovery_is_deterministic() {
-        let mut src = String::from("extern fn getpass(); extern fn sendmsg(x);\n");
-        for i in 0..6 {
-            src.push_str(&format!(
-                "fn f{i}(c) {{ let a = getpass(); let b = a + 0; \
-                 if (c > {i}) {{ sendmsg(b); }} sendmsg(a); return 0; }}\n"
-            ));
-        }
-        let p = compile(&src, CompileOptions::default()).expect("compile");
-        let g = Pdg::build(&p);
-        let opts = PropagateOptions::default();
-        let seq = discover_all(&p, &g, &Checker::cwe402(), &opts, 1);
-        assert!(!seq.candidates.is_empty());
-        assert!(seq.steps > 0);
-        for shards in 2..=8 {
-            let sharded = discover_all(&p, &g, &Checker::cwe402(), &opts, shards);
-            assert_eq!(sharded.candidates.len(), seq.candidates.len());
-            assert_eq!(sharded.steps, seq.steps, "step total at {shards} shards");
-            for (a, b) in sharded.candidates.iter().zip(&seq.candidates) {
-                assert_eq!(a.source, b.source, "shards={shards}");
-                assert_eq!(a.sink, b.sink, "shards={shards}");
-                let ap: Vec<_> = a.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
-                let bp: Vec<_> = b.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
-                assert_eq!(ap, bp, "shards={shards}");
-            }
-            // Transient DFS bytes were charged and released on every shard.
-            for acct in &sharded.memory {
-                assert_eq!(acct.current(Category::Graph), 0);
-            }
-        }
-    }
-
-    /// Compacted discovery must be byte-identical to the plain walk —
-    /// same candidates, same paths — while taking strictly fewer steps:
-    /// `lost`'s source reaches no sink and `f`'s copy `t` feeds none, so
-    /// both flows are pruned.
-    #[test]
-    fn compacted_discovery_is_byte_identical_and_cheaper() {
+    fn compact_entry_point_runs_the_plain_walk() {
         use crate::checkers::CheckerSet;
         let src = "extern fn deref(p);\n\
              fn id(x) { return x; }\n\
@@ -976,26 +796,22 @@ mod tests {
         let g = Pdg::build(&p);
         let opts = PropagateOptions::default();
         let set = CheckerSet::single(Checker::null_deref());
-        let plain = discover_all_multi(&p, &g, &set, &opts, 1);
-        let compact = CompactPdg::build(&p, &g, &set, &opts);
-        assert!(compact.stats().vertices_pruned > 0);
-        for shards in 1..=4 {
-            let c = discover_all_multi_compact(&p, &g, &set, &opts, shards, Some(&compact));
-            assert_eq!(c.candidates.len(), plain.candidates.len());
-            for (a, b) in c.candidates.iter().zip(&plain.candidates) {
+        let plain = discover_all_multi(&p, &g, &set, &opts);
+        let view = CompactPdg::build(&p, &g, &set, &opts);
+        assert!(view.stats().vertices_pruned > 0);
+        for k in [1, 2, 4] {
+            let d = discover_all_multi_compact(&p, &g, &set, &opts, k, Some(&view));
+            assert_eq!(d.steps, plain.steps, "k={k}");
+            assert_eq!(d.per_checker_steps, plain.per_checker_steps, "k={k}");
+            assert_eq!(d.candidates.len(), plain.candidates.len(), "k={k}");
+            for (a, b) in d.candidates.iter().zip(&plain.candidates) {
                 assert_eq!(a.checker, b.checker);
                 assert_eq!(a.source, b.source);
                 assert_eq!(a.sink, b.sink);
                 let ap: Vec<_> = a.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
                 let bp: Vec<_> = b.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
-                assert_eq!(ap, bp, "shards={shards}");
+                assert_eq!(ap, bp, "k={k}");
             }
-            assert!(
-                c.steps < plain.steps,
-                "compacted steps {} must undercut plain {}",
-                c.steps,
-                plain.steps
-            );
         }
     }
 
@@ -1019,13 +835,13 @@ mod tests {
         let (p, g) = multi_program();
         let opts = PropagateOptions::default();
         let set = CheckerSet::all();
-        let fused = discover_all_multi(&p, &g, &set, &opts, 1);
+        let fused = discover_all_multi(&p, &g, &set, &opts);
         assert_eq!(fused.per_checker_steps.len(), set.len());
         assert_eq!(fused.per_checker_steps.iter().sum::<u64>(), fused.steps);
 
         let mut expected = Vec::new();
         for (id, checker) in set.iter() {
-            let single = discover_all(&p, &g, checker, &opts, 1);
+            let single = discover_all_multi(&p, &g, &CheckerSet::single(checker.clone()), &opts);
             assert_eq!(
                 fused.per_checker_steps[id.0], single.steps,
                 "per-checker step attribution for {id}"
@@ -1043,35 +859,6 @@ mod tests {
             let fp: Vec<_> = f.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
             let ep: Vec<_> = e.paths.iter().map(|p| (&p.nodes, &p.links)).collect();
             assert_eq!(fp, ep);
-        }
-    }
-
-    /// Sharded fused discovery merges back into the canonical
-    /// `(checker_idx, source_idx)` order exactly.
-    #[test]
-    fn sharded_multi_discovery_is_deterministic() {
-        use crate::checkers::CheckerSet;
-        let (p, g) = multi_program();
-        let opts = PropagateOptions::default();
-        let set = CheckerSet::all();
-        let seq = discover_all_multi(&p, &g, &set, &opts, 1);
-        assert!(seq.candidates.len() >= 3);
-        for shards in 2..=8 {
-            let sharded = discover_all_multi(&p, &g, &set, &opts, shards);
-            assert_eq!(sharded.steps, seq.steps, "shards={shards}");
-            assert_eq!(
-                sharded.per_checker_steps, seq.per_checker_steps,
-                "shards={shards}"
-            );
-            assert_eq!(sharded.candidates.len(), seq.candidates.len());
-            for (a, b) in sharded.candidates.iter().zip(&seq.candidates) {
-                assert_eq!(a.checker, b.checker, "shards={shards}");
-                assert_eq!(a.source, b.source, "shards={shards}");
-                assert_eq!(a.sink, b.sink, "shards={shards}");
-            }
-            for acct in &sharded.memory {
-                assert_eq!(acct.current(Category::Graph), 0);
-            }
         }
     }
 }

@@ -30,7 +30,6 @@
 
 use crate::cache::VerdictCache;
 use crate::checkers::CheckerSet;
-use crate::compact::CompactPdg;
 use crate::engine::{
     analyze_multi_streaming_session, AnalysisOptions, BugReport, CandVerdict, FeasibilityEngine,
     ItemOutcomes, ItemRecord, MultiAnalysisRun, SessionParams,
@@ -182,10 +181,6 @@ pub fn run_shard(
         None
     };
 
-    let compact = options
-        .compact
-        .then(|| CompactPdg::build(&sub.program, &pdg, set, &options.propagate));
-
     // Owned mask over local ids; closure functions the shard doesn't own
     // get synthetic empty records so their items replay to nothing
     // instead of running live.
@@ -212,7 +207,6 @@ pub fn run_shard(
 
     let params = SessionParams {
         facts,
-        compact: compact.as_ref(),
         retained: Some(&retained),
         affected: Some(&affected),
         prov: None,
@@ -344,7 +338,6 @@ pub fn replay_merged(
     let affected = vec![false; program.functions.len()];
     let params = SessionParams {
         facts: None,
-        compact: None,
         retained: Some(merged),
         affected: Some(&affected),
         prov: None,

@@ -384,6 +384,16 @@ impl Snapshot {
         Ok(payload)
     }
 
+    /// How many sections carry `tag`, and their summed payload bytes.
+    fn extent(&self, tag: u32) -> (usize, u64) {
+        self.table
+            .iter()
+            .filter(|s| s.tag == tag)
+            .fold((0, 0u64), |(n, bytes), s| {
+                (n + 1, bytes.saturating_add(s.len))
+            })
+    }
+
     /// The absolute payload offset of `(tag, index)`, for error bases.
     fn offset_of(&self, tag: u32, index: u32) -> u64 {
         self.table
@@ -748,6 +758,11 @@ pub fn write_program(w: &mut SnapshotWriter, program: &Program) {
     }
 }
 
+/// The fewest `FUNC` payload bytes one call definition takes: its
+/// variable, name length, guard tag, kind tag, callee, site and argument
+/// count.
+const MIN_CALL_DEF_BYTES: u64 = 4 + 4 + 1 + 1 + 4 + 4 + 4;
+
 /// Decodes `(function count, call-site count)` from [`tag::META`].
 pub fn read_meta(snap: &Snapshot) -> Result<(usize, usize), SnapshotError> {
     let payload = snap.section(tag::META, 0)?;
@@ -801,6 +816,20 @@ pub fn read_function(snap: &Snapshot, index: u32) -> Result<RawFunction, Snapsho
 /// lacks) is an error: everything downstream indexes by its ids.
 pub fn read_program(snap: &Snapshot) -> Result<Program, SnapshotError> {
     let (nfuncs, nsites) = read_meta(snap)?;
+    // Every function has a FUNC section, and every call site a call
+    // definition in one, which takes at least `MIN_CALL_DEF_BYTES`. Counts
+    // past those are corrupt, and are refused before anything is
+    // allocated for them.
+    let (func_sections, func_bytes) = snap.extent(tag::FUNC);
+    if nfuncs > func_sections || nsites as u64 > func_bytes / MIN_CALL_DEF_BYTES {
+        return Err(SnapshotError::new(
+            snap.offset_of(tag::META, 0),
+            format!(
+                "corrupt counts: {nfuncs} functions and {nsites} call sites \
+                 in {func_sections} function sections of {func_bytes} bytes"
+            ),
+        ));
+    }
     let mut interner = Interner::new();
     let mut functions = Vec::with_capacity(nfuncs);
     let mut call_sites: Vec<Option<CallSite>> = vec![None; nsites];

@@ -1,8 +1,11 @@
-//! Graph-side support for the pre-discovery PDG-compaction pass.
+//! Graph-side support for frontier reachability pruning.
 //!
-//! The compaction itself (frontier reachability pruning) is
-//! checker-aware and lives in `fusion::compact`; this module holds the
-//! checker-agnostic graph machinery it is built on:
+//! The pruning pass (`fusion::compact`) runs in no pipeline any more; it
+//! stays only because the end-to-end benchmark times
+//! `CompactPdg::build`, and this module, whose only user it is, stays
+//! with it. Both go in the benchmark PR of ROADMAP item 1(c). The pass is
+//! checker-aware; this module holds the checker-agnostic graph machinery
+//! it is built on:
 //!
 //! * [`VertexIndexer`] — a dense whole-program numbering of PDG vertices,
 //!   so per-checker reachability can use flat bit sets instead of hash
@@ -10,9 +13,9 @@
 //! * [`DenseBitSet`] — the flat bit set itself;
 //! * [`LabeledCsr`] — a compressed-sparse-row graph over those indices
 //!   with a `u32` label per edge, and its reverse by counting sort. The
-//!   compaction pass builds one per scan, labels each edge with the
-//!   class of flow it carries, and every checker walks that one graph
-//!   through its own reading of the labels.
+//!   pruning pass builds one per call, labels each edge with the class of
+//!   flow it carries, and every checker walks that one graph through its
+//!   own reading of the labels.
 
 use crate::graph::Vertex;
 use fusion_ir::ssa::Program;

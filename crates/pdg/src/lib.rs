@@ -6,8 +6,8 @@
 //! * [`graph`] — PDG construction per the Fig. 5 rules, with labeled call
 //!   and return edges and the Table 2 size statistics;
 //! * [`compact`] — dense vertex numbering, bit sets and the labelled CSR
-//!   flow graph backing the pre-discovery compaction pass
-//!   (`fusion::compact`);
+//!   flow graph behind frontier reachability pruning (`fusion::compact`),
+//!   kept only for the end-to-end benchmark;
 //! * [`paths`] — data-dependence paths with CFL call/return links and
 //!   calling-context reconstruction;
 //! * [`slice`](mod@slice) — the linear, modular slice `G[Π]` (Rules 1–3);

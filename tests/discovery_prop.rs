@@ -1,17 +1,15 @@
 //! Differential property tests for the optimized candidate discovery.
 //!
-//! PR 3 replaced the propagation's quadratic hot loops — the linear
-//! candidate scan in `record` and the `Vec`-scan cycle check with a
-//! stack clone per step — with a `(source, sink)` index map and a
-//! rolling-hash visited set, and added sharded discovery
-//! (`discover_all`). The original implementation is kept as
+//! The propagation's quadratic hot loops — the linear candidate scan in
+//! `record` and the `Vec`-scan cycle check with a stack clone per step —
+//! were replaced with a `(source, sink)` index map and a rolling-hash
+//! visited set. The original implementation is kept as
 //! `discover_reference`, the pseudo-oracle: on arbitrary generated
-//! programs and every checker, the optimized discovery and every shard
-//! count must reproduce its candidates *exactly* — same order, same
-//! paths, same links.
+//! programs and every checker, the optimized discovery must reproduce
+//! its candidates *exactly* — same order, same paths, same links.
 
 use fusion::checkers::Checker;
-use fusion::propagate::{discover, discover_all, discover_reference, Candidate, PropagateOptions};
+use fusion::propagate::{discover, discover_reference, Candidate, PropagateOptions};
 use fusion_ir::{compile_ast, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use fusion_workloads::{generate, GenConfig};
@@ -59,45 +57,6 @@ proptest! {
                 &optimized, &reference,
                 "optimized discovery diverged, seed {} {}", seed, checker.kind
             );
-        }
-    }
-
-    #[test]
-    fn sharded_discovery_matches_sequential(seed in 0u64..100_000) {
-        let cfg = GenConfig { seed, functions: 12, ..Default::default() };
-        let mut subject = generate(&cfg);
-        let program =
-            compile_ast(&subject.surface, &mut subject.interner, CompileOptions::default())
-                .expect("compile");
-        let pdg = Pdg::build(&program);
-        // Disable the small-program sequential fallback so the sharded
-        // code path stays exercised regardless of work-item count.
-        let opts = PropagateOptions {
-            sequential_discovery_threshold: 0,
-            ..PropagateOptions::default()
-        };
-        for checker in [Checker::null_deref(), Checker::cwe402()] {
-            let sequential = discover_all(&program, &pdg, &checker, &opts, 1);
-            let want = keys(&sequential.candidates);
-            for shards in 2..=8 {
-                let sharded = discover_all(&program, &pdg, &checker, &opts, shards);
-                prop_assert_eq!(
-                    &keys(&sharded.candidates), &want,
-                    "sharded discovery diverged, seed {} shards {} {}",
-                    seed, shards, checker.kind
-                );
-                prop_assert_eq!(
-                    sharded.steps, sequential.steps,
-                    "step counts must not depend on sharding, seed {}", seed
-                );
-                // Transient DFS bytes must be fully released.
-                for acct in &sharded.memory {
-                    prop_assert_eq!(
-                        acct.current(fusion::memory::Category::Graph), 0,
-                        "discovery shard leaked transient bytes, seed {}", seed
-                    );
-                }
-            }
         }
     }
 }

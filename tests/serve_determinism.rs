@@ -2,15 +2,15 @@
 //!
 //! `AnalysisSession::rescan` diffs an edited program against resident
 //! per-function content fingerprints, evicts exactly the absint facts,
-//! slice closures, verdicts, and compacted regions the edit reaches, and
-//! re-runs only the affected `(checker, source)` work items — replaying
-//! recorded outcomes for the rest. None of that may reach the user: on
+//! slice closures and verdicts the edit reaches, and re-runs only the
+//! affected `(checker, source)` work items — replaying recorded outcomes
+//! for the rest. None of that may reach the user: on
 //! arbitrary generated programs with arbitrary single-function edits,
 //! the warm rescan's reports must be *byte-identical* — same checkers,
 //! sources, sinks, verdicts, witness paths, in the same order — to a
 //! cold batch scan of the edited program, on a borrowed engine and at
-//! thread counts 1–8, and every cache/absint/compact/incremental
-//! combination exercised here.
+//! thread counts 1–8, and every cache/absint/incremental combination
+//! exercised here.
 //! And the invalidation must be *strict*: an edit touching nothing
 //! reachable from any source re-solves zero candidates.
 
@@ -65,7 +65,7 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
 }
 
 /// Fresh analysis options (own slice cache) for one run or session.
-fn options(use_cache: bool, absint: bool, compact: bool) -> AnalysisOptions {
+fn options(use_cache: bool, absint: bool) -> AnalysisOptions {
     let mut o = if use_cache {
         AnalysisOptions::new()
     } else {
@@ -73,7 +73,6 @@ fn options(use_cache: bool, absint: bool, compact: bool) -> AnalysisOptions {
     };
     o = o.with_slice_cache(Arc::new(SliceCache::new()));
     o.absint = absint;
-    o.compact = compact;
     o
 }
 
@@ -116,13 +115,12 @@ fn cold_runs(
     set: &CheckerSet,
     use_cache: bool,
     absint: bool,
-    compact: bool,
     incremental: bool,
     threads: usize,
 ) -> Vec<(&'static str, MultiAnalysisRun)> {
     let pdg = Pdg::build(program);
     let mut out = Vec::new();
-    let borrowed_opts = options(use_cache, absint, compact);
+    let borrowed_opts = options(use_cache, absint);
     let borrowed_cache = VerdictCache::new();
     let mut engine = factory(incremental)();
     out.push((
@@ -136,7 +134,7 @@ fn cold_runs(
             use_cache.then_some(&borrowed_cache),
         ),
     ));
-    let threaded_opts = options(use_cache, absint, compact);
+    let threaded_opts = options(use_cache, absint);
     let threaded_cache = VerdictCache::new();
     out.push((
         "threaded",
@@ -165,19 +163,19 @@ proptest! {
         let (edited_src, _edited_fn) = edit_one_function(&base_src, pick);
         let set = CheckerSet::new(fusion::checkers::default_checkers());
 
-        // (use_cache, absint, compact, incremental): the full
+        // (use_cache, absint, incremental): the full
         // default stack, everything off, and two mixed corners.
         let configs = [
-            (true, true, true, true),
-            (false, false, false, false),
-            (true, false, true, false),
-            (false, true, false, true),
+            (true, true, true),
+            (false, false, false),
+            (true, false, false),
+            (false, true, true),
         ];
-        for (use_cache, absint, compact, incremental) in configs {
+        for (use_cache, absint, incremental) in configs {
             for threads in [1usize, 2, 4, 8] {
                 let mut session = AnalysisSession::new(
                     set.clone(),
-                    options(use_cache, absint, compact),
+                    options(use_cache, absint),
                     threads,
                 );
                 session.scan(compile_src(&base_src), &factory(incremental));
@@ -185,14 +183,14 @@ proptest! {
                 let warm_keys = keys(&warm);
                 for (driver, cold) in cold_runs(
                     &compile_src(&edited_src), &set,
-                    use_cache, absint, compact, incremental, threads,
+                    use_cache, absint, incremental, threads,
                 ) {
                     prop_assert_eq!(
                         &warm_keys, &keys(&cold),
                         "warm rescan diverged from cold {} at seed {} pick {} threads {} \
-                         cache={} absint={} compact={} incremental={}",
+                         cache={} absint={} incremental={}",
                         driver, seed, pick, threads,
-                        use_cache, absint, compact, incremental
+                        use_cache, absint, incremental
                     );
                     prop_assert_eq!(warm.candidates, cold.candidates);
                 }
@@ -214,7 +212,7 @@ proptest! {
         let src = generate(&cfg).to_source();
         let set = CheckerSet::new(fusion::checkers::default_checkers());
         for threads in [1usize, 4] {
-            let mut session = AnalysisSession::new(set.clone(), options(true, true, true), threads);
+            let mut session = AnalysisSession::new(set.clone(), options(true, true), threads);
             let cold = session.scan(compile_src(&src), &factory(true));
             let warm = session.rescan(compile_src(&src), &factory(true));
             prop_assert_eq!(keys(&cold), keys(&warm), "seed {} threads {}", seed, threads);
@@ -239,7 +237,7 @@ fn edit_outside_source_components_resolves_zero_candidates() {
     assert_ne!(base, edited);
     let set = CheckerSet::new(fusion::checkers::default_checkers());
     for threads in [1usize, 2, 8] {
-        let mut session = AnalysisSession::new(set.clone(), options(true, true, true), threads);
+        let mut session = AnalysisSession::new(set.clone(), options(true, true), threads);
         let cold = session.scan(compile_src(base), &factory(true));
         assert!(cold.candidates > 0, "subject must have candidates");
         let warm = session.rescan(compile_src(&edited), &factory(true));

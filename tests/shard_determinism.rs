@@ -10,7 +10,7 @@
 //! same checkers, sources, sinks, verdicts, witness paths, and
 //! inter-procedural links, in the same order — to the unsharded
 //! pipeline, across K ∈ {1, 2, 4, 8}, thread counts 1–8 and three
-//! cache/absint/compact/incremental corners. The merge must be a *pure
+//! cache/absint/incremental corners. The merge must be a *pure
 //! replay*: zero solver queries after the shards hand in their
 //! outcomes. And on a multi-module subject whose modules share only
 //! extern declarations, every shard must peak below the unsharded scan.
@@ -72,7 +72,7 @@ fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync 
     }
 }
 
-fn options(use_cache: bool, absint: bool, compact: bool) -> AnalysisOptions {
+fn options(use_cache: bool, absint: bool) -> AnalysisOptions {
     let mut o = if use_cache {
         AnalysisOptions::new()
     } else {
@@ -80,7 +80,6 @@ fn options(use_cache: bool, absint: bool, compact: bool) -> AnalysisOptions {
     };
     o = o.with_slice_cache(Arc::new(SliceCache::new()));
     o.absint = absint;
-    o.compact = compact;
     o
 }
 
@@ -157,16 +156,16 @@ proptest! {
         let set = CheckerSet::new(fusion::checkers::default_checkers());
         let non_extern = program.functions.iter().filter(|f| !f.is_extern).count() as u64;
 
-        // (use_cache, absint, compact, incremental): the full
+        // (use_cache, absint, incremental): the full
         // default stack, everything off, and a mixed corner.
         let configs = [
-            (true, true, true, true),
-            (false, false, false, false),
-            (true, false, true, false),
+            (true, true, true),
+            (false, false, false),
+            (true, false, false),
         ];
-        for (use_cache, absint, compact, incremental) in configs {
+        for (use_cache, absint, incremental) in configs {
             for threads in [1usize, 2, 4, 8] {
-                let base_opts = options(use_cache, absint, compact);
+                let base_opts = options(use_cache, absint);
                 let base_cache = VerdictCache::new();
                 let base = analyze_multi_streaming_with_cache(
                     &program, &pdg, &set, &factory(incremental), threads,
@@ -174,7 +173,7 @@ proptest! {
                 );
                 let base_keys = keys(&base);
                 for k in [1usize, 2, 4, 8] {
-                    let opts = options(use_cache, absint, compact);
+                    let opts = options(use_cache, absint);
                     let cache = VerdictCache::new();
                     let got = sharded(
                         &program, &set, &factory(incremental), threads,
@@ -183,9 +182,9 @@ proptest! {
                     prop_assert_eq!(
                         &base_keys, &keys(&got.run),
                         "sharded diverged at seed {} modules {} k {} threads {} \
-                         cache={} absint={} compact={} incremental={}",
+                         cache={} absint={} incremental={}",
                         seed, modules, k, threads,
-                        use_cache, absint, compact, incremental
+                        use_cache, absint, incremental
                     );
                     prop_assert_eq!(
                         got.run.queries, 0,
@@ -235,7 +234,7 @@ fn four_shards_of_eight_modules_each_peak_below_the_unsharded_scan() {
         &set,
         &make,
         1,
-        &options(true, true, true),
+        &options(true, true),
         Some(&base_cache),
     );
     let cache = VerdictCache::new();
@@ -244,7 +243,7 @@ fn four_shards_of_eight_modules_each_peak_below_the_unsharded_scan() {
         &set,
         &make,
         1,
-        &options(true, true, true),
+        &options(true, true),
         Some(&cache),
         4,
     );
