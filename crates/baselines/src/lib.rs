@@ -16,6 +16,7 @@
 //! the same [`fusion::engine::AnalysisRun`] shape), so the benchmark
 //! harnesses compare like with like.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ar;

@@ -10,6 +10,7 @@
 //! `0.002`, i.e. wine ≈ 8 K statements). Reproduced numbers are printed
 //! beside the paper's so shape comparisons are direct.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use fusion::checkers::Checker;

@@ -49,6 +49,7 @@
 //! are byte-identical to running each checker alone; `--stats` and
 //! `--json` report them per checker.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -233,13 +233,6 @@ pub struct FusionMetrics {
     /// cold engine equals everything: local conditions, instances,
     /// preprocessing rewrites).
     pub terms_built: u64,
-    /// Permanent CNF clauses held by the incremental session (0 in cold
-    /// mode — cold clauses die with each query's solver).
-    pub session_clauses: u64,
-    /// SAT conflicts accumulated by the incremental session.
-    pub session_conflicts: u64,
-    /// Learnt clauses currently retained by the session.
-    pub session_learnts: u64,
 }
 
 /// Algorithm 6: the optimized, fused solver.
@@ -285,8 +278,11 @@ pub struct FusionSolver {
     local_cache_bytes: u64,
     /// Monotone counter backing the LRU order of `local_cache`.
     tick: u64,
-    /// The incremental solving session of the current epoch (lazy).
-    session: Option<SolveSession>,
+    /// The incremental solving session, reset at every group boundary and
+    /// reused, buffers and all, by the next group.
+    session: SolveSession,
+    /// Whether a query reached `session` since its last reset.
+    session_open: bool,
     /// Instantiated-residue memo: `(context, function, local formula) →
     /// instance formula`. Avoids re-running the substitution (and minting
     /// fresh `inst` variables) for instantiations repeated across queries
@@ -335,7 +331,8 @@ impl FusionSolver {
             local_cache: HashMap::new(),
             local_cache_bytes: 0,
             tick: 0,
-            session: None,
+            session: SolveSession::new(),
+            session_open: false,
             inst_cache: HashMap::new(),
             terms_built: 0,
             slice_cache: None,
@@ -350,23 +347,21 @@ impl FusionSolver {
     pub fn metrics(&self) -> FusionMetrics {
         FusionMetrics {
             terms_built: self.terms_built,
-            session_clauses: self
-                .session
-                .as_ref()
-                .map(|s| s.permanent_clauses() as u64)
-                .unwrap_or(0),
-            session_conflicts: self.session.as_ref().map(|s| s.conflicts()).unwrap_or(0),
-            session_learnts: self
-                .session
-                .as_ref()
-                .map(|s| s.learnt_clauses() as u64)
-                .unwrap_or(0),
+        }
+    }
+
+    /// Resets the session if a query reached it since its last reset; an
+    /// untouched session is already in its fresh state.
+    fn close_session(&mut self) {
+        if self.session_open {
+            self.session.reset();
+            self.session_open = false;
         }
     }
 
     /// Drops everything keyed by `TermId`: the pool, the local-condition
-    /// and instantiation caches, and the session. Called when the program
-    /// changes and when a group boundary finds the pool past
+    /// and instantiation caches, and the session's encodings. Called when
+    /// the program changes and when a group boundary finds the pool past
     /// [`FusionSolver::epoch_pool_limit`].
     fn reset_epoch(&mut self) {
         self.pool = TermPool::new();
@@ -374,12 +369,14 @@ impl FusionSolver {
         self.memory.release(Category::Cache, self.local_cache_bytes);
         self.local_cache_bytes = 0;
         self.inst_cache.clear();
-        self.session = None;
+        self.close_session();
         self.origins = VarOrigins::new();
         self.memory.set(Category::SolverState, 0);
     }
 
-    fn summaries_for(&mut self, program: &Program) -> &[RetSummary] {
+    /// Computes the quick-path summaries when `program` is not the one they
+    /// were computed for, resetting the epoch with them.
+    fn refresh_summaries(&mut self, program: &Program) {
         let key = (program.functions.len(), program.size());
         let stale = match &self.summaries {
             Some((n, s, _)) => (*n, *s) != key,
@@ -396,7 +393,6 @@ impl FusionSolver {
             self.summaries = Some((key.0, key.1, sums));
             self.reset_epoch();
         }
-        &self.summaries.as_ref().expect("just set").2
     }
 
     /// Builds (and preprocesses, once per distinct (function, slice) pair)
@@ -626,18 +622,19 @@ impl FeasibilityEngine for FusionSolver {
     }
 
     fn begin_group(&mut self, _group: u64) {
-        // A fresh session per slice group: queries within a group share
+        // A reset session per slice group: queries within a group share
         // almost all of their encoding, so the session amortizes heavily
         // there; *across* groups the overlap is small, and keeping one
-        // session alive would make every query re-search the accumulated
-        // universe (CDCL must extend its assignment over every variable
-        // ever blasted). Dropping the session — but keeping the pool and
-        // the term-level caches — bounds the SAT universe to one group's
-        // cone. Group boundaries are also the only place the whole epoch
-        // may reset: no `TermId` from a previous group is live in the
-        // caller, so once the pool outgrows its budget the pool, caches
-        // and session drop together.
-        self.session = None;
+        // session's clauses would make every query re-search the
+        // accumulated universe (CDCL must extend its assignment over every
+        // variable ever blasted). Resetting the session — its clauses,
+        // encodings and statistics, not its buffers — while keeping the
+        // pool and the term-level caches bounds the SAT universe to one
+        // group's cone. Group boundaries are also the only place the whole
+        // epoch may reset: no `TermId` from a previous group is live in
+        // the caller, so once the pool outgrows its budget the pool and
+        // caches drop together.
+        self.close_session();
         self.cand = None;
         if self.pool.len() > self.epoch_pool_limit {
             self.reset_epoch();
@@ -678,7 +675,7 @@ impl FeasibilityEngine for FusionSolver {
     ) -> CheckOutcome {
         let start = Instant::now();
         let deadline = self.per_call.deadline_from(start);
-        let summaries: Vec<RetSummary> = self.summaries_for(program).to_vec();
+        self.refresh_summaries(program);
         // Phase 2 dependence closure — memoized and shared (candidate ctx,
         // slice cache); Phase 1 constraints — cheap, recomputed from the
         // concrete queried path, never shared (§3.2.2).
@@ -696,6 +693,7 @@ impl FeasibilityEngine for FusionSolver {
         }
         let pool_before = self.pool.len();
         let incremental = self.incremental;
+        let summaries = &self.summaries.as_ref().expect("refreshed above").2;
         let pool = &mut self.pool;
         let inst_cache = &mut self.inst_cache;
         let origins = &mut self.origins;
@@ -911,13 +909,14 @@ impl FeasibilityEngine for FusionSolver {
             // and CNF variables are resident *across* queries (set-based
             // accounting); the assembled condition is a transient spike on
             // top of them during the query.
-            if self.session.is_none() {
-                // A fresh session opens here (first real query after a
-                // group boundary) — the counter the multi-client bench
-                // uses to show cross-checker groups share sessions.
+            if !self.session_open {
+                // The session opens here (first real query after a group
+                // boundary) — the counter the multi-client bench uses to
+                // show cross-checker groups share sessions.
                 self.stages.sessions_opened += 1;
+                self.session_open = true;
             }
-            let session = self.session.get_or_insert_with(SolveSession::new);
+            let session = &mut self.session;
             let out = session.solve_formula(&mut self.pool, formula, &cfg);
             let resident = session.permanent_clauses() as u64 * 16 + session.cnf_vars() as u64 * 8;
             self.memory

@@ -68,6 +68,7 @@
 //! # Ok::<(), fusion_ir::CompileError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod absint;

@@ -14,6 +14,7 @@
 //! `--bench` / `--test` harness flags enough for `cargo bench` and
 //! `cargo test --benches` to run them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

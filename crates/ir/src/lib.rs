@@ -32,6 +32,7 @@
 //! # Ok::<(), fusion_ir::CompileError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

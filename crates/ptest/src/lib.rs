@@ -17,6 +17,7 @@
 //!   hash of the test name, so runs are stable across machines. Set
 //!   `FUSION_PTEST_SEED` to perturb the whole suite.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Debug;

@@ -11,6 +11,7 @@
 //! trivially reproducible. It is **not** cryptographically secure and is
 //! not bit-compatible with upstream `rand`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use core::ops::Range;

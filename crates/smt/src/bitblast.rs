@@ -75,7 +75,7 @@ impl BlastMap {
 /// related formulas so shared subterms (memoized by [`TermId`]) are Tseitin-
 /// translated exactly once. The memo is keyed by `TermId`, so it is only
 /// valid as long as the companion [`TermPool`] is append-only — resetting the
-/// pool requires dropping the blaster too.
+/// pool requires clearing the blaster too ([`SessionBlaster::clear`]).
 #[derive(Debug)]
 pub struct SessionBlaster {
     cnf: Cnf,
@@ -93,16 +93,34 @@ impl Default for SessionBlaster {
 impl SessionBlaster {
     /// Creates an empty blaster with its constant-true literal allocated.
     pub fn new() -> Self {
-        let mut cnf = Cnf::new();
-        let t = cnf.fresh();
-        let true_lit = Lit::pos(t);
-        cnf.add_unit(true_lit);
-        SessionBlaster {
-            cnf,
+        let mut b = SessionBlaster {
+            cnf: Cnf::new(),
             memo: HashMap::new(),
             map: BlastMap::default(),
+            true_lit: Lit(0),
+        };
+        b.clear();
+        b
+    }
+
+    /// Returns the blaster to the state of [`SessionBlaster::new`]: no
+    /// memoized term, no mapped variable, and a CNF holding only the
+    /// constant-true unit. The CNF buffers and the tables keep their
+    /// capacity.
+    pub fn clear(&mut self) {
+        let SessionBlaster {
+            cnf,
+            memo,
+            map,
             true_lit,
-        }
+        } = self;
+        cnf.clear_clauses();
+        cnf.num_vars = 0;
+        *true_lit = Lit::pos(cnf.fresh());
+        cnf.add_unit(*true_lit);
+        memo.clear();
+        map.bool_vars.clear();
+        map.bv_vars.clear();
     }
 
     /// Blasts a boolean `formula` and returns its root literal *without*
@@ -147,10 +165,7 @@ impl SessionBlaster {
     /// this call the blaster holds no pending clauses (the solver owns the
     /// only copy; the blaster keeps its buffers' capacity).
     pub fn drain_into(&mut self, solver: &mut SatSolver) -> usize {
-        solver.ensure_vars(self.cnf.num_vars as usize);
-        for clause in self.cnf.iter() {
-            solver.add_clause_incremental(clause);
-        }
+        solver.load(&self.cnf);
         let n = self.cnf.num_clauses();
         self.cnf.clear_clauses();
         n

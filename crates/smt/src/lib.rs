@@ -32,6 +32,7 @@
 //! assert!(stats.preprocess_decided); // both sides unconstrained
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitblast;

@@ -22,6 +22,10 @@
 //!   watches and reasons.
 //! * **8-byte watches.** A watch holds the clause's offset, tagged when the
 //!   clause has two literals, and a blocker literal.
+//! * **One watch buffer.** Every literal's watch list is a power-of-two
+//!   block of one `Vec<Watch>`. A full list moves to a block twice its size
+//!   by an in-order copy; freed blocks are kept on one free list per size.
+//!   The lists keep exactly the order per-literal `Vec`s would give them.
 //! * **Binary clauses propagate from the watch.** A two-literal clause's
 //!   blocker is its other literal, so it implies or conflicts without a visit
 //!   to the arena.
@@ -29,6 +33,10 @@
 //!   literal's value is a single load.
 //! * **No allocation in conflict analysis.** Clauses are read in place into
 //!   one reused learnt buffer.
+//! * **Cleared, not rebuilt.** [`SatSolver::clear`] returns a solver to the
+//!   state of [`SatSolver::empty`] and keeps every buffer, so a solver
+//!   reused for a sequence of formulas stops allocating once its buffers
+//!   have grown to the largest of them.
 //!
 //! `tests/sat_trajectory.rs` pins the search: a kernel change keeps every
 //! [`SatStats`] figure there identical, while a search change (branching,
@@ -88,7 +96,7 @@ const NO_REASON: u32 = u32::MAX;
 /// Decisions of one call between two polls of its deadline.
 const DEADLINE_POLL_DECISIONS: u64 = 1024;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Watch {
     /// Arena offset of the clause, `| BINARY` for a two-literal clause.
     cref: u32,
@@ -98,6 +106,192 @@ struct Watch {
 }
 
 const _: () = assert!(std::mem::size_of::<Watch>() == 8);
+
+/// The end of a free list.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Slots of a list's first block: four, as a `Vec` of watches first
+/// allocates.
+const FIRST_BLOCK: u32 = 4;
+
+/// Slots a watch buffer reserves when it first grows without a reservation,
+/// as a session's solver does (`SatSolver::new` reserves for its CNF
+/// instead): 4 MiB of address space, of which only the slots in use are
+/// touched, and more than a hot-sinks session uses (at most 348,828). Grown
+/// from four slots by doubling, the buffer would leave the pages of each
+/// outgrown copy resident in the allocator.
+const INITIAL_SLOTS: usize = 1 << 19;
+
+/// One literal's watch list: `len` watches at the front of a block of
+/// `cap` slots (a power of two, or 0 before the first push) at `start` in
+/// [`WatchStore::buf`].
+#[derive(Debug, Clone, Copy, Default)]
+struct WatchList {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every literal's watch list in one buffer.
+///
+/// A list behaves exactly like a `Vec<Watch>`: pushes append, a removal
+/// moves the last watch into the hole, and retaining keeps the survivors
+/// in order. Only where its watches live differs. A full list moves to a
+/// free block of twice its size, or to a new one at the end of the buffer
+/// (or, when its block already ends the buffer, the block grows in place),
+/// and its old block goes on the free list of its size. Clearing empties
+/// the buffer and keeps its capacity.
+#[derive(Debug)]
+struct WatchStore {
+    /// The blocks, back to back. A free block names the next free block of
+    /// its size in its first slot's `cref`.
+    buf: Vec<Watch>,
+    /// Indexed by `Lit::code()`.
+    lists: Vec<WatchList>,
+    /// Indexed by `log2` of a block size: the first free block of that
+    /// size, or `NO_BLOCK`.
+    free: [u32; 32],
+}
+
+impl WatchStore {
+    fn new() -> WatchStore {
+        WatchStore {
+            buf: Vec::new(),
+            lists: Vec::new(),
+            free: [NO_BLOCK; 32],
+        }
+    }
+
+    /// Removes every list and every block, keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.lists.clear();
+        self.free = [NO_BLOCK; 32];
+    }
+
+    /// Adds empty lists up to `lits` literals, at least as many as it has.
+    fn grow_to(&mut self, lits: usize) {
+        self.lists.resize(lits, WatchList::default());
+    }
+
+    /// Where `lit`'s watches are in `buf`: `start..end`.
+    fn span(&self, lit: usize) -> (usize, usize) {
+        let list = self.lists[lit];
+        (list.start as usize, (list.start + list.len) as usize)
+    }
+
+    /// Shortens `lit`'s list to end at `end` in `buf`.
+    fn set_end(&mut self, lit: usize, end: usize) {
+        let list = &mut self.lists[lit];
+        debug_assert!(end <= (list.start + list.len) as usize);
+        list.len = (end - list.start as usize) as u32;
+    }
+
+    /// Appends `w` to `lit`'s list. Only this list can move.
+    fn push(&mut self, lit: usize, w: Watch) {
+        if self.lists[lit].len == self.lists[lit].cap {
+            self.grow_list(lit);
+        }
+        let list = &mut self.lists[lit];
+        self.buf[(list.start + list.len) as usize] = w;
+        list.len += 1;
+    }
+
+    /// `Vec::retain_mut` on `lit`'s list, in place: the kept watches close
+    /// up in order, and the block stays where it is.
+    fn retain(&mut self, lit: usize, mut keep: impl FnMut(&mut Watch) -> bool) {
+        let (start, end) = self.span(lit);
+        let mut write = start;
+        for read in start..end {
+            let mut w = self.buf[read];
+            if keep(&mut w) {
+                self.buf[write] = w;
+                write += 1;
+            }
+        }
+        self.set_end(lit, write);
+    }
+
+    /// Gives a full list a block twice its size (the first block for a list
+    /// without one), copying its watches in order.
+    fn grow_list(&mut self, lit: usize) {
+        let old = self.lists[lit];
+        if old.cap == 0 {
+            let start = self.take_block(FIRST_BLOCK);
+            self.lists[lit] = WatchList {
+                start,
+                len: 0,
+                cap: FIRST_BLOCK,
+            };
+            return;
+        }
+        let cap = 2 * old.cap;
+        if (old.start + old.cap) as usize == self.buf.len() {
+            // The block ends the buffer: it grows where it is.
+            self.extend_buf(old.cap);
+            self.lists[lit].cap = cap;
+            return;
+        }
+        let start = self.take_block(cap);
+        let from = old.start as usize;
+        self.buf
+            .copy_within(from..from + old.len as usize, start as usize);
+        let class = old.cap.trailing_zeros() as usize;
+        self.buf[from].cref = self.free[class];
+        self.free[class] = old.start;
+        self.lists[lit] = WatchList {
+            start,
+            len: old.len,
+            cap,
+        };
+    }
+
+    /// A free block of `cap` slots, or a new one at the end of the buffer.
+    fn take_block(&mut self, cap: u32) -> u32 {
+        let class = cap.trailing_zeros() as usize;
+        let head = self.free[class];
+        if head != NO_BLOCK {
+            self.free[class] = self.buf[head as usize].cref;
+            return head;
+        }
+        let start = self.buf.len() as u32;
+        self.extend_buf(cap);
+        start
+    }
+
+    fn extend_buf(&mut self, slots: u32) {
+        if self.buf.capacity() == 0 {
+            self.buf.reserve_exact(INITIAL_SLOTS);
+        }
+        let len = self.buf.len() + slots as usize;
+        // Block offsets must stay clear of `NO_BLOCK`.
+        assert!(len < NO_BLOCK as usize, "watch buffer exceeds 2^32 slots");
+        self.buf.resize(
+            len,
+            Watch {
+                cref: 0,
+                blocker: Lit(0),
+            },
+        );
+    }
+
+    /// `lit`'s watches, in order.
+    #[cfg(test)]
+    fn list(&self, lit: usize) -> &[Watch] {
+        let (start, end) = self.span(lit);
+        &self.buf[start..end]
+    }
+
+    /// `Vec::swap_remove`: the last watch of the list replaces watch `i`,
+    /// as `SatSolver::propagate` does it.
+    #[cfg(test)]
+    fn swap_remove(&mut self, lit: usize, i: usize) {
+        let (start, mut end) = self.span(lit);
+        end -= 1;
+        self.buf[start + i] = self.buf[end];
+        self.set_end(lit, end);
+    }
+}
 
 /// A clause that propagation found all false.
 #[derive(Debug, Clone, Copy)]
@@ -127,7 +321,7 @@ pub struct SatSolver {
     num_learnt: usize,
     /// Indexed by `Lit::code()`: the watches visited when that literal
     /// becomes true, i.e. of clauses watching its negation.
-    watches: Vec<Vec<Watch>>,
+    watches: WatchStore,
     /// Indexed by `Lit::code()`: `TRUE`, `FALSE` or `UNDEF`.
     values: Vec<u8>,
     level: Vec<u32>,
@@ -155,38 +349,13 @@ impl SatSolver {
     /// Builds a solver over the given CNF.
     pub fn new(cnf: &Cnf) -> SatSolver {
         let n = cnf.num_vars as usize;
-        let mut s = SatSolver {
-            arena: Vec::with_capacity(cnf.num_lits() + HEADER * cnf.num_clauses()),
-            num_clauses: 0,
-            num_learnt: 0,
-            watches: vec![Vec::new(); 2 * n],
-            values: vec![UNDEF; 2 * n],
-            level: vec![0; n],
-            reason: vec![NO_REASON; n],
-            trail: Vec::with_capacity(n),
-            trail_lim: Vec::new(),
-            qhead: 0,
-            activity: vec![0.0; n],
-            var_inc: 1.0,
-            cla_inc: 1.0,
-            heap: Vec::with_capacity(n),
-            heap_index: vec![usize::MAX; n],
-            phase: vec![false; n],
-            seen: vec![false; n],
-            ok: true,
-            add_buf: Vec::new(),
-            learnt: Vec::new(),
-            stats: SatStats::default(),
-        };
-        for v in 0..cnf.num_vars {
-            s.heap_insert(BVar(v));
-        }
-        for c in cnf.iter() {
-            s.add_clause(c);
-            if !s.ok {
-                break;
-            }
-        }
+        let mut s = SatSolver::empty();
+        s.arena
+            .reserve_exact(cnf.num_lits() + HEADER * cnf.num_clauses());
+        s.watches.buf.reserve(2 * cnf.num_clauses());
+        s.trail.reserve_exact(n);
+        s.heap.reserve_exact(n);
+        s.load(cnf);
         s
     }
 
@@ -195,7 +364,94 @@ impl SatSolver {
     /// [`SatSolver::add_clause_incremental`], query it with
     /// [`SatSolver::solve_under_assumptions`].
     pub fn empty() -> SatSolver {
-        SatSolver::new(&Cnf::new())
+        SatSolver {
+            arena: Vec::new(),
+            num_clauses: 0,
+            num_learnt: 0,
+            watches: WatchStore::new(),
+            values: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
+            var_inc: 1.0,
+            cla_inc: 1.0,
+            heap: Vec::new(),
+            heap_index: Vec::new(),
+            phase: Vec::new(),
+            seen: Vec::new(),
+            ok: true,
+            add_buf: Vec::new(),
+            learnt: Vec::new(),
+            stats: SatStats::default(),
+        }
+    }
+
+    /// Returns the solver to the state of [`SatSolver::empty`] (no
+    /// variables, no clauses, no statistics) and keeps every buffer's
+    /// capacity, so loading a formula no larger than one it held before
+    /// allocates nothing.
+    pub fn clear(&mut self) {
+        // Naming every field makes a new one a compile error here until it
+        // is cleared too.
+        let SatSolver {
+            arena,
+            num_clauses,
+            num_learnt,
+            watches,
+            values,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            activity,
+            var_inc,
+            cla_inc,
+            heap,
+            heap_index,
+            phase,
+            seen,
+            ok,
+            add_buf,
+            learnt,
+            stats,
+        } = self;
+        arena.clear();
+        *num_clauses = 0;
+        *num_learnt = 0;
+        watches.clear();
+        values.clear();
+        level.clear();
+        reason.clear();
+        trail.clear();
+        trail_lim.clear();
+        *qhead = 0;
+        activity.clear();
+        *var_inc = 1.0;
+        *cla_inc = 1.0;
+        heap.clear();
+        heap_index.clear();
+        phase.clear();
+        seen.clear();
+        *ok = true;
+        add_buf.clear();
+        learnt.clear();
+        *stats = SatStats::default();
+    }
+
+    /// Adds `cnf`'s variables and clauses, as [`SatSolver::new`] does. On a
+    /// cleared solver this rebuilds `SatSolver::new(cnf)` exactly.
+    pub fn load(&mut self, cnf: &Cnf) {
+        self.ensure_vars(cnf.num_vars as usize);
+        for c in cnf.iter() {
+            self.add_clause_incremental(c);
+            if !self.ok {
+                break;
+            }
+        }
     }
 
     /// Grows the variable universe to at least `n` variables. New variables
@@ -205,7 +461,7 @@ impl SatSolver {
         if old >= n {
             return;
         }
-        self.watches.resize_with(2 * n, Vec::new);
+        self.watches.grow_to(2 * n);
         self.values.resize(2 * n, UNDEF);
         self.level.resize(n, 0);
         self.reason.resize(n, NO_REASON);
@@ -306,7 +562,7 @@ impl SatSolver {
     }
 
     fn watch(&mut self, l: Lit, blocker: Lit, cref: u32) {
-        self.watches[(!l).code()].push(Watch { cref, blocker });
+        self.watches.push((!l).code(), Watch { cref, blocker });
     }
 
     fn add_clause(&mut self, clause: &[Lit]) {
@@ -372,12 +628,15 @@ impl SatSolver {
             self.stats.propagations += 1;
             let false_lit = !p;
             // Clauses only ever move to the watch lists of other literals,
-            // so this one can be taken out while it is walked.
-            let mut ws = std::mem::take(&mut self.watches[p.code()]);
+            // so this list neither grows nor moves while it is walked: its
+            // slots are read and written in place, and its new end is
+            // written back.
+            let ws = p.code();
+            let (start, mut end) = self.watches.span(ws);
             let mut conflict = None;
-            let mut i = 0;
-            'watches: while i < ws.len() {
-                let Watch { cref, blocker } = ws[i];
+            let mut i = start;
+            'watches: while i < end {
+                let Watch { cref, blocker } = self.watches.buf[i];
                 let blocker_value = self.value(blocker);
                 if blocker_value == TRUE {
                     i += 1;
@@ -406,7 +665,7 @@ impl SatSolver {
                 }
                 let first = Lit(self.arena[c]);
                 if first != blocker && self.value(first) == TRUE {
-                    ws[i].blocker = first;
+                    self.watches.buf[i].blocker = first;
                     i += 1;
                     continue;
                 }
@@ -415,13 +674,14 @@ impl SatSolver {
                     let lk = Lit(self.arena[k]);
                     if self.value(lk) != FALSE {
                         self.arena.swap(c + 1, k);
-                        ws.swap_remove(i);
+                        end -= 1;
+                        self.watches.buf[i] = self.watches.buf[end];
                         self.watch(lk, first, cref);
                         continue 'watches;
                     }
                 }
                 // No new watch: the clause is unit or conflicting.
-                ws[i].blocker = first;
+                self.watches.buf[i].blocker = first;
                 if self.value(first) == FALSE {
                     conflict = Some(Conflict::Long(cref));
                     break;
@@ -429,7 +689,7 @@ impl SatSolver {
                 self.assign(first, cref);
                 i += 1;
             }
-            self.watches[p.code()] = ws;
+            self.watches.set_end(ws, end);
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;
@@ -582,6 +842,15 @@ impl SatSolver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
+        if self.trail.len() == self.num_vars() {
+            // Every variable is assigned, so popping would empty the heap
+            // without a pick: empty it in one pass instead.
+            for &v in &self.heap {
+                self.heap_index[v.index()] = usize::MAX;
+            }
+            self.heap.clear();
+            return None;
+        }
         while let Some(&top) = self.heap.first() {
             if self.value(Lit::pos(top)) == UNDEF {
                 self.heap_remove_top();
@@ -646,14 +915,15 @@ impl SatSolver {
             }
             Some(cref - if i == 0 { 0 } else { gone[i - 1].1 })
         };
-        for list in &mut self.watches {
-            list.retain_mut(|w| match relocate(w.cref & !BINARY) {
-                Some(c) => {
-                    w.cref = c | (w.cref & BINARY);
-                    true
-                }
-                None => false,
-            });
+        for lit in 0..self.watches.lists.len() {
+            self.watches
+                .retain(lit, |w| match relocate(w.cref & !BINARY) {
+                    Some(c) => {
+                        w.cref = c | (w.cref & BINARY);
+                        true
+                    }
+                    None => false,
+                });
         }
         for r in &mut self.reason {
             if *r != NO_REASON {
@@ -1172,5 +1442,148 @@ mod tests {
         let want = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
         let got: Vec<u64> = (0..want.len() as u64).map(luby).collect();
         assert_eq!(got, want);
+    }
+
+    /// Pigeonhole `pigeons → holes`, each clause guarded by `¬g` (variable
+    /// 0): unsatisfiable assuming `g`, satisfiable assuming `¬g`.
+    fn guarded_pigeonhole(pigeons: u32, holes: u32) -> Cnf {
+        let mut cnf = Cnf::new();
+        let g = Lit::neg(cnf.fresh());
+        let p: Vec<Vec<BVar>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| cnf.fresh()).collect())
+            .collect();
+        for row in &p {
+            let mut clause = vec![g];
+            clause.extend(row.iter().map(|&v| Lit::pos(v)));
+            cnf.add(&clause);
+        }
+        for j in 0..holes as usize {
+            for a in 0..p.len() {
+                for b in a + 1..p.len() {
+                    cnf.add(&[g, Lit::neg(p[a][j]), Lit::neg(p[b][j])]);
+                }
+            }
+        }
+        cnf
+    }
+
+    #[test]
+    fn clear_returns_to_the_empty_solver_and_load_to_new() {
+        let cnf = guarded_pigeonhole(7, 6);
+        let g = Lit::pos(BVar(0));
+        let mut s = SatSolver::new(&cnf);
+        let first = s.solve_under_assumptions(&[g], SatBudget::default());
+        assert_eq!(first, SatOutcome::Unsat);
+        assert!(s.learnt_clauses() > 0 && s.stats.conflicts > 0);
+        assert!(matches!(
+            s.solve_under_assumptions(&[!g], SatBudget::default()),
+            SatOutcome::Sat(_)
+        ));
+        let solved = s.stats;
+        // Every field, scalars and statistics included, is back to the
+        // empty solver's.
+        s.clear();
+        assert_eq!(format!("{s:?}"), format!("{:?}", SatSolver::empty()));
+        // Loading the CNF again rebuilds `new`, watch layout included, and
+        // the search repeats step for step.
+        s.load(&cnf);
+        assert_eq!(format!("{s:?}"), format!("{:?}", SatSolver::new(&cnf)));
+        assert_eq!(s.solve_under_assumptions(&[g], SatBudget::default()), first);
+        assert!(matches!(
+            s.solve_under_assumptions(&[!g], SatBudget::default()),
+            SatOutcome::Sat(_)
+        ));
+        assert_eq!(format!("{:?}", s.stats), format!("{solved:?}"));
+    }
+
+    #[test]
+    fn full_assignment_empties_the_heap() {
+        let mut s = SatSolver::new(&guarded_pigeonhole(3, 3));
+        assert!(matches!(s.solve(SatBudget::default()), SatOutcome::Sat(_)));
+        // The answer backtracked to level 0, which put every variable back.
+        assert_eq!(s.heap.len(), s.num_vars());
+        s.trail_lim.push(s.trail.len());
+        for v in 0..s.num_vars() {
+            let l = Lit::pos(BVar(v as u32));
+            if s.value(l) == UNDEF {
+                s.assign(l, NO_REASON);
+            }
+        }
+        assert_eq!(s.pick_branch(), None);
+        assert!(s.heap.is_empty());
+        assert!(s.heap_index.iter().all(|&i| i == usize::MAX));
+    }
+
+    use proptest::prelude::*;
+
+    /// Literals of the watch-store model test.
+    const MODEL_LITS: usize = 256;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every list of the store equals, in order, a `Vec` given the same
+        /// operations: pushes (a few lists take most of them, so blocks
+        /// grow, move and are reused) and bursts of pushes, swap-removes,
+        /// in-place retains of one list or of all, and clears.
+        #[test]
+        fn watch_store_lists_match_vecs(
+            ops in prop::collection::vec(
+                (0u32..32, prop_oneof![0usize..8, 0usize..MODEL_LITS], any::<u32>()),
+                1..1500,
+            )
+        ) {
+            let mut store = WatchStore::new();
+            let mut model: Vec<Vec<Watch>> = vec![Vec::new(); MODEL_LITS];
+            store.grow_to(MODEL_LITS);
+            for (op, lit, x) in ops {
+                match op {
+                    0..=19 => {
+                        let w = Watch { cref: x, blocker: Lit(x.rotate_left(7)) };
+                        store.push(lit, w);
+                        model[lit].push(w);
+                    }
+                    20..=25 => {
+                        if !model[lit].is_empty() {
+                            let i = x as usize % model[lit].len();
+                            store.swap_remove(lit, i);
+                            model[lit].swap_remove(i);
+                        }
+                    }
+                    26..=28 => {
+                        let keep = |w: &mut Watch| {
+                            w.cref = w.cref.wrapping_add(1);
+                            !(w.cref ^ x).is_multiple_of(3)
+                        };
+                        store.retain(lit, keep);
+                        model[lit].retain_mut(keep);
+                    }
+                    29..=30 => {
+                        for (l, list) in model.iter_mut().enumerate() {
+                            let keep = |w: &mut Watch| !(w.cref ^ x).is_multiple_of(4);
+                            store.retain(l, keep);
+                            list.retain_mut(keep);
+                        }
+                    }
+                    _ if x.is_multiple_of(16) => {
+                        store.clear();
+                        store.grow_to(MODEL_LITS);
+                        model.iter_mut().for_each(Vec::clear);
+                    }
+                    _ => {
+                        // A burst: the list's block often ends the buffer
+                        // and grows in place.
+                        for k in 0..x % 16 {
+                            let w = Watch { cref: x ^ k, blocker: Lit(k) };
+                            store.push(lit, w);
+                            model[lit].push(w);
+                        }
+                    }
+                }
+                for (l, list) in model.iter().enumerate() {
+                    prop_assert_eq!(store.list(l), &list[..], "list {}", l);
+                }
+            }
+        }
     }
 }

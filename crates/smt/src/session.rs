@@ -25,6 +25,16 @@
 //! Note what is *not* cached: path conditions. The session caches encodings
 //! of formulas it is explicitly asked to solve, which is exactly the
 //! paper's §3.2.2 discipline — see DESIGN.md, "Incremental sessions".
+//!
+//! A session is reset, not rebuilt, between sequences.
+//! [`SolveSession::reset`] returns it to the state of [`SolveSession::new`]
+//! — no clauses, no encodings, zero statistics — and keeps every buffer:
+//! the solver's clause arena, watch buffer, per-variable arrays, heap and
+//! trail, and the blaster's CNF buffers and memo tables. A reset session
+//! answers each query exactly as a new one would (`tests/session_reset.rs`
+//! and `tests/sat_trajectory.rs` check this), and a caller that reuses one
+//! session for many sequences stops allocating in the SAT solver once its
+//! buffers fit the largest sequence.
 
 use crate::bitblast::SessionBlaster;
 use crate::preprocess::preprocess;
@@ -49,7 +59,7 @@ pub struct SessionStats {
 ///
 /// The session's memo tables are keyed by [`TermId`], so a session is tied
 /// to one append-only [`TermPool`] epoch: callers that reset or swap their
-/// pool must drop the session and start a new one.
+/// pool must [`reset`](SolveSession::reset) the session first.
 #[derive(Debug)]
 pub struct SolveSession {
     solver: SatSolver,
@@ -72,6 +82,24 @@ impl SolveSession {
             blaster: SessionBlaster::new(),
             stats: SessionStats::default(),
         }
+    }
+
+    /// Returns the session to the state of [`SolveSession::new`] — no
+    /// clauses, no memoized encodings, zero statistics — and keeps every
+    /// buffer: the solver's clause arena, watch buffer, per-variable
+    /// arrays, heap and trail, and the blaster's CNF buffers and tables. A
+    /// reset session answers every query exactly as a new one would, and
+    /// its SAT solver stops allocating once its buffers fit the largest
+    /// sequence it served.
+    pub fn reset(&mut self) {
+        let SolveSession {
+            solver,
+            blaster,
+            stats,
+        } = self;
+        solver.clear();
+        blaster.clear();
+        *stats = SessionStats::default();
     }
 
     /// Number of permanent (definitional) clauses in the session solver.

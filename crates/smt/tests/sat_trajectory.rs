@@ -22,6 +22,8 @@
 //!   feasible);
 //! * the same nine queries through one incremental `SolveSession`, and
 //!   each solved cold through `smt_solve`;
+//! * the session run again after `SolveSession::reset` (and the SAT-level
+//!   blaster and solver cleared), which must repeat the pinned rows;
 //! * pigeonhole 8 → 7, which runs long enough to reduce the learnt-clause
 //!   database.
 //!
@@ -224,23 +226,26 @@ const COLD: &[Row] = &[
     ('u', 8175, 495, 2, 1538, 0, 0),
 ];
 
-#[test]
-fn session_search_is_pinned() {
+/// Solves the corpus once through `session`, and through the same steps
+/// at the SAT level on `blaster` and `solver`; returns the SAT-level rows.
+/// The pools hold the corpus (`corpus` is deterministic, so building it
+/// again in the same pools finds the same terms).
+fn session_pass(
+    session: &mut SolveSession,
+    api_pool: &mut TermPool,
+    blaster: &mut SessionBlaster,
+    solver: &mut SatSolver,
+    pool: &mut TermPool,
+) -> Vec<Row> {
     let cfg = config();
-    let mut api_pool = TermPool::new();
-    let (api_queries, _) = corpus(&mut api_pool);
-    let mut session = SolveSession::new();
-
-    let mut pool = TermPool::new();
-    let (queries, xv) = corpus(&mut pool);
-    let mut blaster = SessionBlaster::new();
-    let mut solver = SatSolver::empty();
+    let (api_queries, _) = corpus(api_pool);
+    let (queries, xv) = corpus(pool);
     let mut got = Vec::new();
     for ((f, roots), (api_f, _)) in queries.iter().zip(&api_queries) {
-        let processed = preprocess(&mut pool, *f).term;
+        let processed = preprocess(pool, *f).term;
         assert_eq!(pool.as_bool_const(processed), None, "decided early");
-        let root = blaster.blast_root(&pool, processed);
-        let clauses = blaster.drain_into(&mut solver);
+        let root = blaster.blast_root(pool, processed);
+        let clauses = blaster.drain_into(solver);
         let before = solver.stats;
         let outcome = solver.solve_under_assumptions(&[root], SatBudget::default());
         let r = row(&outcome, clauses, delta(solver.stats, before));
@@ -249,7 +254,7 @@ fn session_search_is_pinned() {
             _ => None,
         };
         agree(
-            &session.solve_formula(&mut api_pool, *api_f, &cfg),
+            &session.solve_formula(api_pool, *api_f, &cfg),
             &r,
             xv,
             x_value,
@@ -257,7 +262,62 @@ fn session_search_is_pinned() {
         );
         got.push(r);
     }
+    got
+}
+
+#[test]
+fn session_search_is_pinned() {
+    let mut session = SolveSession::new();
+    let mut api_pool = TermPool::new();
+    let mut blaster = SessionBlaster::new();
+    let mut solver = SatSolver::empty();
+    let mut pool = TermPool::new();
+    let got = session_pass(
+        &mut session,
+        &mut api_pool,
+        &mut blaster,
+        &mut solver,
+        &mut pool,
+    );
     assert_eq!(got, SESSION);
+}
+
+/// A reset session, a cleared blaster and a cleared solver answer the
+/// corpus again exactly as new ones did: the pinned rows, and the same
+/// cumulative statistics and session counters, counted from zero again.
+#[test]
+fn reset_session_repeats_the_pinned_search() {
+    let mut session = SolveSession::new();
+    let mut api_pool = TermPool::new();
+    let mut blaster = SessionBlaster::new();
+    let mut solver = SatSolver::empty();
+    let mut pool = TermPool::new();
+    let mut totals = Vec::new();
+    for pass in 0..2 {
+        if pass > 0 {
+            session.reset();
+            blaster.clear();
+            solver.clear();
+        }
+        let got = session_pass(
+            &mut session,
+            &mut api_pool,
+            &mut blaster,
+            &mut solver,
+            &mut pool,
+        );
+        assert_eq!(got, SESSION, "pass {pass}");
+        totals.push((
+            delta(solver.stats, SatStats::default()),
+            session.conflicts(),
+            session.stats.queries,
+            session.stats.clauses_added,
+            session.permanent_clauses(),
+            session.learnt_clauses(),
+            session.cnf_vars(),
+        ));
+    }
+    assert_eq!(totals[0], totals[1], "a reset pass counts from zero");
 }
 
 #[test]

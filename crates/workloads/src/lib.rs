@@ -9,6 +9,7 @@
 //! * [`bugseed`] — ground truth and precision/recall scoring (exact #TP /
 //!   #FP denominators for Table 5).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bugseed;

@@ -1,5 +1,6 @@
 //! Umbrella crate for the Fusion reproduction: re-exports every workspace
 //! crate so examples and integration tests can use a single dependency.
+#![forbid(unsafe_code)]
 pub use fusion as core;
 pub use fusion_baselines as baselines;
 pub use fusion_ir as ir;
