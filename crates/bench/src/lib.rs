@@ -1,9 +1,10 @@
 //! # fusion-bench
 //!
 //! The evaluation harness: one binary per table/figure of the paper (run
-//! with `cargo run -p fusion-bench --release --bin <name>`), plus Criterion
-//! micro-benchmarks. This library holds the shared plumbing: subject
-//! construction, engine runners, and table formatting.
+//! with `cargo run -p fusion-bench --release --bin <name>`), plus the
+//! Criterion `ablation` bench (experiment E9). This library holds the
+//! shared plumbing: subject construction, engine runners, and table
+//! formatting.
 //!
 //! Scale is controlled by the `FUSION_SCALE` environment variable — the
 //! fraction of each subject's paper line count to generate (default
@@ -101,62 +102,6 @@ pub fn fmt_ratio(num: f64, den: f64) -> String {
         "-".into()
     } else {
         format!("{:.1}x", num / den)
-    }
-}
-
-/// Shared report plumbing for the `*_bench` binaries: every harness writes
-/// one JSON file (path from `FUSION_BENCH_OUT`, falling back to a
-/// per-binary default) and, when `FUSION_BENCH_ENFORCE=1`, applies its CI
-/// regression gates with a uniform `REGRESSION:` / `enforce: … — ok`
-/// protocol the workflow greps for.
-pub mod report {
-    /// Writes `json` to `FUSION_BENCH_OUT` (default `default_name`) and
-    /// announces the path on stdout.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the output file cannot be written — a broken CI
-    /// workspace, not an input condition.
-    pub fn write(default_name: &str, json: &str) {
-        let out = std::env::var("FUSION_BENCH_OUT").unwrap_or_else(|_| default_name.into());
-        std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-        println!("wrote {out}");
-    }
-
-    /// The CI regression gate. Disarmed (every check a no-op) unless
-    /// `FUSION_BENCH_ENFORCE=1`.
-    pub struct Gate {
-        armed: bool,
-    }
-
-    impl Gate {
-        /// Reads `FUSION_BENCH_ENFORCE` and arms the gate on `"1"`.
-        pub fn from_env() -> Self {
-            Gate {
-                armed: std::env::var("FUSION_BENCH_ENFORCE").as_deref() == Ok("1"),
-            }
-        }
-
-        /// True when the gate is armed.
-        pub fn armed(&self) -> bool {
-            self.armed
-        }
-
-        /// When armed and `ok` is false, prints `REGRESSION: <msg>` to
-        /// stderr and exits with status 1.
-        pub fn require(&self, ok: bool, msg: impl FnOnce() -> String) {
-            if self.armed && !ok {
-                eprintln!("REGRESSION: {}", msg());
-                std::process::exit(1);
-            }
-        }
-
-        /// When armed, prints the all-checks-passed line.
-        pub fn pass(&self, summary: &str) {
-            if self.armed {
-                println!("enforce: {summary} — ok");
-            }
-        }
     }
 }
 

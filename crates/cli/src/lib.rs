@@ -31,7 +31,7 @@
 //!     --dot FILE                         export the PDG in Graphviz format
 //!     --source NAME                      extra taint-source function (repeatable)
 //!     --sink NAME                        extra taint-sink function (repeatable)
-//!     --unroll N                         loop/recursion unroll factor (default 2)
+//!     --unroll N                         loop/recursion unroll factor, 1 to 256 (default 2)
 //!     --sanitizer NAME                   extra taint-killing function (repeatable)
 //!     --help, -h                         print the usage line and exit 0
 //! ```
@@ -66,6 +66,7 @@ use fusion::engine::{
 use fusion::graph_solver::{FusionSolver, UnoptimizedGraphSolver};
 use fusion::slice_cache::SliceCache;
 use fusion_baselines::{ArEngine, PinpointEngine};
+use fusion_ir::parser::MAX_NESTING;
 use fusion_ir::ssa::Program;
 use fusion_ir::{compile, CompileOptions};
 use fusion_pdg::graph::Pdg;
@@ -300,8 +301,13 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 opts.unroll = v
                     .parse()
                     .map_err(|_| CliError(format!("invalid unroll factor `{v}`")))?;
-                if opts.unroll == 0 {
-                    return Err(CliError("--unroll must be at least 1".into()));
+                // Each unrolled iteration nests one level deeper, so a
+                // factor past the source nesting bound would overflow the
+                // stack in lowering.
+                if !(1..=MAX_NESTING).contains(&opts.unroll) {
+                    return Err(CliError(format!(
+                        "--unroll must be between 1 and {MAX_NESTING}"
+                    )));
                 }
             }
             "--json" => opts.json = true,
@@ -925,6 +931,20 @@ mod tests {
     }
 
     #[test]
+    fn unroll_factor_is_bounded_by_the_nesting_limit() {
+        let max = MAX_NESTING.to_string();
+        let o = parse_args(&args(&["--unroll", &max, "a.fus"])).unwrap();
+        assert_eq!(o.unroll, MAX_NESTING);
+        for bad in ["0", "257", "14000"] {
+            let err = parse_args(&args(&["--unroll", bad, "a.fus"])).unwrap_err();
+            assert_eq!(
+                err.0, "--unroll must be between 1 and 256",
+                "--unroll {bad}"
+            );
+        }
+    }
+
+    #[test]
     fn sanitizer_flag_parses_and_applies() {
         let o = parse_args(&args(&["--sanitizer", "scrub", "a.fus"])).unwrap();
         assert_eq!(o.extra_sanitizers, vec!["scrub"]);
@@ -1487,6 +1507,36 @@ mod tests {
             unknowns(Options::default().timeout),
             (0.0, "feasible".into())
         );
+    }
+
+    #[test]
+    fn largest_timeout_scans_like_the_default_on_every_engine() {
+        // A timeout past what an `Instant` can hold is no deadline; every
+        // engine once panicked adding it to the query's start.
+        let o = parse_args(&args(&["--timeout-secs", "18446744073709551615", "a.fus"])).unwrap();
+        let src = "extern fn deref(p);\n\
+            fn f(x, y) { let q = null; let r = 1; if (x * y == 32769) { r = q; } deref(r); return 0; }";
+        let findings = |engine, timeout| {
+            let opts = Options {
+                engine,
+                checker: CheckerChoice::Null,
+                timeout,
+                ..Default::default()
+            };
+            let report = scan_source(src, &opts).unwrap();
+            let f = &report.findings;
+            (f.len(), f.first().map(|f| f.verdict.clone()))
+        };
+        for engine in [
+            EngineChoice::Fusion,
+            EngineChoice::Unopt,
+            EngineChoice::Pinpoint,
+            EngineChoice::Ar,
+        ] {
+            let want = findings(engine, Options::default().timeout);
+            assert_eq!(want, (1, Some("feasible".into())), "{engine:?}");
+            assert_eq!(findings(engine, o.timeout), want, "{engine:?}");
+        }
     }
 
     #[test]

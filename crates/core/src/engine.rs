@@ -166,8 +166,9 @@ crate::counters! {
         /// Closures served by per-candidate reuse or the shared memo.
         pub slices_reused: u64 => "slices_reused",
         /// Incremental solver sessions opened (0 for engines that solve
-        /// cold). The multi-client bench uses this to show that queries from
-        /// different checkers landing on the same sink share one session.
+        /// cold). Queries from different checkers landing on the same sink
+        /// share one session, so a fused pass opens fewer than a
+        /// per-checker loop.
         pub sessions_opened: u64 => "sessions_opened",
         /// Assembled queries the engine refuted by *seeded* known-bits
         /// preprocessing (abstract program facts attached via

@@ -22,7 +22,7 @@
 //! local conditions (linear-size graph data), instantiated residues, and —
 //! in incremental mode — a [`SolveSession`] holding the Tseitin encodings
 //! and learnt clauses of formulas already solved. Epochs are bounded: a
-//! group boundary past [`FusionSolver::epoch_pool_limit`] resets the pool,
+//! group boundary past `EPOCH_POOL_LIMIT` term nodes resets the pool,
 //! the caches and the session together (their keys are `TermId`s, which a
 //! pool reset invalidates).
 
@@ -225,23 +225,22 @@ struct CandCtx {
     closure: Option<Arc<Closure>>,
 }
 
-/// Solver-side counters for the bench harness (`solve_bench`), aggregated
-/// over every `check_paths` call issued to one [`FusionSolver`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FusionMetrics {
-    /// Term-pool nodes built across all queries (pool growth, which for a
-    /// cold engine equals everything: local conditions, instances,
-    /// preprocessing rewrites).
-    pub terms_built: u64,
-}
+/// Instance budget for the residual cloning (rarely reached); exceeding it
+/// yields [`Feasibility::Unknown`].
+const MAX_INSTANCES: usize = 1 << 16;
+/// Pool-size threshold (term nodes) above which a group boundary
+/// ([`FeasibilityEngine::begin_group`]) resets the solving epoch — pool,
+/// caches and session together. High so small runs never reset.
+const EPOCH_POOL_LIMIT: usize = 1 << 20;
+/// Entry-count bound of the local-condition cache; least recently used
+/// entries are evicted beyond it.
+const LOCAL_CACHE_CAP: usize = 1024;
 
 /// Algorithm 6: the optimized, fused solver.
 #[derive(Debug)]
 pub struct FusionSolver {
     /// Per-query SMT budget.
     pub per_call: SolverConfig,
-    /// Instance budget for the residual cloning (rarely reached).
-    pub max_instances: usize,
     /// Ablation: disable the quick-path summaries (every callee is cloned
     /// as in Algorithm 4).
     pub use_quick_paths: bool,
@@ -254,14 +253,6 @@ pub struct FusionSolver {
     /// Verdicts are identical either way; this is purely a time/space
     /// trade. The CLI exposes `--no-incremental` to turn it off.
     pub incremental: bool,
-    /// Pool-size threshold (term nodes) above which a group boundary
-    /// ([`FeasibilityEngine::begin_group`]) resets the solving epoch —
-    /// pool, caches and session together. High by default so small runs
-    /// never reset.
-    pub epoch_pool_limit: usize,
-    /// Entry-count bound of the local-condition cache; least recently
-    /// used entries are evicted beyond it.
-    pub local_cache_cap: usize,
     memory: MemoryAccountant,
     records: Vec<SolveRecord>,
     /// Quick-path summaries, computed once per program (keyed by a cheap
@@ -290,7 +281,6 @@ pub struct FusionSolver {
     /// across queries is sound: each query's constraints on them live
     /// under that query's own root assumption.
     inst_cache: HashMap<(Vec<CallSiteId>, FuncId, TermId), TermId>,
-    terms_built: u64,
     /// Shared slice-closure memo, attached by the driver
     /// ([`FeasibilityEngine::attach_slice_cache`]). Holds dependence
     /// structure only — never formulas (§3.2.2's "no caching" concerns
@@ -318,12 +308,9 @@ impl FusionSolver {
     pub fn new(per_call: SolverConfig) -> Self {
         Self {
             per_call,
-            max_instances: 1 << 16,
             use_quick_paths: true,
             use_local_preprocess: true,
             incremental: true,
-            epoch_pool_limit: 1 << 20,
-            local_cache_cap: 1024,
             memory: MemoryAccountant::new(),
             records: Vec::new(),
             summaries: None,
@@ -334,19 +321,11 @@ impl FusionSolver {
             session: SolveSession::new(),
             session_open: false,
             inst_cache: HashMap::new(),
-            terms_built: 0,
             slice_cache: None,
             cand: None,
             stages: EngineStages::default(),
             facts: None,
             origins: VarOrigins::new(),
-        }
-    }
-
-    /// Aggregate solver-side metrics (see [`FusionMetrics`]).
-    pub fn metrics(&self) -> FusionMetrics {
-        FusionMetrics {
-            terms_built: self.terms_built,
         }
     }
 
@@ -362,7 +341,7 @@ impl FusionSolver {
     /// Drops everything keyed by `TermId`: the pool, the local-condition
     /// and instantiation caches, and the session's encodings. Called when
     /// the program changes and when a group boundary finds the pool past
-    /// [`FusionSolver::epoch_pool_limit`].
+    /// `EPOCH_POOL_LIMIT`.
     fn reset_epoch(&mut self) {
         self.pool = TermPool::new();
         self.local_cache.clear();
@@ -533,7 +512,7 @@ impl FusionSolver {
         // past the capacity, then charge this entry's bytes to
         // [`Category::Cache`] exactly like the verdict cache does.
         let bytes = self.pool.dag_size(formula) as u64 * BYTES_PER_TERM_NODE;
-        while self.local_cache.len() >= self.local_cache_cap {
+        while self.local_cache.len() >= LOCAL_CACHE_CAP {
             // Ticks are unique, so the minimum is deterministic.
             let Some((&key, _)) = self.local_cache.iter().min_by_key(|(_, e)| e.tick) else {
                 break;
@@ -636,7 +615,7 @@ impl FeasibilityEngine for FusionSolver {
         // caches drop together.
         self.close_session();
         self.cand = None;
-        if self.pool.len() > self.epoch_pool_limit {
+        if self.pool.len() > EPOCH_POOL_LIMIT {
             self.reset_epoch();
         }
     }
@@ -742,7 +721,7 @@ impl FeasibilityEngine for FusionSolver {
             // stall a worker: the per-call deadline is polled every
             // iteration and the query degrades to Unknown, exactly like an
             // instance blowup.
-            if instances.len() > self.max_instances || deadline_expired(deadline) {
+            if instances.len() > MAX_INSTANCES || deadline_expired(deadline) {
                 blowup = true;
                 break;
             }
@@ -838,7 +817,6 @@ impl FeasibilityEngine for FusionSolver {
         self.stages.translate_wall += translate_start.elapsed();
         if blowup {
             let grown = (pool.len() - pool_before) as u64;
-            self.terms_built += grown;
             return CheckOutcome {
                 feasibility: Feasibility::Unknown,
                 duration: start.elapsed(),
@@ -876,7 +854,6 @@ impl FeasibilityEngine for FusionSolver {
         }
         if absint_refuted {
             self.stages.absint_refutes += 1;
-            self.terms_built += (self.pool.len() - pool_before) as u64;
             let outcome = CheckOutcome {
                 feasibility: Feasibility::Infeasible,
                 duration: start.elapsed(),
@@ -890,7 +867,6 @@ impl FeasibilityEngine for FusionSolver {
         // Budget the final query with the wall-clock remaining after
         // instantiation.
         let Some(cfg) = self.per_call.with_remaining(deadline) else {
-            self.terms_built += (self.pool.len() - pool_before) as u64;
             let outcome = CheckOutcome {
                 feasibility: Feasibility::Unknown,
                 duration: start.elapsed(),
@@ -911,8 +887,7 @@ impl FeasibilityEngine for FusionSolver {
             // top of them during the query.
             if !self.session_open {
                 // The session opens here (first real query after a group
-                // boundary) — the counter the multi-client bench uses to
-                // show cross-checker groups share sessions.
+                // boundary).
                 self.stages.sessions_opened += 1;
                 self.session_open = true;
             }
@@ -937,7 +912,6 @@ impl FeasibilityEngine for FusionSolver {
             out
         };
         self.stages.solve_wall += solve_start.elapsed();
-        self.terms_built += (self.pool.len() - pool_before) as u64;
         let feasibility = match result {
             SatResult::Sat(_) => Feasibility::Feasible,
             SatResult::Unsat => Feasibility::Infeasible,

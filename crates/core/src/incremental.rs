@@ -548,11 +548,12 @@ impl AnalysisSession {
         }
     }
 
-    /// Persists the resident state — program, facts, PDG partitions,
-    /// recorded outcomes, verdict cache, and eviction provenance — into
-    /// one snapshot container at `path` (serve-mode `save`). Slice
-    /// closures are deliberately not serialized: they are a pure memo the
-    /// next live run refills, and replay never needs them. Returns bytes
+    /// Persists the resident state — program, facts, recorded outcomes,
+    /// verdict cache, and eviction provenance — into one snapshot
+    /// container at `path` (serve-mode `save`). The PDG and slice
+    /// closures are deliberately not serialized: `load` rebuilds the
+    /// graph from the bodies, closures are a pure memo the next live run
+    /// refills, and replay needs neither. Returns bytes
     /// written. No path condition is serialized (§3.2.2: structure,
     /// facts, verdicts only).
     pub fn save(&self, path: &std::path::Path) -> Result<u64, SnapshotError> {
@@ -560,10 +561,8 @@ impl AnalysisSession {
             offset: 0,
             what: "no resident program to save".to_string(),
         })?;
-        let pdg = self.pdg.as_ref().expect("resident program implies pdg");
         let mut w = SnapshotWriter::new();
         snapshot::write_program(&mut w, program);
-        snapshot::write_pdg(&mut w, program, pdg);
         if let Some(facts) = &self.facts {
             snapshot::write_facts(&mut w, program, facts);
         }
@@ -873,6 +872,61 @@ mod tests {
             Some(&VerdictCache::new()),
         );
         assert_eq!(keys(&warm_edit), keys(&cold_edit));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_writes_no_pdg_and_loads_snapshots_that_carry_one() {
+        // Tag 5 held each function's def→uses adjacency until it was
+        // retired; `load` always rebuilt the graph from the bodies.
+        const RETIRED_PDG: u32 = 5;
+        let dir = std::env::temp_dir().join(format!("fusion-pdg-tag-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.fsnp");
+        let mut session = AnalysisSession::new(
+            CheckerSet::single(Checker::null_deref()),
+            AnalysisOptions::new(),
+            1,
+        );
+        let cold = session.scan(compile_src(BASE), &factory);
+        let program = session.program.as_ref().expect("resident program");
+        session.save(&path).expect("save");
+        let snap = snapshot::open_file(&path).expect("open");
+        assert!(snap.has(snapshot::tag::FUNC, 0));
+        for f in &program.functions {
+            assert!(!snap.has(RETIRED_PDG, f.id.0), "function {}", f.id.0);
+        }
+        // The same session as a snapshot written before the retirement:
+        // every section `save` writes, plus one adjacency section per
+        // function.
+        let pdg = session.pdg.as_ref().expect("resident pdg");
+        let mut w = SnapshotWriter::new();
+        snapshot::write_program(&mut w, program);
+        for f in &program.functions {
+            let mut words = vec![f.defs.len() as u32];
+            for def in &f.defs {
+                let uses = pdg.uses(f.id, def.var);
+                words.push(uses.len() as u32);
+                words.extend(uses.iter().flat_map(|(user, slot)| [user.0, *slot as u32]));
+            }
+            let payload = words.iter().flat_map(|x| x.to_le_bytes()).collect();
+            w.add(RETIRED_PDG, f.id.0, payload);
+        }
+        snapshot::write_facts(&mut w, program, session.facts.as_ref().expect("facts"));
+        snapshot::write_outcomes(&mut w, session.outcomes.as_ref().expect("outcomes"));
+        snapshot::write_verdicts(&mut w, &session.cache);
+        snapshot::write_provenance(&mut w, &session.prov);
+        w.write_to(&path).expect("write");
+        let mut restored = AnalysisSession::new(
+            CheckerSet::single(Checker::null_deref()),
+            AnalysisOptions::new(),
+            1,
+        );
+        restored.load(&path).expect("a retired section is ignored");
+        let warm = restored.rescan(compile_src(BASE), &factory);
+        assert_eq!(keys(&warm), keys(&cold));
+        assert_eq!(warm.queries, 0, "loaded session must replay");
+        assert_eq!(restored.last_invalidation().candidates_reanalyzed, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,7 +37,7 @@
 //!   resident [`incremental::AnalysisSession`] behind `fusion-scan
 //!   --serve`;
 //! * [`snapshot`] — the versioned, checksummed on-disk container for
-//!   PDG partitions, facts, summaries, verdicts, and outcomes (never a
+//!   program bodies, facts, summaries, verdicts, and outcomes (never a
 //!   path condition) behind serve-mode `save` and `load`;
 //! * [`partition`] and [`shard`] — the steps of a partitioned scan
 //!   (call-graph partitioning, per-shard runs, merge and replay), kept

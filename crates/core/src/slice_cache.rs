@@ -126,7 +126,7 @@ pub struct SliceCache {
 
 const DEFAULT_SHARDS: usize = 16;
 /// Default total closure capacity (across shards), matching the
-/// solver's `local_cache_cap` order of magnitude.
+/// capacity of the Fusion solver's local-condition cache.
 pub const DEFAULT_CAPACITY: usize = 1024;
 
 impl Default for SliceCache {

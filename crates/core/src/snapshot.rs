@@ -12,7 +12,7 @@
 //!
 //! Sections come in whole-program flavors (recorded work-item outcomes,
 //! verdict-cache entries, provenance spans) and **per-function** flavors
-//! (IR body, abstract facts, PDG partition), so a reader can materialize
+//! (IR body, abstract facts), so a reader can materialize
 //! exactly the functions it needs: a shard ([`crate::shard::run_shard`])
 //! loads only its closure's `FUNC`/`FACTS` sections and never decodes
 //! the rest of the program. Reads are lazy —
@@ -20,7 +20,7 @@
 //! and decodes nothing else.
 //!
 //! §3.2.2 discipline: the format carries dependence *structure* (SSA
-//! bodies, adjacency, call edges), unconditional *facts* (absint
+//! bodies, call edges), unconditional *facts* (absint
 //! values, return summaries), and three-valued *verdicts* — never a
 //! path condition. There is deliberately no section a formula could
 //! round-trip through.
@@ -36,7 +36,7 @@ use crate::incremental::Provenance;
 use crate::quickpath::RetSummary;
 use fusion_ir::interner::Interner;
 use fusion_ir::ssa::{CallSite, CallSiteId, Def, DefKind, FuncId, Function, Op, Program, VarId};
-use fusion_pdg::graph::{Pdg, Vertex};
+use fusion_pdg::graph::Vertex;
 use fusion_pdg::paths::{DependencePath, Link};
 use std::fmt;
 use std::fs::File;
@@ -64,9 +64,8 @@ pub mod tag {
     pub const FUNC: u32 = 3;
     /// One function's abstract facts + return fact (per-function index).
     pub const FACTS: u32 = 4;
-    /// One function's PDG partition: the def→uses adjacency
-    /// (per-function index).
-    pub const PDG: u32 = 5;
+    // 5 held one function's PDG partition, which `load` never read: it
+    // rebuilds the graph from the bodies. Retired, never reused.
     /// Recorded `(checker, source)` work-item outcomes.
     pub const OUTCOMES: u32 = 6;
     /// Verdict-cache entries (`Key128 → Feasibility`).
@@ -76,7 +75,7 @@ pub mod tag {
     pub const PROV_VERDICTS: u32 = 9;
     // 10 held the isomorphic-verdict memo's provenance; retired, never
     // reused. Readers look sections up by tag, so a snapshot that still
-    // carries 2, 8 or 10 loads as if they were absent.
+    // carries 2, 5, 8 or 10 loads as if they were absent.
 }
 
 /// A position-annotated snapshot decode/IO error. Never produced by a
@@ -996,52 +995,6 @@ pub fn read_facts(snap: &Snapshot, program: &Program) -> Result<ProgramFacts, Sn
 }
 
 // ---------------------------------------------------------------------------
-// PDG partition sections
-// ---------------------------------------------------------------------------
-
-/// Adds one [`tag::PDG`] section per function: the def→uses adjacency
-/// partition. A reader can verify or reconstruct a shard's dependence
-/// structure without re-deriving it from the bodies.
-pub fn write_pdg(w: &mut SnapshotWriter, program: &Program, pdg: &Pdg) {
-    for f in &program.functions {
-        let mut e = Enc::new();
-        e.u32(f.defs.len() as u32);
-        for def in &f.defs {
-            let uses = pdg.uses(f.id, def.var);
-            e.u32(uses.len() as u32);
-            for (user, slot) in uses {
-                e.u32(user.0);
-                e.u32(*slot as u32);
-            }
-        }
-        w.add(tag::PDG, f.id.0, e.buf);
-    }
-}
-
-/// Decodes one function's PDG partition (`uses[v] = [(user, slot)]`).
-pub fn read_func_pdg(
-    snap: &Snapshot,
-    index: u32,
-) -> Result<Vec<Vec<(VarId, usize)>>, SnapshotError> {
-    let payload = snap.section(tag::PDG, index)?;
-    let mut d = Dec::new(&payload, snap.offset_of(tag::PDG, index));
-    let n = d.count(4)?;
-    let mut uses = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = d.count(8)?;
-        let mut row = Vec::with_capacity(m);
-        for _ in 0..m {
-            let user = VarId(d.u32()?);
-            let slot = d.u32()? as usize;
-            row.push((user, slot));
-        }
-        uses.push(row);
-    }
-    d.done()?;
-    Ok(uses)
-}
-
-// ---------------------------------------------------------------------------
 // Verdict / feasibility sections
 // ---------------------------------------------------------------------------
 
@@ -1314,8 +1267,6 @@ mod tests {
         write_program(&mut w, program);
         let facts = ProgramFacts::compute(program);
         write_facts(&mut w, program, &facts);
-        let pdg = Pdg::build(program);
-        write_pdg(&mut w, program, &pdg);
         w.finish()
     }
 
@@ -1353,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn facts_and_pdg_round_trip() {
+    fn facts_round_trip() {
         let p = program();
         let snap = open_bytes(snapshot_bytes(&p)).expect("open");
         let facts = ProgramFacts::compute(&p);
@@ -1361,14 +1312,6 @@ mod tests {
         for f in &p.functions {
             assert_eq!(facts.function(f.id), got.function(f.id));
             assert_eq!(facts.ret_fact(f.id), got.ret_fact(f.id));
-        }
-        let pdg = Pdg::build(&p);
-        for f in &p.functions {
-            let uses = read_func_pdg(&snap, f.id.0).expect("read pdg");
-            assert_eq!(uses.len(), f.defs.len());
-            for def in &f.defs {
-                assert_eq!(pdg.uses(f.id, def.var), &uses[def.var.index()][..]);
-            }
         }
     }
 
@@ -1422,9 +1365,6 @@ mod tests {
                 failures += 1;
             }
             if snap.has(tag::FACTS, i) && snap.section(tag::FACTS, i).is_err() {
-                failures += 1;
-            }
-            if snap.has(tag::PDG, i) && snap.section(tag::PDG, i).is_err() {
                 failures += 1;
             }
         }

@@ -1,8 +1,7 @@
 //! DIMACS CNF import/export for the SAT backend.
 //!
 //! Lets the CDCL solver be exercised against standard SAT benchmarks and
-//! lets bit-blasted conditions be handed to external SAT solvers — the
-//! same interop role [`crate::smtlib`] plays at the SMT level.
+//! lets bit-blasted conditions be handed to external SAT solvers.
 
 use crate::cnf::{BVar, Cnf, Lit};
 use std::error::Error;

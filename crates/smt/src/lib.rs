@@ -41,12 +41,10 @@ pub mod dimacs;
 pub mod preprocess;
 pub mod sat;
 pub mod session;
-pub mod smtlib;
 pub mod solver;
 pub mod tactic;
 pub mod term;
 
 pub use session::{SessionStats, SolveSession};
-pub use smtlib::to_smtlib2;
 pub use solver::{smt_solve, Model, SatResult, SolveStats, SolverConfig};
 pub use term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, Value, VarIdx};

@@ -146,7 +146,7 @@ impl SolveSession {
         );
         self.stats.queries += 1;
         let start = Instant::now();
-        let deadline = config.timeout.map(|t| start + t);
+        let deadline = config.deadline_from(start);
         let mut stats = SolveStats {
             size_before: pool.dag_size(formula),
             ..Default::default()

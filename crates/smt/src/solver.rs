@@ -30,9 +30,11 @@ impl SolverConfig {
     /// The absolute deadline implied by [`SolverConfig::timeout`], anchored
     /// at `start`. Engines compute this once at the top of `check_paths` so
     /// the budget covers slicing / translation / instantiation too, not
-    /// just the final SMT query.
+    /// just the final SMT query. A timeout too long for an [`Instant`] to
+    /// represent (such as `Duration::from_secs(u64::MAX)`) means no
+    /// deadline.
     pub fn deadline_from(&self, start: Instant) -> Option<Instant> {
-        self.timeout.map(|t| start + t)
+        self.timeout.and_then(|t| start.checked_add(t))
     }
 
     /// A copy of this config whose timeout is shrunk to the wall-clock
@@ -162,7 +164,7 @@ pub fn smt_solve(
         "smt_solve: formula must be Bool"
     );
     let start = Instant::now();
-    let deadline = config.timeout.map(|t| start + t);
+    let deadline = config.deadline_from(start);
     let mut stats = SolveStats {
         size_before: pool.dag_size(formula),
         ..Default::default()
@@ -323,6 +325,25 @@ mod tests {
         let (r, s) = smt_solve(&mut p, f, &cfg);
         assert_eq!(r, SatResult::Unknown);
         assert!(!s.preprocess_decided);
+    }
+
+    #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        // `Instant + Duration` panics past what an `Instant` can hold; a
+        // timeout that long is no deadline at all, on both solving paths.
+        let cfg = SolverConfig {
+            timeout: Some(Duration::from_secs(u64::MAX)),
+            ..Default::default()
+        };
+        assert_eq!(cfg.deadline_from(Instant::now()), None);
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::Bv(8));
+        let sq = p.bv(BvOp::Mul, x, x);
+        let c3 = p.bv_const(3, 8);
+        let f = p.eq(sq, c3);
+        assert!(smt_solve(&mut p, f, &cfg).0.is_unsat());
+        let mut session = crate::session::SolveSession::new();
+        assert!(session.solve_formula(&mut p, f, &cfg).0.is_unsat());
     }
 
     #[test]

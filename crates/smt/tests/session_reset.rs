@@ -9,9 +9,11 @@
 //! query's answer must equal that of a new session per group in verdict,
 //! CNF clauses, SAT decisions and conflicts, and model, and the session's
 //! cumulative counters must equal the new session's after every group.
+//! The session's point is pinned too: over a group it blasts each shared
+//! term once, where cold solving blasts it for every query.
 
 use fusion_smt::session::SolveSession;
-use fusion_smt::solver::{SatResult, SolverConfig};
+use fusion_smt::solver::{smt_solve, SatResult, SolverConfig};
 use fusion_smt::term::{BvOp, Sort, TermId, TermPool};
 
 const GROUPS: u64 = 12;
@@ -128,4 +130,31 @@ fn reset_session_answers_like_a_new_session_per_group() {
     // The groups reached the SAT solver with both answers.
     assert_eq!(verdicts.matches('s').count(), 6 * GROUPS as usize);
     assert_eq!(verdicts.matches('u').count(), 3 * GROUPS as usize);
+}
+
+#[test]
+fn a_session_blasts_each_shared_term_once_per_group() {
+    // The CNF clauses of the first two groups' queries, summed: through
+    // one session reset per group, and cold, each query blasted alone by
+    // `smt_solve` in a pool of its own. A group's queries share the
+    // polynomial and the square, which the session encodes once.
+    let cfg = SolverConfig::default();
+    let mut pool = TermPool::new();
+    let mut session = SolveSession::new();
+    let (mut in_session, mut cold) = (0, 0);
+    for g in 0..2 {
+        session.reset();
+        let queries = group(&mut pool, g);
+        for (k, &q) in queries.iter().enumerate() {
+            in_session += session.solve_formula(&mut pool, q, &cfg).1.cnf_clauses;
+            let mut own = TermPool::new();
+            let alone = group(&mut own, g)[k];
+            cold += smt_solve(&mut own, alone, &cfg).1.cnf_clauses;
+        }
+    }
+    assert_eq!(
+        (in_session, cold),
+        (139_405, 779_604),
+        "CNF clauses: session, cold"
+    );
 }

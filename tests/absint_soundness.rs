@@ -316,50 +316,102 @@ fn triage_on_equals_triage_off_across_all_drivers() {
     }
 }
 
+/// `funcs` pairs of functions for all three default checkers. Each
+/// `mixed` function guards flows three ways, `per` times each: by a
+/// parity-refutable guard (`x * 2 == odd`), by an opaque one (`w == k`
+/// through a nonlinear callee) and by a feasible one (`x > k`). Each
+/// `parityonly` function holds only parity-refutable guards, so with
+/// triage on its sink group issues no query at all.
+fn triage_corpus(funcs: usize, per: usize) -> String {
+    let mut s = String::from(
+        "extern fn deref(p); extern fn gets(); extern fn fopen(p);\n\
+         extern fn getpass(); extern fn sendmsg(x);\n",
+    );
+    for f in 0..funcs {
+        s.push_str(&format!(
+            "fn churn{f}(a, b) {{ let t = a * b; let u = t * t + a; return u; }}\n\
+             fn mixed{f}(x, y) {{\n  let w = churn{f}(x, y);\n\
+             \x20 let q = null; let t = gets(); let p = getpass();\n"
+        ));
+        for k in 0..per {
+            let (odd, tgt) = (2 * k + 5, 77 + 2 * k + f);
+            s.push_str(&format!(
+                "  let a{k} = 1; if (x * 2 == {odd}) {{ a{k} = q; }} deref(a{k});\n\
+                 \x20 let b{k} = 1; if (w == {tgt}) {{ b{k} = t + {k}; }} fopen(b{k});\n\
+                 \x20 let c{k} = 1; if (x > {k}) {{ c{k} = p * 2; }} sendmsg(c{k});\n\
+                 \x20 let n{k} = 1; if (y > {k}) {{ n{k} = q; }} deref(n{k});\n"
+            ));
+        }
+        s.push_str(&format!(
+            "  return 0;\n}}\nfn parityonly{f}(x) {{\n  let q = null; let t = gets();\n"
+        ));
+        for k in 0..per {
+            let odd = 2 * k + 3;
+            s.push_str(&format!(
+                "  let a{k} = 1; if (x * 2 == {odd}) {{ a{k} = q; }} deref(a{k});\n\
+                 \x20 let b{k} = 1; if (x * 4 == {odd}) {{ b{k} = t; }} fopen(b{k});\n"
+            ));
+        }
+        s.push_str("  return 0;\n}\n");
+    }
+    s
+}
+
 #[test]
 fn triage_counters_report_avoided_work() {
-    let (program, pdg) = subject();
+    // One thread, so every count is exact: triage refutes each
+    // parity-guarded candidate outright, which skips its query and its
+    // slice closure, and skips the session of every `parityonly` group.
+    let program = compile(&triage_corpus(2, 2), CompileOptions::default()).expect("compile");
+    let pdg = Pdg::build(&program);
     let set = CheckerSet::all();
-    let cache = VerdictCache::new();
-    let mut engine = FusionSolver::new(SolverConfig::default());
-    let run = analyze_multi_with_cache(
-        &program,
-        &pdg,
-        &set,
-        &mut engine,
-        &AnalysisOptions::new(),
-        Some(&cache),
+    let run = |absint: bool| {
+        let mut opts = AnalysisOptions::new();
+        opts.absint = absint;
+        let cache = VerdictCache::new();
+        analyze_multi_streaming_with_cache(
+            &program,
+            &pdg,
+            &set,
+            &factory(true),
+            1,
+            &opts,
+            Some(&cache),
+        )
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(breakdown_keys(&on), breakdown_keys(&off));
+    let queries =
+        |run: &MultiAnalysisRun| -> u64 { run.checkers.iter().map(|b| b.stats.queries).sum() };
+    let avoided = |run: &MultiAnalysisRun| {
+        let st = &run.stages;
+        (
+            st.triaged_paths,
+            st.triaged_candidates,
+            st.sessions_skipped,
+            st.slices_skipped,
+        )
+    };
+    assert_eq!(
+        (queries(&on), queries(&off)),
+        (12, 24),
+        "queries: triage on, off"
     );
-    // Fully-triaged candidates skip their slice closure; their groups may
-    // skip the session.
-    assert!(run.stages.triaged_paths >= run.stages.triaged_candidates);
-    assert!(run.stages.slices_skipped > 0);
-    // Triage never *adds* queries: every triaged candidate with all paths
-    // refuted contributes zero queries.
-    let mut engine_off = FusionSolver::new(SolverConfig::default());
-    let mut off = AnalysisOptions::new();
-    off.absint = false;
-    let cache_off = VerdictCache::new();
-    let run_off = analyze_multi_with_cache(
-        &program,
-        &pdg,
-        &set,
-        &mut engine_off,
-        &off,
-        Some(&cache_off),
+    let (e_on, e_off) = (&on.stages.engine, &off.stages.engine);
+    assert_eq!(
+        (e_on.sessions_opened, e_off.sessions_opened),
+        (6, 10),
+        "sessions opened: triage on, off"
     );
-    let q_on: u64 = run.checkers.iter().map(|b| b.stats.queries).sum();
-    let q_off: u64 = run_off.checkers.iter().map(|b| b.stats.queries).sum();
-    assert!(
-        q_on < q_off,
-        "triage must strictly reduce solver queries ({q_on} vs {q_off})"
+    assert_eq!(
+        (e_on.slices_computed, e_off.slices_computed),
+        (12, 24),
+        "slice closures computed: triage on, off"
     );
-    assert!(
-        run.stages.engine.sessions_opened <= run_off.stages.engine.sessions_opened,
-        "triage must never open more sessions"
-    );
-    assert!(
-        run.stages.engine.slices_computed < run_off.stages.engine.slices_computed,
-        "fully-triaged candidates must skip slice closures"
+    assert_eq!(avoided(&off), (0, 0, 0, 0));
+    assert_eq!(
+        avoided(&on),
+        (12, 12, 4, 12),
+        "triaged paths, triaged candidates, sessions skipped, slices skipped"
     );
 }

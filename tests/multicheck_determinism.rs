@@ -96,6 +96,18 @@ fn breakdown_keys(run: &MultiAnalysisRun) -> Vec<(CheckKind, Vec<ReportKey>, u64
         .collect()
 }
 
+/// A taint client of `kind` from `sources` to `sinks`.
+fn client(kind: CheckKind, sources: &[&str], sinks: &[&str]) -> Checker {
+    Checker {
+        kind,
+        source_fns: sources.iter().map(|s| s.to_string()).collect(),
+        sink_fns: sinks.iter().map(|s| s.to_string()).collect(),
+        through_binary: true,
+        through_extern: true,
+        sanitizer_fns: Vec::new(),
+    }
+}
+
 fn factory(incremental: bool) -> impl Fn() -> Box<dyn FeasibilityEngine> + Sync {
     move || {
         let mut engine = FusionSolver::new(SolverConfig::default());
@@ -198,15 +210,10 @@ fn cross_checker_queries_share_the_verdict_cache() {
          }";
     let program = compile(src, CompileOptions::default()).expect("compile");
     let pdg = Pdg::build(&program);
-    let spec = |kind: CheckKind| Checker {
-        kind,
-        source_fns: vec!["gets".into()],
-        sink_fns: vec!["fopen".into()],
-        through_binary: true,
-        through_extern: true,
-        sanitizer_fns: Vec::new(),
-    };
-    let set = CheckerSet::new(vec![spec(CheckKind::Cwe23), spec(CheckKind::Cwe402)]);
+    let set = CheckerSet::new(vec![
+        client(CheckKind::Cwe23, &["gets"], &["fopen"]),
+        client(CheckKind::Cwe402, &["gets"], &["fopen"]),
+    ]);
 
     let cache = VerdictCache::new();
     let mut engine = FusionSolver::new(SolverConfig::default());
@@ -253,4 +260,85 @@ fn cross_checker_queries_share_the_verdict_cache() {
     assert_eq!(first.stats.suppressed, second.stats.suppressed);
     assert!(first.stats.suppressed > 0, "subject must suppress");
     assert!(!first.reports.is_empty(), "subject must report");
+}
+
+/// `funcs` functions, each tainting `gets → fopen` and `getpass → send`
+/// through one opaque nonlinear core under `per` guards of each kind,
+/// plus one infeasible guard (`x * x == 3`).
+fn multi_client_source(funcs: usize, per: usize) -> String {
+    let mut s = String::from(
+        "extern fn gets(); extern fn fopen(p);\n\
+         extern fn getpass(); extern fn send(x);\n",
+    );
+    for f in 0..funcs {
+        s.push_str(&format!(
+            "fn churn{f}(a, b) {{ let t = a * b; let u = t * t + a; return u; }}\n\
+             fn client{f}(x, y) {{\n  let w = churn{f}(x, y);\n  let t = gets(); let p = getpass();\n"
+        ));
+        for k in 0..per {
+            let (ta, tb) = (77 + 2 * k + f, 131 + 2 * k + f);
+            s.push_str(&format!(
+                "  let c{k} = 1; if (w == {ta}) {{ c{k} = t + {k}; }} fopen(c{k});\n\
+                 \x20 let d{k} = 1; if (w == {tb}) {{ d{k} = p + {k}; }} send(d{k});\n"
+            ));
+        }
+        s.push_str("  let cz = 1; if (x * x == 3) { cz = t; } fopen(cz);\n  return 0;\n}\n");
+    }
+    s
+}
+
+#[test]
+fn fused_pass_shares_sessions_and_slice_closures_across_clients() {
+    // Two narrow clients and an audit client whose `(source, sink)`
+    // universe is exactly their union: every audit path is byte-identical
+    // to a narrow client's. One fused pass shares one verdict cache and
+    // one slice memo across the three, so the audit client answers from
+    // the cache, opening no session and computing no closure; a loop of
+    // three single-checker scans, each with fresh caches, pays all three.
+    let program = compile(&multi_client_source(3, 2), CompileOptions::default()).expect("compile");
+    let pdg = Pdg::build(&program);
+    let clients = vec![
+        client(CheckKind::Cwe23, &["gets"], &["fopen"]),
+        client(CheckKind::Cwe402, &["getpass"], &["send"]),
+        client(CheckKind::Cwe23, &["gets", "getpass"], &["fopen", "send"]),
+    ];
+    let run = |set: &CheckerSet| {
+        let cache = VerdictCache::new();
+        let opts = AnalysisOptions::new();
+        analyze_multi_streaming_with_cache(
+            &program,
+            &pdg,
+            set,
+            &factory(true),
+            1,
+            &opts,
+            Some(&cache),
+        )
+    };
+    let fused = run(&CheckerSet::new(clients.clone()));
+    let (mut loop_sessions, mut loop_slices, mut loop_keys) = (0, 0, Vec::new());
+    for checker in &clients {
+        let single = run(&CheckerSet::single(checker.clone()));
+        loop_sessions += single.stages.engine.sessions_opened;
+        loop_slices += single.stages.engine.slices_computed;
+        loop_keys.push(keys(&single.checkers[0].reports));
+    }
+    let fused_keys: Vec<_> = fused.checkers.iter().map(|b| keys(&b.reports)).collect();
+    assert_eq!(fused_keys, loop_keys);
+    assert!(
+        fused_keys.iter().all(|k| !k.is_empty()),
+        "every client must report"
+    );
+    assert_eq!(
+        (fused.stages.engine.sessions_opened, loop_sessions),
+        (6, 9),
+        "sessions opened: fused pass, per-checker loop"
+    );
+    assert_eq!(
+        (fused.stages.engine.slices_computed, loop_slices),
+        (15, 30),
+        "slice closures computed: fused pass, per-checker loop"
+    );
+    let audit = &fused.checkers[2].stats;
+    assert_eq!((audit.queries, audit.cache_misses), (0, 0));
 }

@@ -321,3 +321,53 @@ fn serve_loop_warm_findings_match_cold_scan_source() {
         );
     }
 }
+
+/// `funcs` independent functions, each guarding `sinks` null
+/// dereferences on its own nonlinear core, plus one infeasible guard
+/// (`x * x == 3`). Each `hot` header ends its line, so
+/// [`edit_one_function`] can edit any `hot` function; each core is one
+/// line.
+fn hot_sink_source(funcs: usize, sinks: usize) -> String {
+    let mut s = String::from("extern fn deref(p);\n");
+    for f in 0..funcs {
+        s.push_str(&format!(
+            "fn churn{f}(a, b) {{ let t = a * b; let u = t * t + a; return u; }}\n\
+             fn hot{f}(x, y) {{\n  let w = churn{f}(x, y);\n"
+        ));
+        for k in 0..sinks {
+            let target = 77 + 2 * k + f;
+            s.push_str(&format!(
+                "  let q{k} = null; let r{k} = 1; if (w == {target}) {{ r{k} = q{k}; }} deref(r{k});\n"
+            ));
+        }
+        s.push_str("  let qz = null; let rz = 1; if (x * x == 3) { rz = qz; } deref(rz);\n");
+        s.push_str("  return 0;\n}\n");
+    }
+    s
+}
+
+/// One thread, so every count is exact: after an edit to one of four
+/// independent functions, the warm rescan re-queries only that function's
+/// candidates, where a cold scan of the edited program queries them all.
+#[test]
+fn warm_rescan_after_one_edit_requeries_only_its_component() {
+    let base = hot_sink_source(4, 2);
+    // Headers alternate `churn{f}` and `hot{f}`: pick `hot2`.
+    let (edited, name) = edit_one_function(&base, 5);
+    assert_eq!(name, "hot2");
+    let set = CheckerSet::new(fusion::checkers::default_checkers());
+    let mut cold_session = AnalysisSession::new(set.clone(), options(true, true), 1);
+    let cold = cold_session.scan(compile_src(&edited), &factory(true));
+    let mut session = AnalysisSession::new(set, options(true, true), 1);
+    session.scan(compile_src(&base), &factory(true));
+    let warm = session.rescan(compile_src(&edited), &factory(true));
+    assert_eq!(keys(&warm), keys(&cold));
+    assert_eq!(
+        (warm.queries, cold.queries),
+        (3, 12),
+        "engine queries: warm rescan, cold scan"
+    );
+    let inv = session.last_invalidation();
+    assert_eq!((inv.functions_edited, inv.functions_affected), (1, 2));
+    assert_eq!(inv.candidates_reanalyzed, 3);
+}

@@ -194,7 +194,7 @@ fn mutate_container(s: &mut Stream) -> Vec<u8> {
                 }
                 f @ (1 | 2) => {
                     let edge = edge_u32(s);
-                    let v = s.pick(&[0, 2, 8, 10, tag::META, tag::OUTCOMES, edge]);
+                    let v = s.pick(&[0, 2, 5, 8, 10, tag::META, tag::OUTCOMES, edge]);
                     let at = entry + 4 * (f - 1);
                     bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
                 }
@@ -251,17 +251,15 @@ fn mutate_payload(s: &mut Stream) -> Vec<u8> {
 enum Reader {
     Open,
     Program,
-    Pdg,
     Facts,
     Outcomes,
     Verdicts,
     Provenance,
 }
 
-const READERS: [Reader; 7] = [
+const READERS: [Reader; 6] = [
     Reader::Open,
     Reader::Program,
-    Reader::Pdg,
     Reader::Facts,
     Reader::Outcomes,
     Reader::Verdicts,
@@ -291,13 +289,7 @@ fn read_all(bytes: Vec<u8>) -> Vec<Reader> {
             return rejected;
         }
     };
-    let program = snapshot::read_program(&snap);
-    for index in 0..64 {
-        if snap.has(tag::PDG, index) {
-            note(Reader::Pdg, snapshot::read_func_pdg(&snap, index).map(drop));
-        }
-    }
-    match program {
+    match snapshot::read_program(&snap) {
         Ok(program) => {
             note(Reader::Program, Ok(()));
             if snap.has(tag::FACTS, 0) {

@@ -210,43 +210,52 @@ fn slice_memo_is_shared_across_runs() {
     // `AnalysisOptions::new()` carries one shared slice cache; a second
     // run over the same program with a *fresh* verdict cache re-issues
     // every query but must answer every closure request from the memo.
+    // At one thread the counts are exact.
     let (program, pdg, checker) = subject();
-    let opts = AnalysisOptions::new();
+    for threads in [1, 4] {
+        let opts = AnalysisOptions::new();
+        let cold_cache = VerdictCache::new();
+        let cold = threaded(
+            &program,
+            &pdg,
+            &checker,
+            &factory(true),
+            threads,
+            &opts,
+            Some(&cold_cache),
+        );
+        assert!(
+            cold.stages.engine.slices_computed > 0,
+            "cold run must compute closures"
+        );
+        assert!(cold.stages.discovery_shards >= 1);
 
-    let cold_cache = VerdictCache::new();
-    let cold = threaded(
-        &program,
-        &pdg,
-        &checker,
-        &factory(true),
-        4,
-        &opts,
-        Some(&cold_cache),
-    );
-    assert!(
-        cold.stages.engine.slices_computed > 0,
-        "cold run must compute closures"
-    );
-    assert!(cold.stages.discovery_shards >= 1);
-
-    let warm_cache = VerdictCache::new();
-    let warm = threaded(
-        &program,
-        &pdg,
-        &checker,
-        &factory(true),
-        4,
-        &opts,
-        Some(&warm_cache),
-    );
-    assert_eq!(keys(&cold), keys(&warm));
-    assert!(warm.queries > 0, "fresh verdict cache must re-query");
-    assert_eq!(
-        warm.stages.engine.slices_computed, 0,
-        "warm run must answer every closure request from the shared memo \
-         (reused {} of {} queries)",
-        warm.stages.engine.slices_reused, warm.queries
-    );
-    assert!(warm.stages.engine.slices_reused > 0);
-    assert!(warm.slice.hits > 0, "slice-cache hits must be observable");
+        let warm_cache = VerdictCache::new();
+        let warm = threaded(
+            &program,
+            &pdg,
+            &checker,
+            &factory(true),
+            threads,
+            &opts,
+            Some(&warm_cache),
+        );
+        assert_eq!(keys(&cold), keys(&warm));
+        assert!(warm.queries > 0, "fresh verdict cache must re-query");
+        assert_eq!(
+            warm.stages.engine.slices_computed, 0,
+            "warm run must answer every closure request from the shared memo \
+             (reused {} of {} queries, threads={threads})",
+            warm.stages.engine.slices_reused, warm.queries
+        );
+        assert!(warm.stages.engine.slices_reused > 0);
+        assert!(warm.slice.hits > 0, "slice-cache hits must be observable");
+        if threads == 1 {
+            assert_eq!(
+                (cold.stages.engine.slices_computed, warm.slice.hits),
+                (18, 18),
+                "closures: computed by the cold run, memo hits of the warm run"
+            );
+        }
+    }
 }
