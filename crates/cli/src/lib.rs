@@ -19,7 +19,7 @@
 //!                                        query / stats / shutdown), responses on
 //!                                        stdout, with the PDG, facts, caches, and
 //!                                        verdicts resident between requests
-//!     --threads N                        analysis threads: above 1, discovery
+//!     --threads N                        analysis threads, 1 to 256: above 1, discovery
 //!                                        streams into parallel solve workers
 //!     --cache / --no-cache               shared feasibility-verdict cache (default: on)
 //!     --no-incremental                   disable incremental solver sessions (fusion engine)
@@ -184,6 +184,11 @@ impl Default for Options {
     }
 }
 
+/// The most analysis threads `--threads` accepts. The driver starts no
+/// more solve workers than a scan has work items, but a larger request
+/// shows a mistake, not a machine.
+pub const MAX_THREADS: usize = 256;
+
 /// A CLI error with a user-facing message.
 #[derive(Debug)]
 pub struct CliError(pub String);
@@ -263,12 +268,15 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                opts.threads = v
+                let n: u64 = v
                     .parse()
                     .map_err(|_| CliError(format!("invalid thread count `{v}`")))?;
-                if opts.threads == 0 {
-                    return Err(CliError("--threads must be at least 1".into()));
+                if !(1..=MAX_THREADS as u64).contains(&n) {
+                    return Err(CliError(format!(
+                        "--threads must be between 1 and {MAX_THREADS}"
+                    )));
                 }
+                opts.threads = n as usize;
             }
             "--dot" => {
                 let v = it
@@ -785,6 +793,37 @@ mod tests {
         assert!(parse_args(&args(&["--engine"])).is_err());
         assert!(parse_args(&args(&["--engine", "z3", "a"])).is_err());
         assert!(parse_args(&args(&["--nope", "a"])).is_err());
+    }
+
+    #[test]
+    fn thread_counts_past_the_bound_exit_2_before_reading_input() {
+        let max = MAX_THREADS.to_string();
+        assert_eq!(
+            parse_args(&args(&["--threads", &max, "a"]))
+                .unwrap()
+                .threads,
+            MAX_THREADS
+        );
+        let over = (MAX_THREADS + 1).to_string();
+        // The file does not exist: the answer must be the bound, not the
+        // read error, so no input is read and no thread is started.
+        for n in ["0", over.as_str(), "100000", "18446744073709551615"] {
+            let mut out = Vec::new();
+            let code = run(&args(&["--threads", n, "/nonexistent/in.fus"]), &mut out);
+            assert_eq!(code, 2, "--threads {n}");
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(
+                text,
+                format!("--threads must be between 1 and {MAX_THREADS}\n")
+            );
+        }
+        // Past `usize`, the number does not parse.
+        let mut out = Vec::new();
+        let code = run(&args(&["--threads", "18446744073709551616", "a"]), &mut out);
+        assert_eq!(code, 2);
+        assert!(String::from_utf8(out)
+            .unwrap()
+            .starts_with("invalid thread count"));
     }
 
     /// Every flag `parse_args` matches on, read from its match arms.
@@ -1374,6 +1413,9 @@ mod tests {
         "slices_invalidated",
         "verdicts_invalidated",
         "candidates_reanalyzed",
+        "adjacency_functions",
+        "fact_functions",
+        "ret_fact_functions",
     ];
 
     #[test]
@@ -1453,6 +1495,9 @@ mod tests {
                 "items_resident",
                 "cache_bytes",
                 "slice_cache_bytes",
+                "adjacency_functions",
+                "fact_functions",
+                "ret_fact_functions",
                 "snapshot_bytes_written",
                 "snapshot_bytes_read",
                 "last_invalidation",

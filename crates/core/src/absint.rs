@@ -5,8 +5,8 @@
 //! preprocessing (constants, equalities, unconstrained-ness) on the modular
 //! graph *before* any call-site cloning. This module generalizes the
 //! [`crate::quickpath`] Const/Affine return summaries to a full product
-//! domain computed for **every definition**, memoized **once per function**
-//! (never per call site):
+//! domain defined for **every definition**, evaluated **on demand** and
+//! memoized **once per function** (never per call site):
 //!
 //! ```text
 //! Const(c)  ⊑  Affine(param)  ⊑  Interval × KnownBits  ⊑  ⊤
@@ -31,15 +31,17 @@
 //! 2. **solver seeding** — the per-definition known-bits facts are handed
 //!    to formula preprocessing so bit-level refutations fire on first
 //!    contact instead of being rediscovered per instantiation;
-//! 3. **unification** — [`crate::quickpath::ret_summaries`] is the
-//!    Const/Affine projection of this domain ([`ProgramFacts::ret_summaries`]),
-//!    so there is exactly one value-propagation engine.
+//! 3. **unification** — the quick-path return summaries
+//!    ([`crate::quickpath::RetSummary`]) are the Const/Affine shape of each
+//!    callee's return fact ([`ProgramFacts::ret_fact`]), so there is
+//!    exactly one value-propagation engine.
 
 use crate::checkers::CheckKind;
 use crate::quickpath::RetSummary;
-use fusion_ir::ssa::{DefKind, FuncId, Op, Program, VarId};
+use fusion_ir::ssa::{DefKind, FuncId, Function, Op, Program, VarId};
 use fusion_pdg::paths::DependencePath;
 use fusion_pdg::slice::{constraints_for, Constraint, ConstraintKind};
+use std::sync::OnceLock;
 
 const SIGN_BIT: u32 = 0x8000_0000;
 
@@ -539,84 +541,66 @@ fn call_compose(ret: AbsVal, args: &[VarId], vals: &[AbsVal]) -> AbsVal {
     AbsVal { shape, ..ret }.reduced()
 }
 
-struct Builder<'p> {
-    program: &'p Program,
-    funcs: Vec<Option<Vec<AbsVal>>>,
-    rets: Vec<Option<AbsVal>>,
-    visiting: Vec<bool>,
-}
-
-impl Builder<'_> {
-    fn ret_fact(&mut self, fid: FuncId) -> AbsVal {
-        if let Some(r) = self.rets[fid.index()] {
-            return r;
-        }
-        if self.visiting[fid.index()] {
-            // Break (should-be-impossible) call cycles conservatively, like
-            // the historical quick-path memo.
-            return AbsVal::top();
-        }
-        self.visiting[fid.index()] = true;
-        let program = self.program;
-        let func = program.func(fid);
-        let (vals, ret) = if func.is_extern {
-            (Vec::new(), AbsVal::top())
-        } else {
-            let mut vals: Vec<AbsVal> = Vec::with_capacity(func.defs.len());
-            for def in &func.defs {
-                let v = self.transfer(&def.kind, &vals);
-                vals.push(v);
-            }
-            let ret = func
-                .ret
-                .map(|r| vals[r.index()])
-                .unwrap_or_else(AbsVal::top);
-            (vals, ret)
-        };
-        self.visiting[fid.index()] = false;
-        self.funcs[fid.index()] = Some(vals);
-        self.rets[fid.index()] = Some(ret);
-        ret
-    }
-
-    fn transfer(&mut self, kind: &DefKind, vals: &[AbsVal]) -> AbsVal {
-        match kind {
-            DefKind::Param { index } => AbsVal::param(*index),
-            DefKind::Const { value, .. } => AbsVal::constant(*value),
-            DefKind::Copy { src } | DefKind::Return { src } => vals[src.index()],
-            DefKind::Binary { op, lhs, rhs } => binary(*op, vals[lhs.index()], vals[rhs.index()]),
-            DefKind::Ite {
-                cond,
-                then_v,
-                else_v,
-            } => {
-                let c = vals[cond.index()];
-                if c.provably_nonzero() {
-                    vals[then_v.index()]
-                } else if c.provably_zero() {
-                    vals[else_v.index()]
-                } else {
-                    vals[then_v.index()].join(vals[else_v.index()])
-                }
-            }
-            // A branch vertex carries its condition's value but never acts
-            // as data, so its shape stays opaque (matching the quick-path
-            // projection) while the value facts transfer.
-            DefKind::Branch { cond } => {
-                let mut v = vals[cond.index()];
-                v.shape = RetSummary::Opaque;
-                v
-            }
-            DefKind::Call { callee, args, .. } => {
-                let ret = self.ret_fact(*callee);
-                call_compose(ret, args, vals)
+/// One definition's fact from its operands' facts in `vals` (indexed by
+/// [`VarId`]) and, for a call, the callee's return fact from `ret_of`.
+fn transfer(kind: &DefKind, vals: &[AbsVal], ret_of: impl FnOnce(FuncId) -> AbsVal) -> AbsVal {
+    match kind {
+        DefKind::Param { index } => AbsVal::param(*index),
+        DefKind::Const { value, .. } => AbsVal::constant(*value),
+        DefKind::Copy { src } | DefKind::Return { src } => vals[src.index()],
+        DefKind::Binary { op, lhs, rhs } => binary(*op, vals[lhs.index()], vals[rhs.index()]),
+        DefKind::Ite {
+            cond,
+            then_v,
+            else_v,
+        } => {
+            let c = vals[cond.index()];
+            if c.provably_nonzero() {
+                vals[then_v.index()]
+            } else if c.provably_zero() {
+                vals[else_v.index()]
+            } else {
+                vals[then_v.index()].join(vals[else_v.index()])
             }
         }
+        // A branch vertex carries its condition's value but never acts
+        // as data, so its shape stays opaque (matching the quick-path
+        // projection) while the value facts transfer.
+        DefKind::Branch { cond } => {
+            let mut v = vals[cond.index()];
+            v.shape = RetSummary::Opaque;
+            v
+        }
+        DefKind::Call { callee, args, .. } => call_compose(ret_of(*callee), args, vals),
     }
 }
 
-/// The per-definition abstract facts of a whole program, memoized once per
-/// function.
+/// The return fact a function's whole fact vector implies (top for
+/// externs and functions without a return).
+fn ret_of_vals(func: &Function, vals: &[AbsVal]) -> AbsVal {
+    func.ret
+        .filter(|_| !func.is_extern)
+        .map_or_else(AbsVal::top, |r| vals[r.index()])
+}
+
+/// The per-definition abstract facts of a whole program, evaluated on
+/// demand and memoized once per function.
+///
+/// Nothing is evaluated up front ([`ProgramFacts::new`]). The first read
+/// of any fact of a function evaluates that function's whole fact vector
+/// ([`ProgramFacts::function`]); a call inside it needs only the
+/// callee's return fact ([`ProgramFacts::ret_fact`]), which is evaluated
+/// from the definitions the callee's return depends on — its operand
+/// cone — recursing into its own callees' return cones. So reading one
+/// function's facts never evaluates its callees' whole bodies, and a
+/// scan evaluates the few functions its triage, seeding and quick paths
+/// read. [`ProgramFacts::compute`] evaluates everything.
+///
+/// Each memo is a [`OnceLock`], so facts are shared by reference between
+/// threads. Bodies are acyclic SSA, so every fact is a pure function of
+/// the definitions: whichever thread or read order fills a cell, it holds
+/// the value whole-program evaluation gives, and the set of filled cells
+/// depends only on which facts were read.
 ///
 /// Facts are unconditional consequences of the acyclic SSA definitions
 /// (parameters and external results are unconstrained), so they hold in
@@ -625,11 +609,25 @@ impl Builder<'_> {
 pub struct ProgramFacts {
     num_functions: usize,
     program_size: usize,
-    funcs: Vec<Vec<AbsVal>>,
-    rets: Vec<AbsVal>,
+    /// Each function's fact vector, indexed by [`VarId`] (empty for
+    /// externs).
+    funcs: Vec<OnceLock<Box<[AbsVal]>>>,
+    /// Each function's return fact.
+    rets: Vec<OnceLock<AbsVal>>,
 }
 
 impl ProgramFacts {
+    /// Empty memos for `program`: every fact is evaluated when first read.
+    pub fn new(program: &Program) -> ProgramFacts {
+        let n = program.functions.len();
+        ProgramFacts {
+            num_functions: n,
+            program_size: program.size(),
+            funcs: (0..n).map(|_| OnceLock::new()).collect(),
+            rets: (0..n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
     /// Reassembles facts from snapshot sections ([`crate::snapshot`]).
     /// The caller supplies exactly the vectors `compute` would have
     /// produced for the same program; `matches` still guards staleness.
@@ -642,37 +640,29 @@ impl ProgramFacts {
         ProgramFacts {
             num_functions,
             program_size,
-            funcs,
-            rets,
+            funcs: funcs
+                .into_iter()
+                .map(|v| OnceLock::from(v.into_boxed_slice()))
+                .collect(),
+            rets: rets.into_iter().map(OnceLock::from).collect(),
         }
     }
 
     /// Runs the abstract interpreter over every function, bottom-up over
     /// the (acyclic, post-unrolling) call graph.
     pub fn compute(program: &Program) -> ProgramFacts {
-        let n = program.functions.len();
-        let mut b = Builder {
-            program,
-            funcs: vec![None; n],
-            rets: vec![None; n],
-            visiting: vec![false; n],
-        };
+        let facts = ProgramFacts::new(program);
+        facts.evaluate_all(program);
+        facts
+    }
+
+    /// Evaluates every function's facts not evaluated yet, callees'
+    /// bodies before their callers', so each return fact is read off its
+    /// function's evaluated body instead of a separate cone.
+    pub fn evaluate_all(&self, program: &Program) {
+        let mut visiting = vec![false; self.num_functions];
         for f in &program.functions {
-            b.ret_fact(f.id);
-        }
-        ProgramFacts {
-            num_functions: n,
-            program_size: program.size(),
-            funcs: b
-                .funcs
-                .into_iter()
-                .map(|v| v.expect("all functions analyzed"))
-                .collect(),
-            rets: b
-                .rets
-                .into_iter()
-                .map(|r| r.expect("all functions analyzed"))
-                .collect(),
+            self.body(program, f.id, Some(&mut visiting));
         }
     }
 
@@ -684,11 +674,11 @@ impl ProgramFacts {
     /// (return summaries flow bottom-up, so a callee edit can change a
     /// caller's facts, but never vice versa — facts are keyed by
     /// [`FuncId`], not content, so stale entries must be evicted rather
-    /// than relied on to miss). Clean functions seed the builder and are
-    /// returned unchanged; dirty ones are re-interpreted on demand.
+    /// than relied on to miss). Clean functions keep the cells `prev`
+    /// had filled; dirty ones start empty and are evaluated on demand.
     ///
     /// Returns the refreshed facts and the number of functions whose
-    /// memoized facts were invalidated.
+    /// memoized facts were invalidated (the dirty ones).
     pub fn recompute(
         program: &Program,
         prev: &ProgramFacts,
@@ -700,38 +690,18 @@ impl ProgramFacts {
             prev.num_functions, n,
             "recompute requires matching function count"
         );
-        let mut invalidated = 0u64;
-        let mut b = Builder {
-            program,
-            funcs: vec![None; n],
-            rets: vec![None; n],
-            visiting: vec![false; n],
-        };
-        for (i, is_dirty) in dirty.iter().enumerate() {
-            if *is_dirty {
-                invalidated += 1;
-            } else {
-                b.funcs[i] = Some(prev.funcs[i].clone());
-                b.rets[i] = Some(prev.rets[i]);
-            }
-        }
-        for f in &program.functions {
-            b.ret_fact(f.id);
+        fn clean<T: Clone>(cells: &[OnceLock<T>], dirty: &[bool]) -> Vec<OnceLock<T>> {
+            let keep =
+                |(cell, &d): (&OnceLock<T>, &bool)| if d { OnceLock::new() } else { cell.clone() };
+            cells.iter().zip(dirty).map(keep).collect()
         }
         let facts = ProgramFacts {
             num_functions: n,
             program_size: program.size(),
-            funcs: b
-                .funcs
-                .into_iter()
-                .map(|v| v.expect("all functions analyzed"))
-                .collect(),
-            rets: b
-                .rets
-                .into_iter()
-                .map(|r| r.expect("all functions analyzed"))
-                .collect(),
+            funcs: clean(&prev.funcs, dirty),
+            rets: clean(&prev.rets, dirty),
         };
+        let invalidated = dirty.iter().filter(|&&d| d).count() as u64;
         (facts, invalidated)
     }
 
@@ -742,37 +712,139 @@ impl ProgramFacts {
         self.num_functions == program.functions.len() && self.program_size == program.size()
     }
 
-    /// The fact for `var` in `func`.
+    /// The fact for `var` in `func` of `program`, the program these facts
+    /// were made for.
     ///
     /// # Panics
     ///
     /// Panics when `func`/`var` are out of range for the analyzed program.
-    pub fn value(&self, func: FuncId, var: VarId) -> AbsVal {
-        self.funcs[func.index()][var.index()]
+    pub fn value(&self, program: &Program, func: FuncId, var: VarId) -> AbsVal {
+        self.function(program, func)[var.index()]
     }
 
-    /// All facts of one function, indexed by [`VarId`].
+    /// All facts of one function of `program`, indexed by [`VarId`],
+    /// evaluated on first read.
     ///
     /// # Panics
     ///
     /// Panics when `func` is out of range for the analyzed program.
-    pub fn function(&self, func: FuncId) -> &[AbsVal] {
-        &self.funcs[func.index()]
+    pub fn function(&self, program: &Program, func: FuncId) -> &[AbsVal] {
+        self.body(program, func, None)
     }
 
-    /// The return-value fact of `func` (top for externs).
+    /// [`Self::function`]. A call reads the callee's return fact, from
+    /// its return cone; with `visiting` (whole-program evaluation, which
+    /// marks the bodies it is inside) it evaluates the callee's whole body
+    /// first instead, unless that body is one it is inside.
+    fn body(
+        &self,
+        program: &Program,
+        func: FuncId,
+        mut visiting: Option<&mut [bool]>,
+    ) -> &[AbsVal] {
+        let vals = self.funcs[func.index()].get_or_init(|| {
+            let f = program.func(func);
+            if f.is_extern {
+                return Box::default();
+            }
+            if let Some(v) = visiting.as_deref_mut() {
+                v[func.index()] = true;
+            }
+            let mut active = Vec::new();
+            let mut vals: Vec<AbsVal> = Vec::with_capacity(f.defs.len());
+            for def in &f.defs {
+                let v = transfer(&def.kind, &vals, |callee| match visiting.as_deref_mut() {
+                    Some(v) if !v[callee.index()] => {
+                        self.body(program, callee, Some(v));
+                        self.ret_in(program, callee, &mut active)
+                    }
+                    _ => self.ret_in(program, callee, &mut active),
+                });
+                vals.push(v);
+            }
+            if let Some(v) = visiting {
+                v[func.index()] = false;
+            }
+            vals.into_boxed_slice()
+        });
+        self.rets[func.index()].get_or_init(|| ret_of_vals(program.func(func), vals));
+        vals
+    }
+
+    /// The return-value fact of `func` in `program` (top for externs),
+    /// evaluated on first read from the definitions the return depends
+    /// on.
     ///
     /// # Panics
     ///
     /// Panics when `func` is out of range for the analyzed program.
-    pub fn ret_fact(&self, func: FuncId) -> AbsVal {
-        self.rets[func.index()]
+    pub fn ret_fact(&self, program: &Program, func: FuncId) -> AbsVal {
+        self.ret_in(program, func, &mut Vec::new())
     }
 
-    /// The Const/Affine projection of the domain — the quick-path return
-    /// summaries, now derived rather than recomputed.
-    pub fn ret_summaries(&self) -> Vec<RetSummary> {
-        self.rets.iter().map(|r| r.shape).collect()
+    /// [`Self::ret_fact`], with `active` holding the functions whose
+    /// return cones this thread is evaluating: a call back into one of
+    /// them (a call cycle, which unrolling rules out) reads top, as
+    /// whole-program evaluation always did, and is not memoized.
+    fn ret_in(&self, program: &Program, func: FuncId, active: &mut Vec<FuncId>) -> AbsVal {
+        let cell = &self.rets[func.index()];
+        if let Some(r) = cell.get() {
+            return *r;
+        }
+        let f = program.func(func);
+        let r = if let Some(vals) = self.funcs[func.index()].get() {
+            ret_of_vals(f, vals)
+        } else if active.contains(&func) {
+            return AbsVal::top();
+        } else {
+            active.push(func);
+            let r = self.ret_cone(program, f, active);
+            active.pop();
+            r
+        };
+        *cell.get_or_init(|| r)
+    }
+
+    /// Evaluates only the definitions `func`'s return depends on: marks
+    /// the return's operand cone last definition first (operands precede
+    /// their users in an acyclic body), then evaluates the marked
+    /// definitions in order.
+    fn ret_cone(&self, program: &Program, func: &Function, active: &mut Vec<FuncId>) -> AbsVal {
+        let Some(ret) = func.ret.filter(|_| !func.is_extern) else {
+            return AbsVal::top();
+        };
+        let n = ret.index() + 1;
+        let mut needed = vec![false; n];
+        needed[ret.index()] = true;
+        for i in (0..n).rev() {
+            if needed[i] {
+                for op in func.defs[i].kind.operands() {
+                    needed[op.index()] = true;
+                }
+            }
+        }
+        let mut vals = vec![AbsVal::top(); n];
+        for (i, def) in func.defs[..n].iter().enumerate() {
+            if needed[i] {
+                vals[i] = transfer(&def.kind, &vals, |callee| {
+                    self.ret_in(program, callee, active)
+                });
+            }
+        }
+        vals[ret.index()]
+    }
+
+    /// Number of functions whose whole fact vector has been evaluated
+    /// (or loaded). The count of filled cells, so it does not depend on
+    /// which thread filled which.
+    pub fn functions_evaluated(&self) -> usize {
+        self.funcs.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Number of functions whose return fact has been evaluated (or
+    /// loaded), counted like [`Self::functions_evaluated`].
+    pub fn returns_evaluated(&self) -> usize {
+        self.rets.iter().filter(|c| c.get().is_some()).count()
     }
 
     /// Whether the facts refute a single gating constraint: the constraint
@@ -784,13 +856,13 @@ impl ProgramFacts {
                 let DefKind::Branch { cond } = program.func(c.func).def(branch).kind else {
                     return false;
                 };
-                self.value(c.func, cond).provably_zero()
+                self.value(program, c.func, cond).provably_zero()
             }
             ConstraintKind::IteGate { ite, taken_then } => {
                 let DefKind::Ite { cond, .. } = program.func(c.func).def(ite).kind else {
                     return false;
                 };
-                let f = self.value(c.func, cond);
+                let f = self.value(program, c.func, cond);
                 if taken_then {
                     f.provably_zero()
                 } else {
@@ -819,17 +891,24 @@ impl ProgramFacts {
         // value to 0 — impossible when its fact excludes 0.
         if kind == CheckKind::NullDeref && path.nodes.len() >= 2 {
             let v = path.nodes[path.nodes.len() - 2];
-            if self.value(v.func, v.var).provably_nonzero() {
+            if self.value(program, v.func, v.var).provably_nonzero() {
                 return true;
             }
         }
         false
     }
 
-    /// Approximate heap footprint of the memoized facts, for diagnostics.
+    /// Approximate heap footprint of the facts evaluated so far, for
+    /// diagnostics.
     pub fn bytes(&self) -> usize {
         let per = std::mem::size_of::<AbsVal>();
-        self.funcs.iter().map(|f| f.len() * per).sum::<usize>() + self.rets.len() * per
+        let vals: usize = self
+            .funcs
+            .iter()
+            .filter_map(|f| f.get())
+            .map(|f| f.len())
+            .sum();
+        (vals + self.returns_evaluated()) * per
     }
 }
 
@@ -848,15 +927,15 @@ mod tests {
     fn constants_are_exact() {
         let (p, f) = facts("fn f() { let a = 7; let b = a + 3; return b; }");
         let fid = p.func_by_name("f").unwrap().id;
-        assert_eq!(f.ret_fact(fid), AbsVal::constant(10));
-        assert_eq!(f.ret_summaries()[fid.index()], RetSummary::Const(10));
+        assert_eq!(f.ret_fact(&p, fid), AbsVal::constant(10));
+        assert_eq!(f.ret_fact(&p, fid).shape, RetSummary::Const(10));
     }
 
     #[test]
     fn params_are_affine_but_unbounded() {
         let (p, f) = facts("fn f(x) { return x * 2 + 1; }");
         let fid = p.func_by_name("f").unwrap().id;
-        let r = f.ret_fact(fid);
+        let r = f.ret_fact(&p, fid);
         assert_eq!(
             r.shape,
             RetSummary::Affine {
@@ -876,7 +955,7 @@ mod tests {
     #[test]
     fn doubling_is_provably_even() {
         let (p, f) = facts("fn f(x) { let y = x * 2; return y; }");
-        let y = f.ret_fact(p.func_by_name("f").unwrap().id);
+        let y = f.ret_fact(&p, p.func_by_name("f").unwrap().id);
         assert_eq!(y.known & 1, 1);
         assert_eq!(y.value & 1, 0);
     }
@@ -885,7 +964,7 @@ mod tests {
     fn masking_bounds_the_interval() {
         let (p, f) = facts("fn f(x) { let b = x & 7; return b; }");
         let fid = p.func_by_name("f").unwrap().id;
-        let r = f.ret_fact(fid);
+        let r = f.ret_fact(&p, fid);
         assert_eq!((r.lo, r.hi), (0, 7));
         // Bits 3.. are known zero.
         assert_eq!(r.known, !7u32);
@@ -898,12 +977,15 @@ mod tests {
             "fn f(x) { let b = x & 1; let c = b < 2; return c; }\n\
              fn g(x) { let b = x & 1; let c = 2 < b; return c; }",
         );
-        assert_eq!(f.ret_fact(p.func_by_name("f").unwrap().id).as_const(), {
-            // b in [0,1], signed compare 0..1 < 2 always true.
-            Some(1)
-        });
         assert_eq!(
-            f.ret_fact(p.func_by_name("g").unwrap().id).as_const(),
+            f.ret_fact(&p, p.func_by_name("f").unwrap().id).as_const(),
+            {
+                // b in [0,1], signed compare 0..1 < 2 always true.
+                Some(1)
+            }
+        );
+        assert_eq!(
+            f.ret_fact(&p, p.func_by_name("g").unwrap().id).as_const(),
             Some(0)
         );
     }
@@ -911,7 +993,7 @@ mod tests {
     #[test]
     fn parity_contradiction_is_refuted() {
         let (p, f) = facts("fn f(x) { let y = x * 2; let c = y == 7; return c; }");
-        let r = f.ret_fact(p.func_by_name("f").unwrap().id);
+        let r = f.ret_fact(&p, p.func_by_name("f").unwrap().id);
         assert_eq!(r.as_const(), Some(0));
         assert!(r.provably_zero());
     }
@@ -922,11 +1004,11 @@ mod tests {
             "fn join(x) { let r = 3; if (x > 0) { r = 5; } return r; }\n\
              fn sel(x) { let r = 3; if (1 < 2) { r = 5; } return r; }",
         );
-        let j = f.ret_fact(p.func_by_name("join").unwrap().id);
+        let j = f.ret_fact(&p, p.func_by_name("join").unwrap().id);
         assert_eq!((j.lo, j.hi), (3, 5));
         assert!(j.provably_nonzero());
         // A provably-true condition selects the then-arm exactly.
-        let s = f.ret_fact(p.func_by_name("sel").unwrap().id);
+        let s = f.ret_fact(&p, p.func_by_name("sel").unwrap().id);
         assert_eq!(s.as_const(), Some(5));
     }
 
@@ -938,9 +1020,9 @@ mod tests {
              fn use1(a) { let v = low(a); return v; }\n\
              fn use2(a) { let v = double(a) + 1; return v; }",
         );
-        let u1 = f.ret_fact(p.func_by_name("use1").unwrap().id);
+        let u1 = f.ret_fact(&p, p.func_by_name("use1").unwrap().id);
         assert_eq!((u1.lo, u1.hi), (0, 3));
-        let u2 = f.ret_fact(p.func_by_name("use2").unwrap().id);
+        let u2 = f.ret_fact(&p, p.func_by_name("use2").unwrap().id);
         assert_eq!(
             u2.shape,
             RetSummary::Affine {
@@ -956,8 +1038,8 @@ mod tests {
     fn externs_are_top() {
         let (p, f) = facts("extern fn lib(x); fn f(x) { return lib(x); }");
         let fid = p.func_by_name("f").unwrap().id;
-        assert_eq!(f.ret_fact(fid), AbsVal::top());
-        assert_eq!(f.ret_summaries()[fid.index()], RetSummary::Opaque);
+        assert_eq!(f.ret_fact(&p, fid), AbsVal::top());
+        assert_eq!(f.ret_fact(&p, fid).shape, RetSummary::Opaque);
     }
 
     #[test]
@@ -990,11 +1072,11 @@ mod tests {
     fn division_semantics_match_the_ir() {
         // x / 0 = MAX, x % 0 = x.
         let (p, f) = facts("fn f(x) { let z = 0; let d = x / z; return d; }");
-        let r = f.ret_fact(p.func_by_name("f").unwrap().id);
+        let r = f.ret_fact(&p, p.func_by_name("f").unwrap().id);
         assert_eq!(r.as_const(), Some(u32::MAX));
         let (p2, f2) = facts("fn f(x) { let z = 0; let d = x % z; let c = d == x; return c; }");
         // d == x is not decided (both Top), but must not be refuted.
-        let r2 = f2.ret_fact(p2.func_by_name("f").unwrap().id);
+        let r2 = f2.ret_fact(&p2, p2.func_by_name("f").unwrap().id);
         assert_eq!(r2.as_const(), None);
     }
 
@@ -1055,9 +1137,12 @@ mod tests {
         dirty[caller.index()] = true;
         let (warm, invalidated) = ProgramFacts::recompute(&new_p, &old_f, &dirty);
         assert_eq!(invalidated, 2);
+        // Only `lone`'s evaluated cells survive; the dirty two start empty.
+        assert_eq!(warm.functions_evaluated(), 1);
+        assert_eq!(warm.returns_evaluated(), 1);
         for f in &new_p.functions {
-            assert_eq!(warm.function(f.id), cold.function(f.id));
-            assert_eq!(warm.ret_fact(f.id), cold.ret_fact(f.id));
+            assert_eq!(warm.function(&new_p, f.id), cold.function(&new_p, f.id));
+            assert_eq!(warm.ret_fact(&new_p, f.id), cold.ret_fact(&new_p, f.id));
         }
         assert!(warm.matches(&new_p));
     }

@@ -11,7 +11,7 @@ use crate::cache::{path_set_key, CacheStats, Key128, VerdictCache};
 use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
 use crate::incremental::Provenance;
 use crate::memory::{run_accounting, Category, MemoryAccountant, BYTES_PER_DEF};
-use crate::propagate::{discover_item, multi_source_vertices, Candidate, PropagateOptions};
+use crate::propagate::{discover_item, Candidate, CheckerRoles, PropagateOptions};
 use crate::slice_cache::{SliceCache, SliceCacheStats};
 use fusion_ir::ssa::Program;
 use fusion_pdg::graph::{Pdg, Vertex};
@@ -247,6 +247,42 @@ crate::counters! {
         /// (retained work items replay without touching the engine); zero
         /// for every run outside the warm analysis service and the shards.
         pub candidates_reanalyzed: u64 => "candidates_reanalyzed",
+        /// How much of the program the run's graph and facts hold built
+        /// at its end.
+        pub demand: DemandStats => ..,
+    }
+}
+
+crate::counters! {
+    /// How much of a program the analysis demanded: the functions whose
+    /// PDG adjacency and abstract facts are built. The graph and the facts
+    /// build a function's part the first time a read needs it, so these
+    /// are the functions discovery stepped into and triage, seeding and
+    /// the quick paths read. Each counts filled memo cells, so it is the
+    /// same at any thread count. A warm session's counts include the cells
+    /// it kept from earlier runs.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DemandStats {
+        /// Functions whose PDG adjacency is built
+        /// ([`Pdg::built_functions`]).
+        pub adjacency_functions: u64 => "adjacency_functions",
+        /// Functions whose whole abstract fact vector is evaluated
+        /// ([`ProgramFacts::functions_evaluated`]; 0 with absint off).
+        pub fact_functions: u64 => "fact_functions",
+        /// Functions whose abstract return fact is evaluated
+        /// ([`ProgramFacts::returns_evaluated`]; 0 with absint off).
+        pub ret_fact_functions: u64 => "ret_fact_functions",
+    }
+}
+
+impl DemandStats {
+    /// The built cells of `pdg` and, when absint is on, `facts`.
+    pub fn of(pdg: &Pdg, facts: Option<&ProgramFacts>) -> DemandStats {
+        DemandStats {
+            adjacency_functions: pdg.built_functions() as u64,
+            fact_functions: facts.map_or(0, |f| f.functions_evaluated() as u64),
+            ret_fact_functions: facts.map_or(0, |f| f.returns_evaluated() as u64),
+        }
     }
 }
 
@@ -522,8 +558,10 @@ struct RunCtx<'a> {
     cache: Option<&'a VerdictCache>,
     facts: Option<&'a Arc<ProgramFacts>>,
     prov: Option<&'a Provenance>,
+    /// Each checker's sources, sinks and sanitizers, resolved once.
+    roles: &'a CheckerRoles,
     /// The `(checker, source)` work list in canonical order
-    /// ([`multi_source_vertices`]).
+    /// ([`CheckerRoles::sources`]).
     items: &'a [(CheckerId, Vertex)],
 }
 
@@ -560,6 +598,7 @@ impl RunCtx<'_> {
             self.program,
             self.pdg,
             self.set.get(id),
+            self.roles,
             id,
             &self.options.propagate,
             src,
@@ -870,10 +909,11 @@ pub fn analyze_multi_with_cache(
 /// `factory`. At one thread the run is inline, exactly as
 /// [`analyze_multi_with_cache`]. At more, discovery producers steal
 /// `(checker, source)` work items and stream each item's sink groups
-/// through bounded channels into sticky solve workers: a group goes to
-/// worker `sink function % threads`, so a sink function targeted by
-/// several items or checkers lands on one engine, which keeps one warm
-/// session and instance memo across all of them. Solving overlaps
+/// through bounded channels into sticky solve workers — one per thread,
+/// but no more than there are work items: a group goes to worker `sink
+/// function % workers`, so a sink function targeted by several items or
+/// checkers lands on one engine, which keeps one warm session and
+/// instance memo across all of them. Solving overlaps
 /// discovery. Results merge by `(work item, candidate)` index, so the
 /// reports are byte-identical at any thread count. The run is named
 /// `"{engine}×{threads}"` (e.g. `"fusion×4"`).
@@ -1014,10 +1054,10 @@ enum Engines<'a> {
 /// Both paths share [`RunCtx::discover`] and [`Worker::solve_group`],
 /// and every run ends in the one merge and accounting step below.
 ///
-/// A cold run (`session == None`) computes abstract facts before the
-/// clock starts; a session run takes them from the resident state, and
-/// is the only kind that records [`ItemOutcomes`] and counts
-/// [`StageStats::candidates_reanalyzed`].
+/// A cold run (`session == None`) makes empty abstract facts, which
+/// triage and the engines evaluate as they read them; a session run takes
+/// them from the resident state, and is the only kind that records
+/// [`ItemOutcomes`] and counts [`StageStats::candidates_reanalyzed`].
 fn drive(
     program: &Program,
     pdg: &Pdg,
@@ -1030,16 +1070,15 @@ fn drive(
     debug_validate(program);
     let cold = session.is_none();
     let session = session.unwrap_or_default();
-    // Facts are computed once per run (memoized per function inside) and
-    // shared by driver-side triage and engine-side seeding.
+    // Facts are made once per run, evaluated per function on first read,
+    // and shared by driver-side triage and engine-side seeding.
     let facts = if cold {
-        options
-            .absint
-            .then(|| Arc::new(ProgramFacts::compute(program)))
+        options.absint.then(|| Arc::new(ProgramFacts::new(program)))
     } else {
         session.facts
     };
-    let items = multi_source_vertices(program, set);
+    let roles = CheckerRoles::new(program, set);
+    let items = roles.sources(program, set);
     // An item replays iff its source function is provably unaffected by
     // the edit *and* a retained record exists. Out-of-range functions
     // (the program grew) count as affected.
@@ -1072,6 +1111,7 @@ fn drive(
         cache,
         facts: facts.as_ref(),
         prov: session.prov,
+        roles: &roles,
         items: &items,
     };
     let threads = match engines {
@@ -1130,6 +1170,7 @@ fn drive(
     if !cold {
         stages.candidates_reanalyzed = live_candidates;
     }
+    stages.demand = DemandStats::of(pdg, facts.as_deref());
 
     // The graph and the caches are retained for the whole run; every
     // engine and every discovery producer is live concurrently. Because
@@ -1201,15 +1242,16 @@ fn inline(
     (vec![worker.finish()], vec![found], discover_wall)
 }
 
-/// Runs the live items through the streaming pipeline on `threads` ≥ 2
-/// factory-built engines. Producers (one per thread, at most one per
-/// live item) steal work items off a cursor and send each item's sink
-/// groups down the bounded channel (`sync_channel(2)`) of worker `sink
-/// function % threads`; each worker owns its channel's receiver. Sticky
-/// routing keeps every group of one sink function on one engine, so its
-/// session and instance memo amortize across the per-item fragments, and
-/// solving overlaps discovery. The discovery span runs from `t0` until
-/// the last producer finished.
+/// Runs the live items through the streaming pipeline on up to `threads`
+/// (≥ 2) factory-built engines: one solve worker per thread, but no more
+/// workers than live items, and as many producers. Producers steal work
+/// items off a cursor and send each item's sink groups down the bounded
+/// channel (`sync_channel(2)`) of worker `sink function % workers`; each
+/// worker owns its channel's receiver. Sticky routing keeps every group
+/// of one sink function on one engine, so its session and instance memo
+/// amortize across the per-item fragments, and solving overlaps
+/// discovery. The discovery span runs from `t0` until the last producer
+/// finished.
 ///
 /// Only producers hold senders (the scope drops its own after spawning
 /// them), so a worker's channel disconnects, and the worker returns,
@@ -1224,9 +1266,9 @@ fn pipeline(
     threads: usize,
     t0: Instant,
 ) -> (Vec<WorkerOut>, Vec<Discovered>, Duration) {
-    let producers = threads.min(live.len()).max(1);
+    let workers = threads.min(live.len()).max(1);
     let (senders, receivers): (Vec<SyncSender<SinkGroup>>, Vec<Receiver<SinkGroup>>) =
-        (0..threads).map(|_| sync_channel(2)).unzip();
+        (0..workers).map(|_| sync_channel(2)).unzip();
     let cursor = &AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let worker_handles: Vec<_> = receivers
@@ -1242,14 +1284,14 @@ fn pipeline(
                 })
             })
             .collect();
-        let producer_handles: Vec<_> = (0..producers)
+        let producer_handles: Vec<_> = (0..workers)
             .map(|_| {
                 let senders = senders.clone();
                 scope.spawn(move || {
                     let mut found = Discovered::default();
                     'items: while let Some(&i) = live.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                         for group in ctx.discover(i, &mut found) {
-                            if senders[group.sink_key as usize % threads]
+                            if senders[group.sink_key as usize % workers]
                                 .send(group)
                                 .is_err()
                             {
@@ -1593,6 +1635,33 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(multi.candidates, single.candidates);
         assert_eq!(multi.queries, single.queries);
+    }
+
+    #[test]
+    fn the_pipeline_builds_no_more_engines_than_work_items() {
+        // Two null sources, so two work items: 64 requested threads must
+        // build at most two engines (one per solve worker), and report
+        // what one thread reports.
+        let src = "extern fn deref(p);\n\
+             fn a(x) { let q = null; let r = 1; if (x > 1) { r = q; } deref(r); return 0; }\n\
+             fn b(x) { let q = null; let r = 1; if (x * 2 == 5) { r = q; } deref(r); return 0; }";
+        let p = compile(src, CompileOptions::default()).expect("compile");
+        let g = Pdg::build(&p);
+        let set = CheckerSet::all();
+        let opts = AnalysisOptions::new();
+        let built = AtomicUsize::new(0);
+        let counting = || -> Box<dyn FeasibilityEngine> {
+            built.fetch_add(1, Ordering::Relaxed);
+            fusion_factory()
+        };
+        let one = analyze_multi_streaming_with_cache(&p, &g, &set, &counting, 1, &opts, None);
+        assert_eq!(built.swap(0, Ordering::Relaxed), 1);
+        let many = analyze_multi_streaming_with_cache(&p, &g, &set, &counting, 64, &opts, None);
+        assert!(built.load(Ordering::Relaxed) <= 2, "{built:?} engines");
+        assert_eq!(many.engine, "fusion×64");
+        let keys = |run: &MultiAnalysisRun| run.all_reports().map(report_key).collect::<Vec<_>>();
+        assert_eq!(keys(&one), keys(&many));
+        assert_eq!(one.candidates, 2);
     }
 
     /// An engine that panics on its first query.

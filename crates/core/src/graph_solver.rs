@@ -30,7 +30,7 @@ use crate::absint::ProgramFacts;
 use crate::cache::{path_set_key, Key128};
 use crate::engine::{CheckOutcome, EngineStages, Feasibility, FeasibilityEngine, SolveRecord};
 use crate::memory::{Category, MemoryAccountant, BYTES_PER_TERM_NODE};
-use crate::quickpath::{ret_summaries, RetSummary};
+use crate::quickpath::RetSummary;
 use crate::slice_cache::{Closure, SliceCache};
 use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Program, VarId, WORD_BITS};
 use fusion_pdg::graph::Pdg;
@@ -255,9 +255,11 @@ pub struct FusionSolver {
     pub incremental: bool,
     memory: MemoryAccountant,
     records: Vec<SolveRecord>,
-    /// Quick-path summaries, computed once per program (keyed by a cheap
-    /// program identity: function count + size).
-    summaries: Option<(usize, usize, Vec<RetSummary>)>,
+    /// The facts the quick paths read each callee's return summary from:
+    /// the attached facts when they match the program, else the engine's
+    /// own, evaluated per callee the first time a query reads it. Their
+    /// program identity (function count + size) is the epoch's.
+    quick: Option<Arc<ProgramFacts>>,
     /// Persistent pool hosting the cached per-function local conditions.
     /// These are *linear-size graph data* (an alternative encoding of the
     /// PDG slice, preprocessed once per (function, slice) — §3.2.3), not
@@ -313,7 +315,7 @@ impl FusionSolver {
             incremental: true,
             memory: MemoryAccountant::new(),
             records: Vec::new(),
-            summaries: None,
+            quick: None,
             pool: TermPool::new(),
             local_cache: HashMap::new(),
             local_cache_bytes: 0,
@@ -353,23 +355,18 @@ impl FusionSolver {
         self.memory.set(Category::SolverState, 0);
     }
 
-    /// Computes the quick-path summaries when `program` is not the one they
-    /// were computed for, resetting the epoch with them.
-    fn refresh_summaries(&mut self, program: &Program) {
-        let key = (program.functions.len(), program.size());
-        let stale = match &self.summaries {
-            Some((n, s, _)) => (*n, *s) != key,
-            None => true,
-        };
-        if stale {
-            // The quick-path summaries are the Const/Affine projection of
-            // the abstract-interpretation domain; when the driver attached
-            // matching facts, project them instead of recomputing.
-            let sums = match &self.facts {
-                Some(f) if f.matches(program) => f.ret_summaries(),
-                _ => ret_summaries(program),
-            };
-            self.summaries = Some((key.0, key.1, sums));
+    /// Picks the quick-path facts when `program` is not the one the epoch
+    /// belongs to, resetting the epoch with them.
+    fn refresh_program(&mut self, program: &Program) {
+        if !self.quick.as_ref().is_some_and(|q| q.matches(program)) {
+            // The quick-path summaries are the Const/Affine shape of the
+            // abstract-interpretation return facts; when the driver
+            // attached matching facts, read those instead of evaluating
+            // the same return cones again.
+            self.quick = Some(match &self.facts {
+                Some(f) if f.matches(program) => Arc::clone(f),
+                _ => Arc::new(ProgramFacts::new(program)),
+            });
             self.reset_epoch();
         }
     }
@@ -496,7 +493,7 @@ impl FusionSolver {
             if let Some(facts) = &self.facts {
                 if facts.matches(program) {
                     for (&idx, &v) in &var_map {
-                        let av = facts.value(fid, v);
+                        let av = facts.value(program, fid, v);
                         if av.known != 0 {
                             seeds.insert(idx, av.known as u64, av.value as u64);
                         }
@@ -654,7 +651,7 @@ impl FeasibilityEngine for FusionSolver {
     ) -> CheckOutcome {
         let start = Instant::now();
         let deadline = self.per_call.deadline_from(start);
-        self.refresh_summaries(program);
+        self.refresh_program(program);
         // Phase 2 dependence closure — memoized and shared (candidate ctx,
         // slice cache); Phase 1 constraints — cheap, recomputed from the
         // concrete queried path, never shared (§3.2.2).
@@ -672,7 +669,7 @@ impl FeasibilityEngine for FusionSolver {
         }
         let pool_before = self.pool.len();
         let incremental = self.incremental;
-        let summaries = &self.summaries.as_ref().expect("refreshed above").2;
+        let quick = self.quick.as_deref().expect("refreshed above");
         let pool = &mut self.pool;
         let inst_cache = &mut self.inst_cache;
         let origins = &mut self.origins;
@@ -777,7 +774,7 @@ impl FeasibilityEngine for FusionSolver {
                         // Quick path: constant / affine callees never get
                         // cloned — the parenthesis label is deleted.
                         let summary = if self.use_quick_paths {
-                            summaries[callee.index()]
+                            quick.ret_fact(program, *callee).shape
                         } else {
                             RetSummary::Opaque
                         };
@@ -838,7 +835,7 @@ impl FeasibilityEngine for FusionSolver {
                 let mut seeds = BitsSeeds::new();
                 for idx in pool.free_vars(formula) {
                     if let Some((ofid, ovar)) = origins.get(idx) {
-                        let av = facts.value(ofid, ovar);
+                        let av = facts.value(program, ofid, ovar);
                         if av.known != 0 {
                             seeds.insert(idx, av.known as u64, av.value as u64);
                         }

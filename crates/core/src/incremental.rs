@@ -40,7 +40,7 @@ use crate::absint::ProgramFacts;
 use crate::cache::{hash_transfer, Fnv, Key128, VerdictCache};
 use crate::checkers::CheckerSet;
 use crate::engine::{
-    analyze_multi_streaming_session, AnalysisOptions, FeasibilityEngine, ItemOutcomes,
+    analyze_multi_streaming_session, AnalysisOptions, DemandStats, FeasibilityEngine, ItemOutcomes,
     MultiAnalysisRun, SessionParams,
 };
 use crate::slice_cache::SliceCache;
@@ -360,6 +360,8 @@ crate::counters! {
         pub cache_bytes: u64 => "cache_bytes",
         /// Bytes retained by the resident slice-closure cache.
         pub slice_cache_bytes: u64 => "slice_cache_bytes",
+        /// The resident graph's built adjacency and evaluated facts.
+        pub demand: DemandStats => ..,
     }
 }
 
@@ -435,6 +437,9 @@ impl AnalysisSession {
             items_resident: self.outcomes.as_ref().map_or(0, |o| o.len() as u64),
             cache_bytes: self.cache.bytes(),
             slice_cache_bytes: slices.map_or(0, SliceCache::bytes),
+            demand: self.pdg.as_ref().map_or_else(DemandStats::default, |pdg| {
+                DemandStats::of(pdg, self.facts.as_deref())
+            }),
         }
     }
 
@@ -512,8 +517,8 @@ impl AnalysisSession {
                     unchanged[f.index()] = false;
                 }
                 let pdg = Pdg::rebuild(&program, &prev_pdg, &unchanged);
-                // Absint facts: recompute edited ∪ transitive callers,
-                // seeding the builder with every clean function's values.
+                // Absint facts: drop edited ∪ transitive callers, keeping
+                // every clean function's evaluated cells.
                 if self.options.absint {
                     let prev = self.facts.take().expect("resident absint facts");
                     let (facts, invalidated) =
@@ -550,7 +555,10 @@ impl AnalysisSession {
 
     /// Persists the resident state — program, facts, recorded outcomes,
     /// verdict cache, and eviction provenance — into one snapshot
-    /// container at `path` (serve-mode `save`). The PDG and slice
+    /// container at `path` (serve-mode `save`). Facts are written for
+    /// every function, so those no scan read are evaluated here (and stay
+    /// resident), and the format is what a whole-program evaluation
+    /// writes. The PDG and slice
     /// closures are deliberately not serialized: `load` rebuilds the
     /// graph from the bodies, closures are a pure memo the next live run
     /// refills, and replay needs neither. Returns bytes
@@ -592,8 +600,8 @@ impl AnalysisSession {
         } else if snap.has(snapshot::tag::FACTS, 0) {
             Some(snapshot::read_facts(&snap, &program)?)
         } else {
-            // Saved by an absint-off session; recompute once.
-            Some(ProgramFacts::compute(&program))
+            // Saved by an absint-off session: evaluate on demand.
+            Some(ProgramFacts::new(&program))
         };
         let cache = if snap.has(snapshot::tag::VERDICTS, 0) {
             snapshot::read_verdicts(&snap)?
@@ -665,7 +673,7 @@ impl AnalysisSession {
         let facts = self
             .options
             .absint
-            .then(|| Arc::new(ProgramFacts::compute(&program)));
+            .then(|| Arc::new(ProgramFacts::new(&program)));
         self.install_with(program, facts);
     }
 
@@ -905,7 +913,7 @@ mod tests {
         for f in &program.functions {
             let mut words = vec![f.defs.len() as u32];
             for def in &f.defs {
-                let uses = pdg.uses(f.id, def.var);
+                let uses = pdg.uses(program, f.id, def.var);
                 words.push(uses.len() as u32);
                 words.extend(uses.iter().flat_map(|(user, slot)| [user.0, *slot as u32]));
             }

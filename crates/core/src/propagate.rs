@@ -15,7 +15,10 @@
 //! Discovery runs one way: a DFS per `(checker, source)` work item over
 //! the plain PDG ([`discover_item`]). The analysis driver calls it once
 //! per item, and [`discover_all_multi`] runs the items in order on the
-//! calling thread. Two implementations of that DFS live here:
+//! calling thread. Which external functions are each checker's sources,
+//! sinks and sanitizers is resolved from their names once per program
+//! ([`CheckerRoles`]); the work list and the DFS read that table instead
+//! of comparing names. Two implementations of that DFS live here:
 //!
 //! * [`discover_item`] and its wrappers — the production DFS. Cycle
 //!   states are a hash set keyed on `(vertex, rolling stack hash)` (O(1)
@@ -26,9 +29,9 @@
 //!   kept verbatim as the oracle for the equivalence proptest
 //!   (`tests/discovery_prop.rs`).
 
-use crate::checkers::{Checker, CheckerId, CheckerSet};
+use crate::checkers::{CheckKind, Checker, CheckerId, CheckerSet};
 use crate::compact::CompactPdg;
-use fusion_ir::ssa::{CallSiteId, Program};
+use fusion_ir::ssa::{CallSiteId, DefKind, Program};
 use fusion_pdg::graph::{FlowTarget, Pdg, Vertex};
 use fusion_pdg::paths::{DependencePath, Link};
 use std::collections::hash_map::Entry;
@@ -134,6 +137,8 @@ struct Dfs<'a> {
     program: &'a Program,
     pdg: &'a Pdg,
     checker: &'a Checker,
+    /// This checker's row of the [`CheckerRoles`] table.
+    roles: &'a [u8],
     /// Tag stamped on every recorded candidate (the client identity of a
     /// fused multi-checker pass).
     checker_id: CheckerId,
@@ -159,6 +164,7 @@ impl<'a> Dfs<'a> {
         program: &'a Program,
         pdg: &'a Pdg,
         checker: &'a Checker,
+        roles: &'a [u8],
         checker_id: CheckerId,
         opts: PropagateOptions,
     ) -> Self {
@@ -166,6 +172,7 @@ impl<'a> Dfs<'a> {
             program,
             pdg,
             checker,
+            roles,
             checker_id,
             opts,
             steps: 0,
@@ -267,18 +274,15 @@ impl<'a> Dfs<'a> {
                         stack.push(site);
                     }
                 }
-                FlowTarget::ThroughExtern { to, arg: _, .. } => {
-                    let func = self.program.func(at.func);
-                    let sink_here = self.checker.is_sink(self.program, func, to);
+                FlowTarget::ThroughExtern { to, callee, .. } => {
+                    let role = self.roles[callee.index()];
+                    let sink_here = role & SINK != 0;
                     if sink_here {
                         self.record(path, Vertex::new(at.func, to));
                     }
                     // Sanitizers kill the fact; other externs pass it
                     // through (taint only).
-                    if self.checker.through_extern
-                        && !sink_here
-                        && !self.checker.is_sanitizer(self.program, func, to)
-                    {
+                    if self.checker.through_extern && !sink_here && role & SANITIZER == 0 {
                         self.step(path, stack, Link::Local, Vertex::new(at.func, to));
                     }
                 }
@@ -287,8 +291,99 @@ impl<'a> Dfs<'a> {
     }
 }
 
+/// A call to the function is a source of the checker.
+const SOURCE: u8 = 1;
+/// A call to the function is a sink of the checker.
+const SINK: u8 = 2;
+/// A call to the function kills the checker's fact.
+const SANITIZER: u8 = 4;
+
+/// Each checker's role for every function of one program — whether a
+/// call to it is a source, a sink or a sanitizer of that checker —
+/// resolved from the checkers' name lists once per program, so finding
+/// sources and deciding sinks never compare names. Only external
+/// functions have roles, as in [`Checker::is_source`],
+/// [`Checker::is_sink`] and [`Checker::is_sanitizer`], which it agrees
+/// with.
+#[derive(Debug, Clone)]
+pub struct CheckerRoles {
+    functions: usize,
+    /// Checker-major role bits: `roles[c * functions + f]`.
+    roles: Vec<u8>,
+}
+
+impl CheckerRoles {
+    /// Resolves every checker of `set` against `program`'s external
+    /// functions.
+    pub fn new(program: &Program, set: &CheckerSet) -> CheckerRoles {
+        let functions = program.functions.len();
+        let mut roles = vec![0u8; functions * set.len()];
+        for f in program.functions.iter().filter(|f| f.is_extern) {
+            let name = program.name(f.name);
+            let named = |names: &[String]| names.iter().any(|n| n == name);
+            for (id, c) in set.iter() {
+                let role = &mut roles[id.0 * functions + f.id.index()];
+                for (names, bit) in [
+                    (&c.source_fns, SOURCE),
+                    (&c.sink_fns, SINK),
+                    (&c.sanitizer_fns, SANITIZER),
+                ] {
+                    if named(names) {
+                        *role |= bit;
+                    }
+                }
+            }
+        }
+        CheckerRoles { functions, roles }
+    }
+
+    /// Checker `id`'s row, indexed by callee.
+    fn of(&self, id: CheckerId) -> &[u8] {
+        &self.roles[id.0 * self.functions..(id.0 + 1) * self.functions]
+    }
+
+    /// The fused work list of [`multi_source_vertices`], found in one pass
+    /// over the definitions: each definition is checked against every
+    /// checker at once, and the per-checker lists are concatenated in
+    /// checker order.
+    pub fn sources(&self, program: &Program, set: &CheckerSet) -> Vec<(CheckerId, Vertex)> {
+        let mut per: Vec<Vec<Vertex>> = vec![Vec::new(); set.len()];
+        let null: Vec<usize> = set
+            .iter()
+            .filter(|(_, c)| c.kind == CheckKind::NullDeref)
+            .map(|(id, _)| id.0)
+            .collect();
+        for func in program.functions.iter().filter(|f| !f.is_extern) {
+            for def in &func.defs {
+                let at = Vertex::new(func.id, def.var);
+                match def.kind {
+                    DefKind::Const { is_null: true, .. } => {
+                        for &c in &null {
+                            per[c].push(at);
+                        }
+                    }
+                    DefKind::Call { callee, .. } => {
+                        for (c, list) in per.iter_mut().enumerate() {
+                            if self.roles[c * self.functions + callee.index()] & SOURCE != 0 {
+                                list.push(at);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        per.into_iter()
+            .enumerate()
+            .flat_map(|(c, list)| list.into_iter().map(move |v| (CheckerId(c), v)))
+            .collect()
+    }
+}
+
 /// The checker's source vertices in canonical order (function order,
-/// then definition order).
+/// then definition order), found by comparing names per definition
+/// ([`Checker::is_source`]): the reference [`CheckerRoles::sources`]
+/// agrees with.
 pub fn source_vertices(program: &Program, checker: &Checker) -> Vec<Vertex> {
     let mut sources = Vec::new();
     for func in program.functions.iter().filter(|f| !f.is_extern) {
@@ -306,15 +401,10 @@ pub fn source_vertices(program: &Program, checker: &Checker) -> Vec<Vertex> {
 /// checker's sources in [`source_vertices`] order. This is the unit of
 /// work the analysis driver's streaming producers steal; merging
 /// per-item results back in item order keeps a run byte-deterministic at
-/// any thread count.
+/// any thread count. Resolves the roles table and makes one pass
+/// ([`CheckerRoles::sources`]).
 pub fn multi_source_vertices(program: &Program, set: &CheckerSet) -> Vec<(CheckerId, Vertex)> {
-    let mut items = Vec::new();
-    for (id, checker) in set.iter() {
-        for v in source_vertices(program, checker) {
-            items.push((id, v));
-        }
-    }
-    items
+    CheckerRoles::new(program, set).sources(program, set)
 }
 
 /// One source's worth of discovery — the unit of work the analysis
@@ -332,17 +422,19 @@ pub struct SourceDiscovery {
 
 /// Runs the DFS for a single `(checker, source)` work item (one element
 /// of [`multi_source_vertices`]); every recorded candidate is stamped
-/// with `id`. The concatenation of results in work-item order is exactly
+/// with `id`, the checker's index in the set `roles` was resolved for.
+/// The concatenation of results in work-item order is exactly
 /// [`discover_all_multi`]'s output.
 pub fn discover_item(
     program: &Program,
     pdg: &Pdg,
     checker: &Checker,
+    roles: &CheckerRoles,
     id: CheckerId,
     opts: &PropagateOptions,
     source: Vertex,
 ) -> SourceDiscovery {
-    let mut dfs = Dfs::new(program, pdg, checker, id, *opts);
+    let mut dfs = Dfs::new(program, pdg, checker, roles.of(id), id, *opts);
     let mut path = DependencePath::unit(source);
     let mut stack = CallStack::new();
     dfs.explore(&mut path, &mut stack);
@@ -381,8 +473,9 @@ pub fn discover_all_multi(
         per_checker_steps: vec![0; set.len()],
         ..Discovery::default()
     };
-    for (id, src) in multi_source_vertices(program, set) {
-        let item = discover_item(program, pdg, set.get(id), id, opts, src);
+    let roles = CheckerRoles::new(program, set);
+    for (id, src) in roles.sources(program, set) {
+        let item = discover_item(program, pdg, set.get(id), &roles, id, opts, src);
         d.steps += item.steps;
         d.per_checker_steps[id.0] += item.steps;
         d.candidates.extend(item.candidates);

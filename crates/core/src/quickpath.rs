@@ -13,10 +13,11 @@
 //! pure and total, these equalities hold unconditionally.
 //!
 //! Since the introduction of [`crate::absint`] the summaries are no longer
-//! a standalone traversal: they are the Const/Affine *projection* of the
-//! abstract-interpretation product domain
-//! ([`crate::absint::ProgramFacts::ret_summaries`]), so there is exactly
-//! one value-propagation engine in the analysis.
+//! a standalone traversal: a callee's summary is the Const/Affine shape of
+//! its abstract-interpretation return fact
+//! ([`crate::absint::ProgramFacts::ret_fact`]), evaluated from the
+//! definitions its return depends on, so there is exactly one
+//! value-propagation engine in the analysis.
 
 use fusion_ir::ssa::Program;
 
@@ -40,15 +41,18 @@ pub enum RetSummary {
     Opaque,
 }
 
-/// Computes the return summary of every function, bottom-up over the
-/// (acyclic, post-unrolling) call graph.
-///
-/// This is the Const/Affine projection of the abstract-interpretation
-/// product domain — see [`crate::absint::ProgramFacts::ret_summaries`].
-/// The shape algebra of the domain is byte-compatible with the historical
-/// per-definition propagation loop this function used to run.
+/// Computes the return summary of every function: the shape of each
+/// function's return fact ([`crate::absint::ProgramFacts::ret_fact`]),
+/// read per function, so only return cones are evaluated, never whole
+/// bodies. The shape algebra of the domain is byte-compatible with the
+/// historical per-definition propagation loop this function used to run.
 pub fn ret_summaries(program: &Program) -> Vec<RetSummary> {
-    crate::absint::ProgramFacts::compute(program).ret_summaries()
+    let facts = crate::absint::ProgramFacts::new(program);
+    program
+        .functions
+        .iter()
+        .map(|f| facts.ret_fact(program, f.id).shape)
+        .collect()
 }
 
 #[cfg(test)]

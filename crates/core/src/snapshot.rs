@@ -937,16 +937,19 @@ fn decode_absval(d: &mut Dec<'_>) -> Result<crate::absint::AbsVal, SnapshotError
 }
 
 /// Adds one [`tag::FACTS`] section per function: the per-definition
-/// abstract values and the return fact.
+/// abstract values and the return fact. Facts not evaluated yet are
+/// evaluated first, so the sections hold every function's facts whatever
+/// a scan read.
 pub fn write_facts(w: &mut SnapshotWriter, program: &Program, facts: &ProgramFacts) {
+    facts.evaluate_all(program);
     for f in &program.functions {
         let mut e = Enc::new();
-        let vals = facts.function(f.id);
+        let vals = facts.function(program, f.id);
         e.u32(vals.len() as u32);
         for v in vals {
             encode_absval(&mut e, v);
         }
-        encode_absval(&mut e, &facts.ret_fact(f.id));
+        encode_absval(&mut e, &facts.ret_fact(program, f.id));
         w.add(tag::FACTS, f.id.0, e.buf);
     }
 }
@@ -1310,8 +1313,8 @@ mod tests {
         let facts = ProgramFacts::compute(&p);
         let got = read_facts(&snap, &p).expect("read facts");
         for f in &p.functions {
-            assert_eq!(facts.function(f.id), got.function(f.id));
-            assert_eq!(facts.ret_fact(f.id), got.ret_fact(f.id));
+            assert_eq!(facts.function(&p, f.id), got.function(&p, f.id));
+            assert_eq!(facts.ret_fact(&p, f.id), got.ret_fact(&p, f.id));
         }
     }
 

@@ -7,12 +7,13 @@
 //! to the `if`-statements guarding it.
 //!
 //! The core SSA form of `fusion-ir` already encodes all of these relations
-//! implicitly; this module materializes the forward adjacency (def → uses)
-//! the sparse analysis propagates along, the reverse call map, and the
-//! vertex/edge statistics reported in Table 2.
+//! implicitly; this module materializes the reverse call map and the
+//! vertex/edge statistics reported in Table 2 for the whole program, and
+//! the forward adjacency (def → uses) the sparse analysis propagates along
+//! one function at a time, the first time a query reads that function.
 
 use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Program, VarId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A vertex of the whole-program dependence graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,15 +151,23 @@ impl PdgStats {
 
 /// The whole-program dependence graph.
 ///
-/// Per-function adjacency is held behind [`Arc`] so an incremental
-/// rebuild ([`Pdg::rebuild`]) can share the subgraphs of unedited
-/// functions with the previous graph instead of re-deriving them: a
-/// function's [`FuncPdg`] depends only on its *own* definition array
-/// (operand edges never look at callee bodies), so content-identical
-/// functions have bit-identical adjacency.
+/// The reverse call map and the statistics cover the whole program from
+/// [`Pdg::build`] on. A function's adjacency ([`FuncPdg`]) is built the
+/// first time [`Pdg::uses`] or [`Pdg::flow_targets`] reads it, once, in
+/// its own [`OnceLock`]: the sparse analysis steps into a few percent of
+/// a large program's functions, and the rest never pay for theirs.
+/// Reads are safe from any number of threads, and the graph they see is
+/// the same whichever thread builds a cell first.
+///
+/// Built adjacency is held behind [`Arc`] so an incremental rebuild
+/// ([`Pdg::rebuild`]) can share the subgraphs of unedited functions with
+/// the previous graph instead of re-deriving them: a function's
+/// [`FuncPdg`] depends only on its *own* definition array (operand edges
+/// never look at callee bodies), so content-identical functions have
+/// bit-identical adjacency.
 #[derive(Debug, Clone)]
 pub struct Pdg {
-    funcs: Vec<Arc<FuncPdg>>,
+    funcs: Vec<OnceLock<Arc<FuncPdg>>>,
     callers_of: CallersOf,
     stats: PdgStats,
 }
@@ -191,30 +200,36 @@ fn func_stats(program: &Program, func: &fusion_ir::ssa::Function) -> PdgStats {
     stats
 }
 
+/// Sums every function's [`func_stats`].
+fn program_stats(program: &Program) -> PdgStats {
+    let mut stats = PdgStats::default();
+    for func in &program.functions {
+        let fs = func_stats(program, func);
+        stats.vertices += fs.vertices;
+        stats.data_edges += fs.data_edges;
+        stats.interproc_edges += fs.interproc_edges;
+        stats.control_edges += fs.control_edges;
+    }
+    stats
+}
+
 impl Pdg {
-    /// Builds the dependence graph of a program (Fig. 5 rules).
+    /// Builds the dependence graph of a program (Fig. 5 rules): the
+    /// reverse call map and the statistics now, each function's adjacency
+    /// on first use.
     pub fn build(program: &Program) -> Pdg {
-        let mut funcs = Vec::with_capacity(program.functions.len());
-        let mut stats = PdgStats::default();
-        for func in &program.functions {
-            let fs = func_stats(program, func);
-            stats.vertices += fs.vertices;
-            stats.data_edges += fs.data_edges;
-            stats.interproc_edges += fs.interproc_edges;
-            stats.control_edges += fs.control_edges;
-            funcs.push(Arc::new(FuncPdg::build(func)));
-        }
         Pdg {
-            funcs,
+            funcs: program.functions.iter().map(|_| OnceLock::new()).collect(),
             callers_of: CallersOf::build(program),
-            stats,
+            stats: program_stats(program),
         }
     }
 
     /// Incrementally rebuilds the graph after an edit: functions flagged
     /// `unchanged` (content-identical to the previous program, same
     /// [`FuncId`] indexing) share the previous graph's [`FuncPdg`] by
-    /// [`Arc`] instead of re-deriving their adjacency. The reverse call
+    /// [`Arc`] when it was built; every other function builds its
+    /// adjacency on first use, as after [`Pdg::build`]. The reverse call
     /// map and the statistics are recomputed from scratch — both are
     /// O(program) scans with trivial constants, and the call map can
     /// shift even for unedited functions (an edited caller may add or
@@ -237,25 +252,19 @@ impl Pdg {
             program.functions.len(),
             "incremental rebuild requires an unchanged function list shape"
         );
-        let mut funcs = Vec::with_capacity(program.functions.len());
-        let mut stats = PdgStats::default();
-        for func in &program.functions {
-            let fs = func_stats(program, func);
-            stats.vertices += fs.vertices;
-            stats.data_edges += fs.data_edges;
-            stats.interproc_edges += fs.interproc_edges;
-            stats.control_edges += fs.control_edges;
-            let i = func.id.index();
-            if unchanged[i] {
-                funcs.push(Arc::clone(&prev.funcs[i]));
-            } else {
-                funcs.push(Arc::new(FuncPdg::build(func)));
-            }
-        }
+        let funcs = prev
+            .funcs
+            .iter()
+            .zip(unchanged)
+            .map(|(cell, &same)| match cell.get() {
+                Some(built) if same => OnceLock::from(Arc::clone(built)),
+                _ => OnceLock::new(),
+            })
+            .collect();
         Pdg {
             funcs,
             callers_of: CallersOf::build(program),
-            stats,
+            stats: program_stats(program),
         }
     }
 
@@ -270,17 +279,34 @@ impl Pdg {
         &self.callers_of.sites[self.callers_of.offsets[i]..self.callers_of.offsets[i + 1]]
     }
 
-    /// Whether function `f`'s adjacency is shared (by [`Arc`]) with
-    /// another graph — true for unedited functions after an incremental
-    /// [`Pdg::rebuild`] while the previous graph is still alive. Test
-    /// and accounting hook; analysis never consults it.
+    /// Whether function `f`'s adjacency is built in both graphs and
+    /// shared (by [`Arc`]) between them — true for unedited functions
+    /// built before an incremental [`Pdg::rebuild`] while the previous
+    /// graph is still alive. Test and accounting hook; analysis never
+    /// consults it.
     pub fn shares_func_with(&self, other: &Pdg, f: FuncId) -> bool {
-        Arc::ptr_eq(&self.funcs[f.index()], &other.funcs[f.index()])
+        match (self.funcs[f.index()].get(), other.funcs[f.index()].get()) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
-    /// Intra-procedural uses of a definition.
-    pub fn uses(&self, func: FuncId, var: VarId) -> &[(VarId, usize)] {
-        self.funcs[func.index()].uses(var)
+    /// Number of functions whose adjacency has been built so far: the
+    /// functions some read stepped into. The count of built cells, so it
+    /// does not depend on which thread built which.
+    pub fn built_functions(&self) -> usize {
+        self.funcs.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Function `func`'s adjacency, built on first use.
+    fn func_pdg(&self, program: &Program, func: FuncId) -> &FuncPdg {
+        self.funcs[func.index()].get_or_init(|| Arc::new(FuncPdg::build(program.func(func))))
+    }
+
+    /// Intra-procedural uses of a definition of `program`, the program
+    /// this graph was built from.
+    pub fn uses(&self, program: &Program, func: FuncId, var: VarId) -> &[(VarId, usize)] {
+        self.func_pdg(program, func).uses(var)
     }
 
     /// All one-step flow targets of a definition: local uses, plus call
@@ -295,8 +321,10 @@ impl Pdg {
         at: Vertex,
     ) -> impl Iterator<Item = FlowTarget> + 'a {
         let func = program.func(at.func);
-        let uses = self.uses(at.func, at.var).iter().map(move |&(user, slot)| {
-            match &func.def(user).kind {
+        let uses = self
+            .uses(program, at.func, at.var)
+            .iter()
+            .map(move |&(user, slot)| match &func.def(user).kind {
                 DefKind::Call { callee, site, .. } => {
                     let callee_f = program.func(*callee);
                     if callee_f.is_extern {
@@ -317,8 +345,7 @@ impl Pdg {
                     to: user,
                     operand: slot,
                 },
-            }
-        });
+            });
         // Return edges: the Return definition's value flows to every caller.
         let returns: &[CallSiteId] = if Some(at.var) == func.ret {
             self.callers_of(at.func)
@@ -381,7 +408,7 @@ mod tests {
         let g = Pdg::build(&p);
         let f = p.func_by_name("f").unwrap();
         // x (param, v0) is used twice by the add.
-        assert_eq!(g.uses(f.id, f.params[0]).len(), 2);
+        assert_eq!(g.uses(&p, f.id, f.params[0]).len(), 2);
     }
 
     #[test]
@@ -446,16 +473,24 @@ mod tests {
         let foo = pb.func_by_name("foo").unwrap().id;
         let mut unchanged = vec![true; pb.functions.len()];
         unchanged[bar.index()] = false;
+        // Nothing is built yet, so a rebuild has nothing to share.
+        assert_eq!(ga.built_functions(), 0);
+        assert_eq!(Pdg::rebuild(&pb, &ga, &unchanged).built_functions(), 0);
+        for f in &pa.functions {
+            ga.uses(&pa, f.id, VarId(0));
+        }
+        assert_eq!(ga.built_functions(), 2);
         let gb = Pdg::rebuild(&pb, &ga, &unchanged);
         let gb_full = Pdg::build(&pb);
         assert_eq!(gb.stats(), gb_full.stats());
+        assert_eq!(gb.built_functions(), 1, "only foo's built cell is shared");
         assert!(gb.shares_func_with(&ga, foo), "foo's subgraph is reused");
         assert!(!gb.shares_func_with(&ga, bar), "bar's subgraph is rebuilt");
         for f in &pb.functions {
             for d in &f.defs {
                 assert_eq!(
-                    gb.uses(f.id, d.var),
-                    gb_full.uses(f.id, d.var),
+                    gb.uses(&pb, f.id, d.var),
+                    gb_full.uses(&pb, f.id, d.var),
                     "adjacency must match the full build"
                 );
                 assert!(gb

@@ -86,7 +86,7 @@ proptest! {
                 };
                 for def in &func.defs {
                     let v = ev.values[def.var.index()];
-                    let av = facts.value(func.id, def.var);
+                    let av = facts.value(&program, func.id, def.var);
                     prop_assert!(
                         av.contains(v),
                         "seed {seed}: {}:{} = {v} outside {av:?}",
@@ -101,7 +101,7 @@ proptest! {
                     );
                 }
                 prop_assert!(
-                    facts.ret_fact(func.id).contains(ev.ret),
+                    facts.ret_fact(&program, func.id).contains(ev.ret),
                     "seed {seed}: return fact of {} excludes {}",
                     program.name(func.name),
                     ev.ret

@@ -6,10 +6,15 @@
 //! visited set. The original implementation is kept as
 //! `discover_reference`, the pseudo-oracle: on arbitrary generated
 //! programs and every checker, the optimized discovery must reproduce
-//! its candidates *exactly* — same order, same paths, same links.
+//! its candidates *exactly* — same order, same paths, same links. The
+//! optimized side finds sources and decides sinks and sanitizers from a
+//! table resolved once per program; the reference compares names.
 
-use fusion::checkers::Checker;
-use fusion::propagate::{discover, discover_reference, Candidate, PropagateOptions};
+use fusion::checkers::{Checker, CheckerId, CheckerSet};
+use fusion::propagate::{
+    discover, discover_reference, multi_source_vertices, source_vertices, Candidate,
+    PropagateOptions,
+};
 use fusion_ir::{compile_ast, CompileOptions};
 use fusion_pdg::graph::Pdg;
 use fusion_workloads::{generate, GenConfig};
@@ -38,8 +43,37 @@ fn keys(cands: &[Candidate]) -> Vec<CandKey> {
         .collect()
 }
 
+/// The paper's three checkers plus two whose name lists overlap theirs:
+/// a null checker that also seeds from `gets`, and a taint checker whose
+/// sources are two other checkers' sources.
+fn overlapping_checkers() -> CheckerSet {
+    let mut null_and_gets = Checker::null_deref();
+    null_and_gets.source_fns = vec!["gets".into()];
+    let mut both = Checker::cwe402();
+    both.source_fns = vec!["gets".into(), "getpass".into()];
+    let mut set = fusion::checkers::default_checkers();
+    set.extend([null_and_gets, both]);
+    CheckerSet::new(set)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn one_pass_sources_match_per_checker_name_scans(seed in 0u64..100_000) {
+        let cfg = GenConfig { seed, functions: 12, ..Default::default() };
+        let mut subject = generate(&cfg);
+        let program =
+            compile_ast(&subject.surface, &mut subject.interner, CompileOptions::default())
+                .expect("compile");
+        let set = overlapping_checkers();
+        let expected: Vec<_> = set
+            .iter()
+            .flat_map(|(id, c)| source_vertices(&program, c).into_iter().map(move |v| (id, v)))
+            .collect();
+        prop_assert!(expected.iter().any(|&(id, _)| id == CheckerId(3)));
+        prop_assert_eq!(multi_source_vertices(&program, &set), expected, "seed {}", seed);
+    }
 
     #[test]
     fn optimized_discovery_matches_reference(seed in 0u64..100_000) {

@@ -170,17 +170,34 @@ fn iterating_operands_allocates_nothing() {
 fn pdg_build_allocates_per_function_not_per_definition() {
     let program = subject();
     let functions = program.functions.len();
-    let bound = 8 * functions as u64 + 16;
-    // A per-definition allocation alone would break the bound.
+    // `Pdg::build` allocates the adjacency cells and the reverse call
+    // map (offsets, cursor, sites): four buffers, whatever the program's
+    // size. No function's adjacency is built before something reads it.
+    let (pdg, n) = allocations(|| Pdg::build(&program));
+    assert_eq!(n, 4, "Pdg::build made {n} allocations");
+    assert_eq!(pdg.stats().vertices, program.size());
+    assert_eq!(pdg.built_functions(), 0);
+    // Reading every definition builds each function's adjacency once, in
+    // three buffers (offsets, edges, the shared cell); a per-definition
+    // allocation alone would break the bound.
+    let bound = 3 * functions as u64;
     assert!(
         program.size() as u64 > 2 * bound,
         "{} definitions",
         program.size()
     );
-    let (pdg, n) = allocations(|| Pdg::build(&program));
+    let ((), n) = allocations(|| {
+        for f in &program.functions {
+            for d in &f.defs {
+                pdg.uses(&program, f.id, d.var);
+            }
+        }
+    });
     assert!(
         n <= bound,
-        "Pdg::build made {n} allocations for {functions} functions"
+        "building every adjacency made {n} allocations for {functions} functions"
     );
-    assert_eq!(pdg.stats().vertices, program.size());
+    // Externs have no definitions to read.
+    let bodies = program.functions.iter().filter(|f| !f.defs.is_empty());
+    assert_eq!(pdg.built_functions(), bodies.count());
 }

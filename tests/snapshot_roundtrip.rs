@@ -10,8 +10,11 @@
 
 use fusion::cache::VerdictCache;
 use fusion::checkers::CheckerSet;
-use fusion::engine::{analyze_multi_with_cache, AnalysisOptions, Feasibility, MultiAnalysisRun};
+use fusion::engine::{
+    analyze_multi_with_cache, AnalysisOptions, Feasibility, FeasibilityEngine, MultiAnalysisRun,
+};
 use fusion::graph_solver::FusionSolver;
+use fusion::incremental::AnalysisSession;
 use fusion::snapshot::{self, open_bytes, SnapshotWriter};
 use fusion::ProgramFacts;
 use fusion_ir::{compile, CompileOptions, Program};
@@ -93,8 +96,8 @@ proptest! {
         for f in &reread.functions {
             for d in &f.defs {
                 prop_assert_eq!(
-                    read_facts.value(f.id, d.var),
-                    computed.value(f.id, d.var),
+                    read_facts.value(&reread, f.id, d.var),
+                    computed.value(&reread, f.id, d.var),
                     "facts diverge at {:?}/{:?}", f.id, d.var
                 );
             }
@@ -174,4 +177,95 @@ fn version_and_magic_are_checked() {
     bad_magic[0] = b'X';
     let err = open_bytes(bad_magic).expect_err("bad magic");
     assert_eq!(err.offset, 0);
+}
+
+fn fusion_factory() -> Box<dyn FeasibilityEngine> {
+    Box::new(FusionSolver::new(SolverConfig::default()))
+}
+
+fn run_keys(run: &MultiAnalysisRun) -> Vec<String> {
+    run.all_reports()
+        .map(|r| {
+            format!(
+                "{:?} {:?} {:?} {:?}",
+                r.source, r.sink, r.verdict, r.path.nodes
+            )
+        })
+        .collect()
+}
+
+/// A session's scan evaluates only the facts it reads, yet `save` writes
+/// every function's facts in the whole-program format: a load reads back
+/// what whole-program evaluation gives, and the rescans after it equal
+/// cold scans.
+#[test]
+fn save_after_a_demand_driven_scan_writes_every_functions_facts() {
+    let cfg = GenConfig {
+        seed: 11,
+        functions: 24,
+        ..Default::default()
+    };
+    let text = generate(&cfg).to_source();
+    let program = compile_src(&text);
+    let n = program.functions.len() as u64;
+    let new_session = || AnalysisSession::new(CheckerSet::all(), AnalysisOptions::new(), 1);
+    let mut session = new_session();
+    let cold = session.scan(program.clone(), &fusion_factory);
+    assert!(cold.candidates > 0);
+    let scanned = session.resident().demand;
+    assert!(
+        0 < scanned.fact_functions && scanned.fact_functions < n,
+        "{scanned:?} of {n} functions"
+    );
+    let dir = std::env::temp_dir().join(format!("fusion-demand-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("session.fsnp");
+    session.save(&path).expect("save");
+    assert_eq!(session.resident().demand.fact_functions, n);
+    let snap = snapshot::open_file(&path).expect("open");
+    let saved = snapshot::read_facts(&snap, &program).expect("read facts");
+    let whole = ProgramFacts::compute(&program);
+    for f in &program.functions {
+        assert_eq!(
+            saved.ret_fact(&program, f.id),
+            whole.ret_fact(&program, f.id)
+        );
+        for d in &f.defs {
+            assert_eq!(
+                saved.value(&program, f.id, d.var),
+                whole.value(&program, f.id, d.var),
+                "fact of {}:{}",
+                f.id,
+                d.var
+            );
+        }
+    }
+
+    let mut restored = new_session();
+    restored.load(&path).expect("load");
+    let loaded = restored.resident().demand;
+    assert_eq!((loaded.fact_functions, loaded.ret_fact_functions), (n, n));
+    assert_eq!(loaded.adjacency_functions, 0, "load builds no adjacency");
+    let replayed = restored.rescan(program.clone(), &fusion_factory);
+    assert_eq!(run_keys(&replayed), run_keys(&cold));
+    assert_eq!(replayed.queries, 0, "an unchanged rescan replays");
+
+    // An edit: the edited function's facts and its callers' are dropped,
+    // every other function keeps its loaded cells, and the rescan
+    // reports what a cold scan of the edited program reports.
+    let header = text.find("\nfn ").expect("a function") + 1;
+    let body = header + text[header..].find('{').expect("a body") + 1;
+    let edited_text = format!("{} let zedit = 7;{}", &text[..body], &text[body..]);
+    let edited = compile_src(&edited_text);
+    let warm = restored.rescan(edited.clone(), &fusion_factory);
+    let inv = restored.last_invalidation();
+    assert!(
+        inv.functions_edited == 1 && inv.facts_invalidated >= 1,
+        "{inv:?}"
+    );
+    assert_eq!(inv.facts_invalidated + inv.facts_retained, n);
+    assert!(restored.resident().demand.fact_functions >= inv.facts_retained);
+    let fresh = new_session().scan(edited, &fusion_factory);
+    assert_eq!(run_keys(&warm), run_keys(&fresh));
+    std::fs::remove_dir_all(&dir).ok();
 }
