@@ -19,10 +19,9 @@ use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Program};
 use fusion_pdg::graph::Pdg;
 use fusion_pdg::paths::DependencePath;
 use fusion_pdg::slice::{compute_slice, Constraint, ConstraintKind, Slice};
-use fusion_pdg::translate::{instance_var, truthy};
+use fusion_pdg::translate::{instance_var, intern_ctx, truthy, Instances};
 use fusion_smt::solver::{deadline_expired, smt_solve, SatResult, SolverConfig};
-use fusion_smt::term::{TermId, TermPool};
-use std::collections::{HashSet, VecDeque};
+use fusion_smt::term::{CtxId, TermId, TermPool};
 
 /// The abstraction-refinement engine.
 #[derive(Debug)]
@@ -61,28 +60,24 @@ impl ArEngine {
         max_instances: usize,
     ) -> Option<(TermId, usize, bool)> {
         let mut parts: Vec<TermId> = Vec::new();
-        let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
-        let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
+        let mut instances = Instances::default();
         let mut complete = true;
-        let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
-                        work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
+        let schedule = |pool: &TermPool,
+                        instances: &mut Instances,
                         complete: &mut bool,
-                        ctx: Vec<CallSiteId>,
+                        ctx: CtxId,
                         f: FuncId| {
-            if ctx.len() > depth {
+            if pool.ctx_depth(ctx) > depth {
                 *complete = false; // truncated by the abstraction
                 return;
             }
-            if instances.insert((ctx.clone(), f)) {
-                work.push_back((ctx, f));
-            }
+            instances.schedule(ctx, f);
         };
         for Constraint { ctx, func, kind } in &slice.constraints {
             // Constraint instances are always materialized (they sit at
             // the abstraction's root).
-            if instances.insert((ctx.clone(), *func)) {
-                work.push_back((ctx.clone(), *func));
-            }
+            let ctx = intern_ctx(pool, ctx);
+            instances.schedule(ctx, *func);
             let f = program.func(*func);
             match kind {
                 ConstraintKind::BranchTrue { branch } => {
@@ -103,7 +98,7 @@ impl ArEngine {
                 }
             }
         }
-        while let Some((ctx, fid)) = work.pop_front() {
+        while let Some((ctx, fid)) = instances.pop() {
             if instances.len() > max_instances {
                 return None;
             }
@@ -113,25 +108,20 @@ impl ArEngine {
             let func = program.func(fid);
             for &v in &fs.verts {
                 let def = func.def(v);
-                let lhs = instance_var(pool, &ctx, fid, v);
+                let lhs = instance_var(pool, ctx, fid, v);
                 let equation = match &def.kind {
                     DefKind::Param { index } => {
-                        let Some(&site) = ctx.last() else { continue };
-                        let cs = program.call_site(site);
-                        let caller_ctx = ctx[..ctx.len() - 1].to_vec();
+                        let Some((caller_ctx, site)) = pool.ctx_pop(ctx) else {
+                            continue;
+                        };
+                        let cs = program.call_site(CallSiteId(site));
                         let caller = program.func(cs.caller);
                         let DefKind::Call { args, .. } = &caller.def(cs.stmt).kind else {
                             unreachable!("call sites point at calls")
                         };
                         let actual = args[*index];
-                        let rhs = instance_var(pool, &caller_ctx, cs.caller, actual);
-                        schedule(
-                            &mut instances,
-                            &mut work,
-                            &mut complete,
-                            caller_ctx,
-                            cs.caller,
-                        );
+                        let rhs = instance_var(pool, caller_ctx, cs.caller, actual);
+                        schedule(pool, &mut instances, &mut complete, caller_ctx, cs.caller);
                         pool.eq(lhs, rhs)
                     }
                     DefKind::Const { value, .. } => {
@@ -139,12 +129,12 @@ impl ArEngine {
                         pool.eq(lhs, k)
                     }
                     DefKind::Copy { src } | DefKind::Return { src } => {
-                        let rhs = instance_var(pool, &ctx, fid, *src);
+                        let rhs = instance_var(pool, ctx, fid, *src);
                         pool.eq(lhs, rhs)
                     }
                     DefKind::Binary { op, lhs: a, rhs: b } => {
-                        let ta = instance_var(pool, &ctx, fid, *a);
-                        let tb = instance_var(pool, &ctx, fid, *b);
+                        let ta = instance_var(pool, ctx, fid, *a);
+                        let tb = instance_var(pool, ctx, fid, *b);
                         let rhs = fusion_pdg::translate::encode_op(pool, *op, ta, tb);
                         pool.eq(lhs, rhs)
                     }
@@ -153,9 +143,9 @@ impl ArEngine {
                         then_v,
                         else_v,
                     } => {
-                        let tc = instance_var(pool, &ctx, fid, *cond);
-                        let tt = instance_var(pool, &ctx, fid, *then_v);
-                        let te = instance_var(pool, &ctx, fid, *else_v);
+                        let tc = instance_var(pool, ctx, fid, *cond);
+                        let tt = instance_var(pool, ctx, fid, *then_v);
+                        let te = instance_var(pool, ctx, fid, *else_v);
                         let c = truthy(pool, tc);
                         let rhs = pool.ite(c, tt, te);
                         pool.eq(lhs, rhs)
@@ -165,15 +155,14 @@ impl ArEngine {
                         if callee_f.is_extern {
                             continue;
                         }
-                        let mut sub_ctx = ctx.clone();
-                        sub_ctx.push(*site);
-                        if sub_ctx.len() > depth {
+                        if pool.ctx_depth(ctx) + 1 > depth {
                             complete = false; // dst left free
                             continue;
                         }
+                        let sub_ctx = pool.ctx_push(ctx, site.0);
                         let ret = callee_f.ret.expect("non-extern has a return");
-                        let rhs = instance_var(pool, &sub_ctx, *callee, ret);
-                        schedule(&mut instances, &mut work, &mut complete, sub_ctx, *callee);
+                        let rhs = instance_var(pool, sub_ctx, *callee, ret);
+                        schedule(pool, &mut instances, &mut complete, sub_ctx, *callee);
                         pool.eq(lhs, rhs)
                     }
                     DefKind::Branch { .. } => continue,

@@ -25,12 +25,12 @@ use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Program, VarId, WORD_BITS};
 use fusion_pdg::graph::Pdg;
 use fusion_pdg::paths::DependencePath;
 use fusion_pdg::slice::{compute_slice, Constraint, ConstraintKind, Slice};
-use fusion_pdg::translate::{encode_op, instance_var, truthy};
+use fusion_pdg::translate::{encode_op, instance_var, intern_ctx, truthy, Instances};
+use fusion_smt::dense::VarMap;
 use fusion_smt::preprocess::simplify;
 use fusion_smt::solver::{deadline_expired, smt_solve, SatResult, SolverConfig};
 use fusion_smt::tactic::{ctx_solver_simplify, quantifier_eliminate_expansion};
-use fusion_smt::term::{Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::{HashMap, HashSet, VecDeque};
+use fusion_smt::term::{Sort, TermId, TermPool, VarIdx, VarKey};
 
 /// Which condition-size-reduction tactic the baseline applies to cached
 /// summaries.
@@ -46,11 +46,29 @@ pub enum Tactic {
     Hfs,
 }
 
-/// A cached per-function summary condition.
-#[derive(Debug, Clone)]
-struct Summary {
-    formula: TermId,
-    var_map: HashMap<VarIdx, VarId>,
+/// The tag of summary variables ([`VarKey::Local`]).
+const SUMMARY_TAG: char = 's';
+
+/// The variable of `func`'s IR variable `var` in its summary condition.
+fn summary_var(pool: &mut TermPool, func: FuncId, var: VarId) -> TermId {
+    let key = VarKey::Local {
+        tag: SUMMARY_TAG,
+        func: func.0,
+        var: var.0,
+    };
+    pool.keyed_var(key, Sort::Bv(WORD_BITS))
+}
+
+/// The IR variable a summary variable stands for.
+fn summary_origin(pool: &TermPool, v: VarIdx) -> Option<VarId> {
+    match pool.var_key(v)? {
+        VarKey::Local {
+            tag: SUMMARY_TAG,
+            var,
+            ..
+        } => Some(VarId(var)),
+        _ => None,
+    }
 }
 
 /// The conventional engine (Algorithm 2 + Algorithm 3).
@@ -66,7 +84,9 @@ pub struct PinpointEngine {
     /// Persistent pool: cached summaries and their clones live here for
     /// the entire run — the memory problem the paper measures.
     pool: TermPool,
-    summaries: HashMap<FuncId, Summary>,
+    /// Each function's cached summary condition, by [`FuncId`], built from
+    /// the program of the current run.
+    summaries: Vec<Option<TermId>>,
     memory: MemoryAccountant,
     records: Vec<SolveRecord>,
     qe_blowups: usize,
@@ -86,7 +106,7 @@ impl PinpointEngine {
             qe_budget: 1 << 14,
             tactic,
             pool: TermPool::new(),
-            summaries: HashMap::new(),
+            summaries: Vec::new(),
             memory: MemoryAccountant::new(),
             records: Vec::new(),
             qe_blowups: 0,
@@ -104,24 +124,17 @@ impl PinpointEngine {
     /// given slice. Conventional design: the summary covers the *whole*
     /// function body relevant to conditions — we take the union of slice
     /// vertices seen so far, rebuilding when the slice grows.
-    fn summary(&mut self, program: &Program, slice: &Slice, fid: FuncId) -> Summary {
+    fn summary(&mut self, program: &Program, slice: &Slice, fid: FuncId) -> TermId {
         // Cache hit only if every sliced vertex is already covered; for
         // simplicity the summary is built from the full function body, so
         // one build always suffices.
-        if let Some(s) = self.summaries.get(&fid) {
-            return s.clone();
+        if let Some(&Some(s)) = self.summaries.get(fid.index()) {
+            return s;
         }
         let func = program.func(fid);
         let _ = slice;
         let pool = &mut self.pool;
-        let mut var_map = HashMap::new();
-        let mut local = |pool: &mut TermPool, v: VarId| -> TermId {
-            let t = pool.var(&format!("s{}:v{}", fid.0, v.0), Sort::Bv(WORD_BITS));
-            if let TermKind::Var(idx) = *pool.kind(t) {
-                var_map.insert(idx, v);
-            }
-            t
-        };
+        let local = |pool: &mut TermPool, v: VarId| summary_var(pool, fid, v);
         let mut parts = Vec::new();
         for def in &func.defs {
             match &def.kind {
@@ -174,35 +187,31 @@ impl PinpointEngine {
                 // parameters, the return value, and branch/gate conditions
                 // (the summary's interface).
                 let func = program.func(fid);
-                let mut interface: HashSet<VarId> = func.params.iter().copied().collect();
+                let mut interface = vec![false; func.defs.len()];
+                for &p in &func.params {
+                    interface[p.index()] = true;
+                }
                 if let Some(r) = func.ret {
-                    interface.insert(r);
+                    interface[r.index()] = true;
                 }
                 for def in &func.defs {
                     match &def.kind {
-                        DefKind::Branch { cond } => {
-                            interface.insert(*cond);
-                        }
-                        DefKind::Ite { cond, .. } => {
-                            interface.insert(*cond);
+                        DefKind::Branch { cond } | DefKind::Ite { cond, .. } => {
+                            interface[cond.index()] = true;
                         }
                         DefKind::Call { args, .. } => {
-                            interface.insert(def.var);
-                            interface.extend(args.iter().copied());
+                            interface[def.var.index()] = true;
+                            for a in args {
+                                interface[a.index()] = true;
+                            }
                         }
                         _ => {}
                     }
                 }
-                let internals: Vec<VarIdx> = pool
-                    .free_vars(formula)
-                    .into_iter()
-                    .filter(|v| {
-                        var_map
-                            .get(v)
-                            .map(|ir| !interface.contains(ir))
-                            .unwrap_or(false)
-                    })
-                    .collect();
+                let mut internals = Vec::new();
+                pool.free_vars_into(formula, &mut internals);
+                internals
+                    .retain(|&v| summary_origin(pool, v).is_some_and(|ir| !interface[ir.index()]));
                 // Expansion-only QE, as Z3 4.5's bit-vector `qe` behaves.
                 match quantifier_eliminate_expansion(pool, formula, &internals, self.qe_budget) {
                     Ok(f) => formula = f,
@@ -216,16 +225,29 @@ impl PinpointEngine {
             }
         }
         let nodes = pool.dag_size(formula) as u64;
-        let s = Summary { formula, var_map };
-        self.summaries.insert(fid, s.clone());
-        // Cached forever: a persistent charge.
+        if self.summaries.len() <= fid.index() {
+            self.summaries.resize(fid.index() + 1, None);
+        }
+        self.summaries[fid.index()] = Some(formula);
+        // Cached for the rest of the run: a persistent charge.
         self.memory
             .charge(Category::Summaries, nodes * BYTES_PER_TERM_NODE);
-        s
+        formula
     }
 }
 
 impl FeasibilityEngine for PinpointEngine {
+    fn begin_run(&mut self, _program: &Program) {
+        // Summaries and the clones around them belong to one program: a
+        // new run starts from an empty pool.
+        if !self.pool.is_empty() {
+            self.pool = TermPool::new();
+            self.summaries.clear();
+            self.memory.set(Category::Summaries, 0);
+            self.memory.set(Category::PathConditions, 0);
+        }
+    }
+
     fn name(&self) -> &'static str {
         match self.tactic {
             Tactic::None => "pinpoint",
@@ -247,36 +269,29 @@ impl FeasibilityEngine for PinpointEngine {
         let pool_before = self.pool.len();
 
         let mut parts: Vec<TermId> = Vec::new();
-        let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
-        let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
-        let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
-                        work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
-                        ctx: Vec<CallSiteId>,
-                        f: FuncId| {
-            if instances.insert((ctx.clone(), f)) {
-                work.push_back((ctx, f));
-            }
-        };
+        let mut instances = Instances::default();
+        let pool = &mut self.pool;
 
         for Constraint { ctx, func, kind } in &slice.constraints {
-            schedule(&mut instances, &mut work, ctx.clone(), *func);
+            let ctx = intern_ctx(pool, ctx);
+            instances.schedule(ctx, *func);
             let f = program.func(*func);
             match kind {
                 ConstraintKind::BranchTrue { branch } => {
                     let DefKind::Branch { cond } = f.def(*branch).kind else {
                         unreachable!("guards are branches")
                     };
-                    let cv = instance_var(&mut self.pool, ctx, *func, cond);
-                    let t = truthy(&mut self.pool, cv);
+                    let cv = instance_var(pool, ctx, *func, cond);
+                    let t = truthy(pool, cv);
                     parts.push(t);
                 }
                 ConstraintKind::IteGate { ite, taken_then } => {
                     let DefKind::Ite { cond, .. } = f.def(*ite).kind else {
                         unreachable!("gated vertices are ites")
                     };
-                    let cv = instance_var(&mut self.pool, ctx, *func, cond);
-                    let t = truthy(&mut self.pool, cv);
-                    parts.push(if *taken_then { t } else { self.pool.not(t) });
+                    let cv = instance_var(pool, ctx, *func, cond);
+                    let t = truthy(pool, cv);
+                    parts.push(if *taken_then { t } else { pool.not(t) });
                 }
             }
         }
@@ -284,7 +299,9 @@ impl FeasibilityEngine for PinpointEngine {
         // Clone the cached summary at every instance; bind parameters,
         // call results and returns across instances.
         let mut blowup = false;
-        while let Some((ctx, fid)) = work.pop_front() {
+        let mut vars = Vec::new();
+        let mut subst = VarMap::new();
+        while let Some((ctx, fid)) = instances.pop() {
             // Cloning full-size summaries is the slow part of this
             // baseline: poll the per-call deadline so a pathological query
             // degrades to Unknown (same handling as an instance blow-up)
@@ -297,20 +314,22 @@ impl FeasibilityEngine for PinpointEngine {
                 continue;
             }
             let summary = self.summary(program, &slice, fid);
+            let pool = &mut self.pool;
             let func = program.func(fid);
             // Instantiate: rename every summary variable into this context.
-            let mut subst: HashMap<VarIdx, TermId> = HashMap::new();
-            for smt_var in self.pool.free_vars(summary.formula) {
-                let target = match summary.var_map.get(&smt_var) {
-                    Some(&ir_var) => instance_var(&mut self.pool, &ctx, fid, ir_var),
+            pool.free_vars_into(summary, &mut vars);
+            subst.clear();
+            for &smt_var in &vars {
+                let target = match summary_origin(pool, smt_var) {
+                    Some(ir_var) => instance_var(pool, ctx, fid, ir_var),
                     None => {
-                        let sort = self.pool.var_sort(smt_var);
-                        self.pool.fresh_var("pp", sort)
+                        let sort = pool.var_sort(smt_var);
+                        pool.fresh_var("pp", sort)
                     }
                 };
                 subst.insert(smt_var, target);
             }
-            let inst = self.pool.substitute(summary.formula, &subst);
+            let inst = pool.substitute(summary, &subst);
             parts.push(inst);
 
             // Cross-instance bindings. Parameters are always bound (the
@@ -318,21 +337,20 @@ impl FeasibilityEngine for PinpointEngine {
             // every call site *in the slice* — exactly Algorithm 4's
             // instance set, but with the full-size cached summary as the
             // cloning unit (Table 1's `O(kn + m)`).
-            if let Some(&site) = ctx.last() {
-                let cs = program.call_site(site);
-                let caller_ctx = ctx[..ctx.len() - 1].to_vec();
+            if let Some((caller_ctx, site)) = pool.ctx_pop(ctx) {
+                let cs = program.call_site(CallSiteId(site));
                 let caller = program.func(cs.caller);
                 let DefKind::Call { args, .. } = &caller.def(cs.stmt).kind else {
                     unreachable!("call sites point at calls")
                 };
                 for (index, &pvar) in func.params.iter().enumerate() {
                     let actual = args[index];
-                    let lhs = instance_var(&mut self.pool, &ctx, fid, pvar);
-                    let rhs = instance_var(&mut self.pool, &caller_ctx, cs.caller, actual);
-                    let e = self.pool.eq(lhs, rhs);
+                    let lhs = instance_var(pool, ctx, fid, pvar);
+                    let rhs = instance_var(pool, caller_ctx, cs.caller, actual);
+                    let e = pool.eq(lhs, rhs);
                     parts.push(e);
                 }
-                schedule(&mut instances, &mut work, caller_ctx, cs.caller);
+                instances.schedule(caller_ctx, cs.caller);
             }
             let fs = &slice.funcs[&fid];
             for &v in &fs.verts {
@@ -341,13 +359,12 @@ impl FeasibilityEngine for PinpointEngine {
                     if callee_f.is_extern {
                         continue;
                     }
-                    let mut sub_ctx = ctx.clone();
-                    sub_ctx.push(*site);
+                    let sub_ctx = pool.ctx_push(ctx, site.0);
                     let ret = callee_f.ret.expect("non-extern has a return");
-                    let lhs = instance_var(&mut self.pool, &ctx, fid, v);
-                    let rhs = instance_var(&mut self.pool, &sub_ctx, *callee, ret);
-                    schedule(&mut instances, &mut work, sub_ctx, *callee);
-                    let e = self.pool.eq(lhs, rhs);
+                    let lhs = instance_var(pool, ctx, fid, v);
+                    let rhs = instance_var(pool, sub_ctx, *callee, ret);
+                    instances.schedule(sub_ctx, *callee);
+                    let e = pool.eq(lhs, rhs);
                     parts.push(e);
                 }
             }

@@ -3,12 +3,16 @@
 //!
 //! The claim under test: Fusion uses a fraction of Pinpoint's memory
 //! (paper: 3%-20%) and is faster (paper: 2x-48x), with both reporting the
-//! same bugs.
+//! same bugs. The binary exits 1 when the two engines report different
+//! `(source, sink)` sets on any subject.
 
 use fusion::checkers::Checker;
 use fusion::graph_solver::FusionSolver;
 use fusion_baselines::PinpointEngine;
-use fusion_bench::{banner, build_subject, default_budget, fmt_ratio, run_checker, scale_from_env};
+use fusion_bench::{
+    banner, build_subject, default_budget, exit_on_disagreement, fmt_ratio, reported_pairs,
+    run_checker, scale_from_env,
+};
 use fusion_workloads::SUBJECTS;
 
 fn main() {
@@ -36,13 +40,17 @@ fn main() {
         "", "", "(KiB)", "(KiB)", "", "(ms)", "(ms)", "", "mem-x", "time-x", "fus=pin?"
     );
     let checker = Checker::null_deref();
+    let mut disagreements = Vec::new();
     for spec in &SUBJECTS {
         let subject = build_subject(spec, scale);
         let mut fusion_engine = FusionSolver::new(default_budget());
         let fusion_run = run_checker(&subject, &checker, &mut fusion_engine);
         let mut pinpoint_engine = PinpointEngine::new(default_budget());
         let pinpoint_run = run_checker(&subject, &checker, &mut pinpoint_engine);
-        let same = fusion_run.reports.len() == pinpoint_run.reports.len();
+        let same = reported_pairs(&fusion_run) == reported_pairs(&pinpoint_run);
+        if !same {
+            disagreements.push(spec.name.to_string());
+        }
         println!(
             "{:>2} {:>8} | {:>10} {:>10} {:>8} | {:>10.1} {:>10.1} {:>8} | {:>6} {:>6} | {:>4} {}",
             spec.id,
@@ -67,4 +75,5 @@ fn main() {
     }
     println!("\nexpected shape: pin-mem/fus-mem and pin-time/fus-time > 1 throughout,");
     println!("growing with subject size; reports identical (same precision).");
+    exit_on_disagreement(&disagreements);
 }

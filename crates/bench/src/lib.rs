@@ -17,7 +17,7 @@
 use fusion::checkers::Checker;
 use fusion::engine::{analyze, AnalysisOptions, AnalysisRun, FeasibilityEngine};
 use fusion_ir::{compile_ast, CompileOptions, Program};
-use fusion_pdg::graph::Pdg;
+use fusion_pdg::graph::{Pdg, Vertex};
 use fusion_smt::solver::SolverConfig;
 use fusion_workloads::{generate, SeededBug, SubjectSpec};
 use std::time::Duration;
@@ -89,6 +89,27 @@ pub fn run_checker(
         engine,
         &AnalysisOptions::new(),
     )
+}
+
+/// The `(source, sink)` pairs a run reports, sorted and deduplicated:
+/// what two engines of the same precision must agree on.
+pub fn reported_pairs(run: &AnalysisRun) -> Vec<(Vertex, Vertex)> {
+    let mut pairs: Vec<(Vertex, Vertex)> = run.reports.iter().map(|r| (r.source, r.sink)).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// Exits with status 1, naming `disagreements`, when the engines of a
+/// table reported different `(source, sink)` sets anywhere.
+pub fn exit_on_disagreement(disagreements: &[String]) {
+    if !disagreements.is_empty() {
+        eprintln!(
+            "Fusion and Pinpoint reported different (source, sink) sets on: {}",
+            disagreements.join(", ")
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Formats a duration as fractional seconds.

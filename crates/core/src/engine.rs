@@ -88,6 +88,16 @@ pub trait FeasibilityEngine {
         paths: &[DependencePath],
     ) -> CheckOutcome;
 
+    /// Announces that a run over `program` starts: every driver calls this
+    /// once per engine, before attaching the run's caches and facts and
+    /// before the first query. Engines that keep program-scoped state
+    /// (memoized local conditions or summaries, instantiations, quick-path
+    /// facts) drop it here, so a borrowed engine never answers one
+    /// program's queries with another's conditions — a shape check
+    /// (function count and size) cannot tell two programs apart that differ
+    /// only in a constant. The default does nothing.
+    fn begin_run(&mut self, _program: &Program) {}
+
     /// Announces a *slice-group* boundary: the driver is about to issue a
     /// batch of related queries (same sink function, key `group`). Engines
     /// that retain per-epoch state (pools, sessions) may use this point to
@@ -650,6 +660,7 @@ struct WorkerOut {
 
 impl<'e> Worker<'e> {
     fn new(ctx: &RunCtx, engine: &'e mut dyn FeasibilityEngine) -> Self {
+        engine.begin_run(ctx.program);
         if let Some(sc) = &ctx.options.slice_cache {
             engine.attach_slice_cache(Arc::clone(sc));
         }

@@ -39,13 +39,15 @@ use fusion_pdg::slice::{
     compute_closure, compute_slice, constraints_for, Constraint, ConstraintKind,
 };
 use fusion_pdg::translate::{
-    encode_op, instance_var_tracked, translate, truthy, TranslateOptions, VarOrigins,
+    encode_op, instance_origin, instance_var, intern_ctx, translate, truthy, Instances,
+    TranslateOptions,
 };
+use fusion_smt::dense::{CtxMap, VarMap, VarSet};
 use fusion_smt::preprocess::{preprocess_fragment_seeded, refute_by_known_bits_seeded, BitsSeeds};
 use fusion_smt::session::SolveSession;
 use fusion_smt::solver::{deadline_expired, smt_solve, SatResult, SolverConfig};
-use fusion_smt::term::{Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::{HashMap, HashSet, VecDeque};
+use fusion_smt::term::{BvOp, CtxId, Sort, TermId, TermKind, TermPool, VarIdx, VarKey};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -169,42 +171,58 @@ impl FeasibilityEngine for UnoptimizedGraphSolver {
     }
 }
 
-/// A function's local condition: equations over uncontexted names,
-/// preprocessed once with the interface protected.
-#[derive(Debug, Clone)]
-struct LocalCond {
-    formula: TermId,
-    /// smt variable → IR variable, for per-instance renaming.
-    var_map: HashMap<VarIdx, VarId>,
+/// The tag of local-condition variables ([`VarKey::Local`]).
+const LOCAL_TAG: char = 'l';
+
+/// The variable of `func`'s IR variable `var` in its local condition: an
+/// uncontexted name, renamed per instance by [`instantiate`].
+fn local_var(pool: &mut TermPool, func: FuncId, var: VarId) -> TermId {
+    let key = VarKey::Local {
+        tag: LOCAL_TAG,
+        func: func.0,
+        var: var.0,
+    };
+    pool.keyed_var(key, Sort::Bv(WORD_BITS))
+}
+
+/// Reused buffers of one instantiation.
+#[derive(Debug, Default)]
+struct InstantiateScratch {
+    vars: Vec<VarIdx>,
+    subst: VarMap,
 }
 
 /// Renames a preprocessed local condition into the instance named by `ctx`:
-/// interface variables map to their context-tagged instance names,
-/// preprocessing-introduced fresh variables are renamed apart per instance.
-/// Instance-variable provenance is recorded in `origins` so the final
-/// formula can be seeded with per-function abstract facts.
+/// local variables map to their context-tagged instance names, whose keys
+/// record the IR definition each clones (so the final formula can be
+/// seeded with per-function abstract facts); any other variable is renamed
+/// apart per instance.
 fn instantiate(
     pool: &mut TermPool,
-    lc: &LocalCond,
-    ctx: &[CallSiteId],
-    fid: FuncId,
-    origins: &mut VarOrigins,
+    formula: TermId,
+    ctx: CtxId,
+    scratch: &mut InstantiateScratch,
 ) -> TermId {
-    let mut subst: HashMap<VarIdx, TermId> = HashMap::new();
-    for smt_var in pool.free_vars(lc.formula) {
-        let target = match lc.var_map.get(&smt_var) {
-            Some(&ir_var) => instance_var_tracked(pool, ctx, fid, ir_var, origins),
-            None => pool.fresh_var("inst", pool.var_sort(smt_var)),
+    let InstantiateScratch { vars, subst } = scratch;
+    pool.free_vars_into(formula, vars);
+    subst.clear();
+    for &smt_var in vars.iter() {
+        let target = match pool.var_key(smt_var) {
+            Some(VarKey::Local { func, var, .. }) => {
+                instance_var(pool, ctx, FuncId(func), VarId(var))
+            }
+            _ => pool.fresh_var("inst", pool.var_sort(smt_var)),
         };
         subst.insert(smt_var, target);
     }
-    pool.substitute(lc.formula, &subst)
+    pool.substitute(formula, subst)
 }
 
 /// A cached local condition with its accounting and recency metadata.
 #[derive(Debug, Clone)]
 struct CachedLocal {
-    cond: LocalCond,
+    /// The preprocessed local condition, over [`local_var`]s.
+    formula: TermId,
     /// Bytes charged to [`Category::Cache`] for this entry.
     bytes: u64,
     /// Last-touched tick, for LRU eviction.
@@ -258,7 +276,8 @@ pub struct FusionSolver {
     /// The facts the quick paths read each callee's return summary from:
     /// the attached facts when they match the program, else the engine's
     /// own, evaluated per callee the first time a query reads it. Their
-    /// program identity (function count + size) is the epoch's.
+    /// program identity (function count + size) is the epoch's; a run
+    /// start ([`FeasibilityEngine::begin_run`]) drops them with the epoch.
     quick: Option<Arc<ProgramFacts>>,
     /// Persistent pool hosting the cached per-function local conditions.
     /// These are *linear-size graph data* (an alternative encoding of the
@@ -266,6 +285,8 @@ pub struct FusionSolver {
     /// path conditions: their bytes are charged to [`Category::Cache`]
     /// like the verdict cache's.
     pool: TermPool,
+    /// Local conditions by (function, vertex-set hash). The key is a hash
+    /// of program content, so the map keeps std's keyed hasher.
     local_cache: HashMap<(FuncId, u64), CachedLocal>,
     /// Total bytes currently charged for `local_cache` entries.
     local_cache_bytes: u64,
@@ -276,13 +297,15 @@ pub struct FusionSolver {
     session: SolveSession,
     /// Whether a query reached `session` since its last reset.
     session_open: bool,
-    /// Instantiated-residue memo: `(context, function, local formula) →
-    /// instance formula`. Avoids re-running the substitution (and minting
-    /// fresh `inst` variables) for instantiations repeated across queries
-    /// in one epoch. Sharing the preprocessing-introduced fresh variables
-    /// across queries is sound: each query's constraints on them live
-    /// under that query's own root assumption.
-    inst_cache: HashMap<(Vec<CallSiteId>, FuncId, TermId), TermId>,
+    /// Instantiated-residue memo: `(context, local formula) → instance
+    /// formula` (a non-constant local formula names its function through
+    /// its variables, and a constant instantiates to itself). Avoids
+    /// re-running the substitution (and minting fresh `inst` variables)
+    /// for instantiations repeated across queries in one epoch. Sharing the
+    /// preprocessing-introduced fresh variables across queries is sound:
+    /// each query's constraints on them live under that query's own root
+    /// assumption.
+    inst_cache: CtxMap<TermId>,
     /// Shared slice-closure memo, attached by the driver
     /// ([`FeasibilityEngine::attach_slice_cache`]). Holds dependence
     /// structure only — never formulas (§3.2.2's "no caching" concerns
@@ -298,11 +321,32 @@ pub struct FusionSolver {
     /// analysis of local-condition preprocessing and the final assembled
     /// query (refute-only — never changes which candidates are reported).
     facts: Option<Arc<ProgramFacts>>,
-    /// Provenance of instance variables minted this epoch: which
-    /// `(function, IR variable)` each SMT clone instantiates. Facts are
-    /// memoized per function, so every clone of one definition shares one
-    /// seed.
-    origins: VarOrigins,
+    /// Reused per-query buffers (never carried from one query to the next).
+    scratch: Scratch,
+}
+
+/// Buffers [`FusionSolver`] reuses from query to query; each is emptied
+/// before use, so nothing in them outlives the query that filled it.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The query's conjuncts.
+    parts: Vec<TermId>,
+    /// The instances the query clones.
+    instances: Instances,
+    /// The query's local conditions, by function (sorted).
+    locals: Vec<(FuncId, TermId)>,
+    instantiate: InstantiateScratch,
+    /// Known-bits facts of a fragment or a query.
+    seeds: BitsSeeds,
+    /// A local condition's protected interface.
+    protected: VarSet,
+    /// A local condition's variables, with the IR variable each stands for.
+    local_vars: Vec<(VarIdx, VarId)>,
+    /// Whether each IR variable of the function being built is a branch or
+    /// ite condition.
+    cond_vars: Vec<bool>,
+    /// Free variables of a query.
+    vars: Vec<VarIdx>,
 }
 
 impl FusionSolver {
@@ -322,12 +366,12 @@ impl FusionSolver {
             tick: 0,
             session: SolveSession::new(),
             session_open: false,
-            inst_cache: HashMap::new(),
+            inst_cache: CtxMap::new(),
             slice_cache: None,
             cand: None,
             stages: EngineStages::default(),
             facts: None,
-            origins: VarOrigins::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -351,7 +395,6 @@ impl FusionSolver {
         self.local_cache_bytes = 0;
         self.inst_cache.clear();
         self.close_session();
-        self.origins = VarOrigins::new();
         self.memory.set(Category::SolverState, 0);
     }
 
@@ -382,7 +425,7 @@ impl FusionSolver {
         program: &Program,
         fid: FuncId,
         verts: &std::collections::BTreeSet<VarId>,
-    ) -> LocalCond {
+    ) -> TermId {
         // FNV-style hash of the vertex set as the cache key.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for v in verts {
@@ -393,35 +436,41 @@ impl FusionSolver {
         let tick = self.tick;
         if let Some(entry) = self.local_cache.get_mut(&(fid, h)) {
             entry.tick = tick;
-            return entry.cond.clone();
+            return entry.formula;
         }
         let func = program.func(fid);
         let pool = &mut self.pool;
-        let mut var_map: HashMap<VarIdx, VarId> = HashMap::new();
+        let Scratch {
+            parts,
+            protected,
+            local_vars,
+            cond_vars,
+            seeds,
+            ..
+        } = &mut self.scratch;
+        parts.clear();
+        protected.clear();
+        local_vars.clear();
         let mut local = |pool: &mut TermPool, v: VarId| -> TermId {
-            let t = pool.var(&format!("l{}:v{}", fid.0, v.0), Sort::Bv(WORD_BITS));
+            let t = local_var(pool, fid, v);
             if let TermKind::Var(idx) = *pool.kind(t) {
-                var_map.insert(idx, v);
+                local_vars.push((idx, v));
             }
             t
         };
-        let mut parts = Vec::new();
-        let mut protected: HashSet<VarIdx> = HashSet::new();
-        let protect = |pool: &mut TermPool, protected: &mut HashSet<VarIdx>, t: TermId| {
+        let protect = |pool: &TermPool, protected: &mut VarSet, t: TermId| {
             if let TermKind::Var(idx) = *pool.kind(t) {
                 protected.insert(idx);
             }
         };
         // Variables that any query's constraints could reference: branch
         // and ite conditions (query-independent rule).
-        let mut cond_vars: HashSet<VarId> = HashSet::new();
+        cond_vars.clear();
+        cond_vars.resize(func.defs.len(), false);
         for def in &func.defs {
             match &def.kind {
-                DefKind::Branch { cond } => {
-                    cond_vars.insert(*cond);
-                }
-                DefKind::Ite { cond, .. } => {
-                    cond_vars.insert(*cond);
+                DefKind::Branch { cond } | DefKind::Ite { cond, .. } => {
+                    cond_vars[cond.index()] = true;
                 }
                 _ => {}
             }
@@ -433,14 +482,14 @@ impl FusionSolver {
                 // here; their endpoints are interface variables.
                 DefKind::Param { .. } => {
                     let t = local(pool, v);
-                    protect(pool, &mut protected, t);
+                    protect(pool, protected, t);
                 }
                 DefKind::Call { args, .. } => {
                     let t = local(pool, v);
-                    protect(pool, &mut protected, t);
+                    protect(pool, protected, t);
                     for &a in args {
                         let at = local(pool, a);
-                        protect(pool, &mut protected, at);
+                        protect(pool, protected, at);
                     }
                 }
                 DefKind::Branch { .. } => {}
@@ -475,12 +524,12 @@ impl FusionSolver {
                     parts.push(pool.eq(lhs, rhs));
                 }
             }
-            if cond_vars.contains(&v) || Some(v) == func.ret {
+            if cond_vars[v.index()] || Some(v) == func.ret {
                 let t = local(pool, v);
-                protect(pool, &mut protected, t);
+                protect(pool, protected, t);
             }
         }
-        let raw = pool.and(&parts);
+        let raw = pool.and(parts);
         // Intra-procedural preprocessing, once per function — never per
         // clone (§3.2.3, "reducing the number of functions to clone" /
         // "speeding up preprocessing"). When the driver attached abstract
@@ -489,10 +538,10 @@ impl FusionSolver {
         // stays sound for every instance, and bit facts fire on first
         // contact instead of being rediscovered structurally per query.
         let formula = if self.use_local_preprocess {
-            let mut seeds = BitsSeeds::new();
+            seeds.clear();
             if let Some(facts) = &self.facts {
                 if facts.matches(program) {
-                    for (&idx, &v) in &var_map {
+                    for &(idx, v) in local_vars.iter() {
                         let av = facts.value(program, fid, v);
                         if av.known != 0 {
                             seeds.insert(idx, av.known as u64, av.value as u64);
@@ -500,11 +549,10 @@ impl FusionSolver {
                     }
                 }
             }
-            preprocess_fragment_seeded(pool, raw, &protected, &seeds).term
+            preprocess_fragment_seeded(pool, raw, protected, seeds).term
         } else {
             raw
         };
-        let lc = LocalCond { formula, var_map };
         // Bounded, cache-resident data: evict least-recently-used entries
         // past the capacity, then charge this entry's bytes to
         // [`Category::Cache`] exactly like the verdict cache does.
@@ -523,12 +571,12 @@ impl FusionSolver {
         self.local_cache.insert(
             (fid, h),
             CachedLocal {
-                cond: lc.clone(),
+                formula,
                 bytes,
                 tick,
             },
         );
-        lc
+        formula
     }
 
     /// Resolves the slice closure (Rules 2–3) for `paths`, sharing work at
@@ -597,6 +645,18 @@ impl FeasibilityEngine for FusionSolver {
         "fusion"
     }
 
+    fn begin_run(&mut self, _program: &Program) {
+        // Everything program-scoped goes: the quick-path facts, the
+        // attached facts (the run attaches its own) and the epoch with its
+        // local conditions, instantiations and session. An engine that has
+        // not queried yet holds none of it.
+        self.facts = None;
+        self.cand = None;
+        if self.quick.take().is_some() {
+            self.reset_epoch();
+        }
+    }
+
     fn begin_group(&mut self, _group: u64) {
         // A reset session per slice group: queries within a group share
         // almost all of their encoding, so the session amortizes heavily
@@ -662,40 +722,37 @@ impl FeasibilityEngine for FusionSolver {
         // Local conditions, computed and preprocessed once per function
         // per program (cache hits across queries).
         let translate_start = Instant::now();
-        let mut locals: HashMap<FuncId, LocalCond> = HashMap::new();
+        let mut locals = std::mem::take(&mut self.scratch.locals);
+        locals.clear();
         for (&fid, fs) in closure.iter() {
             let lc = self.local_condition(program, fid, &fs.verts);
-            locals.insert(fid, lc);
+            locals.push((fid, lc));
         }
         let pool_before = self.pool.len();
         let incremental = self.incremental;
         let quick = self.quick.as_deref().expect("refreshed above");
         let pool = &mut self.pool;
         let inst_cache = &mut self.inst_cache;
-        let origins = &mut self.origins;
-
-        let mut parts: Vec<TermId> = Vec::new();
-        let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
-        let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
-        let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
-                        work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
-                        ctx: Vec<CallSiteId>,
-                        f: FuncId| {
-            if instances.insert((ctx.clone(), f)) {
-                work.push_back((ctx, f));
-            }
-        };
+        let Scratch {
+            parts,
+            instances,
+            instantiate: inst_scratch,
+            ..
+        } = &mut self.scratch;
+        parts.clear();
+        instances.clear();
 
         // Context-tagged constraints (identical to Algorithm 4).
         for Constraint { ctx, func, kind } in &constraints {
-            schedule(&mut instances, &mut work, ctx.clone(), *func);
+            let ctx = intern_ctx(pool, ctx);
+            instances.schedule(ctx, *func);
             let f = program.func(*func);
             match kind {
                 ConstraintKind::BranchTrue { branch } => {
                     let DefKind::Branch { cond } = f.def(*branch).kind else {
                         unreachable!("guards are branches")
                     };
-                    let cv = instance_var_tracked(pool, ctx, *func, cond, origins);
+                    let cv = instance_var(pool, ctx, *func, cond);
                     let t = truthy(pool, cv);
                     parts.push(t);
                 }
@@ -703,7 +760,7 @@ impl FeasibilityEngine for FusionSolver {
                     let DefKind::Ite { cond, .. } = f.def(*ite).kind else {
                         unreachable!("gated vertices are ites")
                     };
-                    let cv = instance_var_tracked(pool, ctx, *func, cond, origins);
+                    let cv = instance_var(pool, ctx, *func, cond);
                     let t = truthy(pool, cv);
                     parts.push(if *taken_then { t } else { pool.not(t) });
                 }
@@ -713,7 +770,7 @@ impl FeasibilityEngine for FusionSolver {
         // Instantiate: substitute the preprocessed local condition, emit
         // binding equations, and use quick paths to avoid descending.
         let mut blowup = false;
-        while let Some((ctx, fid)) = work.pop_front() {
+        while let Some((ctx, fid)) = instances.pop() {
             // A stuck instantiation (deep contexts, huge slices) must not
             // stall a worker: the per-call deadline is polled every
             // iteration and the query degrades to Unknown, exactly like an
@@ -726,42 +783,45 @@ impl FeasibilityEngine for FusionSolver {
                 continue;
             };
             let func = program.func(fid);
-            let lc = &locals[&fid];
+            let i = locals
+                .binary_search_by_key(&fid, |&(f, _)| f)
+                .expect("every closure function has a local condition");
+            let local = locals[i].1;
             // Rename the local condition into this instance. In incremental
             // mode the substitution (and its fresh-variable minting) is
-            // memoized per (context, function, local formula) for the
-            // epoch — repeated instantiations across queries reuse the same
+            // memoized per (context, local formula) for the epoch —
+            // repeated instantiations across queries reuse the same
             // instance formula, which the session then recognizes as an
             // already-blasted subterm.
             let inst_formula = if incremental {
-                match inst_cache.get(&(ctx.clone(), fid, lc.formula)) {
-                    Some(&cached) => cached,
+                match inst_cache.get(ctx, local.0) {
+                    Some(cached) => cached,
                     None => {
-                        let f = instantiate(pool, lc, &ctx, fid, origins);
-                        inst_cache.insert((ctx.clone(), fid, lc.formula), f);
+                        let f = instantiate(pool, local, ctx, inst_scratch);
+                        inst_cache.insert_new(ctx, local.0, f);
                         f
                     }
                 }
             } else {
-                instantiate(pool, lc, &ctx, fid, origins)
+                instantiate(pool, local, ctx, inst_scratch)
             };
             parts.push(inst_formula);
 
             for &v in &fs.verts {
                 match &func.def(v).kind {
                     DefKind::Param { index } => {
-                        let Some(&site) = ctx.last() else { continue };
-                        let cs = program.call_site(site);
-                        let caller_ctx = ctx[..ctx.len() - 1].to_vec();
+                        let Some((caller_ctx, site)) = pool.ctx_pop(ctx) else {
+                            continue;
+                        };
+                        let cs = program.call_site(CallSiteId(site));
                         let caller = program.func(cs.caller);
                         let DefKind::Call { args, .. } = &caller.def(cs.stmt).kind else {
                             unreachable!("call sites point at calls")
                         };
                         let actual = args[*index];
-                        let lhs = instance_var_tracked(pool, &ctx, fid, v, origins);
-                        let rhs =
-                            instance_var_tracked(pool, &caller_ctx, cs.caller, actual, origins);
-                        schedule(&mut instances, &mut work, caller_ctx, cs.caller);
+                        let lhs = instance_var(pool, ctx, fid, v);
+                        let rhs = instance_var(pool, caller_ctx, cs.caller, actual);
+                        instances.schedule(caller_ctx, cs.caller);
                         let e = pool.eq(lhs, rhs);
                         parts.push(e);
                     }
@@ -770,7 +830,7 @@ impl FeasibilityEngine for FusionSolver {
                         if callee_f.is_extern {
                             continue; // unconstrained result
                         }
-                        let lhs = instance_var_tracked(pool, &ctx, fid, v, origins);
+                        let lhs = instance_var(pool, ctx, fid, v);
                         // Quick path: constant / affine callees never get
                         // cloned — the parenthesis label is deleted.
                         let summary = if self.use_quick_paths {
@@ -786,21 +846,19 @@ impl FeasibilityEngine for FusionSolver {
                             }
                             RetSummary::Affine { index, mul, add } => {
                                 let actual = args[index];
-                                let av = instance_var_tracked(pool, &ctx, fid, actual, origins);
+                                let av = instance_var(pool, ctx, fid, actual);
                                 let m = pool.bv_const(mul as u64, WORD_BITS);
                                 let a = pool.bv_const(add as u64, WORD_BITS);
-                                let prod = pool.bv(fusion_smt::term::BvOp::Mul, m, av);
-                                let rhs = pool.bv(fusion_smt::term::BvOp::Add, prod, a);
+                                let prod = pool.bv(BvOp::Mul, m, av);
+                                let rhs = pool.bv(BvOp::Add, prod, a);
                                 let e = pool.eq(lhs, rhs);
                                 parts.push(e);
                             }
                             RetSummary::Opaque => {
-                                let mut sub_ctx = ctx.clone();
-                                sub_ctx.push(*site);
+                                let sub_ctx = pool.ctx_push(ctx, site.0);
                                 let ret = callee_f.ret.expect("non-extern has a return");
-                                let rhs =
-                                    instance_var_tracked(pool, &sub_ctx, *callee, ret, origins);
-                                schedule(&mut instances, &mut work, sub_ctx, *callee);
+                                let rhs = instance_var(pool, sub_ctx, *callee, ret);
+                                instances.schedule(sub_ctx, *callee);
                                 let e = pool.eq(lhs, rhs);
                                 parts.push(e);
                             }
@@ -810,20 +868,22 @@ impl FeasibilityEngine for FusionSolver {
                 }
             }
         }
+        self.scratch.locals = locals;
 
         self.stages.translate_wall += translate_start.elapsed();
+        let n_instances = self.scratch.instances.len();
         if blowup {
-            let grown = (pool.len() - pool_before) as u64;
+            let grown = (self.pool.len() - pool_before) as u64;
             return CheckOutcome {
                 feasibility: Feasibility::Unknown,
                 duration: start.elapsed(),
                 condition_nodes: grown,
-                instances: instances.len(),
+                instances: n_instances,
                 preprocess_decided: false,
             };
         }
-        let formula = pool.and(&parts);
-        let condition_nodes = pool.dag_size(formula) as u64;
+        let formula = self.pool.and(&self.scratch.parts);
+        let condition_nodes = self.pool.dag_size(formula) as u64;
         // Absint seeding: before any session or bit-blasting work, try to
         // refute the assembled query against the per-function known-bits
         // facts. Facts are unconditional consequences of the definitional
@@ -832,9 +892,12 @@ impl FeasibilityEngine for FusionSolver {
         let mut absint_refuted = false;
         if let Some(facts) = self.facts.clone() {
             if facts.matches(program) {
-                let mut seeds = BitsSeeds::new();
-                for idx in pool.free_vars(formula) {
-                    if let Some((ofid, ovar)) = origins.get(idx) {
+                let Scratch { seeds, vars, .. } = &mut self.scratch;
+                let pool = &mut self.pool;
+                seeds.clear();
+                pool.free_vars_into(formula, vars);
+                for &idx in vars.iter() {
+                    if let Some((ofid, ovar)) = instance_origin(pool, idx) {
                         let av = facts.value(program, ofid, ovar);
                         if av.known != 0 {
                             seeds.insert(idx, av.known as u64, av.value as u64);
@@ -842,7 +905,7 @@ impl FeasibilityEngine for FusionSolver {
                     }
                 }
                 if !seeds.is_empty() {
-                    let r = refute_by_known_bits_seeded(pool, formula, &seeds);
+                    let r = refute_by_known_bits_seeded(pool, formula, seeds);
                     if pool.as_bool_const(r) == Some(false) {
                         absint_refuted = true;
                     }
@@ -855,7 +918,7 @@ impl FeasibilityEngine for FusionSolver {
                 feasibility: Feasibility::Infeasible,
                 duration: start.elapsed(),
                 condition_nodes,
-                instances: instances.len(),
+                instances: n_instances,
                 preprocess_decided: true,
             };
             self.records.push(SolveRecord::from_outcome(&outcome));
@@ -868,7 +931,7 @@ impl FeasibilityEngine for FusionSolver {
                 feasibility: Feasibility::Unknown,
                 duration: start.elapsed(),
                 condition_nodes,
-                instances: instances.len(),
+                instances: n_instances,
                 preprocess_decided: false,
             };
             self.records.push(SolveRecord::from_outcome(&outcome));
@@ -918,7 +981,7 @@ impl FeasibilityEngine for FusionSolver {
             feasibility,
             duration: start.elapsed(),
             condition_nodes,
-            instances: instances.len(),
+            instances: n_instances,
             preprocess_decided: stats.preprocess_decided,
         };
         self.records.push(SolveRecord::from_outcome(&outcome));

@@ -45,4 +45,4 @@ pub use dot::pdg_to_dot;
 pub use graph::{FlowTarget, Pdg, PdgStats, Vertex};
 pub use paths::{Context, DependencePath, Link};
 pub use slice::{compute_slice, Constraint, ConstraintKind, FuncSlice, Slice};
-pub use translate::{translate, CloneBlowup, TranslateOptions, Translation, VarOrigins};
+pub use translate::{translate, CloneBlowup, Instances, TranslateOptions, Translation};

@@ -14,8 +14,9 @@
 
 use crate::slice::{Constraint, ConstraintKind, Slice};
 use fusion_ir::ssa::{CallSiteId, DefKind, FuncId, Op, Program, VarId, WORD_BITS};
-use fusion_smt::term::{BvOp, BvPred, Sort, TermId, TermPool};
-use std::collections::{HashSet, VecDeque};
+use fusion_smt::dense::CtxMap;
+use fusion_smt::term::{BvOp, BvPred, CtxId, Sort, TermId, TermPool, VarIdx, VarKey};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -121,75 +122,72 @@ pub fn truthy(pool: &mut TermPool, v: TermId) -> TermId {
 }
 
 /// The SMT variable for IR variable `var` of `func` under calling context
-/// `ctx` — the renamed clone the paper's instantiation produces.
-pub fn instance_var(pool: &mut TermPool, ctx: &[CallSiteId], func: FuncId, var: VarId) -> TermId {
-    let mut name = format!("f{}", func.0);
-    for s in ctx {
-        name.push('@');
-        name.push_str(&s.0.to_string());
-    }
-    name.push_str(&format!(":v{}", var.0));
-    pool.var(&name, Sort::Bv(WORD_BITS))
+/// `ctx` — the renamed clone the paper's instantiation produces. Its key
+/// ([`VarKey::Instance`]) records the IR definition it clones, which
+/// [`instance_origin`] reads back.
+pub fn instance_var(pool: &mut TermPool, ctx: CtxId, func: FuncId, var: VarId) -> TermId {
+    let key = VarKey::Instance {
+        func: func.0,
+        ctx,
+        var: var.0,
+    };
+    pool.keyed_var(key, Sort::Bv(WORD_BITS))
 }
 
-/// Provenance of SMT instance variables: which IR definition each renamed
-/// clone came from.
+/// The IR definition an instance variable ([`instance_var`]) clones.
 ///
-/// Because abstract facts are memoized per *function* (never per call site),
-/// every clone of the same definition shares one fact; the origin map is
-/// what lets a solver seed formula preprocessing with those per-function
-/// facts on first contact (the §3.2.3 preprocessing discipline).
-#[derive(Debug, Clone, Default)]
-pub struct VarOrigins {
-    map: std::collections::HashMap<fusion_smt::term::VarIdx, (FuncId, VarId)>,
+/// Abstract facts are memoized per *function* (never per call site), so
+/// every clone of one definition shares one fact; this is what lets a
+/// solver seed formula preprocessing with those per-function facts on
+/// first contact (the §3.2.3 preprocessing discipline).
+pub fn instance_origin(pool: &TermPool, v: VarIdx) -> Option<(FuncId, VarId)> {
+    match pool.var_key(v)? {
+        VarKey::Instance { func, var, .. } => Some((FuncId(func), VarId(var))),
+        VarKey::Local { .. } => None,
+    }
 }
 
-impl VarOrigins {
-    /// An empty origin map.
-    pub fn new() -> VarOrigins {
-        VarOrigins::default()
+/// The pool's id of a calling context given as a call string.
+pub fn intern_ctx(pool: &mut TermPool, ctx: &[CallSiteId]) -> CtxId {
+    ctx.iter().fold(CtxId::ROOT, |c, s| pool.ctx_push(c, s.0))
+}
+
+/// The `(context, function)` instances a translation clones, each
+/// scheduled once and handed out in scheduling order.
+#[derive(Debug, Default)]
+pub struct Instances {
+    scheduled: CtxMap<()>,
+    work: VecDeque<(CtxId, FuncId)>,
+}
+
+impl Instances {
+    /// Forgets every instance, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.scheduled.clear();
+        self.work.clear();
     }
 
-    /// Records that SMT variable `idx` instantiates `func`'s `var`.
-    pub fn record(&mut self, idx: fusion_smt::term::VarIdx, func: FuncId, var: VarId) {
-        self.map.insert(idx, (func, var));
+    /// Schedules `func` under `ctx` unless it was scheduled before.
+    pub fn schedule(&mut self, ctx: CtxId, func: FuncId) {
+        if self.scheduled.insert_new(ctx, func.0, ()) {
+            self.work.push_back((ctx, func));
+        }
     }
 
-    /// The IR definition `idx` instantiates, if tracked.
-    pub fn get(&self, idx: fusion_smt::term::VarIdx) -> Option<(FuncId, VarId)> {
-        self.map.get(&idx).copied()
+    /// The next scheduled instance to translate.
+    pub fn pop(&mut self) -> Option<(CtxId, FuncId)> {
+        self.work.pop_front()
     }
 
-    /// Iterates over all `(smt var, (func, var))` origin entries.
-    pub fn iter(&self) -> impl Iterator<Item = (fusion_smt::term::VarIdx, (FuncId, VarId))> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of tracked variables.
+    /// Number of instances scheduled so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.scheduled.len()
     }
 
-    /// Whether no origins are tracked.
+    /// Whether no instance was scheduled.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.scheduled.is_empty()
     }
-}
-
-/// [`instance_var`] that also records the variable's IR origin, so callers
-/// can later seed preprocessing with per-function abstract facts.
-pub fn instance_var_tracked(
-    pool: &mut TermPool,
-    ctx: &[CallSiteId],
-    func: FuncId,
-    var: VarId,
-    origins: &mut VarOrigins,
-) -> TermId {
-    let t = instance_var(pool, ctx, func, var);
-    if let fusion_smt::term::TermKind::Var(idx) = *pool.kind(t) {
-        origins.record(idx, func, var);
-    }
-    t
 }
 
 /// Translates a slice to its path condition (Rules 4–8 + cloning).
@@ -206,20 +204,12 @@ pub fn translate(
 ) -> Result<Translation, CloneBlowup> {
     let mut parts: Vec<TermId> = Vec::new();
     let mut equations = 0usize;
-    let mut instances: HashSet<(Vec<CallSiteId>, FuncId)> = HashSet::new();
-    let mut work: VecDeque<(Vec<CallSiteId>, FuncId)> = VecDeque::new();
-    let schedule = |instances: &mut HashSet<(Vec<CallSiteId>, FuncId)>,
-                    work: &mut VecDeque<(Vec<CallSiteId>, FuncId)>,
-                    ctx: Vec<CallSiteId>,
-                    f: FuncId| {
-        if instances.insert((ctx.clone(), f)) {
-            work.push_back((ctx, f));
-        }
-    };
+    let mut instances = Instances::default();
 
     // Rule 4/5 + Rule 1 gates: the context-tagged path constraints.
     for Constraint { ctx, func, kind } in &slice.constraints {
-        schedule(&mut instances, &mut work, ctx.clone(), *func);
+        let ctx = intern_ctx(pool, ctx);
+        instances.schedule(ctx, *func);
         let f = program.func(*func);
         match kind {
             ConstraintKind::BranchTrue { branch } => {
@@ -242,7 +232,7 @@ pub fn translate(
     }
 
     // Rules 6–8 per instance, scheduling callees (down) and callers (up).
-    while let Some((ctx, fid)) = work.pop_front() {
+    while let Some((ctx, fid)) = instances.pop() {
         if instances.len() > options.max_instances {
             return Err(CloneBlowup {
                 instances: instances.len(),
@@ -255,21 +245,22 @@ pub fn translate(
         let func = program.func(fid);
         for &v in &fs.verts {
             let def = func.def(v);
-            let lhs = instance_var(pool, &ctx, fid, v);
+            let lhs = instance_var(pool, ctx, fid, v);
             let equation = match &def.kind {
                 DefKind::Param { index } => {
                     // Rule 7: bind to the actual at the instantiating call
                     // site; the outermost frame's parameters are free.
-                    let Some(&site) = ctx.last() else { continue };
-                    let cs = program.call_site(site);
-                    let caller_ctx = &ctx[..ctx.len() - 1];
+                    let Some((caller_ctx, site)) = pool.ctx_pop(ctx) else {
+                        continue;
+                    };
+                    let cs = program.call_site(CallSiteId(site));
                     let caller = program.func(cs.caller);
                     let DefKind::Call { args, .. } = &caller.def(cs.stmt).kind else {
                         unreachable!("call sites point at calls")
                     };
                     let actual = args[*index];
                     let rhs = instance_var(pool, caller_ctx, cs.caller, actual);
-                    schedule(&mut instances, &mut work, caller_ctx.to_vec(), cs.caller);
+                    instances.schedule(caller_ctx, cs.caller);
                     pool.eq(lhs, rhs)
                 }
                 DefKind::Const { value, .. } => {
@@ -277,12 +268,12 @@ pub fn translate(
                     pool.eq(lhs, k)
                 }
                 DefKind::Copy { src } | DefKind::Return { src } => {
-                    let rhs = instance_var(pool, &ctx, fid, *src);
+                    let rhs = instance_var(pool, ctx, fid, *src);
                     pool.eq(lhs, rhs)
                 }
                 DefKind::Binary { op, lhs: a, rhs: b } => {
-                    let ta = instance_var(pool, &ctx, fid, *a);
-                    let tb = instance_var(pool, &ctx, fid, *b);
+                    let ta = instance_var(pool, ctx, fid, *a);
+                    let tb = instance_var(pool, ctx, fid, *b);
                     let rhs = encode_op(pool, *op, ta, tb);
                     pool.eq(lhs, rhs)
                 }
@@ -291,9 +282,9 @@ pub fn translate(
                     then_v,
                     else_v,
                 } => {
-                    let tc = instance_var(pool, &ctx, fid, *cond);
-                    let tt = instance_var(pool, &ctx, fid, *then_v);
-                    let te = instance_var(pool, &ctx, fid, *else_v);
+                    let tc = instance_var(pool, ctx, fid, *cond);
+                    let tt = instance_var(pool, ctx, fid, *then_v);
+                    let te = instance_var(pool, ctx, fid, *else_v);
                     let c = truthy(pool, tc);
                     let rhs = pool.ite(c, tt, te);
                     pool.eq(lhs, rhs)
@@ -306,11 +297,10 @@ pub fn translate(
                     }
                     // Rule 8: dst = callee's return under the deeper
                     // context. This is the cloning point.
-                    let mut sub_ctx = ctx.clone();
-                    sub_ctx.push(*site);
+                    let sub_ctx = pool.ctx_push(ctx, site.0);
                     let ret = callee_f.ret.expect("non-extern has a return");
-                    let rhs = instance_var(pool, &sub_ctx, *callee, ret);
-                    schedule(&mut instances, &mut work, sub_ctx, *callee);
+                    let rhs = instance_var(pool, sub_ctx, *callee, ret);
+                    instances.schedule(sub_ctx, *callee);
                     pool.eq(lhs, rhs)
                 }
                 DefKind::Branch { .. } => continue, // Rule 6 "others": true

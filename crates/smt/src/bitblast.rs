@@ -23,26 +23,57 @@
 //! Every gate folds constant and repeated inputs instead of allocating a
 //! variable, so a chain over a constant operand shrinks to the two-input
 //! gates its constant bits leave.
+//!
+//! A bit vector's literals are a run of one buffer ([`BlastMap`]), and the
+//! memo maps each blasted term to its run in a dense table, so a memo hit
+//! copies two words. The encoders work in reused buffers; only division
+//! allocates its own.
 
 use crate::cnf::{Cnf, Lit};
+use crate::dense::IdMap;
 use crate::sat::SatSolver;
 use crate::term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// The blasted image of a term: one literal for booleans, a little-endian
-/// literal vector for bit vectors.
-#[derive(Debug, Clone)]
+/// The blasted image of a term: one literal for a boolean, a run of the
+/// literal buffer for a bit vector (little-endian).
+#[derive(Debug, Clone, Copy)]
 enum Bits {
     Bool(Lit),
-    Bv(Vec<Lit>),
+    Bv { start: u32, width: u32 },
+}
+
+impl Default for Bits {
+    /// The value of an empty table slot; never read.
+    fn default() -> Self {
+        Bits::Bool(Lit(0))
+    }
+}
+
+impl Bits {
+    fn lit(self) -> Lit {
+        match self {
+            Bits::Bool(l) => l,
+            Bits::Bv { .. } => unreachable!("expected a Bool term"),
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        match self {
+            Bits::Bv { start, width } => start as usize..(start + width) as usize,
+            Bits::Bool(_) => unreachable!("expected a bit-vector term"),
+        }
+    }
 }
 
 /// Mapping from SMT variables to their CNF literals, used to pull a
 /// bit-vector model out of a SAT model.
 #[derive(Debug, Clone, Default)]
 pub struct BlastMap {
-    bool_vars: HashMap<VarIdx, Lit>,
-    bv_vars: HashMap<VarIdx, Vec<Lit>>,
+    /// The literals of every blasted bit vector, each term's a run.
+    lits: Vec<Lit>,
+    /// Each blasted variable's image.
+    vars: IdMap<VarIdx, Bits>,
 }
 
 impl BlastMap {
@@ -50,20 +81,81 @@ impl BlastMap {
     /// CNF variable `i`). Unmapped variables (eliminated before blasting)
     /// return `None`.
     pub fn value(&self, v: VarIdx, model: &[bool]) -> Option<u64> {
-        if let Some(l) = self.bool_vars.get(&v) {
+        let read = |l: Lit| {
             let raw = model[l.var().index()];
-            return Some(u64::from(if l.is_pos() { raw } else { !raw }));
-        }
-        let bits = self.bv_vars.get(&v)?;
-        let mut out = 0u64;
-        for (i, l) in bits.iter().enumerate() {
-            let raw = model[l.var().index()];
-            let b = if l.is_pos() { raw } else { !raw };
-            if b {
-                out |= 1 << i;
+            if l.is_pos() {
+                raw
+            } else {
+                !raw
             }
+        };
+        match self.vars.get(v)? {
+            Bits::Bool(l) => Some(u64::from(read(l))),
+            bits => Some(
+                self.lits[bits.range()]
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &l)| read(l))
+                    .fold(0u64, |out, (i, _)| out | 1 << i),
+            ),
         }
-        Some(out)
+    }
+
+    fn clear(&mut self) {
+        self.lits.clear();
+        self.vars.clear();
+    }
+}
+
+/// The gate encoders: the CNF being emitted and its constant-true literal.
+#[derive(Debug)]
+struct Gates {
+    cnf: Cnf,
+    true_lit: Lit,
+}
+
+/// Reused buffers of the encoders.
+#[derive(Debug, Default)]
+struct Work {
+    /// The literals of each open `and`/`or`, one run per open node.
+    stack: Vec<Lit>,
+    /// Operand copies (complemented or sign-flipped).
+    x: Vec<Lit>,
+    y: Vec<Lit>,
+    /// An encoder's result.
+    out: Vec<Lit>,
+    /// Multiplier rows: accumulator, addend and sum.
+    acc: Vec<Lit>,
+    addend: Vec<Lit>,
+    sum: Vec<Lit>,
+    /// Barrel shifter: one layer, its shifted copy, the next layer, the
+    /// amount's out-of-range bits, and the width's bits.
+    shifted: Vec<Lit>,
+    next: Vec<Lit>,
+    big: Vec<Lit>,
+    width_bits: Vec<Lit>,
+}
+
+impl Work {
+    fn clear(&mut self) {
+        let Work {
+            stack,
+            x,
+            y,
+            out,
+            acc,
+            addend,
+            sum,
+            shifted,
+            next,
+            big,
+            width_bits,
+        } = self;
+        for buf in [
+            stack, x, y, out, acc, addend, sum, shifted, next, big, width_bits,
+        ] {
+            buf.clear();
+        }
     }
 }
 
@@ -78,10 +170,10 @@ impl BlastMap {
 /// pool requires clearing the blaster too ([`SessionBlaster::clear`]).
 #[derive(Debug)]
 pub struct SessionBlaster {
-    cnf: Cnf,
-    memo: HashMap<TermId, Bits>,
+    gates: Gates,
+    memo: IdMap<TermId, Bits>,
     map: BlastMap,
-    true_lit: Lit,
+    work: Work,
 }
 
 impl Default for SessionBlaster {
@@ -94,10 +186,13 @@ impl SessionBlaster {
     /// Creates an empty blaster with its constant-true literal allocated.
     pub fn new() -> Self {
         let mut b = SessionBlaster {
-            cnf: Cnf::new(),
-            memo: HashMap::new(),
+            gates: Gates {
+                cnf: Cnf::new(),
+                true_lit: Lit(0),
+            },
+            memo: IdMap::new(),
             map: BlastMap::default(),
-            true_lit: Lit(0),
+            work: Work::default(),
         };
         b.clear();
         b
@@ -105,22 +200,17 @@ impl SessionBlaster {
 
     /// Returns the blaster to the state of [`SessionBlaster::new`]: no
     /// memoized term, no mapped variable, and a CNF holding only the
-    /// constant-true unit. The CNF buffers and the tables keep their
-    /// capacity.
+    /// constant-true unit. The CNF buffers, the tables and the encoders'
+    /// buffers keep their capacity.
     pub fn clear(&mut self) {
-        let SessionBlaster {
-            cnf,
-            memo,
-            map,
-            true_lit,
-        } = self;
+        let Gates { cnf, true_lit } = &mut self.gates;
         cnf.clear_clauses();
         cnf.num_vars = 0;
         *true_lit = Lit::pos(cnf.fresh());
         cnf.add_unit(*true_lit);
-        memo.clear();
-        map.bool_vars.clear();
-        map.bv_vars.clear();
+        self.memo.clear();
+        self.map.clear();
+        self.work.clear();
     }
 
     /// Blasts a boolean `formula` and returns its root literal *without*
@@ -138,10 +228,7 @@ impl SessionBlaster {
             Sort::Bool,
             "blast: formula must be Bool"
         );
-        let Bits::Bool(root) = self.blast(pool, formula) else {
-            unreachable!("formula is Bool")
-        };
-        root
+        self.blast(pool, formula).lit()
     }
 
     /// The variable map for model extraction. Accumulates entries for every
@@ -152,7 +239,7 @@ impl SessionBlaster {
 
     /// Number of CNF variables allocated so far (monotone over the session).
     pub fn num_cnf_vars(&self) -> u32 {
-        self.cnf.num_vars
+        self.gates.cnf.num_vars
     }
 
     /// Number of distinct terms translated so far.
@@ -165,12 +252,189 @@ impl SessionBlaster {
     /// this call the blaster holds no pending clauses (the solver owns the
     /// only copy; the blaster keeps its buffers' capacity).
     pub fn drain_into(&mut self, solver: &mut SatSolver) -> usize {
-        solver.load(&self.cnf);
-        let n = self.cnf.num_clauses();
-        self.cnf.clear_clauses();
+        let cnf = &mut self.gates.cnf;
+        solver.load(cnf);
+        let n = cnf.num_clauses();
+        cnf.clear_clauses();
         n
     }
 
+    /// Appends `lits` to the literal buffer as one bit vector's run.
+    fn push_bits(&mut self, lits: &[Lit]) -> Bits {
+        let start = self.map.lits.len() as u32;
+        self.map.lits.extend_from_slice(lits);
+        Bits::Bv {
+            start,
+            width: lits.len() as u32,
+        }
+    }
+
+    /// Appends `width` literals made by `bit` (called with each index in
+    /// order) as one bit vector's run.
+    fn push_bits_with(&mut self, width: u32, mut bit: impl FnMut(&mut Gates, u32) -> Lit) -> Bits {
+        let start = self.map.lits.len() as u32;
+        for i in 0..width {
+            let l = bit(&mut self.gates, i);
+            self.map.lits.push(l);
+        }
+        Bits::Bv { start, width }
+    }
+
+    fn blast(&mut self, pool: &TermPool, t: TermId) -> Bits {
+        if let Some(b) = self.memo.get(t) {
+            return b;
+        }
+        let result = match *pool.kind(t) {
+            TermKind::BoolConst(b) => Bits::Bool(self.gates.konst(b)),
+            TermKind::BvConst { width, value } => {
+                self.push_bits_with(width, |g, i| g.konst((value >> i) & 1 == 1))
+            }
+            TermKind::Var(v) => {
+                let bits = match pool.var_sort(v) {
+                    Sort::Bool => Bits::Bool(self.gates.fresh()),
+                    Sort::Bv(w) => self.push_bits_with(w, |g, _| g.fresh()),
+                };
+                self.map.vars.insert(v, bits);
+                bits
+            }
+            TermKind::Not(x) => Bits::Bool(!self.blast(pool, x).lit()),
+            TermKind::And(xs) | TermKind::Or(xs) => {
+                let base = self.work.stack.len();
+                for &x in pool.args(xs) {
+                    let l = self.blast(pool, x).lit();
+                    self.work.stack.push(l);
+                }
+                let is_and = matches!(pool.kind(t), TermKind::And(_));
+                let mut acc = self.gates.konst(is_and);
+                for i in base..self.work.stack.len() {
+                    let l = self.work.stack[i];
+                    acc = if is_and {
+                        self.gates.and(acc, l)
+                    } else {
+                        self.gates.or(acc, l)
+                    };
+                }
+                self.work.stack.truncate(base);
+                Bits::Bool(acc)
+            }
+            TermKind::Eq(a, b) => match (self.blast(pool, a), self.blast(pool, b)) {
+                (Bits::Bool(x), Bits::Bool(y)) => Bits::Bool(!self.gates.xor(x, y)),
+                (x, y) => {
+                    let lits = &self.map.lits;
+                    Bits::Bool(self.gates.eq_bits(&lits[x.range()], &lits[y.range()]))
+                }
+            },
+            TermKind::Ite {
+                cond,
+                then_t,
+                else_t,
+            } => {
+                let c = self.blast(pool, cond).lit();
+                match (self.blast(pool, then_t), self.blast(pool, else_t)) {
+                    (Bits::Bool(x), Bits::Bool(y)) => Bits::Bool(self.gates.mux(c, x, y)),
+                    (x, y) => {
+                        let (x, y) = (x.range(), y.range());
+                        let start = self.map.lits.len() as u32;
+                        for i in 0..x.len() {
+                            let (xi, yi) = (self.map.lits[x.start + i], self.map.lits[y.start + i]);
+                            let o = self.gates.mux(c, xi, yi);
+                            self.map.lits.push(o);
+                        }
+                        Bits::Bv {
+                            start,
+                            width: x.len() as u32,
+                        }
+                    }
+                }
+            }
+            TermKind::Pred(p, a, b) => {
+                let (x, y) = (self.blast(pool, a).range(), self.blast(pool, b).range());
+                let Work { x: xs, y: ys, .. } = &mut self.work;
+                xs.clear();
+                xs.extend_from_slice(&self.map.lits[x]);
+                ys.clear();
+                ys.extend_from_slice(&self.map.lits[y]);
+                let (swap, strict_complement) = match p {
+                    BvPred::Ult | BvPred::Slt => (false, false),
+                    // a <= b  ⟺  ¬(b < a)
+                    BvPred::Ule | BvPred::Sle => (true, true),
+                };
+                if matches!(p, BvPred::Slt | BvPred::Sle) {
+                    // Signed comparison: flip both MSBs and compare unsigned.
+                    let n = xs.len();
+                    xs[n - 1] = !xs[n - 1];
+                    ys[n - 1] = !ys[n - 1];
+                }
+                let l = if swap {
+                    self.gates.ult(ys, xs)
+                } else {
+                    self.gates.ult(xs, ys)
+                };
+                Bits::Bool(if strict_complement { !l } else { l })
+            }
+            TermKind::Bv(op, a, b) => {
+                let (x, y) = (self.blast(pool, a).range(), self.blast(pool, b).range());
+                self.blast_bv(op, x, y)
+            }
+        };
+        self.memo.insert(t, result);
+        result
+    }
+
+    /// Blasts `x op y` over the runs `x` and `y` of the literal buffer.
+    fn blast_bv(&mut self, op: BvOp, x: Range<usize>, y: Range<usize>) -> Bits {
+        let w = x.len();
+        let SessionBlaster {
+            gates,
+            map: BlastMap { lits, .. },
+            work,
+            ..
+        } = self;
+        let (xs, ys) = (&lits[x], &lits[y]);
+        match op {
+            BvOp::Add => gates.adder(xs, ys, gates.konst(false), &mut work.out),
+            BvOp::Sub => {
+                work.y.clear();
+                work.y.extend(ys.iter().map(|&l| !l));
+                gates.adder(xs, &work.y, gates.konst(true), &mut work.out);
+            }
+            BvOp::Mul => {
+                gates.mul(xs, ys, w, work);
+                std::mem::swap(&mut work.out, &mut work.acc);
+            }
+            BvOp::And | BvOp::Or | BvOp::Xor => {
+                work.out.clear();
+                for i in 0..w {
+                    let (a, b) = (xs[i], ys[i]);
+                    work.out.push(match op {
+                        BvOp::And => gates.and(a, b),
+                        BvOp::Or => gates.or(a, b),
+                        _ => gates.xor(a, b),
+                    });
+                }
+            }
+            BvOp::Shl | BvOp::Lshr => {
+                let fill = gates.konst(false);
+                gates.shift(xs, ys, op == BvOp::Shl, fill, work);
+            }
+            BvOp::Ashr => {
+                let sign = xs[w - 1];
+                gates.shift(xs, ys, false, sign, work);
+            }
+            BvOp::Udiv | BvOp::Urem => {
+                let r = gates.divrem(xs, ys, op);
+                work.out.clear();
+                work.out.extend_from_slice(&r);
+            }
+        }
+        let out = std::mem::take(&mut self.work.out);
+        let bits = self.push_bits(&out);
+        self.work.out = out;
+        bits
+    }
+}
+
+impl Gates {
     fn konst(&self, b: bool) -> Lit {
         if b {
             self.true_lit
@@ -191,7 +455,7 @@ impl SessionBlaster {
         Lit::pos(self.cnf.fresh())
     }
 
-    fn gate_and(&mut self, a: Lit, b: Lit) -> Lit {
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
         if self.is_false(a) || self.is_false(b) {
             return self.konst(false);
         }
@@ -211,11 +475,11 @@ impl SessionBlaster {
         o
     }
 
-    fn gate_or(&mut self, a: Lit, b: Lit) -> Lit {
-        !self.gate_and(!a, !b)
+    fn or(&mut self, a: Lit, b: Lit) -> Lit {
+        !self.and(!a, !b)
     }
 
-    fn gate_xor(&mut self, a: Lit, b: Lit) -> Lit {
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
         if self.is_false(a) {
             return b;
         }
@@ -243,16 +507,16 @@ impl SessionBlaster {
     }
 
     /// `a ⊕ b ⊕ c`: one variable and 8 clauses, a full biconditional. A
-    /// constant input folds it to [`Self::gate_xor`] of the other two (the
+    /// constant input folds it to [`Self::xor`] of the other two (the
     /// complement for a true input), a repeated input to the third input
     /// (`a ⊕ a ⊕ c = c`, `a ⊕ ¬a ⊕ c = ¬c`).
-    fn gate_xor3(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+    fn xor3(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
         for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
             if self.is_false(k) {
-                return self.gate_xor(x, y);
+                return self.xor(x, y);
             }
             if self.is_true(k) {
-                return !self.gate_xor(x, y);
+                return !self.xor(x, y);
             }
         }
         for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
@@ -279,16 +543,16 @@ impl SessionBlaster {
 
     /// Majority of `a`, `b`, `c` (a full adder's carry): one variable and 6
     /// clauses, a full biconditional. A true input folds it to
-    /// [`Self::gate_or`] of the other two and a false input to
-    /// [`Self::gate_and`]; a repeated input folds it too (`maj(a, a, c) =
-    /// a`, `maj(a, ¬a, c) = c`).
-    fn gate_maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+    /// [`Self::or`] of the other two and a false input to [`Self::and`];
+    /// a repeated input folds it too (`maj(a, a, c) = a`, `maj(a, ¬a, c) =
+    /// c`).
+    fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
         for (k, x, y) in [(a, b, c), (b, a, c), (c, a, b)] {
             if self.is_true(k) {
-                return self.gate_or(x, y);
+                return self.or(x, y);
             }
             if self.is_false(k) {
-                return self.gate_and(x, y);
+                return self.and(x, y);
             }
         }
         for (x, y, z) in [(a, b, c), (a, c, b), (b, c, a)] {
@@ -311,7 +575,7 @@ impl SessionBlaster {
         o
     }
 
-    fn gate_mux(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
+    fn mux(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
         if self.is_true(c) {
             return t;
         }
@@ -321,64 +585,49 @@ impl SessionBlaster {
         if t == e {
             return t;
         }
-        let a = self.gate_and(c, t);
-        let b = self.gate_and(!c, e);
-        self.gate_or(a, b)
+        let a = self.and(c, t);
+        let b = self.and(!c, e);
+        self.or(a, b)
     }
 
-    fn big_and(&mut self, lits: &[Lit]) -> Lit {
-        let mut acc = self.konst(true);
-        for &l in lits {
-            acc = self.gate_and(acc, l);
-        }
-        acc
-    }
-
-    fn big_or(&mut self, lits: &[Lit]) -> Lit {
-        let mut acc = self.konst(false);
-        for &l in lits {
-            acc = self.gate_or(acc, l);
-        }
-        acc
-    }
-
-    /// Ripple-carry adder over literal vectors: one [`Self::gate_xor3`]
-    /// (sum) and one [`Self::gate_maj`] (carry) per bit. Returns the sum
-    /// only; the carry out of the top bit is not built, since every
-    /// caller truncates to the operand width.
-    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
+    /// Ripple-carry adder over literal vectors, written to `out`: one
+    /// [`Self::xor3`] (sum) and one [`Self::maj`] (carry) per bit. The
+    /// carry out of the top bit is not built, since every caller truncates
+    /// to the operand width.
+    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit, out: &mut Vec<Lit>) {
         debug_assert_eq!(a.len(), b.len());
-        let mut sum = Vec::with_capacity(a.len());
+        out.clear();
         for i in 0..a.len() {
-            sum.push(self.gate_xor3(a[i], b[i], carry));
+            out.push(self.xor3(a[i], b[i], carry));
             if i + 1 < a.len() {
-                carry = self.gate_maj(a[i], b[i], carry);
+                carry = self.maj(a[i], b[i], carry);
             }
         }
-        sum
     }
 
-    fn sub(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        let inv: Vec<Lit> = b.iter().map(|&l| !l).collect();
-        self.adder(a, &inv, self.konst(true))
-    }
-
-    /// Shift-add multiplier, truncated to `out_width` bits.
-    fn mul(&mut self, a: &[Lit], b: &[Lit], out_width: usize) -> Vec<Lit> {
-        let mut acc = vec![self.konst(false); out_width];
+    /// Shift-add multiplier, truncated to `out_width` bits, written to
+    /// `work.acc`.
+    fn mul(&mut self, a: &[Lit], b: &[Lit], out_width: usize, work: &mut Work) {
+        let f = self.konst(false);
+        let Work {
+            acc, addend, sum, ..
+        } = work;
+        acc.clear();
+        acc.resize(out_width, f);
         for (i, &bi) in b.iter().enumerate().take(out_width) {
             if self.is_false(bi) {
                 continue;
             }
             // addend = (a << i) & replicate(bi), truncated.
-            let mut addend = vec![self.konst(false); out_width];
+            addend.clear();
+            addend.resize(out_width, f);
             for j in 0..out_width.saturating_sub(i) {
-                let abit = if j < a.len() { a[j] } else { self.konst(false) };
-                addend[i + j] = self.gate_and(abit, bi);
+                let abit = if j < a.len() { a[j] } else { f };
+                addend[i + j] = self.and(abit, bi);
             }
-            acc = self.adder(&acc, &addend, self.konst(false));
+            self.adder(acc, addend, f, sum);
+            std::mem::swap(acc, sum);
         }
-        acc
     }
 
     /// `a < b` unsigned via the borrow chain of `a - b`: one majority
@@ -386,7 +635,7 @@ impl SessionBlaster {
     fn ult(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
         let mut borrow = self.konst(false);
         for i in 0..a.len() {
-            borrow = self.gate_maj(!a[i], b[i], borrow);
+            borrow = self.maj(!a[i], b[i], borrow);
         }
         borrow
     }
@@ -394,238 +643,103 @@ impl SessionBlaster {
     fn eq_bits(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
         let mut acc = self.konst(true);
         for i in 0..a.len() {
-            let x = self.gate_xor(a[i], b[i]);
-            acc = self.gate_and(acc, !x);
+            let x = self.xor(a[i], b[i]);
+            acc = self.and(acc, !x);
         }
         acc
     }
 
-    /// Barrel shifter. `fill` supplies the shifted-in bit (for `ashr`, the
-    /// sign bit), and `left` selects direction.
-    fn shift(&mut self, a: &[Lit], b: &[Lit], left: bool, fill: Lit) -> Vec<Lit> {
+    /// Barrel shifter, written to `work.out`. `fill` supplies the
+    /// shifted-in bit (for `ashr`, the sign bit), and `left` selects
+    /// direction.
+    fn shift(&mut self, a: &[Lit], b: &[Lit], left: bool, fill: Lit, work: &mut Work) {
+        let f = self.konst(false);
         let w = a.len();
-        let mut cur = a.to_vec();
+        let Work {
+            out: cur,
+            shifted,
+            next,
+            big,
+            width_bits,
+            ..
+        } = work;
+        cur.clear();
+        cur.extend_from_slice(a);
         let mut k = 0usize;
         while (1usize << k) < w {
             let amount = 1usize << k;
-            let bit = if k < b.len() { b[k] } else { self.konst(false) };
-            let mut shifted = vec![fill; w];
+            let bit = if k < b.len() { b[k] } else { f };
+            shifted.clear();
+            shifted.resize(w, fill);
             for i in 0..w {
                 if left {
-                    if i >= amount {
-                        shifted[i] = cur[i - amount];
-                    } else {
-                        shifted[i] = self.konst(false);
-                    }
+                    shifted[i] = if i >= amount { cur[i - amount] } else { f };
                 } else if i + amount < w {
                     shifted[i] = cur[i + amount];
                 }
             }
-            let mut next = Vec::with_capacity(w);
+            next.clear();
             for i in 0..w {
-                next.push(self.gate_mux(bit, shifted[i], cur[i]));
+                next.push(self.mux(bit, shifted[i], cur[i]));
             }
-            cur = next;
+            std::mem::swap(cur, next);
             k += 1;
         }
         // Shift amounts >= w: result is all-fill (left: all zero). High
         // bits of the amount imply >= 2^k >= w.
-        let mut big_bits: Vec<Lit> = b.iter().skip(k).copied().collect();
+        big.clear();
+        big.extend(b.iter().skip(k));
         // When w is not a power of two, amounts in [w, 2^k) are encodable
         // in the low k bits; detect them numerically (w fits in k bits).
         if !w.is_power_of_two() && k > 0 {
-            let w_lits: Vec<Lit> = (0..k)
-                .map(|i| {
-                    if (w >> i) & 1 == 1 {
-                        self.konst(true)
-                    } else {
-                        self.konst(false)
-                    }
-                })
-                .collect();
-            let low: Vec<Lit> = b.iter().take(k).copied().collect();
-            let lt_w = self.ult(&low, &w_lits);
-            big_bits.push(!lt_w);
+            width_bits.clear();
+            width_bits.extend((0..k).map(|i| self.konst((w >> i) & 1 == 1)));
+            let low = &b[..k.min(b.len())];
+            let lt_w = self.ult(low, width_bits);
+            big.push(!lt_w);
         }
-        let big = self.big_or(&big_bits);
-        let fill_final = if left { self.konst(false) } else { fill };
-        cur.iter()
-            .map(|&l| self.gate_mux(big, fill_final, l))
-            .collect()
-    }
-
-    fn blast(&mut self, pool: &TermPool, t: TermId) -> Bits {
-        if let Some(b) = self.memo.get(&t) {
-            return b.clone();
+        let mut any = self.konst(false);
+        for &l in big.iter() {
+            any = self.or(any, l);
         }
-        let result = match pool.kind(t).clone() {
-            TermKind::BoolConst(b) => Bits::Bool(self.konst(b)),
-            TermKind::BvConst { width, value } => {
-                let bits = (0..width)
-                    .map(|i| self.konst((value >> i) & 1 == 1))
-                    .collect();
-                Bits::Bv(bits)
-            }
-            TermKind::Var(v) => match pool.var_sort(v) {
-                Sort::Bool => {
-                    let l = self.fresh();
-                    self.map.bool_vars.insert(v, l);
-                    Bits::Bool(l)
-                }
-                Sort::Bv(w) => {
-                    let bits: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
-                    self.map.bv_vars.insert(v, bits.clone());
-                    Bits::Bv(bits)
-                }
-            },
-            TermKind::Not(x) => {
-                let Bits::Bool(l) = self.blast(pool, x) else {
-                    unreachable!("not: bool")
-                };
-                Bits::Bool(!l)
-            }
-            TermKind::And(xs) => {
-                let lits: Vec<Lit> = xs
-                    .iter()
-                    .map(|&x| {
-                        let Bits::Bool(l) = self.blast(pool, x) else {
-                            unreachable!("and: bool")
-                        };
-                        l
-                    })
-                    .collect();
-                Bits::Bool(self.big_and(&lits))
-            }
-            TermKind::Or(xs) => {
-                let lits: Vec<Lit> = xs
-                    .iter()
-                    .map(|&x| {
-                        let Bits::Bool(l) = self.blast(pool, x) else {
-                            unreachable!("or: bool")
-                        };
-                        l
-                    })
-                    .collect();
-                Bits::Bool(self.big_or(&lits))
-            }
-            TermKind::Eq(a, b) => match (self.blast(pool, a), self.blast(pool, b)) {
-                (Bits::Bool(x), Bits::Bool(y)) => Bits::Bool(!self.gate_xor(x, y)),
-                (Bits::Bv(x), Bits::Bv(y)) => Bits::Bool(self.eq_bits(&x, &y)),
-                _ => unreachable!("eq: sort mismatch"),
-            },
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let Bits::Bool(c) = self.blast(pool, cond) else {
-                    unreachable!("ite cond")
-                };
-                match (self.blast(pool, then_t), self.blast(pool, else_t)) {
-                    (Bits::Bool(x), Bits::Bool(y)) => Bits::Bool(self.gate_mux(c, x, y)),
-                    (Bits::Bv(x), Bits::Bv(y)) => {
-                        let bits = (0..x.len()).map(|i| self.gate_mux(c, x[i], y[i])).collect();
-                        Bits::Bv(bits)
-                    }
-                    _ => unreachable!("ite: sort mismatch"),
-                }
-            }
-            TermKind::Pred(p, a, b) => {
-                let Bits::Bv(mut x) = self.blast(pool, a) else {
-                    unreachable!("pred lhs")
-                };
-                let Bits::Bv(mut y) = self.blast(pool, b) else {
-                    unreachable!("pred rhs")
-                };
-                let (swap, strict_complement) = match p {
-                    BvPred::Ult | BvPred::Slt => (false, false),
-                    // a <= b  ⟺  ¬(b < a)
-                    BvPred::Ule | BvPred::Sle => (true, true),
-                };
-                if matches!(p, BvPred::Slt | BvPred::Sle) {
-                    // Signed comparison: flip both MSBs and compare unsigned.
-                    let n = x.len();
-                    x[n - 1] = !x[n - 1];
-                    y[n - 1] = !y[n - 1];
-                }
-                let l = if swap {
-                    self.ult(&y, &x)
-                } else {
-                    self.ult(&x, &y)
-                };
-                Bits::Bool(if strict_complement { !l } else { l })
-            }
-            TermKind::Bv(op, a, b) => {
-                let Bits::Bv(x) = self.blast(pool, a) else {
-                    unreachable!("bv lhs")
-                };
-                let Bits::Bv(y) = self.blast(pool, b) else {
-                    unreachable!("bv rhs")
-                };
-                let w = x.len();
-                let bits = match op {
-                    BvOp::Add => self.adder(&x, &y, self.konst(false)),
-                    BvOp::Sub => self.sub(&x, &y),
-                    BvOp::Mul => self.mul(&x, &y, w),
-                    BvOp::And => (0..w).map(|i| self.gate_and(x[i], y[i])).collect(),
-                    BvOp::Or => (0..w).map(|i| self.gate_or(x[i], y[i])).collect(),
-                    BvOp::Xor => (0..w).map(|i| self.gate_xor(x[i], y[i])).collect(),
-                    BvOp::Shl => {
-                        let f = self.konst(false);
-                        self.shift(&x, &y, true, f)
-                    }
-                    BvOp::Lshr => {
-                        let f = self.konst(false);
-                        self.shift(&x, &y, false, f)
-                    }
-                    BvOp::Ashr => {
-                        let sign = x[w - 1];
-                        self.shift(&x, &y, false, sign)
-                    }
-                    BvOp::Udiv | BvOp::Urem => self.divrem(&x, &y, op),
-                };
-                Bits::Bv(bits)
-            }
-        };
-        self.memo.insert(t, result.clone());
-        result
+        let fill_final = if left { f } else { fill };
+        for l in cur.iter_mut() {
+            *l = self.mux(any, fill_final, *l);
+        }
     }
 
     /// Division/remainder via the multiply-check identity at double width:
     /// fresh `q`, `r` with `q*b + r == a` (no overflow, checked at `2w`
-    /// bits) and `r < b`, with the SMT-LIB `b == 0` special case.
+    /// bits) and `r < b`, with the SMT-LIB `b == 0` special case. Returns
+    /// `q` or `r`. Rare enough to allocate its own buffers.
     fn divrem(&mut self, a: &[Lit], b: &[Lit], op: BvOp) -> Vec<Lit> {
         let w = a.len();
         let q: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
         let r: Vec<Lit> = (0..w).map(|_| self.fresh()).collect();
         let zero_w: Vec<Lit> = vec![self.konst(false); w];
         // b == 0?
-        let bz = {
-            let z = zero_w.clone();
-            self.eq_bits(b, &z)
-        };
+        let bz = self.eq_bits(b, &zero_w);
         // Wide product check: zext(q) * zext(b) + zext(r) == zext(a).
-        let zext = |bits: &[Lit], f: Lit| {
+        let f = self.konst(false);
+        let zext = |bits: &[Lit]| {
             let mut v = bits.to_vec();
             v.resize(2 * w, f);
             v
         };
-        let f = self.konst(false);
-        let qw = zext(&q, f);
-        let bw = zext(b, f);
-        let rw = zext(&r, f);
-        let aw = zext(a, f);
-        let prod = self.mul(&qw, &bw, 2 * w);
-        let sum = self.adder(&prod, &rw, self.konst(false));
+        let (qw, bw, rw, aw) = (zext(&q), zext(b), zext(&r), zext(a));
+        let mut work = Work::default();
+        self.mul(&qw, &bw, 2 * w, &mut work);
+        let mut sum = Vec::new();
+        self.adder(&work.acc, &rw, f, &mut sum);
         let exact = self.eq_bits(&sum, &aw);
         let rem_lt = self.ult(&r, b);
-        let ok_div = self.gate_and(exact, rem_lt);
+        let ok_div = self.and(exact, rem_lt);
         // b == 0 case: q = all-ones, r = a.
         let ones: Vec<Lit> = vec![self.konst(true); w];
         let q_ones = self.eq_bits(&q, &ones);
         let r_is_a = self.eq_bits(&r, a);
-        let ok_zero = self.gate_and(q_ones, r_is_a);
-        let chosen = self.gate_mux(bz, ok_zero, ok_div);
+        let ok_zero = self.and(q_ones, r_is_a);
+        let chosen = self.mux(bz, ok_zero, ok_div);
         self.cnf.add_unit(chosen);
         match op {
             BvOp::Udiv => q,
@@ -644,8 +758,8 @@ impl SessionBlaster {
 pub fn blast(pool: &TermPool, formula: TermId) -> (Cnf, BlastMap) {
     let mut b = SessionBlaster::new();
     let root = b.blast_root(pool, formula);
-    b.cnf.add_unit(root);
-    (b.cnf, b.map)
+    b.gates.cnf.add_unit(root);
+    (b.gates.cnf, b.map)
 }
 
 #[cfg(test)]

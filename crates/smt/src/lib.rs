@@ -37,6 +37,7 @@
 
 pub mod bitblast;
 pub mod cnf;
+pub mod dense;
 pub mod dimacs;
 pub mod preprocess;
 pub mod sat;
@@ -47,4 +48,4 @@ pub mod term;
 
 pub use session::{SessionStats, SolveSession};
 pub use solver::{smt_solve, Model, SatResult, SolveStats, SolverConfig};
-pub use term::{BvOp, BvPred, Sort, TermId, TermKind, TermPool, Value, VarIdx};
+pub use term::{BvOp, BvPred, CtxId, Sort, TermId, TermKind, TermPool, Value, VarIdx, VarKey};

@@ -13,9 +13,13 @@
 //! variables are implicitly existentially quantified (they are program
 //! inputs), so e.g. replacing `x + t` by a fresh variable when `x` occurs
 //! nowhere else is sound in both directions.
+//!
+//! The passes keep their bindings, counts and memos in dense tables the
+//! pool holds between calls ([`crate::dense`]), so a pass run allocates
+//! nothing once the tables have grown to the pool.
 
-use crate::term::{mask, BvOp, BvPred, Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::HashMap;
+use crate::dense::{IdMap, VarMap, VarSet};
+use crate::term::{mask, BvOp, BvPred, Rewrite, Sort, TermId, TermKind, TermPool, VarIdx};
 
 /// Result of the preprocessing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +32,65 @@ pub struct Preprocessed {
     pub rounds: u32,
 }
 
+/// The passes' reused tables, held by the pool between calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PassTables {
+    /// Conjuncts of the formula a pass reads.
+    conj: Vec<TermId>,
+    /// Constant bindings, the equality substitution, or the Gaussian
+    /// solutions.
+    bind: VarMap,
+    /// Equality propagation: variables bound this round, and variables
+    /// free in an accepted right-hand side.
+    bound: VarSet,
+    rhs_vars: VarSet,
+    /// Free variables of one term.
+    fvs: Vec<VarIdx>,
+    /// Known bits per node.
+    kbits: IdMap<TermId, KnownBits>,
+    /// UVE: (parent, child-slot) edges per variable, each variable's last
+    /// parent, and the variables in first-seen order.
+    occurs: IdMap<VarIdx, u32>,
+    parent_of: IdMap<VarIdx, TermId>,
+    entries: Vec<(VarIdx, TermId)>,
+    /// UVE: parent edges per node.
+    parents: IdMap<TermId, u32>,
+    /// UVE: node → replacement.
+    rewrites: IdMap<TermId, TermId>,
+    /// UVE: variables a replacement has used.
+    consumed: VarSet,
+    /// UVE: the DAG's nodes, one node's operands, the variables present.
+    nodes: Vec<TermId>,
+    kids: Vec<TermId>,
+    present: VarSet,
+}
+
+/// Runs `f` with the pool's pass tables taken out of it.
+fn with_tables<R>(pool: &mut TermPool, f: impl FnOnce(&mut TermPool, &mut PassTables) -> R) -> R {
+    let mut tables = std::mem::take(&mut pool.passes);
+    let r = f(pool, &mut tables);
+    pool.passes = tables;
+    r
+}
+
+/// Rebuild with no rewrite of its own: the constructors' rules only.
+struct Simplify;
+
+impl Rewrite for Simplify {}
+
 /// Rebuilds a term bottom-up so all constructor-level rewrites re-apply.
 /// This is the "lightweight formula simplification" (LFS) of the paper's
 /// evaluation: local rewriting only.
 pub fn simplify(pool: &mut TermPool, t: TermId) -> TermId {
-    let map = HashMap::new();
-    pool.substitute(t, &map)
+    pool.rebuild(t, &mut Simplify)
 }
 
-fn conjuncts(pool: &TermPool, t: TermId) -> Vec<TermId> {
-    match pool.kind(t) {
-        TermKind::And(xs) => xs.clone(),
-        _ => vec![t],
+/// The top-level conjuncts of `t`, written to `out`.
+pub(crate) fn conjuncts_into(pool: &TermPool, t: TermId, out: &mut Vec<TermId>) {
+    out.clear();
+    match *pool.kind(t) {
+        TermKind::And(xs) => out.extend_from_slice(pool.args(xs)),
+        _ => out.push(t),
     }
 }
 
@@ -50,95 +101,90 @@ fn conjuncts(pool: &TermPool, t: TermId) -> Vec<TermId> {
 /// invertible (`+`, `-`, `xor`, or `*` by an odd constant). Boolean unit
 /// conjuncts (`b`, `¬b`) bind `b`. Iterates to a fixpoint.
 pub fn propagate_constants(pool: &mut TermPool, t: TermId) -> TermId {
-    propagate_constants_protected(pool, t, &Default::default())
+    propagate_constants_protected(pool, t, &VarSet::new())
 }
 
 /// [`propagate_constants`] over a formula *fragment*: variables in
 /// `protected` (the fragment's interface, shared with other fragments) are
 /// never eliminated — their defining conjuncts must survive.
-pub fn propagate_constants_protected(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-) -> TermId {
-    let mut t = t;
-    for _ in 0..64 {
-        let mut bindings: HashMap<VarIdx, TermId> = HashMap::new();
-        for c in conjuncts(pool, t) {
-            match pool.kind(c).clone() {
-                TermKind::Var(v) => {
-                    let tt = pool.tt();
-                    bindings.entry(v).or_insert(tt);
-                }
-                TermKind::Not(inner) => {
-                    if let TermKind::Var(v) = *pool.kind(inner) {
-                        let ff = pool.ff();
-                        bindings.entry(v).or_insert(ff);
+pub fn propagate_constants_protected(pool: &mut TermPool, t: TermId, protected: &VarSet) -> TermId {
+    with_tables(pool, |pool, tb| {
+        let mut t = t;
+        for _ in 0..64 {
+            tb.bind.clear();
+            conjuncts_into(pool, t, &mut tb.conj);
+            for &c in &tb.conj {
+                // The first binding of a variable wins.
+                if let Some((v, k)) = constant_binding(pool, c) {
+                    if !protected.contains(v) {
+                        tb.bind.get_or_insert(v, k);
                     }
                 }
-                TermKind::Eq(a, b) => {
-                    // Normalize: constant on one side, candidate the other.
-                    let (val, other) = match (pool.as_bv_const(a), pool.as_bv_const(b)) {
-                        (Some(v), None) => (v, b),
-                        (None, Some(v)) => (v, a),
-                        _ => continue,
+            }
+            if tb.bind.is_empty() {
+                return t;
+            }
+            let next = pool.substitute(t, &tb.bind);
+            // Re-assert the bindings: `∃x (x=c ∧ φ)` keeps `x=c` trivially
+            // true after substitution, so nothing needs re-adding.
+            if next == t {
+                return t;
+            }
+            t = next;
+        }
+        t
+    })
+}
+
+/// The constant a conjunct binds a variable to, if any (see
+/// [`propagate_constants`]).
+fn constant_binding(pool: &mut TermPool, c: TermId) -> Option<(VarIdx, TermId)> {
+    match *pool.kind(c) {
+        TermKind::Var(v) => Some((v, pool.tt())),
+        TermKind::Not(inner) => match *pool.kind(inner) {
+            TermKind::Var(v) => Some((v, pool.ff())),
+            _ => None,
+        },
+        TermKind::Eq(a, b) => {
+            // Normalize: constant on one side, candidate the other.
+            let (val, other) = match (pool.as_bv_const(a), pool.as_bv_const(b)) {
+                (Some(v), None) => (v, b),
+                (None, Some(v)) => (v, a),
+                _ => return None,
+            };
+            let w = pool.width(other);
+            match *pool.kind(other) {
+                TermKind::Var(v) => Some((v, pool.bv_const(val, w))),
+                // Backward propagation through invertible ops.
+                TermKind::Bv(op, x, y) => {
+                    let (v, konst, var_left) = match (*pool.kind(x), pool.as_bv_const(y)) {
+                        (TermKind::Var(v), Some(k)) => (v, k, true),
+                        _ => match (pool.as_bv_const(x), *pool.kind(y)) {
+                            (Some(k), TermKind::Var(v)) => (v, k, false),
+                            _ => return None,
+                        },
                     };
-                    let w = pool.width(other);
-                    match pool.kind(other).clone() {
-                        TermKind::Var(v) => {
-                            let k = pool.bv_const(val, w);
-                            bindings.entry(v).or_insert(k);
+                    let solved = match op {
+                        BvOp::Add => val.wrapping_sub(konst) & mask(w),
+                        BvOp::Xor => val ^ konst,
+                        BvOp::Sub if var_left => {
+                            // v - k = val  →  v = val + k
+                            val.wrapping_add(konst) & mask(w)
                         }
-                        // Backward propagation through invertible ops.
-                        TermKind::Bv(op, x, y) => {
-                            let (var, konst, var_left) =
-                                match (pool.kind(x).clone(), pool.as_bv_const(y)) {
-                                    (TermKind::Var(v), Some(k)) => (Some(v), k, true),
-                                    _ => match (pool.as_bv_const(x), pool.kind(y).clone()) {
-                                        (Some(k), TermKind::Var(v)) => (Some(v), k, false),
-                                        _ => (None, 0, true),
-                                    },
-                                };
-                            let Some(v) = var else { continue };
-                            let solved = match op {
-                                BvOp::Add => Some(val.wrapping_sub(konst) & mask(w)),
-                                BvOp::Xor => Some(val ^ konst),
-                                BvOp::Sub => Some(if var_left {
-                                    // v - k = val  →  v = val + k
-                                    val.wrapping_add(konst) & mask(w)
-                                } else {
-                                    // k - v = val  →  v = k - val
-                                    konst.wrapping_sub(val) & mask(w)
-                                }),
-                                BvOp::Mul if konst & 1 == 1 => {
-                                    Some(val.wrapping_mul(mod_inverse(konst, w)) & mask(w))
-                                }
-                                _ => None,
-                            };
-                            if let Some(s) = solved {
-                                let k = pool.bv_const(s, w);
-                                bindings.entry(v).or_insert(k);
-                            }
+                        // k - v = val  →  v = k - val
+                        BvOp::Sub => konst.wrapping_sub(val) & mask(w),
+                        BvOp::Mul if konst & 1 == 1 => {
+                            val.wrapping_mul(mod_inverse(konst, w)) & mask(w)
                         }
-                        _ => {}
-                    }
+                        _ => return None,
+                    };
+                    Some((v, pool.bv_const(solved, w)))
                 }
-                _ => {}
+                _ => None,
             }
         }
-        bindings.retain(|v, _| !protected.contains(v));
-        if bindings.is_empty() {
-            return t;
-        }
-        let next = pool.substitute(t, &bindings);
-        // Re-assert the bindings: `∃x (x=c ∧ φ)` keeps `x=c` trivially
-        // true after substitution, so nothing needs re-adding.
-        if next == t {
-            return t;
-        }
-        t = next;
+        _ => None,
     }
-    t
 }
 
 /// Multiplicative inverse of an odd number modulo 2^w (Newton iteration).
@@ -155,7 +201,7 @@ fn mod_inverse(a: u64, w: u32) -> u64 {
 /// union–find, and conjuncts `x = t` (with `x` not free in `t`) substitute
 /// `t` for `x` (Z3's `solve-eqs`).
 pub fn propagate_equalities(pool: &mut TermPool, t: TermId) -> TermId {
-    propagate_equalities_protected(pool, t, &Default::default())
+    propagate_equalities_protected(pool, t, &VarSet::new())
 }
 
 /// [`propagate_equalities`] over a fragment: `protected` variables are
@@ -163,74 +209,71 @@ pub fn propagate_equalities(pool: &mut TermPool, t: TermId) -> TermId {
 pub fn propagate_equalities_protected(
     pool: &mut TermPool,
     t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
+    protected: &VarSet,
 ) -> TermId {
-    let mut t = t;
-    for _ in 0..64 {
-        // Build a *parallel-safe* substitution: no bound variable may
-        // appear in any accepted right-hand side, and no right-hand-side
-        // variable may itself be bound. This makes the simultaneous
-        // substitution equivalent to a sequential one, so
-        // `∃x (x = t ∧ φ) ≡ φ[t/x]` applies to each binding.
-        let mut subst: HashMap<VarIdx, TermId> = HashMap::new();
-        let mut bound: std::collections::HashSet<VarIdx> = Default::default();
-        let mut rhs_vars: std::collections::HashSet<VarIdx> = Default::default();
-        let try_bind = |pool: &TermPool,
-                        subst: &mut HashMap<VarIdx, TermId>,
-                        bound: &mut std::collections::HashSet<VarIdx>,
-                        rhs_vars: &mut std::collections::HashSet<VarIdx>,
-                        x: VarIdx,
-                        rhs: TermId| {
-            if protected.contains(&x) {
-                return;
-            }
-            let fvs = pool.free_vars(rhs);
-            if fvs.contains(&x) || bound.contains(&x) || rhs_vars.contains(&x) {
-                return;
-            }
-            if fvs.iter().any(|v| bound.contains(v)) {
-                return;
-            }
-            bound.insert(x);
-            rhs_vars.extend(fvs);
-            subst.insert(x, rhs);
-        };
-        for c in conjuncts(pool, t) {
-            let TermKind::Eq(a, b) = pool.kind(c).clone() else {
-                continue;
-            };
-            let va = as_var(pool, a);
-            let vb = as_var(pool, b);
-            match (va, vb) {
-                (Some(x), Some(y)) if x != y => {
+    with_tables(pool, |pool, tb| {
+        let mut t = t;
+        for _ in 0..64 {
+            // Build a *parallel-safe* substitution: no bound variable may
+            // appear in any accepted right-hand side, and no right-hand-side
+            // variable may itself be bound. This makes the simultaneous
+            // substitution equivalent to a sequential one, so
+            // `∃x (x = t ∧ φ) ≡ φ[t/x]` applies to each binding.
+            tb.bind.clear();
+            tb.bound.clear();
+            tb.rhs_vars.clear();
+            conjuncts_into(pool, t, &mut tb.conj);
+            for i in 0..tb.conj.len() {
+                let TermKind::Eq(a, b) = *pool.kind(tb.conj[i]) else {
+                    continue;
+                };
+                let binding = match (as_var(pool, a), as_var(pool, b)) {
                     // Substitute the higher-indexed variable by the lower.
-                    let (from, to_t) = if x < y { (y, a) } else { (x, b) };
-                    try_bind(pool, &mut subst, &mut bound, &mut rhs_vars, from, to_t);
+                    (Some(x), Some(y)) if x != y => Some(if x < y { (y, a) } else { (x, b) }),
+                    (Some(x), None) => Some((x, b)),
+                    (None, Some(y)) => Some((y, a)),
+                    _ => None,
+                };
+                if let Some((x, rhs)) = binding {
+                    try_bind(pool, tb, protected, x, rhs);
                 }
-                (Some(x), None) => {
-                    try_bind(pool, &mut subst, &mut bound, &mut rhs_vars, x, b);
-                }
-                (None, Some(y)) => {
-                    try_bind(pool, &mut subst, &mut bound, &mut rhs_vars, y, a);
-                }
-                _ => {}
             }
+            if tb.bind.is_empty() {
+                return t;
+            }
+            let next = pool.substitute(t, &tb.bind);
+            if next == t {
+                return t;
+            }
+            t = next;
         }
-        if subst.is_empty() {
-            return t;
-        }
-        let next = pool.substitute(t, &subst);
-        if next == t {
-            return t;
-        }
-        t = next;
+        t
+    })
+}
+
+/// Adds `x := rhs` to the equality substitution when it keeps the
+/// substitution parallel-safe.
+fn try_bind(pool: &mut TermPool, tb: &mut PassTables, protected: &VarSet, x: VarIdx, rhs: TermId) {
+    if protected.contains(x) {
+        return;
     }
-    t
+    pool.free_vars_into(rhs, &mut tb.fvs);
+    if tb.fvs.binary_search(&x).is_ok() || tb.bound.contains(x) || tb.rhs_vars.contains(x) {
+        return;
+    }
+    if tb.fvs.iter().any(|&v| tb.bound.contains(v)) {
+        return;
+    }
+    tb.bound.insert(x);
+    for &v in &tb.fvs {
+        tb.rhs_vars.insert(v);
+    }
+    tb.bind.insert(x, rhs);
 }
 
 fn as_var(pool: &TermPool, t: TermId) -> Option<VarIdx> {
-    match pool.kind(t) {
-        TermKind::Var(v) => Some(*v),
+    match *pool.kind(t) {
+        TermKind::Var(v) => Some(v),
         _ => None,
     }
 }
@@ -246,7 +289,7 @@ fn as_var(pool: &TermPool, t: TermId) -> Option<VarIdx> {
 /// evaporate — this is precisely how the paper's running example (`e = c <
 /// d` with `c`, `d` unconstrained) is decided without bit-blasting.
 pub fn eliminate_unconstrained(pool: &mut TermPool, t: TermId) -> TermId {
-    eliminate_unconstrained_protected(pool, t, &Default::default())
+    eliminate_unconstrained_protected(pool, t, &VarSet::new())
 }
 
 /// [`eliminate_unconstrained`] over a fragment: `protected` variables are
@@ -255,260 +298,209 @@ pub fn eliminate_unconstrained(pool: &mut TermPool, t: TermId) -> TermId {
 pub fn eliminate_unconstrained_protected(
     pool: &mut TermPool,
     t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
+    protected: &VarSet,
 ) -> TermId {
-    let mut t = t;
-    for _round in 0..64 {
-        // Occurrence counting over the DAG: number of (parent, child-slot)
-        // edges per variable, plus parent tracking.
-        let mut occurs: HashMap<VarIdx, u32> = HashMap::new();
-        let mut parent_of: HashMap<VarIdx, TermId> = HashMap::new();
-        let mut parent_count: HashMap<TermId, u32> = HashMap::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
-            }
-            for c in pool.children(x) {
-                *parent_count.entry(c).or_insert(0) += 1;
-                if let TermKind::Var(v) = pool.kind(c) {
-                    *occurs.entry(*v).or_insert(0) += 1;
-                    parent_of.insert(*v, x);
+    with_tables(pool, |pool, tb| {
+        let mut t = t;
+        for _round in 0..64 {
+            count_occurrences(pool, t, tb);
+            // Batch all independent rewrites for this round: node → fresh
+            // var. Each is individually justified by its variable's
+            // singleton-ness; fresh replacements keep them independent.
+            tb.rewrites.clear();
+            tb.consumed.clear();
+            for i in 0..tb.entries.len() {
+                let (v, parent) = tb.entries[i];
+                if !is_singleton(v, &tb.occurs, protected) || tb.consumed.contains(v) {
+                    continue;
                 }
-                stack.push(c);
+                if tb.parents.get(parent) != Some(1) && parent != t {
+                    continue;
+                }
+                if tb.rewrites.contains_key(parent) {
+                    continue;
+                }
+                if let Some(fresh) = unconstrained_parent(pool, tb, protected, v, parent) {
+                    tb.consumed.insert(v);
+                    tb.rewrites.insert(parent, fresh);
+                }
             }
-        }
-        let is_singleton = |v: &VarIdx, occ: &HashMap<VarIdx, u32>| {
-            !protected.contains(v) && occ.get(v) == Some(&1)
-        };
-        // Batch all independent rewrites for this round: node → fresh var.
-        // Each is individually justified by its variable's singleton-ness;
-        // fresh replacements keep them independent.
-        let mut rewrites: HashMap<TermId, TermId> = HashMap::new();
-        let mut consumed: std::collections::HashSet<VarIdx> = Default::default();
-        let mut parent_entries: Vec<(VarIdx, TermId)> =
-            parent_of.iter().map(|(&v, &p)| (v, p)).collect();
-        parent_entries.sort_unstable();
-        for (v, parent) in parent_entries {
-            if !is_singleton(&v, &occurs) || consumed.contains(&v) {
-                continue;
-            }
-            if parent_count.get(&parent) != Some(&1) && parent != t {
-                continue;
-            }
-            if rewrites.contains_key(&parent) {
-                continue;
-            }
-            #[allow(clippy::unnecessary_to_owned)]
-            // pool.var needs &mut; the name must be detached first
-            let vt = pool.var(&pool.var_name(v).to_owned(), pool.var_sort(v));
-            let replacement = match pool.kind(parent).clone() {
-                TermKind::Bv(op, a, b) => {
-                    let other = if a == vt { b } else { a };
-                    if pool.free_vars(other).contains(&v) {
-                        None
-                    } else {
-                        let w = pool.width(parent);
-                        match op {
-                            BvOp::Add | BvOp::Xor | BvOp::Sub => {
-                                Some(pool.fresh_var("uc", Sort::Bv(w)))
-                            }
-                            BvOp::Mul => match pool.as_bv_const(other) {
-                                Some(k) if k & 1 == 1 => Some(pool.fresh_var("uc", Sort::Bv(w))),
-                                _ => None,
-                            },
-                            _ => None,
-                        }
+            affine_strides(pool, t, tb, protected);
+            if tb.rewrites.is_empty() {
+                // Root itself a singleton boolean var → satisfiable.
+                if let TermKind::Var(v) = *pool.kind(t) {
+                    if pool.var_sort(v) == Sort::Bool && !protected.contains(v) {
+                        return pool.tt();
                     }
                 }
-                TermKind::Eq(a, b) => {
-                    let other = if a == vt { b } else { a };
-                    if pool.free_vars(other).contains(&v) {
-                        None
-                    } else {
-                        Some(pool.fresh_var("uc", Sort::Bool))
-                    }
-                }
-                TermKind::Pred(p, a, b) => {
-                    let other = if a == vt { b } else { a };
-                    let w = pool.width(a);
-                    let full_range = match pool.kind(other).clone() {
-                        TermKind::Var(u) if u != v => {
-                            is_singleton(&u, &occurs) && !consumed.contains(&u)
-                        }
-                        TermKind::BvConst { value, .. } => {
-                            let lhs_is_var = a == vt;
-                            pred_full_range(p, lhs_is_var, value, w)
-                        }
-                        _ => false,
-                    };
-                    if full_range {
-                        // Consume the partner variable too.
-                        if let TermKind::Var(u) = pool.kind(other) {
-                            consumed.insert(*u);
-                        }
-                        Some(pool.fresh_var("uc", Sort::Bool))
-                    } else {
-                        None
-                    }
-                }
-                TermKind::Not(_) => Some(pool.fresh_var("uc", Sort::Bool)),
-                _ => None,
-            };
-            if let Some(fresh) = replacement {
-                consumed.insert(v);
-                rewrites.insert(parent, fresh);
+                break;
             }
+            t = pool.rebuild(t, &mut Replace(&tb.rewrites));
+            t = drop_unconstrained_units(pool, t, protected, tb);
         }
-        // Affine-stride propagation: comparisons/equalities of independent
-        // single-variable affine terms over singleton variables (see the
-        // coset argument in this module's docs). `2x₁ ⋈ 2x₂` — the paper's
-        // `c < d` — is decided here without bit-blasting.
-        for node in dag_nodes(pool, t) {
-            if rewrites.contains_key(&node) {
-                continue;
-            }
-            let (is_eq, a, b) = match pool.kind(node).clone() {
-                TermKind::Pred(_, a, b) => (false, a, b),
-                TermKind::Eq(a, b) if matches!(pool.sort(a), Sort::Bv(_)) => (true, a, b),
-                _ => continue,
-            };
-            let Sort::Bv(w) = pool.sort(a) else { continue };
-            let (Some(la), Some(lb)) = (linear_of(pool, a, w), linear_of(pool, b, w)) else {
-                continue;
-            };
-            let single = |l: &Linear| -> Option<(VarIdx, u64)> {
-                if l.coeffs.len() == 1 {
-                    let (&v, &c) = l.coeffs.iter().next().expect("len 1");
-                    Some((v, c))
-                } else {
-                    None
-                }
-            };
-            let (Some((vx, ca)), Some((vy, cb))) = (single(&la), single(&lb)) else {
-                continue;
-            };
-            if vx == vy
-                || protected.contains(&vx)
-                || protected.contains(&vy)
-                || consumed.contains(&vx)
-                || consumed.contains(&vy)
-                || occurs.get(&vx) != Some(&1)
-                || occurs.get(&vy) != Some(&1)
-                || ca == 0
-                || cb == 0
-            {
-                continue;
-            }
-            let (za, zb) = (ca.trailing_zeros(), cb.trailing_zeros());
-            if za >= w || zb >= w {
-                continue;
-            }
-            let replacement = if is_eq {
-                let z = za.min(zb);
-                let stride = 1u64 << z;
-                if (la.constant & (stride - 1)) == (lb.constant & (stride - 1)) {
-                    pool.fresh_var("uc", Sort::Bool)
-                } else {
-                    pool.ff()
-                }
-            } else {
-                pool.fresh_var("uc", Sort::Bool)
-            };
-            consumed.insert(vx);
-            consumed.insert(vy);
-            rewrites.insert(node, replacement);
-        }
-        if rewrites.is_empty() {
-            // Root itself a singleton boolean var → satisfiable.
-            if let TermKind::Var(v) = pool.kind(t) {
-                if pool.var_sort(*v) == Sort::Bool && !protected.contains(v) {
-                    return pool.tt();
-                }
-            }
-            break;
-        }
-        t = replace_nodes(pool, t, &rewrites);
-        t = drop_unconstrained_units(pool, t, protected);
-    }
-    t
+        t
+    })
 }
 
-/// All distinct nodes reachable from `t`.
-fn dag_nodes(pool: &TermPool, t: TermId) -> Vec<TermId> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    let mut stack = vec![t];
-    while let Some(x) = stack.pop() {
-        if seen.insert(x) {
-            out.push(x);
-            stack.extend(pool.children(x));
+/// Occurrence counting over the DAG of `t`: the number of (parent,
+/// child-slot) edges per variable and per node, each variable's last
+/// parent, and the `(variable, parent)` entries sorted by variable.
+fn count_occurrences(pool: &mut TermPool, t: TermId, tb: &mut PassTables) {
+    tb.occurs.clear();
+    tb.parent_of.clear();
+    tb.parents.clear();
+    tb.entries.clear();
+    let PassTables {
+        occurs,
+        parent_of,
+        parents,
+        entries,
+        kids,
+        ..
+    } = tb;
+    pool.walk(t, |pool, x| {
+        kids.clear();
+        pool.push_children(x, kids);
+        for &c in kids.iter() {
+            *parents.entry_or(c, 0) += 1;
+            if let TermKind::Var(v) = *pool.kind(c) {
+                *occurs.entry_or(v, 0) += 1;
+                if parent_of.insert(v, x).is_none() {
+                    entries.push((v, x));
+                }
+            }
         }
+    });
+    for e in entries.iter_mut() {
+        e.1 = parent_of.get(e.0).expect("counted variable");
     }
-    out
+    entries.sort_unstable();
+}
+
+fn is_singleton(v: VarIdx, occurs: &IdMap<VarIdx, u32>, protected: &VarSet) -> bool {
+    !protected.contains(v) && occurs.get(v) == Some(1)
+}
+
+/// The fresh variable replacing `parent`, the unique parent of the
+/// singleton variable `v`, when `parent` is a bijection in `v`.
+fn unconstrained_parent(
+    pool: &mut TermPool,
+    tb: &mut PassTables,
+    protected: &VarSet,
+    v: VarIdx,
+    parent: TermId,
+) -> Option<TermId> {
+    let vt = pool.var_term(v);
+    match *pool.kind(parent) {
+        TermKind::Bv(op, a, b) => {
+            let other = if a == vt { b } else { a };
+            if pool.mentions(other, v) {
+                return None;
+            }
+            let w = pool.width(parent);
+            match op {
+                BvOp::Add | BvOp::Xor | BvOp::Sub => Some(pool.fresh_var("uc", Sort::Bv(w))),
+                BvOp::Mul => match pool.as_bv_const(other) {
+                    Some(k) if k & 1 == 1 => Some(pool.fresh_var("uc", Sort::Bv(w))),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
+        TermKind::Eq(a, b) => {
+            let other = if a == vt { b } else { a };
+            if pool.mentions(other, v) {
+                None
+            } else {
+                Some(pool.fresh_var("uc", Sort::Bool))
+            }
+        }
+        TermKind::Pred(p, a, b) => {
+            let other = if a == vt { b } else { a };
+            let w = pool.width(a);
+            let full_range = match *pool.kind(other) {
+                TermKind::Var(u) if u != v => {
+                    is_singleton(u, &tb.occurs, protected) && !tb.consumed.contains(u)
+                }
+                TermKind::BvConst { value, .. } => pred_full_range(p, a == vt, value, w),
+                _ => false,
+            };
+            if !full_range {
+                return None;
+            }
+            // Consume the partner variable too.
+            if let TermKind::Var(u) = *pool.kind(other) {
+                tb.consumed.insert(u);
+            }
+            Some(pool.fresh_var("uc", Sort::Bool))
+        }
+        TermKind::Not(_) => Some(pool.fresh_var("uc", Sort::Bool)),
+        _ => None,
+    }
+}
+
+/// Affine-stride propagation: comparisons/equalities of independent
+/// single-variable affine terms over singleton variables (see the coset
+/// argument in this module's docs). `2x₁ ⋈ 2x₂` — the paper's `c < d` — is
+/// decided here without bit-blasting.
+fn affine_strides(pool: &mut TermPool, t: TermId, tb: &mut PassTables, protected: &VarSet) {
+    pool.dag_nodes_into(t, &mut tb.nodes);
+    for i in 0..tb.nodes.len() {
+        let node = tb.nodes[i];
+        if tb.rewrites.contains_key(node) {
+            continue;
+        }
+        let (is_eq, a, b) = match *pool.kind(node) {
+            TermKind::Pred(_, a, b) => (false, a, b),
+            TermKind::Eq(a, b) if matches!(pool.sort(a), Sort::Bv(_)) => (true, a, b),
+            _ => continue,
+        };
+        let Sort::Bv(w) = pool.sort(a) else { continue };
+        let (Some(la), Some(lb)) = (linear_of(pool, a, w), linear_of(pool, b, w)) else {
+            continue;
+        };
+        let (Some((vx, ca)), Some((vy, cb))) = (la.single(), lb.single()) else {
+            continue;
+        };
+        if vx == vy
+            || tb.consumed.contains(vx)
+            || tb.consumed.contains(vy)
+            || !is_singleton(vx, &tb.occurs, protected)
+            || !is_singleton(vy, &tb.occurs, protected)
+            || ca == 0
+            || cb == 0
+        {
+            continue;
+        }
+        let (za, zb) = (ca.trailing_zeros(), cb.trailing_zeros());
+        if za >= w || zb >= w {
+            continue;
+        }
+        let replacement = if is_eq {
+            let z = za.min(zb);
+            let stride = 1u64 << z;
+            if (la.constant & (stride - 1)) == (lb.constant & (stride - 1)) {
+                pool.fresh_var("uc", Sort::Bool)
+            } else {
+                pool.ff()
+            }
+        } else {
+            pool.fresh_var("uc", Sort::Bool)
+        };
+        tb.consumed.insert(vx);
+        tb.consumed.insert(vy);
+        tb.rewrites.insert(node, replacement);
+    }
 }
 
 /// Replaces a batch of DAG nodes, rebuilding shared spines once. Nodes in
 /// the map nested inside other mapped nodes are subsumed by the outermost.
-fn replace_nodes(pool: &mut TermPool, root: TermId, map: &HashMap<TermId, TermId>) -> TermId {
-    fn go(
-        pool: &mut TermPool,
-        t: TermId,
-        map: &HashMap<TermId, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
-    ) -> TermId {
-        if let Some(&r) = map.get(&t) {
-            return r;
-        }
-        if let Some(&r) = memo.get(&t) {
-            return r;
-        }
-        let r = match pool.kind(t).clone() {
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => t,
-            TermKind::Not(x) => {
-                let x = go(pool, x, map, memo);
-                pool.not(x)
-            }
-            TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs.iter().map(|&x| go(pool, x, map, memo)).collect();
-                pool.and(&xs)
-            }
-            TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs.iter().map(|&x| go(pool, x, map, memo)).collect();
-                pool.or(&xs)
-            }
-            TermKind::Eq(a, b) => {
-                let a = go(pool, a, map, memo);
-                let b = go(pool, b, map, memo);
-                pool.eq(a, b)
-            }
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let c = go(pool, cond, map, memo);
-                let tt = go(pool, then_t, map, memo);
-                let ee = go(pool, else_t, map, memo);
-                pool.ite(c, tt, ee)
-            }
-            TermKind::Bv(op, a, b) => {
-                let a = go(pool, a, map, memo);
-                let b = go(pool, b, map, memo);
-                pool.bv(op, a, b)
-            }
-            TermKind::Pred(p, a, b) => {
-                let a = go(pool, a, map, memo);
-                let b = go(pool, b, map, memo);
-                pool.pred(p, a, b)
-            }
-        };
-        memo.insert(t, r);
-        r
+struct Replace<'m>(&'m IdMap<TermId, TermId>);
+
+impl Rewrite for Replace<'_> {
+    fn pre(&mut self, _pool: &mut TermPool, t: TermId, _kind: TermKind) -> Option<TermId> {
+        self.0.get(t)
     }
-    let mut memo = HashMap::new();
-    go(pool, root, map, &mut memo)
 }
 
 /// Whether `var ⋈ value` (or `value ⋈ var` when `lhs_is_var` is false)
@@ -534,49 +526,45 @@ fn pred_full_range(p: BvPred, lhs_is_var: bool, value: u64, w: u32) -> bool {
 fn drop_unconstrained_units(
     pool: &mut TermPool,
     t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
+    protected: &VarSet,
+    tb: &mut PassTables,
 ) -> TermId {
-    // Count occurrences globally first.
-    let mut occurs: HashMap<VarIdx, u32> = HashMap::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut stack = vec![t];
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x) {
-            continue;
+    // The variables whose node the DAG reaches (each is counted once).
+    tb.present.clear();
+    let present = &mut tb.present;
+    pool.walk(t, |pool, x| {
+        if let TermKind::Var(v) = *pool.kind(x) {
+            present.insert(v);
         }
-        if let TermKind::Var(v) = pool.kind(x) {
-            *occurs.entry(*v).or_insert(0) += 1;
-        }
-        stack.extend(pool.children(x));
-    }
+    });
     let singleton_bool = |pool: &TermPool, x: TermId| -> bool {
-        let unit = match pool.kind(x) {
-            TermKind::Var(v) => Some(*v),
-            TermKind::Not(inner) => match pool.kind(*inner) {
-                TermKind::Var(v) => Some(*v),
+        let unit = match *pool.kind(x) {
+            TermKind::Var(v) => Some(v),
+            TermKind::Not(inner) => match *pool.kind(inner) {
+                TermKind::Var(v) => Some(v),
                 _ => None,
             },
             _ => None,
         };
         match unit {
             Some(v) => {
-                pool.var_sort(v) == Sort::Bool
-                    && occurs.get(&v) == Some(&1)
-                    && !protected.contains(&v)
+                pool.var_sort(v) == Sort::Bool && tb.present.contains(v) && !protected.contains(v)
             }
             None => false,
         }
     };
-    match pool.kind(t).clone() {
+    match *pool.kind(t) {
         TermKind::And(xs) => {
-            let kept: Vec<TermId> = xs
-                .into_iter()
-                .filter(|&x| !singleton_bool(pool, x))
-                .collect();
-            pool.and(&kept)
+            tb.kids.clear();
+            for &x in pool.args(xs) {
+                if !singleton_bool(pool, x) {
+                    tb.kids.push(x);
+                }
+            }
+            pool.and(&tb.kids)
         }
         TermKind::Or(xs) => {
-            if xs.iter().any(|&x| singleton_bool(pool, x)) {
+            if pool.args(xs).iter().any(|&x| singleton_bool(pool, x)) {
                 pool.tt()
             } else {
                 t
@@ -600,13 +588,18 @@ fn drop_unconstrained_units(
 /// condition is encoded in them.
 #[derive(Debug, Clone, Default)]
 pub struct BitsSeeds {
-    map: HashMap<VarIdx, (u64, u64)>,
+    map: IdMap<VarIdx, (u64, u64)>,
 }
 
 impl BitsSeeds {
     /// An empty seed set (the unseeded behaviour).
     pub fn new() -> BitsSeeds {
         BitsSeeds::default()
+    }
+
+    /// Removes every fact, keeping the table for reuse.
+    pub fn clear(&mut self) {
+        self.map.clear();
     }
 
     /// Registers `var & known == value` (value bits outside `known` are
@@ -619,7 +612,7 @@ impl BitsSeeds {
 
     /// The fact registered for `var`, if any.
     pub fn get(&self, var: VarIdx) -> Option<(u64, u64)> {
-        self.map.get(&var).copied()
+        self.map.get(var)
     }
 
     /// Number of seeded variables.
@@ -659,17 +652,17 @@ impl KnownBits {
 fn known_bits(
     pool: &TermPool,
     t: TermId,
-    memo: &mut HashMap<TermId, KnownBits>,
+    memo: &mut IdMap<TermId, KnownBits>,
     seeds: &BitsSeeds,
 ) -> KnownBits {
-    if let Some(&k) = memo.get(&t) {
+    if let Some(k) = memo.get(t) {
         return k;
     }
     let Sort::Bv(w) = pool.sort(t) else {
         return KnownBits::default();
     };
     let m = mask(w);
-    let out = match pool.kind(t).clone() {
+    let out = match *pool.kind(t) {
         TermKind::BvConst { value, .. } => KnownBits::all(value, w),
         TermKind::Var(v) => match seeds.get(v) {
             Some((known, value)) => KnownBits {
@@ -786,103 +779,72 @@ pub fn refute_by_known_bits(pool: &mut TermPool, t: TermId) -> TermId {
 /// facts (e.g. "this variable is even") refute equalities on first contact
 /// instead of being rediscovered structurally per instance.
 pub fn refute_by_known_bits_seeded(pool: &mut TermPool, t: TermId, seeds: &BitsSeeds) -> TermId {
-    let mut kmemo: HashMap<TermId, KnownBits> = HashMap::new();
-    fn go(
-        pool: &mut TermPool,
-        t: TermId,
-        memo: &mut HashMap<TermId, TermId>,
-        kmemo: &mut HashMap<TermId, KnownBits>,
-        seeds: &BitsSeeds,
-    ) -> TermId {
-        if let Some(&r) = memo.get(&t) {
-            return r;
-        }
-        let r = match pool.kind(t).clone() {
-            TermKind::Eq(a, b) if matches!(pool.sort(a), Sort::Bv(_)) => {
-                let a2 = go(pool, a, memo, kmemo, seeds);
-                let b2 = go(pool, b, memo, kmemo, seeds);
-                let ka = known_bits(pool, a2, kmemo, seeds);
-                let kb = known_bits(pool, b2, kmemo, seeds);
-                let both = ka.known & kb.known;
-                if (ka.value ^ kb.value) & both != 0 {
-                    pool.ff()
-                } else {
-                    pool.eq(a2, b2)
-                }
-            }
-            TermKind::Not(x) => {
-                let x = go(pool, x, memo, kmemo, seeds);
-                pool.not(x)
-            }
-            TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| go(pool, x, memo, kmemo, seeds))
-                    .collect();
-                pool.and(&xs)
-            }
-            TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| go(pool, x, memo, kmemo, seeds))
-                    .collect();
-                pool.or(&xs)
-            }
-            TermKind::Eq(a, b) => {
-                let a = go(pool, a, memo, kmemo, seeds);
-                let b = go(pool, b, memo, kmemo, seeds);
-                pool.eq(a, b)
-            }
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let c = go(pool, cond, memo, kmemo, seeds);
-                let tt = go(pool, then_t, memo, kmemo, seeds);
-                let ee = go(pool, else_t, memo, kmemo, seeds);
-                pool.ite(c, tt, ee)
-            }
-            TermKind::Bv(op, a, b) => {
-                let a = go(pool, a, memo, kmemo, seeds);
-                let b = go(pool, b, memo, kmemo, seeds);
-                pool.bv(op, a, b)
-            }
-            TermKind::Pred(p, a, b) => {
-                let a = go(pool, a, memo, kmemo, seeds);
-                let b = go(pool, b, memo, kmemo, seeds);
-                pool.pred(p, a, b)
-            }
-            _ => t,
-        };
-        memo.insert(t, r);
-        r
-    }
-    let mut memo = HashMap::new();
-    go(pool, t, &mut memo, &mut kmemo, seeds)
+    with_tables(pool, |pool, tb| {
+        tb.kbits.clear();
+        pool.rebuild(
+            t,
+            &mut KnownBitsRefute {
+                kbits: &mut tb.kbits,
+                seeds,
+            },
+        )
+    })
 }
 
-/// A linear form over one bit width: `Σ coeff·var + constant (mod 2^w)`.
+/// [`refute_by_known_bits_seeded`]'s rewrite of bit-vector equalities.
+struct KnownBitsRefute<'a> {
+    kbits: &'a mut IdMap<TermId, KnownBits>,
+    seeds: &'a BitsSeeds,
+}
+
+impl Rewrite for KnownBitsRefute<'_> {
+    fn eq(&mut self, pool: &mut TermPool, a: TermId, b: TermId) -> TermId {
+        if matches!(pool.sort(a), Sort::Bv(_)) {
+            let ka = known_bits(pool, a, self.kbits, self.seeds);
+            let kb = known_bits(pool, b, self.kbits, self.seeds);
+            let both = ka.known & kb.known;
+            if (ka.value ^ kb.value) & both != 0 {
+                return pool.ff();
+            }
+        }
+        pool.eq(a, b)
+    }
+}
+
+/// A linear form over one bit width: `Σ coeff·var + constant (mod 2^w)`,
+/// its terms sorted by variable, with no zero coefficient.
 #[derive(Debug, Clone, Default)]
 struct Linear {
-    coeffs: HashMap<VarIdx, u64>,
+    coeffs: Vec<(VarIdx, u64)>,
     constant: u64,
 }
 
+impl Linear {
+    /// The variable and coefficient of a one-variable form.
+    fn single(&self) -> Option<(VarIdx, u64)> {
+        match self.coeffs[..] {
+            [vc] => Some(vc),
+            _ => None,
+        }
+    }
+
+    /// Removes `v`'s term, returning its coefficient.
+    fn remove(&mut self, v: VarIdx) -> Option<u64> {
+        let i = self.coeffs.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(self.coeffs.remove(i).1)
+    }
+}
+
 fn linear_of(pool: &TermPool, t: TermId, w: u32) -> Option<Linear> {
-    match pool.kind(t).clone() {
+    match *pool.kind(t) {
         TermKind::BvConst { value, .. } => Some(Linear {
-            coeffs: HashMap::new(),
+            coeffs: Vec::new(),
             constant: value,
         }),
-        TermKind::Var(v) => {
-            let mut coeffs = HashMap::new();
-            coeffs.insert(v, 1u64);
-            Some(Linear {
-                coeffs,
-                constant: 0,
-            })
-        }
+        TermKind::Var(v) => Some(Linear {
+            coeffs: vec![(v, 1)],
+            constant: 0,
+        }),
         TermKind::Bv(BvOp::Add, a, b) => {
             let la = linear_of(pool, a, w)?;
             let lb = linear_of(pool, b, w)?;
@@ -918,33 +880,32 @@ fn linear_of(pool: &TermPool, t: TermId, w: u32) -> Option<Linear> {
 
 fn lin_add(mut a: Linear, b: &Linear, scale_b: u64, w: u32) -> Linear {
     let m = mask(w);
-    for (&v, &c) in &b.coeffs {
-        let e = a.coeffs.entry(v).or_insert(0);
-        *e = e.wrapping_add(c.wrapping_mul(scale_b)) & m;
+    for &(v, c) in &b.coeffs {
+        let add = c.wrapping_mul(scale_b);
+        match a.coeffs.binary_search_by_key(&v, |&(u, _)| u) {
+            Ok(i) => a.coeffs[i].1 = a.coeffs[i].1.wrapping_add(add) & m,
+            Err(i) => a.coeffs.insert(i, (v, add & m)),
+        }
     }
     a.constant = a.constant.wrapping_add(b.constant.wrapping_mul(scale_b)) & m;
-    a.coeffs.retain(|_, &mut c| c != 0);
+    a.coeffs.retain(|&(_, c)| c != 0);
     a
 }
 
 fn lin_scale(mut a: Linear, k: u64, w: u32) -> Linear {
     let m = mask(w);
-    for c in a.coeffs.values_mut() {
+    for (_, c) in &mut a.coeffs {
         *c = c.wrapping_mul(k) & m;
     }
     a.constant = a.constant.wrapping_mul(k) & m;
-    a.coeffs.retain(|_, &mut c| c != 0);
+    a.coeffs.retain(|&(_, c)| c != 0);
     a
 }
 
 fn lin_to_term(pool: &mut TermPool, lin: &Linear, w: u32) -> TermId {
     let mut acc = pool.bv_const(lin.constant, w);
-    let mut vars: Vec<(&VarIdx, &u64)> = lin.coeffs.iter().collect();
-    vars.sort();
-    for (&v, &c) in vars {
-        #[allow(clippy::unnecessary_to_owned)]
-        // pool.var needs &mut; the name must be detached first
-        let vt = pool.var(&pool.var_name(v).to_owned(), pool.var_sort(v));
+    for &(v, c) in &lin.coeffs {
+        let vt = pool.var_term(v);
         let k = pool.bv_const(c, w);
         let prod = pool.bv(BvOp::Mul, k, vt);
         acc = pool.bv(BvOp::Add, acc, prod);
@@ -956,186 +917,140 @@ fn lin_to_term(pool: &mut TermPool, lin: &Linear, w: u32) -> TermId {
 /// the linear equality conjuncts, substituting solved variables (those with
 /// odd, hence invertible, coefficients) and detecting inconsistencies.
 pub fn gaussian_eliminate(pool: &mut TermPool, t: TermId) -> TermId {
-    gaussian_eliminate_protected(pool, t, &Default::default())
+    gaussian_eliminate_protected(pool, t, &VarSet::new())
 }
 
 /// [`gaussian_eliminate`] over a fragment: `protected` variables are never
 /// chosen as pivots (their defining equations survive as residuals).
-pub fn gaussian_eliminate_protected(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-) -> TermId {
-    let cs = conjuncts(pool, t);
-    let mut others: Vec<TermId> = Vec::new();
-    let mut equations: Vec<(Linear, u32)> = Vec::new();
-    for c in &cs {
-        let mut handled = false;
-        if let TermKind::Eq(a, b) = pool.kind(*c).clone() {
-            if let Sort::Bv(w) = pool.sort(a) {
-                if let (Some(la), Some(lb)) = (linear_of(pool, a, w), linear_of(pool, b, w)) {
-                    // a - b = 0
-                    let lin = lin_add(la, &lb, mask(w), w);
-                    equations.push((lin, w));
-                    handled = true;
+pub fn gaussian_eliminate_protected(pool: &mut TermPool, t: TermId, protected: &VarSet) -> TermId {
+    with_tables(pool, |pool, tb| {
+        conjuncts_into(pool, t, &mut tb.conj);
+        let mut others: Vec<TermId> = Vec::new();
+        let mut equations: Vec<(Linear, u32)> = Vec::new();
+        for &c in &tb.conj {
+            let mut handled = false;
+            if let TermKind::Eq(a, b) = *pool.kind(c) {
+                if let Sort::Bv(w) = pool.sort(a) {
+                    if let (Some(la), Some(lb)) = (linear_of(pool, a, w), linear_of(pool, b, w)) {
+                        // a - b = 0
+                        equations.push((lin_add(la, &lb, mask(w), w), w));
+                        handled = true;
+                    }
                 }
             }
-        }
-        if !handled {
-            others.push(*c);
-        }
-    }
-    if equations.is_empty() {
-        return t;
-    }
-    // Triangularize: repeatedly pick an equation with an odd-coefficient
-    // variable, solve, substitute into the rest.
-    let mut solutions: HashMap<VarIdx, (Linear, u32)> = HashMap::new();
-    let mut remaining: Vec<(Linear, u32)> = Vec::new();
-    while let Some((lin, w)) = equations.pop() {
-        if lin.coeffs.is_empty() {
-            if lin.constant != 0 {
-                return pool.ff(); // 0 = c ≠ 0: inconsistent
-            }
-            continue; // trivially true
-        }
-        // Find an odd-coefficient variable (invertible mod 2^w).
-        let mut pick: Option<(VarIdx, u64)> = None;
-        let mut vars: Vec<(&VarIdx, &u64)> = lin.coeffs.iter().collect();
-        vars.sort();
-        for (&v, &c) in vars {
-            if c & 1 == 1 && !protected.contains(&v) {
-                pick = Some((v, c));
-                break;
+            if !handled {
+                others.push(c);
             }
         }
-        let Some((v, c)) = pick else {
-            remaining.push((lin, w));
-            continue;
-        };
-        // v = -inv(c) * (rest + constant)
-        let inv = mod_inverse(c, w);
-        let neg_inv = 0u64.wrapping_sub(inv) & mask(w);
-        let mut rhs = lin.clone();
-        rhs.coeffs.remove(&v);
-        let rhs = lin_scale(rhs, neg_inv, w);
-        // Substitute into all pending and solved forms.
-        for (other, ow) in equations.iter_mut().chain(remaining.iter_mut()) {
-            if let Some(k) = other.coeffs.remove(&v) {
-                *other = lin_add(other.clone(), &rhs, k, *ow);
-            }
+        if equations.is_empty() {
+            return t;
         }
-        for (sol, sw) in solutions.values_mut() {
-            if let Some(k) = sol.coeffs.remove(&v) {
-                *sol = lin_add(sol.clone(), &rhs, k, *sw);
+        // Triangularize: repeatedly pick an equation with an odd-coefficient
+        // variable, solve, substitute into the rest. Solutions are kept in
+        // the order their variables were solved.
+        let mut solutions: Vec<(VarIdx, Linear, u32)> = Vec::new();
+        let mut remaining: Vec<(Linear, u32)> = Vec::new();
+        while let Some((lin, w)) = equations.pop() {
+            if lin.coeffs.is_empty() {
+                if lin.constant != 0 {
+                    return pool.ff(); // 0 = c ≠ 0: inconsistent
+                }
+                continue; // trivially true
             }
+            // The first odd-coefficient (invertible mod 2^w) variable.
+            let pick = lin
+                .coeffs
+                .iter()
+                .copied()
+                .find(|&(v, c)| c & 1 == 1 && !protected.contains(v));
+            let Some((v, c)) = pick else {
+                remaining.push((lin, w));
+                continue;
+            };
+            // v = -inv(c) * (rest + constant)
+            let inv = mod_inverse(c, w);
+            let neg_inv = 0u64.wrapping_sub(inv) & mask(w);
+            let mut rhs = lin;
+            rhs.remove(v);
+            let rhs = lin_scale(rhs, neg_inv, w);
+            // Substitute into all pending and solved forms.
+            for (other, ow) in equations.iter_mut().chain(remaining.iter_mut()) {
+                if let Some(k) = other.remove(v) {
+                    *other = lin_add(std::mem::take(other), &rhs, k, *ow);
+                }
+            }
+            for (_, sol, sw) in &mut solutions {
+                if let Some(k) = sol.remove(v) {
+                    *sol = lin_add(std::mem::take(sol), &rhs, k, *sw);
+                }
+            }
+            solutions.push((v, rhs, w));
         }
-        solutions.insert(v, (rhs, w));
-    }
-    // Rebuild: substitute solutions into the non-linear conjuncts, keep
-    // unsolved equations.
-    let mut subst: HashMap<VarIdx, TermId> = HashMap::new();
-    for (v, (lin, w)) in &solutions {
-        subst.insert(*v, lin_to_term(pool, lin, *w));
-    }
-    let mut parts: Vec<TermId> = Vec::with_capacity(others.len() + remaining.len());
-    for o in others {
-        parts.push(pool.substitute(o, &subst));
-    }
-    for (lin, w) in remaining {
-        let lhs = lin_to_term(pool, &lin, w);
-        let zero = pool.bv_const(0, w);
-        parts.push(pool.eq(lhs, zero));
-    }
-    pool.and(&parts)
+        // Rebuild: substitute solutions into the non-linear conjuncts, keep
+        // unsolved equations.
+        tb.bind.clear();
+        for (v, lin, w) in &solutions {
+            let term = lin_to_term(pool, lin, *w);
+            tb.bind.insert(*v, term);
+        }
+        let mut parts: Vec<TermId> = Vec::with_capacity(others.len() + remaining.len());
+        for o in others {
+            parts.push(pool.substitute(o, &tb.bind));
+        }
+        for (lin, w) in remaining {
+            let lhs = lin_to_term(pool, &lin, w);
+            let zero = pool.bv_const(0, w);
+            parts.push(pool.eq(lhs, zero));
+        }
+        pool.and(&parts)
+    })
 }
 
 /// Strength reduction: multiplications, divisions and remainders by powers
 /// of two become shifts and masks.
 pub fn reduce_strength(pool: &mut TermPool, t: TermId) -> TermId {
-    fn go(pool: &mut TermPool, t: TermId, memo: &mut HashMap<TermId, TermId>) -> TermId {
-        if let Some(&r) = memo.get(&t) {
-            return r;
-        }
-        let r = match pool.kind(t).clone() {
-            TermKind::Bv(op, a, b) => {
-                let a = go(pool, a, memo);
-                let b = go(pool, b, memo);
-                let w = pool.width(a);
-                let rewrite = |pool: &mut TermPool, x: TermId, k: u64| -> Option<TermId> {
-                    if k == 0 || !k.is_power_of_two() {
-                        return None;
-                    }
-                    let sh = k.trailing_zeros() as u64;
-                    let sht = pool.bv_const(sh, w);
-                    match op {
-                        BvOp::Mul => Some(pool.bv(BvOp::Shl, x, sht)),
-                        BvOp::Udiv => Some(pool.bv(BvOp::Lshr, x, sht)),
-                        BvOp::Urem => {
-                            let m = pool.bv_const(k - 1, w);
-                            Some(pool.bv(BvOp::And, x, m))
-                        }
-                        _ => None,
-                    }
-                };
-                let reduced = match op {
-                    BvOp::Mul => pool
-                        .as_bv_const(b)
-                        .and_then(|k| rewrite(pool, a, k))
-                        .or_else(|| pool.as_bv_const(a).and_then(|k| rewrite(pool, b, k))),
-                    BvOp::Udiv | BvOp::Urem => {
-                        pool.as_bv_const(b).and_then(|k| rewrite(pool, a, k))
-                    }
-                    _ => None,
-                };
-                reduced.unwrap_or_else(|| pool.bv(op, a, b))
+    pool.rebuild(t, &mut ReduceStrength)
+}
+
+/// [`reduce_strength`]'s rewrite of bit-vector operations.
+struct ReduceStrength;
+
+impl Rewrite for ReduceStrength {
+    fn bv(&mut self, pool: &mut TermPool, op: BvOp, a: TermId, b: TermId) -> TermId {
+        let w = pool.width(a);
+        let rewrite = |pool: &mut TermPool, x: TermId, k: u64| -> Option<TermId> {
+            if k == 0 || !k.is_power_of_two() {
+                return None;
             }
-            TermKind::Not(x) => {
-                let x = go(pool, x, memo);
-                pool.not(x)
+            let sh = k.trailing_zeros() as u64;
+            let sht = pool.bv_const(sh, w);
+            match op {
+                BvOp::Mul => Some(pool.bv(BvOp::Shl, x, sht)),
+                BvOp::Udiv => Some(pool.bv(BvOp::Lshr, x, sht)),
+                BvOp::Urem => {
+                    let m = pool.bv_const(k - 1, w);
+                    Some(pool.bv(BvOp::And, x, m))
+                }
+                _ => None,
             }
-            TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs.iter().map(|&x| go(pool, x, memo)).collect();
-                pool.and(&xs)
-            }
-            TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs.iter().map(|&x| go(pool, x, memo)).collect();
-                pool.or(&xs)
-            }
-            TermKind::Eq(a, b) => {
-                let a = go(pool, a, memo);
-                let b = go(pool, b, memo);
-                pool.eq(a, b)
-            }
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let c = go(pool, cond, memo);
-                let tt = go(pool, then_t, memo);
-                let ee = go(pool, else_t, memo);
-                pool.ite(c, tt, ee)
-            }
-            TermKind::Pred(p, a, b) => {
-                let a = go(pool, a, memo);
-                let b = go(pool, b, memo);
-                pool.pred(p, a, b)
-            }
-            _ => t,
         };
-        memo.insert(t, r);
-        r
+        let reduced = match op {
+            BvOp::Mul => pool
+                .as_bv_const(b)
+                .and_then(|k| rewrite(pool, a, k))
+                .or_else(|| pool.as_bv_const(a).and_then(|k| rewrite(pool, b, k))),
+            BvOp::Udiv | BvOp::Urem => pool.as_bv_const(b).and_then(|k| rewrite(pool, a, k)),
+            _ => None,
+        };
+        reduced.unwrap_or_else(|| pool.bv(op, a, b))
     }
-    let mut memo = HashMap::new();
-    go(pool, t, &mut memo)
 }
 
 /// The full preprocessing pipeline, run to a fixpoint (bounded rounds):
 /// strength reduction → constant propagation → equality propagation →
 /// Gaussian elimination → unconstrained-variable elimination.
 pub fn preprocess(pool: &mut TermPool, t: TermId) -> Preprocessed {
-    preprocess_protected(pool, t, &Default::default())
+    preprocess_protected(pool, t, &VarSet::new())
 }
 
 /// A lighter fragment pipeline for *composable* conditions: only the
@@ -1145,11 +1060,7 @@ pub fn preprocess(pool: &mut TermPool, t: TermId) -> Preprocessed {
 /// replacement variables would have to be renamed apart per clone, which
 /// empirically leaves the downstream global preprocessing with residues it
 /// can no longer decide. UVE pays off once, globally.
-pub fn preprocess_fragment(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-) -> Preprocessed {
+pub fn preprocess_fragment(pool: &mut TermPool, t: TermId, protected: &VarSet) -> Preprocessed {
     preprocess_fragment_seeded(pool, t, protected, &BitsSeeds::default())
 }
 
@@ -1162,7 +1073,7 @@ pub fn preprocess_fragment(
 pub fn preprocess_fragment_seeded(
     pool: &mut TermPool,
     t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
+    protected: &VarSet,
     seeds: &BitsSeeds,
 ) -> Preprocessed {
     let mut t = simplify(pool, t);
@@ -1189,11 +1100,7 @@ pub fn preprocess_fragment_seeded(
 /// [`preprocess`] over a fragment with a protected interface: all passes
 /// run in their interface-preserving variants, so the result can still be
 /// conjoined with other fragments mentioning the protected variables.
-pub fn preprocess_protected(
-    pool: &mut TermPool,
-    t: TermId,
-    protected: &std::collections::HashSet<VarIdx>,
-) -> Preprocessed {
+pub fn preprocess_protected(pool: &mut TermPool, t: TermId, protected: &VarSet) -> Preprocessed {
     let mut t = simplify(pool, t);
     let mut rounds = 0u32;
     for _ in 0..8 {

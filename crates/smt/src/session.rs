@@ -40,8 +40,7 @@ use crate::bitblast::SessionBlaster;
 use crate::preprocess::preprocess;
 use crate::sat::{SatBudget, SatOutcome, SatSolver};
 use crate::solver::{Model, SatResult, SolveStats, SolverConfig};
-use crate::term::{Sort, TermId, TermPool};
-use std::collections::HashMap;
+use crate::term::{Sort, TermId, TermPool, VarIdx};
 use std::time::Instant;
 
 /// Cumulative statistics of a [`SolveSession`].
@@ -64,6 +63,8 @@ pub struct SessionStats {
 pub struct SolveSession {
     solver: SatSolver,
     blaster: SessionBlaster,
+    /// The free variables of a `Sat` query, read back into its model.
+    vars: Vec<VarIdx>,
     /// Cumulative session statistics.
     pub stats: SessionStats,
 }
@@ -80,6 +81,7 @@ impl SolveSession {
         SolveSession {
             solver: SatSolver::empty(),
             blaster: SessionBlaster::new(),
+            vars: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -95,10 +97,12 @@ impl SolveSession {
         let SolveSession {
             solver,
             blaster,
+            vars,
             stats,
         } = self;
         solver.clear();
         blaster.clear();
+        vars.clear();
         *stats = SessionStats::default();
     }
 
@@ -191,13 +195,8 @@ impl SolveSession {
         stats.duration = start.elapsed();
         let result = match outcome {
             SatOutcome::Sat(model) => {
-                let mut values = HashMap::new();
-                for v in pool.free_vars(processed) {
-                    if let Some(val) = self.blaster.map().value(v, &model) {
-                        values.insert(v, val);
-                    }
-                }
-                SatResult::Sat(Model::from_values(values))
+                pool.free_vars_into(processed, &mut self.vars);
+                SatResult::Sat(Model::read(&self.vars, self.blaster.map(), &model))
             }
             SatOutcome::Unsat => SatResult::Unsat,
             SatOutcome::Unknown => SatResult::Unknown,

@@ -7,11 +7,10 @@
 //! Every call carries a budget mirroring the paper's 10-second per-query
 //! limit.
 
-use crate::bitblast::blast;
+use crate::bitblast::{blast, BlastMap};
 use crate::preprocess::preprocess;
 use crate::sat::{SatBudget, SatOutcome, SatSolver};
 use crate::term::{Sort, TermId, TermPool, Value, VarIdx};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Configuration of one solver call.
@@ -73,19 +72,27 @@ pub fn deadline_expired(deadline: Option<Instant>) -> bool {
 /// is sufficient — and it is exactly what the fused design needs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
-    values: HashMap<VarIdx, u64>,
+    /// `(variable, value)`, sorted by variable.
+    values: Vec<(VarIdx, u64)>,
 }
 
 impl Model {
-    /// Builds a model from a variable → value map (used by the incremental
-    /// session pipeline; the cold pipeline constructs it directly).
-    pub(crate) fn from_values(values: HashMap<VarIdx, u64>) -> Model {
+    /// Reads the values of `vars` (sorted) out of a SAT model through the
+    /// blaster's variable map; variables the map lacks are left out.
+    pub(crate) fn read(vars: &[VarIdx], map: &BlastMap, model: &[bool]) -> Model {
+        let mut values = Vec::with_capacity(vars.len());
+        for &v in vars {
+            if let Some(val) = map.value(v, model) {
+                values.push((v, val));
+            }
+        }
         Model { values }
     }
 
     /// The value assigned to `v`, if it survived preprocessing.
     pub fn value(&self, v: VarIdx) -> Option<u64> {
-        self.values.get(&v).copied()
+        let i = self.values.binary_search_by_key(&v, |&(u, _)| u).ok()?;
+        Some(self.values[i].1)
     }
 
     /// Number of assigned variables.
@@ -100,7 +107,7 @@ impl Model {
 
     /// Evaluates a term under this model (unassigned variables read as 0).
     pub fn eval(&self, pool: &TermPool, t: TermId) -> Value {
-        pool.eval(t, &self.values)
+        pool.eval_with(t, &|v| self.value(v))
     }
 }
 
@@ -208,13 +215,9 @@ pub fn smt_solve(
     stats.duration = start.elapsed();
     let result = match outcome {
         SatOutcome::Sat(model) => {
-            let mut values = HashMap::new();
-            for v in pool.free_vars(processed) {
-                if let Some(val) = map.value(v, &model) {
-                    values.insert(v, val);
-                }
-            }
-            SatResult::Sat(Model { values })
+            let mut vars = Vec::new();
+            pool.free_vars_into(processed, &mut vars);
+            SatResult::Sat(Model::read(&vars, &map, &model))
         }
         SatOutcome::Unsat => SatResult::Unsat,
         SatOutcome::Unknown => SatResult::Unknown,

@@ -14,9 +14,10 @@
 //!   that calls the solver per subterm ([`ctx_solver_simplify`]); cheap on
 //!   formulas, expensive in solver calls, again mirroring the evaluation.
 
+use crate::dense::VarMap;
+use crate::preprocess::conjuncts_into;
 use crate::solver::{smt_solve, SolverConfig};
 use crate::term::{BvOp, Sort, TermId, TermKind, TermPool, VarIdx};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -94,19 +95,15 @@ fn quantifier_eliminate_impl(
     // defining top-level equality `v = t` (with `v` not free in `t`) is
     // substituted only for `v ∈ vars`.
     let mut t = formula;
+    let mut cs = Vec::new();
     'vars: for &v in vars {
         if !solve_eqs {
             break;
         }
-        #[allow(clippy::unnecessary_to_owned)]
-        // pool.var needs &mut; the name must be detached first
-        let vt = pool.var(&pool.var_name(v).to_owned(), pool.var_sort(v));
-        let cs = match pool.kind(t) {
-            TermKind::And(xs) => xs.clone(),
-            _ => vec![t],
-        };
-        for c in cs {
-            let TermKind::Eq(a, b) = pool.kind(c).clone() else {
+        let vt = pool.var_term(v);
+        conjuncts_into(pool, t, &mut cs);
+        for &c in &cs {
+            let TermKind::Eq(a, b) = *pool.kind(c) else {
                 continue;
             };
             let rhs = if a == vt {
@@ -116,24 +113,24 @@ fn quantifier_eliminate_impl(
             } else {
                 continue;
             };
-            if pool.free_vars(rhs).contains(&v) {
+            if pool.mentions(rhs, v) {
                 continue;
             }
-            let mut m = HashMap::new();
+            let mut m = VarMap::new();
             m.insert(v, rhs);
             t = pool.substitute(t, &m);
             continue 'vars;
         }
     }
     for &v in vars {
-        if !pool.free_vars(t).contains(&v) {
+        if !pool.mentions(t, v) {
             continue; // already gone
         }
         let Sort::Bv(w) = pool.var_sort(v) else {
             // Boolean variable: ∃b.φ ≡ φ[b:=⊤] ∨ φ[b:=⊥].
             let tt = pool.tt();
             let ff = pool.ff();
-            let mut m = HashMap::new();
+            let mut m = VarMap::new();
             m.insert(v, tt);
             let a = pool.substitute(t, &m);
             m.insert(v, ff);
@@ -147,10 +144,10 @@ fn quantifier_eliminate_impl(
         // `2^w · v_w ≡ 0`, so it is pinned to zero.
         let mut cur = v;
         for round in 0..=w {
-            if !pool.free_vars(t).contains(&cur) {
+            if !pool.mentions(t, cur) {
                 break;
             }
-            let mut m = HashMap::new();
+            let mut m = VarMap::new();
             if round == w {
                 let zero = pool.bv_const(0, w);
                 m.insert(cur, zero);
@@ -207,10 +204,8 @@ pub fn ctx_solver_simplify(
     per_call: &SolverConfig,
 ) -> (TermId, CtxSimplifyStats) {
     let mut stats = CtxSimplifyStats::default();
-    let mut parts: Vec<TermId> = match pool.kind(formula) {
-        TermKind::And(xs) => xs.clone(),
-        _ => vec![formula],
-    };
+    let mut parts = Vec::new();
+    conjuncts_into(pool, formula, &mut parts);
     if parts.len() < 2 {
         return (formula, stats);
     }

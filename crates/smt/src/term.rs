@@ -10,9 +10,27 @@
 //! The node count of a pool — and the *retained* node count of a formula —
 //! is the honest "condition size" metric the paper's complexity arguments
 //! are about; see [`TermPool::dag_size`] and [`TermPool::tree_size`].
+//!
+//! Nodes are `Copy`: the operands of an n-ary `and`/`or` are a run of one
+//! argument buffer the pool owns ([`Args`]), so reading a node copies a few
+//! words and interning one allocates nothing once the buffers have grown.
+//! Every operand is interned before the node that uses it, so an operand's
+//! id is always below its parent's. Variables are named by structured keys
+//! ([`VarKey`]) whose text is rendered only on demand ([`TermPool::var_name`],
+//! [`TermPool::display`]), and the walks and rewrites over the DAG keep
+//! their memos in dense, generation-stamped tables ([`crate::dense`]) that
+//! the pool reuses from call to call. Only the consing table, the name and
+//! key lookups and the context interner hash, with std's keyed
+//! [`RandomState`]: their keys carry constants and names from the program
+//! text, and a keyed hash keeps a crafted program from piling them into one
+//! probe run.
 
+use crate::dense::{IdMap, IdSet, VarMap};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Range;
 
 /// The sort of a term: boolean or a fixed-width bit vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,7 +51,7 @@ impl fmt::Display for Sort {
 }
 
 /// Identifies a term within its [`TermPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
 impl TermId {
@@ -44,7 +62,7 @@ impl TermId {
 }
 
 /// Identifies a variable within its [`TermPool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarIdx(pub u32);
 
 impl VarIdx {
@@ -193,8 +211,32 @@ pub fn to_signed(v: u64, width: u32) -> i64 {
     }
 }
 
+/// The operands of an n-ary node: a run of its pool's argument buffer,
+/// read with [`TermPool::args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Args {
+    start: u32,
+    len: u32,
+}
+
+impl Args {
+    /// Number of operands.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether there is no operand (never true of an interned node).
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// A term node. Obtain instances through [`TermPool`] constructors only.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermKind {
     /// Boolean constant.
     BoolConst(bool),
@@ -210,9 +252,9 @@ pub enum TermKind {
     /// Boolean negation.
     Not(TermId),
     /// N-ary conjunction (flattened, deduplicated, id-sorted).
-    And(Vec<TermId>),
+    And(Args),
     /// N-ary disjunction (flattened, deduplicated, id-sorted).
-    Or(Vec<TermId>),
+    Or(Args),
     /// Polymorphic equality (operands id-sorted).
     Eq(TermId, TermId),
     /// Polymorphic if-then-else on a boolean condition.
@@ -265,20 +307,170 @@ impl Value {
     }
 }
 
+/// An interned calling context (call string) of a [`TermPool`]: the empty
+/// context [`CtxId::ROOT`], or a parent context extended by one call site
+/// ([`TermPool::ctx_push`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CtxId(u32);
+
+impl CtxId {
+    /// The empty context.
+    pub const ROOT: CtxId = CtxId(0);
+
+    /// Raw index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// The structured name of a program-derived variable. Its text is rendered
+/// only on demand ([`TermPool::var_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VarKey {
+    /// IR variable `var` of function `func`, cloned under calling context
+    /// `ctx`: renders `f{func}@{site}…:v{var}`, one `@{site}` per call
+    /// site from the outermost.
+    Instance {
+        /// The function's id.
+        func: u32,
+        /// The calling context.
+        ctx: CtxId,
+        /// The IR variable's id.
+        var: u32,
+    },
+    /// IR variable `var` of function `func` before cloning, in a
+    /// per-function condition tagged `tag`: renders `{tag}{func}:v{var}`.
+    Local {
+        /// One character telling the conditions' owners apart.
+        tag: char,
+        /// The function's id.
+        func: u32,
+        /// The IR variable's id.
+        var: u32,
+    },
+}
+
+/// How a variable is named.
+#[derive(Debug, Clone)]
+enum VarName {
+    /// By its text (tests, examples, hand-built formulas).
+    Text(Box<str>),
+    /// By a structured key.
+    Key(VarKey),
+    /// A fresh variable: renders `{prefix}!{index}`.
+    Fresh(&'static str),
+}
+
 #[derive(Debug, Clone)]
 struct VarInfo {
-    name: String,
+    name: VarName,
     sort: Sort,
+    /// The variable's `Var` node.
+    term: TermId,
+}
+
+/// One interned context: its parent and last call site.
+#[derive(Debug, Clone, Copy)]
+struct CtxNode {
+    parent: CtxId,
+    site: u32,
+    depth: u32,
+}
+
+/// Reused buffers of the constructors, walks and rebuilds.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// `and`/`or` operands being flattened.
+    flat: Vec<TermId>,
+    /// Nodes a walk has visited.
+    seen: IdSet<TermId>,
+    /// A walk's pending nodes.
+    stack: Vec<TermId>,
+    /// A rebuild's node → result memo.
+    memo: IdMap<TermId, TermId>,
+    /// Rebuilt n-ary operands, one run per open node.
+    built: Vec<TermId>,
+}
+
+/// A bottom-up rewrite run by [`TermPool::rebuild`]: each distinct node is
+/// visited once, operands first, and rebuilt through the simplifying
+/// constructors. A rewrite may replace a node outright before its operands
+/// are visited ([`Rewrite::pre`]) and may rebuild an equality or a
+/// bit-vector operation over its rebuilt operands its own way.
+pub(crate) trait Rewrite {
+    /// A replacement for `t` (of kind `kind`), decided before its operands
+    /// are visited.
+    fn pre(&mut self, _pool: &mut TermPool, _t: TermId, _kind: TermKind) -> Option<TermId> {
+        None
+    }
+
+    /// Rebuilds `a = b` over rebuilt operands.
+    fn eq(&mut self, pool: &mut TermPool, a: TermId, b: TermId) -> TermId {
+        pool.eq(a, b)
+    }
+
+    /// Rebuilds `a op b` over rebuilt operands.
+    fn bv(&mut self, pool: &mut TermPool, op: BvOp, a: TermId, b: TermId) -> TermId {
+        pool.bv(op, a, b)
+    }
+}
+
+/// [`TermPool::substitute`]'s rewrite: mapped variables are replaced.
+struct Subst<'m>(&'m VarMap);
+
+impl Rewrite for Subst<'_> {
+    fn pre(&mut self, _pool: &mut TermPool, _t: TermId, kind: TermKind) -> Option<TermId> {
+        match kind {
+            TermKind::Var(v) => self.0.get(v),
+            _ => None,
+        }
+    }
 }
 
 /// The hash-consing arena for terms.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct TermPool {
     kinds: Vec<TermKind>,
     sorts: Vec<Sort>,
-    consing: HashMap<TermKind, TermId>,
+    /// The operands of every n-ary node, each node's a contiguous run.
+    args: Vec<TermId>,
+    /// Open-addressed consing slots: `TermId + 1`, or 0 when empty. The
+    /// length is zero or a power of two, at least twice the node count.
+    consing: Vec<u32>,
+    /// Keyed hasher of the consing table.
+    hasher: RandomState,
     vars: Vec<VarInfo>,
-    var_by_name: HashMap<String, VarIdx>,
+    var_by_name: HashMap<Box<str>, VarIdx>,
+    var_by_key: HashMap<VarKey, VarIdx>,
+    /// Interned contexts; `ctxs[0]` is the root.
+    ctxs: Vec<CtxNode>,
+    ctx_by_edge: HashMap<(CtxId, u32), CtxId>,
+    scratch: Scratch,
+    /// The preprocessing passes' reused tables.
+    pub(crate) passes: crate::preprocess::PassTables,
+}
+
+impl Default for TermPool {
+    fn default() -> Self {
+        TermPool {
+            kinds: Vec::new(),
+            sorts: Vec::new(),
+            args: Vec::new(),
+            consing: Vec::new(),
+            hasher: RandomState::new(),
+            vars: Vec::new(),
+            var_by_name: HashMap::new(),
+            var_by_key: HashMap::new(),
+            ctxs: vec![CtxNode {
+                parent: CtxId::ROOT,
+                site: 0,
+                depth: 0,
+            }],
+            ctx_by_edge: HashMap::new(),
+            scratch: Scratch::default(),
+            passes: Default::default(),
+        }
+    }
 }
 
 impl TermPool {
@@ -307,14 +499,45 @@ impl TermPool {
         &self.kinds[t.index()]
     }
 
+    /// The operands of an n-ary node.
+    pub fn args(&self, a: Args) -> &[TermId] {
+        &self.args[a.range()]
+    }
+
     /// The sort of a term.
     pub fn sort(&self, t: TermId) -> Sort {
         self.sorts[t.index()]
     }
 
-    /// A variable's declared name.
-    pub fn var_name(&self, v: VarIdx) -> &str {
-        &self.vars[v.index()].name
+    /// A variable's name, rendered.
+    pub fn var_name(&self, v: VarIdx) -> String {
+        match &self.vars[v.index()].name {
+            VarName::Text(s) => s.to_string(),
+            VarName::Fresh(prefix) => format!("{prefix}!{}", v.0),
+            VarName::Key(VarKey::Local { tag, func, var }) => format!("{tag}{func}:v{var}"),
+            VarName::Key(VarKey::Instance { func, ctx, var }) => {
+                let mut sites = Vec::new();
+                let mut c = *ctx;
+                while let Some((parent, site)) = self.ctx_pop(c) {
+                    sites.push(site);
+                    c = parent;
+                }
+                let mut name = format!("f{func}");
+                for s in sites.iter().rev() {
+                    name.push_str(&format!("@{s}"));
+                }
+                name.push_str(&format!(":v{var}"));
+                name
+            }
+        }
+    }
+
+    /// A variable's structured key, when it has one.
+    pub fn var_key(&self, v: VarIdx) -> Option<VarKey> {
+        match self.vars[v.index()].name {
+            VarName::Key(k) => Some(k),
+            _ => None,
+        }
     }
 
     /// A variable's sort.
@@ -322,15 +545,130 @@ impl TermPool {
         self.vars[v.index()].sort
     }
 
-    fn intern(&mut self, kind: TermKind, sort: Sort) -> TermId {
-        if let Some(&t) = self.consing.get(&kind) {
-            return t;
+    /// A variable's `Var` node.
+    pub fn var_term(&self, v: VarIdx) -> TermId {
+        self.vars[v.index()].term
+    }
+
+    /// The context `ctx` extended by call site `site`.
+    pub fn ctx_push(&mut self, ctx: CtxId, site: u32) -> CtxId {
+        if let Some(&c) = self.ctx_by_edge.get(&(ctx, site)) {
+            return c;
+        }
+        let c = CtxId(self.ctxs.len() as u32);
+        let depth = self.ctxs[ctx.index()].depth + 1;
+        self.ctxs.push(CtxNode {
+            parent: ctx,
+            site,
+            depth,
+        });
+        self.ctx_by_edge.insert((ctx, site), c);
+        c
+    }
+
+    /// A context's parent and last call site; `None` for the root.
+    pub fn ctx_pop(&self, ctx: CtxId) -> Option<(CtxId, u32)> {
+        if ctx == CtxId::ROOT {
+            return None;
+        }
+        let n = self.ctxs[ctx.index()];
+        Some((n.parent, n.site))
+    }
+
+    /// Number of call sites in a context.
+    pub fn ctx_depth(&self, ctx: CtxId) -> usize {
+        self.ctxs[ctx.index()].depth as usize
+    }
+
+    /// The keyed hash of a node: its variant and fields, or for an n-ary
+    /// node its variant and operands.
+    fn node_hash(&self, kind: &TermKind, args: &[TermId]) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        std::mem::discriminant(kind).hash(&mut h);
+        match kind {
+            TermKind::And(_) | TermKind::Or(_) => args.hash(&mut h),
+            _ => kind.hash(&mut h),
+        }
+        h.finish()
+    }
+
+    /// Whether node `t` is (`kind`, `args`).
+    fn node_is(&self, t: TermId, kind: &TermKind, args: &[TermId]) -> bool {
+        match (self.kinds[t.index()], kind) {
+            (TermKind::And(a), TermKind::And(_)) | (TermKind::Or(a), TermKind::Or(_)) => {
+                self.args(a) == args
+            }
+            (k, kind) => k == *kind,
+        }
+    }
+
+    /// Interns a node. For `And`/`Or`, `kind`'s operand run is ignored and
+    /// `args` are the operands; for every other kind `args` is empty.
+    fn intern_node(&mut self, kind: TermKind, args: &[TermId], sort: Sort) -> TermId {
+        if self.consing.is_empty() {
+            self.consing = vec![0; 16];
+        }
+        let mask = self.consing.len() - 1;
+        let mut i = self.node_hash(&kind, args) as usize & mask;
+        loop {
+            match self.consing[i] {
+                0 => break,
+                s => {
+                    let t = TermId(s - 1);
+                    if self.node_is(t, &kind, args) {
+                        return t;
+                    }
+                }
+            }
+            i = (i + 1) & mask;
         }
         let t = TermId(self.kinds.len() as u32);
-        self.kinds.push(kind.clone());
+        let kind = match kind {
+            TermKind::And(_) => TermKind::And(self.push_args(args)),
+            TermKind::Or(_) => TermKind::Or(self.push_args(args)),
+            k => k,
+        };
+        self.kinds.push(kind);
         self.sorts.push(sort);
-        self.consing.insert(kind, t);
+        self.consing[i] = t.0 + 1;
+        if self.kinds.len() * 2 > self.consing.len() {
+            self.grow_consing();
+        }
         t
+    }
+
+    fn push_args(&mut self, args: &[TermId]) -> Args {
+        let start = self.args.len() as u32;
+        self.args.extend_from_slice(args);
+        Args {
+            start,
+            len: args.len() as u32,
+        }
+    }
+
+    /// Doubles the consing slots and re-inserts every node.
+    fn grow_consing(&mut self) {
+        let mut slots = std::mem::take(&mut self.consing);
+        let len = slots.len() * 2;
+        slots.clear();
+        slots.resize(len, 0);
+        let mask = len - 1;
+        for (t, kind) in self.kinds.iter().enumerate() {
+            let args = match kind {
+                TermKind::And(a) | TermKind::Or(a) => self.args(*a),
+                _ => &[],
+            };
+            let mut i = self.node_hash(kind, args) as usize & mask;
+            while slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            slots[i] = t as u32 + 1;
+        }
+        self.consing = slots;
+    }
+
+    fn intern(&mut self, kind: TermKind, sort: Sort) -> TermId {
+        self.intern_node(kind, &[], sort)
     }
 
     /// The `true` constant.
@@ -363,6 +701,25 @@ impl TermPool {
         self.intern(TermKind::BvConst { width, value }, Sort::Bv(width))
     }
 
+    fn declare(&mut self, name: VarName, sort: Sort) -> VarIdx {
+        let v = VarIdx(self.vars.len() as u32);
+        let term = self.intern(TermKind::Var(v), sort);
+        self.vars.push(VarInfo { name, sort, term });
+        v
+    }
+
+    /// The node of an existing variable, checked against `sort`.
+    fn redeclared(&self, v: VarIdx, sort: Sort) -> TermId {
+        let info = &self.vars[v.index()];
+        assert_eq!(
+            info.sort,
+            sort,
+            "variable `{}` redeclared",
+            self.var_name(v)
+        );
+        info.term
+    }
+
     /// Declares (or retrieves) the variable `name` of sort `sort`.
     ///
     /// # Panics
@@ -370,27 +727,32 @@ impl TermPool {
     /// Panics if `name` was already declared with a different sort.
     pub fn var(&mut self, name: &str, sort: Sort) -> TermId {
         if let Some(&v) = self.var_by_name.get(name) {
-            assert_eq!(
-                self.vars[v.index()].sort,
-                sort,
-                "variable `{name}` redeclared"
-            );
-            return self.intern(TermKind::Var(v), sort);
+            return self.redeclared(v, sort);
         }
-        let v = VarIdx(self.vars.len() as u32);
-        self.vars.push(VarInfo {
-            name: name.to_owned(),
-            sort,
-        });
-        self.var_by_name.insert(name.to_owned(), v);
-        self.intern(TermKind::Var(v), sort)
+        let v = self.declare(VarName::Text(name.into()), sort);
+        self.var_by_name.insert(name.into(), v);
+        self.var_term(v)
     }
 
-    /// Declares a fresh variable with a unique generated name.
-    pub fn fresh_var(&mut self, prefix: &str, sort: Sort) -> TermId {
-        let name = format!("{prefix}!{}", self.vars.len());
-        debug_assert!(!self.var_by_name.contains_key(&name));
-        self.var(&name, sort)
+    /// Declares (or retrieves) the variable named by `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was already declared with a different sort.
+    pub fn keyed_var(&mut self, key: VarKey, sort: Sort) -> TermId {
+        if let Some(&v) = self.var_by_key.get(&key) {
+            return self.redeclared(v, sort);
+        }
+        let v = self.declare(VarName::Key(key), sort);
+        self.var_by_key.insert(key, v);
+        self.var_term(v)
+    }
+
+    /// Declares a fresh variable, named `{prefix}!{index}` where `index` is
+    /// its [`VarIdx`]. No other variable is ever equal to it.
+    pub fn fresh_var(&mut self, prefix: &'static str, sort: Sort) -> TermId {
+        let v = self.declare(VarName::Fresh(prefix), sort);
+        self.var_term(v)
     }
 
     /// Returns the constant boolean value of `t` if it is one.
@@ -428,12 +790,9 @@ impl TermPool {
     /// Panics if `t` is not boolean.
     pub fn not(&mut self, t: TermId) -> TermId {
         assert_eq!(self.sort(t), Sort::Bool, "not: operand must be Bool");
-        match self.kind(t) {
-            TermKind::BoolConst(b) => {
-                let b = !*b;
-                self.bool_const(b)
-            }
-            TermKind::Not(inner) => *inner,
+        match *self.kind(t) {
+            TermKind::BoolConst(b) => self.bool_const(!b),
+            TermKind::Not(inner) => inner,
             _ => self.intern(TermKind::Not(t), Sort::Bool),
         }
     }
@@ -445,31 +804,7 @@ impl TermPool {
     ///
     /// Panics if any operand is not boolean.
     pub fn and(&mut self, ts: &[TermId]) -> TermId {
-        let mut flat = Vec::with_capacity(ts.len());
-        for &t in ts {
-            assert_eq!(self.sort(t), Sort::Bool, "and: operand must be Bool");
-            match self.kind(t) {
-                TermKind::BoolConst(true) => {}
-                TermKind::BoolConst(false) => return self.ff(),
-                TermKind::And(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(t),
-            }
-        }
-        flat.sort_unstable();
-        flat.dedup();
-        // x ∧ ¬x → false
-        for &t in &flat {
-            if let TermKind::Not(inner) = self.kind(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.ff();
-                }
-            }
-        }
-        match flat.len() {
-            0 => self.tt(),
-            1 => flat[0],
-            _ => self.intern(TermKind::And(flat), Sort::Bool),
-        }
+        self.nary(true, ts)
     }
 
     /// Binary conjunction convenience.
@@ -483,35 +818,60 @@ impl TermPool {
     ///
     /// Panics if any operand is not boolean.
     pub fn or(&mut self, ts: &[TermId]) -> TermId {
-        let mut flat = Vec::with_capacity(ts.len());
-        for &t in ts {
-            assert_eq!(self.sort(t), Sort::Bool, "or: operand must be Bool");
-            match self.kind(t) {
-                TermKind::BoolConst(false) => {}
-                TermKind::BoolConst(true) => return self.tt(),
-                TermKind::Or(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(t),
-            }
-        }
-        flat.sort_unstable();
-        flat.dedup();
-        for &t in &flat {
-            if let TermKind::Not(inner) = self.kind(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.tt();
-                }
-            }
-        }
-        match flat.len() {
-            0 => self.ff(),
-            1 => flat[0],
-            _ => self.intern(TermKind::Or(flat), Sort::Bool),
-        }
+        self.nary(false, ts)
     }
 
     /// Binary disjunction convenience.
     pub fn or2(&mut self, a: TermId, b: TermId) -> TermId {
         self.or(&[a, b])
+    }
+
+    /// [`TermPool::and`] (`is_and`) or [`TermPool::or`], flattening into the
+    /// pool's reused operand buffer.
+    fn nary(&mut self, is_and: bool, ts: &[TermId]) -> TermId {
+        let mut flat = std::mem::take(&mut self.scratch.flat);
+        flat.clear();
+        let r = self.nary_in(is_and, ts, &mut flat);
+        self.scratch.flat = flat;
+        r
+    }
+
+    fn nary_in(&mut self, is_and: bool, ts: &[TermId], flat: &mut Vec<TermId>) -> TermId {
+        // `unit` vanishes from the operands and `zero` absorbs them.
+        let (unit, name) = if is_and { (true, "and") } else { (false, "or") };
+        for &t in ts {
+            assert_eq!(self.sort(t), Sort::Bool, "{name}: operand must be Bool");
+            match *self.kind(t) {
+                TermKind::BoolConst(b) if b == unit => {}
+                TermKind::BoolConst(_) => return self.bool_const(!unit),
+                TermKind::And(inner) if is_and => flat.extend_from_slice(self.args(inner)),
+                TermKind::Or(inner) if !is_and => flat.extend_from_slice(self.args(inner)),
+                _ => flat.push(t),
+            }
+        }
+        flat.sort_unstable();
+        flat.dedup();
+        // x ∧ ¬x → false, x ∨ ¬x → true
+        for &t in flat.iter() {
+            if let TermKind::Not(inner) = *self.kind(t) {
+                if flat.binary_search(&inner).is_ok() {
+                    return self.bool_const(!unit);
+                }
+            }
+        }
+        match flat.len() {
+            0 => self.bool_const(unit),
+            1 => flat[0],
+            _ => {
+                let placeholder = Args { start: 0, len: 0 };
+                let kind = if is_and {
+                    TermKind::And(placeholder)
+                } else {
+                    TermKind::Or(placeholder)
+                };
+                self.intern_node(kind, flat, Sort::Bool)
+            }
+        }
     }
 
     /// Implication `a → b`, encoded as `¬a ∨ b`.
@@ -530,7 +890,7 @@ impl TermPool {
         if a == b {
             return self.tt();
         }
-        match (self.kind(a).clone(), self.kind(b).clone()) {
+        match (*self.kind(a), *self.kind(b)) {
             (TermKind::BoolConst(x), TermKind::BoolConst(y)) => return self.bool_const(x == y),
             (TermKind::BvConst { value: x, .. }, TermKind::BvConst { value: y, .. }) => {
                 return self.bool_const(x == y)
@@ -598,13 +958,10 @@ impl TermPool {
         if then_t == else_t {
             return then_t;
         }
-        match self.kind(cond) {
+        match *self.kind(cond) {
             TermKind::BoolConst(true) => return then_t,
             TermKind::BoolConst(false) => return else_t,
-            TermKind::Not(inner) => {
-                let inner = *inner;
-                return self.ite(inner, else_t, then_t);
-            }
+            TermKind::Not(inner) => return self.ite(inner, else_t, then_t),
             _ => {}
         }
         if self.sort(then_t) == Sort::Bool {
@@ -748,40 +1105,47 @@ impl TermPool {
     /// Evaluates `t` under an assignment of values to variables. Variables
     /// missing from `env` default to 0/false.
     pub fn eval(&self, t: TermId, env: &HashMap<VarIdx, u64>) -> Value {
-        let mut memo: HashMap<TermId, Value> = HashMap::new();
+        self.eval_with(t, &|v| env.get(&v).copied())
+    }
+
+    /// [`TermPool::eval`] with the assignment given as a lookup.
+    pub fn eval_with(&self, t: TermId, env: &dyn Fn(VarIdx) -> Option<u64>) -> Value {
+        // Operands have lower ids than their parents.
+        let mut memo: Vec<Option<Value>> = vec![None; t.index() + 1];
         self.eval_memo(t, env, &mut memo)
     }
 
     fn eval_memo(
         &self,
         t: TermId,
-        env: &HashMap<VarIdx, u64>,
-        memo: &mut HashMap<TermId, Value>,
+        env: &dyn Fn(VarIdx) -> Option<u64>,
+        memo: &mut [Option<Value>],
     ) -> Value {
-        if let Some(&v) = memo.get(&t) {
+        if let Some(v) = memo[t.index()] {
             return v;
         }
-        let v = match self.kind(t) {
-            TermKind::BoolConst(b) => Value::Bool(*b),
-            TermKind::BvConst { value, .. } => Value::Bv(*value),
+        let v = match *self.kind(t) {
+            TermKind::BoolConst(b) => Value::Bool(b),
+            TermKind::BvConst { value, .. } => Value::Bv(value),
             TermKind::Var(v) => {
-                let raw = env.get(v).copied().unwrap_or(0);
-                match self.var_sort(*v) {
+                let raw = env(v).unwrap_or(0);
+                match self.var_sort(v) {
                     Sort::Bool => Value::Bool(raw != 0),
                     Sort::Bv(w) => Value::Bv(raw & mask(w)),
                 }
             }
-            TermKind::Not(x) => Value::Bool(!self.eval_memo(*x, env, memo).as_bool()),
-            TermKind::And(xs) => {
-                let xs = xs.clone();
-                Value::Bool(xs.iter().all(|&x| self.eval_memo(x, env, memo).as_bool()))
-            }
-            TermKind::Or(xs) => {
-                let xs = xs.clone();
-                Value::Bool(xs.iter().any(|&x| self.eval_memo(x, env, memo).as_bool()))
-            }
+            TermKind::Not(x) => Value::Bool(!self.eval_memo(x, env, memo).as_bool()),
+            TermKind::And(xs) => Value::Bool(
+                self.args(xs)
+                    .iter()
+                    .all(|&x| self.eval_memo(x, env, memo).as_bool()),
+            ),
+            TermKind::Or(xs) => Value::Bool(
+                self.args(xs)
+                    .iter()
+                    .any(|&x| self.eval_memo(x, env, memo).as_bool()),
+            ),
             TermKind::Eq(a, b) => {
-                let (a, b) = (*a, *b);
                 let va = self.eval_memo(a, env, memo);
                 let vb = self.eval_memo(b, env, memo);
                 Value::Bool(va == vb)
@@ -791,162 +1155,228 @@ impl TermPool {
                 then_t,
                 else_t,
             } => {
-                let (c, tt, ee) = (*cond, *then_t, *else_t);
-                if self.eval_memo(c, env, memo).as_bool() {
-                    self.eval_memo(tt, env, memo)
+                if self.eval_memo(cond, env, memo).as_bool() {
+                    self.eval_memo(then_t, env, memo)
                 } else {
-                    self.eval_memo(ee, env, memo)
+                    self.eval_memo(else_t, env, memo)
                 }
             }
             TermKind::Bv(op, a, b) => {
-                let (op, a, b) = (*op, *a, *b);
                 let w = self.width(t);
                 let va = self.eval_memo(a, env, memo).as_bv();
                 let vb = self.eval_memo(b, env, memo).as_bv();
                 Value::Bv(op.eval(va, vb, w))
             }
             TermKind::Pred(p, a, b) => {
-                let (p, a, b) = (*p, *a, *b);
                 let w = self.width(a);
                 let va = self.eval_memo(a, env, memo).as_bv();
                 let vb = self.eval_memo(b, env, memo).as_bv();
                 Value::Bool(p.eval(va, vb, w))
             }
         };
-        memo.insert(t, v);
+        memo[t.index()] = Some(v);
         v
     }
 
-    /// The children of a term, in a fixed order.
-    pub fn children(&self, t: TermId) -> Vec<TermId> {
-        match self.kind(t) {
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => vec![],
-            TermKind::Not(x) => vec![*x],
-            TermKind::And(xs) | TermKind::Or(xs) => xs.clone(),
-            TermKind::Eq(a, b) => vec![*a, *b],
+    /// Appends the operands of `t` to `out`, in a fixed order.
+    pub fn push_children(&self, t: TermId, out: &mut Vec<TermId>) {
+        match *self.kind(t) {
+            TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => {}
+            TermKind::Not(x) => out.push(x),
+            TermKind::And(xs) | TermKind::Or(xs) => out.extend_from_slice(self.args(xs)),
+            TermKind::Eq(a, b) | TermKind::Bv(_, a, b) | TermKind::Pred(_, a, b) => {
+                out.extend_from_slice(&[a, b])
+            }
             TermKind::Ite {
                 cond,
                 then_t,
                 else_t,
-            } => vec![*cond, *then_t, *else_t],
-            TermKind::Bv(_, a, b) | TermKind::Pred(_, a, b) => vec![*a, *b],
+            } => out.extend_from_slice(&[cond, then_t, else_t]),
+        }
+    }
+
+    /// Visits every distinct node reachable from `t` once, depth first:
+    /// a node is visited when popped, then its operands are pushed in
+    /// order. Uses the pool's reused walk tables.
+    pub(crate) fn walk(&mut self, t: TermId, visit: impl FnMut(&TermPool, TermId)) {
+        let mut seen = std::mem::take(&mut self.scratch.seen);
+        let mut stack = std::mem::take(&mut self.scratch.stack);
+        self.walk_in(t, &mut seen, &mut stack, visit);
+        self.scratch.seen = seen;
+        self.scratch.stack = stack;
+    }
+
+    /// [`TermPool::walk`] over the given tables.
+    fn walk_in(
+        &self,
+        t: TermId,
+        seen: &mut IdSet<TermId>,
+        stack: &mut Vec<TermId>,
+        mut visit: impl FnMut(&TermPool, TermId),
+    ) {
+        seen.clear();
+        stack.clear();
+        stack.push(t);
+        while let Some(x) = stack.pop() {
+            if seen.insert(x) {
+                visit(self, x);
+                self.push_children(x, stack);
+            }
         }
     }
 
     /// Number of distinct nodes reachable from `t` (shared sub-DAG size).
-    pub fn dag_size(&self, t: TermId) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if seen.insert(x) {
-                stack.extend(self.children(x));
-            }
-        }
-        seen.len()
+    pub fn dag_size(&mut self, t: TermId) -> usize {
+        let mut n = 0;
+        self.walk(t, |_, _| n += 1);
+        n
+    }
+
+    /// Every distinct node reachable from `t`, written to `out` in
+    /// depth-first order: a node before its operands, operands pushed in
+    /// order and visited last-first.
+    pub(crate) fn dag_nodes_into(&mut self, t: TermId, out: &mut Vec<TermId>) {
+        out.clear();
+        self.walk(t, |_, x| out.push(x));
     }
 
     /// Size of the fully expanded syntax tree of `t` — the "condition size"
     /// a non-sharing representation (the conventional design's cloned
     /// formulas) would pay. Saturates at `u64::MAX`.
     pub fn tree_size(&self, t: TermId) -> u64 {
-        let mut memo: HashMap<TermId, u64> = HashMap::new();
+        // Operands have lower ids than their parents; sizes are >= 1, so 0
+        // marks a node not yet sized.
+        let mut memo = vec![0u64; t.index() + 1];
         self.tree_size_memo(t, &mut memo)
     }
 
-    fn tree_size_memo(&self, t: TermId, memo: &mut HashMap<TermId, u64>) -> u64 {
-        if let Some(&s) = memo.get(&t) {
-            return s;
+    fn tree_size_memo(&self, t: TermId, memo: &mut [u64]) -> u64 {
+        if memo[t.index()] != 0 {
+            return memo[t.index()];
         }
+        let mut children = Vec::new();
+        self.push_children(t, &mut children);
         let mut total: u64 = 1;
-        for c in self.children(t) {
+        for c in children {
             total = total.saturating_add(self.tree_size_memo(c, memo));
         }
-        memo.insert(t, total);
+        memo[t.index()] = total;
         total
     }
 
-    /// Free variables of `t` (sorted, deduplicated).
+    /// Free variables of `t` (sorted, deduplicated). Allocates its own
+    /// walk tables; [`TermPool::free_vars_into`] reuses the pool's.
     pub fn free_vars(&self, t: TermId) -> Vec<VarIdx> {
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        let mut stack = vec![t];
-        while let Some(x) = stack.pop() {
-            if !seen.insert(x) {
-                continue;
+        self.walk_in(t, &mut IdSet::new(), &mut Vec::new(), |pool, x| {
+            if let TermKind::Var(v) = *pool.kind(x) {
+                out.push(v);
             }
-            if let TermKind::Var(v) = self.kind(x) {
-                out.push(*v);
-            }
-            stack.extend(self.children(x));
-        }
+        });
         out.sort_unstable();
-        out.dedup();
         out
+    }
+
+    /// [`TermPool::free_vars`] written to `out`, walking with the pool's
+    /// reused tables.
+    pub fn free_vars_into(&mut self, t: TermId, out: &mut Vec<VarIdx>) {
+        out.clear();
+        self.walk(t, |pool, x| {
+            if let TermKind::Var(v) = *pool.kind(x) {
+                out.push(v);
+            }
+        });
+        out.sort_unstable();
+    }
+
+    /// Whether `v` is free in `t`, walking with the pool's reused tables.
+    pub fn mentions(&mut self, t: TermId, v: VarIdx) -> bool {
+        let target = self.var_term(v);
+        let mut found = false;
+        self.walk(t, |_, x| found |= x == target);
+        found
     }
 
     /// Rebuilds `t` with variables substituted per `map` (variables absent
     /// from the map are kept). Simplifying constructors re-run, so the
     /// result may be smaller than the input.
-    pub fn substitute(&mut self, t: TermId, map: &HashMap<VarIdx, TermId>) -> TermId {
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
-        self.substitute_memo(t, map, &mut memo)
+    pub fn substitute(&mut self, t: TermId, map: &VarMap) -> TermId {
+        self.rebuild(t, &mut Subst(map))
     }
 
-    fn substitute_memo(
+    /// Runs `rewrite` over `t` ([`Rewrite`]), memoizing each node's result
+    /// in the pool's reused memo.
+    pub(crate) fn rebuild(&mut self, t: TermId, rewrite: &mut impl Rewrite) -> TermId {
+        let mut memo = std::mem::take(&mut self.scratch.memo);
+        let mut built = std::mem::take(&mut self.scratch.built);
+        memo.clear();
+        built.clear();
+        let r = self.rebuild_node(t, rewrite, &mut memo, &mut built);
+        self.scratch.memo = memo;
+        self.scratch.built = built;
+        r
+    }
+
+    fn rebuild_node(
         &mut self,
         t: TermId,
-        map: &HashMap<VarIdx, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        rw: &mut impl Rewrite,
+        memo: &mut IdMap<TermId, TermId>,
+        built: &mut Vec<TermId>,
     ) -> TermId {
-        if let Some(&r) = memo.get(&t) {
+        if let Some(r) = memo.get(t) {
             return r;
         }
-        let r = match self.kind(t).clone() {
-            TermKind::Var(v) => map.get(&v).copied().unwrap_or(t),
-            TermKind::BoolConst(_) | TermKind::BvConst { .. } => t,
-            TermKind::Not(x) => {
-                let x = self.substitute_memo(x, map, memo);
-                self.not(x)
-            }
-            TermKind::And(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| self.substitute_memo(x, map, memo))
-                    .collect();
-                self.and(&xs)
-            }
-            TermKind::Or(xs) => {
-                let xs: Vec<TermId> = xs
-                    .iter()
-                    .map(|&x| self.substitute_memo(x, map, memo))
-                    .collect();
-                self.or(&xs)
-            }
-            TermKind::Eq(a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
-                self.eq(a, b)
-            }
-            TermKind::Ite {
-                cond,
-                then_t,
-                else_t,
-            } => {
-                let c = self.substitute_memo(cond, map, memo);
-                let tt = self.substitute_memo(then_t, map, memo);
-                let ee = self.substitute_memo(else_t, map, memo);
-                self.ite(c, tt, ee)
-            }
-            TermKind::Bv(op, a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
-                self.bv(op, a, b)
-            }
-            TermKind::Pred(p, a, b) => {
-                let a = self.substitute_memo(a, map, memo);
-                let b = self.substitute_memo(b, map, memo);
-                self.pred(p, a, b)
-            }
+        let kind = *self.kind(t);
+        let r = match rw.pre(self, t, kind) {
+            Some(r) => r,
+            None => match kind {
+                TermKind::BoolConst(_) | TermKind::BvConst { .. } | TermKind::Var(_) => t,
+                TermKind::Not(x) => {
+                    let x = self.rebuild_node(x, rw, memo, built);
+                    self.not(x)
+                }
+                TermKind::And(xs) | TermKind::Or(xs) => {
+                    let base = built.len();
+                    for i in xs.range() {
+                        let x = self.args[i];
+                        let x = self.rebuild_node(x, rw, memo, built);
+                        built.push(x);
+                    }
+                    let r = if matches!(kind, TermKind::And(_)) {
+                        self.and(&built[base..])
+                    } else {
+                        self.or(&built[base..])
+                    };
+                    built.truncate(base);
+                    r
+                }
+                TermKind::Eq(a, b) => {
+                    let a = self.rebuild_node(a, rw, memo, built);
+                    let b = self.rebuild_node(b, rw, memo, built);
+                    rw.eq(self, a, b)
+                }
+                TermKind::Ite {
+                    cond,
+                    then_t,
+                    else_t,
+                } => {
+                    let c = self.rebuild_node(cond, rw, memo, built);
+                    let tt = self.rebuild_node(then_t, rw, memo, built);
+                    let ee = self.rebuild_node(else_t, rw, memo, built);
+                    self.ite(c, tt, ee)
+                }
+                TermKind::Bv(op, a, b) => {
+                    let a = self.rebuild_node(a, rw, memo, built);
+                    let b = self.rebuild_node(b, rw, memo, built);
+                    rw.bv(self, op, a, b)
+                }
+                TermKind::Pred(p, a, b) => {
+                    let a = self.rebuild_node(a, rw, memo, built);
+                    let b = self.rebuild_node(b, rw, memo, built);
+                    self.pred(p, a, b)
+                }
+            },
         };
         memo.insert(t, r);
         r
@@ -954,35 +1384,35 @@ impl TermPool {
 
     /// Renders a term as an S-expression (for diagnostics and tests).
     pub fn display(&self, t: TermId) -> String {
-        match self.kind(t) {
+        match *self.kind(t) {
             TermKind::BoolConst(b) => b.to_string(),
             TermKind::BvConst { value, width } => format!("#x{value:x}:{width}"),
-            TermKind::Var(v) => self.var_name(*v).to_owned(),
-            TermKind::Not(x) => format!("(not {})", self.display(*x)),
+            TermKind::Var(v) => self.var_name(v),
+            TermKind::Not(x) => format!("(not {})", self.display(x)),
             TermKind::And(xs) => {
-                let parts: Vec<String> = xs.iter().map(|&x| self.display(x)).collect();
+                let parts: Vec<String> = self.args(xs).iter().map(|&x| self.display(x)).collect();
                 format!("(and {})", parts.join(" "))
             }
             TermKind::Or(xs) => {
-                let parts: Vec<String> = xs.iter().map(|&x| self.display(x)).collect();
+                let parts: Vec<String> = self.args(xs).iter().map(|&x| self.display(x)).collect();
                 format!("(or {})", parts.join(" "))
             }
-            TermKind::Eq(a, b) => format!("(= {} {})", self.display(*a), self.display(*b)),
+            TermKind::Eq(a, b) => format!("(= {} {})", self.display(a), self.display(b)),
             TermKind::Ite {
                 cond,
                 then_t,
                 else_t,
             } => format!(
                 "(ite {} {} {})",
-                self.display(*cond),
-                self.display(*then_t),
-                self.display(*else_t)
+                self.display(cond),
+                self.display(then_t),
+                self.display(else_t)
             ),
             TermKind::Bv(op, a, b) => {
-                format!("({op:?} {} {})", self.display(*a), self.display(*b))
+                format!("({op:?} {} {})", self.display(a), self.display(b))
             }
             TermKind::Pred(p, a, b) => {
-                format!("({p:?} {} {})", self.display(*a), self.display(*b))
+                format!("({p:?} {} {})", self.display(a), self.display(b))
             }
         }
     }
@@ -1115,9 +1545,97 @@ mod tests {
         };
         let sum = p.bv(BvOp::Add, x, y);
         let zero = p.bv_const(0, 32);
-        let mut map = HashMap::new();
+        let mut map = VarMap::new();
         map.insert(vx, zero);
         assert_eq!(p.substitute(sum, &map), y);
+    }
+
+    #[test]
+    fn nary_operands_live_in_the_argument_buffer() {
+        let mut p = TermPool::new();
+        let a = p.var("a", Sort::Bool);
+        let b = p.var("b", Sort::Bool);
+        let c = p.var("c", Sort::Bool);
+        let abc = p.and(&[c, a, b]);
+        let TermKind::And(xs) = *p.kind(abc) else {
+            panic!("expected and")
+        };
+        assert_eq!(p.args(xs), &[a, b, c]);
+        // Interning the same operands again finds the node; `or` over the
+        // same operands is another node.
+        let nodes = p.len();
+        assert_eq!(p.and(&[b, c, a]), abc);
+        assert_eq!(p.len(), nodes);
+        let or = p.or(&[a, b, c]);
+        assert_ne!(or, abc);
+        let TermKind::Or(ys) = *p.kind(or) else {
+            panic!("expected or")
+        };
+        assert_eq!(p.args(ys), &[a, b, c]);
+        let mut children = Vec::new();
+        p.push_children(abc, &mut children);
+        assert_eq!(children, vec![a, b, c]);
+    }
+
+    #[test]
+    fn consing_survives_table_growth() {
+        let mut p = TermPool::new();
+        let x = p.var("x", Sort::Bv(16));
+        let sums: Vec<TermId> = (0..1000u64)
+            .map(|k| {
+                let c = p.bv_const(k, 16);
+                p.bv(BvOp::Add, x, c)
+            })
+            .collect();
+        let nodes = p.len();
+        for (k, &s) in sums.iter().enumerate() {
+            let c = p.bv_const(k as u64, 16);
+            assert_eq!(p.bv(BvOp::Add, c, x), s);
+        }
+        assert_eq!(p.len(), nodes);
+    }
+
+    #[test]
+    fn keyed_variables_render_their_old_names() {
+        let mut p = TermPool::new();
+        let w = Sort::Bv(32);
+        let inner = p.ctx_push(CtxId::ROOT, 5);
+        let ctx = p.ctx_push(inner, 7);
+        assert_eq!(p.ctx_push(inner, 7), ctx);
+        assert_eq!(p.ctx_depth(ctx), 2);
+        assert_eq!(p.ctx_pop(ctx), Some((inner, 7)));
+        assert_eq!(p.ctx_pop(CtxId::ROOT), None);
+        let key = VarKey::Instance {
+            func: 3,
+            ctx,
+            var: 9,
+        };
+        let i = p.keyed_var(key, w);
+        assert_eq!(p.keyed_var(key, w), i);
+        let l = p.keyed_var(
+            VarKey::Local {
+                tag: 'l',
+                func: 3,
+                var: 9,
+            },
+            w,
+        );
+        let f = p.fresh_var("uc", Sort::Bool);
+        let [vi, vl, vf] = [i, l, f].map(|t| match *p.kind(t) {
+            TermKind::Var(v) => v,
+            _ => unreachable!(),
+        });
+        assert_eq!(p.var_name(vi), "f3@5@7:v9");
+        assert_eq!(p.var_name(vl), "l3:v9");
+        assert_eq!(p.var_name(vf), "uc!2");
+        assert_eq!(p.var_key(vi), Some(key));
+        assert_eq!(p.var_key(vf), None);
+        assert_eq!(p.var_term(vl), l);
+        let eq = p.eq(i, l);
+        assert_eq!(p.display(eq), "(= f3@5@7:v9 l3:v9)");
+        // A named variable is found by its text.
+        let x = p.var("x", w);
+        assert_eq!(p.var("x", w), x);
     }
 
     #[test]
